@@ -4,7 +4,7 @@ Exact truncated sums over a Spectrum (or any explicit level list), the
 closed-form zero-field results, the universal Dirichlet/Neumann curves in
 the variable y = beta * F^(2/3), the classical high-temperature limit, the
 weak-field resonance predictors built on the Lambert W function, and a
-grid-scan extremum locator.
+grid-scan extremum locator refined by Brent's parabolic search.
 
 Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
 wall's negative ground level can never overflow the sums; means and
@@ -47,8 +47,8 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 WEAK_FIELD_MAX = 1e-2          # contract bound for the asymptotic predictors
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction of Brent's method
+_SQRT_EPS = math.sqrt(2.0 ** -52)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def _moments(source, beta: float,
     if isinstance(source, Spectrum):
         if weights is not None:
             raise DomainError("weights are only supported for explicit level lists")
-        s0, s1, s2 = ladder_sums(source, beta, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
+        s0, s1, s2 = ladder_sums(source, beta, BOLTZ_KIND, BOLTZ)
         return s0, s1, s2, source.e0
     levels = np.asarray(source, dtype=float)
     s0, s1, s2 = array_sums(levels, beta, powers=(0, 1, 2), weights=weights)
@@ -269,34 +269,63 @@ def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
 # extremum location
 # ---------------------------------------------------------------------------
 
-def _golden(fn: Callable[[float], float], lo: float, hi: float,
-            sign: float, tol: float = 1e-6) -> tuple[float, float]:
-    """Golden-section extremum of sign*fn on [lo, hi] (ln-beta coordinates)."""
-    a, b = lo, hi
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = sign * fn(math.exp(c))
-    yd = sign * fn(math.exp(d))
-    while h > tol:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            yc = sign * fn(math.exp(c))
+def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: float,
+           b: float, fb: float, tol: float = 1e-6) -> tuple[float, float]:
+    """Minimum of fn on [a, b] by Brent's method (Brent 1973, "Algorithms
+    for Minimization without Derivatives", ch. 5): parabolic interpolation
+    through the three best points, with a golden-section step whenever the
+    parabola is untrustworthy.  Starts from a bracketing triple a < x < b
+    with fx below fa and fb, all three values already known, so the first
+    step is the parabola through them; stops once the bracket around the
+    best point is about ``tol`` wide.  Returns (x, fn(x)) of the best point
+    evaluated."""
+    (w, fw), (v, fv) = sorted(((a, fa), (b, fb)), key=lambda p: p[1])
+    d, e = 0.0, b - a
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b - x) if x < m else (a - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = sign * fn(math.exp(d))
-    x = 0.5 * (a + b)
-    beta = math.exp(x)
-    return beta, fn(beta)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def find_extrema(source, beta_grid: Sequence[float]) -> ExtremumReport:
     """Scan c(beta) on a monotone beta grid and refine every interior
-    extremum by golden-section search (relative 1e-6 in beta).
+    extremum by Brent's method from the grid point (relative 1e-6 in beta).
 
     ``source`` is a Spectrum, an explicit level list, or a callable
     c(beta).  The report carries the global maximum and minimum found; a
@@ -314,20 +343,25 @@ def find_extrema(source, beta_grid: Sequence[float]) -> ExtremumReport:
     else:
         c_fn = lambda b: heat_capacity(source, b)  # noqa: E731
 
-    cs = np.array([c_fn(b) for b in betas])
+    cs = [c_fn(float(b)) for b in betas]
     best_max: tuple[float, float] | None = None
     best_min: tuple[float, float] | None = None
     for i in range(1, len(betas) - 1):
         if cs[i] > cs[i - 1] and cs[i] > cs[i + 1]:
-            lo, hi = sorted((math.log(betas[i - 1]), math.log(betas[i + 1])))
-            beta, c = _golden(c_fn, lo, hi, +1.0)
-            if best_max is None or c > best_max[1]:
-                best_max = (beta, c)
+            sign = 1.0
         elif cs[i] < cs[i - 1] and cs[i] < cs[i + 1]:
-            lo, hi = sorted((math.log(betas[i - 1]), math.log(betas[i + 1])))
-            beta, c = _golden(c_fn, lo, hi, -1.0)
-            if best_min is None or c < best_min[1]:
-                best_min = (beta, c)
+            sign = -1.0
+        else:
+            continue
+        (a, fa), (b, fb) = sorted(((math.log(betas[i - 1]), -sign * cs[i - 1]),
+                                   (math.log(betas[i + 1]), -sign * cs[i + 1])))
+        u, f = _brent(lambda u: -sign * c_fn(math.exp(u)), a, fa,
+                      math.log(betas[i]), -sign * cs[i], b, fb)
+        beta, c = math.exp(u), -sign * f
+        if sign > 0.0 and (best_max is None or c > best_max[1]):
+            best_max = (beta, c)
+        elif sign < 0.0 and (best_min is None or c < best_min[1]):
+            best_min = (beta, c)
     return ExtremumReport(
         beta_inv_at_max=1.0 / best_max[0] if best_max else None,
         c_max=best_max[1] if best_max else None,

@@ -8,15 +8,24 @@ The chemical potential is solved from the particle-number sum
 degeneracy 1).  Internally the solve runs in the shifted variable
 gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
-crowds the ground level to within 1e-14.
+crowds the ground level to within 1e-14.  It is a safeguarded Newton
+iteration on ln N (in gamma for fermions, in ln gamma for bosons) that
+starts from the caller's hint and bisects only when a Newton step leaves
+the bracket built from the points already evaluated.  Every step is one
+fused ladder pass giving N, dN/dgamma and the energy moments together, and
+the iterate that meets |N - N_target| <= 1e-10 N_target is the result:
+its sums give <E> and c directly.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
 
     beta dmu/dbeta = sum (E_n - mu) w_n / sum w_n,
 
-which collapses the full expression to a manifestly nonnegative variance
-form c = beta^2 (B2 - B1^2/B0) over the w-weighted moments about mu.
+which collapses the full expression to the variance form
+c = beta^2 (D2 - D1^2/D0) over the w-weighted moments.  They are taken
+about the level where w peaks (the upper of E_0 and mu), so D1 is small
+and the variance stays nonnegative even when one level holds nearly all
+of the weight, as the Bose ground level does deep in the condensate.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SolverError
-from .ladder import BOSE, DIST, FERMI, OCC, ladder_sums
+from .ladder import BOSE, FERMI, OCC, ladder_sums
 from .spectrum import Spectrum
 from .specfun import lambert_w
 
@@ -102,89 +111,130 @@ def _check_beta(beta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# safeguarded Newton
+# ---------------------------------------------------------------------------
+
+_MAX_STEPS = 200
+_N_TARGET = 1e-12  # relative occupation residual the Newton iteration aims at
+
+
+def _rtsafe(fn, u: float, lo: float, hi: float, what: str):
+    """Root of ln(N(u) / N_target) = 0 for a strictly decreasing N(u), by
+    safeguarded Newton (Numerical Recipes, 2nd ed., section 9.4, "rtsafe").
+
+    ``fn(u)`` returns ``(ln(N / N_target), its slope in u, payload)``.  The
+    iteration stops at the first point with |N - N_target| <= 1e-12 N_target
+    and returns ``(u, payload)`` of it.  ``(lo, hi)`` brackets the root,
+    either end possibly infinite; it is never evaluated up front.  Each
+    evaluated point becomes the new lower or upper end.  A Newton step is
+    taken when it stays inside the bracket and is less than half the step
+    before last; otherwise the bracket is bisected, or, while it is still
+    open on the side the residual points to, the step doubles outward.  If
+    the bracket collapses to one float first, the best point evaluated is
+    returned when it meets the 1e-10 contract, and SolverError is raised
+    otherwise.
+    """
+    dx = dx_old = hi - lo
+    best = (math.inf, u, None)
+    for _ in range(_MAX_STEPS):
+        r, slope, payload = fn(u)
+        err = abs(math.expm1(r))
+        if err <= _N_TARGET:
+            return u, payload
+        if err < best[0]:
+            best = (err, u, payload)
+        if r > 0.0:
+            lo = u
+        else:
+            hi = u
+        newton = -r / slope if slope < 0.0 else math.nan
+        inside = lo < u + newton < hi
+        if inside and abs(newton) <= 0.5 * abs(dx_old):
+            step = newton
+        elif math.isfinite(lo) and math.isfinite(hi):
+            step = 0.5 * (lo + hi) - u
+        elif inside:
+            step = newton  # open bracket: nothing to bisect yet
+        else:
+            step = math.copysign(max(1.0, 2.0 * abs(dx)) if math.isfinite(dx) else 1.0, r)
+        dx_old, dx = dx, step
+        if u + step == u:
+            break  # the bracket has collapsed to one float
+        u += step
+    err, u, payload = best
+    if err <= _N_RESIDUAL:
+        return u, payload
+    raise SolverError(f"{what}: particle-number residual {err:.3e} N exceeds "
+                      f"tolerance {_N_RESIDUAL:.0e} N")
+
+
+# ---------------------------------------------------------------------------
 # chemical-potential solve in gamma = beta (E_0 - mu)
 # ---------------------------------------------------------------------------
 
-def _n_of_gamma(spectrum: Spectrum, beta: float, sign: int, gamma: float) -> float:
-    return ladder_sums(spectrum, beta, OCC, sign, gamma=gamma, powers=(0,))[0]
-
-
-def _dn_dgamma(spectrum: Spectrum, beta: float, sign: int, gamma: float) -> float:
-    # dN/dgamma = -sum w_n
-    return -ladder_sums(spectrum, beta, DIST, sign, gamma=gamma, powers=(0,))[0]
-
-
-def _newton_polish(spectrum: Spectrum, beta: float, sign: int, n_target: float,
-                   gamma: float, lo: float, hi: float) -> float:
-    for _ in range(8):
-        resid = _n_of_gamma(spectrum, beta, sign, gamma) - n_target
-        if abs(resid) <= 0.1 * _N_RESIDUAL * n_target:
-            break
-        slope = _dn_dgamma(spectrum, beta, sign, gamma)
-        if slope == 0.0:
-            break
-        step = resid / slope
-        nxt = gamma - step
-        gamma = nxt if lo < nxt < hi else max(lo, min(hi, 0.5 * (lo + hi)))
-    return gamma
-
-
-def _bisect_gamma(spectrum: Spectrum, beta: float, sign: int, n_target: float,
-                  lo: float, hi: float, log_space: bool) -> float:
-    """Bisection on the strictly decreasing N(gamma), then Newton polish."""
-    f = math.log if log_space else (lambda v: v)
-    g = math.exp if log_space else (lambda v: v)
-    a, b = f(lo), f(hi)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if _n_of_gamma(spectrum, beta, sign, g(m)) > n_target:
-            a = m
-        else:
-            b = m
-        if abs(b - a) < 1e-15 * max(1.0, abs(a), abs(b)):
-            break
-    gamma = g(0.5 * (a + b))
-    return _newton_polish(spectrum, beta, sign, n_target, gamma, lo, hi)
+_GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
 
 
 def _solve_gamma(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
-                 hint: float | None = None) -> float:
-    """gamma = beta (E_0 - mu) satisfying the particle-number sum."""
+                 hint: float | None = None) -> tuple[float, tuple[float, ...]]:
+    """gamma = beta (E_0 - mu) satisfying the particle-number sum to
+    |N - N_target| <= 1e-10 N_target, and the ladder sums
+    (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about the upper
+    of E_0 and mu (``_moment_offset``).
+
+    Newton runs on ln N, which is nearly linear in gamma for fermions and
+    in ln gamma for bosons over most of the domain; each step is one fused
+    ladder pass, which gives N and dN/dgamma = -D_0 together.
+    """
     n_target = float(ensemble.n_particles)
     sign = ensemble.sign
+    e0 = spectrum.e0
+    log_space = sign == BOSE
+    if log_space:
+        # the ground level alone holds N at gamma = ln(1 + 1/N), so the
+        # root lies above it
+        lo, hi = math.log(math.log1p(1.0 / n_target)), math.log(_GAMMA_MAX)
+        start = lo
+    else:
+        # mu between E_0 - pad/beta and E_N + pad/beta; start at the
+        # zero-temperature Fermi level
+        pad = 50.0 + math.log(n_target + 2.0)
+        n = ensemble.n_particles
+        lo = -(beta * (spectrum.level(n) - e0) + pad)
+        hi = pad
+        start = beta * (e0 - 0.5 * (spectrum.level(n - 1) + spectrum.level(n)))
+    if hint is not None and (hint > 0.0 or not log_space):
+        u_hint = math.log(hint) if log_space else hint
+        if lo < u_hint < hi:
+            start = u_hint
 
-    if sign == BOSE:
-        lo = max(1e-18, beta * 1e-14 * max(1.0, abs(spectrum.e0)))
-        hi = max(1.0, 4.0 * lo)
-        if hint is not None and lo < hint:
-            hi = max(hi, 4.0 * hint)
-        for _ in range(200):
-            if _n_of_gamma(spectrum, beta, sign, hi) < n_target:
-                break
-            hi *= 4.0
-        else:
-            raise SolverError("bose gamma bracket expansion failed")
-        if _n_of_gamma(spectrum, beta, sign, lo) < n_target:
-            raise SolverError(
-                f"bose occupation at the gamma floor is below N={n_target}")
-        if hint is not None and lo < hint < hi:
-            gamma = _newton_polish(spectrum, beta, sign, n_target, hint, lo, hi)
-            if abs(_n_of_gamma(spectrum, beta, sign, gamma) - n_target) <= _N_RESIDUAL * n_target:
-                return gamma
-        return _bisect_gamma(spectrum, beta, sign, n_target, lo, hi, log_space=True)
+    def step(u: float):
+        gamma = math.exp(u) if log_space else u
+        sums = ladder_sums(spectrum, beta, OCC, sign, gamma=gamma,
+                           moment_offset=_moment_offset(beta, gamma))
+        n = sums[0]
+        if n <= 0.0:
+            return -math.inf, math.nan, (gamma, sums)
+        # d ln N / du with dN/dgamma = -D_0
+        slope = -sums[2] / n * (gamma if log_space else 1.0)
+        return math.log(n / n_target), slope, (gamma, sums)
 
-    # fermions: mu may sit anywhere; bracket around the lowest N+1 levels
-    pad = 50.0 + math.log(n_target + 2.0)
-    e_hi = spectrum.level(ensemble.n_particles)
-    lo = -(beta * (e_hi - spectrum.e0) + pad)  # mu up to E_N + pad/beta
-    hi = pad                                   # mu down to E_0 - pad/beta
-    if hint is not None and lo < hint < hi:
-        gamma = _newton_polish(spectrum, beta, sign, n_target, hint, lo, hi)
-        if abs(_n_of_gamma(spectrum, beta, sign, gamma) - n_target) <= _N_RESIDUAL * n_target:
-            return gamma
-    return _bisect_gamma(spectrum, beta, sign, n_target, lo, hi, log_space=False)
+    _, (gamma, sums) = _rtsafe(
+        step, start, lo, hi,
+        f"particle-number solve at beta={beta}, N={ensemble.n_particles}")
+    if sign == BOSE and not e0 - gamma / beta < e0:
+        raise SolverError("bose chemical potential must stay below the ground level")
+    return gamma, sums
+
+
+def _moment_offset(beta: float, gamma: float) -> float:
+    """Moment offset E_0 - ref of the grand-canonical sums, for moments about
+    ref = max(E_0, mu), where the distribution kernel e^x/(e^x +- 1)^2
+    peaks over the levels.  About it the first distribution moment is
+    small, so the variance D_2 - D_1^2/D_0 does not cancel against a
+    dominant level (the Bose ground level, or the two levels around a
+    frozen Fermi level)."""
+    return min(gamma, 0.0) / beta
 
 
 def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
@@ -192,24 +242,11 @@ def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
     """Chemical potential with |sum occupations - N| <= 1e-10 N.
 
     The occupation sum is strictly increasing in mu for both statistics, so
-    the bracketed solve cannot miss; for bosons the bracket keeps mu < E_0
-    strictly.
+    the bracketed solve cannot miss; for bosons mu < E_0 strictly.
     """
     beta = _check_beta(beta)
-    gamma = _solve_gamma(spectrum, beta, ensemble, hint_gamma)
-    _validate_gamma(spectrum, beta, ensemble, gamma)
+    gamma, _ = _solve_gamma(spectrum, beta, ensemble, hint_gamma)
     return spectrum.e0 - gamma / beta
-
-
-def _validate_gamma(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
-                    gamma: float) -> None:
-    n = _n_of_gamma(spectrum, beta, ensemble.sign, gamma)
-    if abs(n - ensemble.n_particles) > _N_RESIDUAL * ensemble.n_particles:
-        raise SolverError(
-            f"particle-number residual {abs(n - ensemble.n_particles):.3e} "
-            f"exceeds tolerance at beta={beta}, N={ensemble.n_particles}")
-    if ensemble.sign == BOSE and gamma <= 0.0:
-        raise SolverError("bose chemical potential must stay below the ground level")
 
 
 def gc_point(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
@@ -217,36 +254,24 @@ def gc_point(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
     """Mean energy and specific heat per particle at one temperature.
 
     The returned state has been validated: the occupation sum reproduces N
-    to 1e-10 relative, and mu < E_0 strictly for bosons.
+    to 1e-10 relative, and mu < E_0 strictly for bosons.  Energy and heat
+    capacity come from the ladder sums of the accepted solve iterate.
     """
     beta = _check_beta(beta)
-    sign = ensemble.sign
     n_target = float(ensemble.n_particles)
-    gamma = _solve_gamma(spectrum, beta, ensemble, hint_gamma)
-    _validate_gamma(spectrum, beta, ensemble, gamma)
+    gamma, (n_sum, n1, d0, d1, d2) = _solve_gamma(spectrum, beta, ensemble, hint_gamma)
     e0 = spectrum.e0
-    mu = e0 - gamma / beta
-
-    n_sum, m1 = ladder_sums(spectrum, beta, OCC, sign, gamma=gamma, powers=(0, 1))
-    energy = m1 + e0 * n_sum
-
-    # w-weighted moments about mu; moment offset E_0 - mu = gamma/beta
-    b0, b1, b2 = ladder_sums(spectrum, beta, DIST, sign, gamma=gamma,
-                             moment_offset=gamma / beta, powers=(0, 1, 2))
-    c_total = beta * beta * (b2 - b1 * b1 / b0)
+    energy = (e0 - _moment_offset(beta, gamma)) * n_sum + n1
+    c_total = beta * beta * (d2 - d1 * d1 / d0)
 
     n0 = None
-    if sign == BOSE:
+    if ensemble.sign == BOSE:
         n0 = 1.0 / math.expm1(gamma) / n_target
         if not 0.0 <= n0 <= 1.0 + 1e-9:
             raise SolverError(f"ground occupation {n0} escaped [0, 1]")
         n0 = min(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
-    return GcPoint(beta=beta, mu=mu, mean_energy=energy,
+    return GcPoint(beta=beta, mu=e0 - gamma / beta, mean_energy=energy,
                    heat_capacity_per_particle=c_total / n_target, n0=n0)
-
-
-def _gamma_hint_of(point: GcPoint, spectrum: Spectrum) -> float:
-    return point.beta * (spectrum.e0 - point.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +347,6 @@ def asymptotic_mu_cn(beta: float, field: float,
 # Bose condensation
 # ---------------------------------------------------------------------------
 
-def _excited_occupation(spectrum: Spectrum, beta: float) -> float:
-    """sum_{n>=1} 1/(e^{(E_n - E_0) beta} - 1): the excited-state capacity
-    at mu = E_0."""
-    return ladder_sums(spectrum, beta, OCC, BOSE, gamma=0.0,
-                       powers=(0,), start_index=1)[0]
-
-
 def asymptotic_beta_cr(field: float, n_particles: int) -> float:
     """Weak-field Lambert-W form of the condensation temperature:
     beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
@@ -340,45 +358,24 @@ def asymptotic_beta_cr(field: float, n_particles: int) -> float:
 def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     """Largest temperature at which the condensate survives: beta_cr solves
     sum_{n>=1} 1/(e^{(E_n-E_0) beta} - 1) = N (chemical potential pinned at
-    the ground level with no particles left in it)."""
+    the ground level with no particles left in it), by safeguarded Newton
+    on ln N in ln beta from the Lambert-W estimate."""
     if n_particles < 1:
         raise DomainError(f"n_particles must be >= 1, got {n_particles}")
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)
-    lo, hi = beta_a / 8.0, beta_a * 8.0
-    for _ in range(200):
-        if _excited_occupation(spectrum, lo) > n_target:
-            break
-        lo /= 4.0
-    for _ in range(200):
-        if _excited_occupation(spectrum, hi) < n_target:
-            break
-        hi *= 4.0
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if _excited_occupation(spectrum, math.exp(m)) > n_target:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-14:
-            break
-    beta_cr = math.exp(0.5 * (a + b))
-    for _ in range(6):  # Newton in beta: d/dbeta sum = -(1/beta) sum x w
-        resid = _excited_occupation(spectrum, beta_cr) - n_target
-        if abs(resid) <= 0.1 * _N_RESIDUAL * n_target:
-            break
-        d1 = ladder_sums(spectrum, beta_cr, DIST, BOSE, gamma=0.0,
-                         powers=(0, 1), start_index=1)[1]
-        slope = -d1  # d/dbeta sum occ(beta*Delta_n) = -sum Delta_n w_n
-        if slope == 0.0:
-            break
-        beta_cr -= resid / slope
-    resid = abs(_excited_occupation(spectrum, beta_cr) - n_target)
-    if resid > _N_RESIDUAL * n_target:
-        raise SolverError(f"condensation solve residual {resid:.3e} too large")
+
+    def step(u: float):
+        beta = math.exp(u)
+        n, _, _, d1, _ = ladder_sums(spectrum, beta, OCC, BOSE, gamma=0.0,
+                                     start_index=1)
+        if n <= 0.0:
+            return -math.inf, math.nan, beta
+        # d ln N / d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
+        return math.log(n / n_target), -beta * d1 / n, beta
+
+    _, beta_cr = _rtsafe(step, math.log(beta_a), -math.inf, math.inf,
+                         f"condensation solve at N={n_particles}")
     return CondensateReport(beta_cr=beta_cr, t_cr=1.0 / beta_cr,
                             asymptotic_beta_cr=beta_a)
 

@@ -6,22 +6,29 @@ Every thermodynamic quantity in this package is a sum of the form
     S_p = sum_n (E_n - ref)^p * F(beta * (E_n - E_0) + gamma)
 
 with F a Boltzmann factor ``e^{-x}``, an occupation number
-``1/(e^x +- 1)``, or the occupation-derivative kernel
+``1/(e^x +- 1)``, or the occupation-derivative (distribution) kernel
 ``e^x/(e^x +- 1)^2``.  Exponents are always formed relative to the ground
 level (plus the offset ``gamma = beta*(E_0 - mu)``), which keeps them finite
 for any temperature.
 
-The low levels are summed directly (vectorized, compensated accumulation,
-ascending order with an early stop once eight consecutive base weights drop
-below 1e-16 of the running sum).  Once the ladder is dense on the thermal
-scale (beta * dE/dn below a threshold) the remainder is closed with the
-Euler-Maclaurin formula over the exact power-law tail
+One call evaluates a whole kernel family in one pass: the Boltzmann sums
+S_0, S_1, S_2, or, for quantum statistics, the occupation sums N_0, N_1
+together with the distribution sums D_0, D_1, D_2.  Both occupation kernels
+come from the same exponentials, so a grand-canonical state (N, dN/dgamma,
+<E> and the heat-capacity moments) costs a single ladder pass.
+
+The low levels are summed directly (vectorized, ascending order, with an
+early stop once eight consecutive summands of every returned sum drop below
+1e-16 of that sum's running total).  Once the ladder is dense on the
+thermal scale (beta * dE/dn below a threshold) the remainder is closed with
+the Euler-Maclaurin formula over the exact power-law tail
 E(m) = tau * (4(m+j0)-k)^(2/3) + shift.  The closure integral is evaluated
 two ways: when the starting exponent is comfortably positive, the geometric
-expansion of F turns it into a short sum of upper incomplete gamma
-functions; otherwise (a degenerate Fermi sea, or a gapless wall whose
-exponents crawl through zero) the occupation kernel is integrated directly
-on structure-matched Gauss-Legendre panels.  A sparse filled Fermi sea in
+expansion of the kernels turns it into a short sum of upper incomplete
+gamma functions, one set per expansion order shared by all kernels and
+moments; otherwise (a degenerate Fermi sea, or a gapless wall whose
+exponents crawl through zero) the kernels are integrated directly on
+structure-matched Gauss-Legendre panels.  A sparse filled Fermi sea in
 front of the dense region is summed in closed form as polynomial ladder
 moments.  Every path is validated against brute-force summation to ~1e-10
 relative; the payoff is that the worst evaluation in the whole parameter
@@ -31,74 +38,75 @@ domain costs ~1e4 kernel evaluations instead of ~1e8 exp() calls.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, SolverError
 from .spectrum import Spectrum
 
-__all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "DIST", "ladder_sums", "array_sums"]
+__all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "ladder_sums", "array_sums"]
 
-# weight families
-OCC = "occ"
-DIST = "dist"
+# kernel families
+OCC = "occ"         # occupations together with their distribution kernel
 BOLTZ_KIND = "boltz"
 
-# statistics signs for OCC/DIST; BOLTZ ignores it
+# statistics signs for OCC; BOLTZ ignores it
 FERMI = +1
 BOSE = -1
 BOLTZ = 0
 
-STOP_REL = 1e-16          # stop rule: term below this fraction of the sum
-STOP_RUN = 8              # ... for this many consecutive terms
+STOP_REL = 1e-16          # stop rule: summand below this fraction of its sum
+STOP_RUN = 8              # ... for this many consecutive levels
 STOP_MIN_X = 30.0         # ... and only once exponents are this large
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
 LEVEL_BUDGET = 10 ** 8    # hard cap on directly summed levels
 _LN_TINY = math.log(1e-300)
 
+# the sums one call returns, as (kernel index, moment power) pairs: kernel 0
+# is e^{-x} (BOLTZ_KIND) or the occupation, kernel 1 the distribution
+_ROWS = {
+    BOLTZ_KIND: ((0, 0), (0, 1), (0, 2)),
+    OCC: ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)),
+}
+
 
 # ---------------------------------------------------------------------------
-# stable weight kernels (array and scalar forms)
+# stable weight kernels
 # ---------------------------------------------------------------------------
 
-def _weight_arr(x: np.ndarray, kind: str, sign: int) -> np.ndarray:
+def _kernels(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
+    """The kernels of ``kind`` at exponents x, from one exponential:
+    [e^{-x}] for BOLTZ_KIND, [1/(e^x +- 1), e^x/(e^x +- 1)^2] for OCC."""
     if kind == BOLTZ_KIND:
-        return np.exp(-x)
+        return [np.exp(-x)]
     if sign == FERMI:
         t = np.exp(-np.abs(x))
-        if kind == OCC:
-            return np.where(x >= 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
-        return t / (1.0 + t) ** 2
-    # Bose statistics: exponents are strictly positive (mu < E_0)
+        inv = 1.0 / (1.0 + t)
+        return [np.where(x >= 0.0, t * inv, inv), t * inv * inv]
+    # Bose statistics: exponents are strictly positive (mu < E0)
     if np.any(x <= 0.0):
         raise SolverError("bose weights need strictly positive exponents (mu < E0)")
-    t = np.exp(-x)
-    m = -np.expm1(-x)  # 1 - e^{-x}, exact for small x
-    if kind == OCC:
-        return t / m
-    return t / m ** 2
+    inv = 1.0 / -np.expm1(-x)  # 1/(1 - e^{-x}), exact for small x
+    occ = np.exp(-x) * inv
+    return [occ, occ * inv]
 
 
-def _weight(x: float, kind: str, sign: int) -> float:
-    return float(_weight_arr(np.array([x]), kind, sign)[0])
-
-
-def _dweight_dx(x: float, kind: str, sign: int) -> float:
-    """d/dx of the weight kernel (scalar, for the boundary corrections)."""
+def _kernel_slopes(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
+    """d/dx of each kernel of ``_kernels``."""
     if kind == BOLTZ_KIND:
-        return -math.exp(-x)
-    if kind == OCC:
-        return -_weight(x, DIST, sign)
-    t = math.exp(-abs(x)) if sign == FERMI else math.exp(-x)
+        return [-np.exp(-x)]
+    _, dist = _kernels(x, kind, sign)
     if sign == FERMI:
-        # w~' = -w~ (1-t)/(1+t) in the x>=0 parametrization; odd symmetry
-        w = t / (1.0 + t) ** 2
-        d = -w * (1.0 - t) / (1.0 + t)
-        return d if x >= 0.0 else -d
-    m = -math.expm1(-x)
-    w = t / m ** 2
-    return -w * (1.0 + t) / m
+        t = np.exp(-np.abs(x))
+        return [-dist, -np.sign(x) * dist * (1.0 - t) / (1.0 + t)]
+    t = np.exp(-x)
+    return [-dist, -dist * (1.0 + t) / -np.expm1(-x)]
+
+
+def _summands(x: np.ndarray, d: np.ndarray, kind: str, sign: int) -> np.ndarray:
+    """Summands of every returned sum, one row per sum: d^p * kernel(x)."""
+    kern = _kernels(x, kind, sign)
+    return np.stack([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[kind]])
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +148,8 @@ def _gamma_upper_scaled(a: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# compensated accumulation
+# the Euler-Maclaurin closure
 # ---------------------------------------------------------------------------
-
-class _Kahan:
-    __slots__ = ("s", "c")
-
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, v: float) -> None:
-        y = v - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def total(self) -> float:
-        return self.s
-
-
-# ---------------------------------------------------------------------------
-# the engine
-# ---------------------------------------------------------------------------
-
-def _geometric_coef(kind: str, sign: int, k: int) -> float:
-    """Coefficient of e^{-k x} in the expansion of the weight kernel."""
-    if kind == BOLTZ_KIND:
-        return 1.0 if k == 1 else 0.0
-    alt = 1.0 if (sign == BOSE or k % 2 == 1) else -1.0
-    return alt * (k if kind == DIST else 1.0)
-
 
 X_SERIES_MIN = 0.5  # below this starting exponent the k-series crawls;
                     # the closure integral switches to panel quadrature
@@ -179,40 +157,46 @@ X_SERIES_MIN = 0.5  # below this starting exponent the k-series crawls;
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _em_integral_series(tail, beta: float, sigma: float, ds_ref: float,
-                        v0: float, x0: float, kind: str, sign: int,
-                        powers: Sequence[int]) -> list[float]:
-    """Geometric expansion of the kernel: one incomplete gamma per term.
-    Converges like e^{-k x0}, so it is only used for x0 >= X_SERIES_MIN."""
+def _em_integral_series(tail, beta: float, ds_ref: float, v0: float, x0: float,
+                        kind: str, sign: int) -> list[float]:
+    """Geometric expansion of the kernels, occupation = sum_k a_k e^{-kx} and
+    distribution = sum_k k a_k e^{-kx}: each order k costs one set of
+    incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0, 1, 2, shared by
+    every kernel and moment.  Converges like e^{-k x0}, so it is only used
+    for x0 >= X_SERIES_MIN."""
     tau = tail.tau
-    p_max = max(powers)
-    totals = [0.0 for _ in powers]
+    rows = _ROWS[kind]
+    totals = [0.0] * len(rows)
     k = 0
     while True:
         k += 1
-        coef = _geometric_coef(kind, sign, k)
         lam = k * beta * tau
         xhat = lam * v0
         ln_lam = math.log(lam)
-        # moments of v over the tail measure, one incomplete gamma per order
-        g = [0.0] * (p_max + 1)
-        for j in range(p_max + 1):
-            a = j + 1.5
-            ln_term = math.log(_gamma_upper_scaled(a, xhat)) - a * ln_lam - k * x0
-            g[j] = math.exp(ln_term) if ln_term > _LN_TINY else 0.0
-        term_max = 0.0
-        for i, p in enumerate(powers):
-            val = 0.0
-            for j in range(p + 1):
-                val += (math.comb(p, j) * ds_ref ** (p - j) * tau ** j * g[j])
-            val *= 0.375 * coef  # 3/8 Jacobian of m -> v
-            totals[i] += val
-            term_max = max(term_max, abs(val))
+        # Gamma(a, xhat) e^xhat for a = 3/2, 5/2, 7/2 by the upward
+        # recurrence G(a+1) = a G(a) + xhat^a (all terms positive)
+        g_sc = [_gamma_upper_scaled(1.5, xhat)]
+        g_sc.append(1.5 * g_sc[0] + xhat ** 1.5)
+        g_sc.append(2.5 * g_sc[1] + xhat ** 2.5)
+        g = []
+        for j, gj in enumerate(g_sc):
+            ln_term = math.log(gj) - (j + 1.5) * ln_lam - k * x0
+            g.append(math.exp(ln_term) if ln_term > _LN_TINY else 0.0)
+        # moments of (tau v + ds_ref)^p over the tail measure, 3/8 Jacobian
+        mom = (0.375 * g[0],
+               0.375 * (ds_ref * g[0] + tau * g[1]),
+               0.375 * (ds_ref * ds_ref * g[0] + 2.0 * ds_ref * tau * g[1]
+                        + tau * tau * g[2]))
         if kind == BOLTZ_KIND:
-            break
-        if term_max == 0.0:
+            return list(mom)
+        alt = 1.0 if (sign == BOSE or k % 2 == 1) else -1.0
+        coef = (alt, alt * k)
+        vals = [coef[kk] * mom[p] for kk, p in rows]
+        for i, v in enumerate(vals):
+            totals[i] += v
+        if all(v == 0.0 for v in vals):
             break  # everything underflowed; the tail is dead
-        if k >= 3 and term_max < 1e-17 * max(abs(t) for t in totals):
+        if k >= 3 and all(abs(v) < 1e-17 * abs(t) for v, t in zip(vals, totals)):
             break
         if k > 10_000:
             raise BudgetError("geometric expansion of the tail failed to settle")
@@ -257,14 +241,14 @@ def _v_panel_breaks(v0: float, bt: float, sigma: float) -> list[float]:
 
 
 def _em_integral_quad(tail, beta: float, sigma: float, ds_ref: float,
-                      v0: float, x0: float, kind: str, sign: int,
-                      powers: Sequence[int]) -> list[float]:
-    """Direct Gauss-Legendre evaluation of the closure integral
+                      v0: float, kind: str, sign: int) -> list[float]:
+    """Direct Gauss-Legendre evaluation of the closure integrals
 
-        I_p = (3/8) * integral_{v0}^inf sqrt(v) (tau v + ds_ref)^p
-                       W(beta tau v + sigma) dv,
+        I = (3/8) * integral_{v0}^inf sqrt(v) (tau v + ds_ref)^p
+                       F(beta tau v + sigma) dv
 
-    valid for any starting exponent (including a degenerate Fermi sea)."""
+    for every returned sum, valid for any starting exponent (including a
+    degenerate Fermi sea)."""
     tau = tail.tau
     bt = beta * tau
     v_breaks = _v_panel_breaks(v0, bt, sigma)
@@ -277,19 +261,16 @@ def _em_integral_quad(tail, beta: float, sigma: float, ds_ref: float,
         nodes.append(half * (_GL_NODES + 1.0) + a)
         weights.append(half * _GL_WEIGHTS)
     if not nodes:
-        return [0.0 for _ in powers]
+        return [0.0] * len(_ROWS[kind])
     v = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    kernel = _weight_arr(bt * v + sigma, kind, sign)
-    base = 0.375 * w * np.sqrt(v) * kernel
-    mom = tau * v + ds_ref
-    return [float(np.sum(base if p == 0 else mom ** p * base)) for p in powers]
+    w = 0.375 * np.concatenate(weights) * np.sqrt(v)
+    return [float(np.dot(w, s)) for s in _summands(bt * v + sigma, tau * v + ds_ref,
+                                                   kind, sign)]
 
 
 def _em_integral(tail, beta: float, sigma: float, ds_ref: float,
-                 n0: int, kind: str, sign: int,
-                 powers: Sequence[int]) -> list[float]:
-    """integral_{n0}^inf (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm for each p.
+                 n0: int, kind: str, sign: int) -> list[float]:
+    """integral_{n0}^inf (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm for each sum.
 
     sigma  = beta*(tail.shift - E0) + gamma   (exponent offset of the tail)
     ds_ref = tail.shift - ref                 (moment offset of the tail)
@@ -300,42 +281,38 @@ def _em_integral(tail, beta: float, sigma: float, ds_ref: float,
     if kind == BOLTZ_KIND or x0 >= X_SERIES_MIN:
         if x0 <= 0.0:
             raise SolverError("Boltzmann tail engaged at non-positive exponent")
-        return _em_integral_series(tail, beta, sigma, ds_ref, v0, x0,
-                                   kind, sign, powers)
-    return _em_integral_quad(tail, beta, sigma, ds_ref, v0, x0,
-                             kind, sign, powers)
+        return _em_integral_series(tail, beta, ds_ref, v0, x0, kind, sign)
+    return _em_integral_quad(tail, beta, sigma, ds_ref, v0, kind, sign)
+
+
+_STENCIL = np.arange(-2.0, 3.0)  # m - 2 .. m + 2
+
+
+def _em_edge(f: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at a point,
+    from f on the five-point stencil around it (one row per sum; f''' by
+    central differences) and the exact slope fp there."""
+    f3 = 0.5 * (f[:, 4] - 2.0 * f[:, 3] + 2.0 * f[:, 1] - f[:, 0])
+    return 0.5 * f[:, 2] - fp / 12.0 + f3 / 720.0
 
 
 def _em_boundary(tail, beta: float, sigma: float, ds_ref: float, n0: int,
-                 kind: str, sign: int, powers: Sequence[int]) -> list[float]:
-    """f(n0)/2 - f'(n0)/12 + f'''(n0)/720 for each requested power."""
+                 kind: str, sign: int) -> np.ndarray:
+    """Boundary correction of the infinite tail from n0, for every sum."""
     tau = tail.tau
-
-    def f_all(m: float) -> list[float]:
-        w = float(tail.argument(m))
-        v = w ** (2.0 / 3.0)
-        x = beta * tau * v + sigma
-        base = _weight(x, kind, sign)
-        mom = tau * v + ds_ref
-        return [mom ** p * base for p in powers]
-
-    w0 = float(tail.argument(n0))
-    v0 = w0 ** (2.0 / 3.0)
-    x0 = beta * tau * v0 + sigma
-    base0 = _weight(x0, kind, sign)
-    dbase0 = _dweight_dx(x0, kind, sign)
-    mom0 = tau * v0 + ds_ref
-    de_dm = tail.denergy(n0)
-
-    f0 = [mom0 ** p * base0 for p in powers]
-    fp0 = [de_dm * (p * mom0 ** (p - 1) * base0 if p else 0.0)
-           + de_dm * beta * mom0 ** p * dbase0 for p in powers]
-    fm2, fm1, fp1, fp2 = (f_all(n0 - 2), f_all(n0 - 1), f_all(n0 + 1), f_all(n0 + 2))
-    out = []
-    for i in range(len(powers)):
-        f3 = 0.5 * (fp2[i] - 2.0 * fp1[i] + 2.0 * fm1[i] - fm2[i])
-        out.append(0.5 * f0[i] - fp0[i] / 12.0 + f3 / 720.0)
-    return out
+    v = tail.argument(n0 + _STENCIL) ** (2.0 / 3.0)
+    x = beta * tau * v + sigma
+    d = tau * v + ds_ref
+    f = _summands(x, d, kind, sign)
+    # exact slope at n0: dE/dm (p d^{p-1} F + beta d^p F')
+    x0, d0 = x[2:3], float(d[2])
+    kern = _kernels(x0, kind, sign)
+    dkern = _kernel_slopes(x0, kind, sign)
+    de_dm = float(tail.denergy(n0))
+    fp = np.array([de_dm * float((p * d0 ** (p - 1) if p else 0.0) * kern[k][0]
+                                 + beta * d0 ** p * dkern[k][0])
+                   for k, p in _ROWS[kind]])
+    return _em_edge(f, fp)
 
 
 def _dense_index(tail, beta: float) -> int:
@@ -358,88 +335,88 @@ def _sea_index(tail, beta: float, sigma: float) -> int:
     return max(0, int(m))
 
 
-def _filled_block(spectrum, beta: float, moment_offset: float,
-                  powers: Sequence[int], a: int, b: int) -> list[float]:
-    """sum_{m=a}^{b-1} (E_m - ref)^p for a filled block of levels.
+def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
+    """Occupation sums (N_0, N_1, 0, 0, 0) of a filled block of levels
+    a <= m < b, where every occupation is 1 and every distribution weight 0.
 
     The exact root-solved part is summed directly; the power-law part uses
     the finite Euler-Maclaurin identity
-        sum_{A}^{B-1} f = int_A^B f - (f(B)-f(A))/2 + (f'(B)-f'(A))/12 - ...
-    which is closed-form for the ladder's power moments.
+        sum_{A}^{B-1} f = int_A^B f + edge(A) - edge(B),
+    edge = f/2 - f'/12 + f'''/720, which is closed-form for the ladder's
+    power moments.
     """
     tail = spectrum.tail
     tau = tail.tau
     e0 = spectrum.e0
     ds = tail.shift - e0 + moment_offset
-    totals = [0.0 for _ in powers]
+    totals = np.zeros(len(_ROWS[OCC]))
     hi_exact = min(b, spectrum.n_exact)
     if a < hi_exact:
         mom = spectrum.exact_levels[a:hi_exact] - e0 + moment_offset
-        for i, p in enumerate(powers):
-            totals[i] += float(np.sum(mom ** p))
+        totals[:2] += (len(mom), math.fsum(mom))
     lo = max(a, spectrum.n_exact)
     if lo >= b:
         return totals
 
-    def f_all(m: float) -> list[float]:
-        mom = tau * float(tail.argument(m)) ** (2.0 / 3.0) + ds
-        return [mom ** p for p in powers]
-
-    def fp_all(m: float) -> list[float]:
-        mom = tau * float(tail.argument(m)) ** (2.0 / 3.0) + ds
-        de = float(tail.denergy(m))
-        return [p * mom ** (p - 1) * de if p else 0.0 for p in powers]
+    def edge(m: int) -> np.ndarray:
+        d = tau * tail.argument(m + _STENCIL) ** (2.0 / 3.0) + ds
+        f = np.stack([np.ones(5), d])
+        return _em_edge(f, np.array([0.0, float(tail.denergy(m))]))
 
     va = float(tail.argument(lo)) ** (2.0 / 3.0)
     vb = float(tail.argument(b)) ** (2.0 / 3.0)
-    f_a, f_b = f_all(lo), f_all(b)
-    fp_a, fp_b = fp_all(lo), fp_all(b)
-    fa_m2, fa_m1, fa_p1, fa_p2 = (f_all(lo - 2), f_all(lo - 1),
-                                  f_all(lo + 1), f_all(lo + 2))
-    fb_m2, fb_m1, fb_p1, fb_p2 = (f_all(b - 2), f_all(b - 1),
-                                  f_all(b + 1), f_all(b + 2))
-    for i, p in enumerate(powers):
-        integral = 0.0
-        for j in range(p + 1):
-            integral += (math.comb(p, j) * ds ** (p - j) * tau ** j
-                         * 0.375 * (vb ** (j + 1.5) - va ** (j + 1.5)) / (j + 1.5))
-        f3_a = 0.5 * (fa_p2[i] - 2.0 * fa_p1[i] + 2.0 * fa_m1[i] - fa_m2[i])
-        f3_b = 0.5 * (fb_p2[i] - 2.0 * fb_p1[i] + 2.0 * fb_m1[i] - fb_m2[i])
-        totals[i] += (integral - 0.5 * (f_b[i] - f_a[i])
-                      + (fp_b[i] - fp_a[i]) / 12.0 - (f3_b - f3_a) / 720.0)
+    # int (tau v + ds)^p dm with dm = (3/8) sqrt(v) dv
+    integral = np.array([0.25 * (vb ** 1.5 - va ** 1.5),
+                         ds * 0.25 * (vb ** 1.5 - va ** 1.5)
+                         + tau * 0.15 * (vb ** 2.5 - va ** 2.5)])
+    totals[:2] += integral + edge(lo) - edge(b)
     return totals
 
 
+# ---------------------------------------------------------------------------
+# the engine
+# ---------------------------------------------------------------------------
+
 def ladder_sums(spectrum: Spectrum, beta: float, kind: str, sign: int = BOLTZ,
                 *, gamma: float = 0.0, moment_offset: float = 0.0,
-                powers: Sequence[int] = (0,), start_index: int = 0,
-                budget: int = LEVEL_BUDGET,
-                force_direct: bool = False) -> list[float]:
-    """Sums S_p = sum_{n >= start_index} (E_n - ref)^p F(x_n), where
-    x_n = beta*(E_n - E_0) + gamma and ref = E_0 - moment_offset.
+                start_index: int = 0, budget: int = LEVEL_BUDGET,
+                force_direct: bool = False) -> tuple[float, ...]:
+    """All sums of one kernel family over n >= start_index, in one pass.
+
+    With x_n = beta*(E_n - E_0) + gamma and moments about
+    ref = E_0 - moment_offset:
+
+    * ``kind=BOLTZ_KIND``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
+    * ``kind=OCC``: (N_0, N_1, D_0, D_1, D_2) with
+      N_p = sum (E_n - ref)^p / (e^{x_n} +- 1) and
+      D_p = sum (E_n - ref)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
+      ``sign=FERMI`` and the lower for ``sign=BOSE``.
 
     ``force_direct`` disables the Euler-Maclaurin closure (test hook; the
     stop rule and the level budget then govern alone).
     """
     if beta <= 0.0:
         raise SolverError(f"beta must be > 0, got {beta}")
-    if 0 not in powers:
-        raise SolverError("ladder_sums needs the base power 0 for its stop rule")
+    if kind not in _ROWS:
+        raise SolverError(f"ladder_sums kind must be {BOLTZ_KIND!r} or {OCC!r}, "
+                          f"got {kind!r}")
+    rows = _ROWS[kind]
     tail = spectrum.tail
     e0 = spectrum.e0
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moment_offset
-    powers = tuple(powers)
-    acc = [_Kahan() for _ in powers]
+    parts = [np.zeros(len(rows))]
+    running = np.zeros(len(rows))
 
     n_em = _dense_index(tail, beta)
     if force_direct:
         n_em = budget + 1
 
     # a deeply submerged Fermi sea (exponents below -X_DEAD) carries unit
-    # occupations: sum it in closed form instead of level by level
+    # occupations and no distribution weight: sum it in closed form instead
+    # of level by level
     scan_start = start_index
-    if sign == FERMI and kind in (OCC, DIST) and gamma < -X_DEAD:
+    if sign == FERMI and kind == OCC and gamma < -X_DEAD:
         x_exact = beta * (spectrum.exact_levels - e0) + gamma
         if x_exact[-1] <= -X_DEAD:
             m_sea = max(spectrum.n_exact, _sea_index(tail, beta, sigma))
@@ -447,24 +424,22 @@ def ladder_sums(spectrum: Spectrum, beta: float, kind: str, sign: int = BOLTZ,
             m_sea = int(np.searchsorted(x_exact, -X_DEAD))
         block_end = min(m_sea, n_em)
         if block_end > start_index:
-            if kind == OCC:
-                blk = _filled_block(spectrum, beta, moment_offset, powers,
-                                    start_index, block_end)
-                for a, v in zip(acc, blk):
-                    a.add(v)
-            scan_start = block_end  # the distribution kernel is dead there
+            blk = _filled_block(spectrum, moment_offset, start_index, block_end)
+            parts.append(blk)
+            running += blk
+            scan_start = block_end
 
     def add_block(dE: np.ndarray, x: np.ndarray) -> bool:
         """Accumulate one block; True if the stop rule fired at its end."""
-        base = _weight_arr(x, kind, sign)
-        mom = dE + moment_offset
-        for i, p in enumerate(powers):
-            vals = base if p == 0 else mom ** p * base
-            acc[i].add(float(vals.sum()))
-        s0 = abs(acc[powers.index(0)].total)
-        last = base[-STOP_RUN:]
-        return (float(x[-1]) >= STOP_MIN_X
-                and bool(np.all(last < STOP_REL * max(s0, 1e-300))))
+        nonlocal running
+        terms = _summands(x, dE + moment_offset, kind, sign)
+        block = terms.sum(axis=1)
+        parts.append(block)
+        running = running + block
+        if x[-1] < STOP_MIN_X:
+            return False
+        last = np.abs(terms[:, -STOP_RUN:])
+        return bool(np.all(last <= STOP_REL * np.abs(running)[:, None]))
 
     # exact (root-solved) block
     lo = scan_start
@@ -472,44 +447,32 @@ def ladder_sums(spectrum: Spectrum, beta: float, kind: str, sign: int = BOLTZ,
     stopped = False
     if lo < hi:
         dE = spectrum.exact_levels[lo:hi] - e0
-        x = beta * dE + gamma
-        stopped = add_block(dE, np.asarray(x, dtype=float))
+        stopped = add_block(dE, beta * dE + gamma)
         lo = hi
 
     # tail blocks up to the closure index
     chunk = 4096
-    last_term = math.nan
     while not stopped and lo < n_em:
+        if lo >= budget:
+            raise BudgetError(f"level sum did not converge within {budget} levels")
         hi = min(lo + chunk, n_em)
-        idx = np.arange(lo, hi, dtype=float)
-        dE = tail.energy(idx) - e0
-        x = beta * dE + gamma
-        stopped = add_block(dE, x)
-        last_term = float(_weight_arr(x[-1:], kind, sign)[0])
+        dE = tail.energy(np.arange(lo, hi, dtype=float)) - e0
+        stopped = add_block(dE, beta * dE + gamma)
         lo = hi
         chunk = min(2 * chunk, 1 << 20)
-        if not stopped and lo >= budget:
-            raise BudgetError(
-                f"level sum did not converge within {budget} levels "
-                f"(last weight {last_term:.3e})")
 
-    if not stopped and not force_direct:
-        n0 = n_em
-        em_i = _em_integral(tail, beta, sigma, ds_ref, n0, kind, sign, powers)
-        em_b = _em_boundary(tail, beta, sigma, ds_ref, n0, kind, sign, powers)
-        for i in range(len(powers)):
-            acc[i].add(em_i[i])
-            acc[i].add(em_b[i])
-    elif not stopped and force_direct and lo >= budget:
-        raise BudgetError(
-            f"level sum did not converge within {budget} levels "
-            f"(last weight {last_term:.3e})")
+    if not stopped:
+        if force_direct:
+            raise BudgetError(f"level sum did not converge within {budget} levels")
+        parts.append(np.asarray(_em_integral(tail, beta, sigma, ds_ref, n_em,
+                                             kind, sign)))
+        parts.append(_em_boundary(tail, beta, sigma, ds_ref, n_em, kind, sign))
 
-    return [a.total for a in acc]
+    return tuple(math.fsum(col) for col in zip(*parts))
 
 
 def array_sums(levels: np.ndarray, beta: float,
-               powers: Sequence[int] = (0,), *,
+               powers=(0,), *,
                weights: np.ndarray | None = None) -> list[float]:
     """Boltzmann sums over an explicit finite level list (toy spectra,
     discretized continua).  Moments are taken about the lowest level, and

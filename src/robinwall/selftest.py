@@ -18,6 +18,7 @@ import numpy as np
 from . import canonical as can
 from . import grand_canonical as gc
 from .grand_canonical import EnsembleSpec, Statistics
+from .ladder import OCC, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
 from .specfun import interlacing_ok, lambert_w
 
@@ -75,7 +76,7 @@ def check_particle_number() -> CheckResult:
             ens = EnsembleSpec(stat, n)
             mu = gc.solve_mu(sp, beta, ens)
             gamma = beta * (sp.e0 - mu)
-            got = gc._n_of_gamma(sp, beta, ens.sign, gamma)
+            got = ladder_sums(sp, beta, OCC, ens.sign, gamma=gamma)[0]
             worst = max(worst, abs(got - n) / n)
     return CheckResult("particle-number residual after mu solve",
                        worst <= 1e-10, f"worst relative residual {worst:.2e} (<= 1e-10)")

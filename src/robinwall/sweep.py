@@ -2,10 +2,12 @@
 regression harness.
 
 A sweep evaluates one wall/ensemble configuration on a temperature grid,
-locates the heat-capacity extrema with golden-section refinement, and (for
-bosons) attaches the condensation threshold.  Results serialize to CSV and
-JSON with shortest round-trip float formatting, so the two emissions carry
-bit-identical numbers and a JSON round trip reproduces the rows exactly.
+locates the heat-capacity extrema with Brent's parabolic refinement, and
+(for bosons) attaches the condensation threshold.  Grand-canonical points
+start each chemical-potential solve from the states already solved.
+Results serialize to CSV and JSON with shortest round-trip float
+formatting, so the two emissions carry bit-identical numbers and a JSON
+round trip reproduces the rows exactly.
 """
 
 from __future__ import annotations
@@ -101,6 +103,33 @@ class SweepResult:
         return any(r.error is not None for r in self.rows)
 
 
+def _gc_evaluator(spectrum: Spectrum, ensemble: EnsembleSpec):
+    """gc_point at successive temperatures, each mu solve started from the
+    states already solved: gamma = beta (E_0 - mu) interpolated (or
+    extrapolated) linearly in ln beta through the two solved points nearest
+    in ln beta, in ln gamma for bosons, whose gamma spans decades."""
+    solved: list[tuple[float, float]] = []  # (ln beta, solver coordinate)
+    log_gamma = ensemble.sign == gc.BOSE
+
+    def evaluate(beta: float) -> gc.GcPoint:
+        hint = None
+        if solved:
+            lb = math.log(beta)
+            near = sorted(solved, key=lambda s: abs(s[0] - lb))[:2]
+            hint = near[0][1]
+            if len(near) == 2 and near[0][0] != near[1][0]:
+                (l0, g0), (l1, g1) = near
+                hint = g0 + (g1 - g0) * (lb - l0) / (l1 - l0)
+            if log_gamma:
+                hint = math.exp(hint)
+        p = gc.gc_point(spectrum, beta, ensemble, hint_gamma=hint)
+        gamma = p.beta * (spectrum.e0 - p.mu)
+        solved.append((math.log(p.beta), math.log(gamma) if log_gamma else gamma))
+        return p
+
+    return evaluate
+
+
 def _temperature_grid(spec: SweepSpec) -> np.ndarray:
     if spec.log_grid:
         return np.exp(np.linspace(math.log(spec.beta_inv_min),
@@ -125,14 +154,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     scale = condensate.t_cr if spec.normalize_by_tcr else 1.0
     temperatures = t_units * scale
 
-    hint: dict[str, float | None] = {"gamma": None}
+    gc_eval = None if ens is None else _gc_evaluator(spectrum, ens)
 
     def eval_point(beta: float) -> tuple[float, float, float | None, float | None]:
-        if ens is None:
+        if gc_eval is None:
             tp = thermo_point(spectrum, beta)
             return tp.mean_energy, tp.heat_capacity, None, None
-        p = gc.gc_point(spectrum, beta, ens, hint_gamma=hint["gamma"])
-        hint["gamma"] = beta * (spectrum.e0 - p.mu)
+        p = gc_eval(beta)
         return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0
 
     rows: list[SweepRow] = []
@@ -333,14 +361,8 @@ def locate_peak(spectrum: Spectrum, ensemble: EnsembleSpec | None,
                               math.log(span / t_center), points))
     if ensemble is None:
         return find_extrema(spectrum, grid)
-    hint: dict[str, float | None] = {"gamma": None}
-
-    def c_fn(beta: float) -> float:
-        p = gc.gc_point(spectrum, beta, ensemble, hint_gamma=hint["gamma"])
-        hint["gamma"] = beta * (spectrum.e0 - p.mu)
-        return p.heat_capacity_per_particle
-
-    return find_extrema(c_fn, grid)
+    gc_eval = _gc_evaluator(spectrum, ensemble)
+    return find_extrema(lambda beta: gc_eval(beta).heat_capacity_per_particle, grid)
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,

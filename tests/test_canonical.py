@@ -293,3 +293,74 @@ class TestFindExtrema:
         r1 = find_extrema(sp, grid)
         r2 = find_extrema(lambda b: heat_capacity(sp, b), grid)
         assert r1.c_max == pytest.approx(r2.c_max, rel=1e-9)
+
+
+def _golden_reference(fn, lo, hi, sign, tol=1e-6):
+    """The golden-section refinement find_extrema used before Brent's
+    method: extremum of sign*fn(e^u) on [lo, hi], interval shrunk to tol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    yc, yd = sign * fn(math.exp(c)), sign * fn(math.exp(d))
+    evals = 2
+    while b - a > tol:
+        if yc > yd:
+            b, d, yd = d, c, yc
+            c = b - inv_phi * (b - a)
+            yc = sign * fn(math.exp(c))
+        else:
+            a, c, yc = c, d, yd
+            d = a + inv_phi * (b - a)
+            yd = sign * fn(math.exp(d))
+        evals += 1
+    return 0.5 * (a + b), evals + 1
+
+
+class TestBrentRefinement:
+    @staticmethod
+    def _exact_extremum(beta_guess):
+        # c = beta^2 d^2 ln Z / dbeta^2, Z = e^beta + sqrt(2 pi / beta); the
+        # extremum solves dc/dbeta = 0 at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            def c(b):
+                return b * b * mpmath.diff(
+                    lambda s: mpmath.log(mpmath.exp(s) + mpmath.sqrt(2 * mpmath.pi / s)),
+                    b, 2)
+            return float(mpmath.log(mpmath.findroot(lambda b: mpmath.diff(c, b),
+                                                    beta_guess)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_field_extremum_at_least_as_accurate_as_golden(self, sign):
+        grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
+        evals = []
+
+        def c_fn(beta):
+            evals.append(beta)
+            return zero_field_attractive(beta).heat_capacity
+
+        rep = find_extrema(c_fn, grid)
+        beta_inv = rep.beta_inv_at_max if sign > 0 else rep.beta_inv_at_min
+        brent_evals = len(evals) - len(grid)  # refining both the maximum and the minimum
+        cs = [zero_field_attractive(b).heat_capacity for b in grid]
+        i = next(i for i in range(1, len(grid) - 1)
+                 if sign * cs[i] > sign * cs[i - 1] and sign * cs[i] > sign * cs[i + 1])
+        exact = self._exact_extremum(grid[i])
+        golden, golden_evals = _golden_reference(
+            lambda b: zero_field_attractive(b).heat_capacity,
+            math.log(grid[i - 1]), math.log(grid[i + 1]), sign)
+        err_brent = abs(-math.log(beta_inv) - exact)
+        err_golden = abs(golden - exact)
+        assert err_golden <= 5e-7
+        assert err_brent <= err_golden
+        assert brent_evals < golden_evals
+
+
+class TestPlainFloats:
+    @pytest.mark.parametrize("source", ["spectrum", "levels"])
+    def test_canonical_results_are_float(self, source):
+        src = attractive(1e-3) if source == "spectrum" else [-1.0, 0.1, 0.4, 0.9]
+        assert type(heat_capacity(src, 2.0)) is float
+        assert type(mean_energy(src, 2.0)) is float
+        tp = thermo_point(src, 2.0)
+        assert all(type(v) is float for v in (tp.beta, tp.mean_energy, tp.heat_capacity))

@@ -37,6 +37,39 @@ def attractive(field):
     return _SPECTRA[field]
 
 
+def direct_occupation(sp, beta, gamma, sign, start=0):
+    """sum_{n >= start} 1/(e^{x_n} +- 1) with x_n = beta (E_n - E_0) + gamma,
+    by direct numpy summation over the spectrum's levels until x_n > 50
+    (every further level holds less than e^-50)."""
+    t = sp.tail
+
+    def occupations(x):
+        if sign == gc.BOSE:
+            np.expm1(x, out=x)
+        else:
+            np.exp(x, out=x)
+            x += 1.0
+        return float(np.sum(np.reciprocal(x, out=x)))
+
+    x = beta * (np.asarray(sp.exact_levels[start:]) - sp.e0) + gamma
+    parts = [occupations(x)]
+    # tail levels in cache-sized chunks: x = c1 (4(m + j0) - k_off)^(2/3) + c0
+    c1, c0 = beta * t.tau, beta * (t.shift - sp.e0) + gamma
+    chunk = 1 << 16
+    arg0 = 4.0 * (max(start, sp.n_exact) + t.j0) - t.k_off
+    steps = 4.0 * np.arange(chunk, dtype=float)
+    x_last = -math.inf
+    while x_last <= 50.0:
+        x = np.cbrt(steps + arg0)
+        np.square(x, out=x)
+        x *= c1
+        x += c0
+        x_last = float(x[-1])
+        parts.append(occupations(x))
+        arg0 += 4.0 * chunk
+    return math.fsum(parts)
+
+
 class TestEnsembleSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -85,7 +118,7 @@ class TestSolveMu:
                 ens = EnsembleSpec(stat, n)
                 mu = solve_mu(sp, beta, ens)
                 gamma = beta * (sp.e0 - mu)
-                got = gc._n_of_gamma(sp, beta, ens.sign, gamma)
+                got = direct_occupation(sp, beta, gamma, ens.sign)
                 assert abs(got - n) <= 1e-10 * n
 
     def test_bose_mu_strictly_below_ground(self):
@@ -167,10 +200,87 @@ class TestGcPoint:
         gamma = beta * spd.e0 - math.log(z)  # beta(E0 - mu) with mu = ln(z)/beta
         r = 0.5 / (SQRT_PI * beta ** 1.5 * field)
         for sign, stat_sign in ((+1, gc.FERMI), (-1, gc.BOSE)):
-            exact = gc._n_of_gamma(spd, beta, stat_sign, gamma)
+            exact = direct_occupation(spd, beta, gamma, stat_sign)
             li = polylog(1.5, -sign * z)
             approx = -sign * r * li - 0.25 / (1.0 / z + sign)
             assert exact == pytest.approx(approx, rel=2e-3)
+
+
+class TestCondensateHeatCapacity:
+    @pytest.mark.parametrize("n", [1, 10 ** 7])
+    def test_nonnegative_and_equal_to_direct_sum(self, n):
+        # deep in the condensate the ground level holds nearly all of the
+        # distribution weight; c must stay >= 0 and match a direct centered
+        # sum beta^2 sum w (E - <E>_w)^2 / N at the same mu
+        sp = attractive(1e-5)
+        beta = 100.0
+        p = gc_point(sp, beta, EnsembleSpec(BE, n))
+        assert p.heat_capacity_per_particle >= 0.0
+        t = sp.tail
+        levels = np.concatenate([sp.exact_levels, t.energy(np.arange(sp.n_exact, 40_000))])
+        assert beta * (levels[-1] - levels[1]) > 80.0  # the rest is below e^-80
+        x = beta * (levels - p.mu)
+        w = 1.0 / (4.0 * np.sinh(0.5 * x) ** 2)  # e^x / (e^x - 1)^2
+        w0 = math.fsum(w)
+        mean = math.fsum(w * levels) / w0
+        c_direct = beta * beta * math.fsum(w * (levels - mean) ** 2) / n
+        assert c_direct > 0.0
+        assert p.heat_capacity_per_particle == pytest.approx(c_direct, rel=1e-9)
+
+
+class TestPlainFloats:
+    def test_gc_point_fields_are_float(self):
+        sp = attractive(1e-4)
+        for stat in (FD, BE):
+            p = gc_point(sp, 3.0, EnsembleSpec(stat, 10))
+            fields = [p.beta, p.mu, p.mean_energy, p.heat_capacity_per_particle]
+            if stat is BE:
+                fields.append(p.n0)
+            assert all(type(v) is float for v in fields)
+
+
+class TestWorkCounts:
+    def test_table1_cell_be_1000(self, monkeypatch):
+        # the published cell BE N=1000, F=1e-5: every warm-started gc_point
+        # costs at most 4 fused ladder passes on average, and the peak
+        # search at most 60 heat-capacity evaluations (50 grid points plus
+        # Brent's refinement)
+        from robinwall import sweep
+        from robinwall.reference_values import TABLE1
+        counts = {"gc": 0, "hinted": 0, "ladder_hinted": 0}
+        ladder, point = gc.ladder_sums, gc.gc_point
+        hinted = []
+
+        def counting_ladder(*args, **kwargs):
+            if hinted and hinted[-1]:
+                counts["ladder_hinted"] += 1
+            return ladder(*args, **kwargs)
+
+        def counting_point(spectrum, beta, ensemble, hint_gamma=None):
+            counts["gc"] += 1
+            counts["hinted"] += hint_gamma is not None
+            hinted.append(hint_gamma is not None)
+            try:
+                return point(spectrum, beta, ensemble, hint_gamma)
+            finally:
+                hinted.pop()
+
+        monkeypatch.setattr(gc, "ladder_sums", counting_ladder)
+        monkeypatch.setattr(gc, "gc_point", counting_point)
+        t_ref, c_ref = TABLE1[("be", 1000, 1e-5)]
+        rep = sweep.locate_peak(attractive(1e-5), EnsembleSpec(BE, 1000), t_ref)
+        assert abs(rep.c_max - c_ref) <= 0.015 * c_ref
+        assert counts["gc"] <= 60
+        assert counts["hinted"] == counts["gc"] - 1
+        assert counts["ladder_hinted"] <= 4 * counts["hinted"]
+
+    def test_be_critical_ladder_passes(self, monkeypatch):
+        calls = []
+        ladder = gc.ladder_sums
+        monkeypatch.setattr(gc, "ladder_sums",
+                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        be_critical(attractive(1e-5), 1000)
+        assert len(calls) <= 8
 
 
 class TestFdClosedForms:
@@ -258,7 +368,7 @@ class TestBeCritical:
     def test_defining_sum_residual(self):
         sp = attractive(1e-5)
         rep = be_critical(sp, 1000)
-        got = gc._excited_occupation(sp, rep.beta_cr)
+        got = direct_occupation(sp, rep.beta_cr, 0.0, gc.BOSE, start=1)
         assert abs(got - 1000.0) <= 1e-10 * 1000.0
         assert rep.t_cr == pytest.approx(1.0 / rep.beta_cr, rel=1e-15)
 

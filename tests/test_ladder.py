@@ -14,13 +14,26 @@ from robinwall.ladder import (
     BOLTZ,
     BOLTZ_KIND,
     BOSE,
-    DIST,
     FERMI,
     OCC,
     array_sums,
     ladder_sums,
 )
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
+
+DIST = "dist"  # the distribution kernel e^x/(e^x +- 1)^2, returned with OCC
+
+
+def _kernel(x, kind, sign):
+    """Weight kernels written independently of the engine's forms."""
+    if kind == BOLTZ_KIND:
+        return np.exp(-x)
+    if sign == FERMI:
+        if kind == OCC:
+            return np.exp(-np.logaddexp(0.0, x))
+        return np.exp(-np.logaddexp(0.0, x) - np.logaddexp(0.0, -x))
+    occ = 1.0 / np.expm1(x)
+    return occ if kind == OCC else occ + occ * occ
 
 
 def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
@@ -36,7 +49,7 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
         dE[head] = spectrum.exact_levels[idx[head]] - e0
         dE[~head] = spectrum.tail.energy(idx[~head].astype(float)) - e0
         x = beta * dE + gamma
-        w = ladder._weight_arr(x, kind, sign)
+        w = _kernel(x, kind, sign)
         for i, p in enumerate(powers):
             totals[i] += np.sum((dE + moment_offset) ** p * w)
         if x[-1] > 55.0:
@@ -44,6 +57,15 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
         lo += chunk
         chunk = min(2 * chunk, 1 << 22)
         assert lo < 200_000_000, "brute-force reference runaway"
+
+
+def pick(spectrum, beta, kind, sign, powers, **kw):
+    """The sums S_p of one kernel from the fused engine: ladder_sums returns
+    (S0, S1, S2) for BOLTZ_KIND and (N0, N1, D0, D1, D2) for OCC."""
+    sums = ladder_sums(spectrum, beta, BOLTZ_KIND if kind == BOLTZ_KIND else OCC,
+                       sign, **kw)
+    first = 2 if kind == DIST else 0
+    return [sums[first + p] for p in powers]
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +88,8 @@ CASES = [
 @pytest.mark.parametrize("kind,sign,beta,gamma,moff,powers,start", CASES)
 def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma,
                                     moff, powers, start):
-    hybrid = ladder_sums(spectrum_m3, beta, kind, sign, gamma=gamma,
-                         moment_offset=moff, powers=powers, start_index=start)
+    hybrid = pick(spectrum_m3, beta, kind, sign, powers, gamma=gamma,
+                  moment_offset=moff, start_index=start)
     ref = brute_force(spectrum_m3, beta, kind, sign, gamma, moff, powers, start)
     for h, r in zip(hybrid, ref):
         assert h == pytest.approx(r, rel=1e-10)
@@ -75,7 +97,7 @@ def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma,
 
 def test_weak_field_closure_matches_brute_force():
     sp7 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-7), count=64)
-    hybrid = ladder_sums(sp7, 11.455, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
+    hybrid = ladder_sums(sp7, 11.455, BOLTZ_KIND, BOLTZ)
     ref = brute_force(sp7, 11.455, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
     for h, r in zip(hybrid, ref):
         assert h == pytest.approx(r, rel=1e-10)
@@ -84,9 +106,8 @@ def test_weak_field_closure_matches_brute_force():
 def test_forced_direct_agrees_with_closure(spectrum_m3):
     # same sums with the closure disabled (pure direct + stop rule)
     for beta in (1.0, 4.0):
-        hybrid = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
-        direct = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2),
-                             force_direct=True)
+        hybrid = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ)
+        direct = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ, force_direct=True)
         for h, d in zip(hybrid, direct):
             assert h == pytest.approx(d, rel=1e-10)
 
@@ -97,7 +118,7 @@ def test_dirichlet_partition_vs_independent_zero_sum():
     spd = build_spectrum(WallSpec(WallKind.DIRICHLET, 1.0), count=64)
     a_ref, _, _, _ = sp.ai_zeros(2000)
     oracle = float(np.sum(np.exp(-10.0 * (-a_ref))))
-    s0 = ladder_sums(spd, 10.0, BOLTZ_KIND, BOLTZ, powers=(0,))[0]
+    s0 = ladder_sums(spd, 10.0, BOLTZ_KIND, BOLTZ)[0]
     z = s0 * math.exp(-10.0 * spd.e0)
     assert z == pytest.approx(oracle, rel=1e-11)
 
@@ -118,12 +139,11 @@ def test_degenerate_fermi_sea_matches_brute_force(wall_kind, field, beta, mu_idx
     sp = build_spectrum(WallSpec(wall_kind, field), count=64)
     mu = float(sp.tail.energy(mu_idx))
     gamma = beta * (sp.e0 - mu)
-    hyb = ladder_sums(sp, beta, OCC, FERMI, gamma=gamma, powers=(0, 1))
+    hyb = pick(sp, beta, OCC, FERMI, (0, 1), gamma=gamma)
     ref = brute_force(sp, beta, OCC, FERMI, gamma=gamma, powers=(0, 1))
     for h, r in zip(hyb, ref):
         assert h == pytest.approx(r, rel=1e-10)
-    hyb = ladder_sums(sp, beta, DIST, FERMI, gamma=gamma,
-                      moment_offset=gamma / beta, powers=(0, 2))
+    hyb = pick(sp, beta, DIST, FERMI, (0, 2), gamma=gamma, moment_offset=gamma / beta)
     ref = brute_force(sp, beta, DIST, FERMI, gamma=gamma,
                       moment_offset=gamma / beta, powers=(0, 2))
     for h, r in zip(hyb, ref):
@@ -135,8 +155,10 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
     # kernel crawls, so the closure integrates the kernel directly
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     for beta, gamma in ((0.05, 1e-4), (0.05, 2.0), (0.3, 1e-6)):
-        hyb = ladder_sums(sp, beta, OCC, BOSE, gamma=gamma, powers=(0, 1))
-        ref = brute_force(sp, beta, OCC, BOSE, gamma=gamma, powers=(0, 1))
+        hyb = ladder_sums(sp, beta, OCC, BOSE, gamma=gamma)
+        ref = np.concatenate([
+            brute_force(sp, beta, OCC, BOSE, gamma=gamma, powers=(0, 1)),
+            brute_force(sp, beta, DIST, BOSE, gamma=gamma, powers=(0, 1, 2))])
         for h, r in zip(hyb, ref):
             assert h == pytest.approx(r, rel=1e-10)
 
@@ -150,14 +172,73 @@ def test_series_and_quadrature_integrals_agree():
         sigma = beta * (tail.shift - sp.e0) + gamma
         ds = tail.shift - sp.e0 + gamma / beta
         x0 = beta * tail.tau * v0 + sigma
-        for kind in (OCC, DIST):
-            for sign in (FERMI, BOSE):
-                a = ladder._em_integral_series(tail, beta, sigma, ds, v0, x0,
-                                               kind, sign, (0, 1, 2))
-                b = ladder._em_integral_quad(tail, beta, sigma, ds, v0, x0,
-                                             kind, sign, (0, 1, 2))
-                for s, q in zip(a, b):
-                    assert q == pytest.approx(s, rel=1e-11, abs=1e-280)
+        for sign in (FERMI, BOSE):
+            a = ladder._em_integral_series(tail, beta, ds, v0, x0, OCC, sign)
+            b = ladder._em_integral_quad(tail, beta, sigma, ds, v0, OCC, sign)
+            assert len(a) == len(b) == 5
+            for s, q in zip(a, b):
+                assert q == pytest.approx(s, rel=1e-11, abs=1e-280)
+
+
+FUSED_CASES = [
+    # (wall kind, field, statistics, beta, gamma or Fermi-level index, moment offset)
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, FERMI, 3.0, -2.0, 0.0),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, FERMI, 6.0, 4.0, 0.3),
+    (WallKind.NEUMANN, 1e-4, FERMI, 30.0, ("sea", 30_000), 0.0),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-2, FERMI, 2.0, ("sea", 400_000), "mu"),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, BOSE, 2.0, 0.3, 0.15),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, BOSE, 3.0, 1e-7, 0.0),
+    (WallKind.NEUMANN, 1e-3, BOSE, 0.3, 5e-7, 0.0),
+]
+
+
+@pytest.mark.parametrize("wall_kind,field,sign,beta,gamma,moff", FUSED_CASES)
+def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff):
+    # one pass gives N_0, N_1 (occupation) and D_0, D_1, D_2 (distribution),
+    # through a filled Fermi sea and next to Bose condensation (gamma < 1e-6)
+    sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+    if isinstance(gamma, tuple):
+        gamma = beta * (sp.e0 - float(sp.tail.energy(gamma[1])))
+        assert gamma < -ladder.X_DEAD
+    if moff == "mu":
+        moff = gamma / beta
+    fused = ladder_sums(sp, beta, OCC, sign, gamma=gamma, moment_offset=moff)
+    ref = np.concatenate([
+        brute_force(sp, beta, OCC, sign, gamma, moff, powers=(0, 1)),
+        brute_force(sp, beta, DIST, sign, gamma, moff, powers=(0, 1, 2))])
+    assert len(fused) == 5
+    for f, r in zip(fused, ref):
+        assert f == pytest.approx(r, rel=1e-10)
+
+
+@pytest.mark.parametrize("force_direct", [False, True])
+@pytest.mark.parametrize("temperature", [0.0321, 0.025])
+def test_stop_rule_watches_every_sum(force_direct, temperature):
+    # the ground level holds nearly all of S_0 while S_1 and S_2 live on the
+    # excited levels e^-31 below it: stopping on S_0 alone truncated them
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.233e-5), count=64)
+    beta = 1.0 / temperature
+    s0, s1, s2 = ladder_sums(sp, beta, BOLTZ_KIND, BOLTZ, force_direct=force_direct)
+    c = beta * beta * (s2 / s0 - (s1 / s0) ** 2)
+    levels = np.concatenate([sp.exact_levels,
+                             sp.tail.energy(np.arange(sp.n_exact, 400_000))])
+    assert beta * (levels[-1] - levels[1]) > 80.0
+    w = np.exp(-beta * (levels - sp.e0))
+    z = math.fsum(w)
+    mean = math.fsum(w * levels) / z
+    c_direct = beta * beta * math.fsum(w * (levels - mean) ** 2) / z
+    assert c == pytest.approx(c_direct, rel=1e-9)
+
+
+def test_ladder_sums_are_plain_floats(spectrum_m3):
+    for sums in (ladder_sums(spectrum_m3, 2.0, BOLTZ_KIND, BOLTZ),
+                 ladder_sums(spectrum_m3, 2.0, OCC, FERMI, gamma=-1.0)):
+        assert all(type(v) is float for v in sums)
+
+
+def test_unknown_kind_rejected(spectrum_m3):
+    with pytest.raises(SolverError):
+        ladder_sums(spectrum_m3, 1.0, DIST, BOSE, gamma=0.5)
 
 
 def test_huge_fermion_number_is_fast_and_validated():
@@ -175,13 +256,12 @@ def test_huge_fermion_number_is_fast_and_validated():
 def test_budget_error():
     sp6 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-6), count=64)
     with pytest.raises(BudgetError):
-        ladder_sums(sp6, 2.0, BOLTZ_KIND, BOLTZ, powers=(0,),
-                    budget=10_000, force_direct=True)
+        ladder_sums(sp6, 2.0, BOLTZ_KIND, BOLTZ, budget=10_000, force_direct=True)
 
 
 def test_bose_positive_exponent_guard(spectrum_m3):
     with pytest.raises(SolverError):
-        ladder_sums(spectrum_m3, 1.0, OCC, BOSE, gamma=-0.5, powers=(0,))
+        ladder_sums(spectrum_m3, 1.0, OCC, BOSE, gamma=-0.5)
 
 
 def test_gamma_upper_scaled_vs_scipy():
