@@ -8,7 +8,6 @@ hbar^2/(2 m e |Lambda|^3), heat capacities in units of k_B.
 
 from .errors import (
     BudgetError,
-    ConvergenceDomainError,
     DomainError,
     PoleError,
     RobinWallError,
@@ -20,9 +19,7 @@ from .specfun import (
     airy_log_deriv,
     airy_scaled,
     airy_zero,
-    gamma_fn,
     lambert_w,
-    polylog,
 )
 from .spectrum import (
     LevelGap,
@@ -31,11 +28,9 @@ from .spectrum import (
     WallKind,
     WallSpec,
     build_spectrum,
-    dirichlet_neumann_level,
     level_gaps,
     qw_single_bound_window,
     qw_threshold,
-    robin_levels,
 )
 from .canonical import (
     ExtremumReport,

@@ -76,9 +76,6 @@ class PartitionResult(NamedTuple):
     z_shifted: float
     shift: float
 
-    def log_z(self, beta: float) -> float:
-        return math.log(self.z_shifted) - beta * self.shift
-
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)
@@ -139,7 +136,7 @@ def thermo_point(source, beta: float, n_particles: int = 1) -> ThermoPoint:
     return ThermoPoint(
         beta=beta,
         mean_energy=n_particles * (e0 + m),
-        heat_capacity=n_particles * beta * beta * (s2 / s0 - m * m),
+        heat_capacity=n_particles * (beta * beta * (s2 / s0 - m * m)),
     )
 
 

@@ -13,11 +13,6 @@ class PoleError(RobinWallError, ArithmeticError):
     """Evaluation was requested at (or too close to) a pole."""
 
 
-class ConvergenceDomainError(DomainError):
-    """A series argument is outside the region where the series converges
-    fast enough to be trusted."""
-
-
 class SolverError(RobinWallError, RuntimeError):
     """A root solve failed; the message carries the final bracket/residual."""
 

@@ -34,6 +34,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .canonical import _check_beta, _check_weak_field
 from .errors import DomainError, SolverError
 from .ladder import BOSE, FERMI, OCC, ladder_sums
 from .spectrum import Spectrum
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-WEAK_FIELD_MAX = 1e-2
 _N_RESIDUAL = 1e-10
 
 
@@ -101,13 +101,6 @@ class CondensateReport:
     beta_cr: float
     t_cr: float
     asymptotic_beta_cr: float
-
-
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +278,6 @@ def fd_plateau(n_particles: int) -> float:
     if n_particles < 1:
         raise DomainError(f"n_particles must be >= 1, got {n_particles}")
     return 1.5 * (n_particles - 1) / n_particles
-
-
-def _check_weak_field(field: float) -> float:
-    field = float(field)
-    if not 0.0 < field <= WEAK_FIELD_MAX:
-        raise DomainError(
-            f"weak-field asymptotics require 0 < field <= {WEAK_FIELD_MAX}, got {field!r}")
-    return field
 
 
 def fd_single_peak(field: float) -> tuple[float, float]:

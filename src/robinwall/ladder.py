@@ -23,16 +23,15 @@ early stop once eight consecutive summands of every returned sum drop below
 thermal scale (beta * dE/dn below a threshold) the remainder is closed with
 the Euler-Maclaurin formula over the exact power-law tail
 E(m) = tau * (4(m+j0)-k)^(2/3) + shift.  The closure integral is evaluated
-two ways: when the starting exponent is comfortably positive, the geometric
-expansion of the kernels turns it into a short sum of upper incomplete
-gamma functions, one set per expansion order shared by all kernels and
-moments; otherwise (a degenerate Fermi sea, or a gapless wall whose
-exponents crawl through zero) the kernels are integrated directly on
-structure-matched Gauss-Legendre panels.  A sparse filled Fermi sea in
-front of the dense region is summed in closed form as polynomial ladder
-moments.  Every path is validated against brute-force summation to ~1e-10
-relative; the payoff is that the worst evaluation in the whole parameter
-domain costs ~1e4 kernel evaluations instead of ~1e8 exp() calls.
+one way for every kernel and every starting exponent: Gauss-Legendre in
+s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the level measure is a polynomial,
+on panels matched to the kernel (a filled Fermi sea, the transition layer
+around x = 0, and geometric panels down the exponential tail from wherever
+it starts).  A sparse filled Fermi sea in front of the dense region is
+summed in closed form as polynomial ladder moments.  Every path is
+validated against brute-force summation to ~1e-10 relative; the payoff is
+that the worst evaluation in the whole parameter domain costs ~1e4 kernel
+evaluations instead of ~1e8 exp() calls.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ STOP_RUN = 8              # ... for this many consecutive levels
 STOP_MIN_X = 30.0         # ... and only once exponents are this large
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
 LEVEL_BUDGET = 10 ** 8    # hard cap on directly summed levels
-_LN_TINY = math.log(1e-300)
 
 # the sums one call returns, as (kernel index, moment power) pairs: kernel 0
 # is e^{-x} (BOLTZ_KIND) or the occupation, kernel 1 the distribution
@@ -110,97 +108,10 @@ def _summands(x: np.ndarray, d: np.ndarray, kind: str, sign: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# upper incomplete gamma, scaled: G(a, x) = Gamma(a, x) * e^x
-# ---------------------------------------------------------------------------
-
-def _gamma_upper_scaled(a: float, x: float) -> float:
-    if x < a + 1.0:
-        # series for the lower gamma, then complement
-        s = 1.0 / a
-        term = s
-        n = 0
-        while term > 1e-18 * s and n < 400:
-            n += 1
-            term *= x / (a + n)
-            s += term
-        return math.gamma(a) * math.exp(x) - x ** a * s
-    # Lentz continued fraction for Gamma(a,x) e^x x^{-a}
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return x ** a * h
-
-
-# ---------------------------------------------------------------------------
 # the Euler-Maclaurin closure
 # ---------------------------------------------------------------------------
 
-X_SERIES_MIN = 0.5  # below this starting exponent the k-series crawls;
-                    # the closure integral switches to panel quadrature
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _em_integral_series(tail, beta: float, ds_ref: float, v0: float, x0: float,
-                        kind: str, sign: int) -> list[float]:
-    """Geometric expansion of the kernels, occupation = sum_k a_k e^{-kx} and
-    distribution = sum_k k a_k e^{-kx}: each order k costs one set of
-    incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0, 1, 2, shared by
-    every kernel and moment.  Converges like e^{-k x0}, so it is only used
-    for x0 >= X_SERIES_MIN."""
-    tau = tail.tau
-    rows = _ROWS[kind]
-    totals = [0.0] * len(rows)
-    k = 0
-    while True:
-        k += 1
-        lam = k * beta * tau
-        xhat = lam * v0
-        ln_lam = math.log(lam)
-        # Gamma(a, xhat) e^xhat for a = 3/2, 5/2, 7/2 by the upward
-        # recurrence G(a+1) = a G(a) + xhat^a (all terms positive)
-        g_sc = [_gamma_upper_scaled(1.5, xhat)]
-        g_sc.append(1.5 * g_sc[0] + xhat ** 1.5)
-        g_sc.append(2.5 * g_sc[1] + xhat ** 2.5)
-        g = []
-        for j, gj in enumerate(g_sc):
-            ln_term = math.log(gj) - (j + 1.5) * ln_lam - k * x0
-            g.append(math.exp(ln_term) if ln_term > _LN_TINY else 0.0)
-        # moments of (tau v + ds_ref)^p over the tail measure, 3/8 Jacobian
-        mom = (0.375 * g[0],
-               0.375 * (ds_ref * g[0] + tau * g[1]),
-               0.375 * (ds_ref * ds_ref * g[0] + 2.0 * ds_ref * tau * g[1]
-                        + tau * tau * g[2]))
-        if kind == BOLTZ_KIND:
-            return list(mom)
-        alt = 1.0 if (sign == BOSE or k % 2 == 1) else -1.0
-        coef = (alt, alt * k)
-        vals = [coef[kk] * mom[p] for kk, p in rows]
-        for i, v in enumerate(vals):
-            totals[i] += v
-        if all(v == 0.0 for v in vals):
-            break  # everything underflowed; the tail is dead
-        if k >= 3 and all(abs(v) < 1e-17 * abs(t) for v, t in zip(vals, totals)):
-            break
-        if k > 10_000:
-            raise BudgetError("geometric expansion of the tail failed to settle")
-    return totals
 
 
 def _v_panel_breaks(v0: float, bt: float, sigma: float) -> list[float]:
@@ -208,7 +119,7 @@ def _v_panel_breaks(v0: float, bt: float, sigma: float) -> list[float]:
     structure: octave panels in v across a filled Fermi sea (the kernel is
     constant there to e^-40), a finely split transition layer, octave
     panels through a 1/x-like Bose region, and geometric panels down the
-    exponential tail."""
+    exponential tail, laid out from the exponent where the tail starts."""
     x0 = bt * v0 + sigma
 
     def v_of(x: float) -> float:
@@ -234,38 +145,12 @@ def _v_panel_breaks(v0: float, bt: float, sigma: float) -> list[float]:
                 xs.append(x)
         breaks.extend(v_of(float(xx)) for xx in xs)
         x = 0.5
-    while x < 120.0:
-        x = min(1.7 * x + 2.0, 120.0)
-        breaks.append(v_of(x))
+    # the tail panels span 119.5 exponent units above x, wherever x lies
+    y = 0.5
+    while y < 120.0:
+        y = min(1.7 * y + 2.0, 120.0)
+        breaks.append(v_of(x + y - 0.5))
     return breaks
-
-
-def _em_integral_quad(tail, beta: float, sigma: float, ds_ref: float,
-                      v0: float, kind: str, sign: int) -> list[float]:
-    """Direct Gauss-Legendre evaluation of the closure integrals
-
-        I = (3/8) * integral_{v0}^inf sqrt(v) (tau v + ds_ref)^p
-                       F(beta tau v + sigma) dv
-
-    for every returned sum, valid for any starting exponent (including a
-    degenerate Fermi sea)."""
-    tau = tail.tau
-    bt = beta * tau
-    v_breaks = _v_panel_breaks(v0, bt, sigma)
-    nodes = []
-    weights = []
-    for a, b in zip(v_breaks, v_breaks[1:]):
-        if b <= a:
-            continue
-        half = 0.5 * (b - a)
-        nodes.append(half * (_GL_NODES + 1.0) + a)
-        weights.append(half * _GL_WEIGHTS)
-    if not nodes:
-        return [0.0] * len(_ROWS[kind])
-    v = np.concatenate(nodes)
-    w = 0.375 * np.concatenate(weights) * np.sqrt(v)
-    return [float(np.dot(w, s)) for s in _summands(bt * v + sigma, tau * v + ds_ref,
-                                                   kind, sign)]
 
 
 def _em_integral(tail, beta: float, sigma: float, ds_ref: float,
@@ -274,15 +159,26 @@ def _em_integral(tail, beta: float, sigma: float, ds_ref: float,
 
     sigma  = beta*(tail.shift - E0) + gamma   (exponent offset of the tail)
     ds_ref = tail.shift - ref                 (moment offset of the tail)
-    """
+
+    With v = argument(m)^(2/3) and s = sqrt(v) the integral is
+
+        (3/4) * integral_{s0}^inf s^2 (tau s^2 + ds_ref)^p
+                    F(beta tau s^2 + sigma) ds,
+
+    evaluated by Gauss-Legendre on the panels of ``_v_panel_breaks`` mapped
+    to s, where the integrand is smooth down to the lower end for any
+    starting exponent (a degenerate Fermi sea included)."""
     tau = tail.tau
+    bt = beta * tau
     v0 = float(tail.argument(n0)) ** (2.0 / 3.0)
-    x0 = beta * tau * v0 + sigma
-    if kind == BOLTZ_KIND or x0 >= X_SERIES_MIN:
-        if x0 <= 0.0:
-            raise SolverError("Boltzmann tail engaged at non-positive exponent")
-        return _em_integral_series(tail, beta, ds_ref, v0, x0, kind, sign)
-    return _em_integral_quad(tail, beta, sigma, ds_ref, v0, kind, sign)
+    s_breaks = np.sqrt(_v_panel_breaks(v0, bt, sigma))
+    lo = s_breaks[:-1, None]
+    half = 0.5 * (s_breaks[1:, None] - lo)
+    s = (half * (_GL_NODES + 1.0) + lo).ravel()
+    v = s * s
+    w = 0.75 * (half * _GL_WEIGHTS).ravel() * v
+    return [float(np.dot(w, f)) for f in _summands(bt * v + sigma, tau * v + ds_ref,
+                                                   kind, sign)]
 
 
 _STENCIL = np.arange(-2.0, 3.0)  # m - 2 .. m + 2

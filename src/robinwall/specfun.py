@@ -2,9 +2,8 @@
 
 Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
 forms for large positive argument), their negative zeros, the logarithmic
-derivative Ai'/Ai, the principal branch of the Lambert W function on the
-nonnegative axis, the polylogarithm Li_s for s in {3/2, 5/2}, and the Gamma
-function for positive argument.
+derivative Ai'/Ai, and the principal branch of the Lambert W function on
+the nonnegative axis.
 
 Evaluation scheme for Ai/Ai':
 
@@ -29,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceDomainError, DomainError, PoleError, SolverError
+from .errors import DomainError, PoleError, SolverError
 
 __all__ = [
     "AiryZeroKind",
@@ -38,8 +37,6 @@ __all__ = [
     "airy_log_deriv",
     "airy_zero",
     "lambert_w",
-    "polylog",
-    "gamma_fn",
 ]
 
 _TWO_THIRDS = 2.0 / 3.0
@@ -318,7 +315,7 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, polylogarithm, Gamma
+# Lambert W
 # ---------------------------------------------------------------------------
 
 def lambert_w(x: float) -> float:
@@ -348,51 +345,6 @@ def lambert_w(x: float) -> float:
     if abs(w * math.exp(w) - x) > 1e-12 * x:
         raise SolverError(f"lambert_w failed to converge for x={x}")
     return w
-
-
-_POLYLOG_ORDERS = (1.5, 2.5)
-
-
-def polylog(s: float, z: float) -> float:
-    """Li_s(z) = sum_k z^k / k^s by direct summation; s in {3/2, 5/2}.
-
-    The series is summed until the running term falls below 1e-14 of the
-    accumulated sum.  Arguments with |z| > 0.9999 are rejected: so close to
-    the unit circle the truncated series is no longer trustworthy and the
-    caller should fall back to exact level sums.
-    """
-    s = float(s)
-    z = float(z)
-    if s not in _POLYLOG_ORDERS:
-        raise DomainError(f"polylog: order must be one of {_POLYLOG_ORDERS}, got {s}")
-    if not math.isfinite(z) or abs(z) > 0.9999:
-        raise ConvergenceDomainError(
-            f"polylog: |z| <= 0.9999 required for series evaluation, got {z!r}")
-    if z == 0.0:
-        return 0.0
-    total = 0.0
-    chunk = 4096
-    zk_start = z  # z^k at the first k of the chunk
-    k0 = 1
-    while k0 < 10_000_000:
-        k = np.arange(k0, k0 + chunk, dtype=float)
-        terms = zk_start * np.power(z, k - k0) / np.power(k, s)
-        total += float(terms.sum())
-        if np.max(np.abs(terms[-8:])) < 1e-14 * abs(total):
-            return total
-        zk_start *= z ** chunk
-        k0 += chunk
-        if zk_start == 0.0:
-            return total
-    raise ConvergenceDomainError(f"polylog: series for z={z} did not settle")
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 (delegates to the libm implementation)."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma_fn: argument must be finite and > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def interlacing_ok(n_max: int = 50) -> bool:

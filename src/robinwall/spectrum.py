@@ -39,9 +39,7 @@ __all__ = [
     "TailLaw",
     "Spectrum",
     "LevelGap",
-    "dirichlet_neumann_level",
     "build_spectrum",
-    "robin_levels",
     "level_gaps",
     "qw_threshold",
     "qw_single_bound_window",
@@ -161,33 +159,6 @@ class Spectrum:
         if n < self.n_exact:
             return float(self.exact_levels[n])
         return float(self.tail.energy(n))
-
-    def energies(self, count: int) -> np.ndarray:
-        """First ``count`` levels (root-solved block followed by the tail law)."""
-        if count <= self.n_exact:
-            return self.exact_levels[:count].copy()
-        tail_idx = np.arange(self.n_exact, count)
-        return np.concatenate([self.exact_levels, self.tail.energy(tail_idx)])
-
-
-# ---------------------------------------------------------------------------
-# closed-form levels for the hard and reflecting walls
-# ---------------------------------------------------------------------------
-
-def dirichlet_neumann_level(n: int, kind: WallKind, field: float) -> float:
-    """Level n (n >= 0) of the Dirichlet or Neumann wall: -a_{n+1} F^(2/3)."""
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
-    field = float(field)
-    if field <= 0.0:
-        raise DomainError(f"field must be > 0, got {field}")
-    if kind is WallKind.DIRICHLET:
-        zero = airy_zero(n + 1, AiryZeroKind.FunctionZero)
-    elif kind is WallKind.NEUMANN:
-        zero = airy_zero(n + 1, AiryZeroKind.DerivativeZero)
-    else:
-        raise DomainError(f"dirichlet_neumann_level: unsupported kind {kind}")
-    return -zero * field ** (2.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +303,6 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
                     tail_rule=rule, exact_levels=exact, tail=tail)
 
 
-def robin_levels(wall: WallSpec, count: int,
-                 n_exact: int = DEFAULT_N_EXACT) -> Spectrum:
-    """Spectrum of a Robin wall (kind must be attractive or repulsive)."""
-    if not wall.kind.is_robin:
-        raise DomainError(f"robin_levels: wall kind must be Robin, got {wall.kind}")
-    return build_spectrum(wall, count=count, n_exact=n_exact)
-
-
 def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     """Gaps Delta_n = E_n - E_0 and ratios R_n = Delta_n / Delta_1, n=1..n_max."""
     if n_max < 1:
@@ -384,8 +347,3 @@ def qw_threshold(n: int, x0: float) -> float:
 def qw_single_bound_window(x0: float) -> tuple[float, float]:
     """Depth window (lo, hi) in which the well holds exactly one bound state."""
     return qw_threshold(1, x0), qw_threshold(2, x0)
-
-
-def qw_single_bound_state(v0: float, x0: float) -> bool:
-    lo, hi = qw_single_bound_window(x0)
-    return lo < v0 < hi

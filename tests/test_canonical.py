@@ -113,11 +113,14 @@ class TestMeanEnergyHeatCapacity:
         assert abs(c1 - c0) <= 1e-12
 
     def test_particle_count_scaling_is_exact(self):
+        # N times the one-particle value to the last bit at every beta, not
+        # only where N * beta^2 * var happens to round like N * (beta^2 * var)
         sp = attractive(1e-4)
-        one = thermo_point(sp, 5.0, 1)
-        five = thermo_point(sp, 5.0, 5)
-        assert five.mean_energy == 5 * one.mean_energy
-        assert five.heat_capacity == 5 * one.heat_capacity
+        for beta in [5.0, *np.geomspace(0.1, 50.0, 400)]:
+            one = thermo_point(sp, beta, 1)
+            five = thermo_point(sp, beta, 5)
+            assert five.mean_energy == 5 * one.mean_energy
+            assert five.heat_capacity == 5 * one.heat_capacity
 
     @pytest.mark.parametrize("field", [1e-4, 1e-2, 1.0])
     def test_repulsive_wall_monotone(self, field):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ from robinwall.grand_canonical import (
     ground_occupation,
     solve_mu,
 )
-from robinwall.specfun import lambert_w, polylog
+from robinwall.specfun import lambert_w
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
 SQRT_PI = math.sqrt(math.pi)
@@ -201,7 +202,7 @@ class TestGcPoint:
         r = 0.5 / (SQRT_PI * beta ** 1.5 * field)
         for sign, stat_sign in ((+1, gc.FERMI), (-1, gc.BOSE)):
             exact = direct_occupation(spd, beta, gamma, stat_sign)
-            li = polylog(1.5, -sign * z)
+            li = float(mpmath.polylog(1.5, -sign * z))
             approx = -sign * r * li - 0.25 / (1.0 / z + sign)
             assert exact == pytest.approx(approx, rel=2e-3)
 

@@ -4,6 +4,7 @@ stands on these comparisons."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -92,7 +93,7 @@ def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma,
                   moment_offset=moff, start_index=start)
     ref = brute_force(spectrum_m3, beta, kind, sign, gamma, moff, powers, start)
     for h, r in zip(hybrid, ref):
-        assert h == pytest.approx(r, rel=1e-10)
+        assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
 def test_weak_field_closure_matches_brute_force():
@@ -100,7 +101,7 @@ def test_weak_field_closure_matches_brute_force():
     hybrid = ladder_sums(sp7, 11.455, BOLTZ_KIND, BOLTZ)
     ref = brute_force(sp7, 11.455, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
     for h, r in zip(hybrid, ref):
-        assert h == pytest.approx(r, rel=1e-10)
+        assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
 def test_forced_direct_agrees_with_closure(spectrum_m3):
@@ -109,7 +110,7 @@ def test_forced_direct_agrees_with_closure(spectrum_m3):
         hybrid = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ)
         direct = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ, force_direct=True)
         for h, d in zip(hybrid, direct):
-            assert h == pytest.approx(d, rel=1e-10)
+            assert h == pytest.approx(d, rel=1e-10, abs=0.0)
 
 
 def test_dirichlet_partition_vs_independent_zero_sum():
@@ -142,17 +143,17 @@ def test_degenerate_fermi_sea_matches_brute_force(wall_kind, field, beta, mu_idx
     hyb = pick(sp, beta, OCC, FERMI, (0, 1), gamma=gamma)
     ref = brute_force(sp, beta, OCC, FERMI, gamma=gamma, powers=(0, 1))
     for h, r in zip(hyb, ref):
-        assert h == pytest.approx(r, rel=1e-10)
+        assert h == pytest.approx(r, rel=1e-10, abs=0.0)
     hyb = pick(sp, beta, DIST, FERMI, (0, 2), gamma=gamma, moment_offset=gamma / beta)
     ref = brute_force(sp, beta, DIST, FERMI, gamma=gamma,
                       moment_offset=gamma / beta, powers=(0, 2))
     for h, r in zip(hyb, ref):
-        assert h == pytest.approx(r, rel=1e-10)
+        assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
 def test_small_exponent_bose_quadrature_matches_brute_force():
-    # gapless wall at high temperature: the geometric expansion of the tail
-    # kernel crawls, so the closure integrates the kernel directly
+    # gapless wall at high temperature: the closure starts at exponents near
+    # zero, where the Bose kernel is 1/x-like and the panels split by octaves
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     for beta, gamma in ((0.05, 1e-4), (0.05, 2.0), (0.3, 1e-6)):
         hyb = ladder_sums(sp, beta, OCC, BOSE, gamma=gamma)
@@ -160,24 +161,114 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
             brute_force(sp, beta, OCC, BOSE, gamma=gamma, powers=(0, 1)),
             brute_force(sp, beta, DIST, BOSE, gamma=gamma, powers=(0, 1, 2))])
         for h, r in zip(hyb, ref):
-            assert h == pytest.approx(r, rel=1e-10)
+            assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def test_series_and_quadrature_integrals_agree():
-    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-4), count=64)
-    tail = sp.tail
-    v0 = float(tail.argument(66)) ** (2.0 / 3.0)
-    gamma = 0.7
+def closure_args(spectrum, beta, gamma, moment_offset=0.0):
+    """(sigma, ds_ref, n0) of the closure that ladder_sums engages."""
+    tail = spectrum.tail
+    return (beta * (tail.shift - spectrum.e0) + gamma,
+            tail.shift - spectrum.e0 + moment_offset,
+            ladder._dense_index(tail, beta))
+
+
+def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
+    """(N0, N1, D0, D1, D2) closure integrals in the ladder variable
+    v = argument(m)^(2/3), (3/8) int_{v0}^inf sqrt(v) (tau v + ds_ref)^p
+    F(beta tau v + sigma) dv, by mpmath's tanh-sinh rule at 30 digits."""
+    with mpmath.workdps(30):
+        tau = mpmath.mpf(tail.tau)
+        bt = beta * tau
+        v0 = mpmath.mpf(float(tail.argument(n0))) ** (mpmath.mpf(2) / 3)
+        x0 = bt * v0 + sigma
+        cuts = [(x - sigma) / bt for x in (0, 1, 2, 5, 10, 20, 40, 80, 160) if x > x0]
+        points = [v0] + cuts + [mpmath.inf]
+
+        def occ(x):
+            return 1 / (mpmath.exp(x) + sign)
+
+        def dist(x):
+            return mpmath.exp(x) / (mpmath.exp(x) + sign) ** 2
+
+        out = []
+        for kernel, p in ((occ, 0), (occ, 1), (dist, 0), (dist, 1), (dist, 2)):
+            def f(v, kernel=kernel, p=p):
+                return 0.375 * mpmath.sqrt(v) * (tau * v + ds_ref) ** p * kernel(bt * v + sigma)
+            out.append(float(mpmath.quad(f, points)))
+    return out
+
+
+@pytest.mark.parametrize("field,sign,beta,gamma", [
+    (2.5119e-7, FERMI, 0.015924, -4.2912),
+    (6.3096e-7, BOSE, 0.020131, 0.20701),
+])
+def test_closure_matches_mpmath(field, sign, beta, gamma):
+    # weak-field points where the closure starts at x0 < 0.5 and its first
+    # panel is ~1e5 times wider than v0: there sqrt(v) is far from a
+    # polynomial, which cost the v-panels 4.8e-6 of N0 and 1.4e-6 of D0
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
+    full = ladder_sums(sp, beta, OCC, sign, gamma=gamma)
+    sigma, ds_ref, n0 = closure_args(sp, beta, gamma)
+    mine = ladder._em_integral(sp.tail, beta, sigma, ds_ref, n0, OCC, sign)
+    ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
+    for m, r, f in zip(mine, ref, full):
+        assert abs(m - r) <= 1e-12 * abs(f)
+
+
+def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
+    """The closure integrals by the geometric expansion of the kernels,
+    occupation = sum_k a_k e^{-kx} and distribution = sum_k k a_k e^{-kx}
+    (a_k = 1 for bosons, (-1)^(k+1) for fermions): order k is a sum of
+    upper incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0, 1, 2.
+    Converges like e^{-k x0}, so it needs a positive starting exponent."""
+    tau = tail.tau
+    v0 = float(tail.argument(n0)) ** (2.0 / 3.0)
+    assert beta * tau * v0 + sigma > 0.0
+    rows = ((0, 0), (0, 1), (0, 2)) if kind == BOLTZ_KIND else \
+        ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
+    totals = np.zeros(len(rows))
+    for k in range(1, 10_000):
+        lam = k * beta * tau
+        g = []
+        for a in (1.5, 2.5, 3.5):
+            q = sp.gammaincc(a, lam * v0)
+            assert q > 0.0
+            g.append(math.exp(math.log(q) + math.lgamma(a) - a * math.log(lam) - k * sigma))
+        # moments of (tau v + ds_ref)^p over the tail measure, 3/8 Jacobian
+        mom = (0.375 * g[0],
+               0.375 * (ds_ref * g[0] + tau * g[1]),
+               0.375 * (ds_ref * ds_ref * g[0] + 2.0 * ds_ref * tau * g[1]
+                        + tau * tau * g[2]))
+        if kind == BOLTZ_KIND:
+            return list(mom)
+        alt = 1.0 if (sign == BOSE or k % 2 == 1) else -1.0
+        terms = np.array([alt * (k if kern else 1) * mom[p] for kern, p in rows])
+        totals += terms
+        if np.all(np.abs(terms) <= 1e-17 * np.abs(totals)):
+            return list(totals)
+    raise AssertionError("geometric expansion did not settle")
+
+
+SERIES_CASES = [(OCC, FERMI), (OCC, BOSE), (BOLTZ_KIND, BOLTZ)]
+
+
+@pytest.mark.parametrize("kind,sign", SERIES_CASES)
+def test_closure_matches_incomplete_gamma_series(kind, sign):
+    # starting exponents x0 from 0.5 to above 100, where the geometric series
+    # converges; the tail panels are laid out from x0, so they reach e^-119
+    # of the integrand wherever it starts (Bose gamma = 90 included)
+    spec = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-4), count=64)
+    tail = spec.tail
     for beta in (0.8, 2.0, 5.0):
-        sigma = beta * (tail.shift - sp.e0) + gamma
-        ds = tail.shift - sp.e0 + gamma / beta
-        x0 = beta * tail.tau * v0 + sigma
-        for sign in (FERMI, BOSE):
-            a = ladder._em_integral_series(tail, beta, ds, v0, x0, OCC, sign)
-            b = ladder._em_integral_quad(tail, beta, sigma, ds, v0, OCC, sign)
-            assert len(a) == len(b) == 5
-            for s, q in zip(a, b):
-                assert q == pytest.approx(s, rel=1e-11, abs=1e-280)
+        _, _, n0 = closure_args(spec, beta, 0.0)
+        u0 = beta * (float(tail.energy(n0)) - spec.e0)
+        for gamma in [x0 - u0 for x0 in (0.5, 0.9, 3.0, 12.0, 40.0, 105.0)] + [90.0]:
+            sigma, ds_ref, _ = closure_args(spec, beta, gamma, 0.3)
+            mine = ladder._em_integral(tail, beta, sigma, ds_ref, n0, kind, sign)
+            ref = series_closure(tail, beta, sigma, ds_ref, n0, kind, sign)
+            assert len(mine) == len(ref)
+            for m, r in zip(mine, ref):
+                assert m == pytest.approx(r, rel=1e-12, abs=0.0)
 
 
 FUSED_CASES = [
@@ -208,7 +299,7 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
         brute_force(sp, beta, DIST, sign, gamma, moff, powers=(0, 1, 2))])
     assert len(fused) == 5
     for f, r in zip(fused, ref):
-        assert f == pytest.approx(r, rel=1e-10)
+        assert f == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("force_direct", [False, True])
@@ -262,14 +353,6 @@ def test_budget_error():
 def test_bose_positive_exponent_guard(spectrum_m3):
     with pytest.raises(SolverError):
         ladder_sums(spectrum_m3, 1.0, OCC, BOSE, gamma=-0.5)
-
-
-def test_gamma_upper_scaled_vs_scipy():
-    for a in (1.5, 2.5, 3.5):
-        for x in np.geomspace(1e-6, 600.0, 40):
-            mine = ladder._gamma_upper_scaled(a, float(x))
-            ln_ref = math.log(sp.gammaincc(a, x)) + math.lgamma(a) + x
-            assert math.log(mine) == pytest.approx(ln_ref, abs=5e-12)
 
 
 class TestArraySums:

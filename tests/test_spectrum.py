@@ -11,12 +11,9 @@ from robinwall.spectrum import (
     WallKind,
     WallSpec,
     build_spectrum,
-    dirichlet_neumann_level,
     level_gaps,
-    qw_single_bound_state,
     qw_single_bound_window,
     qw_threshold,
-    robin_levels,
 )
 
 ATTR = WallKind.ROBIN_ATTRACTIVE
@@ -24,11 +21,15 @@ REP = WallKind.ROBIN_REPULSIVE
 
 
 def attractive(field, count=8):
-    return robin_levels(WallSpec(ATTR, field), count=count)
+    return build_spectrum(WallSpec(ATTR, field), count=count)
 
 
 def repulsive(field, count=8):
-    return robin_levels(WallSpec(REP, field), count=count)
+    return build_spectrum(WallSpec(REP, field), count=count)
+
+
+def ground_level(kind, field):
+    return build_spectrum(WallSpec(kind, field)).e0
 
 
 class TestWallSpec:
@@ -46,19 +47,13 @@ class TestWallSpec:
 
 class TestDirichletNeumann:
     def test_unit_field_ground_levels(self):
-        assert dirichlet_neumann_level(0, WallKind.DIRICHLET, 1.0) == pytest.approx(
-            2.3381, abs=5e-5)
-        assert dirichlet_neumann_level(0, WallKind.NEUMANN, 1.0) == pytest.approx(
-            1.0188, abs=5e-5)
+        assert ground_level(WallKind.DIRICHLET, 1.0) == pytest.approx(2.3381, abs=5e-5)
+        assert ground_level(WallKind.NEUMANN, 1.0) == pytest.approx(1.0188, abs=5e-5)
 
     def test_field_scaling(self):
-        e1 = dirichlet_neumann_level(0, WallKind.DIRICHLET, 1.0)
-        e2 = dirichlet_neumann_level(0, WallKind.DIRICHLET, 1e-3)
+        e1 = ground_level(WallKind.DIRICHLET, 1.0)
+        e2 = ground_level(WallKind.DIRICHLET, 1e-3)
         assert e2 == pytest.approx(e1 * 1e-2, rel=1e-14)
-
-    def test_robin_kind_rejected(self):
-        with pytest.raises(DomainError):
-            dirichlet_neumann_level(0, ATTR, 1.0)
 
 
 class TestRobinLevels:
@@ -103,7 +98,7 @@ class TestRobinLevels:
     @pytest.mark.parametrize("field", [1e-5, 1e-2, 1.0])
     @pytest.mark.parametrize("kind", [ATTR, REP])
     def test_eigenvalue_residuals(self, field, kind):
-        sp = robin_levels(WallSpec(kind, field), count=64)
+        sp = build_spectrum(WallSpec(kind, field), count=64)
         worst = max(abs(spm.residual(sp, n)) for n in range(sp.n_exact))
         assert worst < 1e-10
 
@@ -124,19 +119,15 @@ class TestRobinLevels:
 
     def test_monotone_in_field(self):
         for f1, f2 in ((1e-4, 1e-3), (0.5, 1.0), (1.0, 10.0)):
-            lv1 = attractive(f1, count=20).energies(20)
-            lv2 = attractive(f2, count=20).energies(20)
+            lv1 = attractive(f1, count=20).levels
+            lv2 = attractive(f2, count=20).levels
             mask = lv1 > 0
             assert np.all(lv2[mask] > lv1[mask])
 
     def test_levels_strictly_increasing(self):
         for field in (1e-6, 1e-2, 1.0, 100.0):
-            lv = attractive(field, count=80).energies(80)
+            lv = attractive(field, count=80).levels
             assert np.all(np.diff(lv) > 0)
-
-    def test_kind_guard(self):
-        with pytest.raises(DomainError):
-            robin_levels(WallSpec(WallKind.DIRICHLET, 1.0), count=4)
 
     def test_levels_read_only(self):
         sp = attractive(1e-3)
@@ -144,11 +135,14 @@ class TestRobinLevels:
             sp.levels[0] = 0.0
 
     def test_energies_materialization(self):
-        sp = attractive(1e-3, count=4)
-        lv = sp.energies(100)
+        # count beyond the root-solved block continues with the tail law
+        sp = attractive(1e-3, count=100)
+        lv = sp.levels
         assert len(lv) == 100
         assert np.all(np.diff(lv) > 0)
-        assert lv[3] == sp.levels[3]
+        assert lv[3] == attractive(1e-3, count=4).levels[3]
+        assert np.array_equal(lv[:sp.n_exact], sp.exact_levels)
+        assert np.array_equal(lv[sp.n_exact:], sp.tail.energy(np.arange(sp.n_exact, 100)))
 
 
 class TestLevelGaps:
@@ -173,7 +167,7 @@ class TestLevelGaps:
         ap = lambda n: airy_zero(n, AiryZeroKind.DerivativeZero)  # noqa: E731
         ref = (ap(1) - ap(4)) / (ap(1) - ap(2))
         for kind in (ATTR, REP):
-            gaps = level_gaps(robin_levels(WallSpec(kind, 1e6), count=8), 3)
+            gaps = level_gaps(build_spectrum(WallSpec(kind, 1e6), count=8), 3)
             assert gaps[2].ratio == pytest.approx(ref, rel=5e-3)
 
     def test_deltas_positive(self):
@@ -192,9 +186,6 @@ class TestSquareWell:
     def test_single_bound_window(self):
         lo, hi = qw_single_bound_window(1.0)
         assert (lo, hi) == (qw_threshold(1, 1.0), qw_threshold(2, 1.0))
-        assert qw_single_bound_state(0.5 * (lo + hi), 1.0)
-        assert not qw_single_bound_state(0.5 * lo, 1.0)
-        assert not qw_single_bound_state(2.0 * hi, 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
