@@ -34,13 +34,11 @@ from .spectrum import (
 )
 from .canonical import (
     ExtremumReport,
-    PartitionResult,
     ThermoPoint,
     classical_limit,
     find_extrema,
     heat_capacity,
     mean_energy,
-    partition_function,
     resonance_predictors,
     thermo_point,
     universal_dn_curve,

@@ -1,10 +1,10 @@
 """Canonical-ensemble thermodynamics of the walled particle.
 
-Exact truncated sums over a Spectrum (or any explicit level list), the
-closed-form zero-field results, the universal Dirichlet/Neumann curves in
-the variable y = beta * F^(2/3), the classical high-temperature limit, the
-weak-field resonance predictors built on the Lambert W function, and a
-grid-scan extremum locator refined by Brent's parabolic search.
+Exact truncated sums over a Spectrum, the closed-form zero-field results,
+the universal Dirichlet/Neumann curves in the variable y = beta * F^(2/3),
+the classical high-temperature limit, the weak-field resonance predictors
+built on the Lambert W function, and a grid-scan extremum locator for any
+c(beta), refined by Brent's parabolic search.
 
 Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
 wall's negative ground level can never overflow the sums; means and
@@ -17,21 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .ladder import BOLTZ, BOLTZ_KIND, array_sums, ladder_sums
+from .ladder import BOLTZ, BOLTZ_KIND, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
 from .specfun import lambert_w
 
 __all__ = [
     "ThermoPoint",
     "ExtremumReport",
-    "PartitionResult",
-    "partition_function",
     "mean_energy",
     "heat_capacity",
     "thermo_point",
@@ -70,13 +67,6 @@ class ExtremumReport:
     c_min: float | None = None
 
 
-class PartitionResult(NamedTuple):
-    """Ground-shifted partition sum: Z = z_shifted * exp(-beta * shift)."""
-
-    z_shifted: float
-    shift: float
-
-
 def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
@@ -84,60 +74,24 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def _moments(source, beta: float,
-             weights: np.ndarray | None = None) -> tuple[float, float, float, float]:
-    """(S0, S1, S2, E0) with S_p = sum (E-E0)^p exp(-beta(E-E0))."""
-    if isinstance(source, Spectrum):
-        if weights is not None:
-            raise DomainError("weights are only supported for explicit level lists")
-        s0, s1, s2 = ladder_sums(source, beta, BOLTZ_KIND, BOLTZ)
-        return s0, s1, s2, source.e0
-    levels = np.asarray(source, dtype=float)
-    s0, s1, s2 = array_sums(levels, beta, powers=(0, 1, 2), weights=weights)
-    return s0, s1, s2, float(levels.min())
-
-
-def partition_function(source, beta: float,
-                       weights: np.ndarray | None = None) -> PartitionResult:
-    """Ground-shifted partition sum over a Spectrum or explicit level list.
-
-    Returns (z_shifted, shift) with Z = z_shifted * e^{-beta*shift}; the
-    shift is the ground-state energy, factored out so a bound state at
-    E ~ -1 cannot overflow e^{-beta*E} at low temperature.  Optional
-    ``weights`` (level degeneracies or quadrature weights for a discretized
-    continuum) are honored for explicit level lists.
-    """
+def thermo_point(spectrum: Spectrum, beta: float) -> ThermoPoint:
+    """Mean energy <E> = sum E_n w_n / sum w_n and heat capacity
+    c = beta^2 (<E^2> - <E>^2) of one particle."""
     beta = _check_beta(beta)
-    s0, _, _, e0 = _moments(source, beta, weights)
-    return PartitionResult(z_shifted=s0, shift=e0)
-
-
-def mean_energy(source, beta: float) -> float:
-    """Canonical mean energy <E> = sum E_n w_n / sum w_n."""
-    beta = _check_beta(beta)
-    s0, s1, _, e0 = _moments(source, beta)
-    return e0 + s1 / s0
-
-
-def heat_capacity(source, beta: float) -> float:
-    """Canonical heat capacity c = beta^2 (<E^2> - <E>^2), per particle."""
-    beta = _check_beta(beta)
-    s0, s1, s2, _ = _moments(source, beta)
+    s0, s1, s2 = ladder_sums(spectrum, beta, BOLTZ_KIND, BOLTZ)
     m = s1 / s0
-    return beta * beta * (s2 / s0 - m * m)
+    return ThermoPoint(beta=beta, mean_energy=spectrum.e0 + m,
+                       heat_capacity=beta * beta * (s2 / s0 - m * m))
 
 
-def thermo_point(source, beta: float, n_particles: int = 1) -> ThermoPoint:
-    """Mean energy and heat capacity; both scale linearly with the number of
-    noninteracting particles."""
-    beta = _check_beta(beta)
-    s0, s1, s2, e0 = _moments(source, beta)
-    m = s1 / s0
-    return ThermoPoint(
-        beta=beta,
-        mean_energy=n_particles * (e0 + m),
-        heat_capacity=n_particles * (beta * beta * (s2 / s0 - m * m)),
-    )
+def mean_energy(spectrum: Spectrum, beta: float) -> float:
+    """Canonical mean energy of one particle."""
+    return thermo_point(spectrum, beta).mean_energy
+
+
+def heat_capacity(spectrum: Spectrum, beta: float) -> float:
+    """Canonical heat capacity of one particle."""
+    return thermo_point(spectrum, beta).heat_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +143,13 @@ def classical_limit(beta: float, field: float) -> tuple[float, float, float]:
 # universal Dirichlet/Neumann curves
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _unit_spectrum(kind: WallKind) -> Spectrum:
-    return build_spectrum(WallSpec(kind, 1.0), count=64)
-
-
 def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
     """(<E>/F^(2/3), c) for the hard or reflecting wall as functions of the
     single collapsed variable y = beta * F^(2/3)."""
     if kind not in (WallKind.DIRICHLET, WallKind.NEUMANN):
         raise DomainError(f"universal curve is defined for Dirichlet/Neumann, got {kind}")
-    y = _check_beta(y)
-    sp = _unit_spectrum(kind)
-    s0, s1, s2, e0 = _moments(sp, y)
-    m = s1 / s0
-    return e0 + m, y * y * (s2 / s0 - m * m)
+    tp = thermo_point(build_spectrum(WallSpec(kind, 1.0), count=64), y)
+    return tp.mean_energy, tp.heat_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +266,14 @@ def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: floa
                 v, fv = u, fu
 
 
-def find_extrema(source, beta_grid: Sequence[float]) -> ExtremumReport:
-    """Scan c(beta) on a monotone beta grid and refine every interior
-    extremum by Brent's method from the grid point (relative 1e-6 in beta).
+def find_extrema(c_fn: Callable[[float], float],
+                 beta_grid: Sequence[float]) -> ExtremumReport:
+    """Scan the heat capacity ``c_fn(beta)`` on a monotone beta grid and
+    refine every interior extremum by Brent's method from the grid point
+    (relative 1e-6 in beta).
 
-    ``source`` is a Spectrum, an explicit level list, or a callable
-    c(beta).  The report carries the global maximum and minimum found; a
-    grid without interior extrema yields an empty report (not an error).
+    The report carries the global maximum and minimum found; a grid
+    without interior extrema yields an empty report (not an error).
     """
     betas = np.asarray(list(beta_grid), dtype=float)
     if betas.ndim != 1 or len(betas) < 3:
@@ -334,11 +281,6 @@ def find_extrema(source, beta_grid: Sequence[float]) -> ExtremumReport:
     d = np.diff(betas)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise DomainError("beta_grid must be strictly monotone")
-
-    if callable(source):
-        c_fn = source
-    else:
-        c_fn = lambda b: heat_capacity(source, b)  # noqa: E731
 
     cs = [c_fn(float(b)) for b in betas]
     best_max: tuple[float, float] | None = None

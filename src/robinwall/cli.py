@@ -15,12 +15,12 @@ import sys
 
 from . import __version__, canonical, grand_canonical as gc
 from .errors import DomainError, RobinWallError, SolverError
-from .grand_canonical import EnsembleSpec, Statistics
 from .selftest import run_all
 from .spectrum import WallKind, WallSpec, build_spectrum, level_gaps
 from .sweep import (
     OUTPUT_FIELDS,
     SweepSpec,
+    ensemble_spec,
     result_to_csv,
     result_to_json,
     run_sweep,
@@ -134,13 +134,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     wall = WallSpec(_WALLS[args.wall], args.field)
-    ens = None
-    if args.ensemble == "fd":
-        ens = EnsembleSpec(Statistics.FERMI_DIRAC, args.particles)
-    elif args.ensemble == "be":
-        ens = EnsembleSpec(Statistics.BOSE_EINSTEIN, args.particles)
     outputs = tuple(s for s in args.outputs.split(",") if s)
-    spec = SweepSpec(wall=wall, ensemble=ens,
+    spec = SweepSpec(wall=wall, ensemble=ensemble_spec(args.ensemble, args.particles),
                      beta_inv_min=args.beta_inv_min, beta_inv_max=args.beta_inv_max,
                      points=args.points, log_grid=args.log_grid,
                      normalize_by_tcr=args.normalize_tcr, outputs=outputs,
@@ -158,7 +153,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     from .reference_values import TABLE1_FIELDS
     fields = TABLE1_FIELDS
     if args.fields:
-        fields = tuple(float(s) for s in args.fields.split(","))
+        try:
+            fields = tuple(float(s) for s in args.fields.split(","))
+        except ValueError:
+            raise DomainError(f"--fields must be comma-separated numbers, "
+                              f"got {args.fields!r}") from None
     ensembles = tuple(s for s in args.ensembles.split(",") if s)
     report = table1_harness(fields=fields, ensembles=ensembles, tol=args.tol)
     _emit(report.as_text(), args.out)

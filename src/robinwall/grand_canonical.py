@@ -58,6 +58,13 @@ _SQRT_PI = math.sqrt(math.pi)
 _N_RESIDUAL = 1e-10
 
 
+def _check_particles(n_particles: int) -> int:
+    n = int(n_particles)
+    if n < 1 or n != n_particles:
+        raise DomainError(f"n_particles must be a positive integer, got {n_particles!r}")
+    return n
+
+
 class Statistics(enum.Enum):
     FERMI_DIRAC = "fd"
     BOSE_EINSTEIN = "be"
@@ -73,10 +80,7 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.statistics, Statistics):
             raise DomainError(f"statistics must be a Statistics value, got {self.statistics!r}")
-        n = int(self.n_particles)
-        if n < 1 or n != self.n_particles:
-            raise DomainError(f"n_particles must be a positive integer, got {self.n_particles!r}")
-        object.__setattr__(self, "n_particles", n)
+        object.__setattr__(self, "n_particles", _check_particles(self.n_particles))
 
     @property
     def sign(self) -> int:
@@ -275,9 +279,8 @@ def fd_plateau(n_particles: int) -> float:
     """Low-temperature shelf of the fermionic specific heat per particle,
     3 (N-1) / (2 N): the N-1 particles sitting in the dense positive levels
     are classical while the split-off one is frozen out."""
-    if n_particles < 1:
-        raise DomainError(f"n_particles must be >= 1, got {n_particles}")
-    return 1.5 * (n_particles - 1) / n_particles
+    n = _check_particles(n_particles)
+    return 1.5 * (n - 1) / n
 
 
 def fd_single_peak(field: float) -> tuple[float, float]:
@@ -335,8 +338,9 @@ def asymptotic_mu_cn(beta: float, field: float,
 def asymptotic_beta_cr(field: float, n_particles: int) -> float:
     """Weak-field Lambert-W form of the condensation temperature:
     beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
+    n = _check_particles(n_particles)
     arg = 4.0 ** (2.0 / 3.0) / (6.0 * math.pi ** (1.0 / 3.0)
-                                * (n_particles * field) ** (2.0 / 3.0))
+                                * (n * field) ** (2.0 / 3.0))
     return 1.5 * lambert_w(arg)
 
 
@@ -345,8 +349,7 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     sum_{n>=1} 1/(e^{(E_n-E_0) beta} - 1) = N (chemical potential pinned at
     the ground level with no particles left in it), by safeguarded Newton
     on ln N in ln beta from the Lambert-W estimate."""
-    if n_particles < 1:
-        raise DomainError(f"n_particles must be >= 1, got {n_particles}")
+    n_particles = _check_particles(n_particles)
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)
 

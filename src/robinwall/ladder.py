@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BudgetError, SolverError
 from .spectrum import Spectrum
 
-__all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "ladder_sums", "array_sums"]
+__all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "ladder_sums"]
 
 # kernel families
 OCC = "occ"         # occupations together with their distribution kernel
@@ -366,19 +366,3 @@ def ladder_sums(spectrum: Spectrum, beta: float, kind: str, sign: int = BOLTZ,
 
     return tuple(math.fsum(col) for col in zip(*parts))
 
-
-def array_sums(levels: np.ndarray, beta: float,
-               powers=(0,), *,
-               weights: np.ndarray | None = None) -> list[float]:
-    """Boltzmann sums over an explicit finite level list (toy spectra,
-    discretized continua).  Moments are taken about the lowest level, and
-    every exponent is shifted by it: S_p = sum w_i (E_i-E_0)^p e^{-beta(E_i-E_0)}."""
-    lv = np.asarray(levels, dtype=float)
-    if lv.ndim != 1 or lv.size == 0:
-        raise SolverError("array_sums expects a non-empty 1-d level list")
-    e0 = float(lv.min())
-    dE = lv - e0
-    boltz = np.exp(-beta * dE)
-    if weights is not None:
-        boltz = boltz * np.asarray(weights, dtype=float)
-    return [float(np.sum(dE ** p * boltz)) for p in powers]

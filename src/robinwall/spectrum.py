@@ -257,7 +257,7 @@ def _tail_for(wall: WallSpec, n_exact: int) -> tuple[TailLaw, str]:
 
 
 def _handoff_bound(field: float) -> float:
-    # First-order tail misses O(F) relative terms; see the decisions ledger.
+    # the first-order tail misses O(F) relative terms
     return max(1e-4, 0.5 * field)
 
 

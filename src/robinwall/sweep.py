@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,17 +23,12 @@ from . import grand_canonical as gc
 from .canonical import ExtremumReport, find_extrema, thermo_point
 from .errors import DomainError, RobinWallError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
-from .reference_values import (
-    TABLE1,
-    TABLE1_BE_N,
-    TABLE1_FD_N,
-    TABLE1_FIELDS,
-    TOLERANCE,
-)
+from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
 
 __all__ = [
     "OUTPUT_FIELDS",
+    "ensemble_spec",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -48,6 +43,22 @@ __all__ = [
 ]
 
 OUTPUT_FIELDS = ("mean_energy", "heat_capacity", "mu", "n0")
+
+
+def ensemble_spec(name: str, n_particles: int) -> EnsembleSpec | None:
+    """The ensemble an ensemble name stands for: None for "canonical",
+    which is computed for one particle only, and an EnsembleSpec of N
+    particles for "fd" and "be"."""
+    if name == "canonical":
+        if n_particles != 1:
+            raise DomainError(
+                f"the canonical ensemble is computed for 1 particle, got {n_particles!r}")
+        return None
+    try:
+        statistics = Statistics(name)
+    except ValueError:
+        raise DomainError(f"unknown ensemble {name!r}") from None
+    return EnsembleSpec(statistics, n_particles)
 
 
 @dataclass(frozen=True)
@@ -103,15 +114,24 @@ class SweepResult:
         return any(r.error is not None for r in self.rows)
 
 
-def _gc_evaluator(spectrum: Spectrum, ensemble: EnsembleSpec):
-    """gc_point at successive temperatures, each mu solve started from the
-    states already solved: gamma = beta (E_0 - mu) interpolated (or
-    extrapolated) linearly in ln beta through the two solved points nearest
-    in ln beta, in ln gamma for bosons, whose gamma spans decades."""
+def _evaluator(spectrum: Spectrum, ensemble: EnsembleSpec | None):
+    """beta -> (<E>, c per particle, mu, n0) in the canonical ensemble
+    (ensemble None; mu and n0 are None) or the grand-canonical one.  Each
+    mu solve starts from the states already solved: gamma = beta (E_0 - mu)
+    interpolated (or extrapolated) linearly in ln beta through the two
+    solved points nearest in ln beta, in ln gamma for bosons, whose gamma
+    spans decades."""
+    if ensemble is None:
+        def evaluate_canonical(beta: float):
+            tp = thermo_point(spectrum, beta)
+            return tp.mean_energy, tp.heat_capacity, None, None
+
+        return evaluate_canonical
+
     solved: list[tuple[float, float]] = []  # (ln beta, solver coordinate)
     log_gamma = ensemble.sign == gc.BOSE
 
-    def evaluate(beta: float) -> gc.GcPoint:
+    def evaluate(beta: float):
         hint = None
         if solved:
             lb = math.log(beta)
@@ -125,7 +145,7 @@ def _gc_evaluator(spectrum: Spectrum, ensemble: EnsembleSpec):
         p = gc.gc_point(spectrum, beta, ensemble, hint_gamma=hint)
         gamma = p.beta * (spectrum.e0 - p.mu)
         solved.append((math.log(p.beta), math.log(gamma) if log_gamma else gamma))
-        return p
+        return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0
 
     return evaluate
 
@@ -154,22 +174,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     scale = condensate.t_cr if spec.normalize_by_tcr else 1.0
     temperatures = t_units * scale
 
-    gc_eval = None if ens is None else _gc_evaluator(spectrum, ens)
-
-    def eval_point(beta: float) -> tuple[float, float, float | None, float | None]:
-        if gc_eval is None:
-            tp = thermo_point(spectrum, beta)
-            return tp.mean_energy, tp.heat_capacity, None, None
-        p = gc_eval(beta)
-        return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0
-
+    evaluate = _evaluator(spectrum, ens)
     rows: list[SweepRow] = []
     for t_unit, temp in zip(t_units, temperatures):
         beta = 1.0 / temp
         common = dict(beta_inv=float(temp), beta=float(beta),
                       t_over_tcr=float(t_unit) if spec.normalize_by_tcr else None)
         try:
-            energy, c, mu, n0 = eval_point(beta)
+            energy, c, mu, n0 = evaluate(beta)
         except RobinWallError as exc:
             rows.append(SweepRow(error=str(exc), **common))
             continue
@@ -183,7 +195,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     extrema = ExtremumReport()
     if not any(r.error for r in rows) and len(rows) >= 3:
         betas = 1.0 / temperatures
-        extrema = find_extrema(lambda b: eval_point(b)[1], betas)
+        extrema = find_extrema(lambda b: evaluate(b)[1], betas)
     return SweepResult(spec=spec, rows=tuple(rows), extrema=extrema,
                        condensate=condensate)
 
@@ -209,63 +221,33 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
 
 
 def _spec_from_dict(d: dict) -> SweepSpec:
-    wall = WallSpec(WallKind(d["wall"]), d["field"])
-    ens = None
-    if d["ensemble"] != "canonical":
-        ens = EnsembleSpec(Statistics(d["ensemble"]), d["particles"])
-    return SweepSpec(wall=wall, ensemble=ens,
-                     beta_inv_min=d["beta_inv_min"], beta_inv_max=d["beta_inv_max"],
-                     points=d["points"], log_grid=d["log_grid"],
-                     normalize_by_tcr=d["normalize_by_tcr"],
-                     outputs=tuple(d["outputs"]), n_exact=d["n_exact"])
-
-
-def _row_to_dict(row: SweepRow) -> dict:
-    d = {"beta_inv": row.beta_inv, "beta": row.beta}
-    for name in ("mean_energy", "heat_capacity", "mu", "n0", "t_over_tcr", "error"):
-        val = getattr(row, name)
-        if val is not None:
-            d[name] = val
-    return d
+    d = dict(d)
+    wall = WallSpec(WallKind(d.pop("wall")), d.pop("field"))
+    ensemble = ensemble_spec(d.pop("ensemble"), d.pop("particles"))
+    d["outputs"] = tuple(d["outputs"])
+    return SweepSpec(wall=wall, ensemble=ensemble, **d)
 
 
 def result_to_json(result: SweepResult) -> str:
-    ex = result.extrema
+    """JSON document {spec, rows, extrema, condensate}; a row holds only
+    its fields that are not None."""
     doc = {
         "spec": _spec_to_dict(result.spec),
-        "rows": [_row_to_dict(r) for r in result.rows],
-        "extrema": {
-            "beta_inv_at_max": ex.beta_inv_at_max,
-            "c_max": ex.c_max,
-            "beta_inv_at_min": ex.beta_inv_at_min,
-            "c_min": ex.c_min,
-        },
-        "condensate": None if result.condensate is None else {
-            "beta_cr": result.condensate.beta_cr,
-            "t_cr": result.condensate.t_cr,
-            "asymptotic_beta_cr": result.condensate.asymptotic_beta_cr,
-        },
+        "rows": [{k: v for k, v in asdict(r).items() if v is not None}
+                 for r in result.rows],
+        "extrema": asdict(result.extrema),
+        "condensate": None if result.condensate is None else asdict(result.condensate),
     }
     return json.dumps(doc, indent=1)
 
 
 def result_from_json(text: str) -> SweepResult:
     doc = json.loads(text)
-    spec = _spec_from_dict(doc["spec"])
-    rows = tuple(SweepRow(
-        beta_inv=r["beta_inv"], beta=r["beta"],
-        mean_energy=r.get("mean_energy"), heat_capacity=r.get("heat_capacity"),
-        mu=r.get("mu"), n0=r.get("n0"), t_over_tcr=r.get("t_over_tcr"),
-        error=r.get("error")) for r in doc["rows"])
-    ex = doc["extrema"]
-    extrema = ExtremumReport(beta_inv_at_max=ex["beta_inv_at_max"], c_max=ex["c_max"],
-                             beta_inv_at_min=ex["beta_inv_at_min"], c_min=ex["c_min"])
-    cond = None
-    if doc["condensate"] is not None:
-        c = doc["condensate"]
-        cond = CondensateReport(beta_cr=c["beta_cr"], t_cr=c["t_cr"],
-                                asymptotic_beta_cr=c["asymptotic_beta_cr"])
-    return SweepResult(spec=spec, rows=rows, extrema=extrema, condensate=cond)
+    cond = doc["condensate"]
+    return SweepResult(spec=_spec_from_dict(doc["spec"]),
+                       rows=tuple(SweepRow(**r) for r in doc["rows"]),
+                       extrema=ExtremumReport(**doc["extrema"]),
+                       condensate=None if cond is None else CondensateReport(**cond))
 
 
 def _fmt(value) -> str:
@@ -290,7 +272,7 @@ def result_to_csv(result: SweepResult) -> str:
     if ex.c_max is not None:
         out.write(f"# c_max = {_fmt(ex.c_max)} at beta_inv = {_fmt(ex.beta_inv_at_max)}\n")
     cols = ["beta_inv", "beta"]
-    cols += [f for f in ("mean_energy", "heat_capacity", "mu", "n0")
+    cols += [f for f in OUTPUT_FIELDS
              if any(getattr(r, f) is not None for r in result.rows)]
     if spec.normalize_by_tcr:
         cols.append("t_over_tcr")
@@ -359,10 +341,8 @@ def locate_peak(spectrum: Spectrum, ensemble: EnsembleSpec | None,
     """Scan a log window around t_center and refine the global maximum."""
     grid = np.exp(np.linspace(math.log(1.0 / (t_center * span)),
                               math.log(span / t_center), points))
-    if ensemble is None:
-        return find_extrema(spectrum, grid)
-    gc_eval = _gc_evaluator(spectrum, ensemble)
-    return find_extrema(lambda beta: gc_eval(beta).heat_capacity_per_particle, grid)
+    evaluate = _evaluator(spectrum, ensemble)
+    return find_extrema(lambda beta: evaluate(beta)[1], grid)
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
@@ -373,13 +353,8 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
     cells: list[Table1Cell] = []
     spectra: dict[float, Spectrum] = {}
     for ens_name in ensembles:
-        if ens_name == "canonical":
-            n_list: tuple[int, ...] = (1,)
-        elif ens_name == "fd":
-            n_list = TABLE1_FD_N
-        elif ens_name == "be":
-            n_list = TABLE1_BE_N
-        else:
+        n_list = sorted({n for e, n, _ in TABLE1 if e == ens_name})
+        if not n_list:
             raise DomainError(f"unknown ensemble {ens_name!r}")
         for field in fields:
             if field not in spectra:
@@ -390,12 +365,7 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
                 if key not in TABLE1:
                     raise DomainError(f"no reference value for {key}")
                 t_ref, c_ref = TABLE1[key]
-                ens = None
-                if ens_name == "fd":
-                    ens = EnsembleSpec(Statistics.FERMI_DIRAC, n)
-                elif ens_name == "be":
-                    ens = EnsembleSpec(Statistics.BOSE_EINSTEIN, n)
-                rep = locate_peak(spectra[field], ens, t_ref)
+                rep = locate_peak(spectra[field], ensemble_spec(ens_name, n), t_ref)
                 if rep.c_max is None:
                     raise DomainError(f"no peak found in the scan window for {key}")
                 tolerance = tol if tol is not None else TOLERANCE[ens_name]

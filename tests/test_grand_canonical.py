@@ -390,6 +390,18 @@ class TestBeCritical:
         ts = [be_critical(attractive(f), 1000).t_cr for f in (1e-4, 1e-5, 1e-6)]
         assert ts == sorted(ts, reverse=True)
 
+    @pytest.mark.parametrize("n", [0, -5, 2.5])
+    def test_particle_number_validated(self, n):
+        # every entry point that takes N rejects the same values
+        with pytest.raises(DomainError):
+            asymptotic_beta_cr(1e-5, n)
+        with pytest.raises(DomainError):
+            be_critical(attractive(1e-5), n)
+        with pytest.raises(DomainError):
+            fd_plateau(n)
+        with pytest.raises(DomainError):
+            EnsembleSpec(BE, n)
+
 
 class TestGroundOccupation:
     def test_condensate_orderings(self):

@@ -17,7 +17,6 @@ from robinwall.ladder import (
     BOSE,
     FERMI,
     OCC,
-    array_sums,
     ladder_sums,
 )
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
@@ -354,20 +353,3 @@ def test_bose_positive_exponent_guard(spectrum_m3):
     with pytest.raises(SolverError):
         ladder_sums(spectrum_m3, 1.0, OCC, BOSE, gamma=-0.5)
 
-
-class TestArraySums:
-    def test_two_level_sums(self):
-        s0, s1, s2 = array_sums(np.array([0.0, 1.0]), 1.0, powers=(0, 1, 2))
-        assert s0 == pytest.approx(1.0 + math.exp(-1.0), rel=1e-15)
-        assert s1 == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert s2 == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_weights(self):
-        levels = np.array([0.0, 1.0, 2.0])
-        w = np.array([1.0, 2.0, 1.0])
-        (s0,) = array_sums(levels, 0.5, powers=(0,), weights=w)
-        assert s0 == pytest.approx(1 + 2 * math.exp(-0.5) + math.exp(-1.0), rel=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(SolverError):
-            array_sums(np.array([]), 1.0)

@@ -17,6 +17,7 @@ from robinwall.reference_values import (
 from robinwall.spectrum import WallKind, WallSpec
 from robinwall.sweep import (
     SweepSpec,
+    ensemble_spec,
     result_from_json,
     result_to_csv,
     result_to_json,
@@ -40,6 +41,14 @@ def bose_spec():
 
 
 class TestSweepSpec:
+    def test_ensemble_names(self):
+        assert ensemble_spec("canonical", 1) is None
+        assert ensemble_spec("fd", 3) == EnsembleSpec(Statistics.FERMI_DIRAC, 3)
+        assert ensemble_spec("be", 1000) == EnsembleSpec(Statistics.BOSE_EINSTEIN, 1000)
+        for name, n in (("canonical", 7), ("classical", 1), ("be", 0)):
+            with pytest.raises(DomainError):
+                ensemble_spec(name, n)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=2.0,
@@ -269,6 +278,21 @@ class TestCli:
         text = out.read_text()
         assert "synthetic row failure" in text
         assert "error" in text.splitlines()[-2] or "error" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--field", "1e-5", "--particles", "0"],
+        ["predict", "--field", "1e-5", "--particles", "-5"],
+        ["sweep", "--wall", "robin-", "--field", "1e-3", "--ensemble", "canonical",
+         "--particles", "7", "--beta-inv-min", "0.1", "--beta-inv-max", "1",
+         "--points", "5"],
+        ["table1", "--fields", "abc"],
+    ], ids=["predict-zero", "predict-negative", "sweep-canonical-many", "table1-fields"])
+    def test_bad_specification_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specification error: ")
+        assert captured.err.count("\n") == 1
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
