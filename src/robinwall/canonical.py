@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ladder import BOLTZ, BOLTZ_KIND, ladder_sums
-from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
+from .spectrum import Spectrum, WallKind, WallSpec, _check_field, build_spectrum
 from .specfun import lambert_w
 
 __all__ = [
@@ -67,16 +67,18 @@ class ExtremumReport:
     c_min: float | None = None
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta) or beta <= 0.0:
+def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
+    """beta as a float, or a float array for a batch; each finite and > 0."""
+    b = np.asarray(beta, dtype=float)
+    if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    return beta
+    return float(b) if b.ndim == 0 else b
 
 
-def thermo_point(spectrum: Spectrum, beta: float) -> ThermoPoint:
+def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
     """Mean energy <E> = sum E_n w_n / sum w_n and heat capacity
-    c = beta^2 (<E^2> - <E>^2) of one particle."""
+    c = beta^2 (<E^2> - <E>^2) of one particle (arrays for an array of beta,
+    summed as one batch)."""
     beta = _check_beta(beta)
     s0, s1, s2 = ladder_sums(spectrum, beta, BOLTZ_KIND, BOLTZ)
     m = s1 / s0
@@ -134,8 +136,7 @@ def classical_limit(beta: float, field: float) -> tuple[float, float, float]:
     specific heat 3/2.
     """
     beta = _check_beta(beta)
-    if field <= 0.0:
-        raise DomainError(f"field must be > 0, got {field}")
+    field = _check_field(field)
     return 1.0 / (beta * field), 1.0 / beta, 1.0
 
 
@@ -157,8 +158,8 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _check_weak_field(field: float) -> float:
-    field = float(field)
-    if not 0.0 < field <= WEAK_FIELD_MAX:
+    field = _check_field(field)
+    if field > WEAK_FIELD_MAX:
         raise DomainError(
             f"weak-field asymptotics require 0 < field <= {WEAK_FIELD_MAX}, got {field!r}")
     return field
@@ -266,11 +267,13 @@ def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: floa
                 v, fv = u, fu
 
 
-def find_extrema(c_fn: Callable[[float], float],
-                 beta_grid: Sequence[float]) -> ExtremumReport:
-    """Scan the heat capacity ``c_fn(beta)`` on a monotone beta grid and
-    refine every interior extremum by Brent's method from the grid point
-    (relative 1e-6 in beta).
+def find_extrema(beta_grid: Sequence[float], c_grid: Sequence[float],
+                 c_fn: Callable[[float], float]) -> ExtremumReport:
+    """Locate the heat-capacity extrema of a scan: ``c_grid`` holds c(beta)
+    on the monotone ``beta_grid``, evaluated by the caller (typically as
+    one batch), and every interior extremum of the scan is refined by
+    Brent's method from its grid point (relative 1e-6 in beta), calling
+    ``c_fn(beta)`` one point at a time.
 
     The report carries the global maximum and minimum found; a grid
     without interior extrema yields an empty report (not an error).
@@ -281,8 +284,10 @@ def find_extrema(c_fn: Callable[[float], float],
     d = np.diff(betas)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise DomainError("beta_grid must be strictly monotone")
+    cs = [float(c) for c in c_grid]
+    if len(cs) != len(betas):
+        raise DomainError(f"c_grid has {len(cs)} values for {len(betas)} grid points")
 
-    cs = [c_fn(float(b)) for b in betas]
     best_max: tuple[float, float] | None = None
     best_min: tuple[float, float] | None = None
     for i in range(1, len(betas) - 1):

@@ -10,11 +10,13 @@ gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
 crowds the ground level to within 1e-14.  It is a safeguarded Newton
 iteration on ln N (in gamma for fermions, in ln gamma for bosons) that
-starts from the caller's hint and bisects only when a Newton step leaves
-the bracket built from the points already evaluated.  Every step is one
-fused ladder pass giving N, dN/dgamma and the energy moments together, and
-the iterate that meets |N - N_target| <= 1e-10 N_target is the result:
-its sums give <E> and c directly.
+starts from the caller's hint or the two-term balance and bisects only
+when a Newton step leaves the bracket built from the points already
+evaluated.  It runs on a batch of temperatures in lockstep: every step is
+one fused ladder pass over the unsolved lanes giving N, dN/dgamma and the
+energy moments together, and each lane's iterate that meets
+|N - N_target| <= 1e-10 N_target is its result: its sums give <E> and c
+directly.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -34,10 +36,12 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .canonical import _check_beta, _check_weak_field
 from .errors import DomainError, SolverError
 from .ladder import BOSE, FERMI, OCC, ladder_sums
-from .spectrum import Spectrum
+from .spectrum import Spectrum, _check_field
 from .specfun import lambert_w
 
 __all__ = [
@@ -96,6 +100,7 @@ class GcPoint:
     mean_energy: float
     heat_capacity_per_particle: float
     n0: float | None = None  # ground-level fraction, Bose systems only
+    errors: tuple[str | None, ...] | None = None  # per lane, batched calls only
 
 
 @dataclass(frozen=True)
@@ -108,61 +113,76 @@ class CondensateReport:
 
 
 # ---------------------------------------------------------------------------
-# safeguarded Newton
+# safeguarded Newton, one lane per root
 # ---------------------------------------------------------------------------
 
 _MAX_STEPS = 200
 _N_TARGET = 1e-12  # relative occupation residual the Newton iteration aims at
 
 
-def _rtsafe(fn, u: float, lo: float, hi: float, what: str):
-    """Root of ln(N(u) / N_target) = 0 for a strictly decreasing N(u), by
-    safeguarded Newton (Numerical Recipes, 2nd ed., section 9.4, "rtsafe").
+def _rtsafe(fn, u, lo, hi, n_target: float, what):
+    """Roots of N(u) = N_target for strictly decreasing N(u), one per lane,
+    by safeguarded Newton on ln(N / N_target) (Numerical Recipes, 2nd ed.,
+    section 9.4, "rtsafe") run on all lanes in lockstep.
 
-    ``fn(u)`` returns ``(ln(N / N_target), its slope in u, payload)``.  The
-    iteration stops at the first point with |N - N_target| <= 1e-12 N_target
-    and returns ``(u, payload)`` of it.  ``(lo, hi)`` brackets the root,
-    either end possibly infinite; it is never evaluated up front.  Each
-    evaluated point becomes the new lower or upper end.  A Newton step is
-    taken when it stays inside the bracket and is less than half the step
-    before last; otherwise the bracket is bisected, or, while it is still
-    open on the side the residual points to, the step doubles outward.  If
-    the bracket collapses to one float first, the best point evaluated is
-    returned when it meets the 1e-10 contract, and SolverError is raised
-    otherwise.
+    ``u``, ``lo`` and ``hi`` (broadcast) are each lane's start and bracket,
+    either end possibly infinite and never evaluated up front.
+    ``fn(u, lanes)`` evaluates the lanes ``lanes`` at ``u`` and returns
+    arrays ``(N, dN/du, payload)``, one payload column per lane; N <= 0
+    (every occupation underflowed) counts as ln N = -inf.  A lane leaves
+    the passes at its first point with |N - N_target| <= 1e-12 N_target.
+    Each evaluated point becomes an end of its lane's bracket.  A Newton
+    step is taken when it stays inside the bracket and is less than half
+    the step before last; otherwise the bracket is bisected, or, while it
+    is still open on the side the residual points to, the step doubles
+    outward.  A lane whose bracket collapses to one float, or that runs out
+    of steps, keeps its best point if that meets the 1e-10 contract.
+    Returns the accepted payloads and, per lane, None or the message
+    ``what(lane)`` of a failed lane (a NaN residual fails at once).
     """
-    dx = dx_old = hi - lo
-    best = (math.inf, u, None)
+    u, lo, hi = (np.array(a, dtype=float).ravel() for a in np.broadcast_arrays(u, lo, hi))
+    dx = hi - lo
+    dx_old = dx.copy()
+    best = np.full(u.size, np.inf)
+    payload = None
+    lanes = np.arange(u.size)
     for _ in range(_MAX_STEPS):
-        r, slope, payload = fn(u)
-        err = abs(math.expm1(r))
-        if err <= _N_TARGET:
-            return u, payload
-        if err < best[0]:
-            best = (err, u, payload)
-        if r > 0.0:
-            lo = u
-        else:
-            hi = u
-        newton = -r / slope if slope < 0.0 else math.nan
-        inside = lo < u + newton < hi
-        if inside and abs(newton) <= 0.5 * abs(dx_old):
-            step = newton
-        elif math.isfinite(lo) and math.isfinite(hi):
-            step = 0.5 * (lo + hi) - u
-        elif inside:
-            step = newton  # open bracket: nothing to bisect yet
-        else:
-            step = math.copysign(max(1.0, 2.0 * abs(dx)) if math.isfinite(dx) else 1.0, r)
-        dx_old, dx = dx, step
-        if u + step == u:
-            break  # the bracket has collapsed to one float
-        u += step
-    err, u, payload = best
-    if err <= _N_RESIDUAL:
-        return u, payload
-    raise SolverError(f"{what}: particle-number residual {err:.3e} N exceeds "
-                      f"tolerance {_N_RESIDUAL:.0e} N")
+        if not len(lanes):
+            break
+        n, dn_du, pay = fn(u[lanes], lanes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.log(np.maximum(n, 0.0) / n_target)
+            slope = np.where(n > 0.0, dn_du / n, np.nan)  # d ln N / du
+        if payload is None:
+            payload = np.full((len(pay), u.size), np.nan)
+        err = np.abs(np.expm1(r))
+        better = err < best[lanes]
+        best[lanes[better]] = err[better]
+        payload[:, lanes[better]] = pay[:, better]
+        best[lanes[np.isnan(r)]] = np.nan
+        go = ~(err <= _N_TARGET) & ~np.isnan(r)
+        lanes, r, slope = lanes[go], r[go], slope[go]
+        x = u[lanes]
+        low = np.where(r > 0.0, x, lo[lanes])
+        high = np.where(r > 0.0, hi[lanes], x)
+        lo[lanes], hi[lanes] = low, high
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(slope < 0.0, -r / slope, np.nan)
+            inside = (low < x + newton) & (x + newton < high)
+            dxl = dx[lanes]
+            out = np.copysign(np.where(np.isfinite(dxl), np.maximum(1.0, 2.0 * np.abs(dxl)),
+                                       1.0), r)
+            step = np.where(inside & (np.abs(newton) <= 0.5 * np.abs(dx_old[lanes])), newton,
+                            np.where(np.isfinite(low) & np.isfinite(high), 0.5 * (low + high) - x,
+                                     np.where(inside, newton, out)))
+        dx_old[lanes], dx[lanes] = dxl, step
+        u[lanes] = x + step
+        lanes = lanes[x + step != x]  # a lane whose bracket collapsed to one float
+    errors = [None] * u.size
+    for i in (~(best <= _N_RESIDUAL)).nonzero()[0]:
+        errors[i] = (f"{what(i)}: particle-number residual {best[i]:.3e} N exceeds "
+                     f"tolerance {_N_RESIDUAL:.0e} N")
+    return payload, errors
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +192,37 @@ def _rtsafe(fn, u: float, lo: float, hi: float, what: str):
 _GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
 
 
-def _solve_gamma(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
-                 hint: float | None = None) -> tuple[float, tuple[float, ...]]:
+def _two_term_log_t(ln_a, n: float, sign: int):
+    """ln t, t = e^{-gamma}, of the two-term balance N = 1/(1/t +- 1) + a t
+    (the ground level, upper sign fermions, plus a Boltzmann quasi-continuum
+    of weight a = e^{ln_a}; for bosons the root t < 1), subtraction-free."""
+    with np.errstate(all="ignore"):
+        a = np.exp(ln_a)
+        if sign == FERMI:
+            b = 1.0 + a - n
+            r1 = np.sqrt(b * b + 4.0 * a * n)
+            return np.where(b >= 0.0, np.log(2.0 * n / (r1 + b)),
+                            np.log(0.5 * (r1 - b)) - ln_a)
+        s = 1.0 + a + n
+        return np.log(2.0 * n / (s + np.sqrt(s * s - 4.0 * a * n)))
+
+
+def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, hint=None):
     """gamma = beta (E_0 - mu) satisfying the particle-number sum to
-    |N - N_target| <= 1e-10 N_target, and the ladder sums
-    (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about the upper
-    of E_0 and mu (``_moment_offset``).
+    |N - N_target| <= 1e-10 N_target for every lane of ``beta``, and the
+    ladder sums (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about
+    the upper of E_0 and mu (``_moment_offset``).  Returns
+    ``(gamma, sums, errors)`` with one column of ``sums`` and one entry of
+    ``errors`` (None, or the message of a failed lane) per lane.
 
     Newton runs on ln N, which is nearly linear in gamma for fermions and
     in ln gamma for bosons over most of the domain; each step is one fused
-    ladder pass, which gives N and dN/dgamma = -D_0 together.
+    ladder pass over the lanes still unsolved, which gives N and
+    dN/dgamma = -D_0 together.  A lane starts from its ``hint`` gamma (None
+    or NaN: no hint) or else from the two-term balance of ``asymptotic_mu_cn``,
+    made for any wall: the ground level plus the tail law's quasi-continuum,
+    of density n'(E) = sqrt(E - shift) / (pi F), in Boltzmann statistics;
+    either start is clipped into the bracket.
     """
     n_target = float(ensemble.n_particles)
     sign = ensemble.sign
@@ -191,47 +232,41 @@ def _solve_gamma(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
         # the ground level alone holds N at gamma = ln(1 + 1/N), so the
         # root lies above it
         lo, hi = math.log(math.log1p(1.0 / n_target)), math.log(_GAMMA_MAX)
-        start = lo
     else:
-        # mu between E_0 - pad/beta and E_N + pad/beta; start at the
-        # zero-temperature Fermi level
+        # mu between E_0 - pad/beta and E_N + pad/beta
         pad = 50.0 + math.log(n_target + 2.0)
-        n = ensemble.n_particles
-        lo = -(beta * (spectrum.level(n) - e0) + pad)
+        lo = -(beta * (spectrum.level(ensemble.n_particles) - e0) + pad)
         hi = pad
-        start = beta * (e0 - 0.5 * (spectrum.level(n - 1) + spectrum.level(n)))
-    if hint is not None and (hint > 0.0 or not log_space):
-        u_hint = math.log(hint) if log_space else hint
-        if lo < u_hint < hi:
-            start = u_hint
+    ln_a = (-math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
+            - beta * (spectrum.tail.shift - e0))
+    start = -_two_term_log_t(ln_a, n_target, sign)
+    if hint is not None:
+        start = np.where(np.isnan(hint), start, hint)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.fmax(np.fmin(np.log(start) if log_space else start, hi), lo)
 
-    def step(u: float):
-        gamma = math.exp(u) if log_space else u
-        sums = ladder_sums(spectrum, beta, OCC, sign, gamma=gamma,
-                           moment_offset=_moment_offset(beta, gamma))
-        n = sums[0]
-        if n <= 0.0:
-            return -math.inf, math.nan, (gamma, sums)
-        # d ln N / du with dN/dgamma = -D_0
-        slope = -sums[2] / n * (gamma if log_space else 1.0)
-        return math.log(n / n_target), slope, (gamma, sums)
+    def step(u: np.ndarray, lanes: np.ndarray):
+        gamma = np.exp(u) if log_space else u
+        b = beta[lanes]
+        sums = np.array(ladder_sums(spectrum, b, OCC, sign, gamma=gamma,
+                                    moment_offset=_moment_offset(b, gamma)))
+        # dN/du with dN/dgamma = -D_0
+        return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([gamma, sums])
 
-    _, (gamma, sums) = _rtsafe(
-        step, start, lo, hi,
-        f"particle-number solve at beta={beta}, N={ensemble.n_particles}")
-    if sign == BOSE and not e0 - gamma / beta < e0:
-        raise SolverError("bose chemical potential must stay below the ground level")
-    return gamma, sums
+    payload, errors = _rtsafe(
+        step, start, lo, hi, n_target,
+        lambda i: f"particle-number solve at beta={beta[i]}, N={ensemble.n_particles}")
+    return payload[0], payload[1:], errors
 
 
-def _moment_offset(beta: float, gamma: float) -> float:
+def _moment_offset(beta, gamma):
     """Moment offset E_0 - ref of the grand-canonical sums, for moments about
     ref = max(E_0, mu), where the distribution kernel e^x/(e^x +- 1)^2
     peaks over the levels.  About it the first distribution moment is
     small, so the variance D_2 - D_1^2/D_0 does not cancel against a
     dominant level (the Bose ground level, or the two levels around a
     frozen Fermi level)."""
-    return min(gamma, 0.0) / beta
+    return np.minimum(gamma, 0.0) / beta
 
 
 def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
@@ -241,34 +276,46 @@ def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
     The occupation sum is strictly increasing in mu for both statistics, so
     the bracketed solve cannot miss; for bosons mu < E_0 strictly.
     """
-    beta = _check_beta(beta)
-    gamma, _ = _solve_gamma(spectrum, beta, ensemble, hint_gamma)
-    return spectrum.e0 - gamma / beta
+    return gc_point(spectrum, beta, ensemble, hint_gamma).mu
 
 
-def gc_point(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
-             hint_gamma: float | None = None) -> GcPoint:
-    """Mean energy and specific heat per particle at one temperature.
+def gc_point(spectrum: Spectrum, beta: float | np.ndarray, ensemble: EnsembleSpec,
+             hint_gamma: float | np.ndarray | None = None) -> GcPoint:
+    """Mean energy and specific heat per particle at one temperature, or
+    at a batch of temperatures solved in lockstep.
 
     The returned state has been validated: the occupation sum reproduces N
     to 1e-10 relative, and mu < E_0 strictly for bosons.  Energy and heat
     capacity come from the ladder sums of the accepted solve iterate.
+
+    With a 1-D array ``beta`` (and ``hint_gamma`` None, or an array with
+    NaN for no hint) every field is an array over the lanes, and a lane whose
+    solve fails does not raise: its values are NaN and its message is in
+    ``errors``.  A scalar ``beta`` gives plain floats and raises
+    SolverError instead.
     """
     beta = _check_beta(beta)
+    lanes = np.ravel(beta)
     n_target = float(ensemble.n_particles)
-    gamma, (n_sum, n1, d0, d1, d2) = _solve_gamma(spectrum, beta, ensemble, hint_gamma)
+    gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, ensemble,
+                                                          hint_gamma)
     e0 = spectrum.e0
-    energy = (e0 - _moment_offset(beta, gamma)) * n_sum + n1
-    c_total = beta * beta * (d2 - d1 * d1 / d0)
-
+    energy = (e0 - _moment_offset(lanes, gamma)) * n_sum + n1
+    c = lanes * lanes * (d2 - d1 * d1 / d0) / n_target
+    mu = e0 - gamma / lanes
     n0 = None
     if ensemble.sign == BOSE:
-        n0 = 1.0 / math.expm1(gamma) / n_target
-        if not 0.0 <= n0 <= 1.0 + 1e-9:
-            raise SolverError(f"ground occupation {n0} escaped [0, 1]")
-        n0 = min(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
-    return GcPoint(beta=beta, mu=e0 - gamma / beta, mean_energy=energy,
-                   heat_capacity_per_particle=c_total / n_target, n0=n0)
+        n0 = 1.0 / np.expm1(gamma) / n_target
+        for i in ((mu >= e0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
+            errors[i] = errors[i] or (f"bose state with mu - E_0 = {mu[i] - e0} and ground "
+                                      f"occupation {n0[i]} (need mu < E_0, n0 in [0, 1])")
+        n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
+    if np.ndim(beta) > 0:
+        return GcPoint(beta, mu, energy, c, n0, errors=tuple(errors))
+    if errors[0]:
+        raise SolverError(errors[0])
+    return GcPoint(beta, *(float(a[0]) for a in (mu, energy, c)),
+                   n0=None if n0 is None else float(n0[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +362,9 @@ def asymptotic_mu_cn(beta: float, field: float,
     n = float(ensemble.n_particles)
     r = 0.5 / (_SQRT_PI * beta ** 1.5 * field)
     emb = math.exp(-beta)
-    if ensemble.sign == FERMI:
-        b = 1.0 + r * emb - n
-        r1 = math.sqrt(b * b + 4.0 * r * n * emb)
-        z = 2.0 * n * emb / (r1 + b) if b >= 0.0 else (r1 - b) / (2.0 * r)
-        denom = 2.0 * _SQRT_PI * beta ** 1.5 * field * n + emb
-    else:
-        s = 1.0 + r * emb + n
-        r1 = math.sqrt(s * s - 4.0 * r * n * emb)
-        z = 2.0 * n * emb / (s + r1)
-        denom = 2.0 * _SQRT_PI * beta ** 1.5 * field * n - emb
-    mu = math.log(z) / beta
+    # the ground level at E_0 = -1: e^{beta mu} = t e^{-beta}
+    mu = float(_two_term_log_t(math.log(r) - beta, n, ensemble.sign)) / beta - 1.0
+    denom = 2.0 * _SQRT_PI * beta ** 1.5 * field * n + ensemble.sign * emb
     c_n = 1.5 + (_SQRT_PI * beta ** 2.5 * field * (2.0 * beta + 3.0) * emb
                  / (denom * denom))
     return mu, c_n
@@ -338,6 +377,7 @@ def asymptotic_mu_cn(beta: float, field: float,
 def asymptotic_beta_cr(field: float, n_particles: int) -> float:
     """Weak-field Lambert-W form of the condensation temperature:
     beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
+    field = _check_field(field)
     n = _check_particles(n_particles)
     arg = 4.0 ** (2.0 / 3.0) / (6.0 * math.pi ** (1.0 / 3.0)
                                 * (n * field) ** (2.0 / 3.0))
@@ -353,17 +393,17 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)
 
-    def step(u: float):
-        beta = math.exp(u)
-        n, _, _, d1, _ = ladder_sums(spectrum, beta, OCC, BOSE, gamma=0.0,
-                                     start_index=1)
-        if n <= 0.0:
-            return -math.inf, math.nan, beta
-        # d ln N / d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
-        return math.log(n / n_target), -beta * d1 / n, beta
+    def step(u: np.ndarray, lanes: np.ndarray):
+        beta = np.exp(u)
+        n, _, _, d1, _ = ladder_sums(spectrum, beta, OCC, BOSE, gamma=0.0, start_index=1)
+        # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
+        return n, -beta * d1, beta[None]
 
-    _, beta_cr = _rtsafe(step, math.log(beta_a), -math.inf, math.inf,
-                         f"condensation solve at N={n_particles}")
+    payload, errors = _rtsafe(step, math.log(beta_a), -math.inf, math.inf, n_target,
+                              lambda i: f"condensation solve at N={n_particles}")
+    if errors[0]:
+        raise SolverError(errors[0])
+    beta_cr = float(payload[0, 0])
     return CondensateReport(beta_cr=beta_cr, t_cr=1.0 / beta_cr,
                             asymptotic_beta_cr=beta_a)
 

@@ -1,5 +1,5 @@
 """Infinite sums over a level ladder: direct summation plus an
-Euler-Maclaurin closure of the power-law tail.
+Euler-Maclaurin closure of the power-law tail, for a batch of lanes.
 
 Every thermodynamic quantity in this package is a sum of the form
 
@@ -15,23 +15,30 @@ One call evaluates a whole kernel family in one pass: the Boltzmann sums
 S_0, S_1, S_2, or, for quantum statistics, the occupation sums N_0, N_1
 together with the distribution sums D_0, D_1, D_2.  Both occupation kernels
 come from the same exponentials, so a grand-canonical state (N, dN/dgamma,
-<E> and the heat-capacity moments) costs a single ladder pass.
+<E> and the heat-capacity moments) costs a single ladder pass.  A call
+takes arrays of lanes (beta, gamma, moment offset) and evaluates them as
+one numpy pass over a (lanes x levels) block; a scalar call is a one-lane
+batch.  Lanes go in groups of 32 with at most 2^14 (lane, level) pairs
+per direct block, so no temporary exceeds ~1 MB.
 
-The low levels are summed directly (vectorized, ascending order, with an
-early stop once eight consecutive summands of every returned sum drop below
-1e-16 of that sum's running total).  Once the ladder is dense on the
-thermal scale (beta * dE/dn below a threshold) the remainder is closed with
-the Euler-Maclaurin formula over the exact power-law tail
+Each lane is summed as it would be alone.  Its low levels are summed
+directly (ascending, in level blocks common to the batch, with levels past
+the lane's own closure index masked out; a lane stops once eight
+consecutive summands of every returned sum drop below 1e-16 of that sum's
+running total at a block end).  Once the ladder is dense on the thermal
+scale (beta * dE/dn below a threshold) the remainder is closed with the
+Euler-Maclaurin formula over the exact power-law tail
 E(m) = tau * (4(m+j0)-k)^(2/3) + shift.  The closure integral is evaluated
 one way for every kernel and every starting exponent: Gauss-Legendre in
 s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the level measure is a polynomial,
 on panels matched to the kernel (a filled Fermi sea, the transition layer
 around x = 0, and geometric panels down the exponential tail from wherever
-it starts).  A sparse filled Fermi sea in front of the dense region is
-summed in closed form as polynomial ladder moments.  Every path is
-validated against brute-force summation to ~1e-10 relative; the payoff is
-that the worst evaluation in the whole parameter domain costs ~1e4 kernel
-evaluations instead of ~1e8 exp() calls.
+it starts), padded with zero-width panels to a common count across lanes.
+A sparse filled Fermi sea in front of the dense region is summed in closed
+form as polynomial ladder moments.  Each lane's block partials are added
+by ``math.fsum``.  Every path is validated against brute-force summation
+to ~1e-10 relative; the payoff is that the worst evaluation in the whole
+parameter domain costs ~1e4 kernel evaluations instead of ~1e8 exp() calls.
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ def _kernels(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
         inv = 1.0 / (1.0 + t)
         return [np.where(x >= 0.0, t * inv, inv), t * inv * inv]
     # Bose statistics: exponents are strictly positive (mu < E0)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise SolverError("bose weights need strictly positive exponents (mu < E0)")
     inv = 1.0 / -np.expm1(-x)  # 1/(1 - e^{-x}), exact for small x
     occ = np.exp(-x) * inv
@@ -104,7 +111,7 @@ def _kernel_slopes(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
 def _summands(x: np.ndarray, d: np.ndarray, kind: str, sign: int) -> np.ndarray:
     """Summands of every returned sum, one row per sum: d^p * kernel(x)."""
     kern = _kernels(x, kind, sign)
-    return np.stack([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[kind]])
+    return np.array([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[kind]])
 
 
 # ---------------------------------------------------------------------------
@@ -114,48 +121,54 @@ def _summands(x: np.ndarray, d: np.ndarray, kind: str, sign: int) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _v_panel_breaks(v0: float, bt: float, sigma: float) -> list[float]:
-    """Panel edges for the closure integral, matched to the kernel's
-    structure: octave panels in v across a filled Fermi sea (the kernel is
-    constant there to e^-40), a finely split transition layer, octave
-    panels through a 1/x-like Bose region, and geometric panels down the
-    exponential tail, laid out from the exponent where the tail starts."""
+# exponent offsets of the geometric tail panels, 119.5 units up from 0.5
+_TAIL_Y = [0.5]
+while _TAIL_Y[-1] < 120.0:
+    _TAIL_Y.append(min(1.7 * _TAIL_Y[-1] + 2.0, 120.0))
+_TAIL_Y = np.array(_TAIL_Y[1:])
+
+
+def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """start * 2^k clipped at stop, k = 1, 2, ..., one row per lane, until
+    every row has reached its stop (earlier rows repeat it)."""
+    k = int(np.ceil(np.log2(np.max(stop / start)))) + 1
+    return np.minimum(start[:, None] * 2.0 ** np.arange(1, k + 1), stop[:, None])
+
+
+def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Panel edges for the closure integral, one row per lane, matched to
+    the kernel's structure: octave panels in v across a filled Fermi sea
+    (the kernel is constant there to e^-40), a finely split transition
+    layer, octave panels through a 1/x-like Bose region, and geometric
+    panels down the exponential tail, laid out from the exponent where the
+    tail starts.  Rows with fewer panels are padded with zero-width ones."""
     x0 = bt * v0 + sigma
-
-    def v_of(x: float) -> float:
-        return (x - sigma) / bt
-
-    breaks = [v0]
-    x = x0
-    if x < -40.0:
-        v_end = v_of(-40.0)
-        v = v0
-        while v < v_end:
-            v = min(2.0 * v, v_end)
-            breaks.append(v)
-        x = -40.0
-    if x < 0.5:
-        if x <= 0.0:
-            n = int(math.ceil((0.5 - x) / 5.0))
-            xs = np.linspace(x, 0.5, n + 1)[1:]
-        else:
-            xs = []
-            while x < 0.5:
-                x = min(2.0 * x, 0.5)
-                xs.append(x)
-        breaks.extend(v_of(float(xx)) for xx in xs)
-        x = 0.5
-    # the tail panels span 119.5 exponent units above x, wherever x lies
-    y = 0.5
-    while y < 120.0:
-        y = min(1.7 * y + 2.0, 120.0)
-        breaks.append(v_of(x + y - 0.5))
-    return breaks
+    v_cols = [v0[:, None]]
+    sea = x0 < -40.0
+    if sea.any():
+        v_cols.append(_doublings(v0, np.where(sea, (-40.0 - sigma) / bt, v0)))
+    x = np.where(sea, -40.0, x0)
+    x_cols = []
+    if (x <= 0.0).any():
+        # up to x = 0.5 in equal steps of at most 5: np.linspace(x, 0.5, n + 1)[1:]
+        to = np.where(x <= 0.0, 0.5, x)
+        n = np.maximum(np.ceil((to - x) / 5.0), 1.0)
+        j = np.arange(1.0, n.max() + 1.0)
+        x_cols.append(np.where(j < n[:, None], j * ((to - x) / n)[:, None] + x[:, None],
+                               to[:, None]))
+        x = to
+    if (x < 0.5).any():
+        x_cols.append(_doublings(x, np.maximum(x, 0.5)))
+        x = np.maximum(x, 0.5)
+    x_cols.append(x[:, None] + _TAIL_Y - 0.5)
+    v_cols.append((np.concatenate(x_cols, axis=1) - sigma[:, None]) / bt[:, None])
+    return np.concatenate(v_cols, axis=1)
 
 
-def _em_integral(tail, beta: float, sigma: float, ds_ref: float,
-                 n0: int, kind: str, sign: int) -> list[float]:
-    """integral_{n0}^inf (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm for each sum.
+def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
+                 n0: np.ndarray, kind: str, sign: int) -> np.ndarray:
+    """integral_{n0}^inf (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm, one row per
+    sum and one column per lane.
 
     sigma  = beta*(tail.shift - E0) + gamma   (exponent offset of the tail)
     ds_ref = tail.shift - ref                 (moment offset of the tail)
@@ -170,15 +183,15 @@ def _em_integral(tail, beta: float, sigma: float, ds_ref: float,
     starting exponent (a degenerate Fermi sea included)."""
     tau = tail.tau
     bt = beta * tau
-    v0 = float(tail.argument(n0)) ** (2.0 / 3.0)
+    v0 = tail.argument(n0) ** (2.0 / 3.0)
     s_breaks = np.sqrt(_v_panel_breaks(v0, bt, sigma))
-    lo = s_breaks[:-1, None]
-    half = 0.5 * (s_breaks[1:, None] - lo)
-    s = (half * (_GL_NODES + 1.0) + lo).ravel()
+    lo = s_breaks[:, :-1, None]
+    half = 0.5 * (s_breaks[:, 1:, None] - lo)
+    s = (half * (_GL_NODES + 1.0) + lo).reshape(len(beta), -1)
     v = s * s
-    w = 0.75 * (half * _GL_WEIGHTS).ravel() * v
-    return [float(np.dot(w, f)) for f in _summands(bt * v + sigma, tau * v + ds_ref,
-                                                   kind, sign)]
+    w = 0.75 * (half * _GL_WEIGHTS).reshape(len(beta), -1) * v
+    f = _summands(bt[:, None] * v + sigma[:, None], tau * v + ds_ref[:, None], kind, sign)
+    return (f[:, :, None, :] @ w[:, :, None])[..., 0, 0]
 
 
 _STENCIL = np.arange(-2.0, 3.0)  # m - 2 .. m + 2
@@ -186,49 +199,54 @@ _STENCIL = np.arange(-2.0, 3.0)  # m - 2 .. m + 2
 
 def _em_edge(f: np.ndarray, fp: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at a point,
-    from f on the five-point stencil around it (one row per sum; f''' by
-    central differences) and the exact slope fp there."""
-    f3 = 0.5 * (f[:, 4] - 2.0 * f[:, 3] + 2.0 * f[:, 1] - f[:, 0])
-    return 0.5 * f[:, 2] - fp / 12.0 + f3 / 720.0
+    from f on the five-point stencil around it (last axis; f''' by central
+    differences) and the exact slope fp there."""
+    f3 = 0.5 * (f[..., 4] - 2.0 * f[..., 3] + 2.0 * f[..., 1] - f[..., 0])
+    return 0.5 * f[..., 2] - fp / 12.0 + f3 / 720.0
 
 
-def _em_boundary(tail, beta: float, sigma: float, ds_ref: float, n0: int,
-                 kind: str, sign: int) -> np.ndarray:
-    """Boundary correction of the infinite tail from n0, for every sum."""
+def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
+                 n0: np.ndarray, kind: str, sign: int) -> np.ndarray:
+    """Boundary correction of the infinite tail from n0, one row per sum and
+    one column per lane."""
     tau = tail.tau
-    v = tail.argument(n0 + _STENCIL) ** (2.0 / 3.0)
-    x = beta * tau * v + sigma
-    d = tau * v + ds_ref
+    v = tail.argument(n0[:, None] + _STENCIL) ** (2.0 / 3.0)
+    x = (beta * tau)[:, None] * v + sigma[:, None]
+    d = tau * v + ds_ref[:, None]
     f = _summands(x, d, kind, sign)
     # exact slope at n0: dE/dm (p d^{p-1} F + beta d^p F')
-    x0, d0 = x[2:3], float(d[2])
-    kern = _kernels(x0, kind, sign)
-    dkern = _kernel_slopes(x0, kind, sign)
-    de_dm = float(tail.denergy(n0))
-    fp = np.array([de_dm * float((p * d0 ** (p - 1) if p else 0.0) * kern[k][0]
-                                 + beta * d0 ** p * dkern[k][0])
-                   for k, p in _ROWS[kind]])
+    x0, d0 = x[:, 2], d[:, 2]
+    ks, ps = np.array(_ROWS[kind]).T
+    kern = np.array(_kernels(x0, kind, sign))[ks]
+    dkern = np.array(_kernel_slopes(x0, kind, sign))[ks]
+    ps = ps[:, None]
+    fp = tail.denergy(n0) * (ps * d0 ** np.maximum(ps - 1, 0) * kern
+                             + beta * d0 ** ps * dkern)
     return _em_edge(f, fp)
 
 
-def _dense_index(tail, beta: float) -> int:
-    """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD."""
+def _dense_index(tail, beta: np.ndarray) -> np.ndarray:
+    """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD, per lane
+    (capped far beyond any level budget)."""
     arg = (8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3
     m = (arg + tail.k_off) / 4.0 - tail.j0
-    return max(tail.start + 2, int(math.ceil(m)))
+    return np.maximum(tail.start + 2, np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
 
 
 X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
 
-def _sea_index(tail, beta: float, sigma: float) -> int:
-    """Largest tail index with exponent still below -X_DEAD (0 if none):
-    every level before it sits in the filled Fermi sea."""
-    if sigma >= -X_DEAD:
-        return 0
+def _sea_end(spectrum, beta: float, gamma: float) -> int:
+    """Index past the filled Fermi sea: every level before it has an
+    exponent at or below -X_DEAD."""
+    x_exact = beta * (spectrum.exact_levels - spectrum.e0) + gamma
+    m = int(np.searchsorted(x_exact, -X_DEAD, side="right"))
+    if m < spectrum.n_exact:
+        return m
+    tail = spectrum.tail
+    sigma = beta * (tail.shift - spectrum.e0) + gamma
     w = ((-X_DEAD - sigma) / (beta * tail.tau)) ** 1.5
-    m = (w + tail.k_off) / 4.0 - tail.j0
-    return max(0, int(m))
+    return max(m, int((w + tail.k_off) / 4.0 - tail.j0))
 
 
 def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
@@ -273,14 +291,99 @@ def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
 # the engine
 # ---------------------------------------------------------------------------
 
-def ladder_sums(spectrum: Spectrum, beta: float, kind: str, sign: int = BOLTZ,
-                *, gamma: float = 0.0, moment_offset: float = 0.0,
-                start_index: int = 0, budget: int = LEVEL_BUDGET,
-                force_direct: bool = False) -> tuple[float, ...]:
-    """All sums of one kernel family over n >= start_index, in one pass.
+_LANES = 32          # lanes summed together: batch temporaries stay below ~1 MB
+_PAIRS = 1 << 14     # (lane, level) pairs of one direct block
 
-    With x_n = beta*(E_n - E_0) + gamma and moments about
-    ref = E_0 - moment_offset:
+
+def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
+               moff: np.ndarray, kind: str, sign: int, start_index: int,
+               budget: int, force_direct: bool) -> np.ndarray:
+    """``ladder_sums`` of one group of lanes: one row per sum, one column
+    per lane."""
+    rows = len(_ROWS[kind])
+    n = len(beta)
+    tail = spectrum.tail
+    e0 = spectrum.e0
+    n_exact = spectrum.n_exact
+    sigma = beta * (tail.shift - e0) + gamma
+    ds_ref = tail.shift - e0 + moff
+    n_em = np.full(n, budget + 1) if force_direct else _dense_index(tail, beta)
+    start = np.full(n, start_index)
+    running = np.zeros((rows, n))
+    parts = []
+
+    # a deeply submerged Fermi sea (exponents below -X_DEAD) carries unit
+    # occupations and no distribution weight: sum it in closed form instead
+    # of level by level
+    if sign == FERMI and kind == OCC and (gamma < -X_DEAD).any():
+        sea = np.zeros((rows, n))
+        for i in (gamma < -X_DEAD).nonzero()[0]:
+            end = min(_sea_end(spectrum, beta[i], gamma[i]), int(n_em[i]))
+            if end > start_index:
+                sea[:, i] = _filled_block(spectrum, moff[i], start_index, end)
+                start[i] = end
+        parts.append(sea)
+        running += sea
+
+    # direct sums up to each lane's closure index, in level blocks common to
+    # all lanes: the root-solved levels with the first tail levels, then
+    # doubling runs of tail levels.  Levels a lane sums otherwise (past its
+    # closure index, or in its filled sea) are masked out.
+    live = np.ones(n, dtype=bool)  # lanes the stop rule has not ended
+    lo, width = start_index, 256
+    hi = n_exact + width
+    while (live & (np.maximum(start, lo) < n_em)).any():
+        if lo >= budget:
+            raise BudgetError(f"level sum did not converge within {budget} levels")
+        lanes = (live & (np.maximum(start, lo) < np.minimum(n_em, hi))).nonzero()[0]
+        if len(lanes):
+            top = min(hi, int(n_em[lanes].max()))
+            m = np.arange(lo, top)
+            dE = np.concatenate([spectrum.exact_levels[lo:top],
+                                 tail.energy(m[m >= n_exact])]) - e0
+            block = np.zeros((rows, n))
+            step = max(1, _PAIRS // len(m))
+            for k in range(0, len(lanes), step):
+                sub = lanes[k:k + step]
+                x = beta[sub, None] * dE + gamma[sub, None]
+                terms = _summands(x, dE + moff[sub, None], kind, sign)
+                terms[:, (m < start[sub, None]) | (m >= n_em[sub, None])] = 0.0
+                block[:, sub] = terms.sum(axis=2)
+                running[:, sub] += block[:, sub]
+                # the stop rule: the lane's block ended at an exponent >=
+                # STOP_MIN_X, with its last summands of every sum below
+                # STOP_REL of that sum's running total
+                at = np.arange(len(sub))
+                end = np.minimum(n_em[sub], top) - 1 - lo
+                last = terms[:, at[:, None], np.maximum(end[:, None] - np.arange(STOP_RUN), 0)]
+                small = np.abs(last) <= STOP_REL * np.abs(running[:, sub, None])
+                live[sub[(x[at, end] >= STOP_MIN_X) & small.all(axis=(0, 2))]] = False
+            parts.append(block)
+        lo, width = hi, min(2 * width, 1 << 20)
+        hi = lo + width
+
+    if force_direct and live.any():
+        raise BudgetError(f"level sum did not converge within {budget} levels")
+    closed = live.nonzero()[0]
+    if len(closed):
+        for piece in (_em_integral, _em_boundary):
+            parts.append(np.zeros((rows, n)))
+            parts[-1][:, closed] = piece(tail, beta[closed], sigma[closed], ds_ref[closed],
+                                         n_em[closed], kind, sign)
+    cols = np.array(parts).reshape(len(parts), -1).T.tolist()
+    return np.array([math.fsum(col) for col in cols]).reshape(rows, n)
+
+
+def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, kind: str, sign: int = BOLTZ,
+                *, gamma: float | np.ndarray = 0.0, moment_offset: float | np.ndarray = 0.0,
+                start_index: int = 0, budget: int = LEVEL_BUDGET,
+                force_direct: bool = False) -> tuple:
+    """All sums of one kernel family over n >= start_index, in one pass,
+    for a batch of lanes.
+
+    ``beta``, ``gamma`` and ``moment_offset`` broadcast against each other,
+    one lane per element.  With x_n = beta*(E_n - E_0) + gamma and moments
+    about ref = E_0 - moment_offset:
 
     * ``kind=BOLTZ_KIND``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
     * ``kind=OCC``: (N_0, N_1, D_0, D_1, D_2) with
@@ -288,81 +391,24 @@ def ladder_sums(spectrum: Spectrum, beta: float, kind: str, sign: int = BOLTZ,
       D_p = sum (E_n - ref)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
       ``sign=FERMI`` and the lower for ``sign=BOSE``.
 
+    Scalar arguments give plain floats, and otherwise every sum is an array
+    of the broadcast shape.  Every lane is summed as it would be alone, with
+    its own closure index, filled sea and stop rule.
+
     ``force_direct`` disables the Euler-Maclaurin closure (test hook; the
     stop rule and the level budget then govern alone).
     """
-    if beta <= 0.0:
-        raise SolverError(f"beta must be > 0, got {beta}")
     if kind not in _ROWS:
         raise SolverError(f"ladder_sums kind must be {BOLTZ_KIND!r} or {OCC!r}, "
                           f"got {kind!r}")
-    rows = _ROWS[kind]
-    tail = spectrum.tail
-    e0 = spectrum.e0
-    sigma = beta * (tail.shift - e0) + gamma
-    ds_ref = tail.shift - e0 + moment_offset
-    parts = [np.zeros(len(rows))]
-    running = np.zeros(len(rows))
-
-    n_em = _dense_index(tail, beta)
-    if force_direct:
-        n_em = budget + 1
-
-    # a deeply submerged Fermi sea (exponents below -X_DEAD) carries unit
-    # occupations and no distribution weight: sum it in closed form instead
-    # of level by level
-    scan_start = start_index
-    if sign == FERMI and kind == OCC and gamma < -X_DEAD:
-        x_exact = beta * (spectrum.exact_levels - e0) + gamma
-        if x_exact[-1] <= -X_DEAD:
-            m_sea = max(spectrum.n_exact, _sea_index(tail, beta, sigma))
-        else:
-            m_sea = int(np.searchsorted(x_exact, -X_DEAD))
-        block_end = min(m_sea, n_em)
-        if block_end > start_index:
-            blk = _filled_block(spectrum, moment_offset, start_index, block_end)
-            parts.append(blk)
-            running += blk
-            scan_start = block_end
-
-    def add_block(dE: np.ndarray, x: np.ndarray) -> bool:
-        """Accumulate one block; True if the stop rule fired at its end."""
-        nonlocal running
-        terms = _summands(x, dE + moment_offset, kind, sign)
-        block = terms.sum(axis=1)
-        parts.append(block)
-        running = running + block
-        if x[-1] < STOP_MIN_X:
-            return False
-        last = np.abs(terms[:, -STOP_RUN:])
-        return bool(np.all(last <= STOP_REL * np.abs(running)[:, None]))
-
-    # exact (root-solved) block
-    lo = scan_start
-    hi = min(spectrum.n_exact, n_em)
-    stopped = False
-    if lo < hi:
-        dE = spectrum.exact_levels[lo:hi] - e0
-        stopped = add_block(dE, beta * dE + gamma)
-        lo = hi
-
-    # tail blocks up to the closure index
-    chunk = 4096
-    while not stopped and lo < n_em:
-        if lo >= budget:
-            raise BudgetError(f"level sum did not converge within {budget} levels")
-        hi = min(lo + chunk, n_em)
-        dE = tail.energy(np.arange(lo, hi, dtype=float)) - e0
-        stopped = add_block(dE, beta * dE + gamma)
-        lo = hi
-        chunk = min(2 * chunk, 1 << 20)
-
-    if not stopped:
-        if force_direct:
-            raise BudgetError(f"level sum did not converge within {budget} levels")
-        parts.append(np.asarray(_em_integral(tail, beta, sigma, ds_ref, n_em,
-                                             kind, sign)))
-        parts.append(_em_boundary(tail, beta, sigma, ds_ref, n_em, kind, sign))
-
-    return tuple(math.fsum(col) for col in zip(*parts))
-
+    zero = np.zeros(np.broadcast(beta, gamma, moment_offset).shape)
+    beta, gamma, moment_offset = (zero + a for a in (beta, gamma, moment_offset))
+    if not (beta.size and (np.isfinite(beta) & (beta > 0.0)).all()):
+        raise SolverError(f"beta must be finite and > 0, got {beta}")
+    flat = [a.ravel() for a in (beta, gamma, moment_offset)]
+    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in flat), kind, sign,
+                                 start_index, budget, force_direct)
+                      for lo in range(0, beta.size, _LANES)])
+    if beta.ndim == 0:
+        return tuple(sums[:, 0].tolist())
+    return tuple(s.reshape(beta.shape) for s in sums)

@@ -50,6 +50,15 @@ DEFAULT_N_EXACT = 64
 _MAX_N_EXACT = 512
 
 
+def _check_field(field: float) -> float:
+    """A field as float, finite and > 0 (zero-field walls are handled by the
+    closed-form thermodynamics)."""
+    f = float(field)
+    if not math.isfinite(f) or f <= 0.0:
+        raise DomainError(f"field must be finite and > 0, got {field!r}")
+    return f
+
+
 class WallKind(enum.Enum):
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
@@ -71,12 +80,7 @@ class WallSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, WallKind):
             raise DomainError(f"WallSpec: kind must be a WallKind, got {self.kind!r}")
-        f = float(self.field)
-        if not math.isfinite(f) or f <= 0.0:
-            raise DomainError(
-                "WallSpec: field must be finite and > 0 (zero-field walls are "
-                f"handled by the closed-form thermodynamics), got {self.field!r}")
-        object.__setattr__(self, "field", f)
+        object.__setattr__(self, "field", _check_field(self.field))
 
     @property
     def lam(self) -> int | None:

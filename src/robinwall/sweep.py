@@ -1,10 +1,11 @@
 """Temperature sweeps, their serialization, and the tabulated-peak
 regression harness.
 
-A sweep evaluates one wall/ensemble configuration on a temperature grid,
-locates the heat-capacity extrema with Brent's parabolic refinement, and
-(for bosons) attaches the condensation threshold.  Grand-canonical points
-start each chemical-potential solve from the states already solved.
+A sweep evaluates one wall/ensemble configuration on a temperature grid
+as one batch, locates the heat-capacity extrema with Brent's parabolic
+refinement, and (for bosons) attaches the condensation threshold.  Brent's
+grand-canonical points start each chemical-potential solve from the states
+already solved.
 Results serialize to CSV and JSON with shortest round-trip float
 formatting, so the two emissions carry bit-identical numbers and a JSON
 round trip reproduces the rows exactly.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import grand_canonical as gc
 from .canonical import ExtremumReport, find_extrema, thermo_point
-from .errors import DomainError, RobinWallError
+from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
@@ -115,37 +116,43 @@ class SweepResult:
 
 
 def _evaluator(spectrum: Spectrum, ensemble: EnsembleSpec | None):
-    """beta -> (<E>, c per particle, mu, n0) in the canonical ensemble
-    (ensemble None; mu and n0 are None) or the grand-canonical one.  Each
-    mu solve starts from the states already solved: gamma = beta (E_0 - mu)
+    """beta -> (<E>, c per particle, mu, n0, errors) in the canonical
+    ensemble (ensemble None; mu and n0 are None) or the grand-canonical one.
+    An array of beta is one batch: arrays over its lanes, with ``errors``
+    holding None or the message of each lane whose solve failed (values
+    NaN); a scalar beta gives floats and raises instead.  Each mu solve
+    starts from the states already solved: gamma = beta (E_0 - mu)
     interpolated (or extrapolated) linearly in ln beta through the two
     solved points nearest in ln beta, in ln gamma for bosons, whose gamma
-    spans decades."""
+    spans decades; the first batch starts from the two-term balance."""
     if ensemble is None:
-        def evaluate_canonical(beta: float):
+        def evaluate_canonical(beta):
             tp = thermo_point(spectrum, beta)
-            return tp.mean_energy, tp.heat_capacity, None, None
+            errors = None if np.ndim(beta) == 0 else (None,) * len(beta)
+            return tp.mean_energy, tp.heat_capacity, None, None, errors
 
         return evaluate_canonical
 
-    solved: list[tuple[float, float]] = []  # (ln beta, solver coordinate)
+    solved_lb: list[float] = []  # ln beta of every solved lane
+    solved_u: list[float] = []   # its solver coordinate, gamma or ln gamma
     log_gamma = ensemble.sign == gc.BOSE
 
-    def evaluate(beta: float):
+    def evaluate(beta):
         hint = None
-        if solved:
-            lb = math.log(beta)
-            near = sorted(solved, key=lambda s: abs(s[0] - lb))[:2]
-            hint = near[0][1]
-            if len(near) == 2 and near[0][0] != near[1][0]:
-                (l0, g0), (l1, g1) = near
-                hint = g0 + (g1 - g0) * (lb - l0) / (l1 - l0)
-            if log_gamma:
-                hint = math.exp(hint)
+        if solved_lb:
+            lb = np.log(np.atleast_1d(beta))[:, None]
+            near = np.argsort(np.abs(lb - solved_lb), axis=1, kind="stable")
+            near = near[:, [0, min(1, len(solved_lb) - 1)]].T
+            (l0, l1), (g0, g1) = np.take(solved_lb, near), np.take(solved_u, near)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hint = np.where(l0 != l1, g0 + (g1 - g0) * (lb[:, 0] - l0) / (l1 - l0), g0)
+            hint = (np.exp(hint) if log_gamma else hint).reshape(np.shape(beta))
         p = gc.gc_point(spectrum, beta, ensemble, hint_gamma=hint)
-        gamma = p.beta * (spectrum.e0 - p.mu)
-        solved.append((math.log(p.beta), math.log(gamma) if log_gamma else gamma))
-        return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0
+        ok = [e is None for e in p.errors] if p.errors else [True]
+        gamma = np.atleast_1d(p.beta * (spectrum.e0 - p.mu))[ok]
+        solved_lb.extend(np.log(np.atleast_1d(p.beta)[ok]).tolist())
+        solved_u.extend((np.log(gamma) if log_gamma else gamma).tolist())
+        return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0, p.errors
 
     return evaluate
 
@@ -158,11 +165,13 @@ def _temperature_grid(spec: SweepSpec) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep row by row (ascending temperature), then locate the
-    heat-capacity extrema on the same continuous evaluator.
+    """Evaluate every row of the sweep as one batch, then locate the
+    heat-capacity extrema from the rows' values, refined on the same
+    evaluator.
 
-    Solver failures are recorded per row instead of aborting the sweep; a
-    result with any failed row reports ``failed`` and the CLI exits nonzero.
+    Solver failures are recorded per row instead of aborting the sweep (a
+    failure of the whole batch in every row); a result with any failed row
+    reports ``failed`` and the CLI exits nonzero.
     """
     spectrum = build_spectrum(spec.wall, count=spec.n_exact, n_exact=spec.n_exact)
     condensate = None
@@ -174,28 +183,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     scale = condensate.t_cr if spec.normalize_by_tcr else 1.0
     temperatures = t_units * scale
 
+    betas = 1.0 / temperatures
     evaluate = _evaluator(spectrum, ens)
+    try:
+        energy, c, mu, n0, errors = evaluate(betas)
+    except RobinWallError as exc:
+        errors = (str(exc),) * len(betas)
     rows: list[SweepRow] = []
-    for t_unit, temp in zip(t_units, temperatures):
-        beta = 1.0 / temp
-        common = dict(beta_inv=float(temp), beta=float(beta),
+    for i, (t_unit, temp) in enumerate(zip(t_units, temperatures)):
+        common = dict(beta_inv=float(temp), beta=float(betas[i]),
                       t_over_tcr=float(t_unit) if spec.normalize_by_tcr else None)
-        try:
-            energy, c, mu, n0 = evaluate(beta)
-        except RobinWallError as exc:
-            rows.append(SweepRow(error=str(exc), **common))
+        if errors[i] is not None:
+            rows.append(SweepRow(error=errors[i], **common))
             continue
-        rows.append(SweepRow(
-            mean_energy=energy if "mean_energy" in spec.outputs else None,
-            heat_capacity=c if "heat_capacity" in spec.outputs else None,
-            mu=mu if "mu" in spec.outputs else None,
-            n0=n0 if "n0" in spec.outputs else None,
-            **common))
+        values = dict(mean_energy=energy, heat_capacity=c, mu=mu, n0=n0)
+        rows.append(SweepRow(**common, **{
+            f: float(v[i]) if v is not None and f in spec.outputs else None
+            for f, v in values.items()}))
 
     extrema = ExtremumReport()
-    if not any(r.error for r in rows) and len(rows) >= 3:
-        betas = 1.0 / temperatures
-        extrema = find_extrema(lambda b: evaluate(b)[1], betas)
+    if not any(errors) and len(rows) >= 3:
+        extrema = find_extrema(betas, c, lambda b: evaluate(b)[1])
     return SweepResult(spec=spec, rows=tuple(rows), extrema=extrema,
                        condensate=condensate)
 
@@ -342,7 +350,11 @@ def locate_peak(spectrum: Spectrum, ensemble: EnsembleSpec | None,
     grid = np.exp(np.linspace(math.log(1.0 / (t_center * span)),
                               math.log(span / t_center), points))
     evaluate = _evaluator(spectrum, ensemble)
-    return find_extrema(lambda beta: evaluate(beta)[1], grid)
+    _, c, _, _, errors = evaluate(grid)
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise SolverError(failed[0])
+    return find_extrema(grid, c, lambda beta: evaluate(beta)[1])
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,

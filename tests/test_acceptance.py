@@ -50,7 +50,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_zero_field_extrema():
     t0 = time.monotonic()
     grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
-    rep = find_extrema(lambda b: zero_field_attractive(b).heat_capacity, grid)
+    c_fn = lambda b: zero_field_attractive(b).heat_capacity  # noqa: E731
+    rep = find_extrema(grid, [c_fn(b) for b in grid], c_fn)
     elapsed = time.monotonic() - t0
     t_max_ref, c_max_ref = ZERO_FIELD_MAX
     t_min_ref, c_min_ref = ZERO_FIELD_MIN
@@ -67,7 +68,8 @@ def test_criterion_1_zero_field_extrema():
 def test_criterion_2_neumann_universal_curve():
     t0 = time.monotonic()
     grid = np.exp(np.linspace(math.log(0.02), math.log(2.0), 80))
-    rep = find_extrema(lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1], grid)
+    c_fn = lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1]  # noqa: E731
+    rep = find_extrema(grid, [c_fn(y) for y in grid], c_fn)
     elapsed = time.monotonic() - t0
     y_ref, c_ref = NEUMANN_CURVE_MAX
     y_found = 1.0 / rep.beta_inv_at_max

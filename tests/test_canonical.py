@@ -80,7 +80,8 @@ class TestMeanEnergyHeatCapacity:
 class TestZeroField:
     def test_attractive_extrema(self):
         grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
-        rep = find_extrema(lambda b: zero_field_attractive(b).heat_capacity, grid)
+        c_fn = lambda b: zero_field_attractive(b).heat_capacity  # noqa: E731
+        rep = find_extrema(grid, [c_fn(b) for b in grid], c_fn)
         assert rep.c_max == pytest.approx(1.0752, abs=2e-3)
         assert rep.beta_inv_at_max == pytest.approx(0.5260, rel=5e-3)
         assert rep.c_min == pytest.approx(0.4774, abs=2e-3)
@@ -132,7 +133,8 @@ class TestClassicalLimit:
 class TestUniversalCurve:
     def test_neumann_peak(self):
         grid = np.exp(np.linspace(math.log(0.02), math.log(2.0), 80))
-        rep = find_extrema(lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1], grid)
+        c_fn = lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1]  # noqa: E731
+        rep = find_extrema(grid, [c_fn(y) for y in grid], c_fn)
         assert rep.c_max == pytest.approx(1.522, abs=5e-3)
         assert 1.0 / rep.beta_inv_at_max == pytest.approx(0.175, rel=0.02)
 
@@ -217,18 +219,20 @@ class TestFindExtrema:
     def test_table_cell_weak_field(self):
         sp = attractive(1e-5)
         grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
-        rep = find_extrema(lambda b: heat_capacity(sp, b), grid)
+        rep = find_extrema(grid, heat_capacity(sp, grid), lambda b: heat_capacity(sp, b))
         assert rep.beta_inv_at_max == pytest.approx(0.1324, rel=0.01)
         assert rep.c_max == pytest.approx(20.538, rel=0.01)
 
     def test_monotone_grid_required(self):
         with pytest.raises(DomainError):
-            find_extrema(lambda b: b, [1.0, 3.0, 2.0])
+            find_extrema([1.0, 3.0, 2.0], [1.0, 3.0, 2.0], lambda b: b)
         with pytest.raises(DomainError):
-            find_extrema(lambda b: b, [1.0, 2.0])
+            find_extrema([1.0, 2.0], [1.0, 2.0], lambda b: b)
+        with pytest.raises(DomainError):
+            find_extrema([1.0, 2.0, 4.0], [1.0, 2.0], lambda b: b)
 
     def test_absent_extremum(self):
-        rep = find_extrema(lambda b: b, [1.0, 2.0, 4.0, 8.0])
+        rep = find_extrema([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], lambda b: b)
         assert rep.beta_inv_at_max is None
         assert rep.c_max is None
         assert rep.beta_inv_at_min is None
@@ -278,10 +282,10 @@ class TestBrentRefinement:
             evals.append(beta)
             return zero_field_attractive(beta).heat_capacity
 
-        rep = find_extrema(c_fn, grid)
-        beta_inv = rep.beta_inv_at_max if sign > 0 else rep.beta_inv_at_min
-        brent_evals = len(evals) - len(grid)  # refining both the maximum and the minimum
         cs = [zero_field_attractive(b).heat_capacity for b in grid]
+        rep = find_extrema(grid, cs, c_fn)
+        beta_inv = rep.beta_inv_at_max if sign > 0 else rep.beta_inv_at_min
+        brent_evals = len(evals)  # refining both the maximum and the minimum
         i = next(i for i in range(1, len(grid) - 1)
                  if sign * cs[i] > sign * cs[i - 1] and sign * cs[i] > sign * cs[i + 1])
         exact = self._exact_extremum(grid[i])

@@ -242,38 +242,48 @@ class TestPlainFloats:
 
 class TestWorkCounts:
     def test_table1_cell_be_1000(self, monkeypatch):
-        # the published cell BE N=1000, F=1e-5: every warm-started gc_point
-        # costs at most 4 fused ladder passes on average, and the peak
-        # search at most 60 heat-capacity evaluations (50 grid points plus
-        # Brent's refinement)
+        # the published cell BE N=1000, F=1e-5: the 50-point scan is one
+        # gc_point batch of unhinted lanes solved in at most 6 lockstep
+        # ladder passes, and Brent's refinement at most 12 one-lane
+        # gc_point calls, each warm-started, at most 4 passes on average
         from robinwall import sweep
         from robinwall.reference_values import TABLE1
-        counts = {"gc": 0, "hinted": 0, "ladder_hinted": 0}
+        calls = []  # per gc_point call: (lanes, hinted, lanes of each ladder pass)
         ladder, point = gc.ladder_sums, gc.gc_point
-        hinted = []
 
-        def counting_ladder(*args, **kwargs):
-            if hinted and hinted[-1]:
-                counts["ladder_hinted"] += 1
-            return ladder(*args, **kwargs)
+        def counting_ladder(spectrum, beta, *args, **kwargs):
+            calls[-1][2].append(np.size(beta))
+            return ladder(spectrum, beta, *args, **kwargs)
 
         def counting_point(spectrum, beta, ensemble, hint_gamma=None):
-            counts["gc"] += 1
-            counts["hinted"] += hint_gamma is not None
-            hinted.append(hint_gamma is not None)
-            try:
-                return point(spectrum, beta, ensemble, hint_gamma)
-            finally:
-                hinted.pop()
+            hinted = hint_gamma is not None and not np.isnan(hint_gamma).any()
+            calls.append((np.size(beta), hinted, []))
+            return point(spectrum, beta, ensemble, hint_gamma)
 
         monkeypatch.setattr(gc, "ladder_sums", counting_ladder)
         monkeypatch.setattr(gc, "gc_point", counting_point)
         t_ref, c_ref = TABLE1[("be", 1000, 1e-5)]
         rep = sweep.locate_peak(attractive(1e-5), EnsembleSpec(BE, 1000), t_ref)
         assert abs(rep.c_max - c_ref) <= 0.015 * c_ref
-        assert counts["gc"] <= 60
-        assert counts["hinted"] == counts["gc"] - 1
-        assert counts["ladder_hinted"] <= 4 * counts["hinted"]
+        (lanes, hinted, passes), *refine = calls
+        assert lanes == 50 and not hinted
+        assert passes[0] == 50 and len(passes) <= 6
+        assert passes == sorted(passes, reverse=True)  # solved lanes drop out
+        assert 0 < len(refine) <= 12
+        assert all(lanes == 1 and hinted for lanes, hinted, _ in refine)
+        assert sum(len(p) for _, _, p in refine) <= 4 * len(refine)
+
+    def test_cold_start_of_the_first_scan_point(self, monkeypatch):
+        # the first, unhinted point of the BE N=1000, F=1e-5 scan starts
+        # from the two-term balance and needs at most 5 ladder passes
+        from robinwall.reference_values import TABLE1
+        calls = []
+        ladder = gc.ladder_sums
+        monkeypatch.setattr(gc, "ladder_sums",
+                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        t_ref, _ = TABLE1[("be", 1000, 1e-5)]
+        gc_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
+        assert len(calls) <= 5
 
     def test_be_critical_ladder_passes(self, monkeypatch):
         calls = []
@@ -389,6 +399,16 @@ class TestBeCritical:
     def test_critical_temperature_vanishes_with_field(self):
         ts = [be_critical(attractive(f), 1000).t_cr for f in (1e-4, 1e-5, 1e-6)]
         assert ts == sorted(ts, reverse=True)
+
+    @pytest.mark.parametrize("field", [-1e-5, 0.0, math.nan, math.inf])
+    def test_field_validated(self, field):
+        # the field check WallSpec and classical_limit use
+        with pytest.raises(DomainError):
+            asymptotic_beta_cr(field, 10)
+        with pytest.raises(DomainError):
+            WallSpec(WallKind.ROBIN_ATTRACTIVE, field)
+        with pytest.raises(DomainError):
+            can.classical_limit(1.0, field)
 
     @pytest.mark.parametrize("n", [0, -5, 2.5])
     def test_particle_number_validated(self, n):

@@ -163,6 +163,12 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
+def em_integral(tail, beta, sigma, ds_ref, n0, kind, sign):
+    """The engine's closure integrals of one lane."""
+    lane = (np.atleast_1d(a) for a in (beta, sigma, ds_ref, n0))
+    return ladder._em_integral(tail, *lane, kind, sign)[:, 0]
+
+
 def closure_args(spectrum, beta, gamma, moment_offset=0.0):
     """(sigma, ds_ref, n0) of the closure that ladder_sums engages."""
     tail = spectrum.tail
@@ -208,7 +214,7 @@ def test_closure_matches_mpmath(field, sign, beta, gamma):
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
     full = ladder_sums(sp, beta, OCC, sign, gamma=gamma)
     sigma, ds_ref, n0 = closure_args(sp, beta, gamma)
-    mine = ladder._em_integral(sp.tail, beta, sigma, ds_ref, n0, OCC, sign)
+    mine = em_integral(sp.tail, beta, sigma, ds_ref, n0, OCC, sign)
     ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
     for m, r, f in zip(mine, ref, full):
         assert abs(m - r) <= 1e-12 * abs(f)
@@ -263,7 +269,7 @@ def test_closure_matches_incomplete_gamma_series(kind, sign):
         u0 = beta * (float(tail.energy(n0)) - spec.e0)
         for gamma in [x0 - u0 for x0 in (0.5, 0.9, 3.0, 12.0, 40.0, 105.0)] + [90.0]:
             sigma, ds_ref, _ = closure_args(spec, beta, gamma, 0.3)
-            mine = ladder._em_integral(tail, beta, sigma, ds_ref, n0, kind, sign)
+            mine = em_integral(tail, beta, sigma, ds_ref, n0, kind, sign)
             ref = series_closure(tail, beta, sigma, ds_ref, n0, kind, sign)
             assert len(mine) == len(ref)
             for m, r in zip(mine, ref):
@@ -353,3 +359,42 @@ def test_bose_positive_exponent_guard(spectrum_m3):
     with pytest.raises(SolverError):
         ladder_sums(spectrum_m3, 1.0, OCC, BOSE, gamma=-0.5)
 
+
+
+@pytest.mark.parametrize("kind,sign", [(BOLTZ_KIND, BOLTZ), (OCC, FERMI), (OCC, BOSE)])
+def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
+    # 50 lanes in one call give each lane's own one-lane sums; the lanes
+    # cover the stop rule inside the direct sum, the Euler-Maclaurin
+    # closure and (fermions) the closed-form filled sea
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
+    rng = np.random.default_rng(7)
+    beta = np.geomspace(0.05, 400.0, 50)
+    moff = rng.uniform(-0.5, 0.5, 50)
+    if kind == BOLTZ_KIND:
+        gamma = np.zeros(50)
+    elif sign == FERMI:
+        sea = beta * (sp.e0 - float(sp.tail.energy(3000)))
+        gamma = np.where(np.arange(50) % 3 == 0, sea, rng.uniform(-5.0, 5.0, 50))
+    else:
+        gamma = 10.0 ** rng.uniform(-7.0, 1.0, 50)
+    paths = {"closed": 0, "sea": 0}
+    em_integral, filled_block = ladder._em_integral, ladder._filled_block
+
+    def counting_closure(tail, beta, *args):
+        paths["closed"] += len(beta)
+        return em_integral(tail, beta, *args)
+
+    def counting_sea(*args):
+        paths["sea"] += 1
+        return filled_block(*args)
+
+    monkeypatch.setattr(ladder, "_em_integral", counting_closure)
+    monkeypatch.setattr(ladder, "_filled_block", counting_sea)
+    batch = ladder_sums(sp, beta, kind, sign, gamma=gamma, moment_offset=moff)
+    assert 0 < paths["closed"] < 50  # some lanes closed, the others stopped
+    assert (paths["sea"] > 0) == (sign == FERMI)
+    assert all(s.shape == (50,) for s in batch)
+    for i in range(50):
+        one = ladder_sums(sp, beta[i], kind, sign, gamma=gamma[i], moment_offset=moff[i])
+        for b, o in zip(batch, one):
+            assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
