@@ -169,12 +169,14 @@ def _rtsafe(fn, u, lo, hi, n_target: float, what):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(slope < 0.0, -r / slope, np.nan)
             inside = (low < x + newton) & (x + newton < high)
+            closed = np.isfinite(low) & np.isfinite(high)
             dxl = dx[lanes]
             out = np.copysign(np.where(np.isfinite(dxl), np.maximum(1.0, 2.0 * np.abs(dxl)),
                                        1.0), r)
-            step = np.where(inside & (np.abs(newton) <= 0.5 * np.abs(dx_old[lanes])), newton,
-                            np.where(np.isfinite(low) & np.isfinite(high), 0.5 * (low + high) - x,
-                                     np.where(inside, newton, out)))
+            # Newton when inside and shrinking fast, or inside an open bracket
+            shrinking = np.abs(newton) <= 0.5 * np.abs(dx_old[lanes])
+            step = np.where(inside & (shrinking | ~closed), newton,
+                            np.where(closed, 0.5 * (low + high) - x, out))
         dx_old[lanes], dx[lanes] = dxl, step
         u[lanes] = x + step
         lanes = lanes[x + step != x]  # a lane whose bracket collapsed to one float

@@ -401,14 +401,13 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, kind: str, sign: i
     if kind not in _ROWS:
         raise SolverError(f"ladder_sums kind must be {BOLTZ_KIND!r} or {OCC!r}, "
                           f"got {kind!r}")
-    zero = np.zeros(np.broadcast(beta, gamma, moment_offset).shape)
-    beta, gamma, moment_offset = (zero + a for a in (beta, gamma, moment_offset))
-    if not (beta.size and (np.isfinite(beta) & (beta > 0.0)).all()):
+    shape = np.broadcast(beta, gamma, moment_offset).shape
+    lanes = [(np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset)]
+    if not (lanes[0].size and (np.isfinite(lanes[0]) & (lanes[0] > 0.0)).all()):
         raise SolverError(f"beta must be finite and > 0, got {beta}")
-    flat = [a.ravel() for a in (beta, gamma, moment_offset)]
-    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in flat), kind, sign,
+    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes), kind, sign,
                                  start_index, budget, force_direct)
-                      for lo in range(0, beta.size, _LANES)])
-    if beta.ndim == 0:
+                      for lo in range(0, lanes[0].size, _LANES)])
+    if not shape:
         return tuple(sums[:, 0].tolist())
-    return tuple(s.reshape(beta.shape) for s in sums)
+    return tuple(s.reshape(shape) for s in sums)
