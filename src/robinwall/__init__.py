@@ -9,14 +9,12 @@ hbar^2/(2 m e |Lambda|^3), heat capacities in units of k_B.
 from .errors import (
     BudgetError,
     DomainError,
-    PoleError,
     RobinWallError,
     SolverError,
 )
 from .specfun import (
     AiryZeroKind,
     airy,
-    airy_log_deriv,
     airy_scaled,
     airy_zero,
     lambert_w,

@@ -9,10 +9,6 @@ class DomainError(RobinWallError, ValueError):
     """An argument lies outside the mathematical or contractual domain."""
 
 
-class PoleError(RobinWallError, ArithmeticError):
-    """Evaluation was requested at (or too close to) a pole."""
-
-
 class SolverError(RobinWallError, RuntimeError):
     """A root solve failed; the message carries the final bracket/residual."""
 

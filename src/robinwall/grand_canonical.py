@@ -42,7 +42,7 @@ from .canonical import _check_beta, _check_weak_field
 from .errors import DomainError, SolverError
 from .ladder import BOSE, FERMI, OCC, ladder_sums
 from .spectrum import Spectrum, _check_field
-from .specfun import lambert_w
+from .specfun import _check_index, lambert_w
 
 __all__ = [
     "Statistics",
@@ -62,13 +62,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _N_RESIDUAL = 1e-10
 
 
-def _check_particles(n_particles: int) -> int:
-    n = int(n_particles)
-    if n < 1 or n != n_particles:
-        raise DomainError(f"n_particles must be a positive integer, got {n_particles!r}")
-    return n
-
-
 class Statistics(enum.Enum):
     FERMI_DIRAC = "fd"
     BOSE_EINSTEIN = "be"
@@ -84,7 +77,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.statistics, Statistics):
             raise DomainError(f"statistics must be a Statistics value, got {self.statistics!r}")
-        object.__setattr__(self, "n_particles", _check_particles(self.n_particles))
+        object.__setattr__(self, "n_particles",
+                           _check_index(self.n_particles, 1, "n_particles"))
 
     @property
     def sign(self) -> int:
@@ -328,7 +322,7 @@ def fd_plateau(n_particles: int) -> float:
     """Low-temperature shelf of the fermionic specific heat per particle,
     3 (N-1) / (2 N): the N-1 particles sitting in the dense positive levels
     are classical while the split-off one is frozen out."""
-    n = _check_particles(n_particles)
+    n = _check_index(n_particles, 1, "n_particles")
     return 1.5 * (n - 1) / n
 
 
@@ -380,7 +374,7 @@ def asymptotic_beta_cr(field: float, n_particles: int) -> float:
     """Weak-field Lambert-W form of the condensation temperature:
     beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
     field = _check_field(field)
-    n = _check_particles(n_particles)
+    n = _check_index(n_particles, 1, "n_particles")
     arg = 4.0 ** (2.0 / 3.0) / (6.0 * math.pi ** (1.0 / 3.0)
                                 * (n * field) ** (2.0 / 3.0))
     return 1.5 * lambert_w(arg)
@@ -391,7 +385,7 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     sum_{n>=1} 1/(e^{(E_n-E_0) beta} - 1) = N (chemical potential pinned at
     the ground level with no particles left in it), by safeguarded Newton
     on ln N in ln beta from the Lambert-W estimate."""
-    n_particles = _check_particles(n_particles)
+    n_particles = _check_index(n_particles, 1, "n_particles")
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)
 

@@ -1,9 +1,10 @@
 """Real-argument special functions used by the spectrum and thermodynamics code.
 
 Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
-forms for large positive argument), their negative zeros, the logarithmic
-derivative Ai'/Ai, and the principal branch of the Lambert W function on
-the nonnegative axis.
+forms for large positive argument), their negative zeros, the principal
+branch of the Lambert W function on the nonnegative axis, the safeguarded
+Newton solver that finds every Airy zero and Robin level, and the integer
+check shared by every index and count of the package.
 
 Evaluation scheme for Ai/Ai':
 
@@ -25,16 +26,16 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 
 import numpy as np
 
-from .errors import DomainError, PoleError, SolverError
+from .errors import DomainError, SolverError
 
 __all__ = [
     "AiryZeroKind",
     "airy",
     "airy_scaled",
-    "airy_log_deriv",
     "airy_zero",
     "lambert_w",
 ]
@@ -49,6 +50,14 @@ AIP_ZERO_VALUE = -0.2588194037928068
 _ASYM_SWITCH = 12.0  # |x| above which the asymptotic series are used
 _TABLE_STEP = 0.25
 _TAYLOR_TERMS = 30
+
+
+def _check_index(value, minimum: int, what: str) -> int:
+    """An index or count as int; DomainError unless it is an integer >= minimum."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and value == int(value) >= minimum):
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class AiryZeroKind(enum.Enum):
@@ -221,37 +230,32 @@ def airy_scaled(x: float) -> tuple[float, float]:
     return ai * scale, aip * scale
 
 
-def _envelope(x: float) -> float:
-    """Rough modulus scale of Ai near x; used for pole detection only."""
-    if x >= 0.0:
-        return max(abs(x), 1.0) ** -0.25
-    return abs(x) ** -0.25 if x < -1.0 else 1.0
-
-
-def airy_log_deriv(x: float) -> float:
-    """Stable logarithmic derivative Ai'(x)/Ai(x).
-
-    For large positive x this is evaluated from the asymptotic expansions and
-    tends to -sqrt(x) without ever forming the underflowed Ai itself.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"airy_log_deriv: argument must be finite, got {x!r}")
-    if x > _ASYM_SWITCH:
-        zeta = _TWO_THIRDS * x ** 1.5
-        inv = 1.0 / zeta
-        su = _asymptotic_series(_U_COEF, inv, alternate=True)
-        sv = _asymptotic_series(_V_COEF, inv, alternate=True)
-        return -math.sqrt(x) * sv / su
-    ai, aip = airy(x)
-    if abs(ai) < 1e-13 * _envelope(x):
-        raise PoleError(f"airy_log_deriv: x={x} is within tolerance of an Ai zero")
-    return aip / ai
-
-
 # ---------------------------------------------------------------------------
-# zeros of Ai and Ai'
+# safeguarded Newton and the zeros of Ai and Ai'
 # ---------------------------------------------------------------------------
+
+def _newton_root(fn, lo: float, hi: float, x: float, rtol: float) -> float:
+    """Root of a function monotone on (lo, hi) by Newton safeguarded by the
+    bracket (Numerical Recipes, 2nd ed., section 9.4, "rtsafe").  ``fn(x)``
+    returns the value and the slope; the start x lies inside and neither end
+    is evaluated.  Each evaluated point becomes the bracket end on its side
+    of the root (the signs of value and slope tell which), and a step that
+    would leave the bracket bisects it instead.  Returns x - step once
+    |step| <= rtol * max(1, |x|)."""
+    for _ in range(200):
+        f, df = fn(x)
+        if (f > 0.0) == (df > 0.0):
+            hi = x
+        else:
+            lo = x
+        step = f / df
+        if not lo <= x - step <= hi:
+            step = x - 0.5 * (lo + hi)
+        if abs(step) <= rtol * max(1.0, abs(x)):
+            return x - step
+        x -= step
+    raise SolverError(f"safeguarded Newton did not converge in ({lo}, {hi})")
+
 
 N_EXACT_ZEROS = 64  # Newton-refined below; asymptotic law beyond
 
@@ -268,20 +272,15 @@ def _zero_law(n: int, kind: AiryZeroKind) -> float:
 
 
 def _refine_zero(guess: float, kind: AiryZeroKind) -> float:
-    x = guess
-    for _ in range(60):
+    """Newton from the large-index estimate, inside +-1/4 of the local zero
+    spacing pi/sqrt|x|."""
+    def fn(x):
         ai, aip = airy(x)
-        if kind is AiryZeroKind.FunctionZero:
-            f, fp = ai, aip
-        else:
-            f, fp = aip, x * ai  # Ai'' = x Ai
-        step = f / fp
-        step = max(min(step, 0.5), -0.5)
-        x -= step
-        if abs(step) < 1e-15 * abs(x):
-            break
-    ai, aip = airy(x)
-    resid = ai if kind is AiryZeroKind.FunctionZero else aip
+        return (ai, aip) if kind is AiryZeroKind.FunctionZero else (aip, x * ai)  # Ai'' = x Ai
+
+    quarter = 0.25 * math.pi / math.sqrt(abs(guess))
+    x = _newton_root(fn, guess - quarter, guess + quarter, guess, 1e-15)
+    resid = fn(x)[0]
     if abs(resid) > 1e-12:
         raise SolverError(
             f"airy zero refinement stalled at x={x} (residual {resid:.3e})")
@@ -301,14 +300,14 @@ def _exact_zeros(kind: AiryZeroKind) -> list[float]:
 
 
 def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
-    """n-th negative zero a_n of Ai (or a'_n of Ai'), n >= 1.
+    """n-th negative zero a_n of Ai (or a'_n of Ai'), n >= 1 an integer.
 
-    The first 64 are Newton-refined to |Ai| (or |Ai'|) < 1e-12; larger
-    indices use the large-index expansion, which matches the refined values
-    to better than 1e-8 relative at the switch.
+    The first 64 are found by safeguarded Newton from the large-index
+    expansion and checked to |Ai| (or |Ai'|) <= 1e-12; larger indices use
+    the expansion itself, which matches the refined values to better than
+    1e-8 relative at the switch.
     """
-    if n < 1:
-        raise DomainError(f"airy_zero: index must be >= 1, got {n}")
+    n = _check_index(n, 1, "airy_zero index")
     if n <= N_EXACT_ZEROS:
         return _exact_zeros(kind)[n - 1]
     return _zero_law(n, kind)
@@ -349,7 +348,7 @@ def lambert_w(x: float) -> float:
 
 def interlacing_ok(n_max: int = 50) -> bool:
     """Check a'_n > a_n > a'_{n+1} for n <= n_max (used by the selftest)."""
-    for n in range(1, n_max + 1):
+    for n in range(1, _check_index(n_max, 1, "n_max") + 1):
         apn = airy_zero(n, AiryZeroKind.DerivativeZero)
         an = airy_zero(n, AiryZeroKind.FunctionZero)
         apn1 = airy_zero(n + 1, AiryZeroKind.DerivativeZero)

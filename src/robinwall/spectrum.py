@@ -7,9 +7,11 @@ with extrapolation length +1 (repulsive) or -1 (attractive).  With the field
 
     F^(1/3) * Ai'(xi) = (1/lam) * Ai(xi),      xi = -E * F^(-2/3),
 
-solved here in logarithmic-derivative form.  Low-lying levels are bracketed
-between consecutive zeros of Ai (where Ai'/Ai sweeps the whole real line
-exactly once) and bisected; the attractive wall's split-off state is
+solved here in phase form, psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) = 0,
+which stays finite at the poles of Ai'/Ai.  Low-lying levels are bracketed
+between consecutive zeros of Ai (where psi decreases through a half turn
+exactly once) and found by safeguarded Newton from the zero shifted by the
+first-order wall correction; the attractive wall's split-off state is
 bracketed on xi > 0 using the scaled Airy forms, which stay finite up to
 xi ~ 1e5.  High levels follow the zero-law tail: a pure power law in the
 level index shifted by the first-order wall correction -lam*F, which keeps
@@ -27,10 +29,11 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .specfun import (
     AiryZeroKind,
+    _check_index,
+    _newton_root,
     airy,
     airy_scaled,
     airy_zero,
-    airy_log_deriv,
 )
 
 __all__ = [
@@ -158,8 +161,7 @@ class Spectrum:
         return float(self.exact_levels[0])
 
     def level(self, n: int) -> float:
-        if n < 0:
-            raise DomainError(f"level index must be >= 0, got {n}")
+        n = _check_index(n, 0, "level index")
         if n < self.n_exact:
             return float(self.exact_levels[n])
         return float(self.tail.energy(n))
@@ -169,76 +171,45 @@ class Spectrum:
 # Robin root solving
 # ---------------------------------------------------------------------------
 
-def _log_deriv(xi: float) -> float:
-    """Ai'(xi)/Ai(xi) without pole guards; +-inf near zeros is fine for
-    bisection sign tests."""
-    if xi > 12.0:
-        return airy_log_deriv(xi)
+def _robin_psi(xi: float, field_cbrt: float, lam: int) -> tuple[float, float]:
+    """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) and its slope, from the
+    (Ai, Ai') pair (scaled for xi >= 0); psi decreases between the zeros of
+    Ai and stays finite at them."""
     ai, aip = airy_scaled(xi) if xi >= 0.0 else airy(xi)
-    if ai == 0.0:
-        return math.copysign(math.inf, aip)
-    return aip / ai
+    d = field_cbrt * aip
+    psi = math.atan2(d * math.copysign(1.0, ai), abs(ai)) - math.atan(1.0 / lam)
+    return psi, field_cbrt * (xi * ai * ai - aip * aip) / (ai * ai + d * d)
 
 
-def _robin_h(xi: float, field_cbrt: float, lam: int) -> float:
-    return field_cbrt * _log_deriv(xi) - 1.0 / lam
-
-
-def _solve_bracket(field: float, lam: int, lo: float, hi: float) -> float:
-    """Bisect h(xi) on (lo, hi) where it decreases from +inf to -inf, then
-    polish with one or two Newton steps (dL/dxi = xi - L^2)."""
-    fc = field ** (1.0 / 3.0)
-    h_lo = _robin_h(lo, fc, lam)
-    h_hi = _robin_h(hi, fc, lam)
-    if not (h_lo > 0.0 > h_hi):
+def _solve_bracket(fc: float, lam: int, lo: float, hi: float, near: float) -> float:
+    """The root of psi on (lo, hi), where it decreases through zero, by
+    safeguarded Newton from the Airy zero ``near`` shifted by lam*F^(1/3)
+    (the first-order wall shift), or from the midpoint if that leaves the
+    bracket."""
+    psi_lo, psi_hi = _robin_psi(lo, fc, lam)[0], _robin_psi(hi, fc, lam)[0]
+    if not (psi_lo > 0.0 > psi_hi):
         raise SolverError(
-            f"robin level bracket failed on ({lo}, {hi}): h={h_lo:.3e}, {h_hi:.3e}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _robin_h(mid, fc, lam) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(lo), abs(hi)):
-            break
-    xi = 0.5 * (lo + hi)
-    for _ in range(2):
-        ld = _log_deriv(xi)
-        h = fc * ld - 1.0 / lam
-        dh = fc * (xi - ld * ld)
-        if dh != 0.0:
-            step = h / dh
-            if abs(step) < hi - lo:
-                xi -= step
-    return xi
+            f"robin level bracket failed on ({lo}, {hi}): psi={psi_lo:.3e}, {psi_hi:.3e}")
+    x = near + lam * fc
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    return _newton_root(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
 
 
 def _robin_exact_levels(wall: WallSpec, n_exact: int) -> np.ndarray:
-    field = wall.field
-    lam = wall.lam
-    assert lam is not None
-    fc23 = field ** (2.0 / 3.0)
-    zeros = [airy_zero(n, AiryZeroKind.FunctionZero) for n in range(1, n_exact + 2)]
-    eps = 1e-12
-    xis = np.empty(n_exact)
-
-    # ground level: the attractive wall's root may sit far on the positive
-    # axis (split-off bound state); the repulsive one always lies in (a_1, 0)
-    if lam < 0:
-        hi = max(4.0, 2.0 * field ** (-2.0 / 3.0))
-    else:
-        hi = 0.0
-    lo = zeros[0] + eps * abs(zeros[0])  # just above a_1
-    xis[0] = _solve_bracket(field, lam, lo, hi)
-
-    for n in range(1, n_exact):
-        a_hi, a_lo = zeros[n - 1], zeros[n]  # a_n > a_{n+1}
-        margin = eps * max(1.0, abs(a_lo))
-        xis[n] = _solve_bracket(field, lam, a_lo + margin, a_hi - margin)
-
-    return -xis * fc23
+    lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
+    zeros = [airy_zero(n) for n in range(1, n_exact + 1)]
+    # level n >= 1 lies in (a_{n+1}, a_n), near a_n on the attractive wall
+    # and near a_{n+1} on the repulsive one.  The ground level lies above
+    # a_1: below 0 on the repulsive wall, possibly far out on the positive
+    # axis (split-off bound state) on the attractive one.
+    tops = [max(4.0, 2.0 * wall.field ** (-2.0 / 3.0)) if lam < 0 else 0.0] + zeros[:-1]
+    xis = []
+    for n, (a_lo, a_hi) in enumerate(zip(zeros, tops)):
+        margin = 1e-12 * max(1.0, abs(a_lo))
+        near = a_hi if lam < 0 and n else a_lo
+        xis.append(_solve_bracket(fc, lam, a_lo + margin, a_hi - margin, near))
+    return -np.array(xis) * wall.field ** (2.0 / 3.0)
 
 
 def _tail_for(wall: WallSpec, n_exact: int) -> tuple[TailLaw, str]:
@@ -274,9 +245,9 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
     (Dirichlet/Neumann).  The constructor asserts that the root-solved block
     hands off to the tail law smoothly.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
-    if not 2 <= n_exact <= _MAX_N_EXACT:
+    count = _check_index(count, 1, "count")
+    n_exact = _check_index(n_exact, 2, "n_exact")
+    if n_exact > _MAX_N_EXACT:
         raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact}")
 
     if wall.kind.is_robin:
@@ -309,8 +280,7 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
 
 def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     """Gaps Delta_n = E_n - E_0 and ratios R_n = Delta_n / Delta_1, n=1..n_max."""
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_index(n_max, 1, "n_max")
     e0 = spectrum.e0
     delta1 = spectrum.level(1) - e0
     out = []
@@ -326,10 +296,12 @@ def residual(spectrum: Spectrum, n: int) -> float:
     wall = spectrum.wall
     if wall.lam is None:
         raise DomainError("residual is defined for Robin walls only")
-    if not 0 <= n < spectrum.n_exact:
+    n = _check_index(n, 0, "level index")
+    if n >= spectrum.n_exact:
         raise DomainError(f"level {n} is not root-solved")
-    xi = -spectrum.exact_levels[n] * wall.field ** (-2.0 / 3.0)
-    return _robin_h(float(xi), wall.field ** (1.0 / 3.0), wall.lam)
+    xi = float(-spectrum.exact_levels[n] * wall.field ** (-2.0 / 3.0))
+    ai, aip = airy_scaled(xi) if xi >= 0.0 else airy(xi)
+    return wall.field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +312,10 @@ def qw_threshold(n: int, x0: float) -> float:
     """Depth at which the n-th bound state of the asymmetric square well
     (width x0, hard wall on one side) detaches from the continuum, in units
     with hbar^2/m = 1: (n - 1/2)^2 pi^2 / (2 x0^2)."""
-    if n < 1:
-        raise DomainError(f"threshold index must be >= 1, got {n}")
+    n = _check_index(n, 1, "threshold index")
     x0 = float(x0)
-    if x0 <= 0.0:
-        raise DomainError(f"well width must be > 0, got {x0}")
+    if not math.isfinite(x0) or x0 <= 0.0:
+        raise DomainError(f"well width must be finite and > 0, got {x0}")
     return (n - 0.5) ** 2 * math.pi ** 2 / (2.0 * x0 ** 2)
 
 

@@ -25,6 +25,7 @@ from .canonical import ExtremumReport, find_extrema, thermo_point
 from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
+from .specfun import _check_index
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
 
 __all__ = [
@@ -80,8 +81,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.beta_inv_min < self.beta_inv_max):
             raise DomainError("sweep grid needs 0 < beta_inv_min < beta_inv_max")
-        if self.points < 2:
-            raise DomainError("sweep grid needs at least 2 points")
+        object.__setattr__(self, "points", _check_index(self.points, 2, "sweep grid points"))
         bad = set(self.outputs) - set(OUTPUT_FIELDS)
         if bad:
             raise DomainError(f"unknown output fields: {sorted(bad)}")

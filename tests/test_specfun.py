@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from robinwall import specfun as sf
-from robinwall.errors import DomainError, PoleError
+from robinwall.errors import DomainError
 from robinwall.specfun import AiryZeroKind
 
 AI0 = 0.35502805388781723926
@@ -95,8 +95,6 @@ class TestAiry:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(DomainError):
             sf.airy(bad)
-        with pytest.raises(DomainError):
-            sf.airy_log_deriv(bad)
 
     def test_scaled_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -147,30 +145,6 @@ class TestAiryZeros:
     def test_zero_index_rejected(self):
         with pytest.raises(DomainError):
             sf.airy_zero(0)
-
-
-class TestLogDeriv:
-    def test_at_origin(self):
-        ref = -(3 ** (1 / 3)) * math.gamma(2 / 3) / math.gamma(1 / 3)
-        assert sf.airy_log_deriv(0.0) == pytest.approx(ref, rel=1e-11)
-
-    def test_large_argument_asymptote(self):
-        assert sf.airy_log_deriv(1e4) == pytest.approx(-100.0, rel=1e-4)
-
-    def test_zero_of_derivative(self):
-        assert abs(sf.airy_log_deriv(sf.airy_zero(1, AiryZeroKind.DerivativeZero))) < 1e-9
-
-    def test_agrees_with_ratio(self):
-        zeros = {sf.airy_zero(n) for n in range(1, 8)}
-        for x in np.linspace(-5.0, 5.0, 101):
-            if min(abs(x - z) for z in zeros) < 0.05:
-                continue
-            ai, aip = sf.airy(float(x))
-            assert sf.airy_log_deriv(float(x)) == pytest.approx(aip / ai, rel=1e-9)
-
-    def test_pole_raises(self):
-        with pytest.raises(PoleError):
-            sf.airy_log_deriv(sf.airy_zero(1))
 
 
 class TestLambertW:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
+from scipy import special as sps
 
 from robinwall import spectrum as spm
 from robinwall.errors import DomainError
-from robinwall.specfun import AiryZeroKind, airy_zero
+from robinwall.grand_canonical import EnsembleSpec, Statistics, asymptotic_beta_cr
+from robinwall.specfun import AiryZeroKind, airy_zero, interlacing_ok
 from robinwall.spectrum import (
     Spectrum,
     WallKind,
@@ -15,6 +18,7 @@ from robinwall.spectrum import (
     qw_single_bound_window,
     qw_threshold,
 )
+from robinwall.sweep import SweepSpec
 
 ATTR = WallKind.ROBIN_ATTRACTIVE
 REP = WallKind.ROBIN_REPULSIVE
@@ -101,6 +105,49 @@ class TestRobinLevels:
         sp = build_spectrum(WallSpec(kind, field), count=64)
         worst = max(abs(spm.residual(sp, n)) for n in range(sp.n_exact))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("field", [1e-7, 1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("kind", [ATTR, REP])
+    def test_levels_against_scipy_brentq(self, field, kind):
+        # independent oracle: brentq on the smooth g = lam F^(1/3) Ai' - Ai
+        # (scaled by e^zeta for xi >= 0, which keeps its sign), bracketed by
+        # scipy's Ai zeros; level n must lie in its own bracket (a_{n+1}, a_n)
+        # and the ground level in (a_1, inf)
+        lam, fc = WallSpec(kind, field).lam, field ** (1.0 / 3.0)
+
+        def g(xi):
+            ai, aip = (sps.airye(xi) if xi >= 0.0 else sps.airy(xi))[:2]
+            return lam * fc * aip - ai
+
+        sp = build_spectrum(WallSpec(kind, field), count=64, n_exact=64)
+        assert sp.n_exact == 64
+        a = sps.ai_zeros(64)[0]
+        uppers = [4.0 * field ** (-2.0 / 3.0) + 4.0, *a[:-1]]
+        for n in range(64):
+            xi = optimize.brentq(g, a[n], uppers[n], xtol=1e-300, rtol=1e-15)
+            ref = -xi * field ** (2.0 / 3.0)
+            assert sp.exact_levels[n] == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_airy_calls_per_level(self, monkeypatch):
+        # every Airy evaluation of the Robin solve, bracket checks included
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(x):
+                calls[0] += 1
+                return fn(x)
+            return wrapper
+
+        monkeypatch.setattr(spm, "airy", counted(spm.airy))
+        monkeypatch.setattr(spm, "airy_scaled", counted(spm.airy_scaled))
+        for field in (1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0):
+            for kind in (ATTR, REP):
+                calls[0] = 0
+                sp = build_spectrum(WallSpec(kind, field), count=64, n_exact=64)
+                per_level = calls[0] / sp.n_exact
+                assert per_level <= 9.0
+                if field <= 1e-5:
+                    assert per_level <= 6.0
 
     @pytest.mark.parametrize("field", [1e-7, 1e-5, 1e-3, 1e-2])
     def test_tail_handoff(self, field):
@@ -192,3 +239,48 @@ class TestSquareWell:
             qw_threshold(0, 1.0)
         with pytest.raises(DomainError):
             qw_threshold(1, -1.0)
+
+
+WALL = WallSpec(ATTR, 1e-3)
+SP8 = build_spectrum(WALL, count=8, n_exact=8)
+FD = Statistics.FERMI_DIRAC
+
+BAD_INDEX_CALLS = {
+    "airy_zero(1.5)": lambda: airy_zero(1.5),
+    "airy_zero(65.5)": lambda: airy_zero(65.5),
+    "airy_zero(0)": lambda: airy_zero(0),
+    "airy_zero(nan)": lambda: airy_zero(math.nan),
+    "airy_zero('2')": lambda: airy_zero("2"),
+    "interlacing_ok(2.5)": lambda: interlacing_ok(2.5),
+    "build_spectrum(count=2.5)": lambda: build_spectrum(WALL, count=2.5),
+    "build_spectrum(count=0)": lambda: build_spectrum(WALL, count=0),
+    "build_spectrum(n_exact=2.5)": lambda: build_spectrum(WALL, n_exact=2.5),
+    "build_spectrum(n_exact=1)": lambda: build_spectrum(WALL, n_exact=1),
+    "level(1.5)": lambda: SP8.level(1.5),
+    "level(-1)": lambda: SP8.level(-1),
+    "residual(0.5)": lambda: spm.residual(SP8, 0.5),
+    "level_gaps(2.5)": lambda: level_gaps(SP8, 2.5),
+    "qw_threshold(1.5, 1)": lambda: qw_threshold(1.5, 1.0),
+    "qw_threshold(1, nan)": lambda: qw_threshold(1, math.nan),
+    "qw_threshold(1, inf)": lambda: qw_threshold(1, math.inf),
+    "EnsembleSpec(2.5)": lambda: EnsembleSpec(FD, 2.5),
+    "EnsembleSpec(inf)": lambda: EnsembleSpec(FD, math.inf),
+    "asymptotic_beta_cr(N=0)": lambda: asymptotic_beta_cr(1e-3, 0),
+    "SweepSpec(points=2.5)": lambda: SweepSpec(WALL, None, 0.1, 1.0, points=2.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INDEX_CALLS.values(), ids=BAD_INDEX_CALLS.keys())
+def test_indices_and_counts_must_be_integers(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integral_floats_are_accepted():
+    assert airy_zero(2.0) == airy_zero(2)
+    sp = build_spectrum(WALL, count=8.0, n_exact=8.0)
+    assert sp.n_exact == 8 and np.array_equal(sp.levels, SP8.levels)
+    assert sp.level(3.0) == sp.level(3)
+    assert len(level_gaps(sp, 3.0)) == 3
+    assert qw_threshold(2.0, 1.0) == qw_threshold(2, 1.0)
+    assert EnsembleSpec(FD, 2.0).n_particles == 2
