@@ -6,20 +6,29 @@ branch of the Lambert W function on the nonnegative axis, the safeguarded
 Newton solver that finds every Airy zero and Robin level, and the integer
 check shared by every index and count of the package.
 
-Evaluation scheme for Ai/Ai':
+``airy`` and ``airy_scaled`` take float arrays (a scalar gives floats, as a
+one-element batch of the same code) and route each element to its branch;
+each element is summed in a fixed order, so it equals its scalar call bit for
+bit.
 
-* ``|x| <= 12`` -- local Taylor expansion of the ODE ``y'' = x y`` around the
-  nearest node of a precomputed table.  The table itself is generated once by
-  marching the same Taylor recurrence downward from ``x = +12`` (where the
-  exponential asymptotic series is converged to machine precision).  Marching
-  toward negative ``x`` follows the growing solution, so relative accuracy is
-  preserved; marching upward would be unstable for Ai.
-* ``x > 12`` -- exponential asymptotic series, evaluated in scaled form
-  ``Ai(x) e^{zeta}`` with ``zeta = (2/3) x^{3/2}`` so the bound-state root
-  solve can form ratios at arguments ~1e5 without underflow.
-* ``x < -12`` -- oscillatory asymptotic series.
+* ``|x| <= 12`` -- local Taylor expansion of the ODE ``y'' = x y``: one gather
+  from a table of the 30 Taylor coefficients of (Ai, Ai') at every node and
+  one Horner pass.  The table is generated once by marching the same Taylor
+  expansion downward from ``x = +12`` (where the exponential asymptotic series
+  is converged to machine precision).  Marching toward negative ``x`` follows
+  the growing solution, so relative accuracy is preserved; marching upward
+  would be unstable for Ai.
+* ``x > 12`` -- exponential asymptotic series (48 terms in 1/zeta), evaluated
+  in scaled form ``Ai(x) e^{zeta}`` with ``zeta = (2/3) x^{3/2}`` so the
+  bound-state root solve can form ratios at arguments ~1e5 without underflow.
+* ``x < -12`` -- oscillatory asymptotic series (ue, uo, ve, vo: 24 terms in
+  zeta^-2 each).
 
-The two asymptotic branches agree with the table to ~1e-14 at the seams.
+The series have fixed length: for ``|x| >= 12``, ``zeta >= 27.7`` and the
+ratio of consecutive terms is about k/(2 zeta) < 1 for every k < 48, so all
+terms decrease and the dropped tail is below 1e-24.  Each is the (lanes x
+terms) powers times a (terms x sums) signed coefficient matrix, summed along
+each lane's row.  The branches agree to ~1e-14 at the seams.
 """
 
 from __future__ import annotations
@@ -42,10 +51,6 @@ __all__ = [
 
 _TWO_THIRDS = 2.0 / 3.0
 _SQRT_PI = math.sqrt(math.pi)
-
-# Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
-AI_ZERO_VALUE = 0.3550280538878172
-AIP_ZERO_VALUE = -0.2588194037928068
 
 _ASYM_SWITCH = 12.0  # |x| above which the asymptotic series are used
 _TABLE_STEP = 0.25
@@ -82,52 +87,40 @@ def _build_uv(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _U_COEF, _V_COEF = _build_uv(48)
+_SIGNS = (-1.0) ** np.arange(48)
+# rows: the alternating series of u and v in 1/zeta, and ue, uo, ve, vo in zeta^-2
+_POS_SERIES = np.stack([_SIGNS * _U_COEF, _SIGNS * _V_COEF])
+_NEG_SERIES = np.stack([_SIGNS[:24] * c for c in
+                        (_U_COEF[0::2], _U_COEF[1::2], _V_COEF[0::2], _V_COEF[1::2])])
 
 
-def _asymptotic_series(coefs: np.ndarray, inv_zeta: float, alternate: bool) -> float:
-    """Sum coefs[k] * (-+1)^k * inv_zeta^k with optimal (smallest-term) stop."""
-    total = coefs[0]
-    power = 1.0
-    prev = abs(coefs[0])
-    for k in range(1, len(coefs)):
-        power *= inv_zeta
-        term = coefs[k] * power
-        if alternate and k % 2:
-            term = -term
-        mag = abs(term)
-        if mag > prev:  # divergent tail reached
-            break
-        total += term
-        if mag < 1e-18 * abs(total):
-            break
-        prev = mag
-    return total
+def _series(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k rows[j, k] w^k for every lane and row, as (lanes, rows)."""
+    powers = np.empty((len(w), rows.shape[1]))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = w[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    return (powers[:, None, :] * rows).sum(axis=-1)
 
 
-def _asymptotic_pos_scaled(x: float) -> tuple[float, float]:
+def _asymptotic_pos_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Ai, Ai') at x >= _ASYM_SWITCH, both multiplied by e^{zeta}."""
     zeta = _TWO_THIRDS * x ** 1.5
-    inv = 1.0 / zeta
-    su = _asymptotic_series(_U_COEF, inv, alternate=True)
-    sv = _asymptotic_series(_V_COEF, inv, alternate=True)
+    su, sv = _series(_POS_SERIES, 1.0 / zeta).T
     root4 = x ** 0.25
     return su / (2.0 * _SQRT_PI * root4), -root4 * sv / (2.0 * _SQRT_PI)
 
 
-def _asymptotic_neg(x: float) -> tuple[float, float]:
+def _asymptotic_neg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Ai, Ai') at x <= -_ASYM_SWITCH via the oscillatory expansions."""
     z = -x
     zeta = _TWO_THIRDS * z ** 1.5
-    inv2 = 1.0 / (zeta * zeta)
-    ue = _asymptotic_series(_U_COEF[0::2], inv2, alternate=True)
-    uo = _asymptotic_series(_U_COEF[1::2], inv2, alternate=True) / zeta
-    ve = _asymptotic_series(_V_COEF[0::2], inv2, alternate=True)
-    vo = _asymptotic_series(_V_COEF[1::2], inv2, alternate=True) / zeta
+    ue, uo, ve, vo = _series(_NEG_SERIES, 1.0 / (zeta * zeta)).T
     theta = zeta - 0.25 * math.pi
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
     root4 = z ** 0.25
-    ai = (c * ue + s * uo) / (_SQRT_PI * root4)
-    aip = root4 * (s * ve - c * vo) / _SQRT_PI
+    ai = (c * ue + s * (uo / zeta)) / (_SQRT_PI * root4)
+    aip = root4 * (s * ve - c * (vo / zeta)) / _SQRT_PI
     return ai, aip
 
 
@@ -135,47 +128,44 @@ def _asymptotic_neg(x: float) -> tuple[float, float]:
 # table on [-12, 12] via downward Taylor marching
 # ---------------------------------------------------------------------------
 
-def _taylor_advance(x0: float, f: float, fp: float, delta: float,
-                    terms: int = _TAYLOR_TERMS) -> tuple[float, float]:
-    """Advance (Ai, Ai') from x0 to x0+delta with the y''=xy recurrence."""
-    c = [0.0] * terms
+def _taylor_coefs(x0: float, f: float, fp: float) -> list[list[float]]:
+    """Taylor coefficients at x0 of the y''=xy solution through (f, fp):
+    [c_k of y, c_{k+1} (k+1) of y'] for k < _TAYLOR_TERMS."""
+    c = [0.0] * (_TAYLOR_TERMS + 1)
     c[0] = f
     c[1] = fp
     c[2] = 0.5 * x0 * f
-    for k in range(1, terms - 2):
+    for k in range(1, _TAYLOR_TERMS - 2):
         c[k + 2] = (x0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2))
-    val = 0.0
-    dval = 0.0
-    for k in range(terms - 1, -1, -1):  # Horner from the top
-        val = val * delta + c[k]
-        if k:
-            dval = dval * delta + k * c[k]
-    return val, dval
+    return [[c[k], (k + 1) * c[k + 1]] for k in range(_TAYLOR_TERMS)]
+
+
+def _horner(coef: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, y') at offsets delta from (terms, lanes, 2) Taylor coefficients."""
+    out = coef[-1].copy()
+    step = delta[:, None]
+    for k in range(_TAYLOR_TERMS - 2, -1, -1):
+        out *= step
+        out += coef[k]
+    return out[:, 0], out[:, 1]
 
 
 class _AiryTable:
     def __init__(self) -> None:
         n_nodes = int(round(2 * _ASYM_SWITCH / _TABLE_STEP)) + 1
-        xs = np.linspace(-_ASYM_SWITCH, _ASYM_SWITCH, n_nodes)
-        ai = np.empty(n_nodes)
-        aip = np.empty(n_nodes)
-        zeta = _TWO_THIRDS * _ASYM_SWITCH ** 1.5
-        scale = math.exp(-zeta)
-        f, fp = _asymptotic_pos_scaled(_ASYM_SWITCH)
-        f, fp = f * scale, fp * scale
-        ai[-1], aip[-1] = f, fp
-        for i in range(n_nodes - 2, -1, -1):
-            f, fp = _taylor_advance(xs[i + 1], f, fp, -_TABLE_STEP)
-            ai[i], aip[i] = f, fp
-        self.xs = xs
-        self.ai = ai
-        self.aip = aip
+        self.xs = np.linspace(-_ASYM_SWITCH, _ASYM_SWITCH, n_nodes)
+        self.coef = np.empty((_TAYLOR_TERMS, n_nodes, 2))
+        top = np.array([_ASYM_SWITCH])
+        f, fp = (v * math.exp(-_TWO_THIRDS * _ASYM_SWITCH ** 1.5)
+                 for v in _asymptotic_pos_scaled(top))
+        for i in range(n_nodes - 1, -1, -1):
+            self.coef[:, i] = _taylor_coefs(self.xs[i], f[0], fp[0])
+            f, fp = _horner(self.coef[:, i:i + 1], np.array([-_TABLE_STEP]))
 
-    def eval(self, x: float) -> tuple[float, float]:
-        idx = int(round((x + _ASYM_SWITCH) / _TABLE_STEP))
-        idx = min(max(idx, 0), len(self.xs) - 1)
-        x0 = self.xs[idx]
-        return _taylor_advance(x0, self.ai[idx], self.aip[idx], x - x0)
+    def eval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.rint((x + _ASYM_SWITCH) / _TABLE_STEP).astype(int)
+        idx = np.clip(idx, 0, len(self.xs) - 1)
+        return _horner(self.coef[:, idx], x - self.xs[idx])
 
 
 _table: _AiryTable | None = None
@@ -192,76 +182,95 @@ def _get_table() -> _AiryTable:
 # public Airy API
 # ---------------------------------------------------------------------------
 
-def airy(x: float) -> tuple[float, float]:
-    """Return (Ai(x), Ai'(x)).
+def _airy_lanes(x, scaled: bool):
+    """(Ai, Ai') of every element of x, multiplied by e^{zeta} if scaled, in
+    x's shape (floats for a scalar)."""
+    arr = np.asarray(x, dtype=float)
+    lanes = arr.ravel()
+    bad = ~np.isfinite(lanes) | (scaled & (lanes < 0.0))
+    if bad.any():
+        raise DomainError(("airy_scaled: argument must be finite and >= 0" if scaled else
+                           "airy: argument must be finite") + f", got {float(lanes[bad][0])!r}")
+    ai, aip = np.empty_like(lanes), np.empty_like(lanes)
+    pos, neg = lanes > _ASYM_SWITCH, lanes < -_ASYM_SWITCH
+    mid = ~(pos | neg)
+    for mask, branch in ((mid, _get_table().eval), (neg, _asymptotic_neg),
+                         (pos, _asymptotic_pos_scaled)):
+        if mask.any():
+            ai[mask], aip[mask] = branch(lanes[mask])
+    rescale = mid if scaled else pos  # the branches whose scaling differs
+    if rescale.any():
+        zeta = _TWO_THIRDS * lanes[rescale] ** 1.5
+        # past zeta = 700, e^{-zeta} underflows: the graceful limit (0.0, -0.0)
+        scale = np.exp(zeta) if scaled else np.where(zeta > 700.0, 0.0, np.exp(-zeta))
+        ai[rescale] *= scale
+        aip[rescale] *= scale
+    if arr.ndim == 0:
+        return float(ai[0]), float(aip[0])
+    return ai.reshape(arr.shape), aip.reshape(arr.shape)
 
-    Relative accuracy is ~1e-13 wherever the values do not underflow; for
-    x beyond ~105 the unscaled Ai underflows to 0.0 and ``airy_scaled``
-    should be used instead.
+
+def airy(x):
+    """Return (Ai(x), Ai'(x)) for a float or an array of floats.
+
+    Arrays come out in x's shape, a scalar gives floats; every element equals
+    its scalar call bit for bit.  Relative accuracy is ~1e-13 wherever the
+    values do not underflow; for x beyond ~105 the unscaled Ai underflows to
+    0.0 and ``airy_scaled`` should be used instead.  DomainError if any
+    element is not finite.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"airy: argument must be finite, got {x!r}")
-    if x > _ASYM_SWITCH:
-        ai_s, aip_s = _asymptotic_pos_scaled(x)
-        zeta = _TWO_THIRDS * x ** 1.5
-        if zeta > 700.0:
-            # e^{-zeta} underflows; return the graceful limit
-            return 0.0, -0.0
-        scale = math.exp(-zeta)
-        return ai_s * scale, aip_s * scale
-    if x < -_ASYM_SWITCH:
-        return _asymptotic_neg(x)
-    return _get_table().eval(x)
+    return _airy_lanes(x, scaled=False)
 
 
-def airy_scaled(x: float) -> tuple[float, float]:
+def airy_scaled(x):
     """Return (Ai(x)*e^{zeta}, Ai'(x)*e^{zeta}) with zeta = (2/3) x^{3/2}.
 
-    Only defined for x >= 0, where the scaling removes the exponential decay.
+    Only defined for x >= 0, where the scaling removes the exponential decay;
+    takes arrays as ``airy`` does, and raises DomainError if any element is
+    negative or not finite.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"airy_scaled: argument must be finite and >= 0, got {x!r}")
-    if x > _ASYM_SWITCH:
-        return _asymptotic_pos_scaled(x)
-    ai, aip = _get_table().eval(x)
-    scale = math.exp(_TWO_THIRDS * x ** 1.5)
-    return ai * scale, aip * scale
+    return _airy_lanes(x, scaled=True)
 
 
 # ---------------------------------------------------------------------------
 # safeguarded Newton and the zeros of Ai and Ai'
 # ---------------------------------------------------------------------------
 
-def _newton_root(fn, lo: float, hi: float, x: float, rtol: float) -> float:
-    """Root of a function monotone on (lo, hi) by Newton safeguarded by the
-    bracket (Numerical Recipes, 2nd ed., section 9.4, "rtsafe").  ``fn(x)``
-    returns the value and the slope; the start x lies inside and neither end
-    is evaluated.  Each evaluated point becomes the bracket end on its side
-    of the root (the signs of value and slope tell which), and a step that
-    would leave the bracket bisects it instead.  Returns x - step once
-    |step| <= rtol * max(1, |x|)."""
+def _newton_root(fn, lo, hi, x, rtol: float) -> np.ndarray:
+    """Roots of fn, monotone on each bracket (lo, hi), one lane per element,
+    by Newton safeguarded by the bracket (Numerical Recipes, 2nd ed.,
+    section 9.4, "rtsafe"), all lanes in lockstep.  ``fn(x)`` maps an array
+    of points to arrays of values and slopes; the starts x lie inside
+    and no bracket end is evaluated.  In each lane every evaluated point
+    becomes the bracket end on its side of the root (the signs of value and
+    slope tell which), and a step that would leave the bracket bisects it
+    instead.  A lane returns x - step once |step| <= rtol * max(1, |x|) and
+    leaves the next pass; SolverError names the first bracket still open
+    after 200 passes."""
+    lo, hi, x = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, x))
+    root = np.empty_like(x)
+    live = np.arange(x.size)
     for _ in range(200):
         f, df = fn(x)
-        if (f > 0.0) == (df > 0.0):
-            hi = x
-        else:
-            lo = x
+        up = (f > 0.0) == (df > 0.0)
+        hi, lo = np.where(up, x, hi), np.where(up, lo, x)
         step = f / df
-        if not lo <= x - step <= hi:
-            step = x - 0.5 * (lo + hi)
-        if abs(step) <= rtol * max(1.0, abs(x)):
-            return x - step
-        x -= step
-    raise SolverError(f"safeguarded Newton did not converge in ({lo}, {hi})")
+        step = np.where((lo <= x - step) & (x - step <= hi), step, x - 0.5 * (lo + hi))
+        done = np.abs(step) <= rtol * np.maximum(1.0, np.abs(x))
+        x = x - step
+        root[live[done]] = x[done]
+        if done.all():
+            return root
+        live, lo, hi, x = live[~done], lo[~done], hi[~done], x[~done]
+    raise SolverError(f"safeguarded Newton did not converge in ({lo[0]}, {hi[0]})")
 
 
 N_EXACT_ZEROS = 64  # Newton-refined below; asymptotic law beyond
 
 
-def _zero_law(n: int, kind: AiryZeroKind) -> float:
-    """Large-index expansion of the n-th zero (McMahon-style)."""
+def _zero_law(n, kind: AiryZeroKind):
+    """Large-index expansion of the n-th zero (McMahon-style); n may be an
+    integer array."""
     if kind is AiryZeroKind.FunctionZero:
         t = 3.0 * math.pi * (4 * n - 1) / 8.0
         ti2 = 1.0 / (t * t)
@@ -271,32 +280,37 @@ def _zero_law(n: int, kind: AiryZeroKind) -> float:
     return -(t ** _TWO_THIRDS) * (1.0 - ti2 * (7.0 / 48.0 - ti2 * 35.0 / 288.0))
 
 
-def _refine_zero(guess: float, kind: AiryZeroKind) -> float:
-    """Newton from the large-index estimate, inside +-1/4 of the local zero
-    spacing pi/sqrt|x|."""
-    def fn(x):
-        ai, aip = airy(x)
-        return (ai, aip) if kind is AiryZeroKind.FunctionZero else (aip, x * ai)  # Ai'' = x Ai
-
-    quarter = 0.25 * math.pi / math.sqrt(abs(guess))
-    x = _newton_root(fn, guess - quarter, guess + quarter, guess, 1e-15)
-    resid = fn(x)[0]
-    if abs(resid) > 1e-12:
-        raise SolverError(
-            f"airy zero refinement stalled at x={x} (residual {resid:.3e})")
-    return x
+_zero_cache: dict[AiryZeroKind, np.ndarray] = {}
 
 
-_zero_cache: dict[AiryZeroKind, list[float]] = {}
-
-
-def _exact_zeros(kind: AiryZeroKind) -> list[float]:
+def _exact_zeros(kind: AiryZeroKind) -> np.ndarray:
+    """The first N_EXACT_ZEROS zeros as a read-only array: one lockstep Newton
+    from the large-index estimates, each inside +-1/4 of the local zero
+    spacing pi/sqrt|x|, checked to |residual| <= 1e-12."""
     zs = _zero_cache.get(kind)
     if zs is None:
-        zs = [_refine_zero(_zero_law(n, kind), kind)
-              for n in range(1, N_EXACT_ZEROS + 1)]
+        def fn(x):
+            ai, aip = airy(x)
+            return (ai, aip) if kind is AiryZeroKind.FunctionZero else (aip, x * ai)  # Ai'' = x Ai
+
+        guess = _zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
+        quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
+        zs = _newton_root(fn, guess - quarter, guess + quarter, guess, 1e-15)
+        resid = np.abs(fn(zs)[0])
+        if resid.max() > 1e-12:
+            i = int(np.argmax(resid))
+            raise SolverError(
+                f"airy zero refinement stalled at x={zs[i]} (residual {resid[i]:.3e})")
+        zs.flags.writeable = False
         _zero_cache[kind] = zs
     return zs
+
+
+def _airy_zeros(count: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> np.ndarray:
+    """The zeros 1..count as an array: refined up to N_EXACT_ZEROS, the
+    large-index expansion beyond (as ``airy_zero``)."""
+    law = _zero_law(np.arange(N_EXACT_ZEROS + 1, count + 1), kind)
+    return np.concatenate([_exact_zeros(kind)[:count], law])
 
 
 def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
@@ -309,7 +323,7 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
     """
     n = _check_index(n, 1, "airy_zero index")
     if n <= N_EXACT_ZEROS:
-        return _exact_zeros(kind)[n - 1]
+        return float(_exact_zeros(kind)[n - 1])
     return _zero_law(n, kind)
 
 

@@ -10,12 +10,12 @@ with extrapolation length +1 (repulsive) or -1 (attractive).  With the field
 solved here in phase form, psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) = 0,
 which stays finite at the poles of Ai'/Ai.  Low-lying levels are bracketed
 between consecutive zeros of Ai (where psi decreases through a half turn
-exactly once) and found by safeguarded Newton from the zero shifted by the
-first-order wall correction; the attractive wall's split-off state is
-bracketed on xi > 0 using the scaled Airy forms, which stay finite up to
-xi ~ 1e5.  High levels follow the zero-law tail: a pure power law in the
-level index shifted by the first-order wall correction -lam*F, which keeps
-every infinite thermodynamic sum closed-form integrable.
+exactly once) and found by one lockstep safeguarded Newton over all brackets
+from the zeros shifted by the first-order wall correction; the attractive
+wall's split-off state is bracketed on xi > 0 using the scaled Airy forms,
+which stay finite up to xi ~ 1e5.  High levels follow the zero-law tail: a
+pure power law in the level index shifted by the first-order wall correction
+-lam*F, which keeps every infinite thermodynamic sum closed-form integrable.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ import numpy as np
 from .errors import DomainError, SolverError
 from .specfun import (
     AiryZeroKind,
+    _airy_zeros,
     _check_index,
     _newton_root,
     airy,
     airy_scaled,
-    airy_zero,
 )
 
 __all__ = [
@@ -114,7 +114,8 @@ class TailLaw:
         return 4.0 * (np.asarray(m, dtype=float) + self.j0) - self.k_off
 
     def energy(self, m):
-        return self.tau * self.argument(m) ** (2.0 / 3.0) + self.shift
+        # np.power, not **: a scalar then takes the array's rounding
+        return self.tau * np.power(self.argument(m), 2.0 / 3.0) + self.shift
 
     def denergy(self, m):
         """dE/dm along the tail."""
@@ -171,45 +172,45 @@ class Spectrum:
 # Robin root solving
 # ---------------------------------------------------------------------------
 
-def _robin_psi(xi: float, field_cbrt: float, lam: int) -> tuple[float, float]:
+def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray, np.ndarray]:
     """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) and its slope, from the
-    (Ai, Ai') pair (scaled for xi >= 0); psi decreases between the zeros of
-    Ai and stays finite at them."""
-    ai, aip = airy_scaled(xi) if xi >= 0.0 else airy(xi)
+    (Ai, Ai') pair, scaled only for xi > 12 (below, Ai^2 >= 1e-27); psi
+    decreases between the zeros of Ai and stays finite at them."""
+    ai, aip = np.empty_like(xi), np.empty_like(xi)
+    low = xi <= 12.0
+    for mask, pair in ((low, airy), (~low, airy_scaled)):
+        if mask.any():
+            ai[mask], aip[mask] = pair(xi[mask])
     d = field_cbrt * aip
-    psi = math.atan2(d * math.copysign(1.0, ai), abs(ai)) - math.atan(1.0 / lam)
+    psi = np.arctan2(d * np.copysign(1.0, ai), np.abs(ai)) - math.atan(1.0 / lam)
     return psi, field_cbrt * (xi * ai * ai - aip * aip) / (ai * ai + d * d)
 
 
-def _solve_bracket(fc: float, lam: int, lo: float, hi: float, near: float) -> float:
-    """The root of psi on (lo, hi), where it decreases through zero, by
-    safeguarded Newton from the Airy zero ``near`` shifted by lam*F^(1/3)
-    (the first-order wall shift), or from the midpoint if that leaves the
-    bracket."""
-    psi_lo, psi_hi = _robin_psi(lo, fc, lam)[0], _robin_psi(hi, fc, lam)[0]
-    if not (psi_lo > 0.0 > psi_hi):
-        raise SolverError(
-            f"robin level bracket failed on ({lo}, {hi}): psi={psi_lo:.3e}, {psi_hi:.3e}")
-    x = near + lam * fc
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    return _newton_root(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
-
-
-def _robin_exact_levels(wall: WallSpec, n_exact: int) -> np.ndarray:
+def _robin_exact_levels(wall: WallSpec, start: int, stop: int) -> np.ndarray:
+    """Levels start..stop-1: the root of psi on each level's bracket, where
+    psi decreases through zero, by one lockstep safeguarded Newton from the
+    Airy zero ``near`` shifted by lam*F^(1/3) (the first-order wall shift),
+    or from the midpoint if that leaves the bracket."""
     lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
-    zeros = [airy_zero(n) for n in range(1, n_exact + 1)]
+    zeros = _airy_zeros(stop)
     # level n >= 1 lies in (a_{n+1}, a_n), near a_n on the attractive wall
     # and near a_{n+1} on the repulsive one.  The ground level lies above
     # a_1: below 0 on the repulsive wall, possibly far out on the positive
     # axis (split-off bound state) on the attractive one.
-    tops = [max(4.0, 2.0 * wall.field ** (-2.0 / 3.0)) if lam < 0 else 0.0] + zeros[:-1]
-    xis = []
-    for n, (a_lo, a_hi) in enumerate(zip(zeros, tops)):
-        margin = 1e-12 * max(1.0, abs(a_lo))
-        near = a_hi if lam < 0 and n else a_lo
-        xis.append(_solve_bracket(fc, lam, a_lo + margin, a_hi - margin, near))
-    return -np.array(xis) * wall.field ** (2.0 / 3.0)
+    tops = np.concatenate([[max(4.0, 2.0 * wall.field ** (-2.0 / 3.0)) if lam < 0 else 0.0],
+                           zeros[:-1]])
+    near = np.concatenate([zeros[:1], zeros[:-1] if lam < 0 else zeros[1:]])[start:]
+    margin = 1e-12 * np.maximum(1.0, np.abs(zeros))
+    lo, hi = (zeros + margin)[start:], (tops - margin)[start:]
+    psi_lo, psi_hi = np.split(_robin_psi(np.concatenate([lo, hi]), fc, lam)[0], 2)
+    if not ((psi_lo > 0.0) & (psi_hi < 0.0)).all():
+        i = int(np.argmin((psi_lo > 0.0) & (psi_hi < 0.0)))
+        raise SolverError(f"robin level bracket failed on ({lo[i]}, {hi[i]}): "
+                          f"psi={psi_lo[i]:.3e}, {psi_hi[i]:.3e}")
+    x = near + lam * fc
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    xis = _newton_root(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
+    return -xis * wall.field ** (2.0 / 3.0)
 
 
 def _tail_for(wall: WallSpec, n_exact: int) -> tuple[TailLaw, str]:
@@ -251,8 +252,10 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
         raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact}")
 
     if wall.kind.is_robin:
+        exact = np.empty(0)
         while True:
-            exact = _robin_exact_levels(wall, n_exact)
+            # a solved level does not move when the block grows
+            exact = np.concatenate([exact, _robin_exact_levels(wall, len(exact), n_exact)])
             tail, rule = _tail_for(wall, n_exact)
             last = n_exact - 1
             rel = abs(exact[last] - tail.energy(last)) / abs(exact[last])
@@ -267,7 +270,7 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
                 else AiryZeroKind.DerivativeZero)
         n_exact = min(n_exact, DEFAULT_N_EXACT)
         f23 = wall.field ** (2.0 / 3.0)
-        exact = np.array([-airy_zero(n, kind) * f23 for n in range(1, n_exact + 1)])
+        exact = -_airy_zeros(n_exact, kind) * f23
         tail, rule = _tail_for(wall, n_exact)
 
     levels = np.concatenate([
@@ -281,13 +284,11 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
 def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     """Gaps Delta_n = E_n - E_0 and ratios R_n = Delta_n / Delta_1, n=1..n_max."""
     n_max = _check_index(n_max, 1, "n_max")
-    e0 = spectrum.e0
-    delta1 = spectrum.level(1) - e0
-    out = []
-    for n in range(1, n_max + 1):
-        delta = spectrum.level(n) - e0
-        out.append(LevelGap(n=n, delta=delta, ratio=delta / delta1))
-    return out
+    levels = np.concatenate([spectrum.exact_levels[:n_max + 1],
+                             spectrum.tail.energy(np.arange(spectrum.n_exact, n_max + 1))])
+    delta = levels[1:] - levels[0]
+    return [LevelGap(n=n, delta=d, ratio=r) for n, d, r in
+            zip(range(1, n_max + 1), delta.tolist(), (delta / delta[0]).tolist())]
 
 
 def residual(spectrum: Spectrum, n: int) -> float:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from robinwall import specfun as sf
-from robinwall.errors import DomainError
+from robinwall.errors import DomainError, SolverError
 from robinwall.specfun import AiryZeroKind
 
 AI0 = 0.35502805388781723926
@@ -110,6 +110,77 @@ class TestAiry:
             ref = x * ai
             if abs(ref) > 1e-6:
                 assert (aip_p - aip_m) / (2 * h) == pytest.approx(ref, rel=1e-6)
+
+
+# crosses the +-12 seams, every table node and the midpoints between nodes
+ARRAY_GRID = np.unique(np.concatenate([
+    np.linspace(-200.0, 100.0, 3001),
+    np.arange(-12.5, 12.6, 0.125),
+    [-12.0 - 1e-9, -12.0 + 1e-9, 12.0 - 1e-9, 12.0 + 1e-9],
+]))
+
+
+class TestAiryArrays:
+    def test_against_scipy(self):
+        x = ARRAY_GRID
+        ai, aip = sf.airy(x)
+        rai, raip, _, _ = sp.airy(x)
+        neg, pos = x < 0.0, x >= 0.0
+        env = np.abs(x[neg]) ** -0.25
+        assert np.all(np.abs(ai - rai)[neg] <= 2e-12 * np.maximum(env, 1.0))
+        assert np.all(np.abs(aip - raip)[neg] <= 2e-12 / np.minimum(env, 1.0))
+        assert np.all(np.abs(ai / rai - 1.0)[pos] <= 1e-12)
+        assert np.all(np.abs(aip / raip - 1.0)[pos] <= 1e-12)
+        s_ai, s_aip = sf.airy_scaled(x[pos])
+        e_ai, e_aip, _, _ = sp.airye(x[pos])
+        assert np.all(np.abs(s_ai / e_ai - 1.0) <= 1e-12)
+        assert np.all(np.abs(s_aip / e_aip - 1.0) <= 1e-12)
+
+    def test_elements_equal_scalar_calls(self):
+        x = ARRAY_GRID
+        for fn, pts in ((sf.airy, x), (sf.airy_scaled, x[x >= 0.0])):
+            ai, aip = fn(pts)
+            for xi, a, b in zip(pts.tolist(), ai.tolist(), aip.tolist()):
+                assert fn(xi) == (a, b)
+
+    def test_shapes_and_types(self):
+        for zero_d in (0.5, np.float64(0.5), np.array(0.5)):
+            for fn in (sf.airy, sf.airy_scaled):
+                ai, aip = fn(zero_d)
+                assert type(ai) is float and type(aip) is float
+        ai, aip = sf.airy(np.linspace(-20.0, 20.0, 6).reshape(2, 3))
+        assert ai.shape == aip.shape == (2, 3)
+        assert ai[1, 2] == sf.airy(20.0)[0]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_one_bad_element_rejected(self, bad):
+        for fn in (sf.airy, sf.airy_scaled):
+            with pytest.raises(DomainError):
+                fn(np.array([0.5, bad, 2.0]))
+        with pytest.raises(DomainError):
+            sf.airy_scaled(np.array([0.5, -1e-9, 2.0]))
+
+
+class TestNewtonRoot:
+    def test_lanes_equal_single_solves(self):
+        # one root of cos per bracket (k pi, (k+1) pi), lanes converging at
+        # different passes
+        k = np.arange(9.0)
+        lo, hi, start = k * np.pi, (k + 1) * np.pi, k * np.pi + 0.1 * k + 0.3
+
+        def fn(x):
+            return np.cos(x), -np.sin(x)
+
+        roots = sf._newton_root(fn, lo, hi, start, 1e-15)
+        for i, r in enumerate(roots):
+            assert sf._newton_root(fn, lo[i], hi[i], start[i], 1e-15).tolist() == [r]
+        assert np.allclose(roots, (k + 0.5) * np.pi, rtol=1e-15, atol=0)
+
+    def test_open_bracket_named(self):
+        # a negative rtol never converges: the first lane's bracket is named
+        with pytest.raises(SolverError, match=r"in \(0\.0, 1\.0\)"):
+            sf._newton_root(lambda x: (x, np.ones_like(x)),
+                            [-2.0, 3.0], [2.0, 5.0], [1.0, 4.0], -1.0)
 
 
 class TestAiryZeros:

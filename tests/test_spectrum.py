@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -129,25 +130,28 @@ class TestRobinLevels:
             assert sp.exact_levels[n] == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_airy_calls_per_level(self, monkeypatch):
-        # every Airy evaluation of the Robin solve, bracket checks included
-        calls = [0]
+        # every Airy evaluation of the Robin solve, bracket checks included:
+        # the points evaluated per level, and the array calls per build
+        calls, points = [0], [0]
 
         def counted(fn):
             def wrapper(x):
                 calls[0] += 1
+                points[0] += np.size(x)
                 return fn(x)
             return wrapper
 
         monkeypatch.setattr(spm, "airy", counted(spm.airy))
         monkeypatch.setattr(spm, "airy_scaled", counted(spm.airy_scaled))
-        for field in (1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0):
-            for kind in (ATTR, REP):
-                calls[0] = 0
-                sp = build_spectrum(WallSpec(kind, field), count=64, n_exact=64)
-                per_level = calls[0] / sp.n_exact
-                assert per_level <= 9.0
-                if field <= 1e-5:
-                    assert per_level <= 6.0
+        for n_exact, field, kind in itertools.product(
+                (8, 64, 512), (1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0), (ATTR, REP)):
+            calls[0] = points[0] = 0
+            sp = build_spectrum(WallSpec(kind, field), count=n_exact, n_exact=n_exact)
+            per_level = points[0] / sp.n_exact
+            assert per_level <= 9.0
+            if field <= 1e-5:
+                assert per_level <= 6.0
+            assert calls[0] <= 12
 
     @pytest.mark.parametrize("field", [1e-7, 1e-5, 1e-3, 1e-2])
     def test_tail_handoff(self, field):
@@ -216,6 +220,18 @@ class TestLevelGaps:
         for kind in (ATTR, REP):
             gaps = level_gaps(build_spectrum(WallSpec(kind, 1e6), count=8), 3)
             assert gaps[2].ratio == pytest.approx(ref, rel=5e-3)
+
+    @pytest.mark.parametrize("kind,field,n_max", [
+        (ATTR, 1e-3, 100), (REP, 1.0, 3), (WallKind.DIRICHLET, 0.5, 80)])
+    def test_equals_per_level_formula(self, kind, field, n_max):
+        # across the hand-off from the root-solved block to the tail law
+        sp = build_spectrum(WallSpec(kind, field), count=8)
+        d1 = sp.level(1) - sp.e0
+        ref = [spm.LevelGap(n, sp.level(n) - sp.e0, (sp.level(n) - sp.e0) / d1)
+               for n in range(1, n_max + 1)]
+        gaps = level_gaps(sp, n_max)
+        assert gaps == ref
+        assert all(type(g.delta) is float and type(g.ratio) is float for g in gaps)
 
     def test_deltas_positive(self):
         gaps = level_gaps(attractive(1e-4), 10)
