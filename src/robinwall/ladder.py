@@ -66,6 +66,9 @@ STOP_RUN = 8              # ... for this many consecutive levels
 STOP_MIN_X = 30.0         # ... and only once exponents are this large
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
 LEVEL_BUDGET = 10 ** 8    # hard cap on directly summed levels
+EM_START = 16             # no Euler-Maclaurin part starts below this index:
+                          # lower, the ladder bends too hard for the end
+                          # correction's five-point differences
 
 # the sums one call returns, as (kernel index, moment power) pairs: kernel 0
 # is e^{-x} (BOLTZ_KIND) or the occupation, kernel 1 the distribution
@@ -94,18 +97,6 @@ def _kernels(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
     inv = 1.0 / -np.expm1(-x)  # 1/(1 - e^{-x}), exact for small x
     occ = np.exp(-x) * inv
     return [occ, occ * inv]
-
-
-def _kernel_slopes(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
-    """d/dx of each kernel of ``_kernels``."""
-    if kind == BOLTZ_KIND:
-        return [-np.exp(-x)]
-    _, dist = _kernels(x, kind, sign)
-    if sign == FERMI:
-        t = np.exp(-np.abs(x))
-        return [-dist, -np.sign(x) * dist * (1.0 - t) / (1.0 + t)]
-    t = np.exp(-x)
-    return [-dist, -dist * (1.0 + t) / -np.expm1(-x)]
 
 
 def _summands(x: np.ndarray, d: np.ndarray, kind: str, sign: int) -> np.ndarray:
@@ -197,12 +188,13 @@ def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
 _STENCIL = np.arange(-2.0, 3.0)  # m - 2 .. m + 2
 
 
-def _em_edge(f: np.ndarray, fp: np.ndarray) -> np.ndarray:
+def _em_edge(f: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at a point,
-    from f on the five-point stencil around it (last axis; f''' by central
-    differences) and the exact slope fp there."""
+    from f on the five-point stencil around it (last axis; f' and f''' by
+    central differences, the Gregory form)."""
+    f1 = (f[..., 0] - 8.0 * f[..., 1] + 8.0 * f[..., 3] - f[..., 4]) / 12.0
     f3 = 0.5 * (f[..., 4] - 2.0 * f[..., 3] + 2.0 * f[..., 1] - f[..., 0])
-    return 0.5 * f[..., 2] - fp / 12.0 + f3 / 720.0
+    return 0.5 * f[..., 2] - f1 / 12.0 + f3 / 720.0
 
 
 def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
@@ -211,26 +203,18 @@ def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
     one column per lane."""
     tau = tail.tau
     v = tail.argument(n0[:, None] + _STENCIL) ** (2.0 / 3.0)
-    x = (beta * tau)[:, None] * v + sigma[:, None]
-    d = tau * v + ds_ref[:, None]
-    f = _summands(x, d, kind, sign)
-    # exact slope at n0: dE/dm (p d^{p-1} F + beta d^p F')
-    x0, d0 = x[:, 2], d[:, 2]
-    ks, ps = np.array(_ROWS[kind]).T
-    kern = np.array(_kernels(x0, kind, sign))[ks]
-    dkern = np.array(_kernel_slopes(x0, kind, sign))[ks]
-    ps = ps[:, None]
-    fp = tail.denergy(n0) * (ps * d0 ** np.maximum(ps - 1, 0) * kern
-                             + beta * d0 ** ps * dkern)
-    return _em_edge(f, fp)
+    return _em_edge(_summands((beta * tau)[:, None] * v + sigma[:, None],
+                              tau * v + ds_ref[:, None], kind, sign))
 
 
-def _dense_index(tail, beta: np.ndarray) -> np.ndarray:
+def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
     """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD, per lane
     (capped far beyond any level budget)."""
+    tail = spectrum.tail
     arg = (8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3
     m = (arg + tail.k_off) / 4.0 - tail.j0
-    return np.maximum(tail.start + 2, np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
+    return np.maximum(max(spectrum.n_exact + 2, EM_START),
+                      np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
 
 
 X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
@@ -253,8 +237,9 @@ def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
     """Occupation sums (N_0, N_1, 0, 0, 0) of a filled block of levels
     a <= m < b, where every occupation is 1 and every distribution weight 0.
 
-    The exact root-solved part is summed directly; the power-law part uses
-    the finite Euler-Maclaurin identity
+    The root-solved part, and any tail levels below EM_START, are summed
+    directly; the rest of the power-law part uses the finite Euler-Maclaurin
+    identity
         sum_{A}^{B-1} f = int_A^B f + edge(A) - edge(B),
     edge = f/2 - f'/12 + f'''/720, which is closed-form for the ladder's
     power moments.
@@ -264,18 +249,19 @@ def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
     e0 = spectrum.e0
     ds = tail.shift - e0 + moment_offset
     totals = np.zeros(len(_ROWS[OCC]))
-    hi_exact = min(b, spectrum.n_exact)
-    if a < hi_exact:
-        mom = spectrum.exact_levels[a:hi_exact] - e0 + moment_offset
+    lo = max(a, spectrum.n_exact, EM_START)
+    direct = np.arange(a, min(b, lo))
+    if len(direct):
+        head = direct < spectrum.n_exact
+        mom = np.concatenate([spectrum.exact_levels[direct[head]],
+                              tail.energy(direct[~head])]) - e0 + moment_offset
         totals[:2] += (len(mom), math.fsum(mom))
-    lo = max(a, spectrum.n_exact)
     if lo >= b:
         return totals
 
     def edge(m: int) -> np.ndarray:
         d = tau * tail.argument(m + _STENCIL) ** (2.0 / 3.0) + ds
-        f = np.stack([np.ones(5), d])
-        return _em_edge(f, np.array([0.0, float(tail.denergy(m))]))
+        return _em_edge(np.stack([np.ones(5), d]))
 
     va = float(tail.argument(lo)) ** (2.0 / 3.0)
     vb = float(tail.argument(b)) ** (2.0 / 3.0)
@@ -307,7 +293,7 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     n_exact = spectrum.n_exact
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moff
-    n_em = np.full(n, budget + 1) if force_direct else _dense_index(tail, beta)
+    n_em = np.full(n, budget + 1) if force_direct else _dense_index(spectrum, beta)
     start = np.full(n, start_index)
     running = np.zeros((rows, n))
     parts = []

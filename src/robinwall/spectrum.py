@@ -14,8 +14,9 @@ exactly once) and found by one lockstep safeguarded Newton over all brackets
 from the zeros shifted by the first-order wall correction; the attractive
 wall's split-off state is bracketed on xi > 0 using the scaled Airy forms,
 which stay finite up to xi ~ 1e5.  High levels follow the zero-law tail: a
-pure power law in the level index shifted by the first-order wall correction
--lam*F, which keeps every infinite thermodynamic sum closed-form integrable.
+pure power law in the level index, shifted by the last root-solved level's
+offset from the Airy zero the law follows at that index (0 for Dirichlet and
+Neumann), which keeps every infinite thermodynamic sum closed-form integrable.
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ class TailLaw:
 
     ``tau`` absorbs the zero-law prefactor and the field scaling; the pure
     power-law form is what makes the Euler-Maclaurin closure of the
-    thermodynamic sums exact (see ladder.py).  Valid for m >= start.
+    thermodynamic sums exact (see ladder.py).  Valid past the spectrum's
+    root-solved block.
     """
 
     tau: float
     j0: int
     k_off: int
     shift: float
-    start: int
 
     def argument(self, m):
         return 4.0 * (np.asarray(m, dtype=float) + self.j0) - self.k_off
@@ -116,10 +117,6 @@ class TailLaw:
     def energy(self, m):
         # np.power, not **: a scalar then takes the array's rounding
         return self.tau * np.power(self.argument(m), 2.0 / 3.0) + self.shift
-
-    def denergy(self, m):
-        """dE/dm along the tail."""
-        return self.tau * (8.0 / 3.0) * self.argument(m) ** (-1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -153,9 +150,10 @@ class Spectrum:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        diffs = np.diff(self.exact_levels)
-        if len(diffs) and diffs.min() <= 0.0:
-            raise SolverError("Spectrum: root-solved levels are not strictly increasing")
+        diffs = np.diff(np.append(self.exact_levels, self.tail.energy(self.n_exact)))
+        if diffs.min() <= 0.0:
+            raise SolverError("Spectrum: root-solved levels and the first tail level "
+                              "are not strictly increasing")
 
     @property
     def e0(self) -> float:
@@ -186,11 +184,11 @@ def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray,
     return psi, field_cbrt * (xi * ai * ai - aip * aip) / (ai * ai + d * d)
 
 
-def _robin_exact_levels(wall: WallSpec, start: int, stop: int) -> np.ndarray:
-    """Levels start..stop-1: the root of psi on each level's bracket, where
-    psi decreases through zero, by one lockstep safeguarded Newton from the
-    Airy zero ``near`` shifted by lam*F^(1/3) (the first-order wall shift),
-    or from the midpoint if that leaves the bracket."""
+def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
+    """Levels 0..stop-1: the root of psi on each level's bracket, where psi
+    decreases through zero, by one lockstep safeguarded Newton from the Airy
+    zero ``near`` shifted by lam*F^(1/3) (the first-order wall shift), or
+    from the midpoint if that leaves the bracket."""
     lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
     zeros = _airy_zeros(stop)
     # level n >= 1 lies in (a_{n+1}, a_n), near a_n on the attractive wall
@@ -199,9 +197,9 @@ def _robin_exact_levels(wall: WallSpec, start: int, stop: int) -> np.ndarray:
     # axis (split-off bound state) on the attractive one.
     tops = np.concatenate([[max(4.0, 2.0 * wall.field ** (-2.0 / 3.0)) if lam < 0 else 0.0],
                            zeros[:-1]])
-    near = np.concatenate([zeros[:1], zeros[:-1] if lam < 0 else zeros[1:]])[start:]
+    near = np.concatenate([zeros[:1], zeros[:-1] if lam < 0 else zeros[1:]])
     margin = 1e-12 * np.maximum(1.0, np.abs(zeros))
-    lo, hi = (zeros + margin)[start:], (tops - margin)[start:]
+    lo, hi = zeros + margin, tops - margin
     psi_lo, psi_hi = np.split(_robin_psi(np.concatenate([lo, hi]), fc, lam)[0], 2)
     if not ((psi_lo > 0.0) & (psi_hi < 0.0)).all():
         i = int(np.argmin((psi_lo > 0.0) & (psi_hi < 0.0)))
@@ -213,28 +211,20 @@ def _robin_exact_levels(wall: WallSpec, start: int, stop: int) -> np.ndarray:
     return -xis * wall.field ** (2.0 / 3.0)
 
 
-def _tail_for(wall: WallSpec, n_exact: int) -> tuple[TailLaw, str]:
-    f23 = wall.field ** (2.0 / 3.0)
-    tau = _ZERO_LAW_PREF * f23
-    kind = wall.kind
-    if kind is WallKind.DIRICHLET:
-        law = TailLaw(tau=tau, j0=1, k_off=1, shift=0.0, start=n_exact)
-        rule = "E(n) = -a(n+1) F^(2/3), asymptotic Ai zeros"
-    elif kind is WallKind.NEUMANN:
-        law = TailLaw(tau=tau, j0=1, k_off=3, shift=0.0, start=n_exact)
-        rule = "E(n) = -a'(n+1) F^(2/3), asymptotic Ai' zeros"
-    elif kind is WallKind.ROBIN_ATTRACTIVE:
-        law = TailLaw(tau=tau, j0=0, k_off=1, shift=wall.field, start=n_exact)
-        rule = "E(n) = -a(n) F^(2/3) + F, asymptotic Ai zeros"
-    else:
-        law = TailLaw(tau=tau, j0=1, k_off=1, shift=-wall.field, start=n_exact)
-        rule = "E(n) = -a(n+1) F^(2/3) - F, asymptotic Ai zeros"
-    return law, rule
-
-
-def _handoff_bound(field: float) -> float:
-    # the first-order tail misses O(F) relative terms
-    return max(1e-4, 0.5 * field)
+# per wall: the tail's (j0, k_off), the kind of Airy zero it follows, and
+# its rule; level n follows the zero of index n + j0
+_TAILS = {
+    WallKind.DIRICHLET: (1, 1, AiryZeroKind.FunctionZero,
+                         "E(n) = -a(n+1) F^(2/3), asymptotic Ai zeros"),
+    WallKind.NEUMANN: (1, 3, AiryZeroKind.DerivativeZero,
+                       "E(n) = -a'(n+1) F^(2/3), asymptotic Ai' zeros"),
+    WallKind.ROBIN_ATTRACTIVE: (0, 1, AiryZeroKind.FunctionZero,
+                                "E(n) = -a(n) F^(2/3) + shift, asymptotic Ai zeros, "
+                                "shift from the last root"),
+    WallKind.ROBIN_REPULSIVE: (1, 1, AiryZeroKind.FunctionZero,
+                               "E(n) = -a(n+1) F^(2/3) + shift, asymptotic Ai zeros, "
+                               "shift from the last root"),
+}
 
 
 def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
@@ -243,35 +233,25 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
 
     ``count`` is how many levels to materialize in ``levels``; ``n_exact``
     is the size of the root-solved block (Robin walls) or refined-zero block
-    (Dirichlet/Neumann).  The constructor asserts that the root-solved block
-    hands off to the tail law smoothly.
+    (Dirichlet/Neumann, at most 64).  The tail law continues the block from
+    its last level: its shift is that level's offset from the Airy zero the
+    law follows at the same index.
     """
     count = _check_index(count, 1, "count")
     n_exact = _check_index(n_exact, 2, "n_exact")
     if n_exact > _MAX_N_EXACT:
         raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact}")
 
+    j0, k_off, zero_kind, rule = _TAILS[wall.kind]
+    f23 = wall.field ** (2.0 / 3.0)
     if wall.kind.is_robin:
-        exact = np.empty(0)
-        while True:
-            # a solved level does not move when the block grows
-            exact = np.concatenate([exact, _robin_exact_levels(wall, len(exact), n_exact)])
-            tail, rule = _tail_for(wall, n_exact)
-            last = n_exact - 1
-            rel = abs(exact[last] - tail.energy(last)) / abs(exact[last])
-            if rel <= _handoff_bound(wall.field) or n_exact >= _MAX_N_EXACT:
-                break
-            n_exact = min(2 * n_exact, _MAX_N_EXACT)
-        if rel > _handoff_bound(wall.field) and wall.field <= 1e-2:
-            raise SolverError(
-                f"tail handoff mismatch {rel:.2e} at n={n_exact} for {wall}")
+        exact = _robin_exact_levels(wall, n_exact)
     else:
-        kind = (AiryZeroKind.FunctionZero if wall.kind is WallKind.DIRICHLET
-                else AiryZeroKind.DerivativeZero)
         n_exact = min(n_exact, DEFAULT_N_EXACT)
-        f23 = wall.field ** (2.0 / 3.0)
-        exact = -_airy_zeros(n_exact, kind) * f23
-        tail, rule = _tail_for(wall, n_exact)
+        exact = -_airy_zeros(n_exact, zero_kind) * f23
+    # exactly 0.0 for Dirichlet/Neumann, whose block is the zeros themselves
+    shift = exact[-1] + _airy_zeros(n_exact - 1 + j0, zero_kind)[-1] * f23
+    tail = TailLaw(tau=_ZERO_LAW_PREF * f23, j0=j0, k_off=k_off, shift=float(shift))
 
     levels = np.concatenate([
         exact[:count],

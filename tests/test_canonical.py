@@ -307,3 +307,57 @@ class TestPlainFloats:
         assert type(mean_energy(sp, 2.0)) is float
         tp = thermo_point(sp, 2.0)
         assert all(type(v) is float for v in (tp.beta, tp.mean_energy, tp.heat_capacity))
+
+
+def exact_root_heat_capacity(kind, field, beta):
+    """Canonical c from a math.fsum over exact Robin levels, each found by
+    scipy's brentq on lam F^(1/3) Ai' - Ai (scaled by e^zeta for xi >= 0,
+    which keeps its sign) inside its bracket of Ai zeros, the ground level
+    included; levels up to beta * (E - E0) ~ 40."""
+    optimize = pytest.importorskip("scipy.optimize")
+    sps = pytest.importorskip("scipy.special")
+    lam = WallSpec(kind, field).lam
+    fc, f23 = field ** (1.0 / 3.0), field ** (2.0 / 3.0)
+
+    def g(xi):
+        ai, aip = (sps.airye(xi) if xi >= 0.0 else sps.airy(xi))[:2]
+        return lam * fc * aip - ai
+
+    t = (40.0 / beta + 2.0 + field) / f23
+    count = int((8.0 * t ** 1.5 / (3.0 * math.pi) + 1.0) / 4.0) + 2
+    a = sps.ai_zeros(count + 1)[0]
+    uppers = [4.0 * field ** (-2.0 / 3.0) + 4.0, *a[:-1]]
+    levels = np.array([-optimize.brentq(g, a[n], uppers[n], xtol=1e-300, rtol=1e-15) * f23
+                       for n in range(count)])
+    d = levels - levels[0]
+    w = np.exp(-beta * d)
+    z = math.fsum(w)
+    m1, m2 = math.fsum(w * d) / z, math.fsum(w * d * d) / z
+    return beta * beta * (m2 - m1 * m1)
+
+
+class TestExactRootOracle:
+    @pytest.mark.parametrize("kind,field,beta,bound", [
+        (WallKind.ROBIN_ATTRACTIVE, 1e-3, 5.0, 1e-4),
+        (WallKind.ROBIN_ATTRACTIVE, 0.1, 0.5, 5e-4),
+        (WallKind.ROBIN_REPULSIVE, 1.0, 0.2, 1e-4),
+        (WallKind.ROBIN_REPULSIVE, 10.0, 0.05, 1e-4),
+        (WallKind.ROBIN_ATTRACTIVE, 10.0, 0.05, 1e-4),
+    ], ids=lambda v: v.value if isinstance(v, WallKind) else None)
+    def test_heat_capacity_against_exact_roots(self, kind, field, beta, bound):
+        # 64 root-solved levels and the tail law against every level exact;
+        # what is left is the tail's drift from the exact ladder
+        c = heat_capacity(build_spectrum(WallSpec(kind, field), count=64), beta)
+        ref = exact_root_heat_capacity(kind, field, beta)
+        assert abs(c - ref) <= bound * ref
+
+    @pytest.mark.parametrize("field", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("kind", [WallKind.ROBIN_ATTRACTIVE, WallKind.ROBIN_REPULSIVE],
+                             ids=lambda k: k.value)
+    def test_strong_field_collapse_onto_neumann(self, kind, field):
+        # as F -> infinity both Robin walls reflect: c(y = beta F^(2/3))
+        # tends to the Neumann curve
+        y = 0.05
+        c = heat_capacity(build_spectrum(WallSpec(kind, field), count=64),
+                          y / field ** (2.0 / 3.0))
+        assert abs(c - universal_dn_curve(y, WallKind.NEUMANN)[1]) <= 3e-3

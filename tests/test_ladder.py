@@ -163,6 +163,25 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", [WallKind.ROBIN_ATTRACTIVE, WallKind.DIRICHLET],
+                         ids=lambda k: k.value)
+def test_short_root_block_matches_brute_force(kind):
+    # with two root-solved levels the closure and the filled sea's closed
+    # form could start right after them, where the ladder bends hardest
+    # (the attractive tail law is undefined at level 0, two levels back)
+    sp = build_spectrum(WallSpec(kind, 0.1), count=2, n_exact=2)
+    for beta in (0.005, 0.05):
+        hyb = ladder_sums(sp, beta, BOLTZ_KIND)
+        ref = brute_force(sp, beta, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
+        for h, r in zip(hyb, ref):
+            assert h == pytest.approx(r, rel=1e-10, abs=0.0)
+    for gamma in (-50.0, -200.0):
+        hyb = pick(sp, 1.0, OCC, FERMI, (0, 1), gamma=gamma)
+        ref = brute_force(sp, 1.0, OCC, FERMI, gamma=gamma, powers=(0, 1))
+        for h, r in zip(hyb, ref):
+            assert h == pytest.approx(r, rel=1e-10, abs=0.0)
+
+
 def em_integral(tail, beta, sigma, ds_ref, n0, kind, sign):
     """The engine's closure integrals of one lane."""
     lane = (np.atleast_1d(a) for a in (beta, sigma, ds_ref, n0))
@@ -174,7 +193,7 @@ def closure_args(spectrum, beta, gamma, moment_offset=0.0):
     tail = spectrum.tail
     return (beta * (tail.shift - spectrum.e0) + gamma,
             tail.shift - spectrum.e0 + moment_offset,
-            ladder._dense_index(tail, beta))
+            ladder._dense_index(spectrum, beta))
 
 
 def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from scipy import optimize
 from scipy import special as sps
 
 from robinwall import spectrum as spm
-from robinwall.errors import DomainError
+from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics, asymptotic_beta_cr
 from robinwall.specfun import AiryZeroKind, airy_zero, interlacing_ok
 from robinwall.spectrum import (
@@ -153,12 +154,16 @@ class TestRobinLevels:
                 assert per_level <= 6.0
             assert calls[0] <= 12
 
-    @pytest.mark.parametrize("field", [1e-7, 1e-5, 1e-3, 1e-2])
+    @pytest.mark.parametrize("field", [1e-7, 1e-5, 1e-3, 1e-2, 1.0, 1e2, 1e6])
     def test_tail_handoff(self, field):
-        sp = attractive(field, count=64)
-        last = sp.n_exact - 1
-        rel = abs(sp.exact_levels[last] - sp.tail.energy(last)) / abs(sp.exact_levels[last])
-        assert rel <= max(1e-4, 0.5 * field)
+        # the tail law follows the Ai zeros' leading power law, offset to
+        # meet the last root at its exact zero: at index 63 the two differ
+        # by the law's next order, ~1.2e-6 relative, at every field
+        for sp in (attractive(field, count=64), repulsive(field, count=64)):
+            assert sp.n_exact == 64
+            last = sp.n_exact - 1
+            rel = abs(sp.exact_levels[last] - sp.tail.energy(last)) / abs(sp.exact_levels[last])
+            assert rel <= 2e-6
 
     def test_dirichlet_limit(self):
         # attractive levels approach the hard-wall ladder shifted by +F
@@ -176,9 +181,21 @@ class TestRobinLevels:
             assert np.all(lv2[mask] > lv1[mask])
 
     def test_levels_strictly_increasing(self):
-        for field in (1e-6, 1e-2, 1.0, 100.0):
-            lv = attractive(field, count=80).levels
-            assert np.all(np.diff(lv) > 0)
+        # every materialized level of every wall, the hand-off to the tail
+        # law included, across the field domain and the root-block sizes
+        for kind, k, n_exact in itertools.product(
+                WallKind, np.arange(-7.0, 6.25, 0.5), (2, 3, 8, 64, 512)):
+            sp = build_spectrum(WallSpec(kind, 10.0 ** k), count=n_exact + 64,
+                                n_exact=n_exact)
+            assert np.all(np.diff(sp.levels) > 0.0), (kind, k, n_exact)
+            if kind.is_robin:
+                assert sp.n_exact == n_exact
+
+    def test_tail_below_last_root_rejected(self):
+        sp = attractive(1e-3, count=8)
+        low = dataclasses.replace(sp.tail, shift=sp.tail.shift - 1.0)
+        with pytest.raises(SolverError):
+            dataclasses.replace(sp, tail=low)
 
     def test_levels_read_only(self):
         sp = attractive(1e-3)

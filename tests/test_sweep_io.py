@@ -27,64 +27,64 @@ from robinwall.sweep import (
 
 ATTR = WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3)
 
-# (ensemble, N, field) -> (t_found, c_found) of every Table 1 cell as
-# computed before the batched engine, one lane at a time
+# (ensemble, N, field) -> (t_found, c_found) of every Table 1 cell, recorded
+# with the Robin tail law anchored on the last root-solved level
 RECORDED_TABLE1 = {
-    ("canonical", 1, 0.001): (0.2503985958728186, 7.8143036908953665),
-    ("canonical", 1, 0.0001): (0.17497893721337487, 13.154183926647773),
-    ("canonical", 1, 1e-05): (0.13244922990578753, 20.538115596044562),
-    ("canonical", 1, 1e-06): (0.10559972492504667, 30.093384173032717),
-    ("canonical", 1, 1e-07): (0.08732157029340377, 41.909692599328146),
-    ("fd", 1, 0.001): (0.21811202366139865, 6.2941214369299345),
-    ("fd", 2, 0.001): (0.26047099872936397, 3.873599326151286),
-    ("fd", 5, 0.001): (0.3350090894103763, 2.219167800379727),
-    ("fd", 10, 0.001): (0.4080408370665057, 1.7666179507754118),
-    ("fd", 1, 0.0001): (0.1593198166829989, 10.163847472272304),
-    ("fd", 2, 0.0001): (0.1807528403516024, 6.027542705461776),
-    ("fd", 5, 0.0001): (0.21627814412781962, 3.0061822945965497),
-    ("fd", 10, 0.0001): (0.2468428426815223, 2.1220546214078437),
-    ("fd", 1, 1e-05): (0.1239202490156553, 15.416215209324994),
-    ("fd", 2, 1e-05): (0.1363765661511254, 9.034810164305007),
-    ("fd", 5, 1e-05): (0.15659412360894034, 4.1530664234723265),
-    ("fd", 10, 1e-05): (0.1730933455257945, 2.65016002209996),
-    ("fd", 1, 1e-06): (0.10050327307753204, 22.144974867863453),
-    ("fd", 2, 1e-06): (0.10844959514457429, 12.95692182912275),
-    ("fd", 5, 1e-06): (0.12123066313957628, 5.694396165350094),
-    ("fd", 10, 1e-06): (0.13135697872497576, 3.375286390909886),
-    ("fd", 1, 1e-07): (0.08404488878042511, 30.41680165131893),
-    ("fd", 2, 1e-07): (0.08947130829158077, 17.837350037356984),
-    ("fd", 5, 1e-07): (0.09815883835524006, 7.652755643224092),
-    ("fd", 10, 1e-07): (0.10490937632411672, 4.31162290212119),
-    ("be", 1, 0.001): (0.28138428058549586, 8.122870061676862),
-    ("be", 2, 0.001): (0.3051627955296046, 8.19844097716755),
-    ("be", 5, 0.001): (0.35733830375588216, 8.11429241196861),
-    ("be", 10, 0.001): (0.4179244058725814, 7.827770378764333),
-    ("be", 1000, 0.001): (2.3162386838802282, 3.9345499043319454),
-    ("be", 100000, 0.001): (30.801015306629736, 2.3610759528976892),
-    ("be", 1, 0.0001): (0.1906262921076221, 14.012035807379181),
-    ("be", 2, 0.0001): (0.2023512433778243, 14.363382812815198),
-    ("be", 5, 0.0001): (0.2271481578146795, 14.599606955581951),
-    ("be", 10, 0.0001): (0.2545282540746304, 14.39089653853778),
-    ("be", 1000, 0.0001): (0.891475997751564, 6.922103567592826),
-    ("be", 100000, 0.0001): (7.954337795521275, 2.9899909934247484),
-    ("be", 1, 1e-05): (0.14146119238493612, 22.334002581088058),
-    ("be", 2, 1e-05): (0.1481229182795717, 23.216382118238815),
-    ("be", 5, 1e-05): (0.1618610130448835, 24.222927225438777),
-    ("be", 10, 1e-05): (0.1764825302222593, 24.463374454877716),
-    ("be", 1000, 1e-05): (0.4399240599501969, 13.191924350905081),
-    ("be", 100000, 1e-05): (2.4146428164079263, 4.44716854965623),
-    ("be", 1, 1e-06): (0.11130615141087247, 33.25132145371016),
-    ("be", 2, 1e-06): (0.11549429359413477, 34.95021197684572),
-    ("be", 5, 1e-06): (0.12398795097208169, 37.24917219343425),
-    ("be", 10, 1e-06): (0.13279966390663966, 38.400014216348794),
-    ("be", 1000, 1e-06): (0.2644278196108018, 24.50462598643352),
-    ("be", 100000, 1e-06): (0.9228019331093149, 7.786132617246939),
-    ("be", 1, 1e-07): (0.09119713428901297, 46.87541928275072),
-    ("be", 2, 1e-07): (0.09403160270397948, 49.694076613641656),
-    ("be", 5, 1e-07): (0.09971524784643863, 53.84731803095919),
-    ("be", 10, 1e-07): (0.10550674896428319, 56.4157512580681),
-    ("be", 1000, 1e-07): (0.18145108146244407, 42.09564936848552),
-    ("be", 100000, 1e-07): (0.45131780804763905, 14.828196348125633),
+    ('canonical', 1, 0.001): (0.250390368674577, 7.814696062616233),
+    ('canonical', 1, 0.0001): (0.1749785910326266, 13.154186476424238),
+    ('canonical', 1, 1e-05): (0.1324492226394927, 20.538115342393706),
+    ('canonical', 1, 1e-06): (0.10559972479087591, 30.093384163401147),
+    ('canonical', 1, 1e-07): (0.08732157029093211, 41.90969259906165),
+    ('fd', 1, 0.001): (0.21810463781453243, 6.294445255109949),
+    ('fd', 2, 0.001): (0.26045946033819184, 3.873659290668987),
+    ('fd', 5, 0.001): (0.3349929563721502, 2.2190447107306133),
+    ('fd', 10, 0.001): (0.40803433410286943, 1.766469960776229),
+    ('fd', 1, 0.0001): (0.15931948022752349, 10.16384957537348),
+    ('fd', 2, 0.0001): (0.1807524851500688, 6.027538971161695),
+    ('fd', 5, 0.0001): (0.2162777735366704, 3.006177057068678),
+    ('fd', 10, 0.0001): (0.24684253549454857, 2.1220501134267717),
+    ('fd', 1, 1e-05): (0.1239202420677053, 15.416215028883006),
+    ('fd', 2, 1e-05): (0.13637655869399354, 9.03481002240784),
+    ('fd', 5, 1e-05): (0.15659411534988169, 4.153066338317247),
+    ('fd', 10, 1e-05): (0.1730933367868862, 2.6501599648865635),
+    ('fd', 1, 1e-06): (0.10050327294868164, 22.144974861091274),
+    ('fd', 2, 1e-06): (0.10844959500712503, 12.956921824981832),
+    ('fd', 5, 1e-06): (0.12123066298814297, 5.694396163560515),
+    ('fd', 10, 1e-06): (0.13135697856244397, 3.3752863899723677),
+    ('fd', 1, 1e-07): (0.08404488877809543, 30.416801651132715),
+    ('fd', 2, 1e-07): (0.08947130828902673, 17.837350037246004),
+    ('fd', 5, 1e-07): (0.0981588383526836, 7.6527556431786365),
+    ('fd', 10, 1e-07): (0.10490934656995589, 4.311622902099026),
+    ('be', 1, 0.001): (0.2813742544010254, 8.12322827448666),
+    ('be', 2, 0.001): (0.305151362390182, 8.198760121563232),
+    ('be', 5, 0.001): (0.3573238627888538, 8.114517029515984),
+    ('be', 10, 0.001): (0.4179066932656836, 7.827897095346612),
+    ('be', 1000, 0.001): (2.316170176769642, 3.9344377556298142),
+    ('be', 100000, 0.001): (30.800746319502128, 2.3610481285642324),
+    ('be', 1, 0.0001): (0.19062591920489863, 14.012036506192263),
+    ('be', 2, 0.0001): (0.20235084926017452, 14.363382065089878),
+    ('be', 5, 0.0001): (0.22714771891889096, 14.599603416073615),
+    ('be', 10, 0.0001): (0.25452776751925826, 14.390890573390303),
+    ('be', 1000, 0.0001): (0.8914748014669832, 6.922095795261519),
+    ('be', 100000, 0.0001): (7.95433395985459, 2.989989204674116),
+    ('be', 1, 1e-05): (0.14146118471198132, 22.334002277196983),
+    ('be', 2, 1e-05): (0.14812291030275276, 23.21638178179502),
+    ('be', 5, 1e-05): (0.1618610044502877, 24.222926833868904),
+    ('be', 10, 1e-05): (0.17648252098707076, 24.46337402112935),
+    ('be', 1000, 1e-05): (0.4399240418427638, 13.191923984601578),
+    ('be', 100000, 1e-05): (2.4146427685770546, 4.4471684546720835),
+    ('be', 1, 1e-06): (0.11130615127059412, 33.25132144258051),
+    ('be', 2, 1e-06): (0.11549429344938283, 34.95021196478656),
+    ('be', 5, 1e-06): (0.1239879508182891, 37.249172179840855),
+    ('be', 10, 1e-06): (0.13279966374373794, 38.40001420159578),
+    ('be', 1000, 1e-06): (0.26442781933112386, 24.504625972794567),
+    ('be', 100000, 1e-06): (0.9228019324883545, 7.786132612603468),
+    ('be', 1, 1e-07): (0.09119713428644378, 46.875419282442195),
+    ('be', 2, 1e-07): (0.0940316027013654, 49.69407661330669),
+    ('be', 5, 1e-07): (0.09971524784370189, 53.8473180305797),
+    ('be', 10, 1e-07): (0.10550674896138684, 56.41575125765362),
+    ('be', 1000, 1e-07): (0.18145108145790972, 42.095649368050886),
+    ('be', 100000, 1e-07): (0.4513178080389507, 14.828196347926205),
 }
 
 
@@ -240,13 +240,16 @@ class TestTable1Harness:
             assert cell.rel_c <= cell.tolerance
 
     def test_cells_reproduce_recorded_values(self):
-        # batching changes only the order of the arithmetic: every peak
-        # height agrees to 1e-8.  The peak temperature is Brent's point, set
-        # to its 1e-6 tolerance in beta: in the flattest cells the last
-        # comparisons of Brent's search are decided by the ~1e-13 noise of
-        # the particle-number solve, which depends on where the solve
-        # started, so t agrees to that tolerance (measured: 2.8e-7 at
-        # fd N=10, F=1e-7, below 1e-8 in every other cell)
+        # a regression pin on the recorded peaks: every peak height agrees
+        # to 1e-8.  The peak temperature is Brent's point, set to its 1e-6
+        # tolerance in beta: in the flattest cells the last comparisons of
+        # Brent's search are decided by the ~1e-13 noise of the
+        # particle-number solve, which depends on where the solve started,
+        # so t agrees to that tolerance (seen: 2.8e-7 at fd N=10, F=1e-7,
+        # when the batched engine replaced one lane at a time).  Anchoring
+        # the tail law on the last root moved the cells by up to 8.4e-5
+        # (c) and 4.8e-5 (t) relative at F = 1e-3, the field where the old
+        # first-order shift was worst
         report = table1_harness()
         assert len(report.cells) == len(RECORDED_TABLE1)
         for cell in report.cells:
