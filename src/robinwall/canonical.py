@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .ladder import BOLTZ, BOLTZ_KIND, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, _check_field, build_spectrum
-from .specfun import lambert_w
+from .specfun import _check_beta, lambert_w
 
 __all__ = [
     "ThermoPoint",
@@ -65,14 +65,6 @@ class ExtremumReport:
     c_max: float | None = None
     beta_inv_at_min: float | None = None
     c_min: float | None = None
-
-
-def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
-    """beta as a float, or a float array for a batch; each finite and > 0."""
-    b = np.asarray(beta, dtype=float)
-    if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    return float(b) if b.ndim == 0 else b
 
 
 def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:

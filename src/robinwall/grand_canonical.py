@@ -38,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _check_beta, _check_weak_field
+from .canonical import _check_weak_field
 from .errors import DomainError, SolverError
 from .ladder import BOSE, FERMI, OCC, ladder_sums
 from .spectrum import Spectrum, _check_field
-from .specfun import _check_index, lambert_w
+from .specfun import _check_beta, _check_index, lambert_w
 
 __all__ = [
     "Statistics",

@@ -22,23 +22,27 @@ batch.  Lanes go in groups of 32 with at most 2^14 (lane, level) pairs
 per direct block, so no temporary exceeds ~1 MB.
 
 Each lane is summed as it would be alone.  Its low levels are summed
-directly (ascending, in level blocks common to the batch, with levels past
-the lane's own closure index masked out; a lane stops once eight
-consecutive summands of every returned sum drop below 1e-16 of that sum's
-running total at a block end).  Once the ladder is dense on the thermal
-scale (beta * dE/dn below a threshold) the remainder is closed with the
-Euler-Maclaurin formula over the exact power-law tail
-E(m) = tau * (4(m+j0)-k)^(2/3) + shift.  The closure integral is evaluated
-one way for every kernel and every starting exponent: Gauss-Legendre in
-s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the level measure is a polynomial,
-on panels matched to the kernel (a filled Fermi sea, the transition layer
-around x = 0, and geometric panels down the exponential tail from wherever
-it starts), padded with zero-width panels to a common count across lanes.
-A sparse filled Fermi sea in front of the dense region is summed in closed
-form as polynomial ladder moments.  Each lane's block partials are added
-by ``math.fsum``.  Every path is validated against brute-force summation
-to ~1e-10 relative; the payoff is that the worst evaluation in the whole
-parameter domain costs ~1e4 kernel evaluations instead of ~1e8 exp() calls.
+directly (ascending, in level blocks common to the batch, with levels the
+lane closes masked out; a lane stops once eight consecutive summands of
+every returned sum drop below 1e-16 of that sum's running total at a block
+end).  The rest is closed by one Euler-Maclaurin formula over the exact
+power-law tail E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
+
+    sum_{n0 <= m < n1} = integral_{n0}^{n1} + edge(n0) - edge(n1)
+
+(edges from five-point differences, none at n1 = inf): to infinity from
+where the ladder is dense on the thermal scale (beta * dE/dn below a
+threshold), and across a deeply filled Fermi sea past the first direct
+block, whose summands are smooth in m however sparse the Fermi edge.  The
+integral is Gauss-Legendre in s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the
+level measure is a polynomial, on panels matched to the kernel (a filled
+Fermi sea, the transition layer around x = 0, and geometric panels down the
+exponential tail from wherever it starts), clipped at n1 and padded with
+zero-width panels to a common count across lanes.  Each lane's partials are
+added by ``math.fsum``.  Every path is validated against brute-force
+summation to ~1e-10 relative; the payoff is that the worst evaluation in
+the whole parameter domain costs ~1e4 kernel evaluations instead of ~1e8
+exp() calls.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import math
 import numpy as np
 
 from .errors import BudgetError, SolverError
+from .specfun import _check_beta
 from .spectrum import Spectrum
 
 __all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "ladder_sums"]
@@ -56,7 +61,7 @@ __all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "ladder_sums"]
 OCC = "occ"         # occupations together with their distribution kernel
 BOLTZ_KIND = "boltz"
 
-# statistics signs for OCC; BOLTZ ignores it
+# statistics signs: FERMI or BOSE with OCC, BOLTZ with BOLTZ_KIND
 FERMI = +1
 BOSE = -1
 BOLTZ = 0
@@ -76,6 +81,7 @@ _ROWS = {
     BOLTZ_KIND: ((0, 0), (0, 1), (0, 2)),
     OCC: ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)),
 }
+_FAMILIES = ((BOLTZ_KIND, BOLTZ), (OCC, FERMI), (OCC, BOSE))
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +163,29 @@ def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.nda
 
 
 def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
-                 n0: np.ndarray, kind: str, sign: int) -> np.ndarray:
-    """integral_{n0}^inf (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm, one row per
-    sum and one column per lane.
+                 n0: np.ndarray, kind: str, sign: int,
+                 n1: np.ndarray | None = None) -> np.ndarray:
+    """integral_{n0}^{n1} (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm, one row per
+    sum and one column per lane (n1 None: to infinity).
 
     sigma  = beta*(tail.shift - E0) + gamma   (exponent offset of the tail)
     ds_ref = tail.shift - ref                 (moment offset of the tail)
 
     With v = argument(m)^(2/3) and s = sqrt(v) the integral is
 
-        (3/4) * integral_{s0}^inf s^2 (tau s^2 + ds_ref)^p
+        (3/4) * integral_{s0}^{s1} s^2 (tau s^2 + ds_ref)^p
                     F(beta tau s^2 + sigma) ds,
 
-    evaluated by Gauss-Legendre on the panels of ``_v_panel_breaks`` mapped
-    to s, where the integrand is smooth down to the lower end for any
-    starting exponent (a degenerate Fermi sea included)."""
+    evaluated by Gauss-Legendre on the panels of ``_v_panel_breaks``, clipped
+    at v1 and mapped to s, where the integrand is smooth down to the lower
+    end for any starting exponent (a degenerate Fermi sea included)."""
     tau = tail.tau
     bt = beta * tau
     v0 = tail.argument(n0) ** (2.0 / 3.0)
-    s_breaks = np.sqrt(_v_panel_breaks(v0, bt, sigma))
+    v_breaks = _v_panel_breaks(v0, bt, sigma)
+    if n1 is not None:
+        v_breaks = np.minimum(v_breaks, tail.argument(n1[:, None]) ** (2.0 / 3.0))
+    s_breaks = np.sqrt(v_breaks)
     lo = s_breaks[:, :-1, None]
     half = 0.5 * (s_breaks[:, 1:, None] - lo)
     s = (half * (_GL_NODES + 1.0) + lo).reshape(len(beta), -1)
@@ -199,8 +209,8 @@ def _em_edge(f: np.ndarray) -> np.ndarray:
 
 def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
                  n0: np.ndarray, kind: str, sign: int) -> np.ndarray:
-    """Boundary correction of the infinite tail from n0, one row per sum and
-    one column per lane."""
+    """Euler-Maclaurin end correction at n0, one row per sum and one column
+    per lane."""
     tau = tail.tau
     v = tail.argument(n0[:, None] + _STENCIL) ** (2.0 / 3.0)
     return _em_edge(_summands((beta * tau)[:, None] * v + sigma[:, None],
@@ -220,57 +230,11 @@ def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
 X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
 
-def _sea_end(spectrum, beta: float, gamma: float) -> int:
-    """Index past the filled Fermi sea: every level before it has an
-    exponent at or below -X_DEAD."""
-    x_exact = beta * (spectrum.exact_levels - spectrum.e0) + gamma
-    m = int(np.searchsorted(x_exact, -X_DEAD, side="right"))
-    if m < spectrum.n_exact:
-        return m
-    tail = spectrum.tail
-    sigma = beta * (tail.shift - spectrum.e0) + gamma
-    w = ((-X_DEAD - sigma) / (beta * tail.tau)) ** 1.5
-    return max(m, int((w + tail.k_off) / 4.0 - tail.j0))
-
-
-def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
-    """Occupation sums (N_0, N_1, 0, 0, 0) of a filled block of levels
-    a <= m < b, where every occupation is 1 and every distribution weight 0.
-
-    The root-solved part, and any tail levels below EM_START, are summed
-    directly; the rest of the power-law part uses the finite Euler-Maclaurin
-    identity
-        sum_{A}^{B-1} f = int_A^B f + edge(A) - edge(B),
-    edge = f/2 - f'/12 + f'''/720, which is closed-form for the ladder's
-    power moments.
-    """
-    tail = spectrum.tail
-    tau = tail.tau
-    e0 = spectrum.e0
-    ds = tail.shift - e0 + moment_offset
-    totals = np.zeros(len(_ROWS[OCC]))
-    lo = max(a, spectrum.n_exact, EM_START)
-    direct = np.arange(a, min(b, lo))
-    if len(direct):
-        head = direct < spectrum.n_exact
-        mom = np.concatenate([spectrum.exact_levels[direct[head]],
-                              tail.energy(direct[~head])]) - e0 + moment_offset
-        totals[:2] += (len(mom), math.fsum(mom))
-    if lo >= b:
-        return totals
-
-    def edge(m: int) -> np.ndarray:
-        d = tau * tail.argument(m + _STENCIL) ** (2.0 / 3.0) + ds
-        return _em_edge(np.stack([np.ones(5), d]))
-
-    va = float(tail.argument(lo)) ** (2.0 / 3.0)
-    vb = float(tail.argument(b)) ** (2.0 / 3.0)
-    # int (tau v + ds)^p dm with dm = (3/8) sqrt(v) dv
-    integral = np.array([0.25 * (vb ** 1.5 - va ** 1.5),
-                         ds * 0.25 * (vb ** 1.5 - va ** 1.5)
-                         + tau * 0.15 * (vb ** 2.5 - va ** 2.5)])
-    totals[:2] += integral + edge(lo) - edge(b)
-    return totals
+def _sea_end(tail, beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per lane, a tail index before which every tail level has an exponent
+    at or below -X_DEAD (the level at the index itself does too)."""
+    w = (np.maximum(-X_DEAD - sigma, 0.0) / (beta * tail.tau)) ** 1.5
+    return np.floor((w + tail.k_off) / 4.0 - tail.j0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,61 +243,72 @@ def _filled_block(spectrum, moment_offset: float, a: int, b: int) -> np.ndarray:
 
 _LANES = 32          # lanes summed together: batch temporaries stay below ~1 MB
 _PAIRS = 1 << 14     # (lane, level) pairs of one direct block
+_FIRST_BLOCK = 256   # tail levels in the first direct block
 
 
 def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
-               moff: np.ndarray, kind: str, sign: int, start_index: int,
-               budget: int, force_direct: bool) -> np.ndarray:
+               moff: np.ndarray, kind: str, sign: int, start_index: int) -> np.ndarray:
     """``ladder_sums`` of one group of lanes: one row per sum, one column
     per lane."""
     rows = len(_ROWS[kind])
     n = len(beta)
     tail = spectrum.tail
     e0 = spectrum.e0
-    n_exact = spectrum.n_exact
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moff
-    n_em = np.full(n, budget + 1) if force_direct else _dense_index(spectrum, beta)
-    start = np.full(n, start_index)
-    running = np.zeros((rows, n))
+    n_em = _dense_index(spectrum, beta)
     parts = []
 
-    # a deeply submerged Fermi sea (exponents below -X_DEAD) carries unit
-    # occupations and no distribution weight: sum it in closed form instead
-    # of level by level
-    if sign == FERMI and kind == OCC and (gamma < -X_DEAD).any():
-        sea = np.zeros((rows, n))
-        for i in (gamma < -X_DEAD).nonzero()[0]:
-            end = min(_sea_end(spectrum, beta[i], gamma[i]), int(n_em[i]))
-            if end > start_index:
-                sea[:, i] = _filled_block(spectrum, moff[i], start_index, end)
-                start[i] = end
-        parts.append(sea)
-        running += sea
+    def close(lanes: np.ndarray, n0: np.ndarray, n1: np.ndarray | None = None) -> None:
+        """Add the lanes' closure over n0 <= m < n1 (None: to infinity) to
+        the partials: the integral, edge(n0) and -edge(n1)."""
+        args = (tail, beta[lanes], sigma[lanes], ds_ref[lanes])
+        pieces = [_em_integral(*args, n0, kind, sign, n1), _em_boundary(*args, n0, kind, sign)]
+        if n1 is not None:
+            pieces.append(-_em_boundary(*args, n1, kind, sign))
+        for piece in pieces:
+            parts.append(np.zeros((rows, n)))
+            parts[-1][:, lanes] = piece
+
+    # a deeply submerged Fermi sea (exponents below -X_DEAD) past the first
+    # direct block is closed like the tail, over [first, sea): its summands
+    # are smooth in m there, whatever the spacing at the Fermi edge.  The
+    # sea ends 3 levels early, so the end correction's stencil stays in it.
+    first = spectrum.n_exact + _FIRST_BLOCK
+    head = np.full(n, start_index)
+    sea = head  # no lane has a sea past the first block
+    if kind == OCC and sign == FERMI and (gamma < -X_DEAD).any():
+        sea = np.maximum(first, np.minimum(_sea_end(tail, beta, sigma) - 3, n_em)).astype(np.int64)
+        filled = (sea > first).nonzero()[0]
+        if len(filled):
+            close(filled, np.full(len(filled), first), sea[filled])
+    running = sum(parts, np.zeros((rows, n)))
 
     # direct sums up to each lane's closure index, in level blocks common to
     # all lanes: the root-solved levels with the first tail levels, then
     # doubling runs of tail levels.  Levels a lane sums otherwise (past its
-    # closure index, or in its filled sea) are masked out.
+    # closure index, or in its closed sea) are masked out.
     live = np.ones(n, dtype=bool)  # lanes the stop rule has not ended
-    lo, width = start_index, 256
-    hi = n_exact + width
-    while (live & (np.maximum(start, lo) < n_em)).any():
-        if lo >= budget:
-            raise BudgetError(f"level sum did not converge within {budget} levels")
-        lanes = (live & (np.maximum(start, lo) < np.minimum(n_em, hi))).nonzero()[0]
+    lo, width, hi = start_index, _FIRST_BLOCK, first
+    while True:
+        # each lane's first level to sum from lo on: past its sea after the first block
+        begin = head if lo < first else np.maximum(lo, sea)
+        if not (live & (begin < n_em)).any():
+            break
+        if lo >= LEVEL_BUDGET:
+            raise BudgetError(f"level sum did not converge within {LEVEL_BUDGET} levels")
+        lanes = (live & (begin < np.minimum(n_em, hi))).nonzero()[0]
         if len(lanes):
             top = min(hi, int(n_em[lanes].max()))
             m = np.arange(lo, top)
-            dE = np.concatenate([spectrum.exact_levels[lo:top],
-                                 tail.energy(m[m >= n_exact])]) - e0
+            dE = spectrum.energies(m) - e0
             block = np.zeros((rows, n))
             step = max(1, _PAIRS // len(m))
             for k in range(0, len(lanes), step):
                 sub = lanes[k:k + step]
                 x = beta[sub, None] * dE + gamma[sub, None]
                 terms = _summands(x, dE + moff[sub, None], kind, sign)
-                terms[:, (m < start[sub, None]) | (m >= n_em[sub, None])] = 0.0
+                terms[:, (m < begin[sub, None]) | (m >= n_em[sub, None])] = 0.0
                 block[:, sub] = terms.sum(axis=2)
                 running[:, sub] += block[:, sub]
                 # the stop rule: the lane's block ended at an exponent >=
@@ -348,22 +323,16 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
         lo, width = hi, min(2 * width, 1 << 20)
         hi = lo + width
 
-    if force_direct and live.any():
-        raise BudgetError(f"level sum did not converge within {budget} levels")
     closed = live.nonzero()[0]
     if len(closed):
-        for piece in (_em_integral, _em_boundary):
-            parts.append(np.zeros((rows, n)))
-            parts[-1][:, closed] = piece(tail, beta[closed], sigma[closed], ds_ref[closed],
-                                         n_em[closed], kind, sign)
+        close(closed, n_em[closed])
     cols = np.array(parts).reshape(len(parts), -1).T.tolist()
     return np.array([math.fsum(col) for col in cols]).reshape(rows, n)
 
 
 def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, kind: str, sign: int = BOLTZ,
                 *, gamma: float | np.ndarray = 0.0, moment_offset: float | np.ndarray = 0.0,
-                start_index: int = 0, budget: int = LEVEL_BUDGET,
-                force_direct: bool = False) -> tuple:
+                start_index: int = 0) -> tuple:
     """All sums of one kernel family over n >= start_index, in one pass,
     for a batch of lanes.
 
@@ -380,19 +349,15 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, kind: str, sign: i
     Scalar arguments give plain floats, and otherwise every sum is an array
     of the broadcast shape.  Every lane is summed as it would be alone, with
     its own closure index, filled sea and stop rule.
-
-    ``force_direct`` disables the Euler-Maclaurin closure (test hook; the
-    stop rule and the level budget then govern alone).
     """
-    if kind not in _ROWS:
-        raise SolverError(f"ladder_sums kind must be {BOLTZ_KIND!r} or {OCC!r}, "
-                          f"got {kind!r}")
+    if (kind, sign) not in _FAMILIES:
+        raise SolverError(f"ladder_sums takes kind {BOLTZ_KIND!r} with sign BOLTZ, or {OCC!r} "
+                          f"with FERMI or BOSE, got ({kind!r}, {sign!r})")
     shape = np.broadcast(beta, gamma, moment_offset).shape
     lanes = [(np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset)]
-    if not (lanes[0].size and (np.isfinite(lanes[0]) & (lanes[0] > 0.0)).all()):
-        raise SolverError(f"beta must be finite and > 0, got {beta}")
+    _check_beta(lanes[0])
     sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes), kind, sign,
-                                 start_index, budget, force_direct)
+                                 start_index)
                       for lo in range(0, lanes[0].size, _LANES)])
     if not shape:
         return tuple(sums[:, 0].tolist())

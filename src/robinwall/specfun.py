@@ -3,8 +3,9 @@
 Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
 forms for large positive argument), their negative zeros, the principal
 branch of the Lambert W function on the nonnegative axis, the safeguarded
-Newton solver that finds every Airy zero and Robin level, and the integer
-check shared by every index and count of the package.
+Newton solver that finds every Airy zero and Robin level, and the checks
+shared by every index and count and every inverse temperature of the
+package.
 
 ``airy`` and ``airy_scaled`` take float arrays (a scalar gives floats, as a
 one-element batch of the same code) and route each element to its branch;
@@ -63,6 +64,15 @@ def _check_index(value, minimum: int, what: str) -> int:
             and value == int(value) >= minimum):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
+    """beta as a float, or a float array for a batch; DomainError unless
+    each is finite and > 0."""
+    b = np.asarray(beta, dtype=float)
+    if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
+        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
+    return float(b) if b.ndim == 0 else b
 
 
 class AiryZeroKind(enum.Enum):

@@ -119,6 +119,14 @@ class TailLaw:
         return self.tau * np.power(self.argument(m), 2.0 / 3.0) + self.shift
 
 
+def _energies(exact: np.ndarray, tail: TailLaw, m: np.ndarray) -> np.ndarray:
+    """``Spectrum.energies`` of the root-solved block ``exact`` and ``tail``."""
+    out = exact[np.minimum(m, len(exact) - 1)]
+    beyond = m >= len(exact)
+    out[beyond] = tail.energy(m[beyond])
+    return out
+
+
 @dataclass(frozen=True)
 class LevelGap:
     """Gap above the ground state and its ratio to the first gap."""
@@ -134,8 +142,8 @@ class Spectrum:
 
     ``levels`` holds the materialized levels that were requested;
     ``exact_levels`` always holds the full root-solved block (``n_exact``
-    entries) that the summation engine relies on, with the ``tail`` law
-    generating every level beyond it on demand.
+    entries), with the ``tail`` law generating every level beyond it;
+    ``energies`` gives any level by index from the two.
     """
 
     wall: WallSpec
@@ -159,11 +167,13 @@ class Spectrum:
     def e0(self) -> float:
         return float(self.exact_levels[0])
 
+    def energies(self, m: np.ndarray) -> np.ndarray:
+        """Levels at the indices m >= 0 (a 1-D int array): the root-solved
+        block below ``n_exact``, the tail law beyond."""
+        return _energies(self.exact_levels, self.tail, m)
+
     def level(self, n: int) -> float:
-        n = _check_index(n, 0, "level index")
-        if n < self.n_exact:
-            return float(self.exact_levels[n])
-        return float(self.tail.energy(n))
+        return float(self.energies(np.array([_check_index(n, 0, "level index")]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +263,14 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
     shift = exact[-1] + _airy_zeros(n_exact - 1 + j0, zero_kind)[-1] * f23
     tail = TailLaw(tau=_ZERO_LAW_PREF * f23, j0=j0, k_off=k_off, shift=float(shift))
 
-    levels = np.concatenate([
-        exact[:count],
-        tail.energy(np.arange(n_exact, count)) if count > n_exact else np.empty(0),
-    ])
-    return Spectrum(wall=wall, levels=levels, n_exact=n_exact,
-                    tail_rule=rule, exact_levels=exact, tail=tail)
+    return Spectrum(wall=wall, levels=_energies(exact, tail, np.arange(count)),
+                    n_exact=n_exact, tail_rule=rule, exact_levels=exact, tail=tail)
 
 
 def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     """Gaps Delta_n = E_n - E_0 and ratios R_n = Delta_n / Delta_1, n=1..n_max."""
     n_max = _check_index(n_max, 1, "n_max")
-    levels = np.concatenate([spectrum.exact_levels[:n_max + 1],
-                             spectrum.tail.energy(np.arange(spectrum.n_exact, n_max + 1))])
+    levels = spectrum.energies(np.arange(n_max + 1))
     delta = levels[1:] - levels[0]
     return [LevelGap(n=n, delta=d, ratio=r) for n, d, r in
             zip(range(1, n_max + 1), delta.tolist(), (delta / delta[0]).tolist())]

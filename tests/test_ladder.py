@@ -10,7 +10,7 @@ import pytest
 from scipy import special as sp
 
 from robinwall import ladder
-from robinwall.errors import BudgetError, SolverError
+from robinwall.errors import BudgetError, DomainError, SolverError
 from robinwall.ladder import (
     BOLTZ,
     BOLTZ_KIND,
@@ -68,6 +68,13 @@ def pick(spectrum, beta, kind, sign, powers, **kw):
     return [sums[first + p] for p in powers]
 
 
+def force_direct(monkeypatch):
+    """Disable the Euler-Maclaurin closure: every closure index lies past any
+    level budget, so the stop rule and the budget govern alone."""
+    monkeypatch.setattr(ladder, "_dense_index",
+                        lambda spectrum, beta: np.full(len(beta), 2 ** 62))
+
+
 @pytest.fixture(scope="module")
 def spectrum_m3():
     return build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
@@ -103,11 +110,13 @@ def test_weak_field_closure_matches_brute_force():
         assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def test_forced_direct_agrees_with_closure(spectrum_m3):
+def test_forced_direct_agrees_with_closure(spectrum_m3, monkeypatch):
     # same sums with the closure disabled (pure direct + stop rule)
     for beta in (1.0, 4.0):
         hybrid = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ)
-        direct = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ, force_direct=True)
+        with monkeypatch.context() as patch:
+            force_direct(patch)
+            direct = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ)
         for h, d in zip(hybrid, direct):
             assert h == pytest.approx(d, rel=1e-10, abs=0.0)
 
@@ -129,13 +138,19 @@ DEGENERATE_CASES = [
     (WallKind.ROBIN_ATTRACTIVE, 1e-2, 2.0, 400_000),
     (WallKind.NEUMANN, 1e-4, 3.0, 100_000),
     (WallKind.NEUMANN, 1e-4, 30.0, 30_000),
+    # a sea closed past the first direct block, ending ~110 levels below a
+    # Fermi edge too sparse for the tail closure (beta dE/dn ~ 0.4)
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, 200.0, 3000),
+    # the Fermi level 73 units above level 20 and 435 below level 21: the
+    # distribution sums are e^-73 and live on the last filled level alone
+    (WallKind.ROBIN_REPULSIVE, 19.79, 101.9, 20),
 ]
 
 
 @pytest.mark.parametrize("wall_kind,field,beta,mu_idx", DEGENERATE_CASES)
 def test_degenerate_fermi_sea_matches_brute_force(wall_kind, field, beta, mu_idx):
-    # the filled sea is summed in closed form plus panel quadrature; compare
-    # against literal summation through the whole sea
+    # the filled sea is closed by the same Euler-Maclaurin formula as the
+    # tail; compare against literal summation through the whole sea
     sp = build_spectrum(WallSpec(wall_kind, field), count=64)
     mu = float(sp.tail.energy(mu_idx))
     gamma = beta * (sp.e0 - mu)
@@ -166,8 +181,8 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
 @pytest.mark.parametrize("kind", [WallKind.ROBIN_ATTRACTIVE, WallKind.DIRICHLET],
                          ids=lambda k: k.value)
 def test_short_root_block_matches_brute_force(kind):
-    # with two root-solved levels the closure and the filled sea's closed
-    # form could start right after them, where the ladder bends hardest
+    # with two root-solved levels the closure could start right after them,
+    # where the ladder bends hardest
     # (the attractive tail law is undefined at level 0, two levels back)
     sp = build_spectrum(WallSpec(kind, 0.1), count=2, n_exact=2)
     for beta in (0.005, 0.05):
@@ -326,17 +341,18 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
         assert f == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("force_direct", [False, True])
+@pytest.mark.parametrize("direct", [False, True])
 @pytest.mark.parametrize("temperature", [0.0321, 0.025])
-def test_stop_rule_watches_every_sum(force_direct, temperature):
+def test_stop_rule_watches_every_sum(direct, temperature, monkeypatch):
     # the ground level holds nearly all of S_0 while S_1 and S_2 live on the
     # excited levels e^-31 below it: stopping on S_0 alone truncated them
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.233e-5), count=64)
     beta = 1.0 / temperature
-    s0, s1, s2 = ladder_sums(sp, beta, BOLTZ_KIND, BOLTZ, force_direct=force_direct)
+    if direct:
+        force_direct(monkeypatch)
+    s0, s1, s2 = ladder_sums(sp, beta, BOLTZ_KIND, BOLTZ)
     c = beta * beta * (s2 / s0 - (s1 / s0) ** 2)
-    levels = np.concatenate([sp.exact_levels,
-                             sp.tail.energy(np.arange(sp.n_exact, 400_000))])
+    levels = sp.energies(np.arange(400_000))
     assert beta * (levels[-1] - levels[1]) > 80.0
     w = np.exp(-beta * (levels - sp.e0))
     z = math.fsum(w)
@@ -356,6 +372,20 @@ def test_unknown_kind_rejected(spectrum_m3):
         ladder_sums(spectrum_m3, 1.0, DIST, BOSE, gamma=0.5)
 
 
+@pytest.mark.parametrize("kind,sign", [(OCC, BOLTZ), (OCC, 7), (BOLTZ_KIND, FERMI),
+                                       (BOLTZ_KIND, BOSE)])
+def test_kind_and_sign_must_match(spectrum_m3, kind, sign):
+    # occupations need Fermi or Bose statistics, Boltzmann factors none
+    with pytest.raises(SolverError):
+        ladder_sums(spectrum_m3, 1.0, kind, sign, gamma=0.5)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0, [], [1.0, math.nan]])
+def test_beta_checked(spectrum_m3, beta):
+    with pytest.raises(DomainError):
+        ladder_sums(spectrum_m3, beta, OCC, FERMI, gamma=0.5)
+
+
 def test_huge_fermion_number_is_fast_and_validated():
     # worst corner found by randomized stress: 1e8 fermions, strong field
     import time
@@ -368,10 +398,12 @@ def test_huge_fermion_number_is_fast_and_validated():
     assert p.mu > sp.level(63)  # mu sits deep in the ladder
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
     sp6 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-6), count=64)
+    monkeypatch.setattr(ladder, "LEVEL_BUDGET", 10_000)
+    force_direct(monkeypatch)
     with pytest.raises(BudgetError):
-        ladder_sums(sp6, 2.0, BOLTZ_KIND, BOLTZ, budget=10_000, force_direct=True)
+        ladder_sums(sp6, 2.0, BOLTZ_KIND, BOLTZ)
 
 
 def test_bose_positive_exponent_guard(spectrum_m3):
@@ -384,7 +416,7 @@ def test_bose_positive_exponent_guard(spectrum_m3):
 def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
     # 50 lanes in one call give each lane's own one-lane sums; the lanes
     # cover the stop rule inside the direct sum, the Euler-Maclaurin
-    # closure and (fermions) the closed-form filled sea
+    # closure of the tail and (fermions) that of a filled sea
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     rng = np.random.default_rng(7)
     beta = np.geomspace(0.05, 400.0, 50)
@@ -397,18 +429,14 @@ def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
     else:
         gamma = 10.0 ** rng.uniform(-7.0, 1.0, 50)
     paths = {"closed": 0, "sea": 0}
-    em_integral, filled_block = ladder._em_integral, ladder._filled_block
+    em_integral = ladder._em_integral
 
-    def counting_closure(tail, beta, *args):
-        paths["closed"] += len(beta)
-        return em_integral(tail, beta, *args)
-
-    def counting_sea(*args):
-        paths["sea"] += 1
-        return filled_block(*args)
+    def counting_closure(tail, beta, sigma, ds_ref, n0, kind, sign, n1=None):
+        # an upper end closes a sea, none the tail
+        paths["closed" if n1 is None else "sea"] += len(beta)
+        return em_integral(tail, beta, sigma, ds_ref, n0, kind, sign, n1)
 
     monkeypatch.setattr(ladder, "_em_integral", counting_closure)
-    monkeypatch.setattr(ladder, "_filled_block", counting_sea)
     batch = ladder_sums(sp, beta, kind, sign, gamma=gamma, moment_offset=moff)
     assert 0 < paths["closed"] < 50  # some lanes closed, the others stopped
     assert (paths["sea"] > 0) == (sign == FERMI)
@@ -417,3 +445,51 @@ def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
         one = ladder_sums(sp, beta[i], kind, sign, gamma=gamma[i], moment_offset=moff[i])
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
+
+
+def test_sea_ending_just_past_the_first_block_matches_brute_force():
+    # seas that end 1..4 levels past the first direct block, so the closure
+    # over [first, sea) is shorter than its five-point stencils; one batch
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
+    beta = 20.0
+    first = sp.n_exact + 256
+    # the Fermi level puts level first + 3 + k + 1/2 at exponent -X_DEAD: the
+    # sea holds the levels up to first + 3 + k, and its closure ends 3 early
+    mu = np.array([float(sp.tail.energy(first + 3.5 + k)) for k in range(1, 5)]) \
+        + ladder.X_DEAD / beta
+    gamma = beta * (sp.e0 - mu)
+    sigma = beta * (sp.tail.shift - sp.e0) + gamma
+    sea = ladder._sea_end(sp.tail, np.full(4, beta), sigma) - 3
+    assert (sea - first).tolist() == [1, 2, 3, 4]
+    assert (ladder._dense_index(sp, np.full(4, beta)) > sea).all()
+    batch = ladder_sums(sp, beta, OCC, FERMI, gamma=gamma, moment_offset=0.2)
+    for i, g in enumerate(gamma):
+        ref = np.concatenate([
+            brute_force(sp, beta, OCC, FERMI, g, 0.2, powers=(0, 1)),
+            brute_force(sp, beta, DIST, FERMI, g, 0.2, powers=(0, 1, 2))])
+        for b, r in zip(batch, ref):
+            assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
+
+
+def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
+    # work-count gate: 50 lanes with 1e5 filled levels each.  Summing the
+    # sea directly would evaluate every block between the first one and the
+    # block holding the Fermi edge, more than 1e5 summands per lane; the
+    # sea closure leaves the first block, the edge block and the panels
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
+    beta = np.linspace(150.0, 300.0, 50)
+    gamma = beta * (sp.e0 - 0.5 * (sp.level(99_999) + sp.level(100_000)))
+    sizes = []
+    summands = ladder._summands
+
+    def counting_summands(x, *args):
+        sizes.append(x.size)
+        return summands(x, *args)
+
+    monkeypatch.setattr(ladder, "_summands", counting_summands)
+    batch = ladder_sums(sp, beta, OCC, FERMI, gamma=gamma)
+    assert sum(sizes) < 50 * 100_000
+    for i in (0, 49):
+        ref = brute_force(sp, beta[i], OCC, FERMI, gamma[i], powers=(0, 1))
+        for b, r in zip(batch, ref):
+            assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
