@@ -157,6 +157,16 @@ def _check_weak_field(field: float) -> float:
     return field
 
 
+def _check_weak_regime(beta: float, field: float) -> tuple[float, float]:
+    """(beta, field) checked for the weak-field closed forms: field <=
+    WEAK_FIELD_MAX and beta * field^(2/3) <= 0.1."""
+    beta, field = _check_beta(beta), _check_weak_field(field)
+    if beta * field ** (2.0 / 3.0) > 0.1:
+        raise DomainError(
+            f"weak-field form needs beta * field^(2/3) <= 0.1, got {beta * field ** (2/3):.3g}")
+    return beta, field
+
+
 def resonance_predictors(field: float) -> tuple[float, float, float]:
     """Lambert-W predictors for the attractive wall's weak-field resonance.
 
@@ -183,11 +193,7 @@ def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
 
     Valid for field <= 1e-2 and beta * field^(2/3) <= 0.1.
     """
-    beta = _check_beta(beta)
-    field = _check_weak_field(field)
-    if beta * field ** (2.0 / 3.0) > 0.1:
-        raise DomainError(
-            f"composite form needs beta * field^(2/3) <= 0.1, got {beta * field ** (2/3):.3g}")
+    beta, field = _check_weak_regime(beta, field)
     emb = math.exp(-beta) if beta < 700 else 0.0
     e = ((-1.0 + 0.75 * emb / (_SQRT_PI * field * beta ** 2.5))
          / (1.0 + 0.5 * emb / (_SQRT_PI * field * beta ** 1.5)))

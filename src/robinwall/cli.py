@@ -32,16 +32,8 @@ EXIT_SPEC = 2
 EXIT_SOLVER = 3
 EXIT_REGRESSION = 4
 
-_WALLS = {
-    "dirichlet": WallKind.DIRICHLET,
-    "neumann": WallKind.NEUMANN,
-    "robin-": WallKind.ROBIN_ATTRACTIVE,
-    "robin+": WallKind.ROBIN_REPULSIVE,
-}
-
-
 def _add_wall_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--wall", choices=sorted(_WALLS), required=True)
+    p.add_argument("--wall", choices=sorted(k.value for k in WallKind), required=True)
     p.add_argument("--field", type=float, required=True,
                    help="dimensionless field strength (> 0)")
     p.add_argument("--levels", type=int, default=64,
@@ -108,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    wall = WallSpec(_WALLS[args.wall], args.field)
+    wall = WallSpec(WallKind(args.wall), args.field)
     sp = build_spectrum(wall, count=args.count, n_exact=args.levels)
     gaps = level_gaps(sp, min(args.count - 1, 20)) if args.count > 1 else []
     if args.format == "json":
@@ -133,7 +125,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    wall = WallSpec(_WALLS[args.wall], args.field)
+    wall = WallSpec(WallKind(args.wall), args.field)
     outputs = tuple(s for s in args.outputs.split(",") if s)
     spec = SweepSpec(wall=wall, ensemble=ensemble_spec(args.ensemble, args.particles),
                      beta_inv_min=args.beta_inv_min, beta_inv_max=args.beta_inv_max,

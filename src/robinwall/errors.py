@@ -14,4 +14,4 @@ class SolverError(RobinWallError, RuntimeError):
 
 
 class BudgetError(SolverError):
-    """A truncated sum did not converge within the level budget."""
+    """A ladder sum needs more directly summed levels than its budget."""

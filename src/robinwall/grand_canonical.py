@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import _check_weak_field
+from .canonical import _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
 from .ladder import BOSE, FERMI, OCC, ladder_sums
 from .spectrum import Spectrum, _check_field
@@ -350,11 +350,7 @@ def asymptotic_mu_cn(beta: float, field: float,
     r = 1/(2 sqrt(pi) beta^{3/2} F), evaluated in subtraction-free form; for
     bosons this is the root with mu < E_0.
     """
-    beta = _check_beta(beta)
-    field = _check_weak_field(field)
-    if beta * field ** (2.0 / 3.0) > 0.1:
-        raise DomainError(
-            f"asymptotic form needs beta * field^(2/3) <= 0.1, got {beta * field ** (2/3):.3g}")
+    beta, field = _check_weak_regime(beta, field)
     n = float(ensemble.n_particles)
     r = 0.5 / (_SQRT_PI * beta ** 1.5 * field)
     emb = math.exp(-beta)

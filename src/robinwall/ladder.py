@@ -21,12 +21,16 @@ one numpy pass over a (lanes x levels) block; a scalar call is a one-lane
 batch.  Lanes go in groups of 32 with at most 2^14 (lane, level) pairs
 per direct block, so no temporary exceeds ~1 MB.
 
-Each lane is summed as it would be alone.  Its low levels are summed
-directly (ascending, in level blocks common to the batch, with levels the
-lane closes masked out; a lane stops once eight consecutive summands of
-every returned sum drop below 1e-16 of that sum's running total at a block
-end).  The rest is closed by one Euler-Maclaurin formula over the exact
-power-law tail E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
+Each lane is summed as it would be alone.  Its direct range is fixed
+before any summing, in closed form from the tail law: its low levels, up
+to where its exponent passes that of the first level every returned sum
+weighs (floored at 0) by X_DEAD = 45, or up to its closure index if that
+comes first.  Levels past the range of a lane that stops short of its
+closure index are below e^-45 of the sums on a sparse ladder, and are
+dropped.  The direct levels are summed ascending, in level blocks common
+to the batch, each spanning only the levels its lanes need, with the
+others masked out.  The rest is closed by one Euler-Maclaurin formula over
+the exact power-law tail E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
 
     sum_{n0 <= m < n1} = integral_{n0}^{n1} + edge(n0) - edge(n1)
 
@@ -51,7 +55,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetError, SolverError
+from .errors import BudgetError, DomainError, SolverError
 from .specfun import _check_beta
 from .spectrum import Spectrum
 
@@ -66,9 +70,6 @@ FERMI = +1
 BOSE = -1
 BOLTZ = 0
 
-STOP_REL = 1e-16          # stop rule: summand below this fraction of its sum
-STOP_RUN = 8              # ... for this many consecutive levels
-STOP_MIN_X = 30.0         # ... and only once exponents are this large
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
 LEVEL_BUDGET = 10 ** 8    # hard cap on directly summed levels
 EM_START = 16             # no Euler-Maclaurin part starts below this index:
@@ -221,8 +222,7 @@ def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
     """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD, per lane
     (capped far beyond any level budget)."""
     tail = spectrum.tail
-    arg = (8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3
-    m = (arg + tail.k_off) / 4.0 - tail.j0
+    m = tail.index((8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3)
     return np.maximum(max(spectrum.n_exact + 2, EM_START),
                       np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
 
@@ -230,11 +230,11 @@ def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
 X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
 
-def _sea_end(tail, beta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per lane, a tail index before which every tail level has an exponent
-    at or below -X_DEAD (the level at the index itself does too)."""
-    w = (np.maximum(-X_DEAD - sigma, 0.0) / (beta * tail.tau)) ** 1.5
-    return np.floor((w + tail.k_off) / 4.0 - tail.j0)
+def _tail_index(tail, beta: np.ndarray, sigma: np.ndarray, x: float | np.ndarray) -> np.ndarray:
+    """Per lane, the real tail index where the exponent
+    beta*tau*argument(m)^(2/3) + sigma reaches x (the tail's lower end,
+    argument 0, for an x below sigma)."""
+    return tail.index((np.maximum(x - sigma, 0.0) / (beta * tail.tau)) ** 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +257,36 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moff
     n_em = _dense_index(spectrum, beta)
+    first = spectrum.n_exact + _FIRST_BLOCK
+
+    # each lane's direct range ends where its exponent passes x_top +
+    # X_DEAD, x_top being that of the first level every returned sum weighs,
+    # floored at the distribution kernel's peak: every kernel is down by
+    # e^-X_DEAD there.  Short of the closure index the ladder is sparse
+    # (beta dE/dn above DENSE_THRESHOLD), so the levels past the stop are
+    # dropped; a lane that reaches its closure index closes the tail there.
+    x_top = np.maximum(beta * (spectrum.level(max(start_index, 1)) - e0) + gamma, 0.0)
+    stop = _tail_index(tail, beta, sigma, x_top + X_DEAD)
+    stop = np.minimum(n_em, np.maximum(first, np.ceil(np.minimum(stop, 2.0 ** 62))))
+    stop = stop.astype(np.int64)
+    # a deeply submerged Fermi sea (exponents below -X_DEAD) past the first
+    # direct block is closed like the tail, over [first, sea): its summands
+    # are smooth in m there, whatever the spacing at the Fermi edge.  The
+    # sea ends 3 levels early, so the end correction's stencil stays in it.
+    sea = np.full(n, first)
+    if kind == OCC and sign == FERMI and (gamma < -X_DEAD).any():
+        sea = np.floor(_tail_index(tail, beta, sigma, -X_DEAD)) - 3
+        sea = np.maximum(first, np.minimum(sea, n_em)).astype(np.int64)
+    if (stop - sea > LEVEL_BUDGET).any():
+        raise BudgetError(f"a lane needs {int((stop - sea).max())} directly summed levels, "
+                          f"more than the budget of {LEVEL_BUDGET}")
     parts = []
 
     def close(lanes: np.ndarray, n0: np.ndarray, n1: np.ndarray | None = None) -> None:
         """Add the lanes' closure over n0 <= m < n1 (None: to infinity) to
         the partials: the integral, edge(n0) and -edge(n1)."""
+        if not len(lanes):
+            return
         args = (tail, beta[lanes], sigma[lanes], ds_ref[lanes])
         pieces = [_em_integral(*args, n0, kind, sign, n1), _em_boundary(*args, n0, kind, sign)]
         if n1 is not None:
@@ -270,37 +295,21 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
             parts.append(np.zeros((rows, n)))
             parts[-1][:, lanes] = piece
 
-    # a deeply submerged Fermi sea (exponents below -X_DEAD) past the first
-    # direct block is closed like the tail, over [first, sea): its summands
-    # are smooth in m there, whatever the spacing at the Fermi edge.  The
-    # sea ends 3 levels early, so the end correction's stencil stays in it.
-    first = spectrum.n_exact + _FIRST_BLOCK
-    head = np.full(n, start_index)
-    sea = head  # no lane has a sea past the first block
-    if kind == OCC and sign == FERMI and (gamma < -X_DEAD).any():
-        sea = np.maximum(first, np.minimum(_sea_end(tail, beta, sigma) - 3, n_em)).astype(np.int64)
-        filled = (sea > first).nonzero()[0]
-        if len(filled):
-            close(filled, np.full(len(filled), first), sea[filled])
-    running = sum(parts, np.zeros((rows, n)))
+    filled = (sea > first).nonzero()[0]
+    close(filled, np.full(len(filled), first), sea[filled])
+    closed = (stop == n_em).nonzero()[0]
+    close(closed, n_em[closed])
 
-    # direct sums up to each lane's closure index, in level blocks common to
-    # all lanes: the root-solved levels with the first tail levels, then
-    # doubling runs of tail levels.  Levels a lane sums otherwise (past its
-    # closure index, or in its closed sea) are masked out.
-    live = np.ones(n, dtype=bool)  # lanes the stop rule has not ended
+    # direct sums over each lane's [start_index, first) and [sea, stop), in
+    # level blocks common to the batch: the root-solved levels with the
+    # first tail levels, then doubling runs of tail levels.  A block spans
+    # only the levels its lanes sum, and masks each lane's others.
     lo, width, hi = start_index, _FIRST_BLOCK, first
-    while True:
-        # each lane's first level to sum from lo on: past its sea after the first block
-        begin = head if lo < first else np.maximum(lo, sea)
-        if not (live & (begin < n_em)).any():
-            break
-        if lo >= LEVEL_BUDGET:
-            raise BudgetError(f"level sum did not converge within {LEVEL_BUDGET} levels")
-        lanes = (live & (begin < np.minimum(n_em, hi))).nonzero()[0]
+    while lo < stop.max():
+        begin = np.full(n, lo) if lo < first else np.maximum(lo, sea)
+        lanes = (begin < np.minimum(stop, hi)).nonzero()[0]
         if len(lanes):
-            top = min(hi, int(n_em[lanes].max()))
-            m = np.arange(lo, top)
+            m = np.arange(begin[lanes].min(), min(hi, stop[lanes].max()))
             dE = spectrum.energies(m) - e0
             block = np.zeros((rows, n))
             step = max(1, _PAIRS // len(m))
@@ -308,24 +317,12 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                 sub = lanes[k:k + step]
                 x = beta[sub, None] * dE + gamma[sub, None]
                 terms = _summands(x, dE + moff[sub, None], kind, sign)
-                terms[:, (m < begin[sub, None]) | (m >= n_em[sub, None])] = 0.0
+                terms[:, (m < begin[sub, None]) | (m >= stop[sub, None])] = 0.0
                 block[:, sub] = terms.sum(axis=2)
-                running[:, sub] += block[:, sub]
-                # the stop rule: the lane's block ended at an exponent >=
-                # STOP_MIN_X, with its last summands of every sum below
-                # STOP_REL of that sum's running total
-                at = np.arange(len(sub))
-                end = np.minimum(n_em[sub], top) - 1 - lo
-                last = terms[:, at[:, None], np.maximum(end[:, None] - np.arange(STOP_RUN), 0)]
-                small = np.abs(last) <= STOP_REL * np.abs(running[:, sub, None])
-                live[sub[(x[at, end] >= STOP_MIN_X) & small.all(axis=(0, 2))]] = False
             parts.append(block)
         lo, width = hi, min(2 * width, 1 << 20)
         hi = lo + width
 
-    closed = live.nonzero()[0]
-    if len(closed):
-        close(closed, n_em[closed])
     cols = np.array(parts).reshape(len(parts), -1).T.tolist()
     return np.array([math.fsum(col) for col in cols]).reshape(rows, n)
 
@@ -348,10 +345,12 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, kind: str, sign: i
 
     Scalar arguments give plain floats, and otherwise every sum is an array
     of the broadcast shape.  Every lane is summed as it would be alone, with
-    its own closure index, filled sea and stop rule.
+    its own closure index, filled sea and direct range; a lane that needs
+    more than LEVEL_BUDGET directly summed levels raises ``BudgetError``
+    before anything is summed.
     """
     if (kind, sign) not in _FAMILIES:
-        raise SolverError(f"ladder_sums takes kind {BOLTZ_KIND!r} with sign BOLTZ, or {OCC!r} "
+        raise DomainError(f"ladder_sums takes kind {BOLTZ_KIND!r} with sign BOLTZ, or {OCC!r} "
                           f"with FERMI or BOSE, got ({kind!r}, {sign!r})")
     shape = np.broadcast(beta, gamma, moment_offset).shape
     lanes = [(np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset)]

@@ -114,6 +114,10 @@ class TailLaw:
     def argument(self, m):
         return 4.0 * (np.asarray(m, dtype=float) + self.j0) - self.k_off
 
+    def index(self, a):
+        """The real index m with ``argument(m) == a``."""
+        return (np.asarray(a, dtype=float) + self.k_off) / 4.0 - self.j0
+
     def energy(self, m):
         # np.power, not **: a scalar then takes the array's rounding
         return self.tau * np.power(self.argument(m), 2.0 / 3.0) + self.shift

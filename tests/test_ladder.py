@@ -70,7 +70,7 @@ def pick(spectrum, beta, kind, sign, powers, **kw):
 
 def force_direct(monkeypatch):
     """Disable the Euler-Maclaurin closure: every closure index lies past any
-    level budget, so the stop rule and the budget govern alone."""
+    level budget, so each lane's direct range and the budget govern alone."""
     monkeypatch.setattr(ladder, "_dense_index",
                         lambda spectrum, beta: np.full(len(beta), 2 ** 62))
 
@@ -111,7 +111,7 @@ def test_weak_field_closure_matches_brute_force():
 
 
 def test_forced_direct_agrees_with_closure(spectrum_m3, monkeypatch):
-    # same sums with the closure disabled (pure direct + stop rule)
+    # same sums with the closure disabled (pure direct summation)
     for beta in (1.0, 4.0):
         hybrid = ladder_sums(spectrum_m3, beta, BOLTZ_KIND, BOLTZ)
         with monkeypatch.context() as patch:
@@ -345,7 +345,8 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
 @pytest.mark.parametrize("temperature", [0.0321, 0.025])
 def test_stop_rule_watches_every_sum(direct, temperature, monkeypatch):
     # the ground level holds nearly all of S_0 while S_1 and S_2 live on the
-    # excited levels e^-31 below it: stopping on S_0 alone truncated them
+    # excited levels e^-31 below it: a direct range cut from the ground
+    # level's exponent would truncate them
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.233e-5), count=64)
     beta = 1.0 / temperature
     if direct:
@@ -358,7 +359,7 @@ def test_stop_rule_watches_every_sum(direct, temperature, monkeypatch):
     z = math.fsum(w)
     mean = math.fsum(w * levels) / z
     c_direct = beta * beta * math.fsum(w * (levels - mean) ** 2) / z
-    assert c == pytest.approx(c_direct, rel=1e-9)
+    assert c == pytest.approx(c_direct, rel=1e-9, abs=0.0)
 
 
 def test_ladder_sums_are_plain_floats(spectrum_m3):
@@ -368,7 +369,7 @@ def test_ladder_sums_are_plain_floats(spectrum_m3):
 
 
 def test_unknown_kind_rejected(spectrum_m3):
-    with pytest.raises(SolverError):
+    with pytest.raises(DomainError):
         ladder_sums(spectrum_m3, 1.0, DIST, BOSE, gamma=0.5)
 
 
@@ -376,7 +377,7 @@ def test_unknown_kind_rejected(spectrum_m3):
                                        (BOLTZ_KIND, BOSE)])
 def test_kind_and_sign_must_match(spectrum_m3, kind, sign):
     # occupations need Fermi or Bose statistics, Boltzmann factors none
-    with pytest.raises(SolverError):
+    with pytest.raises(DomainError):
         ladder_sums(spectrum_m3, 1.0, kind, sign, gamma=0.5)
 
 
@@ -399,11 +400,14 @@ def test_huge_fermion_number_is_fast_and_validated():
 
 
 def test_budget_error(monkeypatch):
+    # the direct range is known before summing: no block is evaluated
     sp6 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-6), count=64)
     monkeypatch.setattr(ladder, "LEVEL_BUDGET", 10_000)
     force_direct(monkeypatch)
+    sizes = count_summands(monkeypatch)
     with pytest.raises(BudgetError):
         ladder_sums(sp6, 2.0, BOLTZ_KIND, BOLTZ)
+    assert sizes == []
 
 
 def test_bose_positive_exponent_guard(spectrum_m3):
@@ -415,8 +419,8 @@ def test_bose_positive_exponent_guard(spectrum_m3):
 @pytest.mark.parametrize("kind,sign", [(BOLTZ_KIND, BOLTZ), (OCC, FERMI), (OCC, BOSE)])
 def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
     # 50 lanes in one call give each lane's own one-lane sums; the lanes
-    # cover the stop rule inside the direct sum, the Euler-Maclaurin
-    # closure of the tail and (fermions) that of a filled sea
+    # cover direct ranges that end before the closure index, the
+    # Euler-Maclaurin closure of the tail and (fermions) that of a filled sea
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     rng = np.random.default_rng(7)
     beta = np.geomspace(0.05, 400.0, 50)
@@ -459,7 +463,7 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
         + ladder.X_DEAD / beta
     gamma = beta * (sp.e0 - mu)
     sigma = beta * (sp.tail.shift - sp.e0) + gamma
-    sea = ladder._sea_end(sp.tail, np.full(4, beta), sigma) - 3
+    sea = np.floor(ladder._tail_index(sp.tail, np.full(4, beta), sigma, -ladder.X_DEAD)) - 3
     assert (sea - first).tolist() == [1, 2, 3, 4]
     assert (ladder._dense_index(sp, np.full(4, beta)) > sea).all()
     batch = ladder_sums(sp, beta, OCC, FERMI, gamma=gamma, moment_offset=0.2)
@@ -471,14 +475,8 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
             assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
-    # work-count gate: 50 lanes with 1e5 filled levels each.  Summing the
-    # sea directly would evaluate every block between the first one and the
-    # block holding the Fermi edge, more than 1e5 summands per lane; the
-    # sea closure leaves the first block, the edge block and the panels
-    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
-    beta = np.linspace(150.0, 300.0, 50)
-    gamma = beta * (sp.e0 - 0.5 * (sp.level(99_999) + sp.level(100_000)))
+def count_summands(monkeypatch):
+    """Record the size of every summand block the engine evaluates."""
     sizes = []
     summands = ladder._summands
 
@@ -487,9 +485,73 @@ def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
         return summands(x, *args)
 
     monkeypatch.setattr(ladder, "_summands", counting_summands)
-    batch = ladder_sums(sp, beta, OCC, FERMI, gamma=gamma)
-    assert sum(sizes) < 50 * 100_000
-    for i in (0, 49):
-        ref = brute_force(sp, beta[i], OCC, FERMI, gamma[i], powers=(0, 1))
-        for b, r in zip(batch, ref):
-            assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
+    return sizes
+
+
+def edge_brute_force(spectrum, beta, gamma, lo):
+    """(N0, D0) of a filled Fermi sea whose levels below lo lie at exponents
+    below -X_DEAD: those count 1 each to N0 and at most e^-45 each to D0;
+    the rest is summed literally."""
+    e0 = spectrum.e0
+    assert beta * (spectrum.level(lo - 1) - e0) + gamma <= -ladder.X_DEAD
+    n0 = float(lo)
+    d0 = 0.0
+    while True:
+        m = np.arange(lo, lo + (1 << 14))
+        x = beta * (spectrum.energies(m) - e0) + gamma
+        n0 += math.fsum(_kernel(x, OCC, FERMI))
+        d0 += math.fsum(_kernel(x, DIST, FERMI))
+        if x[-1] > 55.0:
+            return n0, d0
+        lo += 1 << 14
+
+
+def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
+    # work-count gate: 50-lane passes with a Fermi level between levels
+    # n_fermi - 1 and n_fermi.  Each lane sums directly its first block and
+    # the levels from its sea's end to its stop, ~1e3 (1e4 at N = 1e8)
+    # around the Fermi edge; evaluating whole blocks past the sea would
+    # take 3.3e6 and 2.9e7 summands
+    sizes = count_summands(monkeypatch)
+    for field, n_fermi, betas in ((1e-3, 10 ** 5, (150.0, 300.0)), (8.7, 10 ** 8, (0.5, 2.0))):
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
+        beta = np.linspace(*betas, 50)
+        gamma = beta * (sp.e0 - 0.5 * (sp.level(n_fermi - 1) + sp.level(n_fermi)))
+        sizes.clear()
+        batch = ladder_sums(sp, beta, OCC, FERMI, gamma=gamma)
+        assert sum(sizes) <= 250_000
+        for i in (0, 49):
+            if n_fermi <= 10 ** 5:
+                ref = brute_force(sp, beta[i], OCC, FERMI, gamma[i], powers=(0, 1))
+                for b, r in zip(batch, ref):
+                    assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
+            sigma = beta[i] * (sp.tail.shift - sp.e0) + gamma[i]
+            lo = int(ladder._tail_index(sp.tail, beta[i], sigma, -ladder.X_DEAD))
+            n0, d0 = edge_brute_force(sp, beta[i], gamma[i], lo)
+            assert batch[0][i] == pytest.approx(n0, rel=1e-10, abs=0.0)
+            assert batch[2][i] == pytest.approx(d0, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind,sign", [(BOLTZ_KIND, BOLTZ), (OCC, FERMI), (OCC, BOSE)])
+def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
+    # strong fields at high temperature: the direct range ends past the first
+    # block but before the closure index, and the levels past it are dropped
+    for field in (1.0, 10.0, 30.0):
+        sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+        first = sp.n_exact + 256
+        beta = 25.0 / (sp.level(first) - sp.e0)
+        gamma = {BOLTZ: 0.0, FERMI: -5.0, BOSE: 0.4}[sign]
+        sigma = beta * (sp.tail.shift - sp.e0) + gamma
+        x_top = beta * (sp.level(1) - sp.e0) + gamma
+        stop = ladder._tail_index(sp.tail, beta, sigma, max(x_top, 0.0) + ladder.X_DEAD)
+        assert first < stop < ladder._dense_index(sp, np.array([beta]))[0]
+        sums = ladder_sums(sp, beta, kind, sign, gamma=gamma, moment_offset=0.1)
+        if kind == BOLTZ_KIND:
+            ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=(0, 1, 2))
+        else:
+            ref = np.concatenate([
+                brute_force(sp, beta, OCC, sign, gamma, 0.1, powers=(0, 1)),
+                brute_force(sp, beta, DIST, sign, gamma, 0.1, powers=(0, 1, 2))])
+        for h, r in zip(sums, ref):
+            assert h == pytest.approx(r, rel=1e-10, abs=0.0)
