@@ -23,14 +23,15 @@ per direct block, so no temporary exceeds ~1 MB.
 
 Each lane is summed as it would be alone.  Its direct range is fixed
 before any summing, in closed form from the tail law: its low levels, up
-to where its exponent passes that of the first level every returned sum
-weighs (floored at 0) by X_DEAD = 45, or up to its closure index if that
-comes first.  Levels past the range of a lane that stops short of its
-closure index are below e^-45 of the sums on a sparse ladder, and are
-dropped.  The direct levels are summed ascending, in level blocks common
-to the batch, each spanning only the levels its lanes need, with the
-others masked out.  The rest is closed by one Euler-Maclaurin formula over
-the exact power-law tail E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
+to where its exponent passes by X_DEAD = 45 that of the first level every
+returned sum weighs (for fermions, of the first at or above the Fermi
+level; floored at 0), or up to its closure index if that comes first.
+Levels past the range of a lane that stops short of its closure index are
+below e^-45 of the sums on a sparse ladder, and are dropped.  The direct
+levels are summed ascending, in level blocks common to the batch, each
+spanning only the levels its lanes need, with the others masked out.  The
+rest is closed by one Euler-Maclaurin formula over the exact power-law tail
+E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
 
     sum_{n0 <= m < n1} = integral_{n0}^{n1} + edge(n0) - edge(n1)
 
@@ -252,23 +253,24 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     per lane."""
     rows = len(_ROWS[kind])
     n = len(beta)
-    tail = spectrum.tail
-    e0 = spectrum.e0
+    tail, e0 = spectrum.tail, spectrum.e0
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moff
     n_em = _dense_index(spectrum, beta)
     first = spectrum.n_exact + _FIRST_BLOCK
 
-    # each lane's direct range ends where its exponent passes x_top +
-    # X_DEAD, x_top being that of the first level every returned sum weighs,
-    # floored at the distribution kernel's peak: every kernel is down by
-    # e^-X_DEAD there.  Short of the closure index the ladder is sparse
-    # (beta dE/dn above DENSE_THRESHOLD), so the levels past the stop are
-    # dropped; a lane that reaches its closure index closes the tail there.
-    x_top = np.maximum(beta * (spectrum.level(max(start_index, 1)) - e0) + gamma, 0.0)
-    stop = _tail_index(tail, beta, sigma, x_top + X_DEAD)
-    stop = np.minimum(n_em, np.maximum(first, np.ceil(np.minimum(stop, 2.0 ** 62))))
-    stop = stop.astype(np.int64)
+    # each lane's direct range ends where its exponent passes x_top + X_DEAD,
+    # x_top >= 0 being that of the first level every returned sum weighs or,
+    # for fermions, of the first at or above the Fermi level, which a sparse
+    # edge may leave to carry the distribution sums alone.  Short of the
+    # closure index the ladder is sparse (beta dE/dn above DENSE_THRESHOLD),
+    # so the levels past the stop are dropped; a lane at it closes the tail.
+    m_top = np.full(n, float(max(start_index, 1)))
+    if kind == OCC and sign == FERMI:
+        m_top = np.maximum(m_top, np.ceil(np.minimum(_tail_index(tail, beta, sigma, 0.0), n_em)))
+    x_top = np.maximum(beta * (spectrum.energies(m_top.astype(np.int64)) - e0) + gamma, 0.0)
+    stop = np.ceil(_tail_index(tail, beta, sigma, x_top + X_DEAD))
+    stop = np.minimum(n_em, np.maximum(first, stop)).astype(np.int64)
     # a deeply submerged Fermi sea (exponents below -X_DEAD) past the first
     # direct block is closed like the tail, over [first, sea): its summands
     # are smooth in m there, whatever the spacing at the Fermi edge.  The

@@ -144,6 +144,9 @@ DEGENERATE_CASES = [
     # the Fermi level 73 units above level 20 and 435 below level 21: the
     # distribution sums are e^-73 and live on the last filled level alone
     (WallKind.ROBIN_REPULSIVE, 19.79, 101.9, 20),
+    # past the first direct block: the Fermi level 140 units above level 399
+    # and 47 below level 400, which carries the distribution sums alone
+    (WallKind.ROBIN_REPULSIVE, 20.0, 100.0, 399.75),
 ]
 
 
