@@ -27,8 +27,6 @@ from .spectrum import (
     WallSpec,
     build_spectrum,
     level_gaps,
-    qw_single_bound_window,
-    qw_threshold,
 )
 from .canonical import (
     ExtremumReport,

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .ladder import BOLTZ, BOLTZ_KIND, ladder_sums
+from .ladder import BOLTZ, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, _check_field, build_spectrum
-from .specfun import _check_beta, lambert_w
+from .specfun import _SQRT_PI, _check_beta, lambert_w
 
 __all__ = [
     "ThermoPoint",
@@ -41,7 +41,6 @@ __all__ = [
     "find_extrema",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 WEAK_FIELD_MAX = 1e-2          # contract bound for the asymptotic predictors
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction of Brent's method
@@ -72,7 +71,7 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
     c = beta^2 (<E^2> - <E>^2) of one particle (arrays for an array of beta,
     summed as one batch)."""
     beta = _check_beta(beta)
-    s0, s1, s2 = ladder_sums(spectrum, beta, BOLTZ_KIND, BOLTZ)
+    s0, s1, s2 = ladder_sums(spectrum, beta, BOLTZ)
     m = s1 / s0
     return ThermoPoint(beta=beta, mean_energy=spectrum.e0 + m,
                        heat_capacity=beta * beta * (s2 / s0 - m * m))
@@ -141,7 +140,7 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
     single collapsed variable y = beta * F^(2/3)."""
     if kind not in (WallKind.DIRICHLET, WallKind.NEUMANN):
         raise DomainError(f"universal curve is defined for Dirichlet/Neumann, got {kind}")
-    tp = thermo_point(build_spectrum(WallSpec(kind, 1.0), count=64), y)
+    tp = thermo_point(build_spectrum(WallSpec(kind, 1.0)), y)
     return tp.mean_energy, tp.heat_capacity
 
 
@@ -212,20 +211,20 @@ def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: float,
-           b: float, fb: float, tol: float = 1e-6) -> tuple[float, float]:
+           b: float, fb: float) -> tuple[float, float]:
     """Minimum of fn on [a, b] by Brent's method (Brent 1973, "Algorithms
     for Minimization without Derivatives", ch. 5): parabolic interpolation
     through the three best points, with a golden-section step whenever the
     parabola is untrustworthy.  Starts from a bracketing triple a < x < b
     with fx below fa and fb, all three values already known, so the first
     step is the parabola through them; stops once the bracket around the
-    best point is about ``tol`` wide.  Returns (x, fn(x)) of the best point
+    best point is about 1e-6 wide.  Returns (x, fn(x)) of the best point
     evaluated."""
     (w, fw), (v, fv) = sorted(((a, fa), (b, fb)), key=lambda p: p[1])
     d, e = 0.0, b - a
     while True:
         m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol
+        tol1 = _SQRT_EPS * abs(x) + 0.25e-6
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             return x, fx

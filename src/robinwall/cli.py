@@ -16,7 +16,7 @@ import sys
 from . import __version__, canonical, grand_canonical as gc
 from .errors import DomainError, RobinWallError, SolverError
 from .selftest import run_all
-from .spectrum import WallKind, WallSpec, build_spectrum, level_gaps
+from .spectrum import DEFAULT_N_EXACT, WallKind, WallSpec, build_spectrum, level_gaps
 from .sweep import (
     OUTPUT_FIELDS,
     SweepSpec,
@@ -36,7 +36,7 @@ def _add_wall_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--wall", choices=sorted(k.value for k in WallKind), required=True)
     p.add_argument("--field", type=float, required=True,
                    help="dimensionless field strength (> 0)")
-    p.add_argument("--levels", type=int, default=64,
+    p.add_argument("--levels", type=int, default=DEFAULT_N_EXACT,
                    help="root-solved level count override")
 
 

@@ -40,9 +40,9 @@ import numpy as np
 
 from .canonical import _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
-from .ladder import BOSE, FERMI, OCC, ladder_sums
+from .ladder import BOSE, FERMI, ladder_sums
 from .spectrum import Spectrum, _check_field
-from .specfun import _check_beta, _check_index, lambert_w
+from .specfun import _SQRT_PI, _check_beta, _check_index, lambert_w
 
 __all__ = [
     "Statistics",
@@ -58,7 +58,6 @@ __all__ = [
     "ground_occupation",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
 _N_RESIDUAL = 1e-10
 
 
@@ -120,17 +119,16 @@ def _rtsafe(fn, u, lo, hi, n_target: float, what):
     section 9.4, "rtsafe") run on all lanes in lockstep.
 
     ``u``, ``lo`` and ``hi`` (broadcast) are each lane's start and bracket,
-    either end possibly infinite and never evaluated up front.
+    whose ends are never evaluated up front.
     ``fn(u, lanes)`` evaluates the lanes ``lanes`` at ``u`` and returns
     arrays ``(N, dN/du, payload)``, one payload column per lane; N <= 0
     (every occupation underflowed) counts as ln N = -inf.  A lane leaves
     the passes at its first point with |N - N_target| <= 1e-12 N_target.
     Each evaluated point becomes an end of its lane's bracket.  A Newton
     step is taken when it stays inside the bracket and is less than half
-    the step before last; otherwise the bracket is bisected, or, while it
-    is still open on the side the residual points to, the step doubles
-    outward.  A lane whose bracket collapses to one float, or that runs out
-    of steps, keeps its best point if that meets the 1e-10 contract.
+    the step before last; otherwise the bracket is bisected.  A lane whose
+    bracket collapses to one float, or that runs out of steps, keeps its
+    best point if that meets the 1e-10 contract.
     Returns the accepted payloads and, per lane, None or the message
     ``what(lane)`` of a failed lane (a NaN residual fails at once).
     """
@@ -163,15 +161,9 @@ def _rtsafe(fn, u, lo, hi, n_target: float, what):
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(slope < 0.0, -r / slope, np.nan)
             inside = (low < x + newton) & (x + newton < high)
-            closed = np.isfinite(low) & np.isfinite(high)
-            dxl = dx[lanes]
-            out = np.copysign(np.where(np.isfinite(dxl), np.maximum(1.0, 2.0 * np.abs(dxl)),
-                                       1.0), r)
-            # Newton when inside and shrinking fast, or inside an open bracket
             shrinking = np.abs(newton) <= 0.5 * np.abs(dx_old[lanes])
-            step = np.where(inside & (shrinking | ~closed), newton,
-                            np.where(closed, 0.5 * (low + high) - x, out))
-        dx_old[lanes], dx[lanes] = dxl, step
+            step = np.where(inside & shrinking, newton, 0.5 * (low + high) - x)
+        dx_old[lanes], dx[lanes] = dx[lanes], step
         u[lanes] = x + step
         lanes = lanes[x + step != x]  # a lane whose bracket collapsed to one float
     errors = [None] * u.size
@@ -244,7 +236,7 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, h
     def step(u: np.ndarray, lanes: np.ndarray):
         gamma = np.exp(u) if log_space else u
         b = beta[lanes]
-        sums = np.array(ladder_sums(spectrum, b, OCC, sign, gamma=gamma,
+        sums = np.array(ladder_sums(spectrum, b, sign, gamma=gamma,
                                     moment_offset=_moment_offset(b, gamma)))
         # dN/du with dN/dgamma = -D_0
         return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([gamma, sums])
@@ -265,14 +257,13 @@ def _moment_offset(beta, gamma):
     return np.minimum(gamma, 0.0) / beta
 
 
-def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec,
-             hint_gamma: float | None = None) -> float:
+def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec) -> float:
     """Chemical potential with |sum occupations - N| <= 1e-10 N.
 
     The occupation sum is strictly increasing in mu for both statistics, so
     the bracketed solve cannot miss; for bosons mu < E_0 strictly.
     """
-    return gc_point(spectrum, beta, ensemble, hint_gamma).mu
+    return gc_point(spectrum, beta, ensemble).mu
 
 
 def gc_point(spectrum: Spectrum, beta: float | np.ndarray, ensemble: EnsembleSpec,
@@ -380,18 +371,23 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     """Largest temperature at which the condensate survives: beta_cr solves
     sum_{n>=1} 1/(e^{(E_n-E_0) beta} - 1) = N (chemical potential pinned at
     the ground level with no particles left in it), by safeguarded Newton
-    on ln N in ln beta from the Lambert-W estimate."""
+    on ln N in ln beta from the Lambert-W estimate, clipped into the
+    bracket: the first excited level alone holds N at
+    beta = ln(1 + 1/N)/(E_1 - E_0), so the root lies above it, and every
+    occupation underflows at beta = _GAMMA_MAX/(E_1 - E_0)."""
     n_particles = _check_index(n_particles, 1, "n_particles")
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)
+    ln_gap = math.log(spectrum.level(1) - spectrum.e0)
+    lo, hi = math.log(math.log1p(1.0 / n_target)) - ln_gap, math.log(_GAMMA_MAX) - ln_gap
 
     def step(u: np.ndarray, lanes: np.ndarray):
         beta = np.exp(u)
-        n, _, _, d1, _ = ladder_sums(spectrum, beta, OCC, BOSE, gamma=0.0, start_index=1)
+        n, _, _, d1, _ = ladder_sums(spectrum, beta, BOSE, gamma=0.0, start_index=1)
         # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
         return n, -beta * d1, beta[None]
 
-    payload, errors = _rtsafe(step, math.log(beta_a), -math.inf, math.inf, n_target,
+    payload, errors = _rtsafe(step, min(max(math.log(beta_a), lo), hi), lo, hi, n_target,
                               lambda i: f"condensation solve at N={n_particles}")
     if errors[0]:
         raise SolverError(errors[0])

@@ -11,11 +11,12 @@ with F a Boltzmann factor ``e^{-x}``, an occupation number
 level (plus the offset ``gamma = beta*(E_0 - mu)``), which keeps them finite
 for any temperature.
 
-One call evaluates a whole kernel family in one pass: the Boltzmann sums
-S_0, S_1, S_2, or, for quantum statistics, the occupation sums N_0, N_1
-together with the distribution sums D_0, D_1, D_2.  Both occupation kernels
-come from the same exponentials, so a grand-canonical state (N, dN/dgamma,
-<E> and the heat-capacity moments) costs a single ladder pass.  A call
+One call evaluates the whole kernel family of its statistics in one pass:
+the Boltzmann sums S_0, S_1, S_2, or, for Fermi and Bose statistics, the
+occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2.
+Both occupation kernels come from the same exponentials, so a
+grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
+costs a single ladder pass.  A call
 takes arrays of lanes (beta, gamma, moment offset) and evaluates them as
 one numpy pass over a (lanes x levels) block; a scalar call is a one-lane
 batch.  Lanes go in groups of 32 with at most 2^14 (lane, level) pairs
@@ -37,9 +38,10 @@ E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
 
 (edges from five-point differences, none at n1 = inf): to infinity from
 where the ladder is dense on the thermal scale (beta * dE/dn below a
-threshold), and across a deeply filled Fermi sea past the first direct
-block, whose summands are smooth in m however sparse the Fermi edge.  The
-integral is Gauss-Legendre in s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the
+threshold), and across a deeply filled Fermi sea from the closure floor
+(two levels past the root-solved block, at least EM_START), whose summands
+are smooth in m however sparse the Fermi edge.  The integral is
+Gauss-Legendre in s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the
 level measure is a polynomial, on panels matched to the kernel (a filled
 Fermi sea, the transition layer around x = 0, and geometric panels down the
 exponential tail from wherever it starts), clipped at n1 and padded with
@@ -57,16 +59,13 @@ import math
 import numpy as np
 
 from .errors import BudgetError, DomainError, SolverError
-from .specfun import _check_beta
+from .specfun import _check_beta, _check_index
 from .spectrum import Spectrum
 
-__all__ = ["BOLTZ", "FERMI", "BOSE", "OCC", "ladder_sums"]
+__all__ = ["BOLTZ", "FERMI", "BOSE", "ladder_sums"]
 
-# kernel families
-OCC = "occ"         # occupations together with their distribution kernel
-BOLTZ_KIND = "boltz"
-
-# statistics signs: FERMI or BOSE with OCC, BOLTZ with BOLTZ_KIND
+# statistics, which fix the kernel family: Boltzmann factors for BOLTZ,
+# occupations with their distribution kernel for FERMI and BOSE
 FERMI = +1
 BOSE = -1
 BOLTZ = 0
@@ -77,23 +76,22 @@ EM_START = 16             # no Euler-Maclaurin part starts below this index:
                           # lower, the ladder bends too hard for the end
                           # correction's five-point differences
 
-# the sums one call returns, as (kernel index, moment power) pairs: kernel 0
-# is e^{-x} (BOLTZ_KIND) or the occupation, kernel 1 the distribution
-_ROWS = {
-    BOLTZ_KIND: ((0, 0), (0, 1), (0, 2)),
-    OCC: ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)),
-}
-_FAMILIES = ((BOLTZ_KIND, BOLTZ), (OCC, FERMI), (OCC, BOSE))
+# the sums one call returns per statistics, as (kernel index, moment power)
+# pairs: kernel 0 is e^{-x} (BOLTZ) or the occupation, kernel 1 the
+# distribution
+_OCC_ROWS = ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
+_ROWS = {BOLTZ: ((0, 0), (0, 1), (0, 2)), FERMI: _OCC_ROWS, BOSE: _OCC_ROWS}
 
 
 # ---------------------------------------------------------------------------
 # stable weight kernels
 # ---------------------------------------------------------------------------
 
-def _kernels(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
-    """The kernels of ``kind`` at exponents x, from one exponential:
-    [e^{-x}] for BOLTZ_KIND, [1/(e^x +- 1), e^x/(e^x +- 1)^2] for OCC."""
-    if kind == BOLTZ_KIND:
+def _kernels(x: np.ndarray, sign: int) -> list[np.ndarray]:
+    """The kernels of statistics ``sign`` at exponents x, from one
+    exponential: [e^{-x}] for BOLTZ, [1/(e^x +- 1), e^x/(e^x +- 1)^2] for
+    FERMI and BOSE."""
+    if sign == BOLTZ:
         return [np.exp(-x)]
     if sign == FERMI:
         t = np.exp(-np.abs(x))
@@ -107,10 +105,10 @@ def _kernels(x: np.ndarray, kind: str, sign: int) -> list[np.ndarray]:
     return [occ, occ * inv]
 
 
-def _summands(x: np.ndarray, d: np.ndarray, kind: str, sign: int) -> np.ndarray:
+def _summands(x: np.ndarray, d: np.ndarray, sign: int) -> np.ndarray:
     """Summands of every returned sum, one row per sum: d^p * kernel(x)."""
-    kern = _kernels(x, kind, sign)
-    return np.array([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[kind]])
+    kern = _kernels(x, sign)
+    return np.array([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[sign]])
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +163,7 @@ def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.nda
 
 
 def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
-                 n0: np.ndarray, kind: str, sign: int,
-                 n1: np.ndarray | None = None) -> np.ndarray:
+                 n0: np.ndarray, sign: int, n1: np.ndarray | None = None) -> np.ndarray:
     """integral_{n0}^{n1} (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm, one row per
     sum and one column per lane (n1 None: to infinity).
 
@@ -193,7 +190,7 @@ def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
     s = (half * (_GL_NODES + 1.0) + lo).reshape(len(beta), -1)
     v = s * s
     w = 0.75 * (half * _GL_WEIGHTS).reshape(len(beta), -1) * v
-    f = _summands(bt[:, None] * v + sigma[:, None], tau * v + ds_ref[:, None], kind, sign)
+    f = _summands(bt[:, None] * v + sigma[:, None], tau * v + ds_ref[:, None], sign)
     return (f[:, :, None, :] @ w[:, :, None])[..., 0, 0]
 
 
@@ -210,21 +207,28 @@ def _em_edge(f: np.ndarray) -> np.ndarray:
 
 
 def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
-                 n0: np.ndarray, kind: str, sign: int) -> np.ndarray:
+                 n0: np.ndarray, sign: int) -> np.ndarray:
     """Euler-Maclaurin end correction at n0, one row per sum and one column
     per lane."""
     tau = tail.tau
     v = tail.argument(n0[:, None] + _STENCIL) ** (2.0 / 3.0)
     return _em_edge(_summands((beta * tau)[:, None] * v + sigma[:, None],
-                              tau * v + ds_ref[:, None], kind, sign))
+                              tau * v + ds_ref[:, None], sign))
+
+
+def _closure_floor(spectrum) -> int:
+    """Lowest index a closure starts at: two past the root-solved block, so
+    the end correction's stencil sees tail levels only, and no lower than
+    EM_START."""
+    return max(spectrum.n_exact + 2, EM_START)
 
 
 def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
-    """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD, per lane
-    (capped far beyond any level budget)."""
+    """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD, per lane,
+    from the closure floor on (capped far beyond any level budget)."""
     tail = spectrum.tail
     m = tail.index((8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3)
-    return np.maximum(max(spectrum.n_exact + 2, EM_START),
+    return np.maximum(_closure_floor(spectrum),
                       np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
 
 
@@ -244,20 +248,19 @@ def _tail_index(tail, beta: np.ndarray, sigma: np.ndarray, x: float | np.ndarray
 
 _LANES = 32          # lanes summed together: batch temporaries stay below ~1 MB
 _PAIRS = 1 << 14     # (lane, level) pairs of one direct block
-_FIRST_BLOCK = 256   # tail levels in the first direct block
 
 
 def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
-               moff: np.ndarray, kind: str, sign: int, start_index: int) -> np.ndarray:
+               moff: np.ndarray, sign: int, start_index: int) -> np.ndarray:
     """``ladder_sums`` of one group of lanes: one row per sum, one column
     per lane."""
-    rows = len(_ROWS[kind])
+    rows = len(_ROWS[sign])
     n = len(beta)
     tail, e0 = spectrum.tail, spectrum.e0
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moff
     n_em = _dense_index(spectrum, beta)
-    first = spectrum.n_exact + _FIRST_BLOCK
+    first = _closure_floor(spectrum)
 
     # each lane's direct range ends where its exponent passes x_top + X_DEAD,
     # x_top >= 0 being that of the first level every returned sum weighs or,
@@ -266,17 +269,17 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     # closure index the ladder is sparse (beta dE/dn above DENSE_THRESHOLD),
     # so the levels past the stop are dropped; a lane at it closes the tail.
     m_top = np.full(n, float(max(start_index, 1)))
-    if kind == OCC and sign == FERMI:
+    if sign == FERMI:
         m_top = np.maximum(m_top, np.ceil(np.minimum(_tail_index(tail, beta, sigma, 0.0), n_em)))
     x_top = np.maximum(beta * (spectrum.energies(m_top.astype(np.int64)) - e0) + gamma, 0.0)
     stop = np.ceil(_tail_index(tail, beta, sigma, x_top + X_DEAD))
     stop = np.minimum(n_em, np.maximum(first, stop)).astype(np.int64)
-    # a deeply submerged Fermi sea (exponents below -X_DEAD) past the first
-    # direct block is closed like the tail, over [first, sea): its summands
-    # are smooth in m there, whatever the spacing at the Fermi edge.  The
-    # sea ends 3 levels early, so the end correction's stencil stays in it.
+    # a deeply submerged Fermi sea (exponents below -X_DEAD) past the closure
+    # floor is closed like the tail, over [first, sea): its summands are
+    # smooth in m there, whatever the spacing at the Fermi edge.  The sea
+    # ends 3 levels early, so the end correction's stencil stays in it.
     sea = np.full(n, first)
-    if kind == OCC and sign == FERMI and (gamma < -X_DEAD).any():
+    if sign == FERMI and (gamma < -X_DEAD).any():
         sea = np.floor(_tail_index(tail, beta, sigma, -X_DEAD)) - 3
         sea = np.maximum(first, np.minimum(sea, n_em)).astype(np.int64)
     if (stop - sea > LEVEL_BUDGET).any():
@@ -290,9 +293,9 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
         if not len(lanes):
             return
         args = (tail, beta[lanes], sigma[lanes], ds_ref[lanes])
-        pieces = [_em_integral(*args, n0, kind, sign, n1), _em_boundary(*args, n0, kind, sign)]
+        pieces = [_em_integral(*args, n0, sign, n1), _em_boundary(*args, n0, sign)]
         if n1 is not None:
-            pieces.append(-_em_boundary(*args, n1, kind, sign))
+            pieces.append(-_em_boundary(*args, n1, sign))
         for piece in pieces:
             parts.append(np.zeros((rows, n)))
             parts[-1][:, lanes] = piece
@@ -303,10 +306,10 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     close(closed, n_em[closed])
 
     # direct sums over each lane's [start_index, first) and [sea, stop), in
-    # level blocks common to the batch: the root-solved levels with the
-    # first tail levels, then doubling runs of tail levels.  A block spans
-    # only the levels its lanes sum, and masks each lane's others.
-    lo, width, hi = start_index, _FIRST_BLOCK, first
+    # level blocks common to the batch: the levels below the closure floor,
+    # then doubling runs of tail levels.  A block spans only the levels its
+    # lanes sum, and masks each lane's others.
+    lo, hi = start_index, first
     while lo < stop.max():
         begin = np.full(n, lo) if lo < first else np.maximum(lo, sea)
         lanes = (begin < np.minimum(stop, hi)).nonzero()[0]
@@ -318,46 +321,49 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
             for k in range(0, len(lanes), step):
                 sub = lanes[k:k + step]
                 x = beta[sub, None] * dE + gamma[sub, None]
-                terms = _summands(x, dE + moff[sub, None], kind, sign)
+                terms = _summands(x, dE + moff[sub, None], sign)
                 terms[:, (m < begin[sub, None]) | (m >= stop[sub, None])] = 0.0
                 block[:, sub] = terms.sum(axis=2)
             parts.append(block)
-        lo, width = hi, min(2 * width, 1 << 20)
-        hi = lo + width
+        lo, hi = hi, min(2 * hi, hi + (1 << 20))
 
     cols = np.array(parts).reshape(len(parts), -1).T.tolist()
     return np.array([math.fsum(col) for col in cols]).reshape(rows, n)
 
 
-def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, kind: str, sign: int = BOLTZ,
-                *, gamma: float | np.ndarray = 0.0, moment_offset: float | np.ndarray = 0.0,
+def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, sign: int, *,
+                gamma: float | np.ndarray = 0.0, moment_offset: float | np.ndarray = 0.0,
                 start_index: int = 0) -> tuple:
-    """All sums of one kernel family over n >= start_index, in one pass,
-    for a batch of lanes.
+    """All sums of the kernel family of statistics ``sign`` over
+    n >= start_index, in one pass, for a batch of lanes.
 
     ``beta``, ``gamma`` and ``moment_offset`` broadcast against each other,
     one lane per element.  With x_n = beta*(E_n - E_0) + gamma and moments
     about ref = E_0 - moment_offset:
 
-    * ``kind=BOLTZ_KIND``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
-    * ``kind=OCC``: (N_0, N_1, D_0, D_1, D_2) with
+    * ``sign=BOLTZ``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
+    * ``sign=FERMI`` or ``BOSE``: (N_0, N_1, D_0, D_1, D_2) with
       N_p = sum (E_n - ref)^p / (e^{x_n} +- 1) and
       D_p = sum (E_n - ref)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
-      ``sign=FERMI`` and the lower for ``sign=BOSE``.
+      FERMI and the lower for BOSE.
 
-    Scalar arguments give plain floats, and otherwise every sum is an array
-    of the broadcast shape.  Every lane is summed as it would be alone, with
-    its own closure index, filled sea and direct range; a lane that needs
-    more than LEVEL_BUDGET directly summed levels raises ``BudgetError``
-    before anything is summed.
+    ``start_index`` lies in the root-solved block, 0 <= start_index <
+    ``spectrum.n_exact``.  Scalar arguments give plain floats, and otherwise
+    every sum is an array of the broadcast shape.  Every lane is summed as
+    it would be alone, with its own closure index, filled sea and direct
+    range; a lane that needs more than LEVEL_BUDGET directly summed levels
+    raises ``BudgetError`` before anything is summed.
     """
-    if (kind, sign) not in _FAMILIES:
-        raise DomainError(f"ladder_sums takes kind {BOLTZ_KIND!r} with sign BOLTZ, or {OCC!r} "
-                          f"with FERMI or BOSE, got ({kind!r}, {sign!r})")
+    if sign not in (BOLTZ, FERMI, BOSE):
+        raise DomainError(f"ladder_sums takes statistics BOLTZ, FERMI or BOSE, got {sign!r}")
+    start_index = _check_index(start_index, 0, "start_index")
+    if start_index >= spectrum.n_exact:
+        raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
+                          f"got {start_index!r}")
     shape = np.broadcast(beta, gamma, moment_offset).shape
     lanes = [(np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset)]
     _check_beta(lanes[0])
-    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes), kind, sign,
+    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes), sign,
                                  start_index)
                       for lo in range(0, lanes[0].size, _LANES)])
     if not shape:

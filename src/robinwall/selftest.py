@@ -18,7 +18,7 @@ import numpy as np
 from . import canonical as can
 from . import grand_canonical as gc
 from .grand_canonical import EnsembleSpec, Statistics
-from .ladder import OCC, ladder_sums
+from .ladder import ladder_sums
 from .spectrum import WallKind, WallSpec, build_spectrum
 from .specfun import interlacing_ok, lambert_w
 
@@ -42,7 +42,7 @@ def check_fluctuation_dissipation() -> CheckResult:
         kind = rng.choice(kinds)
         field = 10.0 ** rng.uniform(-5.0, -1.0)
         beta = 10.0 ** rng.uniform(math.log10(0.2), math.log10(15.0))
-        sp = build_spectrum(WallSpec(kind, field), count=64)
+        sp = build_spectrum(WallSpec(kind, field))
         c = can.heat_capacity(sp, beta)
         h = 2e-3 * beta
         es = [can.mean_energy(sp, beta + k * h) for k in (-2, -1, 1, 2)]
@@ -61,12 +61,12 @@ def check_particle_number() -> CheckResult:
         field = 10.0 ** rng.uniform(-6.0, -2.0)
         beta = 10.0 ** rng.uniform(-0.5, 1.0)
         n = rng.choice([1, 2, 5, 10, 100])
-        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         for stat in Statistics:
             ens = EnsembleSpec(stat, n)
             mu = gc.solve_mu(sp, beta, ens)
             gamma = beta * (sp.e0 - mu)
-            got = ladder_sums(sp, beta, OCC, ens.sign, gamma=gamma)[0]
+            got = ladder_sums(sp, beta, ens.sign, gamma=gamma)[0]
             worst = max(worst, abs(got - n) / n)
     return CheckResult("particle-number residual after mu solve",
                        worst <= 1e-10, f"worst relative residual {worst:.2e} (<= 1e-10)")
@@ -81,7 +81,7 @@ def check_bose_mu_below_ground() -> CheckResult:
         field = 10.0 ** rng.uniform(-6.0, -2.0)
         beta = 10.0 ** rng.uniform(-0.5, 1.2)
         n = rng.choice([1, 10, 1000])
-        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         mu = gc.solve_mu(sp, beta, EnsembleSpec(Statistics.BOSE_EINSTEIN, n))
         margin = min(margin, sp.e0 - mu)
         ok = ok and (mu < sp.e0)
@@ -91,7 +91,7 @@ def check_bose_mu_below_ground() -> CheckResult:
 
 def check_ground_occupation_monotone() -> CheckResult:
     """n0(T) stays in [0,1] and never increases with temperature."""
-    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-4), count=64)
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-4))
     rep = gc.be_critical(sp, 1000)
     ts = np.linspace(0.1, 2.0, 40) * rep.t_cr
     n0s = [gc.ground_occupation(sp, 1.0 / t, 1000) for t in ts]
@@ -107,7 +107,7 @@ def check_high_t_ensemble_agreement() -> CheckResult:
     beta * F^(2/3) = 1e-4."""
     field = 1e-4
     beta = 1e-4 / field ** (2.0 / 3.0)
-    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
     c_can = can.heat_capacity(sp, beta)
     cs = [c_can]
     for stat in Statistics:

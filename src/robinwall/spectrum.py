@@ -45,8 +45,6 @@ __all__ = [
     "LevelGap",
     "build_spectrum",
     "level_gaps",
-    "qw_threshold",
-    "qw_single_bound_window",
 ]
 
 _ZERO_LAW_PREF = (3.0 * math.pi / 8.0) ** (2.0 / 3.0)
@@ -292,23 +290,3 @@ def residual(spectrum: Spectrum, n: int) -> float:
     xi = float(-spectrum.exact_levels[n] * wall.field ** (-2.0 / 3.0))
     ai, aip = airy_scaled(xi) if xi >= 0.0 else airy(xi)
     return wall.field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam
-
-
-# ---------------------------------------------------------------------------
-# square-well realization of the same zero-field spectrum
-# ---------------------------------------------------------------------------
-
-def qw_threshold(n: int, x0: float) -> float:
-    """Depth at which the n-th bound state of the asymmetric square well
-    (width x0, hard wall on one side) detaches from the continuum, in units
-    with hbar^2/m = 1: (n - 1/2)^2 pi^2 / (2 x0^2)."""
-    n = _check_index(n, 1, "threshold index")
-    x0 = float(x0)
-    if not math.isfinite(x0) or x0 <= 0.0:
-        raise DomainError(f"well width must be finite and > 0, got {x0}")
-    return (n - 0.5) ** 2 * math.pi ** 2 / (2.0 * x0 ** 2)
-
-
-def qw_single_bound_window(x0: float) -> tuple[float, float]:
-    """Depth window (lo, hi) in which the well holds exactly one bound state."""
-    return qw_threshold(1, x0), qw_threshold(2, x0)

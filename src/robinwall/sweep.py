@@ -26,7 +26,7 @@ from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
 from .specfun import _check_index
-from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
+from .spectrum import DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, build_spectrum
 
 __all__ = [
     "OUTPUT_FIELDS",
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 OUTPUT_FIELDS = ("mean_energy", "heat_capacity", "mu", "n0")
+_SCAN_POINTS = 50  # log-spaced points of a peak search's scan
 
 
 def ensemble_spec(name: str, n_particles: int) -> EnsembleSpec | None:
@@ -76,11 +77,13 @@ class SweepSpec:
     log_grid: bool = True
     normalize_by_tcr: bool = False
     outputs: tuple[str, ...] = OUTPUT_FIELDS
-    n_exact: int = 64
+    n_exact: int = DEFAULT_N_EXACT
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta_inv_min < self.beta_inv_max):
-            raise DomainError("sweep grid needs 0 < beta_inv_min < beta_inv_max")
+        if not (0.0 < self.beta_inv_min < self.beta_inv_max < math.inf
+                and math.isfinite(1.0 / float(self.beta_inv_min))):
+            raise DomainError("sweep grid needs 0 < beta_inv_min < beta_inv_max < inf, "
+                              "with a finite 1/beta_inv_min")
         object.__setattr__(self, "points", _check_index(self.points, 2, "sweep grid points"))
         bad = set(self.outputs) - set(OUTPUT_FIELDS)
         if bad:
@@ -344,11 +347,10 @@ class Table1Report:
 
 
 def locate_peak(spectrum: Spectrum, ensemble: EnsembleSpec | None,
-                t_center: float, span: float = 2.2,
-                points: int = 50) -> ExtremumReport:
+                t_center: float, span: float = 2.2) -> ExtremumReport:
     """Scan a log window around t_center and refine the global maximum."""
     grid = np.exp(np.linspace(math.log(1.0 / (t_center * span)),
-                              math.log(span / t_center), points))
+                              math.log(span / t_center), _SCAN_POINTS))
     evaluate = _evaluator(spectrum, ensemble)
     _, c, _, _, errors = evaluate(grid)
     failed = [e for e in errors if e is not None]
@@ -370,8 +372,7 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
             raise DomainError(f"unknown ensemble {ens_name!r}")
         for field in fields:
             if field not in spectra:
-                spectra[field] = build_spectrum(
-                    WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
+                spectra[field] = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
             for n in n_list:
                 key = (ens_name, n, field)
                 if key not in TABLE1:

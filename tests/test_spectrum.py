@@ -17,8 +17,6 @@ from robinwall.spectrum import (
     WallSpec,
     build_spectrum,
     level_gaps,
-    qw_single_bound_window,
-    qw_threshold,
 )
 from robinwall.sweep import SweepSpec
 
@@ -257,23 +255,6 @@ class TestLevelGaps:
         assert ratios == sorted(ratios)
 
 
-class TestSquareWell:
-    def test_thresholds(self):
-        assert qw_threshold(1, 1.0) == pytest.approx(math.pi ** 2 / 8, rel=1e-15)
-        assert qw_threshold(2, 1.0) == pytest.approx(9 * math.pi ** 2 / 8, rel=1e-15)
-        assert qw_threshold(1, 2.0) == pytest.approx(math.pi ** 2 / 32, rel=1e-15)
-
-    def test_single_bound_window(self):
-        lo, hi = qw_single_bound_window(1.0)
-        assert (lo, hi) == (qw_threshold(1, 1.0), qw_threshold(2, 1.0))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            qw_threshold(0, 1.0)
-        with pytest.raises(DomainError):
-            qw_threshold(1, -1.0)
-
-
 WALL = WallSpec(ATTR, 1e-3)
 SP8 = build_spectrum(WALL, count=8, n_exact=8)
 FD = Statistics.FERMI_DIRAC
@@ -293,9 +274,6 @@ BAD_INDEX_CALLS = {
     "level(-1)": lambda: SP8.level(-1),
     "residual(0.5)": lambda: spm.residual(SP8, 0.5),
     "level_gaps(2.5)": lambda: level_gaps(SP8, 2.5),
-    "qw_threshold(1.5, 1)": lambda: qw_threshold(1.5, 1.0),
-    "qw_threshold(1, nan)": lambda: qw_threshold(1, math.nan),
-    "qw_threshold(1, inf)": lambda: qw_threshold(1, math.inf),
     "EnsembleSpec(2.5)": lambda: EnsembleSpec(FD, 2.5),
     "EnsembleSpec(inf)": lambda: EnsembleSpec(FD, math.inf),
     "asymptotic_beta_cr(N=0)": lambda: asymptotic_beta_cr(1e-3, 0),
@@ -315,5 +293,4 @@ def test_integral_floats_are_accepted():
     assert sp.n_exact == 8 and np.array_equal(sp.levels, SP8.levels)
     assert sp.level(3.0) == sp.level(3)
     assert len(level_gaps(sp, 3.0)) == 3
-    assert qw_threshold(2.0, 1.0) == qw_threshold(2, 1.0)
     assert EnsembleSpec(FD, 2.0).n_particles == 2

@@ -396,7 +396,12 @@ class TestCli:
          "--particles", "7", "--beta-inv-min", "0.1", "--beta-inv-max", "1",
          "--points", "5"],
         ["table1", "--fields", "abc"],
-    ], ids=["predict-zero", "predict-negative", "sweep-canonical-many", "table1-fields"])
+        *(["sweep", "--wall", "robin-", "--field", "1e-3", "--beta-inv-min", lo,
+           "--beta-inv-max", hi, "--points", "5"]
+          for lo, hi in (("0.1", "inf"), ("0.1", "1e400"), ("1e-320", "1"))),
+    ], ids=["predict-zero", "predict-negative", "sweep-canonical-many", "table1-fields",
+            "sweep-max-inf", "sweep-max-1e400", "sweep-min-1e-320"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_specification_exit_code(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
