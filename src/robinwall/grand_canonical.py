@@ -8,15 +8,16 @@ The chemical potential is solved from the particle-number sum
 degeneracy 1).  Internally the solve runs in the shifted variable
 gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
-crowds the ground level to within 1e-14.  It is a safeguarded Newton
-iteration on ln N (in gamma for fermions, in ln gamma for bosons) that
-starts from the caller's hint or the two-term balance and bisects only
-when a Newton step leaves the bracket built from the points already
-evaluated.  It runs on a batch of temperatures in lockstep: every step is
-one fused ladder pass over the unsolved lanes giving N, dN/dgamma and the
-energy moments together, and each lane's iterate that meets
-|N - N_target| <= 1e-10 N_target is its result: its sums give <E> and c
-directly.
+crowds the ground level to within 1e-14.  Newton runs on ln N (in gamma
+for fermions, in ln gamma for bosons) from the caller's hint or the
+two-term balance, safeguarded by the bracket of the points already
+evaluated: ``specfun._newton_root``, which also finds every Airy zero,
+Robin level and condensation temperature.  It runs on a batch of
+temperatures in lockstep: every pass is one fused ladder pass over the
+unsolved lanes giving N, dN/dgamma and the energy moments together.  A
+lane stops at |N - N_target| <= 1e-12 N_target or once its bracket has
+collapsed, and its last iterate is its result if it meets
+|N - N_target| <= 1e-10 N_target: its sums give <E> and c directly.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -42,7 +43,7 @@ from .canonical import _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
 from .ladder import BOSE, FERMI, ladder_sums
 from .spectrum import Spectrum, _check_field
-from .specfun import _SQRT_PI, _check_beta, _check_index, lambert_w
+from .specfun import _SQRT_PI, _check_beta, _check_index, _newton_root, lambert_w
 
 __all__ = [
     "Statistics",
@@ -58,7 +59,8 @@ __all__ = [
     "ground_occupation",
 ]
 
-_N_RESIDUAL = 1e-10
+_N_RESIDUAL = 1e-10  # relative particle-number residual of every accepted state
+_N_TARGET = 1e-12  # the residual the Newton iteration aims at
 
 
 class Statistics(enum.Enum):
@@ -106,76 +108,34 @@ class CondensateReport:
 
 
 # ---------------------------------------------------------------------------
-# safeguarded Newton, one lane per root
+# particle-number solves: mu in gamma = beta (E_0 - mu), and beta_cr
 # ---------------------------------------------------------------------------
 
-_MAX_STEPS = 200
-_N_TARGET = 1e-12  # relative occupation residual the Newton iteration aims at
-
-
-def _rtsafe(fn, u, lo, hi, n_target: float, what):
-    """Roots of N(u) = N_target for strictly decreasing N(u), one per lane,
-    by safeguarded Newton on ln(N / N_target) (Numerical Recipes, 2nd ed.,
-    section 9.4, "rtsafe") run on all lanes in lockstep.
-
-    ``u``, ``lo`` and ``hi`` (broadcast) are each lane's start and bracket,
-    whose ends are never evaluated up front.
+def _solve_n(fn, u, lo, hi, n_target: float, what):
+    """Roots of N(u) = N_target for strictly decreasing N(u), one per lane:
+    ``specfun._newton_root`` on ln(N / N_target) from the starts ``u`` in
+    the brackets (lo, hi), a lane done at |N - N_target| <= 1e-12 N_target.
     ``fn(u, lanes)`` evaluates the lanes ``lanes`` at ``u`` and returns
     arrays ``(N, dN/du, payload)``, one payload column per lane; N <= 0
-    (every occupation underflowed) counts as ln N = -inf.  A lane leaves
-    the passes at its first point with |N - N_target| <= 1e-12 N_target.
-    Each evaluated point becomes an end of its lane's bracket.  A Newton
-    step is taken when it stays inside the bracket and is less than half
-    the step before last; otherwise the bracket is bisected.  A lane whose
-    bracket collapses to one float, or that runs out of steps, keeps its
-    best point if that meets the 1e-10 contract.
-    Returns the accepted payloads and, per lane, None or the message
-    ``what(lane)`` of a failed lane (a NaN residual fails at once).
-    """
-    u, lo, hi = (np.array(a, dtype=float).ravel() for a in np.broadcast_arrays(u, lo, hi))
-    dx = hi - lo
-    dx_old = dx.copy()
-    best = np.full(u.size, np.inf)
-    payload = None
-    lanes = np.arange(u.size)
-    for _ in range(_MAX_STEPS):
-        if not len(lanes):
-            break
-        n, dn_du, pay = fn(u[lanes], lanes)
+    (every occupation underflowed) counts as ln N = -inf.  A lane's last
+    point is accepted if it meets the 1e-10 contract (a NaN residual fails
+    at once).  Returns the payloads and, per lane, None or the message
+    ``what(lane)`` of a failed lane."""
+    def log_n(x, lanes):
+        n, dn_du, pay = fn(x, lanes)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.log(np.maximum(n, 0.0) / n_target)
             slope = np.where(n > 0.0, dn_du / n, np.nan)  # d ln N / du
-        if payload is None:
-            payload = np.full((len(pay), u.size), np.nan)
-        err = np.abs(np.expm1(r))
-        better = err < best[lanes]
-        best[lanes[better]] = err[better]
-        payload[:, lanes[better]] = pay[:, better]
-        best[lanes[np.isnan(r)]] = np.nan
-        go = ~(err <= _N_TARGET) & ~np.isnan(r)
-        lanes, r, slope = lanes[go], r[go], slope[go]
-        x = u[lanes]
-        low = np.where(r > 0.0, x, lo[lanes])
-        high = np.where(r > 0.0, hi[lanes], x)
-        lo[lanes], hi[lanes] = low, high
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(slope < 0.0, -r / slope, np.nan)
-            inside = (low < x + newton) & (x + newton < high)
-            shrinking = np.abs(newton) <= 0.5 * np.abs(dx_old[lanes])
-            step = np.where(inside & shrinking, newton, 0.5 * (low + high) - x)
-        dx_old[lanes], dx[lanes] = dx[lanes], step
-        u[lanes] = x + step
-        lanes = lanes[x + step != x]  # a lane whose bracket collapsed to one float
-    errors = [None] * u.size
-    for i in (~(best <= _N_RESIDUAL)).nonzero()[0]:
-        errors[i] = (f"{what(i)}: particle-number residual {best[i]:.3e} N exceeds "
-                     f"tolerance {_N_RESIDUAL:.0e} N")
-    return payload, errors
+        return r, slope, np.vstack([r, pay])
 
+    payload, _ = _newton_root(log_n, lo, hi, u,
+                              lambda r, slope, x: np.abs(np.expm1(r)) <= _N_TARGET)
+    err = np.abs(np.expm1(payload[0]))
+    errors = [None if e <= _N_RESIDUAL else
+              f"{what(i)}: particle-number residual {e:.3e} N exceeds tolerance "
+              f"{_N_RESIDUAL:.0e} N" for i, e in enumerate(err.tolist())]
+    return payload[1:], errors
 
-# ---------------------------------------------------------------------------
-# chemical-potential solve in gamma = beta (E_0 - mu)
-# ---------------------------------------------------------------------------
 
 _GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
 
@@ -210,7 +170,9 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, h
     or NaN: no hint) or else from the two-term balance of ``asymptotic_mu_cn``,
     made for any wall: the ground level plus the tail law's quasi-continuum,
     of density n'(E) = sqrt(E - shift) / (pi F), in Boltzmann statistics;
-    either start is clipped into the bracket.
+    either start is clipped into the bracket.  The result depends on the
+    start within the 1e-12 target: c at fd N=10, F=1e-7, beta=9.532 spreads
+    by ~1e-13 relative over different hints.
     """
     n_target = float(ensemble.n_particles)
     sign = ensemble.sign
@@ -241,7 +203,7 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, h
         # dN/du with dN/dgamma = -D_0
         return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([gamma, sums])
 
-    payload, errors = _rtsafe(
+    payload, errors = _solve_n(
         step, start, lo, hi, n_target,
         lambda i: f"particle-number solve at beta={beta[i]}, N={ensemble.n_particles}")
     return payload[0], payload[1:], errors
@@ -387,8 +349,8 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
         # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
         return n, -beta * d1, beta[None]
 
-    payload, errors = _rtsafe(step, min(max(math.log(beta_a), lo), hi), lo, hi, n_target,
-                              lambda i: f"condensation solve at N={n_particles}")
+    payload, errors = _solve_n(step, min(max(math.log(beta_a), lo), hi), lo, hi, n_target,
+                               lambda i: f"condensation solve at N={n_particles}")
     if errors[0]:
         raise SolverError(errors[0])
     beta_cr = float(payload[0, 0])

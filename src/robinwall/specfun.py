@@ -3,7 +3,8 @@
 Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
 forms for large positive argument), their negative zeros, the principal
 branch of the Lambert W function on the nonnegative axis, the safeguarded
-Newton solver that finds every Airy zero and Robin level, and the checks
+Newton solver of every root of the package (Airy zeros, Robin levels, the
+chemical potential and the condensation temperature), and the checks
 shared by every index and count and every inverse temperature of the
 package.
 
@@ -246,33 +247,61 @@ def airy_scaled(x):
 # safeguarded Newton and the zeros of Ai and Ai'
 # ---------------------------------------------------------------------------
 
-def _newton_root(fn, lo, hi, x, rtol: float) -> np.ndarray:
+def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray]:
     """Roots of fn, monotone on each bracket (lo, hi), one lane per element,
     by Newton safeguarded by the bracket (Numerical Recipes, 2nd ed.,
-    section 9.4, "rtsafe"), all lanes in lockstep.  ``fn(x)`` maps an array
-    of points to arrays of values and slopes; the starts x lie inside
+    section 9.4, "rtsafe"), all lanes in lockstep.
+
+    ``fn(x, lanes)`` evaluates the lanes ``lanes`` (indices into the
+    batch) at the points x and returns arrays of values, slopes and a
+    payload whose last axis runs over those lanes; the starts x lie inside
     and no bracket end is evaluated.  In each lane every evaluated point
     becomes the bracket end on its side of the root (the signs of value and
-    slope tell which), and a step that would leave the bracket bisects it
-    instead.  A lane returns x - step once |step| <= rtol * max(1, |x|) and
-    leaves the next pass; SolverError names the first bracket still open
-    after 200 passes."""
+    slope tell which).  A Newton step is taken when it lands strictly inside
+    the bracket and is at most half the step before last; otherwise the
+    bracket is bisected.  A lane leaves at its first point where
+    ``done(value, slope, x)`` holds, at a NaN value, or once its bracket has
+    collapsed to one float, keeping that point's payload.  Returns the
+    payloads and, per lane, whether it met ``done``; SolverError names the
+    first bracket still open after 200 passes."""
     lo, hi, x = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, x))
-    root = np.empty_like(x)
-    live = np.arange(x.size)
+    met, live, out = np.zeros(x.size, dtype=bool), np.arange(x.size), None
+    last = older = hi - lo  # the last step and the one before it
     for _ in range(200):
-        f, df = fn(x)
+        f, df, pay = fn(x, live)
+        out = np.empty(pay.shape[:-1] + met.shape) if out is None else out
         up = (f > 0.0) == (df > 0.0)
         hi, lo = np.where(up, x, hi), np.where(up, lo, x)
-        step = f / df
-        step = np.where((lo <= x - step) & (x - step <= hi), step, x - 0.5 * (lo + hi))
-        done = np.abs(step) <= rtol * np.maximum(1.0, np.abs(x))
-        x = x - step
-        root[live[done]] = x[done]
-        if done.all():
-            return root
-        live, lo, hi, x = live[~done], lo[~done], hi[~done], x[~done]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+            x_new = x - step
+            newton = (lo < x_new) & (x_new < hi) & (np.abs(step) <= 0.5 * np.abs(older))
+        step = np.where(newton, step, x - 0.5 * (lo + hi))
+        x_new = x - step
+        ok = done(f, df, x)
+        leave = ok | np.isnan(f) | (x_new == x)  # x_new == x: a collapsed bracket
+        met[live[ok]] = True
+        out[..., live[leave]] = pay[..., leave]
+        if leave.all():
+            return out, met
+        stay = ~leave
+        live, lo, hi, x, older, last = (a[stay] for a in (live, lo, hi, x_new, last, step))
     raise SolverError(f"safeguarded Newton did not converge in ({lo[0]}, {hi[0]})")
+
+
+def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
+    """Roots of ``fn(x) -> (f, f')`` by ``_newton_root``: each lane returns
+    x - f/f' at its first point where |f/f'| <= rtol * max(1, |x|), and
+    SolverError names a lane that stopped short of it."""
+    def step(x, lanes):
+        f, df = fn(x)
+        return f, df, x - f / df
+
+    roots, met = _newton_root(step, lo, hi, x, lambda f, df, x: (
+        np.abs(f / df) <= rtol * np.maximum(1.0, np.abs(x))))
+    if not met.all():
+        raise SolverError(f"safeguarded Newton stalled short of its test in lane {np.argmin(met)}")
+    return roots
 
 
 N_EXACT_ZEROS = 64  # Newton-refined below; asymptotic law beyond
@@ -305,7 +334,7 @@ def _exact_zeros(kind: AiryZeroKind) -> np.ndarray:
 
         guess = _zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
         quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
-        zs = _newton_root(fn, guess - quarter, guess + quarter, guess, 1e-15)
+        zs = _polished_roots(fn, guess - quarter, guess + quarter, guess, 1e-15)
         resid = np.abs(fn(zs)[0])
         if resid.max() > 1e-12:
             i = int(np.argmax(resid))

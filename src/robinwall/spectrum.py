@@ -32,7 +32,7 @@ from .specfun import (
     AiryZeroKind,
     _airy_zeros,
     _check_index,
-    _newton_root,
+    _polished_roots,
     airy,
     airy_scaled,
 )
@@ -219,7 +219,7 @@ def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
                           f"psi={psi_lo[i]:.3e}, {psi_hi[i]:.3e}")
     x = near + lam * fc
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-    xis = _newton_root(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
+    xis = _polished_roots(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
     return -xis * wall.field ** (2.0 / 3.0)
 
 

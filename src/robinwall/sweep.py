@@ -363,7 +363,13 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
                    ensembles: tuple[str, ...] = ("canonical", "fd", "be"),
                    tol: float | None = None) -> Table1Report:
     """Reproduce the tabulated attractive-wall peaks and report per-cell
-    relative errors.  Deterministic: two runs give byte-identical reports."""
+    relative errors.  Deterministic: two runs give byte-identical reports.
+    DomainError unless at least one field and one ensemble are selected and
+    ``tol`` (None: the per-ensemble defaults) is finite and > 0."""
+    if not (fields and ensembles):
+        raise DomainError(f"table1 needs a field and an ensemble, got {fields!r}, {ensembles!r}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     cells: list[Table1Cell] = []
     spectra: dict[float, Spectrum] = {}
     for ens_name in ensembles:

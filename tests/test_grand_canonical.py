@@ -229,6 +229,44 @@ class TestCondensateHeatCapacity:
         assert p.heat_capacity_per_particle == pytest.approx(c_direct, rel=1e-9)
 
 
+class TestSolveAcceptance:
+    @pytest.mark.parametrize("delta, accepted", [(5e-11, True), (5e-10, False)])
+    def test_lane_short_of_the_target_meets_the_contract(self, monkeypatch, delta, accepted):
+        # one lane's N carries a relative offset delta * sign(N - N_target),
+        # so its residual never falls below delta: the 1e-12 target is out
+        # of reach, the lane runs until its bracket collapses, and its last
+        # point is judged by the 1e-10 contract alone
+        sp, ens, betas = attractive(1e-5), EnsembleSpec(FD, 10), np.array([2.0, 5.0, 9.0])
+        clean = gc_point(sp, betas, ens)
+        ladder = gc.ladder_sums
+
+        def offset(spectrum, beta, sign, **kwargs):
+            n, *rest = ladder(spectrum, beta, sign, **kwargs)
+            shifted = n * (1.0 + delta * np.sign(n - 10.0))
+            return (np.where(beta == betas[1], shifted, n), *rest)
+
+        monkeypatch.setattr(gc, "ladder_sums", offset)
+        p = gc_point(sp, betas, ens)
+        assert p.errors[0] is None and p.errors[2] is None
+        if accepted:
+            assert p.errors[1] is None
+            assert p.mu[1] == pytest.approx(clean.mu[1], rel=1e-9)
+        else:
+            assert "particle-number residual" in p.errors[1]
+        for a, b in ((p.mu, clean.mu), (p.mean_energy, clean.mean_energy),
+                     (p.heat_capacity_per_particle, clean.heat_capacity_per_particle)):
+            assert a[[0, 2]].tolist() == b[[0, 2]].tolist()
+
+    def test_accepted_state_depends_little_on_the_start(self):
+        # any iterate within the 1e-12 target is accepted, so the result
+        # depends on where the solve started, but only at the ~1e-13 level
+        sp, ens, beta = attractive(1e-7), EnsembleSpec(FD, 10), np.array([9.532])
+        gamma = beta[0] * (sp.e0 - gc_point(sp, beta[0], ens).mu)
+        cs = [gc_point(sp, beta, ens, hint_gamma=np.array([gamma + h]))
+              .heat_capacity_per_particle[0] for h in np.linspace(-3.0, 3.0, 10)]
+        assert max(cs) - min(cs) <= 1e-12 * min(cs)
+
+
 class TestPlainFloats:
     def test_gc_point_fields_are_float(self):
         sp = attractive(1e-4)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,26 +162,62 @@ class TestAiryArrays:
             sf.airy_scaled(np.array([0.5, -1e-9, 2.0]))
 
 
+def _cos_step(x, lanes):
+    """cos with its slope and the Newton point as payload."""
+    return np.cos(x), -np.sin(x), x + np.cos(x) / np.sin(x)
+
+
+def _step_below(rtol):
+    return lambda f, df, x: np.abs(f / df) <= rtol * np.maximum(1.0, np.abs(x))
+
+
 class TestNewtonRoot:
+    # one root of cos per bracket (k pi, (k+1) pi), lanes converging at
+    # different passes
+    K = np.arange(9.0)
+    LO, HI, START = K * np.pi, (K + 1) * np.pi, K * np.pi + 0.1 * K + 0.3
+
     def test_lanes_equal_single_solves(self):
-        # one root of cos per bracket (k pi, (k+1) pi), lanes converging at
-        # different passes
-        k = np.arange(9.0)
-        lo, hi, start = k * np.pi, (k + 1) * np.pi, k * np.pi + 0.1 * k + 0.3
-
-        def fn(x):
-            return np.cos(x), -np.sin(x)
-
-        roots = sf._newton_root(fn, lo, hi, start, 1e-15)
+        roots, met = sf._newton_root(_cos_step, self.LO, self.HI, self.START,
+                                     _step_below(1e-15))
+        assert met.all()
         for i, r in enumerate(roots):
-            assert sf._newton_root(fn, lo[i], hi[i], start[i], 1e-15).tolist() == [r]
-        assert np.allclose(roots, (k + 0.5) * np.pi, rtol=1e-15, atol=0)
+            one, one_met = sf._newton_root(_cos_step, self.LO[i], self.HI[i], self.START[i],
+                                           _step_below(1e-15))
+            assert one.tolist() == [r] and one_met.tolist() == [True]
+        assert np.allclose(roots, (self.K + 0.5) * np.pi, rtol=1e-15, atol=0)
+
+    def test_nan_lane_leaves_after_one_pass(self):
+        seen = []
+
+        def fn(x, lanes):
+            seen.append(lanes.tolist())
+            f, df, pay = _cos_step(x, lanes)
+            return np.where(lanes == 4, np.nan, f), df, pay
+
+        roots, met = sf._newton_root(fn, self.LO, self.HI, self.START, _step_below(1e-15))
+        clean, _ = sf._newton_root(_cos_step, self.LO, self.HI, self.START, _step_below(1e-15))
+        assert 4 in seen[0] and all(4 not in lanes for lanes in seen[1:])
+        assert met.tolist() == [i != 4 for i in range(9)]
+        keep = np.arange(9) != 4
+        assert roots[keep].tolist() == clean[keep].tolist()
 
     def test_open_bracket_named(self):
-        # a negative rtol never converges: the first lane's bracket is named
-        with pytest.raises(SolverError, match=r"in \(0\.0, 1\.0\)"):
-            sf._newton_root(lambda x: (x, np.ones_like(x)),
-                            [-2.0, 3.0], [2.0, 5.0], [1.0, 4.0], -1.0)
+        # done never holds: lane 1, with no root in (3, 5), leaves unmet once
+        # its bracket collapses on 3; lane 0 bisects toward its root at 0 and
+        # is still open after 200 passes, so its final bracket is named
+        with pytest.raises(SolverError, match=re.escape(f"in (0.0, {2.0 ** -198!r})")):
+            sf._newton_root(lambda x, lanes: (x, np.ones_like(x), x),
+                            [-2.0, 3.0], [2.0, 5.0], [1.0, 4.0],
+                            lambda f, df, x: np.zeros(f.shape, dtype=bool))
+
+
+    def test_stalled_lane_named(self):
+        # lane 1 has no root in (2, 3): its bracket collapses on 2 before
+        # the step test holds
+        with pytest.raises(SolverError, match="stalled short of its test in lane 1"):
+            sf._polished_roots(lambda x: (x - 0.5, np.ones_like(x)),
+                               [0.0, 2.0], [1.0, 3.0], [0.2, 2.7], 1e-15)
 
 
 class TestAiryZeros:

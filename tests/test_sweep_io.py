@@ -267,6 +267,15 @@ class TestTable1Harness:
         with pytest.raises(DomainError):
             table1_harness(ensembles=("classical",))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"fields": ()}, {"ensembles": ()},
+        *({"tol": tol} for tol in (math.inf, math.nan, -1.0, 0.0)),
+    ], ids=["no-field", "no-ensemble", "tol-inf", "tol-nan", "tol-negative", "tol-zero"])
+    def test_empty_selection_or_bad_tol_rejected(self, kwargs):
+        # an empty report or an infinite tolerance would pass every cell
+        with pytest.raises(DomainError):
+            table1_harness(**kwargs)
+
     def test_reference_table_shape(self):
         assert len(TABLE1) == len(TABLE1_FIELDS) * (1 + len(TABLE1_FD_N)
                                                     + len(TABLE1_BE_N))
@@ -399,8 +408,12 @@ class TestCli:
         *(["sweep", "--wall", "robin-", "--field", "1e-3", "--beta-inv-min", lo,
            "--beta-inv-max", hi, "--points", "5"]
           for lo, hi in (("0.1", "inf"), ("0.1", "1e400"), ("1e-320", "1"))),
+        *(["table1", "--fields", "1e-3", "--tol", tol] for tol in ("inf", "nan", "-1", "0")),
+        ["table1", "--ensembles", ","],
     ], ids=["predict-zero", "predict-negative", "sweep-canonical-many", "table1-fields",
-            "sweep-max-inf", "sweep-max-1e400", "sweep-min-1e-320"])
+            "sweep-max-inf", "sweep-max-1e400", "sweep-min-1e-320",
+            "table1-tol-inf", "table1-tol-nan", "table1-tol-negative", "table1-tol-zero",
+            "table1-no-ensemble"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_specification_exit_code(self, argv, capsys):
         assert main(argv) == 2
