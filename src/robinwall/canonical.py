@@ -4,7 +4,7 @@ Exact truncated sums over a Spectrum, the closed-form zero-field results,
 the universal Dirichlet/Neumann curves in the variable y = beta * F^(2/3),
 the classical high-temperature limit, the weak-field resonance predictors
 built on the Lambert W function, and a grid-scan extremum locator for any
-c(beta), refined by Brent's parabolic search.
+c(beta), refined by Brent's parabolic search in lockstep over extrema.
 
 Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
 wall's negative ground level can never overflow the sums; means and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -210,16 +210,17 @@ def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
 # extremum location
 # ---------------------------------------------------------------------------
 
-def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: float,
-           b: float, fb: float) -> tuple[float, float]:
+def _brent(a: float, fa: float, x: float, fx: float, b: float,
+           fb: float) -> Generator[float, float, tuple[float, float]]:
     """Minimum of fn on [a, b] by Brent's method (Brent 1973, "Algorithms
     for Minimization without Derivatives", ch. 5): parabolic interpolation
     through the three best points, with a golden-section step whenever the
     parabola is untrustworthy.  Starts from a bracketing triple a < x < b
     with fx below fa and fb, all three values already known, so the first
     step is the parabola through them; stops once the bracket around the
-    best point is about 1e-6 wide.  Returns (x, fn(x)) of the best point
-    evaluated."""
+    best point is about 1e-6 wide.  A generator: it yields each point u
+    to evaluate and is sent fn(u), and returns (x, fn(x)) of the best
+    point evaluated."""
     (w, fw), (v, fv) = sorted(((a, fa), (b, fb)), key=lambda p: p[1])
     d, e = 0.0, b - a
     while True:
@@ -246,7 +247,7 @@ def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: floa
             e = (b - x) if x < m else (a - x)
             d = _CGOLD * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = fn(u)
+        fu = yield u
         if fu <= fx:
             if u < x:
                 b = x
@@ -264,48 +265,56 @@ def _brent(fn: Callable[[float], float], a: float, fa: float, x: float, fx: floa
                 v, fv = u, fu
 
 
-def find_extrema(beta_grid: Sequence[float], c_grid: Sequence[float],
-                 c_fn: Callable[[float], float]) -> ExtremumReport:
-    """Locate the heat-capacity extrema of a scan: ``c_grid`` holds c(beta)
-    on the monotone ``beta_grid``, evaluated by the caller (typically as
-    one batch), and every interior extremum of the scan is refined by
-    Brent's method from its grid point (relative 1e-6 in beta), calling
-    ``c_fn(beta)`` one point at a time.
+def find_extrema(beta_grid: Sequence, c_grid: Sequence,
+                 c_fn: Callable[[np.ndarray, np.ndarray], Sequence[float]]
+                 ) -> ExtremumReport | tuple[ExtremumReport, ...]:
+    """Locate the heat-capacity extrema of one scan, or of several as
+    rows: ``c_grid`` holds c(beta) on the monotone ``beta_grid``, evaluated
+    by the caller.  Every interior extremum of every scan is refined by
+    Brent's method from its grid point (relative 1e-6 in beta), all in
+    lockstep: a pass is one call ``c_fn(beta, rows)`` with the next point
+    of each open refinement and its scan's row, returning their c values.
 
-    The report carries the global maximum and minimum found; a grid
-    without interior extrema yields an empty report (not an error).
+    A report per scan (a tuple of them for rows) carries the global maximum
+    and minimum found; a scan without interior extrema yields an empty
+    report (not an error).
     """
-    betas = np.asarray(list(beta_grid), dtype=float)
-    if betas.ndim != 1 or len(betas) < 3:
+    betas, cs = np.asarray(beta_grid, dtype=float), np.asarray(c_grid, dtype=float)
+    if betas.ndim not in (1, 2) or betas.shape[-1] < 3:
         raise DomainError("beta_grid must be monotone with at least 3 points")
-    d = np.diff(betas)
-    if not (np.all(d > 0) or np.all(d < 0)):
+    d = np.diff(np.atleast_2d(betas))
+    if not np.all((d > 0).all(axis=1) | (d < 0).all(axis=1)):
         raise DomainError("beta_grid must be strictly monotone")
-    cs = [float(c) for c in c_grid]
-    if len(cs) != len(betas):
-        raise DomainError(f"c_grid has {len(cs)} values for {len(betas)} grid points")
+    if cs.shape != betas.shape:
+        raise DomainError(f"c_grid has shape {cs.shape} for beta_grid of shape {betas.shape}")
 
-    best_max: tuple[float, float] | None = None
-    best_min: tuple[float, float] | None = None
-    for i in range(1, len(betas) - 1):
-        if cs[i] > cs[i - 1] and cs[i] > cs[i + 1]:
-            sign = 1.0
-        elif cs[i] < cs[i - 1] and cs[i] < cs[i + 1]:
-            sign = -1.0
-        else:
-            continue
-        (a, fa), (b, fb) = sorted(((math.log(betas[i - 1]), -sign * cs[i - 1]),
-                                   (math.log(betas[i + 1]), -sign * cs[i + 1])))
-        u, f = _brent(lambda u: -sign * c_fn(math.exp(u)), a, fa,
-                      math.log(betas[i]), -sign * cs[i], b, fb)
-        beta, c = math.exp(u), -sign * f
-        if sign > 0.0 and (best_max is None or c > best_max[1]):
-            best_max = (beta, c)
-        elif sign < 0.0 and (best_min is None or c < best_min[1]):
-            best_min = (beta, c)
-    return ExtremumReport(
-        beta_inv_at_max=1.0 / best_max[0] if best_max else None,
-        c_max=best_max[1] if best_max else None,
-        beta_inv_at_min=1.0 / best_min[0] if best_min else None,
-        c_min=best_min[1] if best_min else None,
-    )
+    runs = []  # (row, sign, Brent generator) per interior extremum
+    rows = list(zip(np.atleast_2d(betas).tolist(), np.atleast_2d(cs).tolist()))
+    for row, (b, c) in enumerate(rows):
+        for i in range(1, len(b) - 1):
+            sign = (c[i - 1] < c[i] > c[i + 1]) - (c[i - 1] > c[i] < c[i + 1])
+            if not sign:
+                continue
+            lo, hi = sorted(((math.log(b[i - 1]), -sign * c[i - 1]),
+                             (math.log(b[i + 1]), -sign * c[i + 1])))
+            runs.append((row, sign, _brent(*lo, math.log(b[i]), -sign * c[i], *hi)))
+    best = {}  # (row, sign) -> (1/beta, c) of the scan's global extremum
+    sent = dict.fromkeys(range(len(runs)))  # the value each open one is sent next
+    while sent:
+        pending = {}
+        for j, fu in sent.items():
+            try:
+                pending[j] = runs[j][2].send(fu)
+            except StopIteration as stop:
+                row, sign, _ = runs[j]
+                c = -sign * stop.value[1]
+                if (row, sign) not in best or sign * c > sign * best[row, sign][1]:
+                    best[row, sign] = (1.0 / math.exp(stop.value[0]), c)
+        values = c_fn(np.array([math.exp(u) for u in pending.values()]),
+                      np.array([runs[j][0] for j in pending], dtype=int)) if pending else ()
+        sent = {j: -runs[j][1] * float(cj) for j, cj in zip(pending, values)}
+
+    reports = tuple(ExtremumReport(*best.get((row, 1), (None, None)),
+                                   *best.get((row, -1), (None, None)))
+                    for row in range(len(rows)))
+    return reports[0] if betas.ndim == 1 else reports

@@ -36,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -111,10 +112,11 @@ class CondensateReport:
 # particle-number solves: mu in gamma = beta (E_0 - mu), and beta_cr
 # ---------------------------------------------------------------------------
 
-def _solve_n(fn, u, lo, hi, n_target: float, what):
-    """Roots of N(u) = N_target for strictly decreasing N(u), one per lane:
-    ``specfun._newton_root`` on ln(N / N_target) from the starts ``u`` in
-    the brackets (lo, hi), a lane done at |N - N_target| <= 1e-12 N_target.
+def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
+    """Roots of N(u) = N_target for strictly decreasing N(u), one per lane
+    and each with its own ``n_target``: ``specfun._newton_root`` on
+    ln(N / N_target) from the starts ``u`` in the brackets (lo, hi), a lane
+    done at |N - N_target| <= 1e-12 N_target.
     ``fn(u, lanes)`` evaluates the lanes ``lanes`` at ``u`` and returns
     arrays ``(N, dN/du, payload)``, one payload column per lane; N <= 0
     (every occupation underflowed) counts as ln N = -inf.  A lane's last
@@ -124,7 +126,7 @@ def _solve_n(fn, u, lo, hi, n_target: float, what):
     def log_n(x, lanes):
         n, dn_du, pay = fn(x, lanes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.log(np.maximum(n, 0.0) / n_target)
+            r = np.log(np.maximum(n, 0.0) / n_target[lanes])
             slope = np.where(n > 0.0, dn_du / n, np.nan)  # d ln N / du
         return r, slope, np.vstack([r, pay])
 
@@ -155,9 +157,11 @@ def _two_term_log_t(ln_a, n: float, sign: int):
         return np.log(2.0 * n / (s + np.sqrt(s * s - 4.0 * a * n)))
 
 
-def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, hint=None):
-    """gamma = beta (E_0 - mu) satisfying the particle-number sum to
-    |N - N_target| <= 1e-10 N_target for every lane of ``beta``, and the
+def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, sign: int, n: np.ndarray,
+                 hint=None):
+    """gamma = beta (E_0 - mu) satisfying the particle-number sum of
+    statistics ``sign`` to |N - N_target| <= 1e-10 N_target for every lane
+    of ``beta``, whose particle number N_target is that lane's ``n``, and the
     ladder sums (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about
     the upper of E_0 and mu (``_moment_offset``).  Returns
     ``(gamma, sums, errors)`` with one column of ``sums`` and one entry of
@@ -174,22 +178,20 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, h
     start within the 1e-12 target: c at fd N=10, F=1e-7, beta=9.532 spreads
     by ~1e-13 relative over different hints.
     """
-    n_target = float(ensemble.n_particles)
-    sign = ensemble.sign
     e0 = spectrum.e0
     log_space = sign == BOSE
     if log_space:
         # the ground level alone holds N at gamma = ln(1 + 1/N), so the
         # root lies above it
-        lo, hi = math.log(math.log1p(1.0 / n_target)), math.log(_GAMMA_MAX)
+        lo, hi = np.log(np.log1p(1.0 / n)), math.log(_GAMMA_MAX)
     else:
         # mu between E_0 - pad/beta and E_N + pad/beta
-        pad = 50.0 + math.log(n_target + 2.0)
-        lo = -(beta * (spectrum.level(ensemble.n_particles) - e0) + pad)
+        pad = 50.0 + np.log(n + 2.0)
+        lo = -(beta * (spectrum.energies(n) - e0) + pad)
         hi = pad
     ln_a = (-math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
             - beta * (spectrum.tail.shift - e0))
-    start = -_two_term_log_t(ln_a, n_target, sign)
+    start = -_two_term_log_t(ln_a, n, sign)
     if hint is not None:
         start = np.where(np.isnan(hint), start, hint)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,8 +206,8 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, ensemble: EnsembleSpec, h
         return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([gamma, sums])
 
     payload, errors = _solve_n(
-        step, start, lo, hi, n_target,
-        lambda i: f"particle-number solve at beta={beta[i]}, N={ensemble.n_particles}")
+        step, start, lo, hi, n,
+        lambda i: f"particle-number solve at beta={beta[i]}, N={n[i]}")
     return payload[0], payload[1:], errors
 
 
@@ -228,10 +230,13 @@ def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec) -> float:
     return gc_point(spectrum, beta, ensemble).mu
 
 
-def gc_point(spectrum: Spectrum, beta: float | np.ndarray, ensemble: EnsembleSpec,
+def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
+             ensemble: EnsembleSpec | Sequence[EnsembleSpec],
              hint_gamma: float | np.ndarray | None = None) -> GcPoint:
     """Mean energy and specific heat per particle at one temperature, or
-    at a batch of temperatures solved in lockstep.
+    at a batch of temperatures solved in lockstep, in one ensemble or, for
+    a batch, in one ensemble per lane (all of one statistics, each lane
+    with its own particle number).
 
     The returned state has been validated: the occupation sum reproduces N
     to 1e-10 relative, and mu < E_0 strictly for bosons.  Energy and heat
@@ -239,26 +244,35 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray, ensemble: EnsembleSpe
 
     With a 1-D array ``beta`` (and ``hint_gamma`` None, or an array with
     NaN for no hint) every field is an array over the lanes, and a lane whose
-    solve fails does not raise: its values are NaN and its message is in
-    ``errors``.  A scalar ``beta`` gives plain floats and raises
-    SolverError instead.
+    solve fails does not raise: its mu, energy, heat capacity and n0 are NaN
+    and its message, naming its beta and N, is in ``errors``.  A scalar
+    ``beta`` gives plain floats and raises SolverError instead.
     """
     beta = _check_beta(beta)
     lanes = np.ravel(beta)
-    n_target = float(ensemble.n_particles)
-    gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, ensemble,
+    specs = [ensemble] if isinstance(ensemble, EnsembleSpec) else list(ensemble)
+    if len({e.statistics for e in specs}) != 1 or len(specs) not in (1, lanes.size):
+        raise DomainError(f"gc_point needs one ensemble, or one per lane of one "
+                          f"statistics, for {lanes.size} lanes; got {ensemble!r}")
+    n = np.resize([e.n_particles for e in specs], lanes.size)
+    sign = specs[0].sign
+    gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, sign, n,
                                                           hint_gamma)
     e0 = spectrum.e0
     energy = (e0 - _moment_offset(lanes, gamma)) * n_sum + n1
-    c = lanes * lanes * (d2 - d1 * d1 / d0) / n_target
+    c = lanes * lanes * (d2 - d1 * d1 / d0) / n
     mu = e0 - gamma / lanes
     n0 = None
-    if ensemble.sign == BOSE:
-        n0 = 1.0 / np.expm1(gamma) / n_target
+    if sign == BOSE:
+        n0 = 1.0 / np.expm1(gamma) / n
         for i in ((mu >= e0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
-            errors[i] = errors[i] or (f"bose state with mu - E_0 = {mu[i] - e0} and ground "
-                                      f"occupation {n0[i]} (need mu < E_0, n0 in [0, 1])")
+            errors[i] = errors[i] or (f"bose state at beta={lanes[i]}, N={n[i]} with "
+                                      f"mu - E_0 = {mu[i] - e0} and ground occupation "
+                                      f"{n0[i]} (need mu < E_0, n0 in [0, 1])")
         n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
+    failed = np.array([e is not None for e in errors])
+    for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):
+        a[failed] = np.nan
     if np.ndim(beta) > 0:
         return GcPoint(beta, mu, energy, c, n0, errors=tuple(errors))
     if errors[0]:
@@ -349,7 +363,8 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
         # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
         return n, -beta * d1, beta[None]
 
-    payload, errors = _solve_n(step, min(max(math.log(beta_a), lo), hi), lo, hi, n_target,
+    payload, errors = _solve_n(step, min(max(math.log(beta_a), lo), hi), lo, hi,
+                               np.array([n_target]),
                                lambda i: f"condensation solve at N={n_particles}")
     if errors[0]:
         raise SolverError(errors[0])

@@ -17,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -118,46 +119,57 @@ class SweepResult:
         return any(r.error is not None for r in self.rows)
 
 
-def _evaluator(spectrum: Spectrum, ensemble: EnsembleSpec | None):
-    """beta -> (<E>, c per particle, mu, n0, errors) in the canonical
-    ensemble (ensemble None; mu and n0 are None) or the grand-canonical one.
-    An array of beta is one batch: arrays over its lanes, with ``errors``
-    holding None or the message of each lane whose solve failed (values
-    NaN); a scalar beta gives floats and raises instead.  Each mu solve
-    starts from the states already solved: gamma = beta (E_0 - mu)
-    interpolated (or extrapolated) linearly in ln beta through the two
-    solved points nearest in ln beta, in ln gamma for bosons, whose gamma
-    spans decades; the first batch starts from the two-term balance."""
-    if ensemble is None:
-        def evaluate_canonical(beta):
+def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec | None]):
+    """(beta, cells) -> (<E>, c per particle, mu, n0, errors), one batch:
+    arrays over the lanes of ``beta``, lane i in the ensemble
+    ``ensembles[cells[i]]`` (all None: canonical, one particle, mu and n0
+    None; or all of one statistics), ``errors`` None or the message of each
+    lane whose solve failed (values NaN).  Each mu solve starts from its
+    own cell's solved states: gamma = beta (E_0 - mu) interpolated (or
+    extrapolated) linearly in ln beta through the two nearest in ln beta,
+    in ln gamma for bosons, whose gamma spans decades; a cell's first batch
+    starts from the two-term balance."""
+    if ensembles[0] is None:
+        def evaluate_canonical(beta, cells):
             tp = thermo_point(spectrum, beta)
-            errors = None if np.ndim(beta) == 0 else (None,) * len(beta)
-            return tp.mean_energy, tp.heat_capacity, None, None, errors
+            return tp.mean_energy, tp.heat_capacity, None, None, (None,) * len(beta)
 
         return evaluate_canonical
 
-    solved_lb: list[float] = []  # ln beta of every solved lane
-    solved_u: list[float] = []   # its solver coordinate, gamma or ln gamma
-    log_gamma = ensemble.sign == gc.BOSE
+    # per cell: (ln beta, solver coordinate gamma or ln gamma) of every solved lane
+    solved = [[] for _ in ensembles]
+    log_gamma = ensembles[0].sign == gc.BOSE
 
-    def evaluate(beta):
-        hint = None
-        if solved_lb:
-            lb = np.log(np.atleast_1d(beta))[:, None]
+    def evaluate(beta, cells):
+        hint = np.full(len(beta), np.nan)
+        for k in {k for k in cells.tolist() if solved[k]}:
+            solved_lb, solved_u = np.array(solved[k]).T
+            lane = cells == k
+            lb = np.log(beta[lane])[:, None]
             near = np.argsort(np.abs(lb - solved_lb), axis=1, kind="stable")
             near = near[:, [0, min(1, len(solved_lb) - 1)]].T
             (l0, l1), (g0, g1) = np.take(solved_lb, near), np.take(solved_u, near)
             with np.errstate(divide="ignore", invalid="ignore"):
-                hint = np.where(l0 != l1, g0 + (g1 - g0) * (lb[:, 0] - l0) / (l1 - l0), g0)
-            hint = (np.exp(hint) if log_gamma else hint).reshape(np.shape(beta))
-        p = gc.gc_point(spectrum, beta, ensemble, hint_gamma=hint)
-        ok = [e is None for e in p.errors] if p.errors else [True]
-        gamma = np.atleast_1d(p.beta * (spectrum.e0 - p.mu))[ok]
-        solved_lb.extend(np.log(np.atleast_1d(p.beta)[ok]).tolist())
-        solved_u.extend((np.log(gamma) if log_gamma else gamma).tolist())
+                hint_k = np.where(l0 != l1, g0 + (g1 - g0) * (lb[:, 0] - l0) / (l1 - l0), g0)
+            hint[lane] = np.exp(hint_k) if log_gamma else hint_k
+        p = gc.gc_point(spectrum, beta, [ensembles[k] for k in cells], hint_gamma=hint)
+        ok = np.array([e is None for e in p.errors])
+        gamma = (p.beta * (spectrum.e0 - p.mu))[ok]
+        for k, lb, u in zip(cells[ok], np.log(p.beta[ok]), np.log(gamma) if log_gamma else gamma):
+            solved[k].append((lb, u))
         return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0, p.errors
 
     return evaluate
+
+
+def _c_or_raise(evaluate):
+    """c(beta, cells) of an evaluator; SolverError names the first failed lane."""
+    def c_fn(beta, cells):
+        _, c, _, _, errors = evaluate(beta, cells)
+        for e in filter(None, errors):
+            raise SolverError(e)
+        return c
+    return c_fn
 
 
 def _temperature_grid(spec: SweepSpec) -> np.ndarray:
@@ -187,9 +199,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     temperatures = t_units * scale
 
     betas = 1.0 / temperatures
-    evaluate = _evaluator(spectrum, ens)
+    evaluate = _evaluator(spectrum, [ens])
     try:
-        energy, c, mu, n0, errors = evaluate(betas)
+        energy, c, mu, n0, errors = evaluate(betas, np.zeros(len(betas), dtype=int))
     except RobinWallError as exc:
         errors = (str(exc),) * len(betas)
     rows: list[SweepRow] = []
@@ -206,7 +218,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     extrema = ExtremumReport()
     if not any(errors) and len(rows) >= 3:
-        extrema = find_extrema(betas, c, lambda b: evaluate(b)[1])
+        extrema = find_extrema(betas, c, _c_or_raise(evaluate))
     return SweepResult(spec=spec, rows=tuple(rows), extrema=extrema,
                        condensate=condensate)
 
@@ -346,17 +358,19 @@ class Table1Report:
         return "\n".join(lines)
 
 
-def locate_peak(spectrum: Spectrum, ensemble: EnsembleSpec | None,
-                t_center: float, span: float = 2.2) -> ExtremumReport:
-    """Scan a log window around t_center and refine the global maximum."""
-    grid = np.exp(np.linspace(math.log(1.0 / (t_center * span)),
-                              math.log(span / t_center), _SCAN_POINTS))
-    evaluate = _evaluator(spectrum, ensemble)
-    _, c, _, _, errors = evaluate(grid)
-    failed = [e for e in errors if e is not None]
-    if failed:
-        raise SolverError(failed[0])
-    return find_extrema(grid, c, lambda beta: evaluate(beta)[1])
+def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec | None],
+                t_centers: Sequence[float], span: float = 2.2) -> tuple[ExtremumReport, ...]:
+    """Heat-capacity extrema of the cells of one spectrum, cell i in the
+    ensemble ``ensembles[i]`` (all None for canonical, or all of one
+    statistics): each cell's log window around ``t_centers[i]`` is scanned,
+    all cells as one batch, and the extrema of all scans are refined in
+    lockstep, one batch per Brent pass.  SolverError names the first lane
+    whose solve failed."""
+    grids = np.exp([np.linspace(math.log(1.0 / (t * span)), math.log(span / t), _SCAN_POINTS)
+                    for t in t_centers])
+    c_fn = _c_or_raise(_evaluator(spectrum, ensembles))
+    cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
+    return find_extrema(grids, c_fn(grids.ravel(), cells).reshape(grids.shape), c_fn)
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
@@ -377,19 +391,20 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
         if not n_list:
             raise DomainError(f"unknown ensemble {ens_name!r}")
         for field in fields:
+            if field not in TABLE1_FIELDS:  # the table holds every cell of its fields
+                raise DomainError(f"no reference value for field {field!r}")
             if field not in spectra:
                 spectra[field] = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
-            for n in n_list:
-                key = (ens_name, n, field)
-                if key not in TABLE1:
-                    raise DomainError(f"no reference value for {key}")
-                t_ref, c_ref = TABLE1[key]
-                rep = locate_peak(spectra[field], ensemble_spec(ens_name, n), t_ref)
+            keys = [(ens_name, n, field) for n in n_list]
+            reports = locate_peak(spectra[field], [ensemble_spec(ens_name, n) for n in n_list],
+                                  [TABLE1[key][0] for key in keys])
+            for key, rep in zip(keys, reports):
                 if rep.c_max is None:
                     raise DomainError(f"no peak found in the scan window for {key}")
+                t_ref, c_ref = TABLE1[key]
                 tolerance = tol if tol is not None else TOLERANCE[ens_name]
                 cells.append(Table1Cell(
-                    ensemble=ens_name, n_particles=n, field=field,
+                    ensemble=ens_name, n_particles=key[1], field=field,
                     t_ref=t_ref, c_ref=c_ref,
                     t_found=rep.beta_inv_at_max, c_found=rep.c_max,
                     rel_t=abs(rep.beta_inv_at_max - t_ref) / t_ref,

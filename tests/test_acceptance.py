@@ -51,7 +51,7 @@ def test_criterion_1_zero_field_extrema():
     t0 = time.monotonic()
     grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
     c_fn = lambda b: zero_field_attractive(b).heat_capacity  # noqa: E731
-    rep = find_extrema(grid, [c_fn(b) for b in grid], c_fn)
+    rep = find_extrema(grid, [c_fn(b) for b in grid], lambda bs, _: [c_fn(b) for b in bs])
     elapsed = time.monotonic() - t0
     t_max_ref, c_max_ref = ZERO_FIELD_MAX
     t_min_ref, c_min_ref = ZERO_FIELD_MIN
@@ -69,7 +69,7 @@ def test_criterion_2_neumann_universal_curve():
     t0 = time.monotonic()
     grid = np.exp(np.linspace(math.log(0.02), math.log(2.0), 80))
     c_fn = lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1]  # noqa: E731
-    rep = find_extrema(grid, [c_fn(y) for y in grid], c_fn)
+    rep = find_extrema(grid, [c_fn(y) for y in grid], lambda ys, _: [c_fn(y) for y in ys])
     elapsed = time.monotonic() - t0
     y_ref, c_ref = NEUMANN_CURVE_MAX
     y_found = 1.0 / rep.beta_inv_at_max
@@ -96,7 +96,7 @@ def test_criterion_4_fermion_cells():
     worst = 0.0
     for n, field in cells:
         t_ref, c_ref = TABLE1[("fd", n, field)]
-        rep = locate_peak(attractive(field), EnsembleSpec(FD, n), t_ref)
+        rep, = locate_peak(attractive(field), [EnsembleSpec(FD, n)], [t_ref])
         worst = max(worst, abs(rep.beta_inv_at_max - t_ref) / t_ref,
                     abs(rep.c_max - c_ref) / c_ref)
     elapsed = time.monotonic() - t0
@@ -111,7 +111,7 @@ def test_criterion_5_boson_cells():
     worst = 0.0
     for n, field in cells:
         t_ref, c_ref = TABLE1[("be", n, field)]
-        rep = locate_peak(attractive(field), EnsembleSpec(BE, n), t_ref)
+        rep, = locate_peak(attractive(field), [EnsembleSpec(BE, n)], [t_ref])
         worst = max(worst, abs(rep.beta_inv_at_max - t_ref) / t_ref,
                     abs(rep.c_max - c_ref) / c_ref)
     elapsed = time.monotonic() - t0
@@ -160,7 +160,7 @@ def test_criterion_7_predictor_convergence():
     for field in fields:
         sp = attractive(field)
         beta_zero, beta_max, c_max = resonance_predictors(field)
-        rep = locate_peak(sp, None, 1.0 / beta_max, span=2.6)
+        rep, = locate_peak(sp, [None], [1.0 / beta_max], span=2.6)
         b_num = 1.0 / rep.beta_inv_at_max
         seqs["canonical beta"].append(abs(beta_max - b_num) / b_num)
         seqs["canonical c"].append(abs(c_max - rep.c_max) / rep.c_max)
@@ -176,7 +176,7 @@ def test_criterion_7_predictor_convergence():
         seqs["zero-energy beta"].append(abs(beta_zero - math.sqrt(lo * hi))
                                         / math.sqrt(lo * hi))
         fd_beta, fd_c = gc.fd_single_peak(field)
-        rep = locate_peak(sp, EnsembleSpec(FD, 1), 1.0 / fd_beta, span=2.6)
+        rep, = locate_peak(sp, [EnsembleSpec(FD, 1)], [1.0 / fd_beta], span=2.6)
         b_num = 1.0 / rep.beta_inv_at_max
         seqs["fd beta"].append(abs(fd_beta - b_num) / b_num)
         seqs["fd c"].append(abs(fd_c - rep.c_max) / rep.c_max)

@@ -81,7 +81,7 @@ class TestZeroField:
     def test_attractive_extrema(self):
         grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
         c_fn = lambda b: zero_field_attractive(b).heat_capacity  # noqa: E731
-        rep = find_extrema(grid, [c_fn(b) for b in grid], c_fn)
+        rep = find_extrema(grid, [c_fn(b) for b in grid], lambda bs, _: [c_fn(b) for b in bs])
         assert rep.c_max == pytest.approx(1.0752, abs=2e-3)
         assert rep.beta_inv_at_max == pytest.approx(0.5260, rel=5e-3)
         assert rep.c_min == pytest.approx(0.4774, abs=2e-3)
@@ -134,7 +134,7 @@ class TestUniversalCurve:
     def test_neumann_peak(self):
         grid = np.exp(np.linspace(math.log(0.02), math.log(2.0), 80))
         c_fn = lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1]  # noqa: E731
-        rep = find_extrema(grid, [c_fn(y) for y in grid], c_fn)
+        rep = find_extrema(grid, [c_fn(y) for y in grid], lambda ys, _: [c_fn(y) for y in ys])
         assert rep.c_max == pytest.approx(1.522, abs=5e-3)
         assert 1.0 / rep.beta_inv_at_max == pytest.approx(0.175, rel=0.02)
 
@@ -219,20 +219,33 @@ class TestFindExtrema:
     def test_table_cell_weak_field(self):
         sp = attractive(1e-5)
         grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
-        rep = find_extrema(grid, heat_capacity(sp, grid), lambda b: heat_capacity(sp, b))
+        rep = find_extrema(grid, heat_capacity(sp, grid), lambda b, _: heat_capacity(sp, b))
         assert rep.beta_inv_at_max == pytest.approx(0.1324, rel=0.01)
         assert rep.c_max == pytest.approx(20.538, rel=0.01)
 
     def test_monotone_grid_required(self):
         with pytest.raises(DomainError):
-            find_extrema([1.0, 3.0, 2.0], [1.0, 3.0, 2.0], lambda b: b)
+            find_extrema([1.0, 3.0, 2.0], [1.0, 3.0, 2.0], lambda b, _: b)
         with pytest.raises(DomainError):
-            find_extrema([1.0, 2.0], [1.0, 2.0], lambda b: b)
+            find_extrema([1.0, 2.0], [1.0, 2.0], lambda b, _: b)
         with pytest.raises(DomainError):
-            find_extrema([1.0, 2.0, 4.0], [1.0, 2.0], lambda b: b)
+            find_extrema([1.0, 2.0, 4.0], [1.0, 2.0], lambda b, _: b)
+
+    def test_scans_as_rows_match_each_scan_alone(self):
+        # two scans refined in lockstep: c_fn learns the row of each point,
+        # and each row's report is the one its scan gives alone
+        sps = [attractive(1e-5), attractive(1e-3)]
+        grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
+        grids = np.array([grid, grid / 2.0])
+        cs = [heat_capacity(sp, g) for sp, g in zip(sps, grids)]
+        reps = find_extrema(grids, cs, lambda b, rows: [
+            heat_capacity(sps[r], x) for x, r in zip(b, rows)])
+        assert reps == tuple(find_extrema(g, c, lambda b, _, sp=sp: heat_capacity(sp, b))
+                             for sp, g, c in zip(sps, grids, cs))
+        assert reps[0].c_max != reps[1].c_max
 
     def test_absent_extremum(self):
-        rep = find_extrema([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], lambda b: b)
+        rep = find_extrema([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], lambda b, _: b)
         assert rep.beta_inv_at_max is None
         assert rep.c_max is None
         assert rep.beta_inv_at_min is None
@@ -278,14 +291,14 @@ class TestBrentRefinement:
         grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
         evals = []
 
-        def c_fn(beta):
-            evals.append(beta)
-            return zero_field_attractive(beta).heat_capacity
+        def c_fn(betas, rows):
+            evals.extend(betas)
+            return [zero_field_attractive(b).heat_capacity for b in betas]
 
         cs = [zero_field_attractive(b).heat_capacity for b in grid]
         rep = find_extrema(grid, cs, c_fn)
         beta_inv = rep.beta_inv_at_max if sign > 0 else rep.beta_inv_at_min
-        brent_evals = len(evals)  # refining both the maximum and the minimum
+        brent_evals = len(evals)  # beta values, refining both the maximum and the minimum
         i = next(i for i in range(1, len(grid) - 1)
                  if sign * cs[i] > sign * cs[i - 1] and sign * cs[i] > sign * cs[i + 1])
         exact = self._exact_extremum(grid[i])
@@ -297,6 +310,48 @@ class TestBrentRefinement:
         assert err_golden <= 5e-7
         assert err_brent <= err_golden
         assert brent_evals < golden_evals
+
+    def test_lockstep_visits_the_points_of_the_sequential_search(self):
+        # the zero-field scan's maximum and minimum are refined together,
+        # one c_fn call per pass; each must visit exactly the points Brent's
+        # method visits on it alone, and the passes must be shared
+        grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
+        cs = [zero_field_attractive(b).heat_capacity for b in grid]
+        passes = []
+
+        def c_fn(betas, rows):
+            assert rows.tolist() == [0] * len(betas)
+            passes.append(betas.tolist())
+            return [zero_field_attractive(b).heat_capacity for b in betas]
+
+        rep = find_extrema(grid, cs, c_fn)
+        alone = {}  # sign -> (bracket, points visited, best point)
+        for i in range(1, len(grid) - 1):
+            if cs[i] > max(cs[i - 1], cs[i + 1]):
+                sign = 1.0
+            elif cs[i] < min(cs[i - 1], cs[i + 1]):
+                sign = -1.0
+            else:
+                continue
+            (a, fa), (b, fb) = sorted(((math.log(grid[i - 1]), -sign * cs[i - 1]),
+                                       (math.log(grid[i + 1]), -sign * cs[i + 1])))
+            brent = can._brent(a, fa, math.log(grid[i]), -sign * cs[i], b, fb)
+            visited, fu = [], None
+            try:
+                while True:
+                    u = brent.send(fu)
+                    visited.append(math.exp(u))
+                    fu = -sign * zero_field_attractive(math.exp(u)).heat_capacity
+            except StopIteration as stop:
+                u, f = stop.value
+            alone[sign] = ((grid[i - 1], grid[i + 1]), visited, (1.0 / math.exp(u), -sign * f))
+        assert sorted(alone) == [-1.0, 1.0]
+        for (lo, hi), visited, _ in alone.values():
+            assert [b for p in passes for b in p if lo < b < hi] == visited
+        assert len(passes) == max(len(v) for _, v, _ in alone.values())
+        assert len(passes[0]) == 2
+        assert (rep.beta_inv_at_max, rep.c_max) == alone[1.0][2]
+        assert (rep.beta_inv_at_min, rep.c_min) == alone[-1.0][2]
 
 
 class TestPlainFloats:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import mpmath
 import numpy as np
@@ -183,12 +184,10 @@ class TestGcPoint:
         # more fermions subdue the resonance
         from robinwall.sweep import locate_peak
         from robinwall.reference_values import TABLE1
-        field = 1e-5
-        peaks = []
-        for n in (1, 2, 5, 10):
-            t_ref, _ = TABLE1[("fd", n, field)]
-            rep = locate_peak(attractive(field), EnsembleSpec(FD, n), t_ref)
-            peaks.append(rep.c_max)
+        field, ns = 1e-5, (1, 2, 5, 10)
+        reps = locate_peak(attractive(field), [EnsembleSpec(FD, n) for n in ns],
+                           [TABLE1[("fd", n, field)][0] for n in ns])
+        peaks = [rep.c_max for rep in reps]
         assert peaks == sorted(peaks, reverse=True)
 
     def test_polylog_continuum_form_of_number_sum(self):
@@ -256,6 +255,50 @@ class TestSolveAcceptance:
         for a, b in ((p.mu, clean.mu), (p.mean_energy, clean.mean_energy),
                      (p.heat_capacity_per_particle, clean.heat_capacity_per_particle)):
             assert a[[0, 2]].tolist() == b[[0, 2]].tolist()
+            assert np.isfinite(a[[0, 2]]).all()
+            assert np.isfinite(a[1]) == accepted  # a rejected lane's values are NaN
+
+    def test_lanes_with_their_own_particle_numbers(self):
+        # one batch of lanes, each with its own N, gives every lane the
+        # state it has in a batch of its own N alone, up to the rounding of
+        # the ladder's level blocks, which span the lanes of a batch
+        sp, betas, ns = attractive(1e-5), np.array([2.0, 5.0, 9.0, 5.0]), (1, 10, 1000, 2)
+        for stat in (FD, BE):
+            p = gc_point(sp, betas, [EnsembleSpec(stat, n) for n in ns])
+            assert p.errors == (None,) * 4
+            for i, n in enumerate(ns):
+                q = gc_point(sp, betas[i:i + 1], EnsembleSpec(stat, n))
+                for f in ("mu", "mean_energy", "heat_capacity_per_particle", "n0"):
+                    if getattr(q, f) is not None:
+                        assert getattr(p, f)[i] == pytest.approx(getattr(q, f)[0], rel=1e-13)
+        with pytest.raises(DomainError):
+            gc_point(sp, betas, [EnsembleSpec(FD, 1), EnsembleSpec(BE, 1)] * 2)
+        with pytest.raises(DomainError):
+            gc_point(sp, betas, [EnsembleSpec(FD, 1)] * 3)
+
+    @pytest.mark.parametrize("stat, ns, field", [(FD, (2, 10), 1e-5), (BE, (1, 1000), 1e-5)])
+    def test_failed_lane_of_a_mixed_block_names_its_own_n_and_beta(
+            self, monkeypatch, stat, ns, field):
+        # two cells of one spectrum scanned and refined together; the lanes
+        # of the second cell's scan below the first cell's window carry an
+        # N offset past the contract, so only second-cell lanes fail
+        from robinwall import sweep
+        from robinwall.reference_values import TABLE1
+        t_refs = [TABLE1[(stat.value, n, field)][0] for n in ns]
+        beta_cut = 0.99 / (2.2 * t_refs[0])  # below the first cell's scan window
+        ladder = gc.ladder_sums
+
+        def offset(spectrum, beta, sign, **kwargs):
+            n, *rest = ladder(spectrum, beta, sign, **kwargs)
+            return (np.where(beta < beta_cut, n * (1.0 + 5e-10 * np.sign(n - ns[1])), n),
+                    *rest)
+
+        monkeypatch.setattr(gc, "ladder_sums", offset)
+        with pytest.raises(SolverError) as info:
+            sweep.locate_peak(attractive(field), [EnsembleSpec(stat, n) for n in ns], t_refs)
+        beta, n = re.search(r"beta=(\S+), N=(\d+):", str(info.value)).groups()
+        assert int(n) == ns[1]
+        assert 1.0 / (2.2 * t_refs[1]) * (1.0 - 1e-12) <= float(beta) < beta_cut
 
     def test_accepted_state_depends_little_on_the_start(self):
         # any iterate within the 1e-12 target is accepted, so the result
@@ -301,7 +344,7 @@ class TestWorkCounts:
         monkeypatch.setattr(gc, "ladder_sums", counting_ladder)
         monkeypatch.setattr(gc, "gc_point", counting_point)
         t_ref, c_ref = TABLE1[("be", 1000, 1e-5)]
-        rep = sweep.locate_peak(attractive(1e-5), EnsembleSpec(BE, 1000), t_ref)
+        rep, = sweep.locate_peak(attractive(1e-5), [EnsembleSpec(BE, 1000)], [t_ref])
         assert abs(rep.c_max - c_ref) <= 0.015 * c_ref
         (lanes, hinted, passes), *refine = calls
         assert lanes == 50 and not hinted

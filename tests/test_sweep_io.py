@@ -14,10 +14,11 @@ from robinwall.reference_values import (
     TABLE1_FIELDS,
     TOLERANCE,
 )
-from robinwall.spectrum import WallKind, WallSpec
+from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 from robinwall.sweep import (
     SweepSpec,
     ensemble_spec,
+    locate_peak,
     result_from_json,
     result_to_csv,
     result_to_json,
@@ -256,6 +257,48 @@ class TestTable1Harness:
             t, c = RECORDED_TABLE1[cell.ensemble, cell.n_particles, cell.field]
             assert cell.c_found == pytest.approx(c, rel=1e-8, abs=0.0)
             assert cell.t_found == pytest.approx(t, rel=1e-6, abs=0.0)
+
+    def test_evaluator_batches_per_round(self, monkeypatch):
+        # each (ensemble, field) block of the table is one locate_peak call:
+        # one batch scans all its cells, then each Brent pass is one batch
+        # over every refinement still open.  One cell and one point at a
+        # time took 454 batches a round (55 scans, 399 Brent points); now
+        # 137 (15 blocks, 122 passes).  Fewer, say <= 60, would need lanes
+        # across fields, but one ladder batch serves one spectrum, so a
+        # per-block lockstep cannot reach it.
+        import robinwall.sweep as sweep_mod
+        counts = {"blocks": 0, "batches": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sweep_mod.gc, "gc_point", counting(sweep_mod.gc.gc_point, "batches"))
+        monkeypatch.setattr(sweep_mod, "thermo_point",
+                            counting(sweep_mod.thermo_point, "batches"))
+        monkeypatch.setattr(sweep_mod, "locate_peak", counting(sweep_mod.locate_peak, "blocks"))
+        assert table1_harness().passed
+        assert counts["blocks"] == 15
+        assert counts["batches"] <= 180
+        assert counts["batches"] - counts["blocks"] <= 130  # Brent passes
+
+    @pytest.mark.parametrize("ensemble", ["fd", "be"])
+    def test_block_matches_its_cells_alone(self, ensemble):
+        # a block's cells refined together take the peaks each cell finds
+        # alone: every lane's mu solve starts from its own cell's states, so
+        # each Brent path is the sequential one up to batch rounding
+        field = 1e-4
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
+        ns = sorted(n for e, n, f in TABLE1 if e == ensemble and f == field)
+        specs = [ensemble_spec(ensemble, n) for n in ns]
+        t_refs = [TABLE1[ensemble, n, field][0] for n in ns]
+        block = locate_peak(sp, specs, t_refs)
+        for spec, t_ref, rep in zip(specs, t_refs, block):
+            alone, = locate_peak(sp, [spec], [t_ref])
+            assert rep.c_max == pytest.approx(alone.c_max, rel=1e-12, abs=0.0)
+            assert rep.beta_inv_at_max == pytest.approx(alone.beta_inv_at_max, rel=1e-10, abs=0.0)
 
     def test_deterministic(self):
         a = table1_harness(fields=(1e-4,), ensembles=("canonical",))
