@@ -22,7 +22,7 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .ladder import BOLTZ, ladder_sums
+from .ladder import Statistics, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, _check_field, build_spectrum
 from .specfun import _SQRT_PI, _check_beta, lambert_w
 
@@ -71,7 +71,7 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
     c = beta^2 (<E^2> - <E>^2) of one particle (arrays for an array of beta,
     summed as one batch)."""
     beta = _check_beta(beta)
-    s0, s1, s2 = ladder_sums(spectrum, beta, BOLTZ)
+    s0, s1, s2 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
     m = s1 / s0
     return ThermoPoint(beta=beta, mean_energy=spectrum.e0 + m,
                        heat_capacity=beta * beta * (s2 / s0 - m * m))

@@ -3,8 +3,8 @@
 Subcommands: ``spectrum`` (emit energy levels), ``sweep`` (temperature
 sweep of one configuration), ``table1`` (tabulated-peak regression),
 ``predict`` (weak-field Lambert-W predictors), ``selftest`` (invariant
-suite).  Exit codes: 0 success, 2 bad specification, 3 solver failure,
-4 regression failure.
+suite).  Exit codes: 0 success, 2 bad specification (an ``--out`` path
+that cannot be written included), 3 solver failure, 4 regression failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .spectrum import DEFAULT_N_EXACT, WallKind, WallSpec, build_spectrum, level
 from .sweep import (
     OUTPUT_FIELDS,
     SweepSpec,
-    ensemble_spec,
     result_to_csv,
     result_to_json,
     run_sweep,
@@ -70,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="temperature sweep of one configuration")
     _add_wall_args(p)
-    p.add_argument("--ensemble", choices=("canonical", "fd", "be"), default="canonical")
+    p.add_argument("--ensemble", choices=[s.value for s in gc.Statistics],
+                   default=gc.Statistics.CANONICAL.value)
     p.add_argument("--particles", type=int, default=1)
     p.add_argument("--beta-inv-min", type=float, required=True)
     p.add_argument("--beta-inv-max", type=float, required=True)
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="reproduce the tabulated peaks")
     p.add_argument("--fields", default=None,
                    help="comma-separated subset of the tabulated fields")
-    p.add_argument("--ensembles", default="canonical,fd,be")
+    p.add_argument("--ensembles", default=",".join(s.value for s in gc.Statistics))
     p.add_argument("--tol", type=float, default=None,
                    help="relative tolerance override for every cell")
     p.add_argument("--out", default=None)
@@ -127,7 +127,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     wall = WallSpec(WallKind(args.wall), args.field)
     outputs = tuple(s for s in args.outputs.split(",") if s)
-    spec = SweepSpec(wall=wall, ensemble=ensemble_spec(args.ensemble, args.particles),
+    ensemble = gc.EnsembleSpec(gc.Statistics(args.ensemble), args.particles)
+    spec = SweepSpec(wall=wall, ensemble=ensemble,
                      beta_inv_min=args.beta_inv_min, beta_inv_max=args.beta_inv_max,
                      points=args.points, log_grid=args.log_grid,
                      normalize_by_tcr=args.normalize_tcr, outputs=outputs,
@@ -198,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:  # OSError: an --out path that cannot be written
         sys.stderr.write(f"specification error: {exc}\n")
         return EXIT_SPEC
     except SolverError as exc:

@@ -33,7 +33,6 @@ of the weight, as the Bose ground level does deep in the condensate.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +41,7 @@ import numpy as np
 
 from .canonical import _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
-from .ladder import BOSE, FERMI, ladder_sums
+from .ladder import Statistics, _check_statistics, ladder_sums
 from .spectrum import Spectrum, _check_field
 from .specfun import _SQRT_PI, _check_beta, _check_index, _newton_root, lambert_w
 
@@ -64,27 +63,20 @@ _N_RESIDUAL = 1e-10  # relative particle-number residual of every accepted state
 _N_TARGET = 1e-12  # the residual the Newton iteration aims at
 
 
-class Statistics(enum.Enum):
-    FERMI_DIRAC = "fd"
-    BOSE_EINSTEIN = "be"
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Grand-canonical ensemble: statistics plus particle number N >= 1."""
+    """Ensemble: statistics plus particle number N >= 1 (N = 1 canonical)."""
 
     statistics: Statistics
     n_particles: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.statistics, Statistics):
-            raise DomainError(f"statistics must be a Statistics value, got {self.statistics!r}")
+        _check_statistics(self.statistics)
         object.__setattr__(self, "n_particles",
                            _check_index(self.n_particles, 1, "n_particles"))
-
-    @property
-    def sign(self) -> int:
-        return FERMI if self.statistics is Statistics.FERMI_DIRAC else BOSE
+        if self.statistics is Statistics.CANONICAL and self.n_particles != 1:
+            raise DomainError(f"the canonical ensemble is computed for 1 particle, "
+                              f"got {self.n_particles!r}")
 
 
 @dataclass(frozen=True)
@@ -142,13 +134,13 @@ def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
 _GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
 
 
-def _two_term_log_t(ln_a, n: float, sign: int):
+def _two_term_log_t(ln_a, n: float, statistics: Statistics):
     """ln t, t = e^{-gamma}, of the two-term balance N = 1/(1/t +- 1) + a t
     (the ground level, upper sign fermions, plus a Boltzmann quasi-continuum
     of weight a = e^{ln_a}; for bosons the root t < 1), subtraction-free."""
     with np.errstate(all="ignore"):
         a = np.exp(ln_a)
-        if sign == FERMI:
+        if statistics is Statistics.FERMI_DIRAC:
             b = 1.0 + a - n
             r1 = np.sqrt(b * b + 4.0 * a * n)
             return np.where(b >= 0.0, np.log(2.0 * n / (r1 + b)),
@@ -157,10 +149,10 @@ def _two_term_log_t(ln_a, n: float, sign: int):
         return np.log(2.0 * n / (s + np.sqrt(s * s - 4.0 * a * n)))
 
 
-def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, sign: int, n: np.ndarray,
-                 hint=None):
+def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
+                 n: np.ndarray, hint=None):
     """gamma = beta (E_0 - mu) satisfying the particle-number sum of
-    statistics ``sign`` to |N - N_target| <= 1e-10 N_target for every lane
+    ``statistics`` to |N - N_target| <= 1e-10 N_target for every lane
     of ``beta``, whose particle number N_target is that lane's ``n``, and the
     ladder sums (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about
     the upper of E_0 and mu (``_moment_offset``).  Returns
@@ -179,7 +171,7 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, sign: int, n: np.ndarray,
     by ~1e-13 relative over different hints.
     """
     e0 = spectrum.e0
-    log_space = sign == BOSE
+    log_space = statistics is Statistics.BOSE_EINSTEIN
     if log_space:
         # the ground level alone holds N at gamma = ln(1 + 1/N), so the
         # root lies above it
@@ -191,7 +183,7 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, sign: int, n: np.ndarray,
         hi = pad
     ln_a = (-math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
             - beta * (spectrum.tail.shift - e0))
-    start = -_two_term_log_t(ln_a, n, sign)
+    start = -_two_term_log_t(ln_a, n, statistics)
     if hint is not None:
         start = np.where(np.isnan(hint), start, hint)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -200,7 +192,7 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, sign: int, n: np.ndarray,
     def step(u: np.ndarray, lanes: np.ndarray):
         gamma = np.exp(u) if log_space else u
         b = beta[lanes]
-        sums = np.array(ladder_sums(spectrum, b, sign, gamma=gamma,
+        sums = np.array(ladder_sums(spectrum, b, statistics, gamma=gamma,
                                     moment_offset=_moment_offset(b, gamma)))
         # dN/du with dN/dgamma = -D_0
         return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([gamma, sums])
@@ -251,19 +243,20 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     beta = _check_beta(beta)
     lanes = np.ravel(beta)
     specs = [ensemble] if isinstance(ensemble, EnsembleSpec) else list(ensemble)
-    if len({e.statistics for e in specs}) != 1 or len(specs) not in (1, lanes.size):
-        raise DomainError(f"gc_point needs one ensemble, or one per lane of one "
-                          f"statistics, for {lanes.size} lanes; got {ensemble!r}")
+    if ({e.statistics for e in specs} not in ({Statistics.FERMI_DIRAC}, {Statistics.BOSE_EINSTEIN})
+            or len(specs) not in (1, lanes.size)):
+        raise DomainError(f"gc_point needs one grand-canonical ensemble, or one per lane "
+                          f"of one statistics, for {lanes.size} lanes; got {ensemble!r}")
     n = np.resize([e.n_particles for e in specs], lanes.size)
-    sign = specs[0].sign
-    gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, sign, n,
+    statistics = specs[0].statistics
+    gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, statistics, n,
                                                           hint_gamma)
     e0 = spectrum.e0
     energy = (e0 - _moment_offset(lanes, gamma)) * n_sum + n1
     c = lanes * lanes * (d2 - d1 * d1 / d0) / n
     mu = e0 - gamma / lanes
     n0 = None
-    if sign == BOSE:
+    if statistics is Statistics.BOSE_EINSTEIN:
         n0 = 1.0 / np.expm1(gamma) / n
         for i in ((mu >= e0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
             errors[i] = errors[i] or (f"bose state at beta={lanes[i]}, N={n[i]} with "
@@ -317,13 +310,16 @@ def asymptotic_mu_cn(beta: float, field: float,
     r = 1/(2 sqrt(pi) beta^{3/2} F), evaluated in subtraction-free form; for
     bosons this is the root with mu < E_0.
     """
+    if ensemble.statistics is Statistics.CANONICAL:
+        raise DomainError("asymptotic_mu_cn needs a grand-canonical ensemble")
     beta, field = _check_weak_regime(beta, field)
     n = float(ensemble.n_particles)
     r = 0.5 / (_SQRT_PI * beta ** 1.5 * field)
     emb = math.exp(-beta)
     # the ground level at E_0 = -1: e^{beta mu} = t e^{-beta}
-    mu = float(_two_term_log_t(math.log(r) - beta, n, ensemble.sign)) / beta - 1.0
-    denom = 2.0 * _SQRT_PI * beta ** 1.5 * field * n + ensemble.sign * emb
+    mu = float(_two_term_log_t(math.log(r) - beta, n, ensemble.statistics)) / beta - 1.0
+    sign = 1.0 if ensemble.statistics is Statistics.FERMI_DIRAC else -1.0
+    denom = 2.0 * _SQRT_PI * beta ** 1.5 * field * n + sign * emb
     c_n = 1.5 + (_SQRT_PI * beta ** 2.5 * field * (2.0 * beta + 3.0) * emb
                  / (denom * denom))
     return mu, c_n
@@ -359,7 +355,8 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
 
     def step(u: np.ndarray, lanes: np.ndarray):
         beta = np.exp(u)
-        n, _, _, d1, _ = ladder_sums(spectrum, beta, BOSE, gamma=0.0, start_index=1)
+        n, _, _, d1, _ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN, gamma=0.0,
+                                     start_index=1)
         # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
         return n, -beta * d1, beta[None]
 

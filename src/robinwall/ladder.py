@@ -22,11 +22,13 @@ one numpy pass over a (lanes x levels) block; a scalar call is a one-lane
 batch.  Lanes go in groups of 32 with at most 2^14 (lane, level) pairs
 per direct block, so no temporary exceeds ~1 MB.
 
-Each lane is summed as it would be alone.  Its direct range is fixed
-before any summing, in closed form from the tail law: its low levels, up
-to where its exponent passes by X_DEAD = 45 that of the first level every
-returned sum weighs (for fermions, of the first at or above the Fermi
-level; floored at 0), or up to its closure index if that comes first.
+Each lane has its own direct range, closure and filled sea; only the
+rounding of a direct block's sum depends on the batch.  A lane's direct
+range is fixed before any summing, in closed form from the tail law: its
+low levels, up to where its exponent passes by X_DEAD = 45 that of the
+first level every returned sum weighs (for fermions, of the first at or
+above the Fermi level; floored at 0), or up to its closure index if that
+comes first.
 Levels past the range of a lane that stops short of its closure index are
 below e^-45 of the sums on a sparse ladder, and are dropped.  The direct
 levels are summed ascending, in level blocks common to the batch, each
@@ -54,6 +56,7 @@ exp() calls.
 
 from __future__ import annotations
 
+import enum
 import math
 
 import numpy as np
@@ -62,13 +65,28 @@ from .errors import BudgetError, DomainError, SolverError
 from .specfun import _check_beta, _check_index
 from .spectrum import Spectrum
 
-__all__ = ["BOLTZ", "FERMI", "BOSE", "ladder_sums"]
+__all__ = ["Statistics", "ladder_sums"]
 
-# statistics, which fix the kernel family: Boltzmann factors for BOLTZ,
-# occupations with their distribution kernel for FERMI and BOSE
-FERMI = +1
-BOSE = -1
-BOLTZ = 0
+
+class Statistics(enum.Enum):
+    """The ensembles, named as in the CLI, JSON and Table 1.  Each fixes the
+    kernel family: Boltzmann factors (canonical) or occupations with their
+    distribution kernel."""
+
+    CANONICAL = "canonical"
+    FERMI_DIRAC = "fd"
+    BOSE_EINSTEIN = "be"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown ensemble {value!r}")
+
+
+def _check_statistics(statistics) -> None:
+    """DomainError unless ``statistics`` is a Statistics member."""
+    if not isinstance(statistics, Statistics):
+        raise DomainError(f"statistics must be a Statistics value, got {statistics!r}")
+
 
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
 LEVEL_BUDGET = 10 ** 8    # hard cap on directly summed levels
@@ -77,23 +95,24 @@ EM_START = 16             # no Euler-Maclaurin part starts below this index:
                           # correction's five-point differences
 
 # the sums one call returns per statistics, as (kernel index, moment power)
-# pairs: kernel 0 is e^{-x} (BOLTZ) or the occupation, kernel 1 the
+# pairs: kernel 0 is e^{-x} (canonical) or the occupation, kernel 1 the
 # distribution
 _OCC_ROWS = ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
-_ROWS = {BOLTZ: ((0, 0), (0, 1), (0, 2)), FERMI: _OCC_ROWS, BOSE: _OCC_ROWS}
+_ROWS = {Statistics.CANONICAL: ((0, 0), (0, 1), (0, 2)),
+         Statistics.FERMI_DIRAC: _OCC_ROWS, Statistics.BOSE_EINSTEIN: _OCC_ROWS}
 
 
 # ---------------------------------------------------------------------------
 # stable weight kernels
 # ---------------------------------------------------------------------------
 
-def _kernels(x: np.ndarray, sign: int) -> list[np.ndarray]:
-    """The kernels of statistics ``sign`` at exponents x, from one
-    exponential: [e^{-x}] for BOLTZ, [1/(e^x +- 1), e^x/(e^x +- 1)^2] for
-    FERMI and BOSE."""
-    if sign == BOLTZ:
+def _kernels(x: np.ndarray, statistics: Statistics) -> list[np.ndarray]:
+    """The kernels of ``statistics`` at exponents x, from one exponential:
+    [e^{-x}] canonical, [1/(e^x +- 1), e^x/(e^x +- 1)^2] for Fermi-Dirac
+    and Bose-Einstein."""
+    if statistics is Statistics.CANONICAL:
         return [np.exp(-x)]
-    if sign == FERMI:
+    if statistics is Statistics.FERMI_DIRAC:
         t = np.exp(-np.abs(x))
         inv = 1.0 / (1.0 + t)
         return [np.where(x >= 0.0, t * inv, inv), t * inv * inv]
@@ -105,10 +124,10 @@ def _kernels(x: np.ndarray, sign: int) -> list[np.ndarray]:
     return [occ, occ * inv]
 
 
-def _summands(x: np.ndarray, d: np.ndarray, sign: int) -> np.ndarray:
+def _summands(x: np.ndarray, d: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Summands of every returned sum, one row per sum: d^p * kernel(x)."""
-    kern = _kernels(x, sign)
-    return np.array([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[sign]])
+    kern = _kernels(x, statistics)
+    return np.array([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[statistics]])
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +181,8 @@ def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.nda
     return np.concatenate(v_cols, axis=1)
 
 
-def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
-                 n0: np.ndarray, sign: int, n1: np.ndarray | None = None) -> np.ndarray:
+def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray, n0: np.ndarray,
+                 statistics: Statistics, n1: np.ndarray | None = None) -> np.ndarray:
     """integral_{n0}^{n1} (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm, one row per
     sum and one column per lane (n1 None: to infinity).
 
@@ -190,7 +209,7 @@ def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
     s = (half * (_GL_NODES + 1.0) + lo).reshape(len(beta), -1)
     v = s * s
     w = 0.75 * (half * _GL_WEIGHTS).reshape(len(beta), -1) * v
-    f = _summands(bt[:, None] * v + sigma[:, None], tau * v + ds_ref[:, None], sign)
+    f = _summands(bt[:, None] * v + sigma[:, None], tau * v + ds_ref[:, None], statistics)
     return (f[:, :, None, :] @ w[:, :, None])[..., 0, 0]
 
 
@@ -207,13 +226,13 @@ def _em_edge(f: np.ndarray) -> np.ndarray:
 
 
 def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
-                 n0: np.ndarray, sign: int) -> np.ndarray:
+                 n0: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Euler-Maclaurin end correction at n0, one row per sum and one column
     per lane."""
     tau = tail.tau
     v = tail.argument(n0[:, None] + _STENCIL) ** (2.0 / 3.0)
     return _em_edge(_summands((beta * tau)[:, None] * v + sigma[:, None],
-                              tau * v + ds_ref[:, None], sign))
+                              tau * v + ds_ref[:, None], statistics))
 
 
 def _closure_floor(spectrum) -> int:
@@ -251,10 +270,10 @@ _PAIRS = 1 << 14     # (lane, level) pairs of one direct block
 
 
 def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
-               moff: np.ndarray, sign: int, start_index: int) -> np.ndarray:
+               moff: np.ndarray, statistics: Statistics, start_index: int) -> np.ndarray:
     """``ladder_sums`` of one group of lanes: one row per sum, one column
     per lane."""
-    rows = len(_ROWS[sign])
+    rows = len(_ROWS[statistics])
     n = len(beta)
     tail, e0 = spectrum.tail, spectrum.e0
     sigma = beta * (tail.shift - e0) + gamma
@@ -269,7 +288,7 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     # closure index the ladder is sparse (beta dE/dn above DENSE_THRESHOLD),
     # so the levels past the stop are dropped; a lane at it closes the tail.
     m_top = np.full(n, float(max(start_index, 1)))
-    if sign == FERMI:
+    if statistics is Statistics.FERMI_DIRAC:
         m_top = np.maximum(m_top, np.ceil(np.minimum(_tail_index(tail, beta, sigma, 0.0), n_em)))
     x_top = np.maximum(beta * (spectrum.energies(m_top.astype(np.int64)) - e0) + gamma, 0.0)
     stop = np.ceil(_tail_index(tail, beta, sigma, x_top + X_DEAD))
@@ -279,7 +298,7 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     # smooth in m there, whatever the spacing at the Fermi edge.  The sea
     # ends 3 levels early, so the end correction's stencil stays in it.
     sea = np.full(n, first)
-    if sign == FERMI and (gamma < -X_DEAD).any():
+    if statistics is Statistics.FERMI_DIRAC and (gamma < -X_DEAD).any():
         sea = np.floor(_tail_index(tail, beta, sigma, -X_DEAD)) - 3
         sea = np.maximum(first, np.minimum(sea, n_em)).astype(np.int64)
     if (stop - sea > LEVEL_BUDGET).any():
@@ -293,9 +312,9 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
         if not len(lanes):
             return
         args = (tail, beta[lanes], sigma[lanes], ds_ref[lanes])
-        pieces = [_em_integral(*args, n0, sign, n1), _em_boundary(*args, n0, sign)]
+        pieces = [_em_integral(*args, n0, statistics, n1), _em_boundary(*args, n0, statistics)]
         if n1 is not None:
-            pieces.append(-_em_boundary(*args, n1, sign))
+            pieces.append(-_em_boundary(*args, n1, statistics))
         for piece in pieces:
             parts.append(np.zeros((rows, n)))
             parts[-1][:, lanes] = piece
@@ -321,7 +340,7 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
             for k in range(0, len(lanes), step):
                 sub = lanes[k:k + step]
                 x = beta[sub, None] * dE + gamma[sub, None]
-                terms = _summands(x, dE + moff[sub, None], sign)
+                terms = _summands(x, dE + moff[sub, None], statistics)
                 terms[:, (m < begin[sub, None]) | (m >= stop[sub, None])] = 0.0
                 block[:, sub] = terms.sum(axis=2)
             parts.append(block)
@@ -331,31 +350,31 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     return np.array([math.fsum(col) for col in cols]).reshape(rows, n)
 
 
-def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, sign: int, *,
+def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statistics, *,
                 gamma: float | np.ndarray = 0.0, moment_offset: float | np.ndarray = 0.0,
                 start_index: int = 0) -> tuple:
-    """All sums of the kernel family of statistics ``sign`` over
+    """All sums of the kernel family of ``statistics`` over
     n >= start_index, in one pass, for a batch of lanes.
 
     ``beta``, ``gamma`` and ``moment_offset`` broadcast against each other,
     one lane per element.  With x_n = beta*(E_n - E_0) + gamma and moments
     about ref = E_0 - moment_offset:
 
-    * ``sign=BOLTZ``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
-    * ``sign=FERMI`` or ``BOSE``: (N_0, N_1, D_0, D_1, D_2) with
+    * ``CANONICAL``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
+    * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2) with
       N_p = sum (E_n - ref)^p / (e^{x_n} +- 1) and
       D_p = sum (E_n - ref)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
-      FERMI and the lower for BOSE.
+      fermions and the lower for bosons.
 
     ``start_index`` lies in the root-solved block, 0 <= start_index <
     ``spectrum.n_exact``.  Scalar arguments give plain floats, and otherwise
-    every sum is an array of the broadcast shape.  Every lane is summed as
-    it would be alone, with its own closure index, filled sea and direct
-    range; a lane that needs more than LEVEL_BUDGET directly summed levels
-    raises ``BudgetError`` before anything is summed.
+    every sum is an array of the broadcast shape.  Every lane has its own
+    closure index, filled sea and direct range; the batch changes only the
+    rounding of a direct block's sum.  A lane that needs more than
+    LEVEL_BUDGET directly summed levels raises ``BudgetError`` before
+    anything is summed.
     """
-    if sign not in (BOLTZ, FERMI, BOSE):
-        raise DomainError(f"ladder_sums takes statistics BOLTZ, FERMI or BOSE, got {sign!r}")
+    _check_statistics(statistics)
     start_index = _check_index(start_index, 0, "start_index")
     if start_index >= spectrum.n_exact:
         raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
@@ -363,8 +382,8 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, sign: int, *,
     shape = np.broadcast(beta, gamma, moment_offset).shape
     lanes = [(np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset)]
     _check_beta(lanes[0])
-    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes), sign,
-                                 start_index)
+    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes),
+                                 statistics, start_index)
                       for lo in range(0, lanes[0].size, _LANES)])
     if not shape:
         return tuple(sums[:, 0].tolist())

@@ -62,11 +62,10 @@ def check_particle_number() -> CheckResult:
         beta = 10.0 ** rng.uniform(-0.5, 1.0)
         n = rng.choice([1, 2, 5, 10, 100])
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
-        for stat in Statistics:
-            ens = EnsembleSpec(stat, n)
-            mu = gc.solve_mu(sp, beta, ens)
+        for stat in (Statistics.FERMI_DIRAC, Statistics.BOSE_EINSTEIN):
+            mu = gc.solve_mu(sp, beta, EnsembleSpec(stat, n))
             gamma = beta * (sp.e0 - mu)
-            got = ladder_sums(sp, beta, ens.sign, gamma=gamma)[0]
+            got = ladder_sums(sp, beta, stat, gamma=gamma)[0]
             worst = max(worst, abs(got - n) / n)
     return CheckResult("particle-number residual after mu solve",
                        worst <= 1e-10, f"worst relative residual {worst:.2e} (<= 1e-10)")
@@ -110,7 +109,7 @@ def check_high_t_ensemble_agreement() -> CheckResult:
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
     c_can = can.heat_capacity(sp, beta)
     cs = [c_can]
-    for stat in Statistics:
+    for stat in (Statistics.FERMI_DIRAC, Statistics.BOSE_EINSTEIN):
         p = gc.gc_point(sp, beta, EnsembleSpec(stat, 3))
         cs.append(p.heat_capacity_per_particle)
     spread = max(cs) - min(cs)

@@ -31,7 +31,6 @@ from .spectrum import DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, build_spect
 
 __all__ = [
     "OUTPUT_FIELDS",
-    "ensemble_spec",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -49,29 +48,13 @@ OUTPUT_FIELDS = ("mean_energy", "heat_capacity", "mu", "n0")
 _SCAN_POINTS = 50  # log-spaced points of a peak search's scan
 
 
-def ensemble_spec(name: str, n_particles: int) -> EnsembleSpec | None:
-    """The ensemble an ensemble name stands for: None for "canonical",
-    which is computed for one particle only, and an EnsembleSpec of N
-    particles for "fd" and "be"."""
-    if name == "canonical":
-        if n_particles != 1:
-            raise DomainError(
-                f"the canonical ensemble is computed for 1 particle, got {n_particles!r}")
-        return None
-    try:
-        statistics = Statistics(name)
-    except ValueError:
-        raise DomainError(f"unknown ensemble {name!r}") from None
-    return EnsembleSpec(statistics, n_particles)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep request: wall, ensemble (None means canonical), and a
-    temperature grid, optionally expressed in units of T_cr for bosons."""
+    """One sweep request: wall, ensemble, and a temperature grid,
+    optionally expressed in units of T_cr for bosons."""
 
     wall: WallSpec
-    ensemble: EnsembleSpec | None
+    ensemble: EnsembleSpec
     beta_inv_min: float
     beta_inv_max: float
     points: int
@@ -89,9 +72,9 @@ class SweepSpec:
         bad = set(self.outputs) - set(OUTPUT_FIELDS)
         if bad:
             raise DomainError(f"unknown output fields: {sorted(bad)}")
-        is_be = (self.ensemble is not None
-                 and self.ensemble.statistics is Statistics.BOSE_EINSTEIN)
-        if self.normalize_by_tcr and not is_be:
+        if not isinstance(self.ensemble, EnsembleSpec):
+            raise DomainError(f"ensemble must be an EnsembleSpec, got {self.ensemble!r}")
+        if self.normalize_by_tcr and self.ensemble.statistics is not Statistics.BOSE_EINSTEIN:
             raise DomainError("normalize_by_tcr applies to Bose sweeps only")
 
 
@@ -119,17 +102,17 @@ class SweepResult:
         return any(r.error is not None for r in self.rows)
 
 
-def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec | None]):
+def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
     """(beta, cells) -> (<E>, c per particle, mu, n0, errors), one batch:
     arrays over the lanes of ``beta``, lane i in the ensemble
-    ``ensembles[cells[i]]`` (all None: canonical, one particle, mu and n0
-    None; or all of one statistics), ``errors`` None or the message of each
-    lane whose solve failed (values NaN).  Each mu solve starts from its
-    own cell's solved states: gamma = beta (E_0 - mu) interpolated (or
-    extrapolated) linearly in ln beta through the two nearest in ln beta,
-    in ln gamma for bosons, whose gamma spans decades; a cell's first batch
-    starts from the two-term balance."""
-    if ensembles[0] is None:
+    ``ensembles[cells[i]]`` (all of one statistics, else DomainError;
+    canonical: one particle, mu and n0 None), ``errors`` None or the
+    message of each lane whose solve failed (values NaN).  Each mu solve
+    starts from its own cell's solved states: gamma = beta (E_0 - mu)
+    interpolated (or extrapolated) linearly in ln beta through the two
+    nearest in ln beta, in ln gamma for bosons, whose gamma spans decades;
+    a cell's first batch starts from the two-term balance."""
+    if {e.statistics for e in ensembles} == {Statistics.CANONICAL}:
         def evaluate_canonical(beta, cells):
             tp = thermo_point(spectrum, beta)
             return tp.mean_energy, tp.heat_capacity, None, None, (None,) * len(beta)
@@ -138,7 +121,7 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec | None]):
 
     # per cell: (ln beta, solver coordinate gamma or ln gamma) of every solved lane
     solved = [[] for _ in ensembles]
-    log_gamma = ensembles[0].sign == gc.BOSE
+    log_gamma = ensembles[0].statistics is Statistics.BOSE_EINSTEIN
 
     def evaluate(beta, cells):
         hint = np.full(len(beta), np.nan)
@@ -191,7 +174,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     spectrum = build_spectrum(spec.wall, count=spec.n_exact, n_exact=spec.n_exact)
     condensate = None
     ens = spec.ensemble
-    if ens is not None and ens.statistics is Statistics.BOSE_EINSTEIN:
+    if ens.statistics is Statistics.BOSE_EINSTEIN:
         condensate = gc.be_critical(spectrum, ens.n_particles)
 
     t_units = _temperature_grid(spec)
@@ -231,8 +214,8 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
     return {
         "wall": spec.wall.kind.value,
         "field": spec.wall.field,
-        "ensemble": spec.ensemble.statistics.value if spec.ensemble else "canonical",
-        "particles": spec.ensemble.n_particles if spec.ensemble else 1,
+        "ensemble": spec.ensemble.statistics.value,
+        "particles": spec.ensemble.n_particles,
         "beta_inv_min": spec.beta_inv_min,
         "beta_inv_max": spec.beta_inv_max,
         "points": spec.points,
@@ -246,7 +229,7 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
 def _spec_from_dict(d: dict) -> SweepSpec:
     d = dict(d)
     wall = WallSpec(WallKind(d.pop("wall")), d.pop("field"))
-    ensemble = ensemble_spec(d.pop("ensemble"), d.pop("particles"))
+    ensemble = EnsembleSpec(Statistics(d.pop("ensemble")), d.pop("particles"))
     d["outputs"] = tuple(d["outputs"])
     return SweepSpec(wall=wall, ensemble=ensemble, **d)
 
@@ -358,14 +341,13 @@ class Table1Report:
         return "\n".join(lines)
 
 
-def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec | None],
+def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
                 t_centers: Sequence[float], span: float = 2.2) -> tuple[ExtremumReport, ...]:
     """Heat-capacity extrema of the cells of one spectrum, cell i in the
-    ensemble ``ensembles[i]`` (all None for canonical, or all of one
-    statistics): each cell's log window around ``t_centers[i]`` is scanned,
-    all cells as one batch, and the extrema of all scans are refined in
-    lockstep, one batch per Brent pass.  SolverError names the first lane
-    whose solve failed."""
+    ensemble ``ensembles[i]`` (all of one statistics): each cell's log
+    window around ``t_centers[i]`` is scanned, all cells as one batch, and
+    the extrema of all scans are refined in lockstep, one batch per Brent
+    pass.  SolverError names the first lane whose solve failed."""
     grids = np.exp([np.linspace(math.log(1.0 / (t * span)), math.log(span / t), _SCAN_POINTS)
                     for t in t_centers])
     c_fn = _c_or_raise(_evaluator(spectrum, ensembles))
@@ -378,25 +360,26 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
                    tol: float | None = None) -> Table1Report:
     """Reproduce the tabulated attractive-wall peaks and report per-cell
     relative errors.  Deterministic: two runs give byte-identical reports.
-    DomainError unless at least one field and one ensemble are selected and
-    ``tol`` (None: the per-ensemble defaults) is finite and > 0."""
+    DomainError, before any cell is computed, unless at least one field and
+    one ensemble are selected, every ensemble is a ``Statistics`` name and
+    every field a tabulated one, and ``tol`` (None: the per-ensemble
+    defaults) is finite and > 0."""
     if not (fields and ensembles):
         raise DomainError(f"table1 needs a field and an ensemble, got {fields!r}, {ensembles!r}")
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    statistics = [Statistics(name) for name in ensembles]
+    for field in fields:
+        if field not in TABLE1_FIELDS:  # the table holds every cell of its fields
+            raise DomainError(f"no reference value for field {field!r}")
+    spectra = {f: build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, f)) for f in fields}
     cells: list[Table1Cell] = []
-    spectra: dict[float, Spectrum] = {}
-    for ens_name in ensembles:
+    for stat in statistics:
+        ens_name = stat.value
         n_list = sorted({n for e, n, _ in TABLE1 if e == ens_name})
-        if not n_list:
-            raise DomainError(f"unknown ensemble {ens_name!r}")
         for field in fields:
-            if field not in TABLE1_FIELDS:  # the table holds every cell of its fields
-                raise DomainError(f"no reference value for field {field!r}")
-            if field not in spectra:
-                spectra[field] = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
             keys = [(ens_name, n, field) for n in n_list]
-            reports = locate_peak(spectra[field], [ensemble_spec(ens_name, n) for n in n_list],
+            reports = locate_peak(spectra[field], [EnsembleSpec(stat, n) for n in n_list],
                                   [TABLE1[key][0] for key in keys])
             for key, rep in zip(keys, reports):
                 if rep.c_max is None:

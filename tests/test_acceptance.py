@@ -160,7 +160,8 @@ def test_criterion_7_predictor_convergence():
     for field in fields:
         sp = attractive(field)
         beta_zero, beta_max, c_max = resonance_predictors(field)
-        rep, = locate_peak(sp, [None], [1.0 / beta_max], span=2.6)
+        rep, = locate_peak(sp, [EnsembleSpec(Statistics.CANONICAL, 1)], [1.0 / beta_max],
+                           span=2.6)
         b_num = 1.0 / rep.beta_inv_at_max
         seqs["canonical beta"].append(abs(beta_max - b_num) / b_num)
         seqs["canonical c"].append(abs(c_max - rep.c_max) / rep.c_max)

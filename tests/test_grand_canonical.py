@@ -39,14 +39,14 @@ def attractive(field):
     return _SPECTRA[field]
 
 
-def direct_occupation(sp, beta, gamma, sign, start=0):
+def direct_occupation(sp, beta, gamma, statistics, start=0):
     """sum_{n >= start} 1/(e^{x_n} +- 1) with x_n = beta (E_n - E_0) + gamma,
     by direct numpy summation over the spectrum's levels until x_n > 50
     (every further level holds less than e^-50)."""
     t = sp.tail
 
     def occupations(x):
-        if sign == gc.BOSE:
+        if statistics is BE:
             np.expm1(x, out=x)
         else:
             np.exp(x, out=x)
@@ -78,7 +78,15 @@ class TestEnsembleSpec:
             EnsembleSpec(FD, 0)
         with pytest.raises(DomainError):
             EnsembleSpec("fd", 1)
-        assert EnsembleSpec(BE, 3).sign == -1
+        assert EnsembleSpec(BE, 3).statistics is BE
+
+    def test_canonical_ensemble_holds_one_particle(self):
+        assert EnsembleSpec(Statistics.CANONICAL, 1).n_particles == 1
+        for n in (2, 7):
+            with pytest.raises(DomainError, match="computed for 1 particle, got"):
+                EnsembleSpec(Statistics.CANONICAL, n)
+        with pytest.raises(DomainError):
+            EnsembleSpec(Statistics.CANONICAL, 0)
 
 
 class TestSolveMu:
@@ -117,10 +125,9 @@ class TestSolveMu:
             n = rng.choice([1, 2, 10, 100])
             sp = attractive(field)
             for stat in (FD, BE):
-                ens = EnsembleSpec(stat, n)
-                mu = solve_mu(sp, beta, ens)
+                mu = solve_mu(sp, beta, EnsembleSpec(stat, n))
                 gamma = beta * (sp.e0 - mu)
-                got = direct_occupation(sp, beta, gamma, ens.sign)
+                got = direct_occupation(sp, beta, gamma, stat)
                 assert abs(got - n) <= 1e-10 * n
 
     def test_bose_mu_strictly_below_ground(self):
@@ -199,8 +206,8 @@ class TestGcPoint:
         z = 0.5
         gamma = beta * spd.e0 - math.log(z)  # beta(E0 - mu) with mu = ln(z)/beta
         r = 0.5 / (SQRT_PI * beta ** 1.5 * field)
-        for sign, stat_sign in ((+1, gc.FERMI), (-1, gc.BOSE)):
-            exact = direct_occupation(spd, beta, gamma, stat_sign)
+        for sign, stat in ((+1, FD), (-1, BE)):
+            exact = direct_occupation(spd, beta, gamma, stat)
             li = float(mpmath.polylog(1.5, -sign * z))
             approx = -sign * r * li - 0.25 / (1.0 / z + sign)
             assert exact == pytest.approx(approx, rel=2e-3)
@@ -275,6 +282,17 @@ class TestSolveAcceptance:
             gc_point(sp, betas, [EnsembleSpec(FD, 1), EnsembleSpec(BE, 1)] * 2)
         with pytest.raises(DomainError):
             gc_point(sp, betas, [EnsembleSpec(FD, 1)] * 3)
+
+    def test_canonical_ensemble_rejected(self):
+        # the canonical ensemble has no chemical potential to solve
+        sp, canonical = attractive(1e-5), EnsembleSpec(Statistics.CANONICAL, 1)
+        for ensemble in (canonical, [canonical] * 2, [canonical, EnsembleSpec(FD, 1)]):
+            with pytest.raises(DomainError, match="grand-canonical"):
+                gc_point(sp, np.array([2.0, 5.0]), ensemble)
+        with pytest.raises(DomainError):
+            gc_point(sp, 2.0, canonical)
+        with pytest.raises(DomainError):
+            solve_mu(sp, 2.0, canonical)
 
     @pytest.mark.parametrize("stat, ns, field", [(FD, (2, 10), 1e-5), (BE, (1, 1000), 1e-5)])
     def test_failed_lane_of_a_mixed_block_names_its_own_n_and_beta(
@@ -454,13 +472,15 @@ class TestAsymptoticMuCn:
             asymptotic_mu_cn(1.0, 0.5, EnsembleSpec(FD, 1))
         with pytest.raises(DomainError):
             asymptotic_mu_cn(1e4, 1e-4, EnsembleSpec(FD, 1))
+        with pytest.raises(DomainError):
+            asymptotic_mu_cn(6.0, 1e-5, EnsembleSpec(Statistics.CANONICAL, 1))
 
 
 class TestBeCritical:
     def test_defining_sum_residual(self):
         sp = attractive(1e-5)
         rep = be_critical(sp, 1000)
-        got = direct_occupation(sp, rep.beta_cr, 0.0, gc.BOSE, start=1)
+        got = direct_occupation(sp, rep.beta_cr, 0.0, BE, start=1)
         assert abs(got - 1000.0) <= 1e-10 * 1000.0
         assert rep.t_cr == pytest.approx(1.0 / rep.beta_cr, rel=1e-15)
 

@@ -11,15 +11,20 @@ from scipy import special as sp
 
 from robinwall import ladder
 from robinwall.errors import BudgetError, DomainError, SolverError
-from robinwall.ladder import BOLTZ, BOSE, FERMI, ladder_sums
+from robinwall.ladder import Statistics, ladder_sums
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
 # the kernels of the brute-force reference: e^-x, the occupation
 # 1/(e^x +- 1) and the distribution e^x/(e^x +- 1)^2, which ladder_sums
-# returns together for FERMI and BOSE
+# returns together for Fermi-Dirac and Bose-Einstein statistics
 BOLTZ_KIND = "boltz"
 OCC = "occ"
 DIST = "dist"
+# the reference's own sign s of e^x + s, +1 fermions and -1 bosons (0 with
+# e^-x), and the statistics ladder_sums takes for each
+FERMI, BOSE, BOLTZ = +1, -1, 0
+STATS = {BOLTZ: Statistics.CANONICAL, FERMI: Statistics.FERMI_DIRAC,
+         BOSE: Statistics.BOSE_EINSTEIN}
 
 
 def _kernel(x, kind, sign):
@@ -61,7 +66,7 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
 def pick(spectrum, beta, kind, sign, powers, **kw):
     """The sums S_p of one kernel from the fused engine: ladder_sums returns
     (S0, S1, S2) for BOLTZ and (N0, N1, D0, D1, D2) for FERMI and BOSE."""
-    sums = ladder_sums(spectrum, beta, sign, **kw)
+    sums = ladder_sums(spectrum, beta, STATS[sign], **kw)
     first = 2 if kind == DIST else 0
     return [sums[first + p] for p in powers]
 
@@ -102,7 +107,7 @@ def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma,
 
 def test_weak_field_closure_matches_brute_force():
     sp7 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-7), count=64)
-    hybrid = ladder_sums(sp7, 11.455, BOLTZ)
+    hybrid = ladder_sums(sp7, 11.455, Statistics.CANONICAL)
     ref = brute_force(sp7, 11.455, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
     for h, r in zip(hybrid, ref):
         assert h == pytest.approx(r, rel=1e-10, abs=0.0)
@@ -111,10 +116,10 @@ def test_weak_field_closure_matches_brute_force():
 def test_forced_direct_agrees_with_closure(spectrum_m3, monkeypatch):
     # same sums with the closure disabled (pure direct summation)
     for beta in (1.0, 4.0):
-        hybrid = ladder_sums(spectrum_m3, beta, BOLTZ)
+        hybrid = ladder_sums(spectrum_m3, beta, Statistics.CANONICAL)
         with monkeypatch.context() as patch:
             force_direct(patch)
-            direct = ladder_sums(spectrum_m3, beta, BOLTZ)
+            direct = ladder_sums(spectrum_m3, beta, Statistics.CANONICAL)
         for h, d in zip(hybrid, direct):
             assert h == pytest.approx(d, rel=1e-10, abs=0.0)
 
@@ -125,7 +130,7 @@ def test_dirichlet_partition_vs_independent_zero_sum():
     spd = build_spectrum(WallSpec(WallKind.DIRICHLET, 1.0), count=64)
     a_ref, _, _, _ = sp.ai_zeros(2000)
     oracle = float(np.sum(np.exp(-10.0 * (-a_ref))))
-    s0 = ladder_sums(spd, 10.0, BOLTZ)[0]
+    s0 = ladder_sums(spd, 10.0, Statistics.CANONICAL)[0]
     z = s0 * math.exp(-10.0 * spd.e0)
     assert z == pytest.approx(oracle, rel=1e-11)
 
@@ -171,7 +176,7 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
     # zero, where the Bose kernel is 1/x-like and the panels split by octaves
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     for beta, gamma in ((0.05, 1e-4), (0.05, 2.0), (0.3, 1e-6)):
-        hyb = ladder_sums(sp, beta, BOSE, gamma=gamma)
+        hyb = ladder_sums(sp, beta, Statistics.BOSE_EINSTEIN, gamma=gamma)
         ref = np.concatenate([
             brute_force(sp, beta, OCC, BOSE, gamma=gamma, powers=(0, 1)),
             brute_force(sp, beta, DIST, BOSE, gamma=gamma, powers=(0, 1, 2))])
@@ -187,7 +192,7 @@ def test_short_root_block_matches_brute_force(kind):
     # (the attractive tail law is undefined at level 0, two levels back)
     sp = build_spectrum(WallSpec(kind, 0.1), count=2, n_exact=2)
     for beta in (0.005, 0.05):
-        hyb = ladder_sums(sp, beta, BOLTZ)
+        hyb = ladder_sums(sp, beta, Statistics.CANONICAL)
         ref = brute_force(sp, beta, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
         for h, r in zip(hyb, ref):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
@@ -201,7 +206,7 @@ def test_short_root_block_matches_brute_force(kind):
 def em_integral(tail, beta, sigma, ds_ref, n0, sign):
     """The engine's closure integrals of one lane."""
     lane = (np.atleast_1d(a) for a in (beta, sigma, ds_ref, n0))
-    return ladder._em_integral(tail, *lane, sign)[:, 0]
+    return ladder._em_integral(tail, *lane, STATS[sign])[:, 0]
 
 
 def closure_args(spectrum, beta, gamma, moment_offset=0.0):
@@ -247,7 +252,7 @@ def test_closure_matches_mpmath(field, sign, beta, gamma):
     # panel is ~1e5 times wider than v0: there sqrt(v) is far from a
     # polynomial, which cost the v-panels 4.8e-6 of N0 and 1.4e-6 of D0
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
-    full = ladder_sums(sp, beta, sign, gamma=gamma)
+    full = ladder_sums(sp, beta, STATS[sign], gamma=gamma)
     sigma, ds_ref, n0 = closure_args(sp, beta, gamma)
     mine = em_integral(sp.tail, beta, sigma, ds_ref, n0, sign)
     ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
@@ -333,7 +338,7 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
         assert gamma < -ladder.X_DEAD
     if moff == "mu":
         moff = gamma / beta
-    fused = ladder_sums(sp, beta, sign, gamma=gamma, moment_offset=moff)
+    fused = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=moff)
     ref = np.concatenate([
         brute_force(sp, beta, OCC, sign, gamma, moff, powers=(0, 1)),
         brute_force(sp, beta, DIST, sign, gamma, moff, powers=(0, 1, 2))])
@@ -352,7 +357,7 @@ def test_direct_range_covers_every_sum(direct, temperature, monkeypatch):
     beta = 1.0 / temperature
     if direct:
         force_direct(monkeypatch)
-    s0, s1, s2 = ladder_sums(sp, beta, BOLTZ)
+    s0, s1, s2 = ladder_sums(sp, beta, Statistics.CANONICAL)
     c = beta * beta * (s2 / s0 - (s1 / s0) ** 2)
     levels = sp.energies(np.arange(400_000))
     assert beta * (levels[-1] - levels[1]) > 80.0
@@ -364,15 +369,16 @@ def test_direct_range_covers_every_sum(direct, temperature, monkeypatch):
 
 
 def test_ladder_sums_are_plain_floats(spectrum_m3):
-    for sums in (ladder_sums(spectrum_m3, 2.0, BOLTZ),
-                 ladder_sums(spectrum_m3, 2.0, FERMI, gamma=-1.0)):
+    for sums in (ladder_sums(spectrum_m3, 2.0, Statistics.CANONICAL),
+                 ladder_sums(spectrum_m3, 2.0, Statistics.FERMI_DIRAC, gamma=-1.0)):
         assert all(type(v) is float for v in sums)
 
 
-@pytest.mark.parametrize("sign", [7, "occ"])
-def test_unknown_statistics_rejected(spectrum_m3, sign):
+@pytest.mark.parametrize("statistics", [7, "occ", 0, "fd", None])
+def test_unknown_statistics_rejected(spectrum_m3, statistics):
+    # a Statistics member only: neither the reference's signs nor the names
     with pytest.raises(DomainError):
-        ladder_sums(spectrum_m3, 1.0, sign, gamma=0.5)
+        ladder_sums(spectrum_m3, 1.0, statistics, gamma=0.5)
 
 
 @pytest.mark.parametrize("start", [300, 400, -1, 1.5])
@@ -381,12 +387,12 @@ def test_start_index_must_lie_in_the_root_block(start):
     # returned N0 = 382.3086 for both 300 and 400
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
     with pytest.raises(DomainError):
-        ladder_sums(sp, 0.5, FERMI, start_index=start)
+        ladder_sums(sp, 0.5, Statistics.FERMI_DIRAC, start_index=start)
 
 
 def test_start_index_in_the_root_block_matches_brute_force(spectrum_m3):
     for start in (0, 1, spectrum_m3.n_exact - 1):
-        sums = ladder_sums(spectrum_m3, 0.5, FERMI, start_index=start)
+        sums = ladder_sums(spectrum_m3, 0.5, Statistics.FERMI_DIRAC, start_index=start)
         ref = np.concatenate([
             brute_force(spectrum_m3, 0.5, OCC, FERMI, powers=(0, 1), start=start),
             brute_force(spectrum_m3, 0.5, DIST, FERMI, powers=(0, 1, 2), start=start)])
@@ -397,7 +403,7 @@ def test_start_index_in_the_root_block_matches_brute_force(spectrum_m3):
 @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0, [], [1.0, math.nan]])
 def test_beta_checked(spectrum_m3, beta):
     with pytest.raises(DomainError):
-        ladder_sums(spectrum_m3, beta, FERMI, gamma=0.5)
+        ladder_sums(spectrum_m3, beta, Statistics.FERMI_DIRAC, gamma=0.5)
 
 
 def test_huge_fermion_number_is_fast_and_validated():
@@ -419,13 +425,13 @@ def test_budget_error(monkeypatch):
     force_direct(monkeypatch)
     sizes = count_summands(monkeypatch)
     with pytest.raises(BudgetError):
-        ladder_sums(sp6, 2.0, BOLTZ)
+        ladder_sums(sp6, 2.0, Statistics.CANONICAL)
     assert sizes == []
 
 
 def test_bose_positive_exponent_guard(spectrum_m3):
     with pytest.raises(SolverError):
-        ladder_sums(spectrum_m3, 1.0, BOSE, gamma=-0.5)
+        ladder_sums(spectrum_m3, 1.0, Statistics.BOSE_EINSTEIN, gamma=-0.5)
 
 
 
@@ -448,18 +454,18 @@ def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
     paths = {"closed": 0, "sea": 0}
     em_integral = ladder._em_integral
 
-    def counting_closure(tail, beta, sigma, ds_ref, n0, sign, n1=None):
+    def counting_closure(tail, beta, sigma, ds_ref, n0, statistics, n1=None):
         # an upper end closes a sea, none the tail
         paths["closed" if n1 is None else "sea"] += len(beta)
-        return em_integral(tail, beta, sigma, ds_ref, n0, sign, n1)
+        return em_integral(tail, beta, sigma, ds_ref, n0, statistics, n1)
 
     monkeypatch.setattr(ladder, "_em_integral", counting_closure)
-    batch = ladder_sums(sp, beta, sign, gamma=gamma, moment_offset=moff)
+    batch = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=moff)
     assert 0 < paths["closed"] < 50  # some lanes closed, the others stopped
     assert (paths["sea"] > 0) == (sign == FERMI)
     assert all(s.shape == (50,) for s in batch)
     for i in range(50):
-        one = ladder_sums(sp, beta[i], sign, gamma=gamma[i], moment_offset=moff[i])
+        one = ladder_sums(sp, beta[i], STATS[sign], gamma=gamma[i], moment_offset=moff[i])
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
 
@@ -480,7 +486,7 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
     sea = np.floor(ladder._tail_index(sp.tail, np.full(4, beta), sigma, -ladder.X_DEAD)) - 3
     assert (sea - first).tolist() == [1, 2, 3, 4]
     assert (ladder._dense_index(sp, np.full(4, beta)) > sea).all()
-    batch = ladder_sums(sp, beta, FERMI, gamma=gamma, moment_offset=0.2)
+    batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma, moment_offset=0.2)
     for i, g in enumerate(gamma):
         ref = np.concatenate([
             brute_force(sp, beta, OCC, FERMI, g, 0.2, powers=(0, 1)),
@@ -532,7 +538,7 @@ def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
         beta = np.linspace(*betas, 50)
         gamma = beta * (sp.e0 - 0.5 * (sp.level(n_fermi - 1) + sp.level(n_fermi)))
         sizes.clear()
-        batch = ladder_sums(sp, beta, FERMI, gamma=gamma)
+        batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
         assert sum(sizes) <= 250_000
         for i in (0, 49):
             if n_fermi <= 10 ** 5:
@@ -561,7 +567,7 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
         x_top = beta * (sp.level(1) - sp.e0) + gamma
         stop = ladder._tail_index(sp.tail, beta, sigma, max(x_top, 0.0) + ladder.X_DEAD)
         assert first < stop < ladder._dense_index(sp, np.array([beta]))[0]
-        sums = ladder_sums(sp, beta, sign, gamma=gamma, moment_offset=0.1)
+        sums = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=0.1)
         if kind == BOLTZ_KIND:
             ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=(0, 1, 2))
         else:

@@ -17,7 +17,6 @@ from robinwall.reference_values import (
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 from robinwall.sweep import (
     SweepSpec,
-    ensemble_spec,
     locate_peak,
     result_from_json,
     result_to_csv,
@@ -27,6 +26,8 @@ from robinwall.sweep import (
 )
 
 ATTR = WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3)
+CANONICAL = EnsembleSpec(Statistics.CANONICAL, 1)
+UNWRITABLE = "<unwritable path>"  # an --out argument, replaced in the test that uses it
 
 # (ensemble, N, field) -> (t_found, c_found) of every Table 1 cell, recorded
 # with the Robin tail law anchored on the last root-solved level
@@ -90,7 +91,7 @@ RECORDED_TABLE1 = {
 
 
 def canonical_spec(points=400):
-    return SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.02,
+    return SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.02,
                      beta_inv_max=20.0, points=points, log_grid=True)
 
 
@@ -103,24 +104,37 @@ def bose_spec():
 
 class TestSweepSpec:
     def test_ensemble_names(self):
-        assert ensemble_spec("canonical", 1) is None
-        assert ensemble_spec("fd", 3) == EnsembleSpec(Statistics.FERMI_DIRAC, 3)
-        assert ensemble_spec("be", 1000) == EnsembleSpec(Statistics.BOSE_EINSTEIN, 1000)
+        # the CLI, JSON and Table 1 names, in the order the CLI lists them
+        assert [s.value for s in Statistics] == ["canonical", "fd", "be"]
+        assert EnsembleSpec(Statistics("canonical"), 1) == CANONICAL
+        assert EnsembleSpec(Statistics("fd"), 3) == EnsembleSpec(Statistics.FERMI_DIRAC, 3)
+        assert EnsembleSpec(Statistics("be"), 1000) == EnsembleSpec(
+            Statistics.BOSE_EINSTEIN, 1000)
         for name, n in (("canonical", 7), ("classical", 1), ("be", 0)):
             with pytest.raises(DomainError):
-                ensemble_spec(name, n)
+                EnsembleSpec(Statistics(name), n)
+        for name in ("xx", None):
+            with pytest.raises(DomainError, match="unknown ensemble"):
+                Statistics(name)
+
+    def test_ensemble_is_required(self):
+        # an EnsembleSpec in every ensemble: neither None nor a bare name
+        for ensemble in (None, "canonical"):
+            with pytest.raises(DomainError):
+                SweepSpec(wall=ATTR, ensemble=ensemble, beta_inv_min=0.1,
+                          beta_inv_max=1.0, points=5)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=2.0,
+            SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=2.0,
                       beta_inv_max=1.0, points=10)
         with pytest.raises(DomainError):
-            SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.1,
+            SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
                       beta_inv_max=1.0, points=1)
 
     def test_normalize_requires_bose(self):
         with pytest.raises(DomainError):
-            SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.1,
+            SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
                       beta_inv_max=1.0, points=5, normalize_by_tcr=True)
         with pytest.raises(DomainError):
             SweepSpec(wall=ATTR, ensemble=EnsembleSpec(Statistics.FERMI_DIRAC, 2),
@@ -129,7 +143,7 @@ class TestSweepSpec:
 
     def test_output_names_validated(self):
         with pytest.raises(DomainError):
-            SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.1,
+            SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
                       beta_inv_max=1.0, points=5, outputs=("entropy",))
 
 
@@ -145,7 +159,7 @@ class TestRunSweep:
         assert result.condensate is None
 
     def test_degenerate_two_point_grid(self):
-        spec = SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.5,
+        spec = SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.5,
                          beta_inv_max=1.0, points=2)
         result = run_sweep(spec)
         assert len(result.rows) == 2
@@ -179,7 +193,7 @@ class TestRunSweep:
         assert result.extrema.c_max == pytest.approx(14.828, rel=0.015)
 
     def test_output_selection(self):
-        spec = SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.1,
+        spec = SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
                          beta_inv_max=1.0, points=5,
                          outputs=("heat_capacity",))
         result = run_sweep(spec)
@@ -187,7 +201,7 @@ class TestRunSweep:
         assert all(r.heat_capacity is not None for r in result.rows)
 
     def test_linear_grid(self):
-        spec = SweepSpec(wall=ATTR, ensemble=None, beta_inv_min=0.1,
+        spec = SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
                          beta_inv_max=0.5, points=5, log_grid=False)
         temps = [r.beta_inv for r in run_sweep(spec).rows]
         assert temps == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
@@ -201,6 +215,20 @@ class TestSerialization:
         assert clone.rows == result.rows
         assert clone.extrema == result.extrema
         assert clone.condensate == result.condensate
+
+    def test_canonical_json_round_trip_is_exact(self):
+        result = run_sweep(canonical_spec(points=25))
+        text = result_to_json(result)
+        assert json.loads(text)["spec"]["ensemble"] == "canonical"
+        assert json.loads(text)["spec"]["particles"] == 1
+        assert result_from_json(text) == result
+        assert result_to_json(result_from_json(text)) == text
+
+    def test_unknown_ensemble_in_json_rejected(self):
+        doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
+        doc["spec"]["ensemble"] = "xx"
+        with pytest.raises(DomainError, match="unknown ensemble 'xx'"):
+            result_from_json(json.dumps(doc))
 
     def test_csv_and_json_carry_identical_numbers(self):
         result = run_sweep(canonical_spec(points=25))
@@ -292,13 +320,23 @@ class TestTable1Harness:
         field = 1e-4
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         ns = sorted(n for e, n, f in TABLE1 if e == ensemble and f == field)
-        specs = [ensemble_spec(ensemble, n) for n in ns]
+        specs = [EnsembleSpec(Statistics(ensemble), n) for n in ns]
         t_refs = [TABLE1[ensemble, n, field][0] for n in ns]
         block = locate_peak(sp, specs, t_refs)
         for spec, t_ref, rep in zip(specs, t_refs, block):
             alone, = locate_peak(sp, [spec], [t_ref])
             assert rep.c_max == pytest.approx(alone.c_max, rel=1e-12, abs=0.0)
             assert rep.beta_inv_at_max == pytest.approx(alone.beta_inv_at_max, rel=1e-10, abs=0.0)
+
+    def test_block_of_mixed_statistics_rejected(self):
+        # one block is one statistics: a canonical first cell does not make
+        # the others canonical
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+        fd = EnsembleSpec(Statistics.FERMI_DIRAC, 2)
+        for block in ([CANONICAL, fd], [fd, CANONICAL],
+                      [fd, EnsembleSpec(Statistics.BOSE_EINSTEIN, 2)]):
+            with pytest.raises(DomainError):
+                locate_peak(sp, block, [0.25, 0.25])
 
     def test_deterministic(self):
         a = table1_harness(fields=(1e-4,), ensembles=("canonical",))
@@ -309,6 +347,20 @@ class TestTable1Harness:
     def test_unknown_ensemble_rejected(self):
         with pytest.raises(DomainError):
             table1_harness(ensembles=("classical",))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ensembles": ("be", "xx")}, {"fields": (1e-3, 2e-3)},
+    ], ids=["last-ensemble", "last-field"])
+    def test_bad_last_entry_rejected_before_any_block(self, kwargs, monkeypatch):
+        # every name and field is checked before a spectrum is built or a
+        # block is computed
+        import robinwall.sweep as sweep_mod
+        calls = []
+        for name in ("locate_peak", "build_spectrum"):
+            monkeypatch.setattr(sweep_mod, name, lambda *a, name=name, **k: calls.append(name))
+        with pytest.raises(DomainError):
+            table1_harness(**kwargs)
+        assert calls == []
 
     @pytest.mark.parametrize("kwargs", [
         {"fields": ()}, {"ensembles": ()},
@@ -453,12 +505,21 @@ class TestCli:
           for lo, hi in (("0.1", "inf"), ("0.1", "1e400"), ("1e-320", "1"))),
         *(["table1", "--fields", "1e-3", "--tol", tol] for tol in ("inf", "nan", "-1", "0")),
         ["table1", "--ensembles", ","],
+        ["table1", "--ensembles", "be,xx"],
+        ["table1", "--fields", "1e-3,2e-3"],
+        ["sweep", "--wall", "robin-", "--field", "1e-3", "--beta-inv-min", "0.1",
+         "--beta-inv-max", "1", "--points", "5", "--out", UNWRITABLE],
+        ["spectrum", "--wall", "robin-", "--field", "1e-3", "--out", UNWRITABLE],
+        ["table1", "--fields", "1e-3", "--ensembles", "canonical", "--out", UNWRITABLE],
     ], ids=["predict-zero", "predict-negative", "sweep-canonical-many", "table1-fields",
             "sweep-max-inf", "sweep-max-1e400", "sweep-min-1e-320",
             "table1-tol-inf", "table1-tol-nan", "table1-tol-negative", "table1-tol-zero",
-            "table1-no-ensemble"])
+            "table1-no-ensemble", "table1-bad-last-ensemble", "table1-bad-last-field",
+            "sweep-out-unwritable", "spectrum-out-unwritable", "table1-out-unwritable"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_bad_specification_exit_code(self, argv, capsys):
+    def test_bad_specification_exit_code(self, argv, capsys, tmp_path):
+        # an --out path whose directory does not exist cannot be written
+        argv = [str(tmp_path / "missing" / "out") if a == UNWRITABLE else a for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
