@@ -231,7 +231,8 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     with its own particle number).
 
     The returned state has been validated: the occupation sum reproduces N
-    to 1e-10 relative, and mu < E_0 strictly for bosons.  Energy and heat
+    to 1e-10 relative, and for bosons gamma = beta (E_0 - mu) > 0 (mu may
+    round to E_0 deep in a condensate) with n0 in [0, 1].  Energy and heat
     capacity come from the ladder sums of the accepted solve iterate.
 
     With a 1-D array ``beta`` (and ``hint_gamma`` None, or an array with
@@ -258,10 +259,11 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     n0 = None
     if statistics is Statistics.BOSE_EINSTEIN:
         n0 = 1.0 / np.expm1(gamma) / n
-        for i in ((mu >= e0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
+        # gamma, not mu - E_0: deep in a condensate mu rounds to E_0
+        for i in ((gamma <= 0.0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
             errors[i] = errors[i] or (f"bose state at beta={lanes[i]}, N={n[i]} with "
-                                      f"mu - E_0 = {mu[i] - e0} and ground occupation "
-                                      f"{n0[i]} (need mu < E_0, n0 in [0, 1])")
+                                      f"gamma = beta (E_0 - mu) = {gamma[i]} and ground "
+                                      f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
         n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
     failed = np.array([e is not None for e in errors])
     for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):

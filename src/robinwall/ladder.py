@@ -16,39 +16,43 @@ the Boltzmann sums S_0, S_1, S_2, or, for Fermi and Bose statistics, the
 occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2.
 Both occupation kernels come from the same exponentials, so a
 grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
-costs a single ladder pass.  A call
-takes arrays of lanes (beta, gamma, moment offset) and evaluates them as
-one numpy pass over a (lanes x levels) block; a scalar call is a one-lane
-batch.  Lanes go in groups of 32 with at most 2^14 (lane, level) pairs
-per direct block, so no temporary exceeds ~1 MB.
+costs a single ladder pass.  A call takes arrays of lanes (beta, gamma,
+moment offset); a scalar call is a one-lane batch.  Lanes go in groups of
+32, and each piece of a lane's sum is a set of weighted nodes, one row per
+lane of the group, that takes one kernel pass and one weighted reduction:
+the root-solved levels below the closure floor (the same for every lane),
+the Euler-Maclaurin closure nodes with their end stencils, and blocks of
+the lane's own direct window.  A window block holds at most 2^14 (lane,
+level) pairs, so no temporary exceeds ~1 MB.
 
-Each lane has its own direct range, closure and filled sea; only the
-rounding of a direct block's sum depends on the batch.  A lane's direct
-range is fixed before any summing, in closed form from the tail law: its
-low levels, up to where its exponent passes by X_DEAD = 45 that of the
-first level every returned sum weighs (for fermions, of the first at or
-above the Fermi level; floored at 0), or up to its closure index if that
-comes first.
+Each lane has its own direct range, closure and filled sea; the batch
+only pads a node set's rows with zero-weight nodes to a common length, so
+it changes a sum at most in its rounding.  A lane's direct range is fixed
+before any summing, in closed form from the tail law: its low levels, up to
+where its exponent passes by X_DEAD = 45 that of the first level every
+returned sum weighs (for fermions, of the first at or above the Fermi
+level; floored at 0), or up to its closure index if that comes first.
 Levels past the range of a lane that stops short of its closure index are
-below e^-45 of the sums on a sparse ladder, and are dropped.  The direct
-levels are summed ascending, in level blocks common to the batch, each
-spanning only the levels its lanes need, with the others masked out.  The
-rest is closed by one Euler-Maclaurin formula over the exact power-law tail
+below e^-45 of the sums on a sparse ladder, and are dropped.  Past the
+closure floor each lane's direct levels are indexed from its own sea end
+(the floor without a filled sea), in doubling blocks that serve only the
+lanes whose window reaches them.  The rest is closed by one
+Euler-Maclaurin formula over the exact power-law tail
 E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
 
     sum_{n0 <= m < n1} = integral_{n0}^{n1} + edge(n0) - edge(n1)
 
-(edges from five-point differences, none at n1 = inf): to infinity from
-where the ladder is dense on the thermal scale (beta * dE/dn below a
-threshold), and across a deeply filled Fermi sea from the closure floor
-(two levels past the root-solved block, at least EM_START), whose summands
-are smooth in m however sparse the Fermi edge.  The integral is
-Gauss-Legendre in s = sqrt(v), v = (4(m+j0)-k)^(2/3), where the
-level measure is a polynomial, on panels matched to the kernel (a filled
-Fermi sea, the transition layer around x = 0, and geometric panels down the
-exponential tail from wherever it starts), clipped at n1 and padded with
-zero-width panels to a common count across lanes.  Each lane's partials are
-added by ``math.fsum``.  Every path is validated against brute-force
+(each edge f/2 - f'/12 + f'''/720 a fixed five-level stencil, none at
+n1 = inf): to infinity from where the ladder is dense on the thermal scale
+(beta * dE/dn below a threshold), and across a deeply filled Fermi sea from
+the closure floor (two levels past the root-solved block, at least
+EM_START), whose summands are smooth in m however sparse the Fermi edge.
+The integral is 24-point Gauss-Legendre in s = sqrt(v),
+v = (4(m+j0)-k)^(2/3), where the level measure is a polynomial, on panels
+matched to the kernel (a filled Fermi sea, the transition layer around
+x = 0, and geometric panels down the exponential tail from wherever it
+starts to ~78 past it), clipped at n1 and padded with zero-width panels to
+a common count across lanes.  Every path is validated against brute-force
 summation to ~1e-10 relative; the payoff is that the worst evaluation in
 the whole parameter domain costs ~1e4 kernel evaluations instead of ~1e8
 exp() calls.
@@ -57,7 +61,6 @@ exp() calls.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -127,21 +130,32 @@ def _kernels(x: np.ndarray, statistics: Statistics) -> list[np.ndarray]:
 def _summands(x: np.ndarray, d: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Summands of every returned sum, one row per sum: d^p * kernel(x)."""
     kern = _kernels(x, statistics)
-    return np.array([kern[k] * d ** p if p else kern[k] for k, p in _ROWS[statistics]])
+    powers = (1.0, d, d * d)
+    out = np.empty((len(_ROWS[statistics]),) + x.shape)
+    for row, (k, p) in zip(out, _ROWS[statistics]):
+        np.multiply(kern[k], powers[p], out=row)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the Euler-Maclaurin closure
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-# exponent offsets of the geometric tail panels, 119.5 units up from 0.5
+# exponent offsets of the geometric tail panels, from 0.5 up to the first
+# edge past X_DEAD (77.7 units up): the integrand has fallen by e^-77 there
 _TAIL_Y = [0.5]
-while _TAIL_Y[-1] < 120.0:
-    _TAIL_Y.append(min(1.7 * _TAIL_Y[-1] + 2.0, 120.0))
+while _TAIL_Y[-1] < X_DEAD:
+    _TAIL_Y.append(1.7 * _TAIL_Y[-1] + 2.0)
 _TAIL_Y = np.array(_TAIL_Y[1:])
+
+# the Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at m as weights
+# of f on m - 2 .. m + 2 (f' and f''' by central differences, the Gregory form)
+_STENCIL = np.arange(-2.0, 3.0)
+_EDGE = np.array([-11.0, 82.0, 720.0, -82.0, 11.0]) / 1440.0
 
 
 def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -181,58 +195,51 @@ def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.nda
     return np.concatenate(v_cols, axis=1)
 
 
-def _em_integral(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray, n0: np.ndarray,
-                 statistics: Statistics, n1: np.ndarray | None = None) -> np.ndarray:
-    """integral_{n0}^{n1} (E(m)-ref)^p F(beta(E(m)-E0)+gamma) dm, one row per
-    sum and one column per lane (n1 None: to infinity).
+def _node_sums(tail, bt: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray, v: np.ndarray,
+               w: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """sum_j w_j (tau v_j + ds_ref)^p F(bt v_j + sigma) over the nodes of
+    each lane (a row of v and w), one row per returned sum and one column
+    per lane: the one kernel pass and weighted reduction of a node set.
 
+    bt     = beta * tail.tau
     sigma  = beta*(tail.shift - E0) + gamma   (exponent offset of the tail)
-    ds_ref = tail.shift - ref                 (moment offset of the tail)
+    ds_ref = tail.shift - ref                 (moment offset of the tail)"""
+    f = _summands(bt[:, None] * v + sigma[:, None], tail.tau * v + ds_ref[:, None], statistics)
+    return np.einsum("rln,ln->rl", f, w)
+
+
+def _closure(tail, bt: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray, n0: np.ndarray,
+             n1: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """Euler-Maclaurin closure of sum_{n0 <= m < n1} (E(m)-ref)^p
+    F(beta(E(m)-E0)+gamma), one row per sum and one column per lane (n1 =
+    inf: the tail), as one node set: the integral, edge(n0) and -edge(n1).
 
     With v = argument(m)^(2/3) and s = sqrt(v) the integral is
 
         (3/4) * integral_{s0}^{s1} s^2 (tau s^2 + ds_ref)^p
                     F(beta tau s^2 + sigma) ds,
 
-    evaluated by Gauss-Legendre on the panels of ``_v_panel_breaks``, clipped
-    at v1 and mapped to s, where the integrand is smooth down to the lower
-    end for any starting exponent (a degenerate Fermi sea included)."""
-    tau = tail.tau
-    bt = beta * tau
-    v0 = tail.argument(n0) ** (2.0 / 3.0)
-    v_breaks = _v_panel_breaks(v0, bt, sigma)
-    if n1 is not None:
-        v_breaks = np.minimum(v_breaks, tail.argument(n1[:, None]) ** (2.0 / 3.0))
-    s_breaks = np.sqrt(v_breaks)
+    by Gauss-Legendre on the panels of ``_v_panel_breaks``, clipped at v1
+    and mapped to s, where the integrand is smooth down to the lower end for
+    any starting exponent (a degenerate Fermi sea included).  Each edge is
+    the stencil ``_EDGE`` on the five levels around it."""
+    v_breaks = np.minimum(_v_panel_breaks(tail.argument(n0) ** (2.0 / 3.0), bt, sigma),
+                          tail.argument(n1[:, None]) ** (2.0 / 3.0))
+    # drop the panels of zero width in every lane (a sea's past its end)
+    s_breaks = np.sqrt(v_breaks[:, np.append(True, (np.diff(v_breaks) > 0.0).any(axis=0))])
     lo = s_breaks[:, :-1, None]
     half = 0.5 * (s_breaks[:, 1:, None] - lo)
-    s = (half * (_GL_NODES + 1.0) + lo).reshape(len(beta), -1)
-    v = s * s
-    w = 0.75 * (half * _GL_WEIGHTS).reshape(len(beta), -1) * v
-    f = _summands(bt[:, None] * v + sigma[:, None], tau * v + ds_ref[:, None], statistics)
-    return (f[:, :, None, :] @ w[:, :, None])[..., 0, 0]
-
-
-_STENCIL = np.arange(-2.0, 3.0)  # m - 2 .. m + 2
-
-
-def _em_edge(f: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at a point,
-    from f on the five-point stencil around it (last axis; f' and f''' by
-    central differences, the Gregory form)."""
-    f1 = (f[..., 0] - 8.0 * f[..., 1] + 8.0 * f[..., 3] - f[..., 4]) / 12.0
-    f3 = 0.5 * (f[..., 4] - 2.0 * f[..., 3] + 2.0 * f[..., 1] - f[..., 0])
-    return 0.5 * f[..., 2] - f1 / 12.0 + f3 / 720.0
-
-
-def _em_boundary(tail, beta: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray,
-                 n0: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """Euler-Maclaurin end correction at n0, one row per sum and one column
-    per lane."""
-    tau = tail.tau
-    v = tail.argument(n0[:, None] + _STENCIL) ** (2.0 / 3.0)
-    return _em_edge(_summands((beta * tau)[:, None] * v + sigma[:, None],
-                              tau * v + ds_ref[:, None], statistics))
+    s = (half * (_GL_NODES + 1.0) + lo).reshape(len(bt), -1)
+    v = [s * s]
+    w = [0.75 * (half * _GL_WEIGHTS).reshape(len(bt), -1) * v[0]]
+    ends = [(n0, np.ones(len(bt)))]
+    finite = np.isfinite(n1)
+    if finite.any():
+        ends.append((np.where(finite, n1, n0), -1.0 * finite))
+    for m, sign in ends:
+        v.append(tail.argument(m[:, None] + _STENCIL) ** (2.0 / 3.0))
+        w.append(np.multiply.outer(sign, _EDGE))
+    return _node_sums(tail, bt, sigma, ds_ref, np.hstack(v), np.hstack(w), statistics)
 
 
 def _closure_floor(spectrum) -> int:
@@ -249,9 +256,6 @@ def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
     m = tail.index((8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3)
     return np.maximum(_closure_floor(spectrum),
                       np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
-
-
-X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
 
 def _tail_index(tail, beta: np.ndarray, sigma: np.ndarray, x: float | np.ndarray) -> np.ndarray:
@@ -273,9 +277,9 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                moff: np.ndarray, statistics: Statistics, start_index: int) -> np.ndarray:
     """``ladder_sums`` of one group of lanes: one row per sum, one column
     per lane."""
-    rows = len(_ROWS[statistics])
     n = len(beta)
     tail, e0 = spectrum.tail, spectrum.e0
+    bt = beta * tail.tau
     sigma = beta * (tail.shift - e0) + gamma
     ds_ref = tail.shift - e0 + moff
     n_em = _dense_index(spectrum, beta)
@@ -301,53 +305,39 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     if statistics is Statistics.FERMI_DIRAC and (gamma < -X_DEAD).any():
         sea = np.floor(_tail_index(tail, beta, sigma, -X_DEAD)) - 3
         sea = np.maximum(first, np.minimum(sea, n_em)).astype(np.int64)
-    if (stop - sea > LEVEL_BUDGET).any():
-        raise BudgetError(f"a lane needs {int((stop - sea).max())} directly summed levels, "
+    span = stop - sea
+    if (span > LEVEL_BUDGET).any():
+        raise BudgetError(f"a lane needs {int(span.max())} directly summed levels, "
                           f"more than the budget of {LEVEL_BUDGET}")
-    parts = []
 
-    def close(lanes: np.ndarray, n0: np.ndarray, n1: np.ndarray | None = None) -> None:
-        """Add the lanes' closure over n0 <= m < n1 (None: to infinity) to
-        the partials: the integral, edge(n0) and -edge(n1)."""
-        if not len(lanes):
-            return
-        args = (tail, beta[lanes], sigma[lanes], ds_ref[lanes])
-        pieces = [_em_integral(*args, n0, statistics, n1), _em_boundary(*args, n0, statistics)]
-        if n1 is not None:
-            pieces.append(-_em_boundary(*args, n1, statistics))
-        for piece in pieces:
-            parts.append(np.zeros((rows, n)))
-            parts[-1][:, lanes] = piece
+    # the root block [start_index, first), the same levels for every lane
+    dE = spectrum.energies(np.arange(start_index, first)) - e0
+    sums = _summands(beta[:, None] * dE + gamma[:, None], dE + moff[:, None],
+                     statistics).sum(axis=2)
 
-    filled = (sea > first).nonzero()[0]
-    close(filled, np.full(len(filled), first), sea[filled])
-    closed = (stop == n_em).nonzero()[0]
-    close(closed, n_em[closed])
-
-    # direct sums over each lane's [start_index, first) and [sea, stop), in
-    # level blocks common to the batch: the levels below the closure floor,
-    # then doubling runs of tail levels.  A block spans only the levels its
-    # lanes sum, and masks each lane's others.
-    lo, hi = start_index, first
-    while lo < stop.max():
-        begin = np.full(n, lo) if lo < first else np.maximum(lo, sea)
-        lanes = (begin < np.minimum(stop, hi)).nonzero()[0]
+    # the closures: the tail [n_em, inf) of each lane whose range reaches
+    # its closure index, and each filled sea [first, sea)
+    for lanes, n0, n1 in (((stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
+                          ((sea > first).nonzero()[0], np.full(n, first), sea)):
         if len(lanes):
-            m = np.arange(begin[lanes].min(), min(hi, stop[lanes].max()))
-            dE = spectrum.energies(m) - e0
-            block = np.zeros((rows, n))
-            step = max(1, _PAIRS // len(m))
-            for k in range(0, len(lanes), step):
-                sub = lanes[k:k + step]
-                x = beta[sub, None] * dE + gamma[sub, None]
-                terms = _summands(x, dE + moff[sub, None], statistics)
-                terms[:, (m < begin[sub, None]) | (m >= stop[sub, None])] = 0.0
-                block[:, sub] = terms.sum(axis=2)
-            parts.append(block)
-        lo, hi = hi, min(2 * hi, hi + (1 << 20))
+            sums[:, lanes] += _closure(tail, bt[lanes], sigma[lanes], ds_ref[lanes],
+                                       n0[lanes], n1[lanes], statistics)
 
-    cols = np.array(parts).reshape(len(parts), -1).T.tolist()
-    return np.array([math.fsum(col) for col in cols]).reshape(rows, n)
+    # each lane's own direct window [sea, stop), indexed from its sea in
+    # doubling blocks of relative index: a block serves the lanes whose
+    # window reaches it and gives weight 0 to the levels past each one's stop
+    lo, hi = 0, first
+    while lo < span.max():
+        lanes = (span > lo).nonzero()[0]
+        r = np.arange(lo, min(hi, span[lanes].max()))
+        step = max(1, _PAIRS // len(r))
+        for k in range(0, len(lanes), step):
+            sub = lanes[k:k + step]
+            v = tail.argument(sea[sub, None] + r) ** (2.0 / 3.0)
+            sums[:, sub] += _node_sums(tail, bt[sub], sigma[sub], ds_ref[sub], v,
+                                       r < span[sub, None], statistics)
+        lo, hi = hi, min(2 * hi, hi + (1 << 20))
+    return sums
 
 
 def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statistics, *,
@@ -369,8 +359,9 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     ``start_index`` lies in the root-solved block, 0 <= start_index <
     ``spectrum.n_exact``.  Scalar arguments give plain floats, and otherwise
     every sum is an array of the broadcast shape.  Every lane has its own
-    closure index, filled sea and direct range; the batch changes only the
-    rounding of a direct block's sum.  A lane that needs more than
+    closure index, filled sea and direct range; the batch changes a sum at
+    most in its rounding, through the zero-weight nodes that pad each node
+    set's rows to a common length.  A lane that needs more than
     LEVEL_BUDGET directly summed levels raises ``BudgetError`` before
     anything is summed.
     """

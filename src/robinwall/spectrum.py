@@ -67,6 +67,10 @@ class WallKind(enum.Enum):
     ROBIN_ATTRACTIVE = "robin-"
     ROBIN_REPULSIVE = "robin+"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown wall {value!r}")
+
     @property
     def is_robin(self) -> bool:
         return self in (WallKind.ROBIN_ATTRACTIVE, WallKind.ROBIN_REPULSIVE)

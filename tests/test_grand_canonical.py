@@ -214,6 +214,17 @@ class TestGcPoint:
 
 
 class TestCondensateHeatCapacity:
+    def test_deep_condensate_with_mu_rounding_to_the_ground_level(self):
+        # N = 1e8 bosons at beta = 1e9: gamma = ln(1 + 1/(n0 N)) ~ 1e-8 puts
+        # mu within ~1e-17 of E_0 = -1, below its spacing, so mu - E_0
+        # rounds to 0 while the state is valid (gamma > 0, n0 in [0, 1]);
+        # it was rejected as "mu - E_0 = 0.0" at n0 = 0.99999999999904
+        sp = attractive(1e-9)
+        p = gc_point(sp, 1e9, EnsembleSpec(BE, 10 ** 8))
+        assert p.mu == sp.e0
+        assert 1.0 - 1e-11 < p.n0 <= 1.0
+        assert p.heat_capacity_per_particle >= 0.0
+
     @pytest.mark.parametrize("n", [1, 10 ** 7])
     def test_nonnegative_and_equal_to_direct_sum(self, n):
         # deep in the condensate the ground level holds nearly all of the
@@ -238,17 +249,18 @@ class TestCondensateHeatCapacity:
 class TestSolveAcceptance:
     @pytest.mark.parametrize("delta, accepted", [(5e-11, True), (5e-10, False)])
     def test_lane_short_of_the_target_meets_the_contract(self, monkeypatch, delta, accepted):
-        # one lane's N carries a relative offset delta * sign(N - N_target),
-        # so its residual never falls below delta: the 1e-12 target is out
-        # of reach, the lane runs until its bracket collapses, and its last
-        # point is judged by the 1e-10 contract alone
+        # one lane's N carries a relative offset +delta at N >= N_target and
+        # -delta below it, so its residual never falls below delta (not even
+        # where the solve lands on N = N_target exactly): the 1e-12 target is
+        # out of reach, the lane runs until its bracket collapses, and its
+        # last point is judged by the 1e-10 contract alone
         sp, ens, betas = attractive(1e-5), EnsembleSpec(FD, 10), np.array([2.0, 5.0, 9.0])
         clean = gc_point(sp, betas, ens)
         ladder = gc.ladder_sums
 
         def offset(spectrum, beta, sign, **kwargs):
             n, *rest = ladder(spectrum, beta, sign, **kwargs)
-            shifted = n * (1.0 + delta * np.sign(n - 10.0))
+            shifted = n * (1.0 + delta * np.where(n >= 10.0, 1.0, -1.0))
             return (np.where(beta == betas[1], shifted, n), *rest)
 
         monkeypatch.setattr(gc, "ladder_sums", offset)
@@ -268,7 +280,7 @@ class TestSolveAcceptance:
     def test_lanes_with_their_own_particle_numbers(self):
         # one batch of lanes, each with its own N, gives every lane the
         # state it has in a batch of its own N alone, up to the rounding of
-        # the ladder's level blocks, which span the lanes of a batch
+        # the ladder's node sets, padded to a common length across a batch
         sp, betas, ns = attractive(1e-5), np.array([2.0, 5.0, 9.0, 5.0]), (1, 10, 1000, 2)
         for stat in (FD, BE):
             p = gc_point(sp, betas, [EnsembleSpec(stat, n) for n in ns])

@@ -204,9 +204,12 @@ def test_short_root_block_matches_brute_force(kind):
 
 
 def em_integral(tail, beta, sigma, ds_ref, n0, sign):
-    """The engine's closure integrals of one lane."""
-    lane = (np.atleast_1d(a) for a in (beta, sigma, ds_ref, n0))
-    return ladder._em_integral(tail, *lane, STATS[sign])[:, 0]
+    """The engine's closure integrals of one lane over [n0, inf): the
+    closure's node set with the end correction's weights set to 0."""
+    lane = [np.atleast_1d(a) for a in (beta * tail.tau, sigma, ds_ref, n0)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder, "_EDGE", np.zeros(5))
+        return ladder._closure(tail, *lane, np.array([np.inf]), STATS[sign])[:, 0]
 
 
 def closure_args(spectrum, beta, gamma, moment_offset=0.0):
@@ -300,7 +303,7 @@ SERIES_CASES = [(OCC, FERMI), (OCC, BOSE), (BOLTZ_KIND, BOLTZ)]
 @pytest.mark.parametrize("kind,sign", SERIES_CASES)
 def test_closure_matches_incomplete_gamma_series(kind, sign):
     # starting exponents x0 from 0.5 to above 100, where the geometric series
-    # converges; the tail panels are laid out from x0, so they reach e^-119
+    # converges; the tail panels are laid out from x0, so they reach e^-77
     # of the integrand wherever it starts (Bose gamma = 90 included)
     spec = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-4), count=64)
     tail = spec.tail
@@ -314,6 +317,39 @@ def test_closure_matches_incomplete_gamma_series(kind, sign):
             assert len(mine) == len(ref)
             for m, r in zip(mine, ref):
                 assert m == pytest.approx(r, rel=1e-12, abs=0.0)
+
+
+def capped_tail_panels(cap):
+    """Exponent offsets of geometric tail panels from 0.5 up to ``cap``."""
+    y = [0.5]
+    while y[-1] < cap:
+        y.append(min(1.7 * y[-1] + 2.0, cap))
+    return np.array(y[1:])
+
+
+@pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
+def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
+    # the shipped closure (24-node panels, tail panels up to the first edge
+    # past X_DEAD) against a 64-node rule whose tail panels reach e^-119,
+    # over the closed tails and filled Fermi seas of 40 temperatures per
+    # field and statistics (beta F^(2/3) from 1e-3 to 30)
+    paths = count_closures(monkeypatch)
+    reference = (*np.polynomial.legendre.leggauss(64), capped_tail_panels(120.0))
+    for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
+        sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+        beta = np.geomspace(1e-3, 30.0, 40) * field ** (-2.0 / 3.0)
+        fermi_level = sp.tail.energy(np.geomspace(70.0, 3e4, 40))
+        for statistics, gamma in ((Statistics.CANONICAL, 0.0),
+                                  (Statistics.FERMI_DIRAC, beta * (sp.e0 - fermi_level)),
+                                  (Statistics.BOSE_EINSTEIN, np.geomspace(1e-7, 3.0, 40))):
+            shipped = ladder_sums(sp, beta, statistics, gamma=gamma)
+            with monkeypatch.context() as patch:
+                for name, value in zip(("_GL_NODES", "_GL_WEIGHTS", "_TAIL_Y"), reference):
+                    patch.setattr(ladder, name, value)
+                ref = ladder_sums(sp, beta, statistics, gamma=gamma)
+            for s, r in zip(shipped, ref):  # moments about E_0: every sum >= 0
+                assert np.all(np.abs(s - r) <= 1e-13 * r)
+    assert paths["closed"] > 200 and paths["sea"] > 50
 
 
 FUSED_CASES = [
@@ -451,15 +487,7 @@ def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
         gamma = np.where(np.arange(50) % 3 == 0, sea, rng.uniform(-5.0, 5.0, 50))
     else:
         gamma = 10.0 ** rng.uniform(-7.0, 1.0, 50)
-    paths = {"closed": 0, "sea": 0}
-    em_integral = ladder._em_integral
-
-    def counting_closure(tail, beta, sigma, ds_ref, n0, statistics, n1=None):
-        # an upper end closes a sea, none the tail
-        paths["closed" if n1 is None else "sea"] += len(beta)
-        return em_integral(tail, beta, sigma, ds_ref, n0, statistics, n1)
-
-    monkeypatch.setattr(ladder, "_em_integral", counting_closure)
+    paths = count_closures(monkeypatch)
     batch = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=moff)
     assert 0 < paths["closed"] < 50  # some lanes closed, the others stopped
     assert (paths["sea"] > 0) == (sign == FERMI)
@@ -493,6 +521,22 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
             brute_force(sp, beta, DIST, FERMI, g, 0.2, powers=(0, 1, 2))])
         for b, r in zip(batch, ref):
             assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
+
+
+def count_closures(monkeypatch):
+    """Count the lanes the engine closes: a tail (an infinite upper end)
+    or a filled sea (a finite one)."""
+    paths = {"closed": 0, "sea": 0}
+    closure = ladder._closure
+
+    def counting_closure(tail, bt, sigma, ds_ref, n0, n1, statistics):
+        finite = np.isfinite(n1)
+        paths["sea"] += int(finite.sum())
+        paths["closed"] += int((~finite).sum())
+        return closure(tail, bt, sigma, ds_ref, n0, n1, statistics)
+
+    monkeypatch.setattr(ladder, "_closure", counting_closure)
+    return paths
 
 
 def count_summands(monkeypatch):

@@ -230,6 +230,12 @@ class TestSerialization:
         with pytest.raises(DomainError, match="unknown ensemble 'xx'"):
             result_from_json(json.dumps(doc))
 
+    def test_unknown_wall_in_json_rejected(self):
+        doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
+        doc["spec"]["wall"] = "xx"
+        with pytest.raises(DomainError, match="unknown wall 'xx'"):
+            result_from_json(json.dumps(doc))
+
     def test_csv_and_json_carry_identical_numbers(self):
         result = run_sweep(canonical_spec(points=25))
         doc = json.loads(result_to_json(result))
@@ -311,6 +317,25 @@ class TestTable1Harness:
         assert counts["blocks"] == 15
         assert counts["batches"] <= 180
         assert counts["batches"] - counts["blocks"] <= 130  # Brent passes
+
+    def test_kernel_passes_per_round(self, monkeypatch):
+        # work-count gate on the ladder: each lane group of a table1 round
+        # (613 groups) evaluates its kernels once for its root block, once
+        # for its closure nodes with their end stencils, and once per block
+        # of its direct windows: 1,350 passes.  With the closure integral,
+        # each end correction and each direct block evaluated apart it took
+        # 1,943.
+        from robinwall import ladder
+        passes = []
+        summands = ladder._summands
+
+        def counting(x, *args):
+            passes.append(x.size)
+            return summands(x, *args)
+
+        monkeypatch.setattr(ladder, "_summands", counting)
+        assert table1_harness().passed
+        assert len(passes) <= 1_400
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
     def test_block_matches_its_cells_alone(self, ensemble):
