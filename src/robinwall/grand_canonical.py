@@ -10,7 +10,8 @@ gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
 crowds the ground level to within 1e-14.  Newton runs on ln N (in gamma
 for fermions, in ln gamma for bosons) from the caller's hint or the
-two-term balance, safeguarded by the bracket of the points already
+two-term balance of the ground level and the quasi-continuum (in Bose
+statistics for bosons), safeguarded by the bracket of the points already
 evaluated: ``specfun._newton_root``, which also finds every Airy zero,
 Robin level and condensation temperature.  It runs on a batch of
 temperatures in lockstep: every pass is one fused ladder pass over the
@@ -25,7 +26,10 @@ with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
     beta dmu/dbeta = sum (E_n - mu) w_n / sum w_n,
 
 which collapses the full expression to the variance form
-c = beta^2 (D2 - D1^2/D0) over the w-weighted moments.  They are taken
+c = beta^2 (D2 - D1^2/D0) over the w-weighted moments.  The same sums
+give each state's slope dgamma/dbeta = -sum (E_n - E_0) w_n / sum w_n,
+from which a sweep starts the solves of nearby temperatures; both read 0
+where every weight underflows (D0 = 0).  The moments are taken
 about the level where w peaks (the upper of E_0 and mu), so D1 is small
 and the variance stays nonnegative even when one level holds nearly all
 of the weight, as the Bose ground level does deep in the condensate.
@@ -43,7 +47,8 @@ from .canonical import _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _check_statistics, ladder_sums
 from .spectrum import Spectrum, _check_field
-from .specfun import _SQRT_PI, _check_beta, _check_index, _newton_root, lambert_w
+from .specfun import (_SQRT_PI, _bose_g, _check_beta, _check_index, _newton_root,
+                      lambert_w)
 
 __all__ = [
     "Statistics",
@@ -89,6 +94,8 @@ class GcPoint:
     heat_capacity_per_particle: float
     n0: float | None = None  # ground-level fraction, Bose systems only
     errors: tuple[str | None, ...] | None = None  # per lane, batched calls only
+    # d gamma/d beta at fixed N, gamma = beta (E_0 - mu); 0 where D0 = 0
+    dgamma_dbeta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,45 @@ def _two_term_log_t(ln_a, n: float, statistics: Statistics):
         return np.log(2.0 * n / (s + np.sqrt(s * s - 4.0 * a * n)))
 
 
+def _cold_start(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
+                n: np.ndarray, lo, hi):
+    """Cold start of the solve in its coordinate (gamma, or ln gamma for
+    bosons), with no ladder pass: the root of the two-term balance
+
+        N = 1/(e^gamma +- 1) + A g(e^{-(gamma + beta Delta)}),
+
+    the ground level plus the tail law's quasi-continuum of density
+    sqrt(E - shift) / (pi F) above shift, A = 1/(2 sqrt(pi) F beta^{3/2})
+    and Delta = shift - E_0.  Fermions take the continuum in Boltzmann
+    statistics, g(z) = z (``_two_term_log_t``).  Bosons take g = g_{3/2},
+    which near condensation holds about twice what z does, with Delta
+    raised to 0 where the tail law starts below E_0 (so z < 1); its root is
+    found to 1e-6 in N by ``_newton_root`` in ln gamma on the bracket
+    (lo, hi), from the Boltzmann root below it, on the closed forms of
+    g_{3/2} and g_{1/2} = -dg_{3/2}/dalpha."""
+    ln_a = -math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
+    delta = spectrum.tail.shift - spectrum.e0
+    if statistics is Statistics.FERMI_DIRAC:
+        return -_two_term_log_t(ln_a - beta * delta, n, statistics)
+    bd = beta * max(delta, 0.0)
+
+    def log_n(v, lanes):
+        gamma = np.exp(v)
+        g32, g12 = _bose_g(gamma + bd[lanes])
+        with np.errstate(all="ignore"):  # ground = 0 and ln N = -inf past e^750
+            a = np.exp(ln_a[lanes])
+            ground = 1.0 / np.expm1(gamma)
+            total = ground + a * g32
+            # dN/d ln gamma, with -d(ground)/dgamma = e^gamma/(e^gamma - 1)^2
+            slope = -gamma * (ground / -np.expm1(-gamma) + a * g12)
+            return np.log(total / n[lanes]), slope / total, v[None]
+
+    with np.errstate(divide="ignore"):
+        start = np.log(-_two_term_log_t(ln_a - bd, n, statistics))
+    start = np.fmax(np.fmin(start, hi), lo)
+    return _newton_root(log_n, lo, hi, start, lambda r, slope, v: np.abs(r) <= 1e-6)[0][0]
+
+
 def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
                  n: np.ndarray, hint=None):
     """gamma = beta (E_0 - mu) satisfying the particle-number sum of
@@ -163,31 +209,29 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
     in ln gamma for bosons over most of the domain; each step is one fused
     ladder pass over the lanes still unsolved, which gives N and
     dN/dgamma = -D_0 together.  A lane starts from its ``hint`` gamma (None
-    or NaN: no hint) or else from the two-term balance of ``asymptotic_mu_cn``,
-    made for any wall: the ground level plus the tail law's quasi-continuum,
-    of density n'(E) = sqrt(E - shift) / (pi F), in Boltzmann statistics;
-    either start is clipped into the bracket.  The result depends on the
-    start within the 1e-12 target: c at fd N=10, F=1e-7, beta=9.532 spreads
-    by ~1e-13 relative over different hints.
+    or NaN: no hint), clipped into the bracket, or else from the two-term
+    balance of ``_cold_start``, which spends no ladder pass.  The result
+    depends on the start within the 1e-12 target: c at fd N=10, F=1e-7,
+    beta=9.532 spreads by ~1e-13 relative over different hints.
     """
-    e0 = spectrum.e0
     log_space = statistics is Statistics.BOSE_EINSTEIN
     if log_space:
         # the ground level alone holds N at gamma = ln(1 + 1/N), so the
         # root lies above it
-        lo, hi = np.log(np.log1p(1.0 / n)), math.log(_GAMMA_MAX)
+        lo, hi = np.log(np.log1p(1.0 / n)), np.full(n.shape, math.log(_GAMMA_MAX))
     else:
         # mu between E_0 - pad/beta and E_N + pad/beta
         pad = 50.0 + np.log(n + 2.0)
-        lo = -(beta * (spectrum.energies(n) - e0) + pad)
+        lo = -(beta * (spectrum.energies(n) - spectrum.e0) + pad)
         hi = pad
-    ln_a = (-math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
-            - beta * (spectrum.tail.shift - e0))
-    start = -_two_term_log_t(ln_a, n, statistics)
-    if hint is not None:
-        start = np.where(np.isnan(hint), start, hint)
+    start = np.array(np.broadcast_to(np.nan if hint is None else hint, beta.shape), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        start = np.fmax(np.fmin(np.log(start) if log_space else start, hi), lo)
+        start = np.log(start) if log_space else start
+    cold = np.isnan(start)
+    if cold.any():
+        start[cold] = _cold_start(spectrum, beta[cold], statistics, n[cold],
+                                  lo[cold], hi[cold])
+    start = np.fmax(np.fmin(start, hi), lo)
 
     def step(u: np.ndarray, lanes: np.ndarray):
         gamma = np.exp(u) if log_space else u
@@ -253,8 +297,13 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, statistics, n,
                                                           hint_gamma)
     e0 = spectrum.e0
-    energy = (e0 - _moment_offset(lanes, gamma)) * n_sum + n1
-    c = lanes * lanes * (d2 - d1 * d1 / d0) / n
+    moff = _moment_offset(lanes, gamma)
+    energy = (e0 - moff) * n_sum + n1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # where every weight underflowed (D0 = D1 = D2 = 0), c lies below
+        # the float range and N pins no gamma: both read 0
+        slope = np.where(d0 > 0.0, moff - d1 / d0, 0.0)
+        c = np.where(d0 > 0.0, lanes * lanes * (d2 - d1 * d1 / d0) / n, 0.0)
     mu = e0 - gamma / lanes
     n0 = None
     if statistics is Statistics.BOSE_EINSTEIN:
@@ -266,14 +315,14 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
                                       f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
         n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
     failed = np.array([e is not None for e in errors])
-    for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):
+    for a in (mu, energy, c, slope) if n0 is None else (mu, energy, c, slope, n0):
         a[failed] = np.nan
     if np.ndim(beta) > 0:
-        return GcPoint(beta, mu, energy, c, n0, errors=tuple(errors))
+        return GcPoint(beta, mu, energy, c, n0, errors=tuple(errors), dgamma_dbeta=slope)
     if errors[0]:
         raise SolverError(errors[0])
     return GcPoint(beta, *(float(a[0]) for a in (mu, energy, c)),
-                   n0=None if n0 is None else float(n0[0]))
+                   n0=None if n0 is None else float(n0[0]), dgamma_dbeta=float(slope[0]))
 
 
 # ---------------------------------------------------------------------------

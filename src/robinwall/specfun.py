@@ -2,11 +2,11 @@
 
 Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
 forms for large positive argument), their negative zeros, the principal
-branch of the Lambert W function on the nonnegative axis, the safeguarded
-Newton solver of every root of the package (Airy zeros, Robin levels, the
-chemical potential and the condensation temperature), and the checks
-shared by every index and count and every inverse temperature of the
-package.
+branch of the Lambert W function on the nonnegative axis, the Bose
+functions g_{3/2} and g_{1/2}, the safeguarded Newton solver of every root
+of the package (Airy zeros, Robin levels, the chemical potential and the
+condensation temperature), and the checks shared by every index and count
+and every inverse temperature of the package.
 
 ``airy`` and ``airy_scaled`` take float arrays (a scalar gives floats, as a
 one-element batch of the same code) and route each element to its branch;
@@ -397,6 +397,39 @@ def lambert_w(x: float) -> float:
     if abs(w * math.exp(w) - x) > 1e-12 * x:
         raise SolverError(f"lambert_w failed to converge for x={x}")
     return w
+
+
+# ---------------------------------------------------------------------------
+# Bose functions
+# ---------------------------------------------------------------------------
+
+# zeta(3/2 - k) / k!, k = 0..10: Robinson's expansion of the Bose functions
+_ROBINSON = np.array([
+    2.6123753486854883, -1.4603545088095868, -0.10394311248867728,
+    -4.247533648305506e-3, 3.5487203241043044e-4, 3.7008427795661933e-5,
+    -4.293985065577547e-6, -5.3005119442444933e-7, 6.8124204849624721e-8,
+    9.0085967057986663e-9, -1.2169402758501129e-9])
+_POWERS = np.arange(1, 21)  # terms of the power series, used at alpha >= 1
+
+
+def _bose_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bose functions (g_{3/2}, g_{1/2}) at fugacity z = e^{-alpha}, alpha > 0,
+    g_s(z) = sum_{j>=1} z^j / j^s, to ~1e-9 relative: the power series for
+    alpha >= 1 (z <= 1/e, 20 terms), and below Robinson's expansion
+    g_s(e^{-alpha}) = Gamma(1-s) alpha^{s-1} + sum_k zeta(s-k) (-alpha)^k / k!
+    (Pathria & Beale, appendix D), which carries the branch points at z = 1.
+    g_{1/2} = -dg_{3/2}/dalpha, term by term."""
+    a = np.asarray(alpha, dtype=float)[..., None]
+    with np.errstate(under="ignore"):
+        zj = np.exp(-a * _POWERS)
+    series = (zj @ _POWERS ** -1.5, zj @ _POWERS ** -0.5)
+    x = np.minimum(a[..., 0], 1.0)
+    k = np.arange(_ROBINSON.size)
+    terms = _ROBINSON * (-x[..., None]) ** k
+    robinson = (terms.sum(-1) - 2.0 * _SQRT_PI * np.sqrt(x),
+                _SQRT_PI / np.sqrt(x) - (terms[..., 1:] / x[..., None]) @ k[1:])
+    small = a[..., 0] < 1.0
+    return tuple(np.where(small, r, s) for r, s in zip(robinson, series))
 
 
 def interlacing_ok(n_max: int = 50) -> bool:

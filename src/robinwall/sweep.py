@@ -108,10 +108,11 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
     ``ensembles[cells[i]]`` (all of one statistics, else DomainError;
     canonical: one particle, mu and n0 None), ``errors`` None or the
     message of each lane whose solve failed (values NaN).  Each mu solve
-    starts from its own cell's solved states: gamma = beta (E_0 - mu)
-    interpolated (or extrapolated) linearly in ln beta through the two
-    nearest in ln beta, in ln gamma for bosons, whose gamma spans decades;
-    a cell's first batch starts from the two-term balance."""
+    starts from its own cell's solved states, each kept with its slope
+    from ``gc_point`` as (ln beta, u, du/d ln beta), u = gamma =
+    beta (E_0 - mu), or ln gamma for bosons, whose gamma spans decades:
+    the cubic Hermite through the two states nearest in ln beta, or the
+    Taylor step from one.  A cell's first batch starts cold."""
     if {e.statistics for e in ensembles} == {Statistics.CANONICAL}:
         def evaluate_canonical(beta, cells):
             tp = thermo_point(spectrum, beta)
@@ -119,27 +120,39 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
 
         return evaluate_canonical
 
-    # per cell: (ln beta, solver coordinate gamma or ln gamma) of every solved lane
+    # per cell: (ln beta, u, du/d ln beta) of every solved lane
     solved = [[] for _ in ensembles]
     log_gamma = ensembles[0].statistics is Statistics.BOSE_EINSTEIN
 
     def evaluate(beta, cells):
         hint = np.full(len(beta), np.nan)
         for k in {k for k in cells.tolist() if solved[k]}:
-            solved_lb, solved_u = np.array(solved[k]).T
+            states = np.array(solved[k]).T
             lane = cells == k
-            lb = np.log(beta[lane])[:, None]
-            near = np.argsort(np.abs(lb - solved_lb), axis=1, kind="stable")
-            near = near[:, [0, min(1, len(solved_lb) - 1)]].T
-            (l0, l1), (g0, g1) = np.take(solved_lb, near), np.take(solved_u, near)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hint_k = np.where(l0 != l1, g0 + (g1 - g0) * (lb[:, 0] - l0) / (l1 - l0), g0)
-            hint[lane] = np.exp(hint_k) if log_gamma else hint_k
+            lb = np.log(beta[lane])
+            near = np.argsort(np.abs(lb[:, None] - states[0]), axis=1, kind="stable")
+            near = near[:, [0, min(1, states.shape[1] - 1)]].T
+            (l0, l1), (u0, u1), (s0, s1) = (np.take(row, near) for row in states)
+            h, d = l1 - l0, lb - l0
+            t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
+            # Taylor from the nearest state, plus the Hermite terms if two;
+            # a state whose gamma rounded to 0 gives a NaN or 0 hint (a cold
+            # start, or the low end of the bracket)
+            with np.errstate(all="ignore"):
+                du = u1 - u0
+                hint_k = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
+                                                + t * (h * (s0 + s1) - 2.0 * du))
+                hint[lane] = np.exp(hint_k) if log_gamma else hint_k
         p = gc.gc_point(spectrum, beta, [ensembles[k] for k in cells], hint_gamma=hint)
         ok = np.array([e is None for e in p.errors])
-        gamma = (p.beta * (spectrum.e0 - p.mu))[ok]
-        for k, lb, u in zip(cells[ok], np.log(p.beta[ok]), np.log(gamma) if log_gamma else gamma):
-            solved[k].append((lb, u))
+        b = p.beta[ok]
+        gamma = b * (spectrum.e0 - p.mu[ok])
+        slope = b * p.dgamma_dbeta[ok]  # dgamma/d ln beta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, du = (np.log(gamma), slope / gamma) if log_gamma else (gamma, slope)
+        solved_k = zip(cells[ok].tolist(), np.log(b).tolist(), u.tolist(), du.tolist())
+        for k, *state in solved_k:
+            solved[k].append(state)
         return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0, p.errors
 
     return evaluate

@@ -167,6 +167,35 @@ class TestGcPoint:
             worst = max(worst, abs(c - c_fd) / abs(c))
         assert worst <= 1e-4
 
+    @pytest.mark.parametrize("stat, n, field, scale", [
+        (FD, 2, 1e-3, 1.0), (FD, 10, 1e-5, 0.7), (FD, 1, 1e-7, 1.5),
+        (BE, 1000, 1e-5, 1.0), (BE, 100000, 1e-3, 1.0), (BE, 10, 1e-6, 0.6)])
+    def test_slope_against_central_differences(self, stat, n, field, scale):
+        # the implicit dgamma/dbeta of the accepted state against a
+        # five-point difference of gamma = beta (E_0 - mu) solved around it
+        from robinwall.reference_values import TABLE1
+        sp = attractive(field)
+        beta = 1.0 / (scale * TABLE1[(stat.value, n, field)][0])
+        h = 1e-4 * beta
+        b = beta + h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])
+        p = gc_point(sp, b, EnsembleSpec(stat, n))
+        g = b * (sp.e0 - p.mu)
+        fd = (g[1] - 8.0 * g[2] + 8.0 * g[3] - g[4]) / (12.0 * h)
+        assert p.dgamma_dbeta[0] == pytest.approx(fd, rel=1e-7, abs=0.0)
+
+    def test_capacity_where_every_weight_underflows(self):
+        # one fermion frozen in the ground level of a strong field: every
+        # distribution weight underflows (D0 = D1 = D2 = 0), so c lies below
+        # the float range and is 0, with no message and no warning; N pins
+        # no gamma there, and its slope reads 0
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
+        ens = EnsembleSpec(FD, 1)
+        assert gc_point(sp, 1000.0, ens).heat_capacity_per_particle == 0.0
+        p = gc_point(sp, np.array([1000.0, 2.0]), ens)
+        assert p.errors == (None, None)
+        assert p.heat_capacity_per_particle[0] == 0.0 == p.dgamma_dbeta[0]
+        assert p.heat_capacity_per_particle[1] > 0.0
+
     def test_high_temperature_ensemble_agreement(self):
         field = 1e-4
         beta = 1e-4 / field ** (2.0 / 3.0)
@@ -395,6 +424,22 @@ class TestWorkCounts:
         t_ref, _ = TABLE1[("be", 1000, 1e-5)]
         gc_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
         assert len(calls) <= 5
+
+    def test_bose_cold_start_of_a_large_scan(self, monkeypatch):
+        # the 50-point scan of the BE N=1e5, F=1e-3 cell, all lanes cold:
+        # the two-term balance with the continuum in Bose statistics starts
+        # every lane near its root, so the lockstep solve takes at most 5
+        # ladder passes (12 with the continuum in Boltzmann statistics)
+        from robinwall.reference_values import TABLE1
+        calls = []
+        ladder = gc.ladder_sums
+        monkeypatch.setattr(gc, "ladder_sums",
+                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        t_ref, _ = TABLE1[("be", 100000, 1e-3)]
+        beta = np.geomspace(1.0 / (2.2 * t_ref), 2.2 / t_ref, 50)
+        p = gc_point(attractive(1e-3), beta, EnsembleSpec(BE, 100000))
+        assert p.errors == (None,) * 50
+        assert len(calls[0]) == 50 and len(calls) <= 5
 
     def test_be_critical_ladder_passes(self, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,3 +281,20 @@ class TestLambertW:
         with pytest.raises(DomainError):
             sf.lambert_w(-0.1)
 
+
+class TestBoseFunctions:
+    def test_against_mpmath_polylog(self):
+        # g_{3/2} and g_{1/2} at fugacity e^{-alpha}, on both sides of the
+        # alpha = 1 switch from Robinson's expansion to the power series
+        alpha = np.concatenate([np.geomspace(1e-10, 50.0, 200), [1.0 - 1e-12, 1.0]])
+        g32, g12 = sf._bose_g(alpha)
+        with mpmath.workdps(30):
+            for a, x, y in zip(alpha.tolist(), g32.tolist(), g12.tolist()):
+                z = mpmath.exp(-mpmath.mpf(a))
+                assert x == pytest.approx(float(mpmath.polylog(1.5, z)), rel=1e-8)
+                assert y == pytest.approx(float(mpmath.polylog(0.5, z)), rel=1e-8)
+
+    def test_shape_and_deep_tail(self):
+        g32, g12 = sf._bose_g(np.array([[0.5, 2.0], [800.0, 1e-3]]))
+        assert g32.shape == g12.shape == (2, 2)
+        assert g32[1, 0] == g12[1, 0] == 0.0  # e^-800 underflows quietly

@@ -318,13 +318,35 @@ class TestTable1Harness:
         assert counts["batches"] <= 180
         assert counts["batches"] - counts["blocks"] <= 130  # Brent passes
 
+    def test_ladder_calls_per_round(self, monkeypatch):
+        # work-count gate on the mu solves: 35 canonical calls, and one
+        # call per lockstep Newton pass.  Cold scans start from the two-term
+        # balance (in Bose statistics for bosons) and Brent's points from
+        # the cubic Hermite through their cell's solved states and slopes:
+        # 268 calls.  A Boltzmann continuum and linear hints took 378.
+        from robinwall import canonical
+        import robinwall.sweep as sweep_mod
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args[2])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sweep_mod.gc, "ladder_sums", counting(sweep_mod.gc.ladder_sums))
+        monkeypatch.setattr(canonical, "ladder_sums", counting(canonical.ladder_sums))
+        assert table1_harness().passed
+        assert calls.count(Statistics.CANONICAL) == 35
+        assert len(calls) <= 290
+
     def test_kernel_passes_per_round(self, monkeypatch):
         # work-count gate on the ladder: each lane group of a table1 round
-        # (613 groups) evaluates its kernels once for its root block, once
+        # (478 groups) evaluates its kernels once for its root block, once
         # for its closure nodes with their end stencils, and once per block
-        # of its direct windows: 1,350 passes.  With the closure integral,
+        # of its direct windows: 1,078 passes.  With the closure integral,
         # each end correction and each direct block evaluated apart it took
-        # 1,943.
+        # 1,943, and with the mu solves' older starts 1,350.
         from robinwall import ladder
         passes = []
         summands = ladder._summands
@@ -335,7 +357,7 @@ class TestTable1Harness:
 
         monkeypatch.setattr(ladder, "_summands", counting)
         assert table1_harness().passed
-        assert len(passes) <= 1_400
+        assert len(passes) <= 1_150
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
     def test_block_matches_its_cells_alone(self, ensemble):
