@@ -33,8 +33,6 @@ from .canonical import (
     ThermoPoint,
     classical_limit,
     find_extrema,
-    heat_capacity,
-    mean_energy,
     resonance_predictors,
     thermo_point,
     universal_dn_curve,
@@ -45,7 +43,6 @@ from .canonical import (
 from .grand_canonical import (
     CondensateReport,
     EnsembleSpec,
-    GcPoint,
     Statistics,
     asymptotic_beta_cr,
     asymptotic_mu_cn,
@@ -53,8 +50,6 @@ from .grand_canonical import (
     fd_plateau,
     fd_single_peak,
     gc_point,
-    ground_occupation,
-    solve_mu,
 )
 from .sweep import (
     SweepResult,

@@ -29,8 +29,6 @@ from .specfun import _SQRT_PI, _check_beta, lambert_w
 __all__ = [
     "ThermoPoint",
     "ExtremumReport",
-    "mean_energy",
-    "heat_capacity",
     "thermo_point",
     "zero_field_attractive",
     "zero_field_free",
@@ -49,11 +47,18 @@ _SQRT_EPS = math.sqrt(2.0 ** -52)
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """One evaluated canonical state (heat capacity in units of k_B)."""
+    """One evaluated state, or arrays of them over a batch of temperatures:
+    mean energy <E> of all the particles, heat capacity per particle (in
+    units of k_B), and for the grand-canonical ensembles mu, the Bose
+    ground-level fraction n0 and, for a batch, each lane's error message
+    (None, or why its values are NaN); None where a field does not apply."""
 
     beta: float
     mean_energy: float
     heat_capacity: float
+    mu: float | None = None
+    n0: float | None = None
+    errors: tuple[str | None, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -75,16 +80,6 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
     m = s1 / s0
     return ThermoPoint(beta=beta, mean_energy=spectrum.e0 + m,
                        heat_capacity=beta * beta * (s2 / s0 - m * m))
-
-
-def mean_energy(spectrum: Spectrum, beta: float) -> float:
-    """Canonical mean energy of one particle."""
-    return thermo_point(spectrum, beta).mean_energy
-
-
-def heat_capacity(spectrum: Spectrum, beta: float) -> float:
-    """Canonical heat capacity of one particle."""
-    return thermo_point(spectrum, beta).heat_capacity
 
 
 # ---------------------------------------------------------------------------

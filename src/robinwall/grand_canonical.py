@@ -8,10 +8,9 @@ The chemical potential is solved from the particle-number sum
 degeneracy 1).  Internally the solve runs in the shifted variable
 gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
-crowds the ground level to within 1e-14.  Newton runs on ln N (in gamma
-for fermions, in ln gamma for bosons) from the caller's hint or the
-two-term balance of the ground level and the quasi-continuum (in Bose
-statistics for bosons), safeguarded by the bracket of the points already
+crowds the ground level to within 1e-14.  Newton runs on ln N in the
+solve's coordinate u (gamma for fermions, ln gamma for bosons, whose gamma
+spans decades), safeguarded by the bracket of the points already
 evaluated: ``specfun._newton_root``, which also finds every Airy zero,
 Robin level and condensation temperature.  It runs on a batch of
 temperatures in lockstep: every pass is one fused ladder pass over the
@@ -19,6 +18,11 @@ unsolved lanes giving N, dN/dgamma and the energy moments together.  A
 lane stops at |N - N_target| <= 1e-12 N_target or once its bracket has
 collapsed, and its last iterate is its result if it meets
 |N - N_target| <= 1e-10 N_target: its sums give <E> and c directly.
+
+One evaluator, ``_Evaluator``, runs every solve and starts each lane from
+the states already solved in its cell; a cell's first lanes start cold from
+the two-term balance of the ground level and the quasi-continuum (in Bose
+statistics for bosons).  ``gc_point`` is its cold, one-call form.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -28,8 +32,8 @@ with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
 which collapses the full expression to the variance form
 c = beta^2 (D2 - D1^2/D0) over the w-weighted moments.  The same sums
 give each state's slope dgamma/dbeta = -sum (E_n - E_0) w_n / sum w_n,
-from which a sweep starts the solves of nearby temperatures; both read 0
-where every weight underflows (D0 = 0).  The moments are taken
+from which the evaluator starts the solves of nearby temperatures; both
+read 0 where every weight underflows (D0 = 0).  The moments are taken
 about the level where w peaks (the upper of E_0 and mu), so D1 is small
 and the variance stays nonnegative even when one level holds nearly all
 of the weight, as the Bose ground level does deep in the condensate.
@@ -43,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canonical import _check_weak_field, _check_weak_regime
+from .canonical import ThermoPoint, _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _check_statistics, ladder_sums
 from .spectrum import Spectrum, _check_field
@@ -53,15 +57,12 @@ from .specfun import (_SQRT_PI, _bose_g, _check_beta, _check_index, _newton_root
 __all__ = [
     "Statistics",
     "EnsembleSpec",
-    "GcPoint",
     "CondensateReport",
-    "solve_mu",
     "gc_point",
     "fd_plateau",
     "fd_single_peak",
     "asymptotic_mu_cn",
     "be_critical",
-    "ground_occupation",
 ]
 
 _N_RESIDUAL = 1e-10  # relative particle-number residual of every accepted state
@@ -82,20 +83,6 @@ class EnsembleSpec:
         if self.statistics is Statistics.CANONICAL and self.n_particles != 1:
             raise DomainError(f"the canonical ensemble is computed for 1 particle, "
                               f"got {self.n_particles!r}")
-
-
-@dataclass(frozen=True)
-class GcPoint:
-    """One evaluated grand-canonical state."""
-
-    beta: float
-    mu: float
-    mean_energy: float
-    heat_capacity_per_particle: float
-    n0: float | None = None  # ground-level fraction, Bose systems only
-    errors: tuple[str | None, ...] | None = None  # per lane, batched calls only
-    # d gamma/d beta at fixed N, gamma = beta (E_0 - mu); 0 where D0 = 0
-    dgamma_dbeta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -196,37 +183,35 @@ def _cold_start(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
 
 
 def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
-                 n: np.ndarray, hint=None):
-    """gamma = beta (E_0 - mu) satisfying the particle-number sum of
-    ``statistics`` to |N - N_target| <= 1e-10 N_target for every lane
-    of ``beta``, whose particle number N_target is that lane's ``n``, and the
-    ladder sums (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about
-    the upper of E_0 and mu (``_moment_offset``).  Returns
-    ``(gamma, sums, errors)`` with one column of ``sums`` and one entry of
-    ``errors`` (None, or the message of a failed lane) per lane.
+                 n: np.ndarray, start: np.ndarray):
+    """The solve's coordinate u (gamma = beta (E_0 - mu), or ln gamma for
+    bosons) satisfying the particle-number sum of ``statistics`` to
+    |N - N_target| <= 1e-10 N_target for every lane of ``beta``, whose
+    particle number N_target is that lane's ``n``, and the ladder sums
+    (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about the upper
+    of E_0 and mu (``_moment_offset``).  Returns ``(u, sums, errors)`` with
+    one column of ``sums`` and one entry of ``errors`` (None, or the
+    message of a failed lane) per lane.
 
-    Newton runs on ln N, which is nearly linear in gamma for fermions and
-    in ln gamma for bosons over most of the domain; each step is one fused
-    ladder pass over the lanes still unsolved, which gives N and
-    dN/dgamma = -D_0 together.  A lane starts from its ``hint`` gamma (None
-    or NaN: no hint), clipped into the bracket, or else from the two-term
-    balance of ``_cold_start``, which spends no ladder pass.  The result
-    depends on the start within the 1e-12 target: c at fd N=10, F=1e-7,
-    beta=9.532 spreads by ~1e-13 relative over different hints.
+    Newton runs on ln N, which is nearly linear in u over most of the
+    domain; each step is one fused ladder pass over the lanes still
+    unsolved, which gives N and dN/dgamma = -D_0 together.  A lane starts
+    from its ``start`` u (NaN: cold), clipped into the bracket, or else
+    from the two-term balance of ``_cold_start``, which spends no ladder
+    pass.  The result depends on the start within the 1e-12 target: c at
+    fd N=10, F=1e-7, beta=9.532 spreads by ~1e-13 relative over starts.
     """
     log_space = statistics is Statistics.BOSE_EINSTEIN
     if log_space:
-        # the ground level alone holds N at gamma = ln(1 + 1/N), so the
-        # root lies above it
-        lo, hi = np.log(np.log1p(1.0 / n)), np.full(n.shape, math.log(_GAMMA_MAX))
+        # the ground level alone holds N at gamma = ln(1 + 1/N), so the root
+        # lies above it, deep in a condensate by ~1e-12: a low end 1e-9
+        # below it keeps the Newton steps landing there inside the bracket
+        lo, hi = np.log(np.log1p(1.0 / n)) - 1e-9, np.full(n.shape, math.log(_GAMMA_MAX))
     else:
         # mu between E_0 - pad/beta and E_N + pad/beta
         pad = 50.0 + np.log(n + 2.0)
         lo = -(beta * (spectrum.energies(n) - spectrum.e0) + pad)
         hi = pad
-    start = np.array(np.broadcast_to(np.nan if hint is None else hint, beta.shape), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        start = np.log(start) if log_space else start
     cold = np.isnan(start)
     if cold.any():
         start[cold] = _cold_start(spectrum, beta[cold], statistics, n[cold],
@@ -239,7 +224,7 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
         sums = np.array(ladder_sums(spectrum, b, statistics, gamma=gamma,
                                     moment_offset=_moment_offset(b, gamma)))
         # dN/du with dN/dgamma = -D_0
-        return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([gamma, sums])
+        return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([u, sums])
 
     payload, errors = _solve_n(
         step, start, lo, hi, n,
@@ -257,72 +242,106 @@ def _moment_offset(beta, gamma):
     return np.minimum(gamma, 0.0) / beta
 
 
-def solve_mu(spectrum: Spectrum, beta: float, ensemble: EnsembleSpec) -> float:
-    """Chemical potential with |sum occupations - N| <= 1e-10 N.
+class _Evaluator:
+    """Grand-canonical states of batches of temperatures as one
+    ``ThermoPoint`` of arrays, lane i of ``beta`` in the cell ``cells[i]``
+    with the ensemble ``ensembles[cells[i]]`` (all FD, or all BE).  A failed
+    lane does not raise: its mu, energy, heat capacity and n0 are NaN and
+    its message, naming its beta and N, is in ``errors``.
 
-    The occupation sum is strictly increasing in mu for both statistics, so
-    the bracketed solve cannot miss; for bosons mu < E_0 strictly.
-    """
-    return gc_point(spectrum, beta, ensemble).mu
+    ``states[k]`` lists the states solved in cell k as (ln beta, u,
+    du/d ln beta) of their solves, u = gamma = beta (E_0 - mu), or ln gamma
+    for bosons.  A lane starts from the cubic Hermite through its cell's two
+    states nearest in ln beta, or the Taylor step from one, or else cold."""
+
+    def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
+        if {e.statistics for e in ensembles} not in ({Statistics.FERMI_DIRAC},
+                                                     {Statistics.BOSE_EINSTEIN}):
+            raise DomainError(f"the grand-canonical solve needs every ensemble FD, or every "
+                              f"one BE; got {ensembles!r}")
+        self.spectrum, self.statistics = spectrum, ensembles[0].statistics
+        self.n = np.array([e.n_particles for e in ensembles])
+        self.states: list[list[list[float]]] = [[] for _ in ensembles]
+
+    def _starts(self, beta: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        start = np.full(len(beta), np.nan)
+        for k in {k for k in cells.tolist() if self.states[k]}:
+            states = np.array(self.states[k]).T
+            lane = cells == k
+            lb = np.log(beta[lane])
+            near = np.argsort(np.abs(lb[:, None] - states[0]), axis=1, kind="stable")
+            near = near[:, [0, min(1, states.shape[1] - 1)]].T
+            (l0, l1), (u0, u1), (s0, s1) = (np.take(row, near) for row in states)
+            h, d = l1 - l0, lb - l0
+            t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
+            du = u1 - u0
+            # Taylor from the nearest state, plus the Hermite terms if two
+            start[lane] = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
+                                                 + t * (h * (s0 + s1) - 2.0 * du))
+        return start
+
+    def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
+        n = self.n[cells]
+        u, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(
+            self.spectrum, beta, self.statistics, n, self._starts(beta, cells))
+        log_space = self.statistics is Statistics.BOSE_EINSTEIN
+        gamma = np.exp(u) if log_space else u
+        e0 = self.spectrum.e0
+        moff = _moment_offset(beta, gamma)
+        energy = (e0 - moff) * n_sum + n1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # where every weight underflowed (D0 = D1 = D2 = 0), c lies below
+            # the float range and N pins no gamma: both read 0
+            c = np.where(d0 > 0.0, beta * beta * (d2 - d1 * d1 / d0) / n, 0.0)
+            slope = beta * np.where(d0 > 0.0, moff - d1 / d0, 0.0)  # dgamma/d ln beta
+            du = slope / gamma if log_space else slope  # du/d ln beta
+        mu = e0 - gamma / beta
+        n0 = None
+        if log_space:
+            n0 = 1.0 / np.expm1(gamma) / n
+            # gamma, not mu - E_0: deep in a condensate mu rounds to E_0
+            for i in ((gamma <= 0.0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
+                errors[i] = errors[i] or (f"bose state at beta={beta[i]}, N={n[i]} with "
+                                          f"gamma = beta (E_0 - mu) = {gamma[i]} and ground "
+                                          f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
+            n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
+        ok = np.array([e is None for e in errors])
+        for k, *state in zip(cells[ok].tolist(), np.log(beta[ok]).tolist(), u[ok].tolist(),
+                             du[ok].tolist()):
+            self.states[k].append(state)
+        for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):
+            a[~ok] = np.nan
+        return ThermoPoint(beta, energy, c, mu, n0, tuple(errors))
 
 
 def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
-             ensemble: EnsembleSpec | Sequence[EnsembleSpec],
-             hint_gamma: float | np.ndarray | None = None) -> GcPoint:
-    """Mean energy and specific heat per particle at one temperature, or
-    at a batch of temperatures solved in lockstep, in one ensemble or, for
-    a batch, in one ensemble per lane (all of one statistics, each lane
-    with its own particle number).
+             ensemble: EnsembleSpec | Sequence[EnsembleSpec]) -> ThermoPoint:
+    """Mean energy <E> of the N particles, heat capacity per particle, mu
+    and, for bosons, the ground-level fraction n0 at one temperature, or at
+    a batch of temperatures solved cold in lockstep, in one ensemble or,
+    for a batch, in one ensemble per lane (all of one statistics, each lane
+    with its own particle number): the one-call form of ``_Evaluator``.
 
     The returned state has been validated: the occupation sum reproduces N
     to 1e-10 relative, and for bosons gamma = beta (E_0 - mu) > 0 (mu may
-    round to E_0 deep in a condensate) with n0 in [0, 1].  Energy and heat
-    capacity come from the ladder sums of the accepted solve iterate.
-
-    With a 1-D array ``beta`` (and ``hint_gamma`` None, or an array with
-    NaN for no hint) every field is an array over the lanes, and a lane whose
-    solve fails does not raise: its mu, energy, heat capacity and n0 are NaN
-    and its message, naming its beta and N, is in ``errors``.  A scalar
-    ``beta`` gives plain floats and raises SolverError instead.
+    round to E_0 deep in a condensate) with n0 in [0, 1].  With a 1-D array
+    ``beta`` every field is an array over the lanes, and a failed lane is
+    NaN with its message in ``errors``; a scalar ``beta`` gives plain floats
+    and raises SolverError instead.
     """
     beta = _check_beta(beta)
     lanes = np.ravel(beta)
     specs = [ensemble] if isinstance(ensemble, EnsembleSpec) else list(ensemble)
-    if ({e.statistics for e in specs} not in ({Statistics.FERMI_DIRAC}, {Statistics.BOSE_EINSTEIN})
-            or len(specs) not in (1, lanes.size)):
-        raise DomainError(f"gc_point needs one grand-canonical ensemble, or one per lane "
-                          f"of one statistics, for {lanes.size} lanes; got {ensemble!r}")
-    n = np.resize([e.n_particles for e in specs], lanes.size)
-    statistics = specs[0].statistics
-    gamma, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(spectrum, lanes, statistics, n,
-                                                          hint_gamma)
-    e0 = spectrum.e0
-    moff = _moment_offset(lanes, gamma)
-    energy = (e0 - moff) * n_sum + n1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # where every weight underflowed (D0 = D1 = D2 = 0), c lies below
-        # the float range and N pins no gamma: both read 0
-        slope = np.where(d0 > 0.0, moff - d1 / d0, 0.0)
-        c = np.where(d0 > 0.0, lanes * lanes * (d2 - d1 * d1 / d0) / n, 0.0)
-    mu = e0 - gamma / lanes
-    n0 = None
-    if statistics is Statistics.BOSE_EINSTEIN:
-        n0 = 1.0 / np.expm1(gamma) / n
-        # gamma, not mu - E_0: deep in a condensate mu rounds to E_0
-        for i in ((gamma <= 0.0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
-            errors[i] = errors[i] or (f"bose state at beta={lanes[i]}, N={n[i]} with "
-                                      f"gamma = beta (E_0 - mu) = {gamma[i]} and ground "
-                                      f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
-        n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
-    failed = np.array([e is not None for e in errors])
-    for a in (mu, energy, c, slope) if n0 is None else (mu, energy, c, slope, n0):
-        a[failed] = np.nan
+    if len(specs) not in (1, lanes.size):
+        raise DomainError(f"gc_point needs one ensemble, or one per lane, for {lanes.size} "
+                          f"lanes; got {ensemble!r}")
+    p = _Evaluator(spectrum, specs)(lanes, np.arange(lanes.size) % len(specs))
     if np.ndim(beta) > 0:
-        return GcPoint(beta, mu, energy, c, n0, errors=tuple(errors), dgamma_dbeta=slope)
-    if errors[0]:
-        raise SolverError(errors[0])
-    return GcPoint(beta, *(float(a[0]) for a in (mu, energy, c)),
-                   n0=None if n0 is None else float(n0[0]), dgamma_dbeta=float(slope[0]))
+        return p
+    if p.errors[0]:
+        raise SolverError(p.errors[0])
+    return ThermoPoint(beta, *(float(a[0]) for a in (p.mean_energy, p.heat_capacity, p.mu)),
+                       n0=None if p.n0 is None else float(p.n0[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +438,3 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     beta_cr = float(payload[0, 0])
     return CondensateReport(beta_cr=beta_cr, t_cr=1.0 / beta_cr,
                             asymptotic_beta_cr=beta_a)
-
-
-def ground_occupation(spectrum: Spectrum, beta: float, n_particles: int) -> float:
-    """Bose ground-level fraction n_0 = N_0/N with N_0 = 1/(e^{(E_0-mu)beta}-1)."""
-    ens = EnsembleSpec(Statistics.BOSE_EINSTEIN, n_particles)
-    return gc_point(spectrum, beta, ens).n0

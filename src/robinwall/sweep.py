@@ -3,9 +3,10 @@ regression harness.
 
 A sweep evaluates one wall/ensemble configuration on a temperature grid
 as one batch, locates the heat-capacity extrema with Brent's parabolic
-refinement, and (for bosons) attaches the condensation threshold.  Brent's
-grand-canonical points start each chemical-potential solve from the states
-already solved.
+refinement, and (for bosons) attaches the condensation threshold.  One
+evaluator per spectrum serves the scan and every Brent pass, so each
+chemical-potential solve starts from the states of its cell already
+solved (``grand_canonical._Evaluator``).
 Results serialize to CSV and JSON with shortest round-trip float
 formatting, so the two emissions carry bit-identical numbers and a JSON
 round trip reproduces the rows exactly.
@@ -103,68 +104,23 @@ class SweepResult:
 
 
 def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
-    """(beta, cells) -> (<E>, c per particle, mu, n0, errors), one batch:
-    arrays over the lanes of ``beta``, lane i in the ensemble
-    ``ensembles[cells[i]]`` (all of one statistics, else DomainError;
-    canonical: one particle, mu and n0 None), ``errors`` None or the
-    message of each lane whose solve failed (values NaN).  Each mu solve
-    starts from its own cell's solved states, each kept with its slope
-    from ``gc_point`` as (ln beta, u, du/d ln beta), u = gamma =
-    beta (E_0 - mu), or ln gamma for bosons, whose gamma spans decades:
-    the cubic Hermite through the two states nearest in ln beta, or the
-    Taylor step from one.  A cell's first batch starts cold."""
+    """(beta, cells) -> ThermoPoint of arrays over the lanes of ``beta``,
+    lane i in the ensemble ``ensembles[cells[i]]`` (all of one statistics,
+    else DomainError): ``thermo_point`` for the canonical ensemble (one
+    particle, no mu, n0 or errors), else the grand-canonical evaluator,
+    whose mu solves start from the states already solved in their cell."""
     if {e.statistics for e in ensembles} == {Statistics.CANONICAL}:
-        def evaluate_canonical(beta, cells):
-            tp = thermo_point(spectrum, beta)
-            return tp.mean_energy, tp.heat_capacity, None, None, (None,) * len(beta)
-
-        return evaluate_canonical
-
-    # per cell: (ln beta, u, du/d ln beta) of every solved lane
-    solved = [[] for _ in ensembles]
-    log_gamma = ensembles[0].statistics is Statistics.BOSE_EINSTEIN
-
-    def evaluate(beta, cells):
-        hint = np.full(len(beta), np.nan)
-        for k in {k for k in cells.tolist() if solved[k]}:
-            states = np.array(solved[k]).T
-            lane = cells == k
-            lb = np.log(beta[lane])
-            near = np.argsort(np.abs(lb[:, None] - states[0]), axis=1, kind="stable")
-            near = near[:, [0, min(1, states.shape[1] - 1)]].T
-            (l0, l1), (u0, u1), (s0, s1) = (np.take(row, near) for row in states)
-            h, d = l1 - l0, lb - l0
-            t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
-            # Taylor from the nearest state, plus the Hermite terms if two;
-            # a state whose gamma rounded to 0 gives a NaN or 0 hint (a cold
-            # start, or the low end of the bracket)
-            with np.errstate(all="ignore"):
-                du = u1 - u0
-                hint_k = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
-                                                + t * (h * (s0 + s1) - 2.0 * du))
-                hint[lane] = np.exp(hint_k) if log_gamma else hint_k
-        p = gc.gc_point(spectrum, beta, [ensembles[k] for k in cells], hint_gamma=hint)
-        ok = np.array([e is None for e in p.errors])
-        b = p.beta[ok]
-        gamma = b * (spectrum.e0 - p.mu[ok])
-        slope = b * p.dgamma_dbeta[ok]  # dgamma/d ln beta
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u, du = (np.log(gamma), slope / gamma) if log_gamma else (gamma, slope)
-        solved_k = zip(cells[ok].tolist(), np.log(b).tolist(), u.tolist(), du.tolist())
-        for k, *state in solved_k:
-            solved[k].append(state)
-        return p.mean_energy, p.heat_capacity_per_particle, p.mu, p.n0, p.errors
-
-    return evaluate
+        return lambda beta, cells: thermo_point(spectrum, beta)
+    return gc._Evaluator(spectrum, ensembles)
 
 
 def _c_or_raise(evaluate):
     """c(beta, cells) of an evaluator; SolverError names the first failed lane."""
     def c_fn(beta, cells):
-        _, c, _, _, errors = evaluate(beta, cells)
-        for e in filter(None, errors):
+        p = evaluate(beta, cells)
+        for e in filter(None, p.errors or ()):
             raise SolverError(e)
-        return c
+        return p.heat_capacity
     return c_fn
 
 
@@ -197,9 +153,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     betas = 1.0 / temperatures
     evaluate = _evaluator(spectrum, [ens])
     try:
-        energy, c, mu, n0, errors = evaluate(betas, np.zeros(len(betas), dtype=int))
+        p = evaluate(betas, np.zeros(len(betas), dtype=int))
+        errors = p.errors or (None,) * len(betas)
     except RobinWallError as exc:
-        errors = (str(exc),) * len(betas)
+        p, errors = None, (str(exc),) * len(betas)
     rows: list[SweepRow] = []
     for i, (t_unit, temp) in enumerate(zip(t_units, temperatures)):
         common = dict(beta_inv=float(temp), beta=float(betas[i]),
@@ -207,14 +164,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if errors[i] is not None:
             rows.append(SweepRow(error=errors[i], **common))
             continue
-        values = dict(mean_energy=energy, heat_capacity=c, mu=mu, n0=n0)
-        rows.append(SweepRow(**common, **{
-            f: float(v[i]) if v is not None and f in spec.outputs else None
-            for f, v in values.items()}))
+        rows.append(SweepRow(**common, **{f: float(getattr(p, f)[i]) for f in spec.outputs
+                                          if getattr(p, f) is not None}))
 
     extrema = ExtremumReport()
     if not any(errors) and len(rows) >= 3:
-        extrema = find_extrema(betas, c, _c_or_raise(evaluate))
+        extrema = find_extrema(betas, p.heat_capacity, _c_or_raise(evaluate))
     return SweepResult(spec=spec, rows=tuple(rows), extrema=extrema,
                        condensate=condensate)
 

@@ -13,8 +13,8 @@ from robinwall import grand_canonical as gc
 from robinwall import selftest
 from robinwall.canonical import (
     find_extrema,
-    mean_energy,
     resonance_predictors,
+    thermo_point,
     universal_dn_curve,
     zero_field_attractive,
 )
@@ -129,13 +129,8 @@ def test_criterion_6_fermion_plateau():
         ens = EnsembleSpec(FD, n)
         plateau = gc.fd_plateau(n)
         temps = np.exp(np.linspace(math.log(0.002), math.log(0.09), 50))
-        hint = {"g": None}
-        cs = []
-        for t in temps:
-            p = gc.gc_point(sp, 1.0 / t, ens, hint_gamma=hint["g"])
-            hint["g"] = (sp.e0 - p.mu) / t
-            cs.append(p.heat_capacity_per_particle)
-        cs = np.array(cs)
+        p = gc.gc_point(sp, 1.0 / temps, ens)
+        cs = p.heat_capacity
         near = np.abs(cs - plateau) / plateau <= 0.02
         slopes = np.abs(np.diff(cs) / np.diff(temps))
         window = 0
@@ -146,7 +141,7 @@ def test_criterion_6_fermion_plateau():
                 window = max(window, run)
             else:
                 run = 0
-        ok = ok and window >= 3
+        ok = ok and window >= 3 and not any(p.errors)
         details.append(f"N={n}: {window} flat segments at c~{plateau:.3f}")
     _report(6, ok, "plateau windows exist: " + "; ".join(details))
 
@@ -168,7 +163,7 @@ def test_criterion_7_predictor_convergence():
         lo, hi = beta_zero / 3.0, beta_zero * 3.0
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            if mean_energy(sp, mid) > 0.0:
+            if thermo_point(sp, mid).mean_energy > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -202,28 +197,24 @@ def test_criterion_9_condensation_phenomenology():
     # cusp sharpening with particle number at F=1e-4
     field = 1e-4
     sp = attractive(field)
-    slopes = []
+    slopes, solved = [], True
     for n in (100, 1000, 10000):
         cond = gc.be_critical(sp, n)
         ens = EnsembleSpec(BE, n)
         # the cusp narrows with N; 400 points on [0.95, 1.08] resolves the
         # descent for all three sizes (slopes are grid-converged there)
         units = np.linspace(0.95, 1.08, 400)
-        hint = {"g": None}
-        cs = []
-        for u in units:
-            p = gc.gc_point(sp, cond.beta_cr / u, ens, hint_gamma=hint["g"])
-            hint["g"] = cond.beta_cr / u * (sp.e0 - p.mu)
-            cs.append(p.heat_capacity_per_particle)
-        slopes.append(float(np.min(np.diff(cs) / np.diff(units))))
-    sharpening = slopes[0] > slopes[1] > slopes[2]
+        p = gc.gc_point(sp, cond.beta_cr / units, ens)
+        solved = solved and not any(p.errors)
+        slopes.append(float(np.min(np.diff(p.heat_capacity) / np.diff(units))))
+    sharpening = solved and slopes[0] > slopes[1] > slopes[2]
     # persistent condensate at half the critical temperature for N=1e5
     n = 100000
     n0s = []
     for f in (1e-4, 1e-5, 1e-6, 1e-7):
         spf = attractive(f)
         cond = gc.be_critical(spf, n)
-        n0s.append(gc.ground_occupation(spf, 2.0 * cond.beta_cr, n))
+        n0s.append(gc.gc_point(spf, 2.0 * cond.beta_cr, EnsembleSpec(BE, n)).n0)
     occupied = all(v > 0.5 for v in n0s)
     ok = sharpening and occupied
     _report(9, ok, f"max downward slopes {['%.1f' % s for s in slopes]} sharpen "

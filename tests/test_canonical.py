@@ -9,8 +9,6 @@ from robinwall.errors import DomainError
 from robinwall.canonical import (
     classical_limit,
     find_extrema,
-    heat_capacity,
-    mean_energy,
     resonance_predictors,
     thermo_point,
     universal_dn_curve,
@@ -31,7 +29,7 @@ def attractive(field):
 class TestMeanEnergyHeatCapacity:
     def test_weak_field_composite_limit(self):
         sp = attractive(1e-6)
-        e = mean_energy(sp, 4.0)
+        e = thermo_point(sp, 4.0).mean_energy
         e_ref, _ = weak_field_composite(4.0, 1e-6)
         assert e == pytest.approx(e_ref, rel=0.01)
 
@@ -40,15 +38,16 @@ class TestMeanEnergyHeatCapacity:
         beta = 1e-4 / field ** (2.0 / 3.0)
         for kind in WallKind:
             sp = build_spectrum(WallSpec(kind, field), count=64)
-            assert heat_capacity(sp, beta) == pytest.approx(1.5, abs=1e-2)
+            assert thermo_point(sp, beta).heat_capacity == pytest.approx(1.5, abs=1e-2)
 
     @pytest.mark.parametrize("field,beta", [(1e-3, 4.0), (1e-5, 9.0), (1.0, 0.7)])
     def test_capacity_equals_energy_derivative(self, field, beta):
         sp = attractive(field)
         h = 2e-3 * beta
-        es = [mean_energy(sp, beta + k * h) for k in (-2, -1, 1, 2)]
+        es = [thermo_point(sp, beta + k * h).mean_energy for k in (-2, -1, 1, 2)]
         dedb = (es[0] - 8 * es[1] + 8 * es[2] - es[3]) / (12 * h)
-        assert heat_capacity(sp, beta) == pytest.approx(-beta * beta * dedb, rel=1e-6)
+        c = thermo_point(sp, beta).heat_capacity
+        assert c == pytest.approx(-beta * beta * dedb, rel=1e-6)
 
     def test_fluctuation_dissipation_random_points(self):
         rng = random.Random(20240811)
@@ -58,9 +57,9 @@ class TestMeanEnergyHeatCapacity:
             field = 10.0 ** rng.uniform(-5.0, -1.0)
             beta = 10.0 ** rng.uniform(math.log10(0.2), math.log10(15.0))
             sp = build_spectrum(WallSpec(kind, field), count=64)
-            c = heat_capacity(sp, beta)
+            c = thermo_point(sp, beta).heat_capacity
             h = 2e-3 * beta
-            es = [mean_energy(sp, beta + k * h) for k in (-2, -1, 1, 2)]
+            es = [thermo_point(sp, beta + k * h).mean_energy for k in (-2, -1, 1, 2)]
             dedb = (es[0] - 8 * es[1] + 8 * es[2] - es[3]) / (12 * h)
             worst = max(worst, abs(c + beta * beta * dedb) / abs(c))
         assert worst <= 1e-5
@@ -73,7 +72,7 @@ class TestMeanEnergyHeatCapacity:
         sp = build_spectrum(WallSpec(WallKind.ROBIN_REPULSIVE, field),
                             count=n_exact, n_exact=n_exact)
         temps = np.exp(np.linspace(math.log(0.01), math.log(20.0), 160))
-        cs = np.array([heat_capacity(sp, 1.0 / t) for t in temps])
+        cs = np.array([thermo_point(sp, 1.0 / t).heat_capacity for t in temps])
         assert np.all(np.diff(cs) > 0)  # strictly rising toward 3/2
 
 
@@ -196,7 +195,7 @@ class TestWeakFieldComposite:
     def test_cross_check_against_exact_sum(self):
         sp = attractive(1e-6)
         _, c = weak_field_composite(8.0, 1e-6)
-        assert c == pytest.approx(heat_capacity(sp, 8.0), rel=0.02)
+        assert c == pytest.approx(thermo_point(sp, 8.0).heat_capacity, rel=0.02)
 
     def test_peak_value_against_exact(self):
         # at the predicted peak temperature the composite follows the exact
@@ -205,7 +204,7 @@ class TestWeakFieldComposite:
         _, beta_max, c_quarter = resonance_predictors(field)
         _, c = weak_field_composite(beta_max, field)
         sp = attractive(field)
-        assert c == pytest.approx(heat_capacity(sp, beta_max), rel=0.05)
+        assert c == pytest.approx(thermo_point(sp, beta_max).heat_capacity, rel=0.05)
         assert c > c_quarter
 
     def test_contract_bounds(self):
@@ -219,7 +218,8 @@ class TestFindExtrema:
     def test_table_cell_weak_field(self):
         sp = attractive(1e-5)
         grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
-        rep = find_extrema(grid, heat_capacity(sp, grid), lambda b, _: heat_capacity(sp, b))
+        rep = find_extrema(grid, thermo_point(sp, grid).heat_capacity,
+                           lambda b, _: thermo_point(sp, b).heat_capacity)
         assert rep.beta_inv_at_max == pytest.approx(0.1324, rel=0.01)
         assert rep.c_max == pytest.approx(20.538, rel=0.01)
 
@@ -237,10 +237,11 @@ class TestFindExtrema:
         sps = [attractive(1e-5), attractive(1e-3)]
         grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
         grids = np.array([grid, grid / 2.0])
-        cs = [heat_capacity(sp, g) for sp, g in zip(sps, grids)]
+        cs = [thermo_point(sp, g).heat_capacity for sp, g in zip(sps, grids)]
         reps = find_extrema(grids, cs, lambda b, rows: [
-            heat_capacity(sps[r], x) for x, r in zip(b, rows)])
-        assert reps == tuple(find_extrema(g, c, lambda b, _, sp=sp: heat_capacity(sp, b))
+            thermo_point(sps[r], x).heat_capacity for x, r in zip(b, rows)])
+        assert reps == tuple(find_extrema(g, c,
+                                          lambda b, _, sp=sp: thermo_point(sp, b).heat_capacity)
                              for sp, g, c in zip(sps, grids, cs))
         assert reps[0].c_max != reps[1].c_max
 
@@ -358,8 +359,6 @@ class TestPlainFloats:
     @pytest.mark.parametrize("field", [1e-3], ids=["spectrum"])
     def test_canonical_results_are_float(self, field):
         sp = attractive(field)
-        assert type(heat_capacity(sp, 2.0)) is float
-        assert type(mean_energy(sp, 2.0)) is float
         tp = thermo_point(sp, 2.0)
         assert all(type(v) is float for v in (tp.beta, tp.mean_energy, tp.heat_capacity))
 
@@ -402,7 +401,7 @@ class TestExactRootOracle:
     def test_heat_capacity_against_exact_roots(self, kind, field, beta, bound):
         # 64 root-solved levels and the tail law against every level exact;
         # what is left is the tail's drift from the exact ladder
-        c = heat_capacity(build_spectrum(WallSpec(kind, field), count=64), beta)
+        c = thermo_point(build_spectrum(WallSpec(kind, field), count=64), beta).heat_capacity
         ref = exact_root_heat_capacity(kind, field, beta)
         assert abs(c - ref) <= bound * ref
 
@@ -413,6 +412,6 @@ class TestExactRootOracle:
         # as F -> infinity both Robin walls reflect: c(y = beta F^(2/3))
         # tends to the Neumann curve
         y = 0.05
-        c = heat_capacity(build_spectrum(WallSpec(kind, field), count=64),
-                          y / field ** (2.0 / 3.0))
+        c = thermo_point(build_spectrum(WallSpec(kind, field), count=64),
+                         y / field ** (2.0 / 3.0)).heat_capacity
         assert abs(c - universal_dn_curve(y, WallKind.NEUMANN)[1]) <= 3e-3

@@ -1,0 +1,24 @@
+from types import ModuleType
+
+import robinwall
+
+# every name the package exports; a new wrapper, knob or type shows up here
+# as a diff of this set
+PUBLIC = {
+    "AiryZeroKind", "BudgetError", "CondensateReport", "DomainError", "EnsembleSpec",
+    "ExtremumReport", "LevelGap", "RobinWallError", "SolverError", "Spectrum",
+    "Statistics", "SweepResult", "SweepRow", "SweepSpec", "TailLaw", "ThermoPoint",
+    "WallKind", "WallSpec", "airy", "airy_scaled", "airy_zero", "asymptotic_beta_cr",
+    "asymptotic_mu_cn", "be_critical", "build_spectrum", "classical_limit", "fd_plateau",
+    "fd_single_peak", "find_extrema", "gc_point", "lambert_w", "level_gaps",
+    "resonance_predictors", "result_from_json", "result_to_csv", "result_to_json",
+    "run_sweep", "table1_harness", "thermo_point", "universal_dn_curve",
+    "weak_field_composite", "zero_field_attractive", "zero_field_free",
+}
+
+
+def test_exported_names():
+    # submodules bound as attributes by imports elsewhere are not exports
+    exported = {name for name, value in vars(robinwall).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert exported == PUBLIC

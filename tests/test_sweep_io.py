@@ -309,7 +309,8 @@ class TestTable1Harness:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sweep_mod.gc, "gc_point", counting(sweep_mod.gc.gc_point, "batches"))
+        monkeypatch.setattr(sweep_mod.gc._Evaluator, "__call__",
+                            counting(sweep_mod.gc._Evaluator.__call__, "batches"))
         monkeypatch.setattr(sweep_mod, "thermo_point",
                             counting(sweep_mod.thermo_point, "batches"))
         monkeypatch.setattr(sweep_mod, "locate_peak", counting(sweep_mod.locate_peak, "blocks"))
@@ -530,7 +531,7 @@ class TestCli:
         def boom(*args, **kwargs):
             raise SolverError("synthetic batch failure")
 
-        monkeypatch.setattr(sweep_mod.gc, "gc_point", boom)
+        monkeypatch.setattr(sweep_mod.gc._Evaluator, "__call__", boom)
         out = tmp_path / "bad.csv"
         rc = main(["sweep", "--wall", "robin-", "--field", "1e-4",
                    "--ensemble", "fd", "--particles", "2",
