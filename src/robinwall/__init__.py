@@ -7,7 +7,6 @@ hbar^2/(2 m e |Lambda|^3), heat capacities in units of k_B.
 """
 
 from .errors import (
-    BudgetError,
     DomainError,
     RobinWallError,
     SolverError,
@@ -22,7 +21,6 @@ from .specfun import (
 from .spectrum import (
     LevelGap,
     Spectrum,
-    TailLaw,
     WallKind,
     WallSpec,
     build_spectrum,

@@ -11,7 +11,3 @@ class DomainError(RobinWallError, ValueError):
 
 class SolverError(RobinWallError, RuntimeError):
     """A root solve failed; the message carries the final bracket/residual."""
-
-
-class BudgetError(SolverError):
-    """A ladder sum needs more directly summed levels than its budget."""

@@ -1,5 +1,5 @@
 """Infinite sums over a level ladder: direct summation plus an
-Euler-Maclaurin closure of the power-law tail, for a batch of lanes.
+Euler-Maclaurin closure of the level tail, for a batch of lanes.
 
 Every thermodynamic quantity in this package is a sum of the form
 
@@ -19,16 +19,19 @@ grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
 costs a single ladder pass.  A call takes arrays of lanes (beta, gamma,
 moment offset); a scalar call is a one-lane batch.  Lanes go in groups of
 32, and each piece of a lane's sum is a set of weighted nodes, one row per
-lane of the group, that takes one kernel pass and one weighted reduction:
-the root-solved levels below the closure floor (the same for every lane),
-the Euler-Maclaurin closure nodes with their end stencils, and blocks of
-the lane's own direct window.  A window block holds at most 2^14 (lane,
+lane of the group, that takes one kernel pass and one weighted reduction
+(``_node_sums``, on the nodes' energies above E_0): the root-solved levels
+below the closure floor (the same for every lane), the Euler-Maclaurin
+closure nodes with their end stencils, and blocks of the lane's own direct
+window.  The engine sums energies only; what it needs of the level law
+(the index at an energy or a level spacing, the closure's quadrature) it
+asks of ``spectrum.TailLaw``.  A window block holds at most 2^14 (lane,
 level) pairs, so no temporary exceeds ~1 MB.
 
 Each lane has its own direct range, closure and filled sea; the batch
 only pads a node set's rows with zero-weight nodes to a common length, so
 it changes a sum at most in its rounding.  A lane's direct range is fixed
-before any summing, in closed form from the tail law: its low levels, up to
+before any summing, by the tail law's index inverse: its low levels, up to
 where its exponent passes by X_DEAD = 45 that of the first level every
 returned sum weighs (for fermions, of the first at or above the Fermi
 level; floored at 0), or up to its closure index if that comes first.
@@ -37,8 +40,7 @@ below e^-45 of the sums on a sparse ladder, and are dropped.  Past the
 closure floor each lane's direct levels are indexed from its own sea end
 (the floor without a filled sea), in doubling blocks that serve only the
 lanes whose window reaches them.  The rest is closed by one
-Euler-Maclaurin formula over the exact power-law tail
-E(m) = tau * (4(m+j0)-k)^(2/3) + shift,
+Euler-Maclaurin formula over the tail law's levels,
 
     sum_{n0 <= m < n1} = integral_{n0}^{n1} + edge(n0) - edge(n1)
 
@@ -47,13 +49,13 @@ n1 = inf): to infinity from where the ladder is dense on the thermal scale
 (beta * dE/dn below a threshold), and across a deeply filled Fermi sea from
 the closure floor (two levels past the root-solved block, at least
 EM_START), whose summands are smooth in m however sparse the Fermi edge.
-The integral is 24-point Gauss-Legendre in s = sqrt(v),
-v = (4(m+j0)-k)^(2/3), where the level measure is a polynomial, on panels
-matched to the kernel (a filled Fermi sea, the transition layer around
-x = 0, and geometric panels down the exponential tail from wherever it
-starts to ~78 past it), clipped at n1 and padded with zero-width panels to
-a common count across lanes.  Every path is validated against brute-force
-summation to ~1e-10 relative; the payoff is that the worst evaluation in
+The integral is the tail law's quadrature, 24-point Gauss-Legendre in the
+law's own variable, where the level measure is a polynomial, on energy
+panels matched to the kernel (a filled Fermi sea, the transition layer
+around x = 0, and geometric panels down the exponential tail from wherever
+it starts to ~78 past it), clipped at E_{n1} and padded with zero-width
+panels to a common count across lanes.  Every path is validated against
+brute-force summation to ~1e-10 relative; the payoff is that the worst evaluation in
 the whole parameter domain costs ~1e4 kernel evaluations instead of ~1e8
 exp() calls.
 """
@@ -64,7 +66,7 @@ import enum
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, SolverError
+from .errors import DomainError, SolverError
 from .specfun import _check_beta, _check_index
 from .spectrum import Spectrum
 
@@ -92,7 +94,6 @@ def _check_statistics(statistics) -> None:
 
 
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
-LEVEL_BUDGET = 10 ** 8    # hard cap on directly summed levels
 EM_START = 16             # no Euler-Maclaurin part starts below this index:
                           # lower, the ladder bends too hard for the end
                           # correction's five-point differences
@@ -165,18 +166,19 @@ def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return np.minimum(start[:, None] * 2.0 ** np.arange(1, k + 1), stop[:, None])
 
 
-def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Panel edges for the closure integral, one row per lane, matched to
-    the kernel's structure: octave panels in v across a filled Fermi sea
-    (the kernel is constant there to e^-40), a finely split transition
-    layer, octave panels through a 1/x-like Bose region, and geometric
-    panels down the exponential tail, laid out from the exponent where the
-    tail starts.  Rows with fewer panels are padded with zero-width ones."""
-    x0 = bt * v0 + sigma
-    v_cols = [v0[:, None]]
+def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Panel edges for the closure integral from d0 on, in energy above E_0,
+    one row per lane, matched to the kernel's structure at the exponents
+    beta * d + gamma: octave panels in d across a filled Fermi sea (the
+    kernel is constant there to e^-40), a finely split transition layer,
+    octave panels through a 1/x-like Bose region, and geometric panels down
+    the exponential tail, laid out from the exponent where the tail starts.
+    Rows with fewer panels are padded with zero-width ones."""
+    x0 = beta * d0 + gamma
+    d_cols = [d0[:, None]]
     sea = x0 < -40.0
     if sea.any():
-        v_cols.append(_doublings(v0, np.where(sea, (-40.0 - sigma) / bt, v0)))
+        d_cols.append(_doublings(d0, np.where(sea, (-40.0 - gamma) / beta, d0)))
     x = np.where(sea, -40.0, x0)
     x_cols = []
     if (x <= 0.0).any():
@@ -191,55 +193,44 @@ def _v_panel_breaks(v0: np.ndarray, bt: np.ndarray, sigma: np.ndarray) -> np.nda
         x_cols.append(_doublings(x, np.maximum(x, 0.5)))
         x = np.maximum(x, 0.5)
     x_cols.append(x[:, None] + _TAIL_Y - 0.5)
-    v_cols.append((np.concatenate(x_cols, axis=1) - sigma[:, None]) / bt[:, None])
-    return np.concatenate(v_cols, axis=1)
+    d_cols.append((np.concatenate(x_cols, axis=1) - gamma[:, None]) / beta[:, None])
+    return np.concatenate(d_cols, axis=1)
 
 
-def _node_sums(tail, bt: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray, v: np.ndarray,
-               w: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """sum_j w_j (tau v_j + ds_ref)^p F(bt v_j + sigma) over the nodes of
-    each lane (a row of v and w), one row per returned sum and one column
-    per lane: the one kernel pass and weighted reduction of a node set.
-
-    bt     = beta * tail.tau
-    sigma  = beta*(tail.shift - E0) + gamma   (exponent offset of the tail)
-    ds_ref = tail.shift - ref                 (moment offset of the tail)"""
-    f = _summands(bt[:, None] * v + sigma[:, None], tail.tau * v + ds_ref[:, None], statistics)
+def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
+               moff: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """sum_j w_j (d_j + moff)^p F(beta d_j + gamma) over the nodes of each
+    lane, d_j = E_j - E_0 (a row of d and w per lane, or one row for all),
+    one row per returned sum and one column per lane: the one kernel pass
+    and weighted reduction of a node set."""
+    f = _summands(beta[:, None] * d + gamma[:, None], d + moff[:, None], statistics)
     return np.einsum("rln,ln->rl", f, w)
 
 
-def _closure(tail, bt: np.ndarray, sigma: np.ndarray, ds_ref: np.ndarray, n0: np.ndarray,
-             n1: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """Euler-Maclaurin closure of sum_{n0 <= m < n1} (E(m)-ref)^p
-    F(beta(E(m)-E0)+gamma), one row per sum and one column per lane (n1 =
-    inf: the tail), as one node set: the integral, edge(n0) and -edge(n1).
-
-    With v = argument(m)^(2/3) and s = sqrt(v) the integral is
-
-        (3/4) * integral_{s0}^{s1} s^2 (tau s^2 + ds_ref)^p
-                    F(beta tau s^2 + sigma) ds,
-
-    by Gauss-Legendre on the panels of ``_v_panel_breaks``, clipped at v1
-    and mapped to s, where the integrand is smooth down to the lower end for
-    any starting exponent (a degenerate Fermi sea included).  Each edge is
-    the stencil ``_EDGE`` on the five levels around it."""
-    v_breaks = np.minimum(_v_panel_breaks(tail.argument(n0) ** (2.0 / 3.0), bt, sigma),
-                          tail.argument(n1[:, None]) ** (2.0 / 3.0))
-    # drop the panels of zero width in every lane (a sea's past its end)
-    s_breaks = np.sqrt(v_breaks[:, np.append(True, (np.diff(v_breaks) > 0.0).any(axis=0))])
-    lo = s_breaks[:, :-1, None]
-    half = 0.5 * (s_breaks[:, 1:, None] - lo)
-    s = (half * (_GL_NODES + 1.0) + lo).reshape(len(bt), -1)
-    v = [s * s]
-    w = [0.75 * (half * _GL_WEIGHTS).reshape(len(bt), -1) * v[0]]
-    ends = [(n0, np.ones(len(bt)))]
+def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, moff: np.ndarray,
+             n0: np.ndarray, n1: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """Euler-Maclaurin closure of sum_{n0 <= m < n1} (E_m - ref)^p
+    F(beta(E_m - E_0) + gamma), one row per sum and one column per lane
+    (n1 = inf: the tail), as one node set: the integral, edge(n0) and
+    -edge(n1).  The integral is the tail law's quadrature with the rule
+    (``_GL_NODES``, ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``,
+    clipped at E_{n1}; each edge is the stencil ``_EDGE`` on the five levels
+    around it."""
+    tail, e0 = spectrum.tail, spectrum.e0
     finite = np.isfinite(n1)
+    # the five levels around each end, E(n0) and E(n1) in the middle
+    ends = tail.energy(np.array([n0, np.where(finite, n1, n0)])[:, :, None] + _STENCIL) - e0
+    breaks = np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
+                        np.where(finite, ends[1, :, 2], np.inf)[:, None])
+    # drop the panels of zero width in every lane (a sea's past its end)
+    breaks = breaks[:, np.concatenate(([True], (breaks[:, 1:] > breaks[:, :-1]).any(axis=0)))]
+    e, w = tail.quadrature(breaks + e0, _GL_NODES, _GL_WEIGHTS)
+    d, w = [e - e0, ends[0]], [w, np.multiply.outer(np.ones(len(beta)), _EDGE)]
     if finite.any():
-        ends.append((np.where(finite, n1, n0), -1.0 * finite))
-    for m, sign in ends:
-        v.append(tail.argument(m[:, None] + _STENCIL) ** (2.0 / 3.0))
-        w.append(np.multiply.outer(sign, _EDGE))
-    return _node_sums(tail, bt, sigma, ds_ref, np.hstack(v), np.hstack(w), statistics)
+        d.append(ends[1])
+        w.append(np.multiply.outer(-1.0 * finite, _EDGE))
+    return _node_sums(np.concatenate(d, axis=1), np.concatenate(w, axis=1), beta, gamma,
+                      moff, statistics)
 
 
 def _closure_floor(spectrum) -> int:
@@ -251,18 +242,40 @@ def _closure_floor(spectrum) -> int:
 
 def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
     """Smallest tail index where beta * dE/dn <= DENSE_THRESHOLD, per lane,
-    from the closure floor on (capped far beyond any level budget)."""
-    tail = spectrum.tail
-    m = tail.index((8.0 * beta * tail.tau / (3.0 * DENSE_THRESHOLD)) ** 3)
+    from the closure floor on (capped at 2^62)."""
+    m = spectrum.tail.spacing_index(DENSE_THRESHOLD / beta)
     return np.maximum(_closure_floor(spectrum),
                       np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
 
 
-def _tail_index(tail, beta: np.ndarray, sigma: np.ndarray, x: float | np.ndarray) -> np.ndarray:
-    """Per lane, the real tail index where the exponent
-    beta*tau*argument(m)^(2/3) + sigma reaches x (the tail's lower end,
-    argument 0, for an x below sigma)."""
-    return tail.index((np.maximum(x - sigma, 0.0) / (beta * tail.tau)) ** 1.5)
+def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
+                  statistics: Statistics, start_index: int) -> tuple:
+    """(n_em, sea, stop) per lane: the closure index and the direct window
+    [sea, stop) past the closure floor, fixed before any summing.
+
+    The window ends where the exponent passes x_top + X_DEAD, x_top >= 0
+    being that of the first level every returned sum weighs or, for
+    fermions, of the first at or above the Fermi level, which a sparse edge
+    may leave to carry the distribution sums alone.  Short of the closure
+    index the ladder is sparse (each level raises the exponent by more than
+    DENSE_THRESHOLD), so the levels past the stop are dropped, and the
+    window spans at most ~2 X_DEAD / DENSE_THRESHOLD levels; a lane at it
+    closes the tail.  A Fermi sea deeper than -X_DEAD past the closure
+    floor is closed like the tail, over [floor, sea), and ends 3 levels
+    early, so the end correction's stencil stays in it."""
+    tail, e0 = spectrum.tail, spectrum.e0
+    n_em = _dense_index(spectrum, beta)
+    first = _closure_floor(spectrum)
+    mu = e0 - gamma / beta  # where the exponent is 0; it is x at mu + x / beta
+    m_top = np.full(len(beta), float(max(start_index, 1)))
+    if statistics is Statistics.FERMI_DIRAC:
+        m_top = np.maximum(m_top, np.ceil(np.minimum(tail.index(mu), n_em)))
+    x_top = np.maximum(beta * (spectrum.energies(m_top.astype(np.int64)) - e0) + gamma, 0.0)
+    stop = np.minimum(n_em, np.maximum(first, np.ceil(tail.index(mu + (x_top + X_DEAD) / beta))))
+    sea = np.full(len(beta), first)
+    if statistics is Statistics.FERMI_DIRAC and (gamma < -X_DEAD).any():
+        sea = np.maximum(first, np.minimum(np.floor(tail.index(mu - X_DEAD / beta)) - 3, n_em))
+    return n_em, sea.astype(np.int64), stop.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -277,55 +290,26 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                moff: np.ndarray, statistics: Statistics, start_index: int) -> np.ndarray:
     """``ladder_sums`` of one group of lanes: one row per sum, one column
     per lane."""
-    n = len(beta)
-    tail, e0 = spectrum.tail, spectrum.e0
-    bt = beta * tail.tau
-    sigma = beta * (tail.shift - e0) + gamma
-    ds_ref = tail.shift - e0 + moff
-    n_em = _dense_index(spectrum, beta)
+    n, e0 = len(beta), spectrum.e0
     first = _closure_floor(spectrum)
-
-    # each lane's direct range ends where its exponent passes x_top + X_DEAD,
-    # x_top >= 0 being that of the first level every returned sum weighs or,
-    # for fermions, of the first at or above the Fermi level, which a sparse
-    # edge may leave to carry the distribution sums alone.  Short of the
-    # closure index the ladder is sparse (beta dE/dn above DENSE_THRESHOLD),
-    # so the levels past the stop are dropped; a lane at it closes the tail.
-    m_top = np.full(n, float(max(start_index, 1)))
-    if statistics is Statistics.FERMI_DIRAC:
-        m_top = np.maximum(m_top, np.ceil(np.minimum(_tail_index(tail, beta, sigma, 0.0), n_em)))
-    x_top = np.maximum(beta * (spectrum.energies(m_top.astype(np.int64)) - e0) + gamma, 0.0)
-    stop = np.ceil(_tail_index(tail, beta, sigma, x_top + X_DEAD))
-    stop = np.minimum(n_em, np.maximum(first, stop)).astype(np.int64)
-    # a deeply submerged Fermi sea (exponents below -X_DEAD) past the closure
-    # floor is closed like the tail, over [first, sea): its summands are
-    # smooth in m there, whatever the spacing at the Fermi edge.  The sea
-    # ends 3 levels early, so the end correction's stencil stays in it.
-    sea = np.full(n, first)
-    if statistics is Statistics.FERMI_DIRAC and (gamma < -X_DEAD).any():
-        sea = np.floor(_tail_index(tail, beta, sigma, -X_DEAD)) - 3
-        sea = np.maximum(first, np.minimum(sea, n_em)).astype(np.int64)
-    span = stop - sea
-    if (span > LEVEL_BUDGET).any():
-        raise BudgetError(f"a lane needs {int(span.max())} directly summed levels, "
-                          f"more than the budget of {LEVEL_BUDGET}")
+    n_em, sea, stop = _direct_range(spectrum, beta, gamma, statistics, start_index)
 
     # the root block [start_index, first), the same levels for every lane
-    dE = spectrum.energies(np.arange(start_index, first)) - e0
-    sums = _summands(beta[:, None] * dE + gamma[:, None], dE + moff[:, None],
-                     statistics).sum(axis=2)
+    d = spectrum.energies(np.arange(start_index, first))[None, :] - e0
+    sums = _node_sums(d, np.ones((1, 1)), beta, gamma, moff, statistics)
 
     # the closures: the tail [n_em, inf) of each lane whose range reaches
     # its closure index, and each filled sea [first, sea)
     for lanes, n0, n1 in (((stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
                           ((sea > first).nonzero()[0], np.full(n, first), sea)):
         if len(lanes):
-            sums[:, lanes] += _closure(tail, bt[lanes], sigma[lanes], ds_ref[lanes],
+            sums[:, lanes] += _closure(spectrum, beta[lanes], gamma[lanes], moff[lanes],
                                        n0[lanes], n1[lanes], statistics)
 
     # each lane's own direct window [sea, stop), indexed from its sea in
     # doubling blocks of relative index: a block serves the lanes whose
     # window reaches it and gives weight 0 to the levels past each one's stop
+    span = stop - sea
     lo, hi = 0, first
     while lo < span.max():
         lanes = (span > lo).nonzero()[0]
@@ -333,9 +317,9 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
         step = max(1, _PAIRS // len(r))
         for k in range(0, len(lanes), step):
             sub = lanes[k:k + step]
-            v = tail.argument(sea[sub, None] + r) ** (2.0 / 3.0)
-            sums[:, sub] += _node_sums(tail, bt[sub], sigma[sub], ds_ref[sub], v,
-                                       r < span[sub, None], statistics)
+            d = spectrum.tail.energy(sea[sub, None] + r) - e0
+            sums[:, sub] += _node_sums(d, r < span[sub, None], beta[sub], gamma[sub],
+                                       moff[sub], statistics)
         lo, hi = hi, min(2 * hi, hi + (1 << 20))
     return sums
 
@@ -361,9 +345,7 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     every sum is an array of the broadcast shape.  Every lane has its own
     closure index, filled sea and direct range; the batch changes a sum at
     most in its rounding, through the zero-weight nodes that pad each node
-    set's rows to a common length.  A lane that needs more than
-    LEVEL_BUDGET directly summed levels raises ``BudgetError`` before
-    anything is summed.
+    set's rows to a common length.
     """
     _check_statistics(statistics)
     start_index = _check_index(start_index, 0, "start_index")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError
 from .specfun import (
+    N_EXACT_ZEROS,
     AiryZeroKind,
     _airy_zeros,
     _check_index,
@@ -40,7 +41,6 @@ from .specfun import (
 __all__ = [
     "WallKind",
     "WallSpec",
-    "TailLaw",
     "Spectrum",
     "LevelGap",
     "build_spectrum",
@@ -100,29 +100,44 @@ class WallSpec:
 
 @dataclass(frozen=True)
 class TailLaw:
-    """High-index level law E(m) = tau * (4*(m + j0) - k_off)^(2/3) + shift.
-
-    ``tau`` absorbs the zero-law prefactor and the field scaling; the pure
-    power-law form is what makes the Euler-Maclaurin closure of the
-    thermodynamic sums exact (see ladder.py).  Valid past the spectrum's
-    root-solved block.
-    """
+    """High-index level law E(m) = tau * (4*(m + j0) - k_off)^(2/3) + shift,
+    valid past the spectrum's root-solved block; ``tau`` absorbs the
+    zero-law prefactor and the field scaling.  Its methods are all that the
+    ladder's sums know of a level law."""
 
     tau: float
     j0: int
     k_off: int
     shift: float
 
-    def argument(self, m):
-        return 4.0 * (np.asarray(m, dtype=float) + self.j0) - self.k_off
-
-    def index(self, a):
-        """The real index m with ``argument(m) == a``."""
-        return (np.asarray(a, dtype=float) + self.k_off) / 4.0 - self.j0
-
     def energy(self, m):
         # np.power, not **: a scalar then takes the array's rounding
-        return self.tau * np.power(self.argument(m), 2.0 / 3.0) + self.shift
+        a = 4.0 * (np.asarray(m, dtype=float) + self.j0) - self.k_off
+        return self.tau * np.power(a, 2.0 / 3.0) + self.shift
+
+    def index(self, e):
+        """The real index m with energy(m) == e (the law's lower end, where
+        E = shift, for an e below it)."""
+        a = (np.maximum(np.asarray(e, dtype=float) - self.shift, 0.0) / self.tau) ** 1.5
+        return (a + self.k_off) / 4.0 - self.j0
+
+    def spacing_index(self, g):
+        """The real index m where the level spacing dE/dm has fallen to g
+        (it falls on past m)."""
+        a = (8.0 * self.tau / (3.0 * np.asarray(g, dtype=float))) ** 3
+        return (a + self.k_off) / 4.0 - self.j0
+
+    def quadrature(self, breaks, nodes, weights):
+        """(energies, weights), one row per lane, of integral f(E(m)) dm over
+        the panels between ``breaks`` (ascending energies, a row per lane):
+        the rule ``nodes``, ``weights`` on [-1, 1] in s = sqrt((E-shift)/tau),
+        where dm = (3/4) s^2 ds is a polynomial and f smooth to the lower end."""
+        s = np.sqrt((breaks - self.shift) / self.tau)
+        lo = s[:, :-1, None]
+        half = 0.5 * (s[:, 1:, None] - lo)
+        s = (half * (nodes + 1.0) + lo).reshape(len(s), -1)
+        v = s * s
+        return self.tau * v + self.shift, 0.75 * (half * weights).reshape(len(s), -1) * v
 
 
 def _energies(exact: np.ndarray, tail: TailLaw, m: np.ndarray) -> np.ndarray:
@@ -249,9 +264,9 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
 
     ``count`` is how many levels to materialize in ``levels``; ``n_exact``
     is the size of the root-solved block (Robin walls) or refined-zero block
-    (Dirichlet/Neumann, at most 64).  The tail law continues the block from
-    its last level: its shift is that level's offset from the Airy zero the
-    law follows at the same index.
+    (Dirichlet/Neumann, at most N_EXACT_ZEROS).  The tail law continues the
+    block from its last level: its shift is that level's offset from the
+    Airy zero the law follows at the same index.
     """
     count = _check_index(count, 1, "count")
     n_exact = _check_index(n_exact, 2, "n_exact")
@@ -263,7 +278,7 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
     if wall.kind.is_robin:
         exact = _robin_exact_levels(wall, n_exact)
     else:
-        n_exact = min(n_exact, DEFAULT_N_EXACT)
+        n_exact = min(n_exact, N_EXACT_ZEROS)
         exact = -_airy_zeros(n_exact, zero_kind) * f23
     # exactly 0.0 for Dirichlet/Neumann, whose block is the zeros themselves
     shift = exact[-1] + _airy_zeros(n_exact - 1 + j0, zero_kind)[-1] * f23

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -191,6 +192,33 @@ class TestWeakFieldComposite:
             _, c = weak_field_composite(beta, field)
             corr_ref = 1.5 * SQRT_PI * field * beta ** 1.5 * (1.0 + 5.0 * beta)
             assert (c - 1.5) == pytest.approx(corr_ref, rel=0.01)
+
+    def test_large_u_branch_is_continuous_and_exact(self):
+        # past ln u = 250 the composite takes c = poly/(8u); at F = 1e-7 the
+        # switch falls at beta ~ 257.22, where c ~ 9e-105
+        field = 1e-7
+
+        def ln_u(beta):
+            return math.log(SQRT_PI * field) + 1.5 * math.log(beta) + beta
+
+        def closed_form(beta):
+            with mpmath.workdps(50):
+                b = mpmath.mpf(beta)
+                u = mpmath.sqrt(mpmath.pi) * field * b ** 1.5 * mpmath.exp(b)
+                return 0.5 * (3 + u * (4 * b * b + 12 * b + 15)) / (1 + 2 * u) ** 2
+
+        switch = 257.0
+        for _ in range(6):  # Newton on ln u = 250
+            switch -= (ln_u(switch) - 250.0) / (1.0 + 1.5 / switch)
+        below, above = switch * (1.0 - 1e-12), switch * (1.0 + 1e-12)
+        assert ln_u(below) < 250.0 <= ln_u(above)
+        c = {b: weak_field_composite(b, field)[1] for b in (below, above, switch - 1.0,
+                                                              switch + 1.0)}
+        for b, value in c.items():
+            assert value == pytest.approx(float(closed_form(b)), rel=1e-12, abs=0.0)
+        # across the switch c changes by what the closed form does
+        step = float(closed_form(above) / closed_form(below))
+        assert abs(c[above] / c[below] - step) <= 1e-12
 
     def test_cross_check_against_exact_sum(self):
         sp = attractive(1e-6)

@@ -10,7 +10,7 @@ import pytest
 from scipy import special as sp
 
 from robinwall import ladder
-from robinwall.errors import BudgetError, DomainError, SolverError
+from robinwall.errors import DomainError, SolverError
 from robinwall.ladder import Statistics, ladder_sums
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
@@ -73,7 +73,7 @@ def pick(spectrum, beta, kind, sign, powers, **kw):
 
 def force_direct(monkeypatch):
     """Disable the Euler-Maclaurin closure: every closure index lies past any
-    level budget, so each lane's direct range and the budget govern alone."""
+    level, so each lane's direct range governs alone."""
     monkeypatch.setattr(ladder, "_dense_index",
                         lambda spectrum, beta: np.full(len(beta), 2 ** 62))
 
@@ -203,17 +203,24 @@ def test_short_root_block_matches_brute_force(kind):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def em_integral(tail, beta, sigma, ds_ref, n0, sign):
+def em_integral(spectrum, beta, gamma, moment_offset, n0, sign):
     """The engine's closure integrals of one lane over [n0, inf): the
     closure's node set with the end correction's weights set to 0."""
-    lane = [np.atleast_1d(a) for a in (beta * tail.tau, sigma, ds_ref, n0)]
+    lane = [np.atleast_1d(a) for a in (beta, gamma, moment_offset, n0)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder, "_EDGE", np.zeros(5))
-        return ladder._closure(tail, *lane, np.array([np.inf]), STATS[sign])[:, 0]
+        return ladder._closure(spectrum, *lane, np.array([np.inf]), STATS[sign])[:, 0]
+
+
+def argument(tail, m):
+    """The power law's argument 4(m + j0) - k_off at the real index m."""
+    return 4.0 * (m + tail.j0) - tail.k_off
 
 
 def closure_args(spectrum, beta, gamma, moment_offset=0.0):
-    """(sigma, ds_ref, n0) of the closure that ladder_sums engages."""
+    """(sigma, ds_ref, n0) of the closure that ladder_sums engages: the
+    exponent beta * tau * v + sigma and moment tau * v + ds_ref of a level
+    with v = argument^(2/3), and the closure index."""
     tail = spectrum.tail
     return (beta * (tail.shift - spectrum.e0) + gamma,
             tail.shift - spectrum.e0 + moment_offset,
@@ -227,7 +234,7 @@ def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
     with mpmath.workdps(30):
         tau = mpmath.mpf(tail.tau)
         bt = beta * tau
-        v0 = mpmath.mpf(float(tail.argument(n0))) ** (mpmath.mpf(2) / 3)
+        v0 = mpmath.mpf(float(argument(tail, n0))) ** (mpmath.mpf(2) / 3)
         x0 = bt * v0 + sigma
         cuts = [(x - sigma) / bt for x in (0, 1, 2, 5, 10, 20, 40, 80, 160) if x > x0]
         points = [v0] + cuts + [mpmath.inf]
@@ -257,7 +264,7 @@ def test_closure_matches_mpmath(field, sign, beta, gamma):
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
     full = ladder_sums(sp, beta, STATS[sign], gamma=gamma)
     sigma, ds_ref, n0 = closure_args(sp, beta, gamma)
-    mine = em_integral(sp.tail, beta, sigma, ds_ref, n0, sign)
+    mine = em_integral(sp, beta, gamma, 0.0, n0, sign)
     ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
     for m, r, f in zip(mine, ref, full):
         assert abs(m - r) <= 1e-12 * abs(f)
@@ -270,7 +277,7 @@ def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
     upper incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0, 1, 2.
     Converges like e^{-k x0}, so it needs a positive starting exponent."""
     tau = tail.tau
-    v0 = float(tail.argument(n0)) ** (2.0 / 3.0)
+    v0 = float(argument(tail, n0)) ** (2.0 / 3.0)
     assert beta * tau * v0 + sigma > 0.0
     rows = ((0, 0), (0, 1), (0, 2)) if kind == BOLTZ_KIND else \
         ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
@@ -312,7 +319,7 @@ def test_closure_matches_incomplete_gamma_series(kind, sign):
         u0 = beta * (float(tail.energy(n0)) - spec.e0)
         for gamma in [x0 - u0 for x0 in (0.5, 0.9, 3.0, 12.0, 40.0, 105.0)] + [90.0]:
             sigma, ds_ref, _ = closure_args(spec, beta, gamma, 0.3)
-            mine = em_integral(tail, beta, sigma, ds_ref, n0, sign)
+            mine = em_integral(spec, beta, gamma, 0.3, n0, sign)
             ref = series_closure(tail, beta, sigma, ds_ref, n0, kind, sign)
             assert len(mine) == len(ref)
             for m, r in zip(mine, ref):
@@ -454,15 +461,30 @@ def test_huge_fermion_number_is_fast_and_validated():
     assert p.mu > sp.level(63)  # mu sits deep in the ladder
 
 
-def test_budget_error(monkeypatch):
-    # the direct range is known before summing: no block is evaluated
-    sp6 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-6), count=64)
-    monkeypatch.setattr(ladder, "LEVEL_BUDGET", 10_000)
-    force_direct(monkeypatch)
-    sizes = count_summands(monkeypatch)
-    with pytest.raises(BudgetError):
-        ladder_sums(sp6, 2.0, Statistics.CANONICAL)
-    assert sizes == []
+def test_direct_window_spans_two_dead_zones_at_most():
+    # below the closure index every level raises the exponent by more than
+    # DENSE_THRESHOLD, so a lane's direct window, from X_DEAD below the
+    # Fermi level to X_DEAD above the first level at or above it, spans at
+    # most 2 X_DEAD / DENSE_THRESHOLD levels, plus the sea's 3-level early
+    # end and the rounding of both ends; Fermi levels midway between levels
+    # 1 .. 1e6 and next to condensation over six decades of temperature
+    bound = 2.0 * ladder.X_DEAD / ladder.DENSE_THRESHOLD + 8.0
+    widest = 0
+    for wall_kind in WallKind:
+        for field in (1e-7, 1.0):
+            sp = build_spectrum(WallSpec(wall_kind, field))
+            beta = np.geomspace(1e-3, 1e3, 80) * field ** (-2.0 / 3.0)
+            m = np.unique(np.geomspace(1.0, 1e6, 40).astype(np.int64))
+            mu = 0.5 * (sp.energies(m) + sp.energies(m + 1))
+            fermi_beta = np.tile(beta, len(mu))
+            for statistics, b, gamma in (
+                    (Statistics.CANONICAL, beta, np.zeros(80)),
+                    (Statistics.BOSE_EINSTEIN, beta, np.geomspace(1e-9, 30.0, 80)),
+                    (Statistics.FERMI_DIRAC, fermi_beta,
+                     fermi_beta * (sp.e0 - np.repeat(mu, 80)))):
+                _, sea, stop = ladder._direct_range(sp, b, gamma, statistics, 0)
+                widest = max(widest, int((stop - sea).max()))
+    assert 4000 < widest <= bound
 
 
 def test_bose_positive_exponent_guard(spectrum_m3):
@@ -510,10 +532,9 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
     mu = np.array([float(sp.tail.energy(first + 3.5 + k)) for k in range(1, 5)]) \
         + ladder.X_DEAD / beta
     gamma = beta * (sp.e0 - mu)
-    sigma = beta * (sp.tail.shift - sp.e0) + gamma
-    sea = np.floor(ladder._tail_index(sp.tail, np.full(4, beta), sigma, -ladder.X_DEAD)) - 3
+    n_em, sea, _ = ladder._direct_range(sp, np.full(4, beta), gamma, Statistics.FERMI_DIRAC, 0)
     assert (sea - first).tolist() == [1, 2, 3, 4]
-    assert (ladder._dense_index(sp, np.full(4, beta)) > sea).all()
+    assert (n_em > sea).all()
     batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma, moment_offset=0.2)
     for i, g in enumerate(gamma):
         ref = np.concatenate([
@@ -529,11 +550,11 @@ def count_closures(monkeypatch):
     paths = {"closed": 0, "sea": 0}
     closure = ladder._closure
 
-    def counting_closure(tail, bt, sigma, ds_ref, n0, n1, statistics):
+    def counting_closure(spectrum, beta, gamma, moff, n0, n1, statistics):
         finite = np.isfinite(n1)
         paths["sea"] += int(finite.sum())
         paths["closed"] += int((~finite).sum())
-        return closure(tail, bt, sigma, ds_ref, n0, n1, statistics)
+        return closure(spectrum, beta, gamma, moff, n0, n1, statistics)
 
     monkeypatch.setattr(ladder, "_closure", counting_closure)
     return paths
@@ -589,8 +610,7 @@ def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
                 ref = brute_force(sp, beta[i], OCC, FERMI, gamma[i], powers=(0, 1))
                 for b, r in zip(batch, ref):
                     assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
-            sigma = beta[i] * (sp.tail.shift - sp.e0) + gamma[i]
-            lo = int(ladder._tail_index(sp.tail, beta[i], sigma, -ladder.X_DEAD))
+            lo = int(sp.tail.index(sp.e0 + (-ladder.X_DEAD - gamma[i]) / beta[i]))
             n0, d0 = edge_brute_force(sp, beta[i], gamma[i], lo)
             assert batch[0][i] == pytest.approx(n0, rel=1e-10, abs=0.0)
             assert batch[2][i] == pytest.approx(d0, rel=1e-10, abs=0.0)
@@ -607,10 +627,9 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
         first = ladder._closure_floor(sp)
         beta = 25.0 / (sp.level(first) - sp.e0)
         gamma = {BOLTZ: 0.0, FERMI: -5.0, BOSE: 0.4}[sign]
-        sigma = beta * (sp.tail.shift - sp.e0) + gamma
-        x_top = beta * (sp.level(1) - sp.e0) + gamma
-        stop = ladder._tail_index(sp.tail, beta, sigma, max(x_top, 0.0) + ladder.X_DEAD)
-        assert first < stop < ladder._dense_index(sp, np.array([beta]))[0]
+        n_em, _, stop = ladder._direct_range(sp, np.array([beta]), np.array([gamma]),
+                                             STATS[sign], 0)
+        assert first < stop[0] < n_em[0]
         sums = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=0.1)
         if kind == BOLTZ_KIND:
             ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=(0, 1, 2))

@@ -5,9 +5,9 @@ import robinwall
 # every name the package exports; a new wrapper, knob or type shows up here
 # as a diff of this set
 PUBLIC = {
-    "AiryZeroKind", "BudgetError", "CondensateReport", "DomainError", "EnsembleSpec",
+    "AiryZeroKind", "CondensateReport", "DomainError", "EnsembleSpec",
     "ExtremumReport", "LevelGap", "RobinWallError", "SolverError", "Spectrum",
-    "Statistics", "SweepResult", "SweepRow", "SweepSpec", "TailLaw", "ThermoPoint",
+    "Statistics", "SweepResult", "SweepRow", "SweepSpec", "ThermoPoint",
     "WallKind", "WallSpec", "airy", "airy_scaled", "airy_zero", "asymptotic_beta_cr",
     "asymptotic_mu_cn", "be_critical", "build_spectrum", "classical_limit", "fd_plateau",
     "fd_single_peak", "find_extrema", "gc_point", "lambert_w", "level_gaps",

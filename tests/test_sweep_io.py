@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ def bose_spec():
                      ensemble=EnsembleSpec(Statistics.BOSE_EINSTEIN, 1000),
                      beta_inv_min=0.3, beta_inv_max=1.8, points=60,
                      log_grid=True, normalize_by_tcr=True)
+
+
+# sweeps written to CSV and JSON: the Bose one adds the beta_cr header line
+# and the t_over_tcr column
+SERIALIZED = pytest.mark.parametrize(
+    "make_spec", [lambda: canonical_spec(points=25), bose_spec], ids=["canonical", "bose"])
 
 
 class TestSweepSpec:
@@ -236,12 +243,15 @@ class TestSerialization:
         with pytest.raises(DomainError, match="unknown wall 'xx'"):
             result_from_json(json.dumps(doc))
 
-    def test_csv_and_json_carry_identical_numbers(self):
-        result = run_sweep(canonical_spec(points=25))
+    @SERIALIZED
+    def test_csv_and_json_carry_identical_numbers(self, make_spec):
+        result = run_sweep(make_spec())
         doc = json.loads(result_to_json(result))
         lines = [ln for ln in result_to_csv(result).splitlines()
                  if ln and not ln.startswith("#")]
         header = lines[0].split(",")
+        assert ("t_over_tcr" in header) == result.spec.normalize_by_tcr
+        assert len(lines) - 1 == len(doc["rows"])
         for row_doc, line in zip(doc["rows"], lines[1:]):
             cells = line.split(",")
             for name, cell in zip(header, cells):
@@ -250,11 +260,18 @@ class TestSerialization:
                     continue
                 assert float(cell) == row_doc[name]
 
-    def test_csv_header_block(self):
-        text = result_to_csv(run_sweep(canonical_spec(points=25)))
-        head = [ln for ln in text.splitlines() if ln.startswith("#")]
-        assert any("field = 0.001" in ln for ln in head)
-        assert any("ensemble = canonical" in ln for ln in head)
+    @SERIALIZED
+    def test_csv_header_block(self, make_spec):
+        result = run_sweep(make_spec())
+        head = [ln for ln in result_to_csv(result).splitlines() if ln.startswith("#")]
+        spec = result.spec
+        assert f"# field = {spec.wall.field!r}" in head
+        assert f"# ensemble = {spec.ensemble.statistics.value}" in head
+        # the Bose sweep's critical temperature, digit for digit as in the JSON
+        beta_cr = [ln.removeprefix("# beta_cr = ") for ln in head
+                   if ln.startswith("# beta_cr = ")]
+        found = re.search(r'"beta_cr": ([^,\s]+)', result_to_json(result))
+        assert beta_cr == ([] if result.condensate is None else [found.group(1)])
 
     def test_shortest_round_trip_formatting(self):
         result = run_sweep(canonical_spec(points=10))
