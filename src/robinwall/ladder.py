@@ -23,9 +23,10 @@ lane of the group, that takes one kernel pass and one weighted reduction
 (``_node_sums``, on the nodes' energies above E_0): the root-solved levels
 below the closure floor (the same for every lane), the Euler-Maclaurin
 closure nodes with their end stencils, and blocks of the lane's own direct
-window.  The engine sums energies only; what it needs of the level law
-(the index at an energy or a level spacing, the closure's quadrature) it
-asks of ``spectrum.TailLaw``.  A window block holds at most 2^14 (lane,
+window.  The engine sums energies only and reads every level through
+``Spectrum.energies``; what else it needs of the level law (the index at
+an energy or a level spacing, the closure's quadrature) it asks of
+``spectrum.TailLaw``.  A window block holds at most 2^14 (lane,
 level) pairs, so no temporary exceeds ~1 MB.
 
 Each lane has its own direct range, closure and filled sea; the batch
@@ -155,7 +156,7 @@ _TAIL_Y = np.array(_TAIL_Y[1:])
 
 # the Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at m as weights
 # of f on m - 2 .. m + 2 (f' and f''' by central differences, the Gregory form)
-_STENCIL = np.arange(-2.0, 3.0)
+_STENCIL = np.arange(-2, 3)
 _EDGE = np.array([-11.0, 82.0, 720.0, -82.0, 11.0]) / 1440.0
 
 
@@ -216,15 +217,16 @@ def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, moff: np.n
     (``_GL_NODES``, ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``,
     clipped at E_{n1}; each edge is the stencil ``_EDGE`` on the five levels
     around it."""
-    tail, e0 = spectrum.tail, spectrum.e0
+    e0 = spectrum.e0
     finite = np.isfinite(n1)
     # the five levels around each end, E(n0) and E(n1) in the middle
-    ends = tail.energy(np.array([n0, np.where(finite, n1, n0)])[:, :, None] + _STENCIL) - e0
+    m = np.array([n0, np.where(finite, n1, n0)], dtype=np.int64)[:, :, None] + _STENCIL
+    ends = spectrum.energies(m) - e0
     breaks = np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
                         np.where(finite, ends[1, :, 2], np.inf)[:, None])
     # drop the panels of zero width in every lane (a sea's past its end)
     breaks = breaks[:, np.concatenate(([True], (breaks[:, 1:] > breaks[:, :-1]).any(axis=0)))]
-    e, w = tail.quadrature(breaks + e0, _GL_NODES, _GL_WEIGHTS)
+    e, w = spectrum.tail.quadrature(breaks + e0, _GL_NODES, _GL_WEIGHTS)
     d, w = [e - e0, ends[0]], [w, np.multiply.outer(np.ones(len(beta)), _EDGE)]
     if finite.any():
         d.append(ends[1])
@@ -317,7 +319,7 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
         step = max(1, _PAIRS // len(r))
         for k in range(0, len(lanes), step):
             sub = lanes[k:k + step]
-            d = spectrum.tail.energy(sea[sub, None] + r) - e0
+            d = spectrum.energies(sea[sub, None] + r) - e0
             sums[:, sub] += _node_sums(d, r < span[sub, None], beta[sub], gamma[sub],
                                        moff[sub], statistics)
         lo, hi = hi, min(2 * hi, hi + (1 << 20))

@@ -14,12 +14,12 @@ each element is summed in a fixed order, so it equals its scalar call bit for
 bit.
 
 * ``|x| <= 12`` -- local Taylor expansion of the ODE ``y'' = x y``: one gather
-  from a table of the 30 Taylor coefficients of (Ai, Ai') at every node and
-  one Horner pass.  The table is generated once by marching the same Taylor
-  expansion downward from ``x = +12`` (where the exponential asymptotic series
-  is converged to machine precision).  Marching toward negative ``x`` follows
-  the growing solution, so relative accuracy is preserved; marching upward
-  would be unstable for Ai.
+  from a table of the 30 Taylor coefficients of (Ai, Ai') at every node,
+  summed as powers of the offset from the node.  The table is built at import
+  by marching the same Taylor expansion downward from ``x = +12`` (where the
+  exponential asymptotic series is converged to machine precision).  Marching
+  toward negative ``x`` follows the growing solution, so relative accuracy is
+  preserved; marching upward would be unstable for Ai.
 * ``x > 12`` -- exponential asymptotic series (48 terms in 1/zeta), evaluated
   in scaled form ``Ai(x) e^{zeta}`` with ``zeta = (2/3) x^{3/2}`` so the
   bound-state root solve can form ratios at arguments ~1e5 without underflow.
@@ -28,9 +28,11 @@ bit.
 
 The series have fixed length: for ``|x| >= 12``, ``zeta >= 27.7`` and the
 ratio of consecutive terms is about k/(2 zeta) < 1 for every k < 48, so all
-terms decrease and the dropped tail is below 1e-24.  Each is the (lanes x
-terms) powers times a (terms x sums) signed coefficient matrix, summed along
-each lane's row.  The branches agree to ~1e-14 at the seams.
+terms decrease and the dropped tail is below 1e-24.  Every branch is one
+power sum (``_series``): the (lanes x terms) powers times a (sums x terms)
+coefficient matrix, shared by all lanes or gathered per lane, summed along
+each lane's row.  The branches agree to ~1e-14 at the seams.  The first 64
+zeros of Ai and of Ai' are refined at import too.
 """
 
 from __future__ import annotations
@@ -105,13 +107,15 @@ _NEG_SERIES = np.stack([_SIGNS[:24] * c for c in
                         (_U_COEF[0::2], _U_COEF[1::2], _V_COEF[0::2], _V_COEF[1::2])])
 
 
-def _series(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k rows[j, k] w^k for every lane and row, as (lanes, rows)."""
-    powers = np.empty((len(w), rows.shape[1]))
+def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k coef[j, k] w^k for every lane and row j, as (lanes, rows):
+    ``coef`` is one (rows, terms) matrix for all lanes or one per lane,
+    (lanes, rows, terms)."""
+    powers = np.empty((len(w), coef.shape[-1]))
     powers[:, 0] = 1.0
     powers[:, 1:] = w[:, None]
     np.cumprod(powers, axis=1, out=powers)
-    return (powers[:, None, :] * rows).sum(axis=-1)
+    return (powers[:, None, :] * coef).sum(axis=-1)
 
 
 def _asymptotic_pos_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,59 +143,56 @@ def _asymptotic_neg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # table on [-12, 12] via downward Taylor marching
 # ---------------------------------------------------------------------------
 
-def _taylor_coefs(x0: float, f: float, fp: float) -> list[list[float]]:
-    """Taylor coefficients at x0 of the y''=xy solution through (f, fp):
-    [c_k of y, c_{k+1} (k+1) of y'] for k < _TAYLOR_TERMS."""
+def _taylor_coefs(x0: float, f: float, fp: float) -> np.ndarray:
+    """Taylor coefficients at x0 of the y''=xy solution through (f, fp), as
+    rows [c_k of y] and [c_{k+1} (k+1) of y'] for k < _TAYLOR_TERMS."""
     c = [0.0] * (_TAYLOR_TERMS + 1)
     c[0] = f
     c[1] = fp
     c[2] = 0.5 * x0 * f
     for k in range(1, _TAYLOR_TERMS - 2):
         c[k + 2] = (x0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2))
-    return [[c[k], (k + 1) * c[k + 1]] for k in range(_TAYLOR_TERMS)]
+    return np.array([c[:-1], [(k + 1) * c[k + 1] for k in range(_TAYLOR_TERMS)]])
 
 
-def _horner(coef: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(y, y') at offsets delta from (terms, lanes, 2) Taylor coefficients."""
-    out = coef[-1].copy()
-    step = delta[:, None]
-    for k in range(_TAYLOR_TERMS - 2, -1, -1):
-        out *= step
-        out += coef[k]
-    return out[:, 0], out[:, 1]
+def _build_table() -> tuple[np.ndarray, np.ndarray]:
+    """The table's nodes and their (nodes, 2, terms) Taylor coefficients,
+    marched down from x = +12 by one step of each node's own expansion."""
+    xs = np.linspace(-_ASYM_SWITCH, _ASYM_SWITCH, int(round(2 * _ASYM_SWITCH / _TABLE_STEP)) + 1)
+    coef = np.empty((len(xs), 2, _TAYLOR_TERMS))
+    f, fp = (v[0] * math.exp(-_TWO_THIRDS * _ASYM_SWITCH ** 1.5)
+             for v in _asymptotic_pos_scaled(np.array([_ASYM_SWITCH])))
+    for i in range(len(xs) - 1, -1, -1):
+        coef[i] = _taylor_coefs(xs[i], f, fp)
+        f, fp = _series(coef[i], np.array([-_TABLE_STEP]))[0]
+    return xs, coef
 
 
-class _AiryTable:
-    def __init__(self) -> None:
-        n_nodes = int(round(2 * _ASYM_SWITCH / _TABLE_STEP)) + 1
-        self.xs = np.linspace(-_ASYM_SWITCH, _ASYM_SWITCH, n_nodes)
-        self.coef = np.empty((_TAYLOR_TERMS, n_nodes, 2))
-        top = np.array([_ASYM_SWITCH])
-        f, fp = (v * math.exp(-_TWO_THIRDS * _ASYM_SWITCH ** 1.5)
-                 for v in _asymptotic_pos_scaled(top))
-        for i in range(n_nodes - 1, -1, -1):
-            self.coef[:, i] = _taylor_coefs(self.xs[i], f[0], fp[0])
-            f, fp = _horner(self.coef[:, i:i + 1], np.array([-_TABLE_STEP]))
-
-    def eval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.rint((x + _ASYM_SWITCH) / _TABLE_STEP).astype(int)
-        idx = np.clip(idx, 0, len(self.xs) - 1)
-        return _horner(self.coef[:, idx], x - self.xs[idx])
+_TABLE_X, _TABLE_COEF = _build_table()
 
 
-_table: _AiryTable | None = None
-
-
-def _get_table() -> _AiryTable:
-    global _table
-    if _table is None:
-        _table = _AiryTable()
-    return _table
+def _taylor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at |x| <= _ASYM_SWITCH from the nearest table node."""
+    idx = np.rint((x + _ASYM_SWITCH) / _TABLE_STEP).astype(int)
+    return tuple(_series(_TABLE_COEF[idx], x - _TABLE_X[idx]).T)
 
 
 # ---------------------------------------------------------------------------
 # public Airy API
 # ---------------------------------------------------------------------------
+
+def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') at every element of the finite 1-D array x, both multiplied
+    by e^{zeta} where x > _ASYM_SWITCH: each branch's own output, before any
+    rescaling."""
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    pos, neg = x > _ASYM_SWITCH, x < -_ASYM_SWITCH
+    for mask, branch in ((~(pos | neg), _taylor), (neg, _asymptotic_neg),
+                         (pos, _asymptotic_pos_scaled)):
+        if mask.any():
+            ai[mask], aip[mask] = branch(x[mask])
+    return ai, aip
+
 
 def _airy_lanes(x, scaled: bool):
     """(Ai, Ai') of every element of x, multiplied by e^{zeta} if scaled, in
@@ -202,14 +203,8 @@ def _airy_lanes(x, scaled: bool):
     if bad.any():
         raise DomainError(("airy_scaled: argument must be finite and >= 0" if scaled else
                            "airy: argument must be finite") + f", got {float(lanes[bad][0])!r}")
-    ai, aip = np.empty_like(lanes), np.empty_like(lanes)
-    pos, neg = lanes > _ASYM_SWITCH, lanes < -_ASYM_SWITCH
-    mid = ~(pos | neg)
-    for mask, branch in ((mid, _get_table().eval), (neg, _asymptotic_neg),
-                         (pos, _asymptotic_pos_scaled)):
-        if mask.any():
-            ai[mask], aip[mask] = branch(lanes[mask])
-    rescale = mid if scaled else pos  # the branches whose scaling differs
+    ai, aip = _airy_pair(lanes)
+    rescale = (lanes > _ASYM_SWITCH) != scaled  # the branches whose scaling differs
     if rescale.any():
         zeta = _TWO_THIRDS * lanes[rescale] ** 1.5
         # past zeta = 700, e^{-zeta} underflows: the graceful limit (0.0, -0.0)
@@ -319,37 +314,33 @@ def _zero_law(n, kind: AiryZeroKind):
     return -(t ** _TWO_THIRDS) * (1.0 - ti2 * (7.0 / 48.0 - ti2 * 35.0 / 288.0))
 
 
-_zero_cache: dict[AiryZeroKind, np.ndarray] = {}
-
-
-def _exact_zeros(kind: AiryZeroKind) -> np.ndarray:
+def _refined_zeros(kind: AiryZeroKind) -> np.ndarray:
     """The first N_EXACT_ZEROS zeros as a read-only array: one lockstep Newton
     from the large-index estimates, each inside +-1/4 of the local zero
     spacing pi/sqrt|x|, checked to |residual| <= 1e-12."""
-    zs = _zero_cache.get(kind)
-    if zs is None:
-        def fn(x):
-            ai, aip = airy(x)
-            return (ai, aip) if kind is AiryZeroKind.FunctionZero else (aip, x * ai)  # Ai'' = x Ai
+    def fn(x):
+        ai, aip = _airy_pair(x)
+        return (ai, aip) if kind is AiryZeroKind.FunctionZero else (aip, x * ai)  # Ai'' = x Ai
 
-        guess = _zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
-        quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
-        zs = _polished_roots(fn, guess - quarter, guess + quarter, guess, 1e-15)
-        resid = np.abs(fn(zs)[0])
-        if resid.max() > 1e-12:
-            i = int(np.argmax(resid))
-            raise SolverError(
-                f"airy zero refinement stalled at x={zs[i]} (residual {resid[i]:.3e})")
-        zs.flags.writeable = False
-        _zero_cache[kind] = zs
+    guess = _zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
+    quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
+    zs = _polished_roots(fn, guess - quarter, guess + quarter, guess, 1e-15)
+    resid = np.abs(fn(zs)[0])
+    if resid.max() > 1e-12:
+        i = int(np.argmax(resid))
+        raise SolverError(f"airy zero refinement stalled at x={zs[i]} (residual {resid[i]:.3e})")
+    zs.flags.writeable = False
     return zs
+
+
+_ZEROS = {kind: _refined_zeros(kind) for kind in AiryZeroKind}
 
 
 def _airy_zeros(count: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> np.ndarray:
     """The zeros 1..count as an array: refined up to N_EXACT_ZEROS, the
     large-index expansion beyond (as ``airy_zero``)."""
     law = _zero_law(np.arange(N_EXACT_ZEROS + 1, count + 1), kind)
-    return np.concatenate([_exact_zeros(kind)[:count], law])
+    return np.concatenate([_ZEROS[kind][:count], law])
 
 
 def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
@@ -362,7 +353,7 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
     """
     n = _check_index(n, 1, "airy_zero index")
     if n <= N_EXACT_ZEROS:
-        return float(_exact_zeros(kind)[n - 1])
+        return float(_ZEROS[kind][n - 1])
     return _zero_law(n, kind)
 
 
@@ -434,10 +425,6 @@ def _bose_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def interlacing_ok(n_max: int = 50) -> bool:
     """Check a'_n > a_n > a'_{n+1} for n <= n_max (used by the selftest)."""
-    for n in range(1, _check_index(n_max, 1, "n_max") + 1):
-        apn = airy_zero(n, AiryZeroKind.DerivativeZero)
-        an = airy_zero(n, AiryZeroKind.FunctionZero)
-        apn1 = airy_zero(n + 1, AiryZeroKind.DerivativeZero)
-        if not (apn > an > apn1):
-            return False
-    return True
+    a = _airy_zeros(_check_index(n_max, 1, "n_max"))
+    ap = _airy_zeros(len(a) + 1, AiryZeroKind.DerivativeZero)
+    return bool(((ap[:-1] > a) & (a > ap[1:])).all())

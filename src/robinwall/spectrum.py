@@ -31,11 +31,10 @@ from .errors import DomainError, SolverError
 from .specfun import (
     N_EXACT_ZEROS,
     AiryZeroKind,
+    _airy_pair,
     _airy_zeros,
     _check_index,
     _polished_roots,
-    airy,
-    airy_scaled,
 )
 
 __all__ = [
@@ -141,10 +140,17 @@ class TailLaw:
 
 
 def _energies(exact: np.ndarray, tail: TailLaw, m: np.ndarray) -> np.ndarray:
-    """``Spectrum.energies`` of the root-solved block ``exact`` and ``tail``."""
-    out = exact[np.minimum(m, len(exact) - 1)]
-    beyond = m >= len(exact)
-    out[beyond] = tail.energy(m[beyond])
+    """``Spectrum.energies`` of the root-solved block ``exact`` and ``tail``:
+    the law at max(m, n_exact), the block gathered where m < n_exact."""
+    n = len(exact)
+    low = m < n
+    if not low.any():
+        return tail.energy(m)
+    below = m[low]
+    if below.min() < 0:
+        raise DomainError(f"level indices must be >= 0, got {below.min()}")
+    out = tail.energy(np.maximum(m, n))
+    out[low] = exact[below]
     return out
 
 
@@ -189,8 +195,8 @@ class Spectrum:
         return float(self.exact_levels[0])
 
     def energies(self, m: np.ndarray) -> np.ndarray:
-        """Levels at the indices m >= 0 (a 1-D int array): the root-solved
-        block below ``n_exact``, the tail law beyond."""
+        """Levels at the indices m >= 0 (an int array, levels in its shape):
+        the root-solved block below ``n_exact``, the tail law beyond."""
         return _energies(self.exact_levels, self.tail, m)
 
     def level(self, n: int) -> float:
@@ -203,13 +209,9 @@ class Spectrum:
 
 def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray, np.ndarray]:
     """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) and its slope, from the
-    (Ai, Ai') pair, scaled only for xi > 12 (below, Ai^2 >= 1e-27); psi
+    raw (Ai, Ai') pair, scaled only for xi > 12 (below, Ai^2 >= 1e-27); psi
     decreases between the zeros of Ai and stays finite at them."""
-    ai, aip = np.empty_like(xi), np.empty_like(xi)
-    low = xi <= 12.0
-    for mask, pair in ((low, airy), (~low, airy_scaled)):
-        if mask.any():
-            ai[mask], aip[mask] = pair(xi[mask])
+    ai, aip = _airy_pair(xi)
     d = field_cbrt * aip
     psi = np.arctan2(d * np.copysign(1.0, ai), np.abs(ai)) - math.atan(1.0 / lam)
     return psi, field_cbrt * (xi * ai * ai - aip * aip) / (ai * ai + d * d)
@@ -306,6 +308,5 @@ def residual(spectrum: Spectrum, n: int) -> float:
     n = _check_index(n, 0, "level index")
     if n >= spectrum.n_exact:
         raise DomainError(f"level {n} is not root-solved")
-    xi = float(-spectrum.exact_levels[n] * wall.field ** (-2.0 / 3.0))
-    ai, aip = airy_scaled(xi) if xi >= 0.0 else airy(xi)
-    return wall.field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam
+    (ai,), (aip,) = _airy_pair(-spectrum.exact_levels[n:n + 1] * wall.field ** (-2.0 / 3.0))
+    return float(wall.field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam)

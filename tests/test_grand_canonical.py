@@ -676,3 +676,25 @@ class TestGroundOccupation:
             rep = be_critical(sp, n)
             resid.append(1.0 - gc_point(sp, 2.0 * rep.beta_cr, EnsembleSpec(BE, n)).n0)
         assert resid[1] < resid[0]  # closer to the step at the weaker field
+
+
+class TestFailedScalarSolvesRaise:
+    @pytest.fixture
+    def nan_ladder(self, monkeypatch):
+        ladder = gc.ladder_sums
+        monkeypatch.setattr(gc, "ladder_sums",
+                            lambda *args, **kwargs: tuple(s * np.nan for s in ladder(*args, **kwargs)))
+
+    def test_gc_point(self, nan_ladder):
+        # a scalar call raises the message its one-lane batch records
+        sp, ens = attractive(1e-5), EnsembleSpec(FD, 10)
+        message = gc_point(sp, np.array([2.0]), ens).errors[0]
+        assert "particle-number residual nan" in message
+        with pytest.raises(SolverError) as exc:
+            gc_point(sp, 2.0, ens)
+        assert str(exc.value) == message
+
+    def test_be_critical(self, nan_ladder):
+        with pytest.raises(SolverError, match="condensation solve at N=1000: "
+                                              "particle-number residual nan"):
+            be_critical(attractive(1e-5), 1000)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from robinwall.cli import main
-from robinwall.errors import DomainError
+from robinwall.errors import DomainError, RobinWallError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics
 from robinwall.reference_values import (
     TABLE1,
@@ -436,6 +436,15 @@ class TestTable1Harness:
         with pytest.raises(DomainError):
             table1_harness(**kwargs)
 
+    def test_reference_far_from_the_peak_rejected(self, monkeypatch):
+        # a scan window 1e3 times above the canonical peak holds no maximum
+        import robinwall.sweep as sweep_mod
+
+        key = ("canonical", 1, 1e-3)
+        monkeypatch.setitem(sweep_mod.TABLE1, key, (1e3, sweep_mod.TABLE1[key][1]))
+        with pytest.raises(DomainError, match="no peak found in the scan window"):
+            table1_harness(fields=(1e-3,), ensembles=("canonical",))
+
     def test_reference_table_shape(self):
         assert len(TABLE1) == len(TABLE1_FIELDS) * (1 + len(TABLE1_FD_N)
                                                     + len(TABLE1_BE_N))
@@ -539,6 +548,16 @@ class TestCli:
             if row.error is None:
                 assert row == ref
         assert "sweep finished with failed rows" in capsys.readouterr().err
+        # the same sweep to CSV: the failed row keeps its grid cells, its
+        # number cells are empty and its message ends the row
+        csv = tmp_path / "bad.csv"
+        assert main(argv[:-1] + ["csv", "--out", str(csv)]) == 3
+        header, *lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+        cols = header.split(",")
+        failed = dict(zip(cols, lines[1].split(",")))
+        assert cols[-1] == "error" and "particle-number residual nan" in failed["error"]
+        assert float(failed["beta"]) == bad_beta
+        assert len(cols) > 3 and all(failed[c] == "" for c in cols[2:-1])
 
     def test_sweep_batch_failure_fails_every_row(self, monkeypatch, tmp_path):
         # an error raised for the whole batch is recorded in every row
@@ -590,6 +609,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("specification error: ")
         assert captured.err.count("\n") == 1
+
+    def test_selftest(self, capsys):
+        assert main(["selftest"]) == 0
+        assert "selftest: 7/7 checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error, prefix", [
+        (SolverError("synthetic"), "solver error: synthetic"),
+        (RobinWallError("synthetic"), "error: synthetic")])
+    def test_solver_failure_exit_code(self, error, prefix, monkeypatch, capsys):
+        import robinwall.cli as cli_mod
+
+        def boom(spec):
+            raise error
+
+        monkeypatch.setattr(cli_mod, "run_sweep", boom)
+        assert main(["sweep", "--wall", "robin-", "--field", "1e-3", "--beta-inv-min", "0.1",
+                     "--beta-inv-max", "1", "--points", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == prefix + "\n"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
