@@ -35,8 +35,12 @@ give each state's slope dgamma/dbeta = -sum (E_n - E_0) w_n / sum w_n,
 from which the evaluator starts the solves of nearby temperatures; both
 read 0 where every weight underflows (D0 = 0).  The moments are taken
 about the level where w peaks (the upper of E_0 and mu), so D1 is small
-and the variance stays nonnegative even when one level holds nearly all
-of the weight, as the Bose ground level does deep in the condensate.
+and the variance does not cancel when one level holds nearly all of the
+weight, as the Bose ground level does deep in the condensate.  It can
+still cancel, to a tiny c of either sign, where two levels around a frozen
+Fermi level hold it: robin-, F = 1, FD, N = 1 gives c = -5.9e-35 at
+beta = 50 and -6.0e-32 at beta = 100, with no error message (ROADMAP.md,
+open item 3).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 
 from .canonical import ThermoPoint, _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
-from .ladder import Statistics, _check_statistics, ladder_sums
+from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
 from .spectrum import Spectrum, _check_field
 from .specfun import (_SQRT_PI, _bose_g, _check_beta, _check_index, _newton_root,
                       lambert_w)
@@ -217,12 +221,11 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
         start[cold] = _cold_start(spectrum, beta[cold], statistics, n[cold],
                                   lo[cold], hi[cold])
     start = np.fmax(np.fmin(start, hi), lo)
+    plan = _Plan(spectrum, beta, np.exp(start) if log_space else start, statistics)
 
     def step(u: np.ndarray, lanes: np.ndarray):
         gamma = np.exp(u) if log_space else u
-        b = beta[lanes]
-        sums = np.array(ladder_sums(spectrum, b, statistics, gamma=gamma,
-                                    moment_offset=_moment_offset(b, gamma)))
+        sums = _sums(plan, lanes, gamma, _moment_offset(beta[lanes], gamma))
         # dN/du with dN/dgamma = -D_0
         return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([u, sums])
 
@@ -249,10 +252,13 @@ class _Evaluator:
     lane does not raise: its mu, energy, heat capacity and n0 are NaN and
     its message, naming its beta and N, is in ``errors``.
 
-    ``states[k]`` lists the states solved in cell k as (ln beta, u,
-    du/d ln beta) of their solves, u = gamma = beta (E_0 - mu), or ln gamma
-    for bosons.  A lane starts from the cubic Hermite through its cell's two
-    states nearest in ln beta, or the Taylor step from one, or else cold."""
+    ``states`` holds the solved states, one column each: the cell, ln beta,
+    u and du/d ln beta of its solve (u = gamma = beta (E_0 - mu), or ln
+    gamma for bosons) and its place in the order of solving, the columns
+    sorted by cell, then ln beta, then that order.  A lane starts from the
+    cubic Hermite through its cell's two states nearest in ln beta (the
+    earlier solved first among equally near ones), or the Taylor step from
+    one, or else cold."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
         if {e.statistics for e in ensembles} not in ({Statistics.FERMI_DIRAC},
@@ -261,24 +267,44 @@ class _Evaluator:
                               f"one BE; got {ensembles!r}")
         self.spectrum, self.statistics = spectrum, ensembles[0].statistics
         self.n = np.array([e.n_particles for e in ensembles])
-        self.states: list[list[list[float]]] = [[] for _ in ensembles]
+        self.states = np.empty((5, 0))
 
     def _starts(self, beta: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        start = np.full(len(beta), np.nan)
-        for k in {k for k in cells.tolist() if self.states[k]}:
-            states = np.array(self.states[k]).T
-            lane = cells == k
-            lb = np.log(beta[lane])
-            near = np.argsort(np.abs(lb[:, None] - states[0]), axis=1, kind="stable")
-            near = near[:, [0, min(1, states.shape[1] - 1)]].T
-            (l0, l1), (u0, u1), (s0, s1) = (np.take(row, near) for row in states)
-            h, d = l1 - l0, lb - l0
-            t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
-            du = u1 - u0
-            # Taylor from the nearest state, plus the Hermite terms if two
-            start[lane] = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
-                                                 + t * (h * (s0 + s1) - 2.0 * du))
-        return start
+        cell, lb, u, slope, order = self.states
+        if not cell.size:
+            return np.full(len(beta), np.nan)
+        x = np.log(beta)
+        lo, hi = np.searchsorted(cell, cells, "left"), np.searchsorted(cell, cells, "right")
+        key = cell + 1j * lb  # sorted: numpy orders complex numbers lexicographically
+        # the cell's first state at or above x, the one below it moved to the
+        # first solved of its run of equal ln beta, and the next below those
+        r = np.searchsorted(key, cells + 1j * x)
+        left = np.searchsorted(key, key[np.maximum(r - 1, 0)])
+        below = np.where(left + 1 < r, left + 1, np.searchsorted(key, key[np.maximum(left - 1, 0)]))
+        near = np.stack([left, below, r, r + 1], axis=1)
+        valid = np.stack([r > lo, (r > lo) & ((left + 1 < r) | (left > lo)), r < hi, r + 1 < hi],
+                         axis=1)
+        near = np.minimum(near, cell.size - 1)
+        dist = np.where(valid, np.abs(x[:, None] - lb[near]), np.inf)
+        # the two nearest, the earlier solved first on a tie; one state: twice
+        rank = np.lexsort((order[near], dist))
+        near, dist = (np.take_along_axis(a, rank, axis=1) for a in (near, dist))
+        first, second = near[:, 0], np.where(np.isinf(dist[:, 1]), near[:, 0], near[:, 1])
+        (l0, l1), (u0, u1), (s0, s1) = ((row[first], row[second]) for row in (lb, u, slope))
+        h, d = l1 - l0, x - l0
+        t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
+        du = u1 - u0
+        # Taylor from the nearest state, plus the Hermite terms if two
+        start = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
+                                       + t * (h * (s0 + s1) - 2.0 * du))
+        return np.where(hi > lo, start, np.nan)
+
+    def _keep(self, cells, ln_beta, u, du) -> None:
+        """Add solved states to ``states``, solved after those already kept
+        and in the order given."""
+        solved = self.states.shape[1] + np.arange(len(cells))
+        states = np.hstack([self.states, [cells, ln_beta, u, du, solved]])
+        self.states = states[:, np.lexsort(states[[4, 1, 0]])]
 
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
         n = self.n[cells]
@@ -306,9 +332,7 @@ class _Evaluator:
                                           f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
             n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
         ok = np.array([e is None for e in errors])
-        for k, *state in zip(cells[ok].tolist(), np.log(beta[ok]).tolist(), u[ok].tolist(),
-                             du[ok].tolist()):
-            self.states[k].append(state)
+        self._keep(cells[ok], np.log(beta[ok]), u[ok], du[ok])
         for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):
             a[~ok] = np.nan
         return ThermoPoint(beta, energy, c, mu, n0, tuple(errors))

@@ -17,17 +17,42 @@ occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2.
 Both occupation kernels come from the same exponentials, so a
 grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
 costs a single ladder pass.  A call takes arrays of lanes (beta, gamma,
-moment offset); a scalar call is a one-lane batch.  Lanes go in groups of
-32, and each piece of a lane's sum is a set of weighted nodes, one row per
-lane of the group, that takes one kernel pass and one weighted reduction
-(``_node_sums``, on the nodes' energies above E_0): the root-solved levels
-below the closure floor (the same for every lane), the Euler-Maclaurin
-closure nodes with their end stencils, and blocks of the lane's own direct
-window.  The engine sums energies only and reads every level through
-``Spectrum.energies``; what else it needs of the level law (the index at
-an energy or a level spacing, the closure's quadrature) it asks of
-``spectrum.TailLaw``.  A window block holds at most 2^14 (lane,
-level) pairs, so no temporary exceeds ~1 MB.
+moment offset); a scalar call is a one-lane batch.
+
+Summing takes two steps.  The plan (``_Plan``) fixes each piece of a
+lane's sum as a set of nodes, given by their energies above E_0, with
+weights: the root-solved levels below the closure floor (one row for every
+lane), and, for each group of 32 lanes, the Euler-Maclaurin closure nodes
+with their end stencils and blocks of the lane's own direct window, one
+row per lane served.  The sum step (``_sums``) evaluates any subset of the
+planned lanes at any gamma and moment offset, with one kernel pass and one
+weighted reduction (``_node_sums``) per node set.  ``ladder_sums`` is the
+two steps in sequence, one group of lanes at a time.  A chemical-potential
+solve plans its batch once, at each lane's start, and its Newton passes
+sum over that plan.  The engine sums energies only and reads every level
+through ``Spectrum.energies``; what else it needs of the level law (the
+index at an energy or a level spacing, the closure's quadrature) it asks
+of ``spectrum.TailLaw``.
+
+A plan depends on gamma only through where the exponents
+x = beta (E - E_0) + gamma meet its cuts: the X_DEAD margins of the direct
+range and of a filled sea, and the closure panels, laid out in x.  So it
+holds while gamma moves a little, and a lane is planned anew once its
+gamma lies more than _REACH = 1 from the gamma it was planned at, or, for
+bosons, more than a quarter of the exponent of its lowest closure node,
+whose distance from the kernel's pole at x = 0 the panels were laid out
+for.  Plans summed at either edge of that window match brute force to
+1e-10 and their closures mpmath to 1e-12.  Over 4 walls, 5 fields,
+16 temperatures and 9-27 gammas each, sums of a plan moved by up to
++-10 in gamma (fermions and canonical) or 0.99 of that exponent (bosons)
+stayed within 1.3e-12 of a fresh plan's; at +-20 fermion sums were off by
+up to 6e-6, from levels the direct range had dropped.
+
+A window block holds at most 2^14 (lane, level) pairs, and the root block
+is summed 32 lanes at a time, so no temporary of a kernel pass exceeds
+~1 MB.  A plan holds its node sets for as long as its solve runs, ~2.7 KB
+per lane, most of it closure nodes (0.8 MB for a 300-lane Table 1 scan);
+``ladder_sums`` plans and sums one group of lanes at a time.
 
 Each lane has its own direct range, closure and filled sea; the batch
 only pads a node set's rows with zero-weight nodes to a common length, so
@@ -208,15 +233,14 @@ def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray
     return np.einsum("rln,ln->rl", f, w)
 
 
-def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, moff: np.ndarray,
-             n0: np.ndarray, n1: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """Euler-Maclaurin closure of sum_{n0 <= m < n1} (E_m - ref)^p
-    F(beta(E_m - E_0) + gamma), one row per sum and one column per lane
-    (n1 = inf: the tail), as one node set: the integral, edge(n0) and
-    -edge(n1).  The integral is the tail law's quadrature with the rule
-    (``_GL_NODES``, ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``,
-    clipped at E_{n1}; each edge is the stencil ``_EDGE`` on the five levels
-    around it."""
+def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.ndarray,
+             n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node set (d, w) of the Euler-Maclaurin closure of sum_{n0 <= m < n1}
+    f(E_m) for a kernel at the exponents beta(E_m - E_0) + gamma, one row
+    per lane (n1 = inf: the tail): the integral, edge(n0) and -edge(n1).
+    The integral is the tail law's quadrature with the rule (``_GL_NODES``,
+    ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``, clipped at E_{n1};
+    each edge is the stencil ``_EDGE`` on the five levels around it."""
     e0 = spectrum.e0
     finite = np.isfinite(n1)
     # the five levels around each end, E(n0) and E(n1) in the middle
@@ -231,8 +255,7 @@ def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, moff: np.n
     if finite.any():
         d.append(ends[1])
         w.append(np.multiply.outer(-1.0 * finite, _EDGE))
-    return _node_sums(np.concatenate(d, axis=1), np.concatenate(w, axis=1), beta, gamma,
-                      moff, statistics)
+    return np.concatenate(d, axis=1), np.concatenate(w, axis=1)
 
 
 def _closure_floor(spectrum) -> int:
@@ -281,32 +304,41 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the engine
+# the engine: a plan of node sets per lane, then kernel passes over it
 # ---------------------------------------------------------------------------
 
-_LANES = 32          # lanes summed together: batch temporaries stay below ~1 MB
+_LANES = 32          # lanes planned together: a group's temporaries stay below ~1 MB
 _PAIRS = 1 << 14     # (lane, level) pairs of one direct block
 
+# a lane's plan holds while its gamma stays within _REACH of the gamma it was
+# planned at, and for bosons within _REACH_BOSE of the exponent of its lowest
+# closure node, above the kernel's pole at x = 0 (sized against brute force;
+# see the ``ladder`` docstring)
+_REACH = 1.0
+_REACH_BOSE = 0.25
 
-def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
-               moff: np.ndarray, statistics: Statistics, start_index: int) -> np.ndarray:
-    """``ladder_sums`` of one group of lanes: one row per sum, one column
-    per lane."""
+
+def _plan_group(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
+                statistics: Statistics, start_index: int) -> tuple[list, np.ndarray]:
+    """The node sets of one group of lanes past the root block, planned at
+    ``gamma``, each as (rows, d, w): the rows of the lanes it serves, and
+    their energies above E_0 and weights, one row per lane; and each lane's
+    reach in gamma."""
     n, e0 = len(beta), spectrum.e0
     first = _closure_floor(spectrum)
     n_em, sea, stop = _direct_range(spectrum, beta, gamma, statistics, start_index)
-
-    # the root block [start_index, first), the same levels for every lane
-    d = spectrum.energies(np.arange(start_index, first))[None, :] - e0
-    sums = _node_sums(d, np.ones((1, 1)), beta, gamma, moff, statistics)
+    sets, reach = [], np.full(n, _REACH)
 
     # the closures: the tail [n_em, inf) of each lane whose range reaches
     # its closure index, and each filled sea [first, sea)
     for lanes, n0, n1 in (((stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
                           ((sea > first).nonzero()[0], np.full(n, first), sea)):
         if len(lanes):
-            sums[:, lanes] += _closure(spectrum, beta[lanes], gamma[lanes], moff[lanes],
-                                       n0[lanes], n1[lanes], statistics)
+            d, w = _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes], n1[lanes])
+            sets.append((lanes, d, w))
+            if statistics is Statistics.BOSE_EINSTEIN:
+                x_low = beta[lanes] * d.min(axis=1) + gamma[lanes]
+                reach[lanes] = np.minimum(_REACH, _REACH_BOSE * x_low)
 
     # each lane's own direct window [sea, stop), indexed from its sea in
     # doubling blocks of relative index: a block serves the lanes whose
@@ -319,11 +351,71 @@ def _lane_sums(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
         step = max(1, _PAIRS // len(r))
         for k in range(0, len(lanes), step):
             sub = lanes[k:k + step]
-            d = spectrum.energies(sea[sub, None] + r) - e0
-            sums[:, sub] += _node_sums(d, r < span[sub, None], beta[sub], gamma[sub],
-                                       moff[sub], statistics)
+            sets.append((sub, spectrum.energies(sea[sub, None] + r) - e0, r < span[sub, None]))
         lo, hi = hi, min(2 * hi, hi + (1 << 20))
-    return sums
+    return sets, reach
+
+
+class _Plan:
+    """The node sets of a batch of lanes at temperatures ``beta``: the
+    energies ``root`` of the root block [start_index, closure floor), one
+    row for every lane, and the rest planned in groups of ``_LANES`` lanes:
+    ``groups[g]`` is (the group's lanes of the batch, its node sets from
+    ``_plan_group``), and lane i's current plan is in group ``owner[i]``,
+    planned at ``gamma[i]`` and valid while the lane's gamma stays within
+    ``reach[i]`` of it."""
+
+    def __init__(self, spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
+                 statistics: Statistics, start_index: int = 0) -> None:
+        self.spectrum, self.statistics, self.start_index = spectrum, statistics, start_index
+        self.beta, self.gamma = _check_beta(beta), np.array(gamma, dtype=float)
+        self.root = spectrum.energies(np.arange(start_index, _closure_floor(spectrum)))[None, :] \
+            - spectrum.e0
+        self.reach = np.empty(len(beta))
+        self.owner = np.empty(len(beta), dtype=np.int64)
+        self.groups: list[tuple[np.ndarray, list]] = []
+        self.replan(np.arange(len(beta)))
+
+    def replan(self, lanes: np.ndarray) -> None:
+        """Plan the lanes ``lanes`` anew, at their ``gamma``."""
+        for lo in range(0, len(lanes), _LANES):
+            sub = lanes[lo:lo + _LANES]
+            sets, self.reach[sub] = _plan_group(self.spectrum, self.beta[sub], self.gamma[sub],
+                                                self.statistics, self.start_index)
+            self.owner[sub] = len(self.groups)
+            self.groups.append((sub, sets))
+
+
+def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -> np.ndarray:
+    """The sums of ``plan``'s lanes ``lanes`` (indices into its batch) at
+    ``gamma`` with moment offsets ``moff``, one of each per lane: one row per
+    sum and one column per lane, from one kernel pass and weighted reduction
+    (``_node_sums``) for the root block and one per node set that serves
+    them.  A lane whose gamma lies beyond its reach from the gamma it was
+    planned at is planned anew at it first."""
+    stale = np.abs(gamma - plan.gamma[lanes]) > plan.reach[lanes]
+    if stale.any():
+        plan.gamma[lanes[stale]] = gamma[stale]
+        plan.replan(lanes[stale])
+    at = np.full(len(plan.beta), -1)  # each lane's column
+    at[lanes] = np.arange(len(lanes))
+    # the root block, _LANES lanes at a time
+    out = np.hstack([_node_sums(plan.root, np.ones((1, 1)), plan.beta[lanes[k]], gamma[k],
+                                moff[k], plan.statistics)
+                     for k in (slice(lo, lo + _LANES) for lo in range(0, len(lanes), _LANES))])
+    for g in np.flatnonzero(np.bincount(plan.owner[lanes])).tolist():
+        group, sets = plan.groups[g]
+        take = (at[group] >= 0) & (plan.owner[group] == g)
+        for rows, d, w in sets:
+            keep = take[rows]
+            if not keep.all():
+                if not keep.any():
+                    continue
+                rows, d, w = rows[keep], d[keep], w[keep]
+            c = at[group[rows]]
+            out[:, c] += _node_sums(d, w, plan.beta[group[rows]], gamma[c], moff[c],
+                                    plan.statistics)
+    return out
 
 
 def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statistics, *,
@@ -355,11 +447,11 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
         raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
                           f"got {start_index!r}")
     shape = np.broadcast(beta, gamma, moment_offset).shape
-    lanes = [(np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset)]
-    _check_beta(lanes[0])
-    sums = np.hstack([_lane_sums(spectrum, *(a[lo:lo + _LANES] for a in lanes),
-                                 statistics, start_index)
-                      for lo in range(0, lanes[0].size, _LANES)])
+    beta, gamma, moff = ((np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset))
+    _check_beta(beta)
+    sums = np.hstack([_sums(_Plan(spectrum, beta[k], gamma[k], statistics, start_index),
+                            np.arange(len(beta[k])), gamma[k], moff[k])
+                      for k in (slice(lo, lo + _LANES) for lo in range(0, beta.size, _LANES))])
     if not shape:
         return tuple(sums[:, 0].tolist())
     return tuple(s.reshape(shape) for s in sums)

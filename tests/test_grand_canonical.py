@@ -181,10 +181,9 @@ class TestGcPoint:
         p = evaluate(beta * np.exp(h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])),
                      np.zeros(5, dtype=int))
         assert p.errors == (None,) * 5
-        (_, _, slope), *stencil = evaluate.states[0]
-        u = [state[1] for state in stencil]
-        fd = (u[0] - 8.0 * u[1] + 8.0 * u[2] - u[3]) / (12.0 * h)
-        assert slope == pytest.approx(fd, rel=1e-7, abs=0.0)
+        _, _, u, slope, _ = evaluate.states  # sorted by ln beta: offsets -2h .. 2h
+        fd = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
+        assert slope[2] == pytest.approx(fd, rel=1e-7, abs=0.0)
 
     def test_capacity_where_every_weight_underflows(self):
         # one fermion frozen in the ground level of a strong field: every
@@ -197,7 +196,8 @@ class TestGcPoint:
         evaluate = gc._Evaluator(sp, [ens])
         p = evaluate(np.array([1000.0, 2.0]), np.zeros(2, dtype=int))
         assert p.errors == (None, None)
-        assert p.heat_capacity[0] == 0.0 == evaluate.states[0][0][2]
+        _, ln_beta, _, slope, _ = evaluate.states
+        assert p.heat_capacity[0] == 0.0 == slope[ln_beta == math.log(1000.0)][0]
         assert p.heat_capacity[1] > 0.0
 
     def test_high_temperature_ensemble_agreement(self):
@@ -289,15 +289,17 @@ class TestSolveAcceptance:
         # last point is judged by the 1e-10 contract alone
         sp, ens, betas = attractive(1e-5), EnsembleSpec(FD, 10), np.array([2.0, 5.0, 9.0])
         clean = gc_point(sp, betas, ens)
-        ladder = gc.ladder_sums
+        sums, passes = gc._sums, []
 
-        def offset(spectrum, beta, sign, **kwargs):
-            n, *rest = ladder(spectrum, beta, sign, **kwargs)
+        def offset(plan, lanes, *args):
+            passes.append(len(lanes))
+            n, *rest = sums(plan, lanes, *args)
             shifted = n * (1.0 + delta * np.where(n >= 10.0, 1.0, -1.0))
-            return (np.where(beta == betas[1], shifted, n), *rest)
+            return np.array([np.where(plan.beta[lanes] == betas[1], shifted, n), *rest])
 
-        monkeypatch.setattr(gc, "ladder_sums", offset)
+        monkeypatch.setattr(gc, "_sums", offset)
         p = gc_point(sp, betas, ens)
+        assert passes[0] == 3
         assert p.errors[0] is None and p.errors[2] is None
         if accepted:
             assert p.errors[1] is None
@@ -347,14 +349,14 @@ class TestSolveAcceptance:
         from robinwall.reference_values import TABLE1
         t_refs = [TABLE1[(stat.value, n, field)][0] for n in ns]
         beta_cut = 0.99 / (2.2 * t_refs[0])  # below the first cell's scan window
-        ladder = gc.ladder_sums
+        sums = gc._sums
 
-        def offset(spectrum, beta, sign, **kwargs):
-            n, *rest = ladder(spectrum, beta, sign, **kwargs)
-            return (np.where(beta < beta_cut, n * (1.0 + 5e-10 * np.sign(n - ns[1])), n),
-                    *rest)
+        def offset(plan, lanes, *args):
+            n, *rest = sums(plan, lanes, *args)
+            return np.array([np.where(plan.beta[lanes] < beta_cut,
+                                      n * (1.0 + 5e-10 * np.sign(n - ns[1])), n), *rest])
 
-        monkeypatch.setattr(gc, "ladder_sums", offset)
+        monkeypatch.setattr(gc, "_sums", offset)
         with pytest.raises(SolverError) as info:
             sweep.locate_peak(attractive(field), [EnsembleSpec(stat, n) for n in ns], t_refs)
         beta, n = re.search(r"beta=(\S+), N=(\d+):", str(info.value)).groups()
@@ -386,6 +388,57 @@ class TestPlainFloats:
             assert all(type(v) is float for v in fields)
 
 
+def loop_starts(states, beta, cells):
+    """The warm starts as a loop over cells computed them before the
+    evaluator kept its states as sorted arrays: ``states[k]`` lists cell
+    k's states as (ln beta, u, du/d ln beta) in the order solved."""
+    start = np.full(len(beta), np.nan)
+    for k in {k for k in cells.tolist() if states[k]}:
+        rows = np.array(states[k]).T
+        lane = cells == k
+        lb = np.log(beta[lane])
+        near = np.argsort(np.abs(lb[:, None] - rows[0]), axis=1, kind="stable")
+        near = near[:, [0, min(1, rows.shape[1] - 1)]].T
+        (l0, l1), (u0, u1), (s0, s1) = (np.take(row, near) for row in rows)
+        h, d = l1 - l0, lb - l0
+        t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
+        du = u1 - u0
+        start[lane] = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
+                                             + t * (h * (s0 + s1) - 2.0 * du))
+    return start
+
+
+class TestWarmStarts:
+    def test_starts_match_the_loop_over_cells(self):
+        # random states kept in three batches, against the loop: equal
+        # ln beta solved twice and lanes midway between two states (ties,
+        # the earlier solved first), a one-state cell, a cell without
+        # states (cold: NaN) and lanes outside every state's range
+        rng = np.random.default_rng(11)
+        evaluate = gc._Evaluator(attractive(1e-3), [EnsembleSpec(FD, 1)] * 4)
+        # the lanes' ln beta in one binade, where a step of 1/8 to either
+        # side is exact and so are both distances to a lane
+        x = np.log(np.exp(rng.uniform(1.25, 1.75, 10)))
+        pool = np.concatenate([x, x[:4] + 0.125, x[:4] - 0.125])
+        for _ in range(30):
+            evaluate.states = np.empty((5, 0))
+            kept = [[] for _ in range(4)]
+            for batch, size in enumerate(rng.integers(3, 8, 3)):
+                cells = rng.choice([0, 3], size)
+                if batch == 0:
+                    cells[:3] = 0, 1, 3  # cell 1 keeps this one state alone
+                lb = rng.choice(pool, size)
+                u, du = rng.normal(size=(2, size))
+                evaluate._keep(cells, lb, u, du)
+                for state in zip(cells.tolist(), lb.tolist(), u.tolist(), du.tolist()):
+                    kept[state[0]].append(state[1:])
+            beta = np.exp(np.concatenate([x, [0.3, 3.0]] * 4))
+            cells = np.repeat(np.arange(4), len(x) + 2)
+            ref = loop_starts(kept, beta, cells)
+            assert np.isnan(ref[cells == 2]).all() and np.isfinite(ref[cells != 2]).all()
+            np.testing.assert_array_equal(evaluate._starts(beta, cells), ref)
+
+
 class TestWorkCounts:
     def test_table1_cell_be_1000(self, monkeypatch):
         # the published cell BE N=1000, F=1e-5: the 50-point scan is one
@@ -396,17 +449,17 @@ class TestWorkCounts:
         from robinwall import sweep
         from robinwall.reference_values import TABLE1
         calls = []  # per evaluator batch: (lanes, warm, lanes of each ladder pass)
-        ladder, evaluate = gc.ladder_sums, gc._Evaluator.__call__
+        sums, evaluate = gc._sums, gc._Evaluator.__call__
 
-        def counting_ladder(spectrum, beta, *args, **kwargs):
-            calls[-1][2].append(np.size(beta))
-            return ladder(spectrum, beta, *args, **kwargs)
+        def counting_sums(plan, lanes, *args):
+            calls[-1][2].append(len(lanes))
+            return sums(plan, lanes, *args)
 
         def counting_evaluate(self, beta, cells):
-            calls.append((np.size(beta), all(self.states[k] for k in cells.tolist()), []))
+            calls.append((np.size(beta), bool(np.isin(cells, self.states[0]).all()), []))
             return evaluate(self, beta, cells)
 
-        monkeypatch.setattr(gc, "ladder_sums", counting_ladder)
+        monkeypatch.setattr(gc, "_sums", counting_sums)
         monkeypatch.setattr(gc._Evaluator, "__call__", counting_evaluate)
         t_ref, c_ref = TABLE1[("be", 1000, 1e-5)]
         rep, = sweep.locate_peak(attractive(1e-5), [EnsembleSpec(BE, 1000)], [t_ref])
@@ -424,12 +477,11 @@ class TestWorkCounts:
         # from the two-term balance and needs at most 5 ladder passes
         from robinwall.reference_values import TABLE1
         calls = []
-        ladder = gc.ladder_sums
-        monkeypatch.setattr(gc, "ladder_sums",
-                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        sums = gc._sums
+        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
         t_ref, _ = TABLE1[("be", 1000, 1e-5)]
         gc_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
-        assert len(calls) <= 5
+        assert 0 < len(calls) <= 5
 
     def test_bose_cold_start_of_a_large_scan(self, monkeypatch):
         # the 50-point scan of the BE N=1e5, F=1e-3 cell, all lanes cold:
@@ -438,9 +490,8 @@ class TestWorkCounts:
         # ladder passes (12 with the continuum in Boltzmann statistics)
         from robinwall.reference_values import TABLE1
         calls = []
-        ladder = gc.ladder_sums
-        monkeypatch.setattr(gc, "ladder_sums",
-                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        sums = gc._sums
+        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
         t_ref, _ = TABLE1[("be", 100000, 1e-3)]
         beta = np.geomspace(1.0 / (2.2 * t_ref), 2.2 / t_ref, 50)
         p = gc_point(attractive(1e-3), beta, EnsembleSpec(BE, 100000))
@@ -453,12 +504,11 @@ class TestWorkCounts:
         # With the bracket's low end there, Newton's steps landed on or below
         # it, were refused, and every pass bisected: 13 passes
         calls = []
-        ladder = gc.ladder_sums
-        monkeypatch.setattr(gc, "ladder_sums",
-                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        sums = gc._sums
+        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
         p = gc_point(attractive(1e-9), np.geomspace(2e8, 1e9, 5), EnsembleSpec(BE, 10 ** 8))
         assert p.errors == (None,) * 5
-        assert len(calls) <= 3
+        assert 0 < len(calls) <= 3
 
     @pytest.mark.parametrize("n", [1000, 10 ** 8])
     def test_deep_condensate_warm_batch(self, monkeypatch, n):
@@ -472,9 +522,8 @@ class TestWorkCounts:
         evaluate = gc._Evaluator(attractive(1e-9), [EnsembleSpec(BE, n)])
         assert evaluate(beta, cells).errors == (None,) * 5
         calls = []
-        ladder = gc.ladder_sums
-        monkeypatch.setattr(gc, "ladder_sums",
-                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        sums = gc._sums
+        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
         p = evaluate(np.sqrt(beta[1:] * beta[:-1]), cells[1:])
         assert p.errors == (None,) * 4
         assert len(calls) == 1
@@ -485,7 +534,7 @@ class TestWorkCounts:
         monkeypatch.setattr(gc, "ladder_sums",
                             lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
         be_critical(attractive(1e-5), 1000)
-        assert len(calls) <= 8
+        assert 0 < len(calls) <= 8
 
 
 class TestNoSilentNan:
@@ -681,9 +730,11 @@ class TestGroundOccupation:
 class TestFailedScalarSolvesRaise:
     @pytest.fixture
     def nan_ladder(self, monkeypatch):
-        ladder = gc.ladder_sums
+        # every ladder pass: be_critical's and the mu solve's
+        ladder, sums = gc.ladder_sums, gc._sums
         monkeypatch.setattr(gc, "ladder_sums",
                             lambda *args, **kwargs: tuple(s * np.nan for s in ladder(*args, **kwargs)))
+        monkeypatch.setattr(gc, "_sums", lambda *args: sums(*args) * np.nan)
 
     def test_gc_point(self, nan_ladder):
         # a scalar call raises the message its one-lane batch records

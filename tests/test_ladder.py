@@ -203,13 +203,16 @@ def test_short_root_block_matches_brute_force(kind):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def em_integral(spectrum, beta, gamma, moment_offset, n0, sign):
-    """The engine's closure integrals of one lane over [n0, inf): the
-    closure's node set with the end correction's weights set to 0."""
-    lane = [np.atleast_1d(a) for a in (beta, gamma, moment_offset, n0)]
+def em_integral(spectrum, beta, gamma, moment_offset, n0, sign, planned_at=None):
+    """The engine's closure integrals of one lane over [n0, inf) at gamma:
+    the closure's node set, planned at gamma or else at ``planned_at``,
+    with the end correction's weights set to 0."""
+    beta, gamma, moment_offset, n0 = (np.atleast_1d(a) for a in (beta, gamma, moment_offset, n0))
+    plan_gamma = gamma if planned_at is None else np.atleast_1d(planned_at)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder, "_EDGE", np.zeros(5))
-        return ladder._closure(spectrum, *lane, np.array([np.inf]), STATS[sign])[:, 0]
+        d, w = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]))
+    return ladder._node_sums(d, w, beta, gamma, moment_offset, STATS[sign])[:, 0]
 
 
 def argument(tail, m):
@@ -266,6 +269,49 @@ def test_closure_matches_mpmath(field, sign, beta, gamma):
     sigma, ds_ref, n0 = closure_args(sp, beta, gamma)
     mine = em_integral(sp, beta, gamma, 0.0, n0, sign)
     ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
+    for m, r, f in zip(mine, ref, full):
+        assert abs(m - r) <= 1e-12 * abs(f)
+
+
+WINDOW_CASES = [
+    # (wall kind, field, statistics, beta, gamma or Fermi-level index)
+    (WallKind.NEUMANN, 1e-4, FERMI, 30.0, ("sea", 30_000)),  # a filled Fermi sea
+    (WallKind.NEUMANN, 1e-3, FERMI, 0.3, -5.0),  # the Fermi edge inside the closure
+    (WallKind.NEUMANN, 1e-3, BOSE, 0.3, 0.1),  # closure nodes from x ~ 0.24, near the pole
+    (WallKind.ROBIN_ATTRACTIVE, 1e-7, BOLTZ, 11.455, 0.0),
+]
+
+
+@pytest.mark.parametrize("edge", [-1.0, 1.0], ids=["below", "above"])
+@pytest.mark.parametrize("wall_kind,field,sign,beta,gamma", WINDOW_CASES)
+def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge):
+    # a lane planned at gamma and summed at either edge of its window (one
+    # reach away, where a mu solve's Newton pass still reuses the plan)
+    # against brute force at that gamma, and the closure nodes planned at
+    # gamma against mpmath there
+    sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+    if isinstance(gamma, tuple):
+        gamma = beta * (sp.e0 - float(sp.tail.energy(gamma[1])))
+        assert gamma < -ladder.X_DEAD
+    plan = ladder._Plan(sp, np.array([beta]), np.array([gamma]), STATS[sign])
+    g = gamma + edge * plan.reach[0]
+    if abs(g - gamma) > plan.reach[0]:
+        g = np.nextafter(g, gamma)
+    sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
+    assert len(plan.groups) == 1  # not planned anew
+    if sign == BOLTZ:
+        ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=(0, 1, 2))
+    else:
+        ref = np.concatenate([brute_force(sp, beta, OCC, sign, g, 0.1, powers=(0, 1)),
+                              brute_force(sp, beta, DIST, sign, g, 0.1, powers=(0, 1, 2))])
+    for s, r in zip(sums, ref):
+        assert s == pytest.approx(r, rel=1e-10, abs=0.0)
+    sigma, ds_ref, n0 = closure_args(sp, beta, g)
+    mine = em_integral(sp, beta, g, 0.0, n0, sign, planned_at=gamma)
+    ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
+    full = ladder_sums(sp, beta, STATS[sign], gamma=g)
+    if sign == BOLTZ:  # e^-x is both of the reference's kernels at sign 0
+        ref = [ref[0], ref[1], ref[4]]
     for m, r, f in zip(mine, ref, full):
         assert abs(m - r) <= 1e-12 * abs(f)
 
@@ -545,16 +591,16 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
 
 
 def count_closures(monkeypatch):
-    """Count the lanes the engine closes: a tail (an infinite upper end)
-    or a filled sea (a finite one)."""
+    """Count the lanes the engine plans a closure for: a tail (an infinite
+    upper end) or a filled sea (a finite one)."""
     paths = {"closed": 0, "sea": 0}
     closure = ladder._closure
 
-    def counting_closure(spectrum, beta, gamma, moff, n0, n1, statistics):
+    def counting_closure(spectrum, beta, gamma, n0, n1):
         finite = np.isfinite(n1)
         paths["sea"] += int(finite.sum())
         paths["closed"] += int((~finite).sum())
-        return closure(spectrum, beta, gamma, moff, n0, n1, statistics)
+        return closure(spectrum, beta, gamma, n0, n1)
 
     monkeypatch.setattr(ladder, "_closure", counting_closure)
     return paths

@@ -341,30 +341,39 @@ class TestTable1Harness:
         # call per lockstep Newton pass.  Cold scans start from the two-term
         # balance (in Bose statistics for bosons) and Brent's points from
         # the cubic Hermite through their cell's solved states and slopes:
-        # 268 calls.  A Boltzmann continuum and linear hints took 378.
+        # 268 calls.  A Boltzmann continuum and linear hints took 378.  A mu
+        # solve's passes are sums over its batch's plan (ladder._sums), the
+        # other calls ladder_sums
         from robinwall import canonical
         import robinwall.sweep as sweep_mod
         calls = []
 
-        def counting(fn):
+        def counting(fn, statistics):
             def wrapper(*args, **kwargs):
-                calls.append(args[2])
+                calls.append(statistics(args))
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sweep_mod.gc, "ladder_sums", counting(sweep_mod.gc.ladder_sums))
-        monkeypatch.setattr(canonical, "ladder_sums", counting(canonical.ladder_sums))
+        monkeypatch.setattr(sweep_mod.gc, "_sums",
+                            counting(sweep_mod.gc._sums, lambda args: args[0].statistics))
+        monkeypatch.setattr(sweep_mod.gc, "ladder_sums",
+                            counting(sweep_mod.gc.ladder_sums, lambda args: args[2]))
+        monkeypatch.setattr(canonical, "ladder_sums",
+                            counting(canonical.ladder_sums, lambda args: args[2]))
         assert table1_harness().passed
         assert calls.count(Statistics.CANONICAL) == 35
+        assert calls.count(Statistics.FERMI_DIRAC) > 0 and calls.count(Statistics.BOSE_EINSTEIN) > 0
         assert len(calls) <= 290
 
     def test_kernel_passes_per_round(self, monkeypatch):
-        # work-count gate on the ladder: each lane group of a table1 round
-        # (478 groups) evaluates its kernels once for its root block, once
-        # for its closure nodes with their end stencils, and once per block
-        # of its direct windows: 1,078 passes.  With the closure integral,
-        # each end correction and each direct block evaluated apart it took
-        # 1,943, and with the mu solves' older starts 1,350.
+        # work-count gate on the ladder: each ladder pass evaluates its
+        # kernels once per 32 of its lanes for the root block, and for each
+        # lane group of its plan once for its closure nodes with their end
+        # stencils and once per block of its direct windows: 1,110 passes a
+        # round.  Planned anew on every pass, which regrouped the lanes
+        # still unsolved, it took 1,078; with the closure integral, each end
+        # correction and each direct block evaluated apart 1,943, and with
+        # the mu solves' older starts 1,350.
         from robinwall import ladder
         passes = []
         summands = ladder._summands
@@ -375,7 +384,33 @@ class TestTable1Harness:
 
         monkeypatch.setattr(ladder, "_summands", counting)
         assert table1_harness().passed
-        assert len(passes) <= 1_150
+        assert 0 < len(passes) <= 1_150
+
+    def test_plan_builds_per_round(self, monkeypatch):
+        # work-count gate on the ladder's planning: every ladder_sums call
+        # plans its lane groups, and every mu solve plans its batch's once,
+        # at the lanes' start gamma; its later Newton passes sum over that
+        # plan, and a lane is planned anew only when its gamma leaves its
+        # window.  Planned anew on every pass, a round planned 478 groups;
+        # now 217 (40 of the 35 canonical calls, 177 of the mu solves), and
+        # the kernel elements stay at the 1,804,892 of planning every pass
+        from robinwall import ladder
+        counts = {"plans": 0, "elements": 0}
+        plan_group, summands = ladder._plan_group, ladder._summands
+
+        def counting_plan(*args):
+            counts["plans"] += 1
+            return plan_group(*args)
+
+        def counting_summands(x, *args):
+            counts["elements"] += x.size
+            return summands(x, *args)
+
+        monkeypatch.setattr(ladder, "_plan_group", counting_plan)
+        monkeypatch.setattr(ladder, "_summands", counting_summands)
+        assert table1_harness().passed
+        assert 0 < counts["plans"] <= 240
+        assert 0 < counts["elements"] <= 1.05 * 1_804_892
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
     def test_block_matches_its_cells_alone(self, ensemble):
@@ -529,15 +564,14 @@ class TestCli:
         assert main(argv + ["--out", str(clean)]) == 0
         clean_rows = result_from_json(clean.read_text()).rows
         bad_beta = clean_rows[1].beta
-        ladder = gc.ladder_sums
+        sums = gc._sums
         passes = []
 
-        def failing_lane(spectrum, beta, *args, **kwargs):
-            passes.append(np.size(beta))
-            sums = ladder(spectrum, beta, *args, **kwargs)
-            return tuple(np.where(beta == bad_beta, np.nan, s) for s in sums)
+        def failing_lane(plan, lanes, *args):
+            passes.append(len(lanes))
+            return np.where(plan.beta[lanes] == bad_beta, np.nan, sums(plan, lanes, *args))
 
-        monkeypatch.setattr(gc, "ladder_sums", failing_lane)
+        monkeypatch.setattr(gc, "_sums", failing_lane)
         out = tmp_path / "bad.json"
         assert main(argv + ["--out", str(out)]) == 3
         assert passes[0] == 4  # the rows are one batch
