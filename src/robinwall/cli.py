@@ -10,6 +10,7 @@ that cannot be written included), 3 solver failure, 4 regression failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +55,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first: parsing keeps
+    no state between calls."""
     ap = argparse.ArgumentParser(
         prog="robinwall",
         description="Spectra and thermodynamics of a charged particle at a "

@@ -21,8 +21,14 @@ collapsed, and its last iterate is its result if it meets
 
 One evaluator, ``_Evaluator``, runs every solve and starts each lane from
 the states already solved in its cell; a cell's first lanes start cold from
-the two-term balance of the ground level and the quasi-continuum (in Bose
-statistics for bosons).  ``gc_point`` is its cold, one-call form.
+the two-term balance of the ground level and the quasi-continuum, the
+continuum in the lanes' own statistics: the complete Fermi-Dirac integral
+f_{3/2} for fermions, which holds a filled sea, and g_{3/2} for bosons.  A
+fermion lane whose Fermi edge is frozen (half the gap E_N - E_{N-1} past
+ln(2e12) kT) starts at mid-gap, where the two edge levels hold as many
+holes as particles and the first pass meets the 1e-12 target, so mu lands
+on the exact two-level value.  ``gc_point`` is the evaluator's cold,
+one-call form.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -36,11 +42,13 @@ from which the evaluator starts the solves of nearby temperatures; both
 read 0 where every weight underflows (D0 = 0).  The moments are taken
 about the level where w peaks (the upper of E_0 and mu), so D1 is small
 and the variance does not cancel when one level holds nearly all of the
-weight, as the Bose ground level does deep in the condensate.  It can
-still cancel, to a tiny c of either sign, where two levels around a frozen
-Fermi level hold it: robin-, F = 1, FD, N = 1 gives c = -5.9e-35 at
-beta = 50 and -6.0e-32 at beta = 100, with no error message (ROADMAP.md,
-open item 3).
+weight, as the Bose ground level does deep in the condensate.  About a
+mid-gap mu the two levels around a frozen Fermi edge hold the weight
+symmetrically, D1 vanishes, and c is tiny and positive (robin-, F = 1,
+FD, N = 1: c = 8.8e-35 at beta = 50 and 2.0e-72 at beta = 100).  A warm
+start, or a lane that thaws across a grid, can still stop at a mu away
+from mid-gap that meets the target, where the variance can cancel to a
+tiny c of either sign with no error message (ROADMAP.md, open item 3).
 """
 
 from __future__ import annotations
@@ -55,8 +63,8 @@ from .canonical import ThermoPoint, _check_weak_field, _check_weak_regime
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
 from .spectrum import Spectrum, _check_field
-from .specfun import (_SQRT_PI, _bose_g, _check_beta, _check_index, _newton_root,
-                      lambert_w)
+from .specfun import (_SQRT_PI, _bose_g, _check_beta, _check_index, _fermi_f,
+                      _newton_root, lambert_w)
 
 __all__ = [
     "Statistics",
@@ -147,26 +155,79 @@ def _two_term_log_t(ln_a, n: float, statistics: Statistics):
         return np.log(2.0 * n / (s + np.sqrt(s * s - 4.0 * a * n)))
 
 
+# past this half-gap in units of kT a frozen Fermi edge's top hole and first
+# particle each hold below half the particle-number target: at mid-gap the
+# solve's first pass meets it
+_FROZEN_HALF_GAP = math.log(2.0 / _N_TARGET)
+
+
+def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, ln_a: np.ndarray,
+                 bd: np.ndarray) -> np.ndarray:
+    """Cold gamma of fermions: the root of N = 1/(e^gamma + 1) + A f_{3/2}(eta)
+    in eta = -(gamma + beta Delta), ``ln_a`` = ln A and ``bd`` = beta Delta,
+    to 1e-6 by ``_newton_root`` on the log-ratio of the continuum A f_{3/2}
+    to the N - 1/(e^gamma + 1) particles it must hold, which stays nearly
+    linear in gamma where the ground level holds most of N.  The root lies
+    between the Boltzmann root (f_{3/2}(eta) < e^eta) and the zero-temperature
+    edge eta = (Gamma(5/2) N/A)^{2/3} (f_{3/2}(eta) > eta^{3/2}/Gamma(5/2)),
+    and Newton starts from the first where its eta <= 0 and from the second
+    where the sea is degenerate.  On a ladder whose spacings do not grow, mu
+    lies at or below mid-gap, mu = (E_{N-1} + E_N)/2, where the two levels
+    around the Fermi edge hold as many holes as particles and every deeper
+    hole is outweighed by a particle above, so no start puts mu above it.
+    A lane whose edge is frozen, beta (E_N - E_{N-1})/2 > _FROZEN_HALF_GAP,
+    starts at mid-gap."""
+    e_top, e_next = spectrum.energies(np.stack([n - 1, n])) - spectrum.e0
+    start = -0.5 * beta * (e_top + e_next)  # mid-gap
+    thaw = (0.5 * beta * (e_next - e_top) <= _FROZEN_HALF_GAP).nonzero()[0]
+    if not thaw.size:
+        return start
+    n, ln_a, bd = n[thaw], ln_a[thaw], bd[thaw]
+    # the continuum's weight A e^{-beta Delta}: past e^300 its square in
+    # _two_term_log_t would overflow, and the ground level's share of its
+    # root lies below rounding
+    ln_w = ln_a - bd
+    boltzmann = np.where(ln_w > 300.0, ln_w - np.log(n), -_two_term_log_t(
+        np.minimum(ln_w, 300.0), n, Statistics.FERMI_DIRAC))
+    edge = -np.exp((np.log(0.75 * _SQRT_PI * n) - ln_a) / 1.5) - bd
+
+    def log_ratio(gamma, lanes):
+        f32, f12 = _fermi_f(-(gamma + bd[lanes]))
+        t = np.exp(-np.abs(gamma))
+        rest = n[lanes] - 1.0 + np.where(gamma >= 0.0, 1.0, t) / (1.0 + t)  # N - ground
+        r = ln_a[lanes] + np.log(f32) - np.log(rest)
+        return r, -f12 / f32 - t / (1.0 + t) ** 2 / rest, gamma[None]
+
+    root = _newton_root(log_ratio, edge - 1.0, boltzmann + 1.0,
+                        np.where(boltzmann + bd >= 0.0, boltzmann, edge),
+                        lambda r, slope, v: np.abs(r) <= 1e-6)[0][0]
+    start[thaw] = np.maximum(root, start[thaw])
+    return start
+
+
 def _cold_start(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
                 n: np.ndarray, lo, hi):
     """Cold start of the solve in its coordinate (gamma, or ln gamma for
     bosons), with no ladder pass: the root of the two-term balance
 
-        N = 1/(e^gamma +- 1) + A g(e^{-(gamma + beta Delta)}),
+        N = 1/(e^gamma +- 1) + A g(-(gamma + beta Delta)),
 
     the ground level plus the tail law's quasi-continuum of density
     sqrt(E - shift) / (pi F) above shift, A = 1/(2 sqrt(pi) F beta^{3/2})
-    and Delta = shift - E_0.  Fermions take the continuum in Boltzmann
-    statistics, g(z) = z (``_two_term_log_t``).  Bosons take g = g_{3/2},
-    which near condensation holds about twice what z does, with Delta
-    raised to 0 where the tail law starts below E_0 (so z < 1); its root is
-    found to 1e-6 in N by ``_newton_root`` in ln gamma on the bracket
-    (lo, hi), from the Boltzmann root below it, on the closed forms of
-    g_{3/2} and g_{1/2} = -dg_{3/2}/dalpha."""
+    and Delta = shift - E_0, with the continuum in its own statistics.
+    Fermions take g = f_{3/2}, the complete Fermi-Dirac integral, which
+    holds a filled sea (``_fermi_start``, which also places a frozen edge
+    at mid-gap).  Bosons take g = g_{3/2}, which near condensation holds
+    about twice what the Boltzmann continuum g = e^eta does, with Delta
+    raised to 0 where the tail law starts below E_0 (so the fugacity stays
+    below 1); its root is found to 1e-6 in N by ``_newton_root`` in
+    ln gamma on the bracket (lo, hi), from the Boltzmann root
+    (``_two_term_log_t``), on the closed forms of g_{3/2} and
+    g_{1/2} = -dg_{3/2}/dalpha."""
     ln_a = -math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
     delta = spectrum.tail.shift - spectrum.e0
     if statistics is Statistics.FERMI_DIRAC:
-        return -_two_term_log_t(ln_a - beta * delta, n, statistics)
+        return _fermi_start(spectrum, beta, n, ln_a, beta * delta)
     bd = beta * max(delta, 0.0)
 
     def log_n(v, lanes):

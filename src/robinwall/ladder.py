@@ -51,7 +51,8 @@ up to 6e-6, from levels the direct range had dropped.
 A window block holds at most 2^14 (lane, level) pairs, and the root block
 is summed 32 lanes at a time, so no temporary of a kernel pass exceeds
 ~1 MB.  A plan holds its node sets for as long as its solve runs, ~2.7 KB
-per lane, most of it closure nodes (0.8 MB for a 300-lane Table 1 scan);
+per lane, most of it closure nodes (0.8 MB for a 300-lane Table 1 scan),
+and frees a group's once every lane of it has been planned anew;
 ``ladder_sums`` plans and sums one group of lanes at a time.
 
 Each lane has its own direct range, closure and filled sea; the batch
@@ -361,7 +362,8 @@ class _Plan:
     energies ``root`` of the root block [start_index, closure floor), one
     row for every lane, and the rest planned in groups of ``_LANES`` lanes:
     ``groups[g]`` is (the group's lanes of the batch, its node sets from
-    ``_plan_group``), and lane i's current plan is in group ``owner[i]``,
+    ``_plan_group``, none once no lane owns it), and lane i's current plan
+    is in group ``owner[i]``,
     planned at ``gamma[i]`` and valid while the lane's gamma stays within
     ``reach[i]`` of it."""
 
@@ -377,13 +379,17 @@ class _Plan:
         self.replan(np.arange(len(beta)))
 
     def replan(self, lanes: np.ndarray) -> None:
-        """Plan the lanes ``lanes`` anew, at their ``gamma``."""
+        """Plan the lanes ``lanes`` anew, at their ``gamma``, and free the
+        node sets of every group that no lane owns any longer."""
         for lo in range(0, len(lanes), _LANES):
             sub = lanes[lo:lo + _LANES]
             sets, self.reach[sub] = _plan_group(self.spectrum, self.beta[sub], self.gamma[sub],
                                                 self.statistics, self.start_index)
             self.owner[sub] = len(self.groups)
             self.groups.append((sub, sets))
+        owned = np.bincount(self.owner, minlength=len(self.groups))
+        for g in np.flatnonzero(owned == 0).tolist():
+            self.groups[g] = (self.groups[g][0], [])
 
 
 def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -> np.ndarray:

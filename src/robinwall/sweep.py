@@ -204,10 +204,11 @@ def _spec_from_dict(d: dict) -> SweepSpec:
 
 def result_to_json(result: SweepResult) -> str:
     """JSON document {spec, rows, extrema, condensate}; a row holds only
-    its fields that are not None."""
+    its fields that are not None, read in field order from the flat
+    ``SweepRow`` with no deep copy."""
     doc = {
         "spec": _spec_to_dict(result.spec),
-        "rows": [{k: v for k, v in asdict(r).items() if v is not None}
+        "rows": [{k: v for k, v in vars(r).items() if v is not None}
                  for r in result.rows],
         "extrema": asdict(result.extrema),
         "condensate": None if result.condensate is None else asdict(result.condensate),

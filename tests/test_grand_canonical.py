@@ -8,6 +8,7 @@ import pytest
 
 from robinwall import canonical as can
 from robinwall import grand_canonical as gc
+from robinwall import specfun as sf
 from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import (
     EnsembleSpec,
@@ -528,6 +529,24 @@ class TestWorkCounts:
         assert p.errors == (None,) * 4
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("kind", list(WallKind), ids=lambda k: k.value)
+    def test_cold_fermi_grids(self, monkeypatch, kind):
+        # cold 40-lane FD grids over y = beta F^(2/3) in [0.1, 30], from a
+        # classical gas into a degenerate sea: started from the Fermi-Dirac
+        # continuum, each takes at most 6 lockstep ladder passes at N >= 1000
+        # (4-5 at N = 1000 and 2 at N = 1e6; 9-15 from a Boltzmann continuum)
+        calls = []
+        sums = gc._sums
+        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
+        for field in (1e-5, 1e-2, 1.0):
+            sp = build_spectrum(WallSpec(kind, field))
+            beta = np.geomspace(0.1, 30.0, 40) / field ** (2.0 / 3.0)
+            for n in (1000, 10 ** 6):
+                calls.clear()
+                p = gc_point(sp, beta, EnsembleSpec(FD, n))
+                assert p.errors == (None,) * 40
+                assert len(calls[0]) == 40 and len(calls) <= 6
+
     def test_be_critical_ladder_passes(self, monkeypatch):
         calls = []
         ladder = gc.ladder_sums
@@ -537,13 +556,66 @@ class TestWorkCounts:
         assert 0 < len(calls) <= 8
 
 
+class TestFermiColdStart:
+    def test_start_solves_the_two_term_balance(self):
+        # a thawed lane starts at the root of N = 1/(e^gamma + 1) + A f_{3/2}(eta),
+        # eta = -(gamma + beta Delta), to 1e-6, or at mid-gap where that
+        # root lies above it; a frozen lane starts at mid-gap
+        sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3))
+        beta = np.geomspace(0.1, 1e4, 30) / 1e-3 ** (2.0 / 3.0)
+        for n in (1, 1000):
+            nn = np.full(beta.size, n)
+            gamma = gc._cold_start(sp, beta, FD, nn, None, None)
+            e_top, e_next = sp.level(n - 1) - sp.e0, sp.level(n) - sp.e0
+            mid = -0.5 * beta * (e_top + e_next)
+            frozen = 0.5 * beta * (e_next - e_top) > gc._FROZEN_HALF_GAP
+            assert frozen.any() and not frozen.all()
+            assert (gamma[frozen] == mid[frozen]).all()
+            f32, _ = sf._fermi_f(-(gamma + beta * (sp.tail.shift - sp.e0)))
+            a = 1.0 / (2.0 * SQRT_PI * 1e-3 * beta ** 1.5)
+            total = 1.0 / (np.exp(gamma) + 1.0) + a * f32
+            balanced = np.abs(total / n - 1.0) <= 1e-6
+            assert (balanced | (gamma == mid))[~frozen].all()
+            assert balanced[~frozen].any()
+            assert (gamma >= mid).all()
+
+
+class TestFrozenFermiEdge:
+    @pytest.mark.parametrize("beta", [20.0, 50.0, 100.0, 200.0, 500.0, 1000.0])
+    def test_against_mpmath_sums(self, beta):
+        # one fermion at robin-, F = 1: the gap E_1 - E_0 = 3.52 freezes the
+        # Fermi edge at every beta here.  The exact state balances the ground
+        # level's hole against the particles above it, which puts mu at
+        # mid-gap to ~1e-15, and c is tiny and positive, below the float
+        # range from beta = 500.  mpmath sums at 50 digits over the first 100
+        # levels solve that balance in log form and take c from the
+        # distribution moments about mu
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
+        p = gc_point(sp, beta, EnsembleSpec(FD, 1))
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            e = [mpmath.mpf(x) for x in sp.energies(np.arange(100)).tolist()]
+
+            def balance(mu):  # ln(particles above E_0) - ln(hole in E_0)
+                particles = mpmath.fsum(1 / (mpmath.exp(b * (x - mu)) + 1) for x in e[1:])
+                return mpmath.log(particles) + mpmath.log(mpmath.exp(b * (mu - e[0])) + 1)
+
+            mu = mpmath.findroot(balance, (e[0], e[1]), solver="anderson")
+            w = [1 / ((mpmath.exp(b * (x - mu)) + 1) * (mpmath.exp(b * (mu - x)) + 1)) for x in e]
+            d0, d1, d2 = (mpmath.fsum((x - mu) ** k * wx for x, wx in zip(e, w)) for k in range(3))
+            c = b * b * (d2 - d1 * d1 / d0)
+        assert p.mu == pytest.approx(float(mu), rel=1e-12)
+        assert p.heat_capacity == pytest.approx(float(c), rel=1e-8, abs=1e-300)
+        assert p.heat_capacity >= 0.0
+
+
 class TestNoSilentNan:
     def test_every_lane_is_admissible_or_carries_a_message(self):
         # 1,440 lanes: 4 walls x 6 fields x 10 temperatures in
         # y = beta F^(2/3) from 1e-6 to 1e3 x FD and BE x N in {1, 1e4, 1e8}.
-        # Each lane is finite with n0 in [0, 1], or its failure has a
-        # message.  c >= 0 is not asserted: a few deep-frozen lanes give c
-        # of -1e-49 to -1e-26
+        # Each lane is finite with c >= 0 and n0 in [0, 1], or its failure
+        # has a message (c >= 0 failed on 9 frozen FD lanes, of -1e-49 to
+        # -1e-26, before a frozen Fermi edge started at mid-gap)
         silent = []
         for kind in WallKind:
             for field in (1e-9, 1e-7, 1e-3, 1.0, 1e3, 1e6):
@@ -554,7 +626,7 @@ class TestNoSilentNan:
                         p = gc_point(sp, beta, EnsembleSpec(stat, n))
                         n0 = np.zeros(beta.size) if p.n0 is None else p.n0
                         ok = (np.isfinite([p.mu, p.mean_energy, p.heat_capacity, n0]).all(axis=0)
-                              & (0.0 <= n0) & (n0 <= 1.0))
+                              & (p.heat_capacity >= 0.0) & (0.0 <= n0) & (n0 <= 1.0))
                         silent += [(kind.value, field, stat.value, n, b)
                                    for b, good, e in zip(beta, ok, p.errors)
                                    if not good and e is None]

@@ -316,6 +316,21 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
         assert abs(m - r) <= 1e-12 * abs(f)
 
 
+def test_group_that_no_lane_owns_frees_its_node_sets():
+    # a Bose batch of 40 lanes in two groups: every lane of the first group
+    # leaves its window and is planned anew in a third group.  The first
+    # group, which no lane owns any longer, keeps no node sets, and the sums
+    # are bit for bit those of a batch planned at the new gammas
+    sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
+    beta, lanes, moff = np.geomspace(0.1, 1.0, 40), np.arange(40), np.zeros(40)
+    plan = ladder._Plan(sp, beta, np.full(40, 0.5), Statistics.BOSE_EINSTEIN)
+    gamma = 0.5 + np.where(lanes < ladder._LANES, 2.0 * plan.reach, 0.0)
+    sums = ladder._sums(plan, lanes, gamma, moff)
+    assert [len(sets) > 0 for _, sets in plan.groups] == [False, True, True]
+    fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
+    assert np.array_equal(sums, ladder._sums(fresh, lanes, gamma, moff))
+
+
 def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
     """The closure integrals by the geometric expansion of the kernels,
     occupation = sum_k a_k e^{-kx} and distribution = sum_k k a_k e^{-kx}

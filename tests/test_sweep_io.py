@@ -664,6 +664,41 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == prefix + "\n"
 
+    def test_parser_built_once_serves_every_call(self, tmp_path, capsys):
+        # main builds its parser on the first call and reuses it: a CSV
+        # sweep, two bad specifications (one refused by the parser, one by
+        # the model) and a JSON sweep in one process write the same files as
+        # calls that each build a parser of their own
+        import robinwall.cli as cli_mod
+
+        sweep = ["sweep", "--wall", "robin-", "--field", "1e-4", "--ensemble", "fd",
+                 "--particles", "2", "--beta-inv-min", "0.1", "--beta-inv-max", "0.4",
+                 "--points", "6"]
+        calls = [sweep + ["--format", "csv"],
+                 ["sweep", "--wall", "hard", "--field", "1e-3", "--beta-inv-min", "0.1",
+                  "--beta-inv-max", "1"],
+                 ["spectrum", "--wall", "robin-", "--field", "0.0"],
+                 sweep + ["--format", "json"]]
+
+        def run(fresh):
+            files = []
+            for k, argv in enumerate(calls):
+                if fresh:
+                    cli_mod._build_parser.cache_clear()
+                out = tmp_path / f"{fresh}-{k}"
+                try:
+                    rc = main(argv + ["--out", str(out)])
+                except SystemExit as exc:
+                    rc = exc.code
+                files.append((rc, out.read_text() if out.exists() else None))
+            return files
+
+        cli_mod._build_parser.cache_clear()
+        cached = run(False)
+        assert cli_mod._build_parser.cache_info().misses == 1
+        assert [rc for rc, _ in cached] == [0, 2, 2, 0]
+        assert cached == run(True)
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
