@@ -29,24 +29,24 @@ from .spectrum import (
 from .canonical import (
     ExtremumReport,
     ThermoPoint,
-    classical_limit,
     find_extrema,
-    resonance_predictors,
     thermo_point,
     universal_dn_curve,
+)
+from .limits import (
+    asymptotic_beta_cr,
+    asymptotic_mu_cn,
+    fd_plateau,
+    fd_single_peak,
+    resonance_predictors,
     weak_field_composite,
     zero_field_attractive,
-    zero_field_free,
 )
 from .grand_canonical import (
     CondensateReport,
     EnsembleSpec,
     Statistics,
-    asymptotic_beta_cr,
-    asymptotic_mu_cn,
     be_critical,
-    fd_plateau,
-    fd_single_peak,
     gc_point,
 )
 from .sweep import (

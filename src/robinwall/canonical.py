@@ -1,10 +1,9 @@
 """Canonical-ensemble thermodynamics of the walled particle.
 
-Exact truncated sums over a Spectrum, the closed-form zero-field results,
-the universal Dirichlet/Neumann curves in the variable y = beta * F^(2/3),
-the classical high-temperature limit, the weak-field resonance predictors
-built on the Lambert W function, and a grid-scan extremum locator for any
-c(beta), refined by Brent's parabolic search in lockstep over extrema.
+Exact truncated sums over a Spectrum, the universal Dirichlet/Neumann
+curves in the variable y = beta * F^(2/3), and a grid-scan extremum locator
+for any c(beta), refined by Brent's parabolic search in lockstep over
+extrema.  The closed forms of the two-term model are in ``limits``.
 
 Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
 wall's negative ground level can never overflow the sums; means and
@@ -23,24 +22,17 @@ import numpy as np
 
 from .errors import DomainError
 from .ladder import Statistics, ladder_sums
-from .spectrum import Spectrum, WallKind, WallSpec, _check_field, build_spectrum
-from .specfun import _SQRT_PI, _check_beta, lambert_w
+from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
+from .specfun import _check_beta
 
 __all__ = [
     "ThermoPoint",
     "ExtremumReport",
     "thermo_point",
-    "zero_field_attractive",
-    "zero_field_free",
-    "classical_limit",
     "universal_dn_curve",
-    "resonance_predictors",
-    "weak_field_composite",
     "find_extrema",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-WEAK_FIELD_MAX = 1e-2          # contract bound for the asymptotic predictors
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction of Brent's method
 _SQRT_EPS = math.sqrt(2.0 ** -52)
 
@@ -83,50 +75,6 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
 
 
 # ---------------------------------------------------------------------------
-# zero-field closed forms
-# ---------------------------------------------------------------------------
-
-def zero_field_attractive(beta: float) -> ThermoPoint:
-    """Zero-field attractive wall: bound level at -1 plus the free
-    continuum, Z = e^beta + sqrt(2 pi / beta).
-
-    The heat capacity is the analytic second log-derivative of Z, arranged
-    so the near-cancellation at low temperature is done symbolically:
-    with q = sqrt(2 pi / beta) e^{-beta},
-
-        <E> = -(1 - q/(2 beta)) / (1 + q)
-        c   = beta^2 (q + a + a q + 2 b - b^2) / (1+q)^2,
-              a = 3q/(4 beta^2),  b = q/(2 beta).
-    """
-    beta = _check_beta(beta)
-    q = _SQRT_2PI / math.sqrt(beta) * math.exp(-beta) if beta < 700 else 0.0
-    a = 0.75 * q / (beta * beta)
-    b = 0.5 * q / beta
-    e = -(1.0 - b) / (1.0 + q)
-    c = beta * beta * (q + a + a * q + 2.0 * b - b * b) / (1.0 + q) ** 2
-    return ThermoPoint(beta=beta, mean_energy=e, heat_capacity=c)
-
-
-def zero_field_free(beta: float) -> ThermoPoint:
-    """Zero-field hard, reflecting, or repulsive wall: free-particle values
-    <E> = 1/(2 beta), c = 1/2."""
-    beta = _check_beta(beta)
-    return ThermoPoint(beta=beta, mean_energy=0.5 / beta, heat_capacity=0.5)
-
-
-def classical_limit(beta: float, field: float) -> tuple[float, float, float]:
-    """Classical configurational quantities in the linear potential:
-    Z_pot = 1/(beta F), <V> = 1/beta, c_pot = 1.
-
-    Together with the kinetic 1/2 this makes the total high-temperature
-    specific heat 3/2.
-    """
-    beta = _check_beta(beta)
-    field = _check_field(field)
-    return 1.0 / (beta * field), 1.0 / beta, 1.0
-
-
-# ---------------------------------------------------------------------------
 # universal Dirichlet/Neumann curves
 # ---------------------------------------------------------------------------
 
@@ -137,68 +85,6 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
         raise DomainError(f"universal curve is defined for Dirichlet/Neumann, got {kind}")
     tp = thermo_point(build_spectrum(WallSpec(kind, 1.0)), y)
     return tp.mean_energy, tp.heat_capacity
-
-
-# ---------------------------------------------------------------------------
-# weak-field resonance analytics
-# ---------------------------------------------------------------------------
-
-def _check_weak_field(field: float) -> float:
-    field = _check_field(field)
-    if field > WEAK_FIELD_MAX:
-        raise DomainError(
-            f"weak-field asymptotics require 0 < field <= {WEAK_FIELD_MAX}, got {field!r}")
-    return field
-
-
-def _check_weak_regime(beta: float, field: float) -> tuple[float, float]:
-    """(beta, field) checked for the weak-field closed forms: field <=
-    WEAK_FIELD_MAX and beta * field^(2/3) <= 0.1."""
-    beta, field = _check_beta(beta), _check_weak_field(field)
-    if beta * field ** (2.0 / 3.0) > 0.1:
-        raise DomainError(
-            f"weak-field form needs beta * field^(2/3) <= 0.1, got {beta * field ** (2/3):.3g}")
-    return beta, field
-
-
-def resonance_predictors(field: float) -> tuple[float, float, float]:
-    """Lambert-W predictors for the attractive wall's weak-field resonance.
-
-    Returns (beta at which <E> crosses zero, beta of the heat-capacity
-    maximum, predicted peak height beta_max^2/4).  The two temperatures
-    solve beta^{5/2} e^beta = 3/(4 sqrt(pi) F) and
-    2 sqrt(pi) F beta^{3/2} e^beta = 1 exactly.
-    """
-    field = _check_weak_field(field)
-    a_zero = 3.0 / (4.0 * _SQRT_PI * field)
-    beta_zero = 2.5 * lambert_w(0.4 * a_zero ** 0.4)
-    beta_max = 1.5 * lambert_w((2.0 / 3.0) * (0.5 / (_SQRT_PI * field)) ** (2.0 / 3.0))
-    return beta_zero, beta_max, 0.25 * beta_max * beta_max
-
-
-def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
-    """Closed-form weak-field mean energy and heat capacity of the
-    attractive wall (split-off level plus quasi-continuum):
-
-        <E> = (-e^beta + (3/4)/(sqrt(pi) F beta^{5/2}))
-              / (e^beta + (1/2)/(sqrt(pi) F beta^{3/2}))
-        c   = (1/2) (3 + u (4 beta^2 + 12 beta + 15)) / (1 + 2u)^2,
-              u = sqrt(pi) F beta^{3/2} e^beta.
-
-    Valid for field <= 1e-2 and beta * field^(2/3) <= 0.1.
-    """
-    beta, field = _check_weak_regime(beta, field)
-    emb = math.exp(-beta) if beta < 700 else 0.0
-    e = ((-1.0 + 0.75 * emb / (_SQRT_PI * field * beta ** 2.5))
-         / (1.0 + 0.5 * emb / (_SQRT_PI * field * beta ** 1.5)))
-    ln_u = math.log(_SQRT_PI * field) + 1.5 * math.log(beta) + beta
-    poly = 4.0 * beta * beta + 12.0 * beta + 15.0
-    if ln_u < 250.0:
-        u = math.exp(ln_u)
-        c = 0.5 * (3.0 + u * poly) / (1.0 + 2.0 * u) ** 2
-    else:  # u enormous: c -> poly/(8u)
-        c = math.exp(math.log(poly / 8.0) - ln_u)
-    return e, c
 
 
 # ---------------------------------------------------------------------------

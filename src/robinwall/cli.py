@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import __version__, canonical, grand_canonical as gc
+from . import __version__, grand_canonical as gc, limits
 from .errors import DomainError, RobinWallError, SolverError
 from .selftest import run_all
 from .spectrum import DEFAULT_N_EXACT, WallKind, WallSpec, build_spectrum, level_gaps
@@ -163,9 +163,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     field = args.field
-    beta_zero, beta_max, c_max = canonical.resonance_predictors(field)
-    fd_beta, fd_c = gc.fd_single_peak(field)
-    be_beta_cr = gc.asymptotic_beta_cr(field, args.particles)
+    beta_zero, beta_max, c_max = limits.resonance_predictors(field)
+    fd_beta, fd_c = limits.fd_single_peak(field)
+    be_beta_cr = limits.asymptotic_beta_cr(field, args.particles)
     lines = [
         f"field = {field!r}, particles = {args.particles}",
         f"canonical: <E>=0 at beta = {beta_zero!r}",
@@ -174,7 +174,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         f"fermion N=1: c peak at beta = {fd_beta!r} (T = {1/fd_beta!r}), "
         f"height ~ {fd_c!r}",
         f"boson condensation: beta_cr ~ {be_beta_cr!r} (T_cr ~ {1/be_beta_cr!r})",
-        f"fermion plateau: {gc.fd_plateau(args.particles)!r}",
+        f"fermion plateau: {limits.fd_plateau(args.particles)!r}",
     ]
     _emit("\n".join(lines), None)
     return EXIT_OK

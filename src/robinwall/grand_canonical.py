@@ -21,7 +21,8 @@ collapsed, and its last iterate is its result if it meets
 
 One evaluator, ``_Evaluator``, runs every solve and starts each lane from
 the states already solved in its cell; a cell's first lanes start cold from
-the two-term balance of the ground level and the quasi-continuum, the
+the two-term balance of the ground level and the quasi-continuum (the model
+of ``limits``, whose continuum weight and Boltzmann balance they read), the
 continuum in the lanes' own statistics: the complete Fermi-Dirac integral
 f_{3/2} for fermions, which holds a filled sea, and g_{3/2} for bosons.  A
 fermion lane whose Fermi edge is frozen (half the gap E_N - E_{N-1} past
@@ -59,21 +60,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .canonical import ThermoPoint, _check_weak_field, _check_weak_regime
+from .canonical import ThermoPoint
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
-from .spectrum import Spectrum, _check_field
-from .specfun import (_SQRT_PI, _bose_g, _check_beta, _check_index, _fermi_f,
-                      _newton_root, lambert_w)
+from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
+from .spectrum import Spectrum
+from .specfun import _SQRT_PI, _bose_g, _check_beta, _check_index, _fermi_f, _newton_root
 
 __all__ = [
     "Statistics",
     "EnsembleSpec",
     "CondensateReport",
     "gc_point",
-    "fd_plateau",
-    "fd_single_peak",
-    "asymptotic_mu_cn",
     "be_critical",
 ]
 
@@ -140,21 +138,6 @@ def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
 _GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
 
 
-def _two_term_log_t(ln_a, n: float, statistics: Statistics):
-    """ln t, t = e^{-gamma}, of the two-term balance N = 1/(1/t +- 1) + a t
-    (the ground level, upper sign fermions, plus a Boltzmann quasi-continuum
-    of weight a = e^{ln_a}; for bosons the root t < 1), subtraction-free."""
-    with np.errstate(all="ignore"):
-        a = np.exp(ln_a)
-        if statistics is Statistics.FERMI_DIRAC:
-            b = 1.0 + a - n
-            r1 = np.sqrt(b * b + 4.0 * a * n)
-            return np.where(b >= 0.0, np.log(2.0 * n / (r1 + b)),
-                            np.log(0.5 * (r1 - b)) - ln_a)
-        s = 1.0 + a + n
-        return np.log(2.0 * n / (s + np.sqrt(s * s - 4.0 * a * n)))
-
-
 # past this half-gap in units of kT a frozen Fermi edge's top hole and first
 # particle each hold below half the particle-number target: at mid-gap the
 # solve's first pass meets it
@@ -183,12 +166,7 @@ def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, ln_a: np.n
     if not thaw.size:
         return start
     n, ln_a, bd = n[thaw], ln_a[thaw], bd[thaw]
-    # the continuum's weight A e^{-beta Delta}: past e^300 its square in
-    # _two_term_log_t would overflow, and the ground level's share of its
-    # root lies below rounding
-    ln_w = ln_a - bd
-    boltzmann = np.where(ln_w > 300.0, ln_w - np.log(n), -_two_term_log_t(
-        np.minimum(ln_w, 300.0), n, Statistics.FERMI_DIRAC))
+    boltzmann = -_two_term_log_t(ln_a - bd, n, Statistics.FERMI_DIRAC)
     edge = -np.exp((np.log(0.75 * _SQRT_PI * n) - ln_a) / 1.5) - bd
 
     def log_ratio(gamma, lanes):
@@ -224,7 +202,7 @@ def _cold_start(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
     ln gamma on the bracket (lo, hi), from the Boltzmann root
     (``_two_term_log_t``), on the closed forms of g_{3/2} and
     g_{1/2} = -dg_{3/2}/dalpha."""
-    ln_a = -math.log(2.0 * _SQRT_PI * spectrum.wall.field) - 1.5 * np.log(beta)
+    ln_a = _ln_weight(spectrum.wall.field, beta)
     delta = spectrum.tail.shift - spectrum.e0
     if statistics is Statistics.FERMI_DIRAC:
         return _fermi_start(spectrum, beta, n, ln_a, beta * delta)
@@ -430,69 +408,8 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# closed-form fermion results
-# ---------------------------------------------------------------------------
-
-def fd_plateau(n_particles: int) -> float:
-    """Low-temperature shelf of the fermionic specific heat per particle,
-    3 (N-1) / (2 N): the N-1 particles sitting in the dense positive levels
-    are classical while the split-off one is frozen out."""
-    n = _check_index(n_particles, 1, "n_particles")
-    return 1.5 * (n - 1) / n
-
-
-def fd_single_peak(field: float) -> tuple[float, float]:
-    """Lambert-W predictor for the single-fermion heat-capacity peak of the
-    attractive wall: beta solves 8 sqrt(pi) F beta^{3/2} e^beta = 1, and
-    c_max = beta^2 / (sqrt(2) (sqrt(2)+1)^2)."""
-    field = _check_weak_field(field)
-    beta = 1.5 * lambert_w(1.0 / (6.0 * math.pi ** (1.0 / 3.0) * field ** (2.0 / 3.0)))
-    c_max = beta * beta / (math.sqrt(2.0) * (math.sqrt(2.0) + 1.0) ** 2)
-    return beta, c_max
-
-
-def asymptotic_mu_cn(beta: float, field: float,
-                     ensemble: EnsembleSpec) -> tuple[float, float]:
-    """Weak-field closed forms for the attractive wall: the chemical
-    potential from the two-term (bound level + quasi-continuum) particle
-    balance, and the large-N specific heat per particle
-
-        c_N = 3/2 + sqrt(pi) beta^{5/2} F (2 beta + 3) e^{-beta}
-                    / (2 sqrt(pi) beta^{3/2} F N +- e^{-beta})^2.
-
-    Valid for field <= 1e-2 and beta * field^(2/3) <= 0.1.  The fugacity is
-    the root of  r z^2 +- z (1 + r e^{-beta} -+ N) -+ N e^{-beta} = 0 with
-    r = 1/(2 sqrt(pi) beta^{3/2} F), evaluated in subtraction-free form; for
-    bosons this is the root with mu < E_0.
-    """
-    if ensemble.statistics is Statistics.CANONICAL:
-        raise DomainError("asymptotic_mu_cn needs a grand-canonical ensemble")
-    beta, field = _check_weak_regime(beta, field)
-    n = float(ensemble.n_particles)
-    r = 0.5 / (_SQRT_PI * beta ** 1.5 * field)
-    emb = math.exp(-beta)
-    # the ground level at E_0 = -1: e^{beta mu} = t e^{-beta}
-    mu = float(_two_term_log_t(math.log(r) - beta, n, ensemble.statistics)) / beta - 1.0
-    sign = 1.0 if ensemble.statistics is Statistics.FERMI_DIRAC else -1.0
-    denom = 2.0 * _SQRT_PI * beta ** 1.5 * field * n + sign * emb
-    c_n = 1.5 + (_SQRT_PI * beta ** 2.5 * field * (2.0 * beta + 3.0) * emb
-                 / (denom * denom))
-    return mu, c_n
-
-
-# ---------------------------------------------------------------------------
 # Bose condensation
 # ---------------------------------------------------------------------------
-
-def asymptotic_beta_cr(field: float, n_particles: int) -> float:
-    """Weak-field Lambert-W form of the condensation temperature:
-    beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
-    field = _check_field(field)
-    n = _check_index(n_particles, 1, "n_particles")
-    arg = 4.0 ** (2.0 / 3.0) / (6.0 * math.pi ** (1.0 / 3.0)
-                                * (n * field) ** (2.0 / 3.0))
-    return 1.5 * lambert_w(arg)
-
 
 def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     """Largest temperature at which the condensate survives: beta_cr solves

@@ -2,12 +2,12 @@
 
 Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
 forms for large positive argument), their negative zeros, the principal
-branch of the Lambert W function on the nonnegative axis, the Bose
-functions g_{3/2}, g_{1/2} and the Fermi functions f_{3/2}, f_{1/2} (the
-continua of the cold mu solves), the safeguarded Newton solver of every
-root of the package (Airy zeros, Robin levels, the chemical potential and
-the condensation temperature), and the checks shared by every index and
-count and every inverse temperature of the package.
+branch of the Lambert W function on the nonnegative axis (the predictors of
+``limits``), the Bose functions g_{3/2}, g_{1/2} and the Fermi functions
+f_{3/2}, f_{1/2} (the continua of the cold mu solves), the safeguarded
+Newton solver of every root of the package (Airy zeros, Robin levels, the
+chemical potential and the condensation temperature), and the checks shared
+by every index and count and every inverse temperature of the package.
 
 ``airy`` and ``airy_scaled`` take float arrays (a scalar gives floats, as a
 one-element batch of the same code) and route each element to its branch;

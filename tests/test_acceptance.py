@@ -10,14 +10,9 @@ import pytest
 
 from robinwall import canonical as can
 from robinwall import grand_canonical as gc
-from robinwall import selftest
-from robinwall.canonical import (
-    find_extrema,
-    resonance_predictors,
-    thermo_point,
-    universal_dn_curve,
-    zero_field_attractive,
-)
+from robinwall import limits, selftest
+from robinwall.canonical import find_extrema, thermo_point, universal_dn_curve
+from robinwall.limits import resonance_predictors, zero_field_attractive
 from robinwall.grand_canonical import EnsembleSpec, Statistics
 from robinwall.reference_values import (
     NEUMANN_CURVE_MAX,
@@ -127,7 +122,7 @@ def test_criterion_6_fermion_plateau():
     ok = True
     for n in (2, 5, 10):
         ens = EnsembleSpec(FD, n)
-        plateau = gc.fd_plateau(n)
+        plateau = limits.fd_plateau(n)
         temps = np.exp(np.linspace(math.log(0.002), math.log(0.09), 50))
         p = gc.gc_point(sp, 1.0 / temps, ens)
         cs = p.heat_capacity
@@ -171,7 +166,7 @@ def test_criterion_7_predictor_convergence():
                 break
         seqs["zero-energy beta"].append(abs(beta_zero - math.sqrt(lo * hi))
                                         / math.sqrt(lo * hi))
-        fd_beta, fd_c = gc.fd_single_peak(field)
+        fd_beta, fd_c = limits.fd_single_peak(field)
         rep, = locate_peak(sp, [EnsembleSpec(FD, 1)], [1.0 / fd_beta], span=2.6)
         b_num = 1.0 / rep.beta_inv_at_max
         seqs["fd beta"].append(abs(fd_beta - b_num) / b_num)

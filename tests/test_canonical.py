@@ -7,16 +7,8 @@ import pytest
 
 from robinwall import canonical as can
 from robinwall.errors import DomainError
-from robinwall.canonical import (
-    classical_limit,
-    find_extrema,
-    resonance_predictors,
-    thermo_point,
-    universal_dn_curve,
-    weak_field_composite,
-    zero_field_attractive,
-    zero_field_free,
-)
+from robinwall.canonical import find_extrema, thermo_point, universal_dn_curve
+from robinwall.limits import resonance_predictors, weak_field_composite, zero_field_attractive
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 from robinwall.specfun import airy_zero
 
@@ -111,23 +103,6 @@ class TestZeroField:
         tp = zero_field_attractive(50.0)
         assert tp.mean_energy == pytest.approx(-1.0, abs=1e-18)
         assert 0.0 <= tp.heat_capacity < 1e-15
-
-    @pytest.mark.parametrize("beta,e,c", [(1.0, 0.5, 0.5), (10.0, 0.05, 0.5),
-                                          (0.01, 50.0, 0.5)])
-    def test_free_walls(self, beta, e, c):
-        tp = zero_field_free(beta)
-        assert tp.mean_energy == pytest.approx(e, rel=1e-15)
-        assert tp.heat_capacity == c
-
-
-class TestClassicalLimit:
-    @pytest.mark.parametrize("beta,field,z,v,c", [
-        (1.0, 1.0, 1.0, 1.0, 1.0),
-        (2.0, 0.5, 1.0, 0.5, 1.0),
-        (0.1, 10.0, 1.0, 10.0, 1.0),
-    ])
-    def test_values(self, beta, field, z, v, c):
-        assert classical_limit(beta, field) == (z, v, c)
 
 
 class TestUniversalCurve:

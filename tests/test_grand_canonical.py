@@ -10,16 +10,8 @@ from robinwall import canonical as can
 from robinwall import grand_canonical as gc
 from robinwall import specfun as sf
 from robinwall.errors import DomainError, SolverError
-from robinwall.grand_canonical import (
-    EnsembleSpec,
-    Statistics,
-    asymptotic_beta_cr,
-    asymptotic_mu_cn,
-    be_critical,
-    fd_plateau,
-    fd_single_peak,
-    gc_point,
-)
+from robinwall.grand_canonical import EnsembleSpec, Statistics, be_critical, gc_point
+from robinwall.limits import asymptotic_beta_cr, asymptotic_mu_cn, fd_plateau, fd_single_peak
 from robinwall.specfun import lambert_w
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
@@ -743,13 +735,11 @@ class TestBeCritical:
 
     @pytest.mark.parametrize("field", [-1e-5, 0.0, math.nan, math.inf])
     def test_field_validated(self, field):
-        # the field check WallSpec and classical_limit use
+        # the field check WallSpec uses
         with pytest.raises(DomainError):
             asymptotic_beta_cr(field, 10)
         with pytest.raises(DomainError):
             WallSpec(WallKind.ROBIN_ATTRACTIVE, field)
-        with pytest.raises(DomainError):
-            can.classical_limit(1.0, field)
 
     @pytest.mark.parametrize("n", [0, -5, 2.5])
     def test_particle_number_validated(self, n):

@@ -9,7 +9,8 @@ from scipy import special as sps
 
 from robinwall import spectrum as spm
 from robinwall.errors import DomainError, SolverError
-from robinwall.grand_canonical import EnsembleSpec, Statistics, asymptotic_beta_cr
+from robinwall.grand_canonical import EnsembleSpec, Statistics
+from robinwall.limits import asymptotic_beta_cr
 from robinwall.specfun import AiryZeroKind, airy_zero, interlacing_ok
 from robinwall.spectrum import (
     Spectrum,

@@ -532,10 +532,30 @@ class TestCli:
             doc = json.loads(out.read_text())
             assert all("mu" in r for r in doc["rows"])
 
+    # the whole predict output, recorded at a reference commit
+    PREDICT = {
+        ("1e-6", "10"): (
+            "field = 1e-06, particles = 10\n"
+            "canonical: <E>=0 at beta = 7.815266031504221\n"
+            "canonical: c peak at beta = 9.21822472506804 (T = 0.10848075739362266), height ~ beta^2/4 = 21.243916770463937\n"
+            "fermion N=1: c peak at beta = 8.037522702214854 (T = 0.1244164448486641), height ~ 7.8375090751646965\n"
+            "boson condensation: beta_cr ~ 7.2714746701952215 (T_cr ~ 0.1375236860961454)\n"
+            "fermion plateau: 1.35\n"
+        ),
+        ("1e-3", "1"): (
+            "field = 0.001, particles = 1\n"
+            "canonical: <E>=0 at beta = 3.1662994295844533\n"
+            "canonical: c peak at beta = 3.685595133964242 (T = 0.27132660090214406), height ~ beta^2/4 = 3.395902872875225\n"
+            "fermion N=1: c peak at beta = 2.7425930384575077 (T = 0.3646184417365914), height ~ 0.9125493710225501\n"
+            "boson condensation: beta_cr ~ 3.685595133964242 (T_cr ~ 0.27132660090214406)\n"
+            "fermion plateau: 0.0\n"
+        ),
+    }
+
     def test_predict(self, capsys):
-        assert main(["predict", "--field", "1e-5", "--particles", "4"]) == 0
-        text = capsys.readouterr().out
-        assert "condensation" in text and "plateau" in text
+        for (field, particles), text in self.PREDICT.items():
+            assert main(["predict", "--field", field, "--particles", particles]) == 0
+            assert capsys.readouterr().out == text
 
     def test_table1_subset(self, capsys):
         rc = main(["table1", "--fields", "1e-3", "--ensembles", "canonical"])
