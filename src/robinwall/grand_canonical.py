@@ -292,12 +292,12 @@ class _Evaluator:
     its message, naming its beta and N, is in ``errors``.
 
     ``states`` holds the solved states, one column each: the cell, ln beta,
-    u and du/d ln beta of its solve (u = gamma = beta (E_0 - mu), or ln
-    gamma for bosons) and its place in the order of solving, the columns
-    sorted by cell, then ln beta, then that order.  A lane starts from the
-    cubic Hermite through its cell's two states nearest in ln beta (the
-    earlier solved first among equally near ones), or the Taylor step from
-    one, or else cold."""
+    and u and du/d ln beta of its solve (u = gamma = beta (E_0 - mu), or ln
+    gamma for bosons), the columns sorted by cell, then ln beta, and states
+    of equal cell and ln beta in the order solved.  A lane starts from the
+    cubic Hermite through its cell's two states nearest in ln beta (on a
+    tie, a state below the lane before one above it, and among equal ln
+    beta the earlier solved), or the Taylor step from one, or else cold."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
         if {e.statistics for e in ensembles} not in ({Statistics.FERMI_DIRAC},
@@ -306,10 +306,10 @@ class _Evaluator:
                               f"one BE; got {ensembles!r}")
         self.spectrum, self.statistics = spectrum, ensembles[0].statistics
         self.n = np.array([e.n_particles for e in ensembles])
-        self.states = np.empty((5, 0))
+        self.states = np.empty((4, 0))
 
     def _starts(self, beta: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        cell, lb, u, slope, order = self.states
+        cell, lb, u, slope = self.states
         if not cell.size:
             return np.full(len(beta), np.nan)
         x = np.log(beta)
@@ -325,8 +325,8 @@ class _Evaluator:
                          axis=1)
         near = np.minimum(near, cell.size - 1)
         dist = np.where(valid, np.abs(x[:, None] - lb[near]), np.inf)
-        # the two nearest, the earlier solved first on a tie; one state: twice
-        rank = np.lexsort((order[near], dist))
+        # the two nearest, on a tie the first in ``near``; one state: twice
+        rank = np.argsort(dist, axis=1, kind="stable")
         near, dist = (np.take_along_axis(a, rank, axis=1) for a in (near, dist))
         first, second = near[:, 0], np.where(np.isinf(dist[:, 1]), near[:, 0], near[:, 1])
         (l0, l1), (u0, u1), (s0, s1) = ((row[first], row[second]) for row in (lb, u, slope))
@@ -341,9 +341,8 @@ class _Evaluator:
     def _keep(self, cells, ln_beta, u, du) -> None:
         """Add solved states to ``states``, solved after those already kept
         and in the order given."""
-        solved = self.states.shape[1] + np.arange(len(cells))
-        states = np.hstack([self.states, [cells, ln_beta, u, du, solved]])
-        self.states = states[:, np.lexsort(states[[4, 1, 0]])]
+        states = np.hstack([self.states, [cells, ln_beta, u, du]])
+        self.states = states[:, np.lexsort(states[[1, 0]])]  # stable: keeps that order
 
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
         n = self.n[cells]
@@ -393,6 +392,8 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     and raises SolverError instead.
     """
     beta = _check_beta(beta)
+    if np.ndim(beta) > 1:
+        raise DomainError(f"gc_point takes a scalar or 1-D beta, got shape {np.shape(beta)}")
     lanes = np.ravel(beta)
     specs = [ensemble] if isinstance(ensemble, EnsembleSpec) else list(ensemble)
     if len(specs) not in (1, lanes.size):

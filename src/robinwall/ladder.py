@@ -19,41 +19,40 @@ grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
 costs a single ladder pass.  A call takes arrays of lanes (beta, gamma,
 moment offset); a scalar call is a one-lane batch.
 
-Summing takes two steps.  The plan (``_Plan``) fixes each piece of a
-lane's sum as a set of nodes, given by their energies above E_0, with
-weights: the root-solved levels below the closure floor (one row for every
-lane), and, for each group of 32 lanes, the Euler-Maclaurin closure nodes
-with their end stencils and blocks of the lane's own direct window, one
-row per lane served.  The sum step (``_sums``) evaluates any subset of the
-planned lanes at any gamma and moment offset, with one kernel pass and one
-weighted reduction (``_node_sums``) per node set.  ``ladder_sums`` is the
-two steps in sequence, one group of lanes at a time.  A chemical-potential
-solve plans its batch once, at each lane's start, and its Newton passes
-sum over that plan.  The engine sums energies only and reads every level
-through ``Spectrum.energies``; what else it needs of the level law (the
-index at an energy or a level spacing, the closure's quadrature) it asks
-of ``spectrum.TailLaw``.
+Summing takes two steps.  The plan (``_Plan``, built once) lists each
+piece of a lane's sum as a node set: energies above E_0 with weights, one
+row per lane served.  Each group of 32 lanes has the root-solved levels
+below the closure floor, the Euler-Maclaurin closure nodes with their end
+stencils, and blocks of the lane's own direct window.  The sum step
+(``_sums``) evaluates any subset of the planned lanes at any gamma and
+moment offset, in one loop with one kernel pass and one weighted reduction
+(``_node_sums``) per node set.  ``ladder_sums`` is the two steps in
+sequence, one group of lanes at a time; a chemical-potential solve plans its
+batch once, at each lane's start, and its Newton passes sum over that plan.
+The engine sums energies only and reads every level through
+``Spectrum.energies``; what else it needs of the level law (the index at an
+energy or a level spacing, the closure's quadrature) it asks of
+``spectrum.TailLaw``.
 
 A plan depends on gamma only through where the exponents
 x = beta (E - E_0) + gamma meet its cuts: the X_DEAD margins of the direct
 range and of a filled sea, and the closure panels, laid out in x.  So it
-holds while gamma moves a little, and a lane is planned anew once its
-gamma lies more than _REACH = 1 from the gamma it was planned at, or, for
-bosons, more than a quarter of the exponent of its lowest closure node,
-whose distance from the kernel's pole at x = 0 the panels were laid out
-for.  Plans summed at either edge of that window match brute force to
-1e-10 and their closures mpmath to 1e-12.  Over 4 walls, 5 fields,
-16 temperatures and 9-27 gammas each, sums of a plan moved by up to
-+-10 in gamma (fermions and canonical) or 0.99 of that exponent (bosons)
-stayed within 1.3e-12 of a fresh plan's; at +-20 fermion sums were off by
-up to 6e-6, from levels the direct range had dropped.
+holds while gamma moves a little: within _REACH = 1 of the gamma it was
+planned at, and, for bosons, within a quarter of the exponent of its lowest
+closure node, whose distance from the kernel's pole at x = 0 the panels
+were laid out for.  A lane summed past that reach is summed over a plan of
+its own, made at its gamma for that one pass.  Plans summed at either edge
+of their reach match brute force to 1e-10 and their closures mpmath to
+1e-12.  Over 4 walls, 5 fields, 16 temperatures and 9-27 gammas each, sums
+of a plan moved by up to +-10 in gamma (fermions and canonical) or 0.99 of
+that exponent (bosons) stayed within 1.3e-12 of a fresh plan's; at +-20
+fermion sums were off by up to 6e-6, from levels the direct range had
+dropped.
 
 A window block holds at most 2^14 (lane, level) pairs, and the root block
-is summed 32 lanes at a time, so no temporary of a kernel pass exceeds
-~1 MB.  A plan holds its node sets for as long as its solve runs, ~2.7 KB
-per lane, most of it closure nodes (0.8 MB for a 300-lane Table 1 scan),
-and frees a group's once every lane of it has been planned anew;
-``ladder_sums`` plans and sums one group of lanes at a time.
+is summed a group at a time, so no temporary of a kernel pass exceeds
+~1 MB.  A plan holds its node sets, ~2.7 KB per lane, most of it closure
+nodes (0.8 MB for a 300-lane Table 1 scan), for as long as its solve runs.
 
 Each lane has its own direct range, closure and filled sea; the batch
 only pads a node set's rows with zero-weight nodes to a common length, so
@@ -311,10 +310,8 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
 _LANES = 32          # lanes planned together: a group's temporaries stay below ~1 MB
 _PAIRS = 1 << 14     # (lane, level) pairs of one direct block
 
-# a lane's plan holds while its gamma stays within _REACH of the gamma it was
-# planned at, and for bosons within _REACH_BOSE of the exponent of its lowest
-# closure node, above the kernel's pole at x = 0 (sized against brute force;
-# see the ``ladder`` docstring)
+# a lane's reach in gamma, and for bosons its share of the exponent of its
+# lowest closure node (sized against brute force; see the module docstring)
 _REACH = 1.0
 _REACH_BOSE = 0.25
 
@@ -358,69 +355,54 @@ def _plan_group(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
 
 
 class _Plan:
-    """The node sets of a batch of lanes at temperatures ``beta``: the
-    energies ``root`` of the root block [start_index, closure floor), one
-    row for every lane, and the rest planned in groups of ``_LANES`` lanes:
-    ``groups[g]`` is (the group's lanes of the batch, its node sets from
-    ``_plan_group``, none once no lane owns it), and lane i's current plan
-    is in group ``owner[i]``,
-    planned at ``gamma[i]`` and valid while the lane's gamma stays within
-    ``reach[i]`` of it."""
+    """The node sets of a batch of lanes at temperatures ``beta``, planned
+    once at ``gamma``: ``sets`` lists each as (rows, d, w), the rows of the
+    batch it serves with their energies above E_0 and weights, one row per
+    lane.  Each group of ``_LANES`` lanes has the root block
+    [start_index, closure floor) with weight 1, then the node sets of
+    ``_plan_group``.  Lane i's node sets hold while its gamma stays within
+    ``reach[i]`` of ``gamma[i]``."""
 
     def __init__(self, spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                  statistics: Statistics, start_index: int = 0) -> None:
         self.spectrum, self.statistics, self.start_index = spectrum, statistics, start_index
         self.beta, self.gamma = _check_beta(beta), np.array(gamma, dtype=float)
-        self.root = spectrum.energies(np.arange(start_index, _closure_floor(spectrum)))[None, :] \
-            - spectrum.e0
-        self.reach = np.empty(len(beta))
-        self.owner = np.empty(len(beta), dtype=np.int64)
-        self.groups: list[tuple[np.ndarray, list]] = []
-        self.replan(np.arange(len(beta)))
-
-    def replan(self, lanes: np.ndarray) -> None:
-        """Plan the lanes ``lanes`` anew, at their ``gamma``, and free the
-        node sets of every group that no lane owns any longer."""
-        for lo in range(0, len(lanes), _LANES):
-            sub = lanes[lo:lo + _LANES]
-            sets, self.reach[sub] = _plan_group(self.spectrum, self.beta[sub], self.gamma[sub],
-                                                self.statistics, self.start_index)
-            self.owner[sub] = len(self.groups)
-            self.groups.append((sub, sets))
-        owned = np.bincount(self.owner, minlength=len(self.groups))
-        for g in np.flatnonzero(owned == 0).tolist():
-            self.groups[g] = (self.groups[g][0], [])
+        root = spectrum.energies(np.arange(start_index, _closure_floor(spectrum))) - spectrum.e0
+        self.sets, self.reach = [], np.empty(len(beta))
+        for lo in range(0, len(beta), _LANES):
+            lanes = np.arange(lo, min(lo + _LANES, len(beta)))
+            sets, self.reach[lanes] = _plan_group(spectrum, self.beta[lanes], self.gamma[lanes],
+                                                  statistics, start_index)
+            # the root block: one row of energies and weight 1, broadcast over the group
+            self.sets.append((lanes, np.broadcast_to(root, (len(lanes), len(root))),
+                              np.ones((len(lanes), 1))))
+            self.sets += [(lanes[rows], d, w) for rows, d, w in sets]
 
 
 def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -> np.ndarray:
     """The sums of ``plan``'s lanes ``lanes`` (indices into its batch) at
     ``gamma`` with moment offsets ``moff``, one of each per lane: one row per
     sum and one column per lane, from one kernel pass and weighted reduction
-    (``_node_sums``) for the root block and one per node set that serves
-    them.  A lane whose gamma lies beyond its reach from the gamma it was
-    planned at is planned anew at it first."""
+    (``_node_sums``) per node set that serves them.  Lanes whose gamma lies
+    beyond their reach from the gamma they were planned at are summed over
+    a plan of their own, made at their gamma."""
     stale = np.abs(gamma - plan.gamma[lanes]) > plan.reach[lanes]
-    if stale.any():
-        plan.gamma[lanes[stale]] = gamma[stale]
-        plan.replan(lanes[stale])
     at = np.full(len(plan.beta), -1)  # each lane's column
-    at[lanes] = np.arange(len(lanes))
-    # the root block, _LANES lanes at a time
-    out = np.hstack([_node_sums(plan.root, np.ones((1, 1)), plan.beta[lanes[k]], gamma[k],
-                                moff[k], plan.statistics)
-                     for k in (slice(lo, lo + _LANES) for lo in range(0, len(lanes), _LANES))])
-    for g in np.flatnonzero(np.bincount(plan.owner[lanes])).tolist():
-        group, sets = plan.groups[g]
-        take = (at[group] >= 0) & (plan.owner[group] == g)
-        for rows, d, w in sets:
-            keep = take[rows]
+    at[lanes[~stale]] = (~stale).nonzero()[0]
+    plans = [(plan, at)]
+    if stale.any():
+        plans.append((_Plan(plan.spectrum, plan.beta[lanes[stale]], gamma[stale],
+                            plan.statistics, plan.start_index), stale.nonzero()[0]))
+    out = np.zeros((len(_ROWS[plan.statistics]), len(lanes)))
+    for p, at in plans:
+        for rows, d, w in p.sets:
+            keep = at[rows] >= 0
             if not keep.all():
                 if not keep.any():
                     continue
                 rows, d, w = rows[keep], d[keep], w[keep]
-            c = at[group[rows]]
-            out[:, c] += _node_sums(d, w, plan.beta[group[rows]], gamma[c], moff[c],
-                                    plan.statistics)
+            c = at[rows]
+            out[:, c] += _node_sums(d, w, p.beta[rows], gamma[c], moff[c], p.statistics)
     return out
 
 

@@ -51,6 +51,14 @@ DEFAULT_N_EXACT = 64
 _MAX_N_EXACT = 512
 
 
+def _check_n_exact(n_exact: int) -> int:
+    """n_exact as int; DomainError unless an integer in [2, _MAX_N_EXACT]."""
+    n = _check_index(n_exact, 2, "n_exact")
+    if n > _MAX_N_EXACT:
+        raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact!r}")
+    return n
+
+
 def _check_field(field: float) -> float:
     """A field as float, finite and > 0 (zero-field walls are handled by the
     closed-form thermodynamics)."""
@@ -271,9 +279,7 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
     Airy zero the law follows at the same index.
     """
     count = _check_index(count, 1, "count")
-    n_exact = _check_index(n_exact, 2, "n_exact")
-    if n_exact > _MAX_N_EXACT:
-        raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact}")
+    n_exact = _check_n_exact(n_exact)
 
     j0, k_off, zero_kind, rule = _TAILS[wall.kind]
     f23 = wall.field ** (2.0 / 3.0)

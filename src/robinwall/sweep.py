@@ -28,7 +28,8 @@ from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
 from .specfun import _check_index
-from .spectrum import DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, build_spectrum
+from .spectrum import (DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, _check_n_exact,
+                       build_spectrum)
 
 __all__ = [
     "OUTPUT_FIELDS",
@@ -70,6 +71,7 @@ class SweepSpec:
             raise DomainError("sweep grid needs 0 < beta_inv_min < beta_inv_max < inf, "
                               "with a finite 1/beta_inv_min")
         object.__setattr__(self, "points", _check_index(self.points, 2, "sweep grid points"))
+        object.__setattr__(self, "n_exact", _check_n_exact(self.n_exact))
         bad = set(self.outputs) - set(OUTPUT_FIELDS)
         if bad:
             raise DomainError(f"unknown output fields: {sorted(bad)}")
@@ -217,12 +219,19 @@ def result_to_json(result: SweepResult) -> str:
 
 
 def result_from_json(text: str) -> SweepResult:
+    """The result of a ``result_to_json`` document; DomainError naming a
+    key that is missing or that no field takes."""
     doc = json.loads(text)
-    cond = doc["condensate"]
-    return SweepResult(spec=_spec_from_dict(doc["spec"]),
-                       rows=tuple(SweepRow(**r) for r in doc["rows"]),
-                       extrema=ExtremumReport(**doc["extrema"]),
-                       condensate=None if cond is None else CondensateReport(**cond))
+    try:
+        cond = doc["condensate"]
+        return SweepResult(spec=_spec_from_dict(doc["spec"]),
+                           rows=tuple(SweepRow(**r) for r in doc["rows"]),
+                           extrema=ExtremumReport(**doc["extrema"]),
+                           condensate=None if cond is None else CondensateReport(**cond))
+    except KeyError as e:
+        raise DomainError(f"sweep document has no key {e}") from None
+    except TypeError as e:  # a dataclass given an unknown key, or none for a field
+        raise DomainError(f"sweep document: {e}") from None
 
 
 def _fmt(value) -> str:

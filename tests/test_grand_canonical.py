@@ -174,7 +174,7 @@ class TestGcPoint:
         p = evaluate(beta * np.exp(h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])),
                      np.zeros(5, dtype=int))
         assert p.errors == (None,) * 5
-        _, _, u, slope, _ = evaluate.states  # sorted by ln beta: offsets -2h .. 2h
+        _, _, u, slope = evaluate.states  # sorted by ln beta: offsets -2h .. 2h
         fd = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
         assert slope[2] == pytest.approx(fd, rel=1e-7, abs=0.0)
 
@@ -189,7 +189,7 @@ class TestGcPoint:
         evaluate = gc._Evaluator(sp, [ens])
         p = evaluate(np.array([1000.0, 2.0]), np.zeros(2, dtype=int))
         assert p.errors == (None, None)
-        _, ln_beta, _, slope, _ = evaluate.states
+        _, ln_beta, _, slope = evaluate.states
         assert p.heat_capacity[0] == 0.0 == slope[ln_beta == math.log(1000.0)][0]
         assert p.heat_capacity[1] > 0.0
 
@@ -323,6 +323,15 @@ class TestSolveAcceptance:
         with pytest.raises(DomainError):
             gc_point(sp, betas, [EnsembleSpec(FD, 1)] * 3)
 
+    def test_beta_of_two_dimensions_rejected(self):
+        # a scalar or 1-D beta only: a (2, 3) beta raised nothing and came
+        # back flattened to 6 lanes
+        sp = attractive(1e-5)
+        for stat in (FD, BE):
+            with pytest.raises(DomainError, match=r"1-D beta, got shape \(2, 3\)"):
+                gc_point(sp, np.full((2, 3), 2.0), EnsembleSpec(stat, 10))
+            assert gc_point(sp, np.full(6, 2.0), EnsembleSpec(stat, 10)).mu.shape == (6,)
+
     def test_canonical_ensemble_rejected(self):
         # the canonical ensemble has no chemical potential to solve
         sp, canonical = attractive(1e-5), EnsembleSpec(Statistics.CANONICAL, 1)
@@ -384,10 +393,12 @@ class TestPlainFloats:
 def loop_starts(states, beta, cells):
     """The warm starts as a loop over cells computed them before the
     evaluator kept its states as sorted arrays: ``states[k]`` lists cell
-    k's states as (ln beta, u, du/d ln beta) in the order solved."""
+    k's states as (ln beta, u, du/d ln beta) in the order solved.  Ties in
+    distance go to the state lower in ln beta, then to the earlier solved."""
     start = np.full(len(beta), np.nan)
     for k in {k for k in cells.tolist() if states[k]}:
         rows = np.array(states[k]).T
+        rows = rows[:, np.argsort(rows[0], kind="stable")]
         lane = cells == k
         lb = np.log(beta[lane])
         near = np.argsort(np.abs(lb[:, None] - rows[0]), axis=1, kind="stable")
@@ -404,9 +415,10 @@ def loop_starts(states, beta, cells):
 class TestWarmStarts:
     def test_starts_match_the_loop_over_cells(self):
         # random states kept in three batches, against the loop: equal
-        # ln beta solved twice and lanes midway between two states (ties,
-        # the earlier solved first), a one-state cell, a cell without
-        # states (cold: NaN) and lanes outside every state's range
+        # ln beta solved twice (ties: the earlier solved first), lanes
+        # midway between two states (ties: the one below first), a
+        # one-state cell, a cell without states (cold: NaN) and lanes
+        # outside every state's range
         rng = np.random.default_rng(11)
         evaluate = gc._Evaluator(attractive(1e-3), [EnsembleSpec(FD, 1)] * 4)
         # the lanes' ln beta in one binade, where a step of 1/8 to either
@@ -414,7 +426,7 @@ class TestWarmStarts:
         x = np.log(np.exp(rng.uniform(1.25, 1.75, 10)))
         pool = np.concatenate([x, x[:4] + 0.125, x[:4] - 0.125])
         for _ in range(30):
-            evaluate.states = np.empty((5, 0))
+            evaluate.states = np.empty((4, 0))
             kept = [[] for _ in range(4)]
             for batch, size in enumerate(rng.integers(3, 8, 3)):
                 cells = rng.choice([0, 3], size)
@@ -538,6 +550,21 @@ class TestWorkCounts:
                 p = gc_point(sp, beta, EnsembleSpec(FD, n))
                 assert p.errors == (None,) * 40
                 assert len(calls[0]) == 40 and len(calls) <= 6
+
+    def test_table1_sums_no_stale_lane(self, monkeypatch):
+        # every Newton pass of a table1 round sums its lanes within the
+        # reach of their planned gamma: no lane falls back to a plan of its
+        # own (the Fermi-edge and warm starts land that close)
+        from robinwall.sweep import table1_harness
+        stale, sums = [], gc._sums
+
+        def counting_sums(plan, lanes, gamma, moff):
+            stale.append(int((np.abs(gamma - plan.gamma[lanes]) > plan.reach[lanes]).sum()))
+            return sums(plan, lanes, gamma, moff)
+
+        monkeypatch.setattr(gc, "_sums", counting_sums)
+        assert table1_harness().passed
+        assert len(stale) > 200 and sum(stale) == 0
 
     def test_be_critical_ladder_passes(self, monkeypatch):
         calls = []

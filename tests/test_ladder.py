@@ -284,7 +284,7 @@ WINDOW_CASES = [
 
 @pytest.mark.parametrize("edge", [-1.0, 1.0], ids=["below", "above"])
 @pytest.mark.parametrize("wall_kind,field,sign,beta,gamma", WINDOW_CASES)
-def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge):
+def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge, monkeypatch):
     # a lane planned at gamma and summed at either edge of its window (one
     # reach away, where a mu solve's Newton pass still reuses the plan)
     # against brute force at that gamma, and the closure nodes planned at
@@ -297,8 +297,10 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
     g = gamma + edge * plan.reach[0]
     if abs(g - gamma) > plan.reach[0]:
         g = np.nextafter(g, gamma)
+    planned, plan_group = [], ladder._plan_group
+    monkeypatch.setattr(ladder, "_plan_group", lambda *a: planned.append(a) or plan_group(*a))
     sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
-    assert len(plan.groups) == 1  # not planned anew
+    assert not planned  # not planned anew
     if sign == BOLTZ:
         ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=(0, 1, 2))
     else:
@@ -316,19 +318,43 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
         assert abs(m - r) <= 1e-12 * abs(f)
 
 
-def test_group_that_no_lane_owns_frees_its_node_sets():
+def test_lanes_past_their_reach_sum_as_a_fresh_plan():
     # a Bose batch of 40 lanes in two groups: every lane of the first group
-    # leaves its window and is planned anew in a third group.  The first
-    # group, which no lane owns any longer, keeps no node sets, and the sums
-    # are bit for bit those of a batch planned at the new gammas
+    # leaves its window, and the sums are bit for bit those of a batch
+    # planned at the new gammas
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     beta, lanes, moff = np.geomspace(0.1, 1.0, 40), np.arange(40), np.zeros(40)
     plan = ladder._Plan(sp, beta, np.full(40, 0.5), Statistics.BOSE_EINSTEIN)
     gamma = 0.5 + np.where(lanes < ladder._LANES, 2.0 * plan.reach, 0.0)
     sums = ladder._sums(plan, lanes, gamma, moff)
-    assert [len(sets) > 0 for _, sets in plan.groups] == [False, True, True]
     fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
     assert np.array_equal(sums, ladder._sums(fresh, lanes, gamma, moff))
+
+
+@pytest.mark.parametrize("sign", [FERMI, BOSE])
+def test_stale_and_held_lanes_interleaved(sign):
+    # a 40-lane batch summed at a subset of its lanes in shuffled order,
+    # every third one past its reach: each stale lane's column is bit for
+    # bit the sums of a plan made at its own gamma, and each other column
+    # those of the original plan at its gamma
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
+    rng = np.random.default_rng(5)
+    beta = np.geomspace(0.1, 3.0, 40)
+    # fermions: some lanes with a filled sea; bosons move up only, away
+    # from the kernel's pole
+    gamma0 = np.full(40, 0.5) if sign == BOSE else rng.uniform(-60.0, 5.0, 40)
+    plan = ladder._Plan(sp, beta, gamma0, STATS[sign])
+    lanes = rng.permutation(40)[:33]
+    stale = np.arange(len(lanes)) % 3 == 0
+    held = rng.uniform(0.0 if sign == BOSE else -0.9, 0.9, len(lanes))
+    gamma = gamma0[lanes] + plan.reach[lanes] * np.where(stale, 2.0, held)
+    moff = rng.uniform(0.0, 0.3, len(lanes))
+    sums = ladder._sums(plan, lanes, gamma, moff)
+    fresh = ladder._Plan(sp, beta[lanes[stale]], gamma[stale], STATS[sign])
+    assert np.array_equal(sums[:, stale],
+                          ladder._sums(fresh, np.arange(stale.sum()), gamma[stale], moff[stale]))
+    assert np.array_equal(sums[:, ~stale],
+                          ladder._sums(plan, lanes[~stale], gamma[~stale], moff[~stale]))
 
 
 def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):

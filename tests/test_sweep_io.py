@@ -148,6 +148,16 @@ class TestSweepSpec:
                       beta_inv_min=0.1, beta_inv_max=1.0, points=5,
                       normalize_by_tcr=True)
 
+    def test_root_count_validated(self):
+        # the [2, 512] of build_spectrum, checked when the request is made
+        for n_exact in (1, 513, 10 ** 6, 2.5):
+            with pytest.raises(DomainError, match="n_exact"):
+                SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
+                          beta_inv_max=1.0, points=5, n_exact=n_exact)
+        for n_exact in (2, 512):
+            assert SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
+                             beta_inv_max=1.0, points=5, n_exact=n_exact).n_exact == n_exact
+
     def test_output_names_validated(self):
         with pytest.raises(DomainError):
             SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
@@ -241,6 +251,22 @@ class TestSerialization:
         doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
         doc["spec"]["wall"] = "xx"
         with pytest.raises(DomainError, match="unknown wall 'xx'"):
+            result_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("part,edit,message", [
+        ("spec", lambda d: d.pop("particles"), "has no key 'particles'"),
+        ("spec", lambda d: d.pop("points"), "argument: 'points'"),
+        ("spec", lambda d: d.update(fields=1), "argument 'fields'"),
+        ("spec", lambda d: d.update(n_exact=10 ** 6), "n_exact must be in"),
+        ("row", lambda d: d.pop("beta"), "argument: 'beta'"),
+        ("row", lambda d: d.update(entropy=0.5), "argument 'entropy'"),
+    ], ids=["spec-ensemble-key", "spec-key", "spec-extra", "spec-n-exact", "row-key", "row-extra"])
+    def test_bad_keys_in_json_rejected(self, part, edit, message):
+        # a missing or unknown key is a DomainError that names it, not a
+        # KeyError or TypeError
+        doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
+        edit(doc["spec"] if part == "spec" else doc["rows"][2])
+        with pytest.raises(DomainError, match=message):
             result_from_json(json.dumps(doc))
 
     @SERIALIZED
@@ -367,11 +393,12 @@ class TestTable1Harness:
 
     def test_kernel_passes_per_round(self, monkeypatch):
         # work-count gate on the ladder: each ladder pass evaluates its
-        # kernels once per 32 of its lanes for the root block, and for each
-        # lane group of its plan once for its closure nodes with their end
-        # stencils and once per block of its direct windows: 1,110 passes a
-        # round.  Planned anew on every pass, which regrouped the lanes
-        # still unsolved, it took 1,078; with the closure integral, each end
+        # kernels, for each lane group of its plan that serves a lane of it,
+        # once for the root block, once for its closure nodes with their end
+        # stencils and once per block of its direct windows: 1,125 passes a
+        # round (1,110 with the root block once per 32 of the pass's lanes).
+        # Planned anew on every pass, which regrouped the lanes still
+        # unsolved, it took 1,078; with the closure integral, each end
         # correction and each direct block evaluated apart 1,943, and with
         # the mu solves' older starts 1,350.
         from robinwall import ladder
@@ -390,10 +417,11 @@ class TestTable1Harness:
         # work-count gate on the ladder's planning: every ladder_sums call
         # plans its lane groups, and every mu solve plans its batch's once,
         # at the lanes' start gamma; its later Newton passes sum over that
-        # plan, and a lane is planned anew only when its gamma leaves its
-        # window.  Planned anew on every pass, a round planned 478 groups;
+        # plan, and only a lane whose gamma leaves its window gets a plan of
+        # its own.  Planned anew on every pass, a round planned 478 groups;
         # now 217 (40 of the 35 canonical calls, 177 of the mu solves), and
-        # the kernel elements stay at the 1,804,892 of planning every pass
+        # 1,764,741 kernel elements, below the 1,804,892 of planning every
+        # pass
         from robinwall import ladder
         counts = {"plans": 0, "elements": 0}
         plan_group, summands = ladder._plan_group, ladder._summands
