@@ -19,16 +19,15 @@ grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
 costs a single ladder pass.  A call takes arrays of lanes (beta, gamma,
 moment offset); a scalar call is a one-lane batch.
 
-Summing takes two steps.  The plan (``_Plan``, built once) lists each
-piece of a lane's sum as a node set: energies above E_0 with weights, one
-row per lane served.  Each group of 32 lanes has the root-solved levels
-below the closure floor, the Euler-Maclaurin closure nodes with their end
-stencils, and blocks of the lane's own direct window.  The sum step
-(``_sums``) evaluates any subset of the planned lanes at any gamma and
-moment offset, in one loop with one kernel pass and one weighted reduction
-(``_node_sums``) per node set.  ``ladder_sums`` is the two steps in
-sequence, one group of lanes at a time; a chemical-potential solve plans its
-batch once, at each lane's start, and its Newton passes sum over that plan.
+Summing takes two steps.  The plan (``_Plan``) lists each piece of the
+sums of a batch as a node set, energies above E_0 with weights, one row per
+lane served: the root-solved levels below the closure floor, the
+Euler-Maclaurin closure nodes with their end stencils, and blocks of the
+lanes' own direct windows.  The sum step (``_sums``) evaluates any subset
+of the planned lanes at any gamma and moment offset, with one kernel pass
+and one weighted reduction (``_node_sums``) per node set.  ``ladder_sums``
+is the two steps in sequence; a chemical-potential solve plans its batch
+once, at each lane's start, and its Newton passes sum over that plan.
 The engine sums energies only and reads every level through
 ``Spectrum.energies``; what else it needs of the level law (the index at an
 energy or a level spacing, the closure's quadrature) it asks of
@@ -49,10 +48,10 @@ that exponent (bosons) stayed within 1.3e-12 of a fresh plan's; at +-20
 fermion sums were off by up to 6e-6, from levels the direct range had
 dropped.
 
-A window block holds at most 2^14 (lane, level) pairs, and the root block
-is summed a group at a time, so no temporary of a kernel pass exceeds
-~1 MB.  A plan holds its node sets, ~2.7 KB per lane, most of it closure
-nodes (0.8 MB for a 300-lane Table 1 scan), for as long as its solve runs.
+No node set holds more than 2^13 (lane, node) pairs, so no temporary of
+a kernel pass exceeds ~0.4 MB.  A plan holds its node sets, ~2.6 KB per
+lane (at most ~3.9 KB; up to 0.95 MB for a 300-lane Table 1 scan), most of
+it closure nodes, for as long as its solve runs.
 
 Each lane has its own direct range, closure and filled sea; the batch
 only pads a node set's rows with zero-weight nodes to a common length, so
@@ -234,28 +233,32 @@ def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray
 
 
 def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.ndarray,
-             n1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node set (d, w) of the Euler-Maclaurin closure of sum_{n0 <= m < n1}
-    f(E_m) for a kernel at the exponents beta(E_m - E_0) + gamma, one row
-    per lane (n1 = inf: the tail): the integral, edge(n0) and -edge(n1).
-    The integral is the tail law's quadrature with the rule (``_GL_NODES``,
-    ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``, clipped at E_{n1};
-    each edge is the stencil ``_EDGE`` on the five levels around it."""
+             n1: np.ndarray) -> list[tuple]:
+    """Node sets of the Euler-Maclaurin closure of sum_{n0 <= m < n1} f(E_m)
+    at the exponents beta(E_m - E_0) + gamma (n1 = inf: the tail), one
+    (rows, d, w) per block of the lanes given: the integral, edge(n0) and
+    -edge(n1).  The integral is the tail law's quadrature with the rule
+    (``_GL_NODES``, ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``,
+    clipped at E_{n1}; each edge is ``_EDGE`` on the five levels around it."""
     e0 = spectrum.e0
     finite = np.isfinite(n1)
-    # the five levels around each end, E(n0) and E(n1) in the middle
-    m = np.array([n0, np.where(finite, n1, n0)], dtype=np.int64)[:, :, None] + _STENCIL
-    ends = spectrum.energies(m) - e0
+    # the five levels around each end, E(n0) and E(n1) in the middle, with
+    # their weights (the upper end only if a lane has one)
+    m = np.array([n0, np.where(finite, n1, n0)], dtype=np.int64)[:1 + finite.any()]
+    ends = spectrum.energies(m[:, :, None] + _STENCIL) - e0
+    edges = np.multiply.outer(np.array([np.ones(len(beta)), -1.0 * finite])[:len(m)], _EDGE)
     breaks = np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
-                        np.where(finite, ends[1, :, 2], np.inf)[:, None])
-    # drop the panels of zero width in every lane (a sea's past its end)
-    breaks = breaks[:, np.concatenate(([True], (breaks[:, 1:] > breaks[:, :-1]).any(axis=0)))]
-    e, w = spectrum.tail.quadrature(breaks + e0, _GL_NODES, _GL_WEIGHTS)
-    d, w = [e - e0, ends[0]], [w, np.multiply.outer(np.ones(len(beta)), _EDGE)]
-    if finite.any():
-        d.append(ends[1])
-        w.append(np.multiply.outer(-1.0 * finite, _EDGE))
-    return np.concatenate(d, axis=1), np.concatenate(w, axis=1)
+                        np.where(finite, ends[-1, :, 2], np.inf)[:, None])
+    blocks = []
+    for rows in _blocks(np.arange(len(beta)),
+                        (breaks.shape[1] - 1) * len(_GL_NODES) + edges.shape[0] * len(_EDGE)):
+        # drop the panels of zero width in every lane of the block (a sea's past its end)
+        b = breaks[rows]
+        b = b[:, np.concatenate(([True], (b[:, 1:] > b[:, :-1]).any(axis=0)))]
+        e, w = spectrum.tail.quadrature(b + e0, _GL_NODES, _GL_WEIGHTS)
+        blocks.append((rows, np.concatenate([e - e0, *ends[:, rows]], axis=1),
+                       np.concatenate([w, *edges[:, rows]], axis=1)))
+    return blocks
 
 
 def _closure_floor(spectrum) -> int:
@@ -307,8 +310,7 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
 # the engine: a plan of node sets per lane, then kernel passes over it
 # ---------------------------------------------------------------------------
 
-_LANES = 32          # lanes planned together: a group's temporaries stay below ~1 MB
-_PAIRS = 1 << 14     # (lane, level) pairs of one direct block
+_PAIRS = 1 << 13     # (lane, node) pairs of one node set at most
 
 # a lane's reach in gamma, and for bosons its share of the exponent of its
 # lowest closure node (sized against brute force; see the module docstring)
@@ -316,67 +318,58 @@ _REACH = 1.0
 _REACH_BOSE = 0.25
 
 
-def _plan_group(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
-                statistics: Statistics, start_index: int) -> tuple[list, np.ndarray]:
-    """The node sets of one group of lanes past the root block, planned at
-    ``gamma``, each as (rows, d, w): the rows of the lanes it serves, and
-    their energies above E_0 and weights, one row per lane; and each lane's
-    reach in gamma."""
-    n, e0 = len(beta), spectrum.e0
-    first = _closure_floor(spectrum)
-    n_em, sea, stop = _direct_range(spectrum, beta, gamma, statistics, start_index)
-    sets, reach = [], np.full(n, _REACH)
-
-    # the closures: the tail [n_em, inf) of each lane whose range reaches
-    # its closure index, and each filled sea [first, sea)
-    for lanes, n0, n1 in (((stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
-                          ((sea > first).nonzero()[0], np.full(n, first), sea)):
-        if len(lanes):
-            d, w = _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes], n1[lanes])
-            sets.append((lanes, d, w))
-            if statistics is Statistics.BOSE_EINSTEIN:
-                x_low = beta[lanes] * d.min(axis=1) + gamma[lanes]
-                reach[lanes] = np.minimum(_REACH, _REACH_BOSE * x_low)
-
-    # each lane's own direct window [sea, stop), indexed from its sea in
-    # doubling blocks of relative index: a block serves the lanes whose
-    # window reaches it and gives weight 0 to the levels past each one's stop
-    span = stop - sea
-    lo, hi = 0, first
-    while lo < span.max():
-        lanes = (span > lo).nonzero()[0]
-        r = np.arange(lo, min(hi, span[lanes].max()))
-        step = max(1, _PAIRS // len(r))
-        for k in range(0, len(lanes), step):
-            sub = lanes[k:k + step]
-            sets.append((sub, spectrum.energies(sea[sub, None] + r) - e0, r < span[sub, None]))
-        lo, hi = hi, min(2 * hi, hi + (1 << 20))
-    return sets, reach
+def _blocks(lanes: np.ndarray, width: int) -> list[np.ndarray]:
+    """``lanes`` in runs of max(1, _PAIRS // width), for node sets ``width`` wide."""
+    step = max(1, _PAIRS // width)
+    return [lanes[k:k + step] for k in range(0, len(lanes), step)]
 
 
 class _Plan:
     """The node sets of a batch of lanes at temperatures ``beta``, planned
     once at ``gamma``: ``sets`` lists each as (rows, d, w), the rows of the
     batch it serves with their energies above E_0 and weights, one row per
-    lane.  Each group of ``_LANES`` lanes has the root block
-    [start_index, closure floor) with weight 1, then the node sets of
-    ``_plan_group``.  Lane i's node sets hold while its gamma stays within
-    ``reach[i]`` of ``gamma[i]``."""
+    lane, in blocks of at most ``_PAIRS`` (lane, node) pairs: the root block
+    [start_index, closure floor) with weight 1, the closures of the tail and
+    of each filled Fermi sea, and the blocks of the direct windows.  Lane i's
+    node sets hold while its gamma stays within ``reach[i]`` of ``gamma[i]``."""
 
     def __init__(self, spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                  statistics: Statistics, start_index: int = 0) -> None:
         self.spectrum, self.statistics, self.start_index = spectrum, statistics, start_index
-        self.beta, self.gamma = _check_beta(beta), np.array(gamma, dtype=float)
-        root = spectrum.energies(np.arange(start_index, _closure_floor(spectrum))) - spectrum.e0
-        self.sets, self.reach = [], np.empty(len(beta))
-        for lo in range(0, len(beta), _LANES):
-            lanes = np.arange(lo, min(lo + _LANES, len(beta)))
-            sets, self.reach[lanes] = _plan_group(spectrum, self.beta[lanes], self.gamma[lanes],
-                                                  statistics, start_index)
-            # the root block: one row of energies and weight 1, broadcast over the group
-            self.sets.append((lanes, np.broadcast_to(root, (len(lanes), len(root))),
-                              np.ones((len(lanes), 1))))
-            self.sets += [(lanes[rows], d, w) for rows, d, w in sets]
+        self.beta, self.gamma = beta, gamma = _check_beta(beta), np.array(gamma, dtype=float)
+        n, e0, first = len(beta), spectrum.e0, _closure_floor(spectrum)
+        n_em, sea, stop = _direct_range(spectrum, beta, gamma, statistics, start_index)
+        self.reach = np.full(n, _REACH)
+
+        # the root block: one row of energies and weight 1, broadcast over its lanes
+        root = spectrum.energies(np.arange(start_index, first)) - e0
+        self.sets = [(rows, np.broadcast_to(root, (len(rows), len(root))), np.ones((len(rows), 1)))
+                     for rows in _blocks(np.arange(n), len(root))]
+
+        # the closures: the tail [n_em, inf) of each lane whose range reaches
+        # its closure index, and each filled sea [first, sea)
+        for lanes, n0, n1 in (((stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
+                              ((sea > first).nonzero()[0], np.full(n, first), sea)):
+            if len(lanes):
+                for rows, d, w in _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes],
+                                           n1[lanes]):
+                    rows = lanes[rows]
+                    self.sets.append((rows, d, w))
+                    if statistics is Statistics.BOSE_EINSTEIN:
+                        x_low = beta[rows] * d.min(axis=1) + gamma[rows]
+                        self.reach[rows] = np.minimum(_REACH, _REACH_BOSE * x_low)
+
+        # each lane's own direct window [sea, stop), indexed from its sea in
+        # doubling blocks of relative index: a block serves the lanes whose
+        # window reaches it and gives weight 0 to the levels past each one's stop
+        span = stop - sea
+        lo, hi = 0, first
+        while lo < span.max():
+            lanes = (span > lo).nonzero()[0]
+            r = np.arange(lo, min(hi, span[lanes].max()))
+            self.sets += [(rows, spectrum.energies(sea[rows, None] + r) - e0, r < span[rows, None])
+                          for rows in _blocks(lanes, len(r))]
+            lo, hi = hi, min(2 * hi, hi + _PAIRS)
 
 
 def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -> np.ndarray:
@@ -436,10 +429,8 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
                           f"got {start_index!r}")
     shape = np.broadcast(beta, gamma, moment_offset).shape
     beta, gamma, moff = ((np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset))
-    _check_beta(beta)
-    sums = np.hstack([_sums(_Plan(spectrum, beta[k], gamma[k], statistics, start_index),
-                            np.arange(len(beta[k])), gamma[k], moff[k])
-                      for k in (slice(lo, lo + _LANES) for lo in range(0, beta.size, _LANES))])
+    sums = _sums(_Plan(spectrum, beta, gamma, statistics, start_index),
+                 np.arange(beta.size), gamma, moff)
     if not shape:
         return tuple(sums[:, 0].tolist())
     return tuple(s.reshape(shape) for s in sums)

@@ -21,8 +21,7 @@ import numpy as np
 from .canonical import ThermoPoint
 from .errors import DomainError
 from .ladder import Statistics
-from .spectrum import _check_field
-from .specfun import _SQRT_PI, _check_beta, _check_index, lambert_w
+from .specfun import _SQRT_PI, _check_beta, _check_field, _check_index, lambert_w
 
 if TYPE_CHECKING:
     from .grand_canonical import EnsembleSpec

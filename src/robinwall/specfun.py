@@ -70,6 +70,14 @@ def _check_index(value, minimum: int, what: str) -> int:
     return int(value)
 
 
+def _check_field(field: float) -> float:
+    """A field as float; DomainError unless it is a real number, finite and
+    > 0 (zero-field walls are handled by the closed-form thermodynamics)."""
+    if not (isinstance(field, numbers.Real) and math.isfinite(field) and field > 0.0):
+        raise DomainError(f"field must be a finite real number > 0, got {field!r}")
+    return float(field)
+
+
 def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
     """beta as a float, or a float array for a batch; DomainError unless
     each is finite and > 0."""

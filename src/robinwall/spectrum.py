@@ -33,6 +33,7 @@ from .specfun import (
     AiryZeroKind,
     _airy_pair,
     _airy_zeros,
+    _check_field,
     _check_index,
     _polished_roots,
 )
@@ -57,15 +58,6 @@ def _check_n_exact(n_exact: int) -> int:
     if n > _MAX_N_EXACT:
         raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact!r}")
     return n
-
-
-def _check_field(field: float) -> float:
-    """A field as float, finite and > 0 (zero-field walls are handled by the
-    closed-form thermodynamics)."""
-    f = float(field)
-    if not math.isfinite(f) or f <= 0.0:
-        raise DomainError(f"field must be finite and > 0, got {field!r}")
-    return f
 
 
 class WallKind(enum.Enum):

@@ -325,7 +325,16 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
     ensemble ``ensembles[i]`` (all of one statistics): each cell's log
     window around ``t_centers[i]`` is scanned, all cells as one batch, and
     the extrema of all scans are refined in lockstep, one batch per Brent
-    pass.  SolverError names the first lane whose solve failed."""
+    pass.  SolverError names the first lane whose solve failed; DomainError
+    unless there is one center per ensemble, at least one, each finite and
+    > 0, and ``span`` is finite and > 1."""
+    if not 1 <= len(ensembles) == len(t_centers):
+        raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
+                          f"{len(t_centers)} for {len(ensembles)} ensembles")
+    if not all(math.isfinite(t) and t > 0.0 for t in t_centers):
+        raise DomainError(f"t_centers must be finite and > 0, got {list(t_centers)!r}")
+    if not (math.isfinite(span) and span > 1.0):
+        raise DomainError(f"span must be finite and > 1, got {span!r}")
     grids = np.exp([np.linspace(math.log(1.0 / (t * span)), math.log(span / t), _SCAN_POINTS)
                     for t in t_centers])
     c_fn = _c_or_raise(_evaluator(spectrum, ensembles))

@@ -205,13 +205,14 @@ def test_short_root_block_matches_brute_force(kind):
 
 def em_integral(spectrum, beta, gamma, moment_offset, n0, sign, planned_at=None):
     """The engine's closure integrals of one lane over [n0, inf) at gamma:
-    the closure's node set, planned at gamma or else at ``planned_at``,
-    with the end correction's weights set to 0."""
+    the closure's one node set (a block of that lane), planned at gamma or
+    else at ``planned_at``, with the end correction's weights set to 0."""
     beta, gamma, moment_offset, n0 = (np.atleast_1d(a) for a in (beta, gamma, moment_offset, n0))
     plan_gamma = gamma if planned_at is None else np.atleast_1d(planned_at)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder, "_EDGE", np.zeros(5))
-        d, w = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]))
+        (rows, d, w), = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]))
+    assert rows.tolist() == [0]
     return ladder._node_sums(d, w, beta, gamma, moment_offset, STATS[sign])[:, 0]
 
 
@@ -297,10 +298,11 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge,
     g = gamma + edge * plan.reach[0]
     if abs(g - gamma) > plan.reach[0]:
         g = np.nextafter(g, gamma)
-    planned, plan_group = [], ladder._plan_group
-    monkeypatch.setattr(ladder, "_plan_group", lambda *a: planned.append(a) or plan_group(*a))
+    planned, init = [], ladder._Plan.__init__
+    monkeypatch.setattr(ladder._Plan, "__init__",
+                        lambda self, *a: planned.append(a) or init(self, *a))
     sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
-    assert not planned  # not planned anew
+    assert not planned  # no _Plan built during the sum
     if sign == BOLTZ:
         ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=(0, 1, 2))
     else:
@@ -319,13 +321,14 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge,
 
 
 def test_lanes_past_their_reach_sum_as_a_fresh_plan():
-    # a Bose batch of 40 lanes in two groups: every lane of the first group
-    # leaves its window, and the sums are bit for bit those of a batch
-    # planned at the new gammas
+    # a Bose batch of 40 lanes: each of its first 32 lanes leaves its
+    # window, and the sums are bit for bit those of a batch planned at the
+    # new gammas
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     beta, lanes, moff = np.geomspace(0.1, 1.0, 40), np.arange(40), np.zeros(40)
     plan = ladder._Plan(sp, beta, np.full(40, 0.5), Statistics.BOSE_EINSTEIN)
-    gamma = 0.5 + np.where(lanes < ladder._LANES, 2.0 * plan.reach, 0.0)
+    stale = lanes < 32
+    gamma = 0.5 + np.where(stale, 2.0 * plan.reach, 0.0)
     sums = ladder._sums(plan, lanes, gamma, moff)
     fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
     assert np.array_equal(sums, ladder._sums(fresh, lanes, gamma, moff))
@@ -355,6 +358,29 @@ def test_stale_and_held_lanes_interleaved(sign):
                           ladder._sums(fresh, np.arange(stale.sum()), gamma[stale], moff[stale]))
     assert np.array_equal(sums[:, ~stale],
                           ladder._sums(plan, lanes[~stale], gamma[~stale], moff[~stale]))
+
+
+def test_every_node_set_within_the_pair_budget(monkeypatch):
+    # one plan per batch: the root block, each closure (the tail and the
+    # filled seas) and each window block of a 300-lane batch are cut into
+    # runs of lanes of at most _PAIRS (lane, node) pairs, and every lane is
+    # served by one root block
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
+    beta = np.geomspace(1.0, 100.0, 300)
+    # a Fermi level at level 2000: the colder lanes fill a sea past the floor
+    gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
+    paths = count_closures(monkeypatch)
+    fd = ladder._Plan(sp, beta, gamma, Statistics.FERMI_DIRAC)
+    assert paths["sea"] > 0 and paths["closed"] > 0
+    plans, sums = [], ladder._sums
+    monkeypatch.setattr(ladder, "_sums", lambda plan, *a: plans.append(plan) or sums(plan, *a))
+    ladder_sums(sp, beta, Statistics.CANONICAL)
+    assert len(plans) == 1
+    for plan in (fd, plans[0]):
+        assert max(d.size for _, d, _ in plan.sets) <= ladder._PAIRS
+        root = [rows for rows, d, _ in plan.sets if d.strides[0] == 0]
+        assert len(root) > 1  # 300 rows of the root block exceed the budget
+        assert np.array_equal(np.sort(np.concatenate(root)), np.arange(300))
 
 
 def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):

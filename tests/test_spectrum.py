@@ -44,6 +44,18 @@ class TestWallSpec:
         with pytest.raises(DomainError):
             WallSpec(WallKind.DIRICHLET, -1.0)
 
+    @pytest.mark.parametrize("field", ["abc", "1e-3", [1], None, math.nan, math.inf, 0.0, -1e-3])
+    def test_field_must_be_a_real_number(self, field):
+        # a DomainError, not the ValueError or TypeError of float(), and no
+        # text read as a number
+        with pytest.raises(DomainError, match="field must be a finite real number"):
+            WallSpec(ATTR, field)
+
+    def test_field_of_any_real_type_is_a_float(self):
+        for field in (1, np.float64(1e-3), np.int64(2)):
+            wall = WallSpec(ATTR, field)
+            assert type(wall.field) is float and wall.field == field
+
     def test_lambda_values(self):
         assert WallSpec(ATTR, 1.0).lam == -1
         assert WallSpec(REP, 1.0).lam == 1

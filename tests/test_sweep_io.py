@@ -260,7 +260,10 @@ class TestSerialization:
         ("spec", lambda d: d.update(n_exact=10 ** 6), "n_exact must be in"),
         ("row", lambda d: d.pop("beta"), "argument: 'beta'"),
         ("row", lambda d: d.update(entropy=0.5), "argument 'entropy'"),
-    ], ids=["spec-ensemble-key", "spec-key", "spec-extra", "spec-n-exact", "row-key", "row-extra"])
+        ("spec", lambda d: d.update(field="abc"), "field must be a finite real number"),
+        ("spec", lambda d: d.update(field="1e-3"), "field must be a finite real number"),
+    ], ids=["spec-ensemble-key", "spec-key", "spec-extra", "spec-n-exact", "row-key", "row-extra",
+            "spec-field-text", "spec-field-numeric-text"])
     def test_bad_keys_in_json_rejected(self, part, edit, message):
         # a missing or unknown key is a DomainError that names it, not a
         # KeyError or TypeError
@@ -393,12 +396,13 @@ class TestTable1Harness:
 
     def test_kernel_passes_per_round(self, monkeypatch):
         # work-count gate on the ladder: each ladder pass evaluates its
-        # kernels, for each lane group of its plan that serves a lane of it,
-        # once for the root block, once for its closure nodes with their end
-        # stencils and once per block of its direct windows: 1,125 passes a
-        # round (1,110 with the root block once per 32 of the pass's lanes).
-        # Planned anew on every pass, which regrouped the lanes still
-        # unsolved, it took 1,078; with the closure integral, each end
+        # kernels once per node set of its plan that serves a lane of it:
+        # the root block, the closure nodes with their end stencils and the
+        # blocks of its direct windows, each cut into runs of lanes of at
+        # most ladder._PAIRS (lane, node) pairs.  780 passes a round with the
+        # whole batch planned at once; with the batch cut into 32-lane
+        # groups, each group's node sets apart, it took 1,125, and planned
+        # anew on every pass 1,078; with the closure integral, each end
         # correction and each direct block evaluated apart 1,943, and with
         # the mu solves' older starts 1,350.
         from robinwall import ladder
@@ -411,33 +415,33 @@ class TestTable1Harness:
 
         monkeypatch.setattr(ladder, "_summands", counting)
         assert table1_harness().passed
-        assert 0 < len(passes) <= 1_150
+        assert 0 < len(passes) <= 820
 
     def test_plan_builds_per_round(self, monkeypatch):
         # work-count gate on the ladder's planning: every ladder_sums call
-        # plans its lane groups, and every mu solve plans its batch's once,
-        # at the lanes' start gamma; its later Newton passes sum over that
-        # plan, and only a lane whose gamma leaves its window gets a plan of
-        # its own.  Planned anew on every pass, a round planned 478 groups;
-        # now 217 (40 of the 35 canonical calls, 177 of the mu solves), and
-        # 1,764,741 kernel elements, below the 1,804,892 of planning every
-        # pass
+        # plans its batch, and every mu solve plans its batch once, at the
+        # lanes' start gamma; its later Newton passes sum over that plan, and
+        # only a lane whose gamma leaves its window gets a plan of its own.
+        # A round builds 137 plans (35 of the canonical calls, 102 of the mu
+        # solves), and 1,817,983 kernel elements, within 5% of the 1,804,892
+        # of planning every pass; cut into 32-lane groups it built 142 plans
+        # of 217 groups, and planned anew on every pass 478 groups
         from robinwall import ladder
         counts = {"plans": 0, "elements": 0}
-        plan_group, summands = ladder._plan_group, ladder._summands
+        init, summands = ladder._Plan.__init__, ladder._summands
 
-        def counting_plan(*args):
+        def counting_plan(self, *args):
             counts["plans"] += 1
-            return plan_group(*args)
+            return init(self, *args)
 
         def counting_summands(x, *args):
             counts["elements"] += x.size
             return summands(x, *args)
 
-        monkeypatch.setattr(ladder, "_plan_group", counting_plan)
+        monkeypatch.setattr(ladder._Plan, "__init__", counting_plan)
         monkeypatch.setattr(ladder, "_summands", counting_summands)
         assert table1_harness().passed
-        assert 0 < counts["plans"] <= 240
+        assert 0 < counts["plans"] <= 150
         assert 0 < counts["elements"] <= 1.05 * 1_804_892
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
@@ -465,6 +469,30 @@ class TestTable1Harness:
                       [fd, EnsembleSpec(Statistics.BOSE_EINSTEIN, 2)]):
             with pytest.raises(DomainError):
                 locate_peak(sp, block, [0.25, 0.25])
+
+    @pytest.mark.parametrize("names,t_centers,span,name", [
+        ("fd", [0.25, 0.3], 2.2, "t_centers"),  # was a bare IndexError
+        ("canonical", [0.25, 0.3], 2.2, "t_centers"),  # scanned a cell with no ensemble
+        ("fd fd", [0.25], 2.2, "t_centers"),  # dropped the second ensemble
+        ("", [], 2.2, "t_centers"),
+        ("fd", [0.0], 2.2, "t_centers"),  # was a ZeroDivisionError
+        ("fd", [-0.2], 2.2, "t_centers"),  # was a ValueError of math.log
+        ("fd", [math.inf], 2.2, "t_centers"),
+        ("fd", [math.nan], 2.2, "t_centers"),
+        ("fd", [0.25], 0.0, "span"),  # was a ZeroDivisionError
+        ("fd", [0.25], -1.0, "span"),  # was a ValueError of math.log
+        ("fd", [0.25], 1.0, "span"),  # was "beta_grid must be strictly monotone"
+        ("fd", [0.25], math.inf, "span"),
+        ("fd", [0.25], math.nan, "span"),
+    ])
+    def test_bad_peak_search_rejected(self, names, t_centers, span, name):
+        # a DomainError that names the argument: one center per ensemble, at
+        # least one, each finite and > 0, and a span finite and > 1
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+        specs = [EnsembleSpec(Statistics(e), 1 if e == "canonical" else 2)
+                 for e in names.split()]
+        with pytest.raises(DomainError, match=name):
+            locate_peak(sp, specs, t_centers, span)
 
     def test_deterministic(self):
         a = table1_harness(fields=(1e-4,), ensembles=("canonical",))
