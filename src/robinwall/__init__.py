@@ -14,7 +14,6 @@ from .errors import (
 from .specfun import (
     AiryZeroKind,
     airy,
-    airy_scaled,
     airy_zero,
     lambert_w,
 )

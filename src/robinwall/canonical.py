@@ -20,7 +20,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SolverError
 from .ladder import Statistics, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
 from .specfun import _check_beta
@@ -41,8 +41,8 @@ _SQRT_EPS = math.sqrt(2.0 ** -52)
 class ThermoPoint:
     """One evaluated state, or arrays of them over a batch of temperatures:
     mean energy <E> of all the particles, heat capacity per particle (in
-    units of k_B), and for the grand-canonical ensembles mu, the Bose
-    ground-level fraction n0 and, for a batch, each lane's error message
+    units of k_B), for the grand-canonical ensembles mu and the Bose
+    ground-level fraction n0, and for a batch each lane's error message
     (None, or why its values are NaN); None where a field does not apply."""
 
     beta: float
@@ -66,12 +66,21 @@ class ExtremumReport:
 def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
     """Mean energy <E> = sum E_n w_n / sum w_n and heat capacity
     c = beta^2 (<E^2> - <E>^2) of one particle (arrays for an array of beta,
-    summed as one batch)."""
+    summed as one batch).  A lane whose <E> or c is not finite is NaN with
+    its message in ``errors``; a scalar beta raises SolverError instead."""
     beta = _check_beta(beta)
     s0, s1, s2 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
     m = s1 / s0
-    return ThermoPoint(beta=beta, mean_energy=spectrum.e0 + m,
-                       heat_capacity=beta * beta * (s2 / s0 - m * m))
+    energy, c = np.atleast_1d(spectrum.e0 + m, beta * beta * (s2 / s0 - m * m))
+    ok = np.isfinite(energy) & np.isfinite(c)
+    errors = tuple(None if good else f"canonical sums at beta={b}: <E> = {e} and c = {cb} "
+                   "are not finite" for good, b, e, cb in zip(ok, np.ravel(beta), energy, c))
+    if np.ndim(beta) == 0:
+        if errors[0]:
+            raise SolverError(errors[0])
+        return ThermoPoint(beta, float(energy[0]), float(c[0]))
+    return ThermoPoint(beta, np.where(ok, energy, np.nan), np.where(ok, c, np.nan),
+                       errors=errors)
 
 
 # ---------------------------------------------------------------------------

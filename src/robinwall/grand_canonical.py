@@ -291,58 +291,40 @@ class _Evaluator:
     lane does not raise: its mu, energy, heat capacity and n0 are NaN and
     its message, naming its beta and N, is in ``errors``.
 
-    ``states`` holds the solved states, one column each: the cell, ln beta,
-    and u and du/d ln beta of its solve (u = gamma = beta (E_0 - mu), or ln
-    gamma for bosons), the columns sorted by cell, then ln beta, and states
-    of equal cell and ln beta in the order solved.  A lane starts from the
-    cubic Hermite through its cell's two states nearest in ln beta (on a
-    tie, a state below the lane before one above it, and among equal ln
-    beta the earlier solved), or the Taylor step from one, or else cold."""
+    ``states[k]`` holds the solved states of cell k as a (3, m) array, one
+    column each: ln beta, and u and du/d ln beta of its solve (u = gamma =
+    beta (E_0 - mu), or ln gamma for bosons), stably sorted by ln beta, so
+    states of equal ln beta stay in the order solved.  A lane starts from
+    the cubic Hermite through its cell's two states nearest in ln beta (on
+    a tie, the first in that order: a state below the lane before one
+    above it), or the Taylor step from one, or else cold."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
-        if {e.statistics for e in ensembles} not in ({Statistics.FERMI_DIRAC},
-                                                     {Statistics.BOSE_EINSTEIN}):
+        if {getattr(e, "statistics", None) for e in ensembles} not in (
+                {Statistics.FERMI_DIRAC}, {Statistics.BOSE_EINSTEIN}):
             raise DomainError(f"the grand-canonical solve needs every ensemble FD, or every "
                               f"one BE; got {ensembles!r}")
         self.spectrum, self.statistics = spectrum, ensembles[0].statistics
         self.n = np.array([e.n_particles for e in ensembles])
-        self.states = np.empty((4, 0))
+        self.states = [np.empty((3, 0)) for _ in ensembles]
 
     def _starts(self, beta: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        cell, lb, u, slope = self.states
-        if not cell.size:
-            return np.full(len(beta), np.nan)
-        x = np.log(beta)
-        lo, hi = np.searchsorted(cell, cells, "left"), np.searchsorted(cell, cells, "right")
-        key = cell + 1j * lb  # sorted: numpy orders complex numbers lexicographically
-        # the cell's first state at or above x, the one below it moved to the
-        # first solved of its run of equal ln beta, and the next below those
-        r = np.searchsorted(key, cells + 1j * x)
-        left = np.searchsorted(key, key[np.maximum(r - 1, 0)])
-        below = np.where(left + 1 < r, left + 1, np.searchsorted(key, key[np.maximum(left - 1, 0)]))
-        near = np.stack([left, below, r, r + 1], axis=1)
-        valid = np.stack([r > lo, (r > lo) & ((left + 1 < r) | (left > lo)), r < hi, r + 1 < hi],
-                         axis=1)
-        near = np.minimum(near, cell.size - 1)
-        dist = np.where(valid, np.abs(x[:, None] - lb[near]), np.inf)
-        # the two nearest, on a tie the first in ``near``; one state: twice
-        rank = np.argsort(dist, axis=1, kind="stable")
-        near, dist = (np.take_along_axis(a, rank, axis=1) for a in (near, dist))
-        first, second = near[:, 0], np.where(np.isinf(dist[:, 1]), near[:, 0], near[:, 1])
-        (l0, l1), (u0, u1), (s0, s1) = ((row[first], row[second]) for row in (lb, u, slope))
-        h, d = l1 - l0, x - l0
-        t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
-        du = u1 - u0
-        # Taylor from the nearest state, plus the Hermite terms if two
-        start = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
-                                       + t * (h * (s0 + s1) - 2.0 * du))
-        return np.where(hi > lo, start, np.nan)
-
-    def _keep(self, cells, ln_beta, u, du) -> None:
-        """Add solved states to ``states``, solved after those already kept
-        and in the order given."""
-        states = np.hstack([self.states, [cells, ln_beta, u, du]])
-        self.states = states[:, np.lexsort(states[[1, 0]])]  # stable: keeps that order
+        start = np.full(len(beta), np.nan)
+        for k in {k for k in cells.tolist() if self.states[k].size}:
+            lb, u, slope = self.states[k]
+            lane = cells == k
+            x = np.log(beta[lane])
+            # the two nearest, on a tie the first in ``states[k]``; one state: twice
+            near = np.argsort(np.abs(x[:, None] - lb), axis=1, kind="stable")
+            near = near[:, [0, min(1, lb.size - 1)]].T
+            (l0, l1), (u0, u1), (s0, s1) = (row[near] for row in (lb, u, slope))
+            h, d = l1 - l0, x - l0
+            t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
+            du = u1 - u0
+            # Taylor from the nearest state, plus the Hermite terms if two
+            start[lane] = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
+                                                 + t * (h * (s0 + s1) - 2.0 * du))
+        return start
 
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
         n = self.n[cells]
@@ -370,19 +352,21 @@ class _Evaluator:
                                           f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
             n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
         ok = np.array([e is None for e in errors])
-        self._keep(cells[ok], np.log(beta[ok]), u[ok], du[ok])
+        for k in set(cells[ok].tolist()):
+            new = ok & (cells == k)
+            states = np.hstack([self.states[k], [np.log(beta[new]), u[new], du[new]]])
+            self.states[k] = states[:, np.argsort(states[0], kind="stable")]
         for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):
             a[~ok] = np.nan
         return ThermoPoint(beta, energy, c, mu, n0, tuple(errors))
 
 
 def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
-             ensemble: EnsembleSpec | Sequence[EnsembleSpec]) -> ThermoPoint:
+             ensemble: EnsembleSpec) -> ThermoPoint:
     """Mean energy <E> of the N particles, heat capacity per particle, mu
     and, for bosons, the ground-level fraction n0 at one temperature, or at
-    a batch of temperatures solved cold in lockstep, in one ensemble or,
-    for a batch, in one ensemble per lane (all of one statistics, each lane
-    with its own particle number): the one-call form of ``_Evaluator``.
+    a batch of temperatures solved cold in lockstep: the one-call form of
+    ``_Evaluator``.
 
     The returned state has been validated: the occupation sum reproduces N
     to 1e-10 relative, and for bosons gamma = beta (E_0 - mu) > 0 (mu may
@@ -395,11 +379,7 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     if np.ndim(beta) > 1:
         raise DomainError(f"gc_point takes a scalar or 1-D beta, got shape {np.shape(beta)}")
     lanes = np.ravel(beta)
-    specs = [ensemble] if isinstance(ensemble, EnsembleSpec) else list(ensemble)
-    if len(specs) not in (1, lanes.size):
-        raise DomainError(f"gc_point needs one ensemble, or one per lane, for {lanes.size} "
-                          f"lanes; got {ensemble!r}")
-    p = _Evaluator(spectrum, specs)(lanes, np.arange(lanes.size) % len(specs))
+    p = _Evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
     if np.ndim(beta) > 0:
         return p
     if p.errors[0]:

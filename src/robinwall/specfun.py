@@ -1,18 +1,20 @@
 """Real-argument special functions used by the spectrum and thermodynamics code.
 
-Everything here is self-contained: Airy Ai and Ai' (plus exponentially scaled
-forms for large positive argument), their negative zeros, the principal
-branch of the Lambert W function on the nonnegative axis (the predictors of
-``limits``), the Bose functions g_{3/2}, g_{1/2} and the Fermi functions
-f_{3/2}, f_{1/2} (the continua of the cold mu solves), the safeguarded
-Newton solver of every root of the package (Airy zeros, Robin levels, the
-chemical potential and the condensation temperature), and the checks shared
-by every index and count and every inverse temperature of the package.
+Everything here is self-contained: Airy Ai and Ai', their negative zeros,
+the principal branch of the Lambert W function on the nonnegative axis (the
+predictors of ``limits``), the Bose functions g_{3/2}, g_{1/2} and the
+Fermi functions f_{3/2}, f_{1/2} (the continua of the cold mu solves), the
+safeguarded Newton solver of every root of the package (Airy zeros, Robin
+levels, the chemical potential and the condensation temperature), and the
+checks shared by every index and count and every inverse temperature of the
+package.
 
-``airy`` and ``airy_scaled`` take float arrays (a scalar gives floats, as a
-one-element batch of the same code) and route each element to its branch;
-each element is summed in a fixed order, so it equals its scalar call bit for
-bit.
+``_airy_pair`` routes each element of a float array to its branch and
+returns each branch's own output, scaled by e^{zeta} past x = 12, which the
+root solves of ``spectrum`` take as it is; ``airy`` takes floats or arrays
+of any shape (a scalar gives floats, as a one-element batch of the same
+code) and undoes that scaling.  Each element is summed in a fixed order, so
+it equals its scalar call bit for bit.
 
 * ``|x| <= 12`` -- local Taylor expansion of the ODE ``y'' = x y``: one gather
   from a table of the 30 Taylor coefficients of (Ai, Ai') at every node,
@@ -49,7 +51,6 @@ from .errors import DomainError, SolverError
 __all__ = [
     "AiryZeroKind",
     "airy",
-    "airy_scaled",
     "airy_zero",
     "lambert_w",
 ]
@@ -203,48 +204,29 @@ def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ai, aip
 
 
-def _airy_lanes(x, scaled: bool):
-    """(Ai, Ai') of every element of x, multiplied by e^{zeta} if scaled, in
-    x's shape (floats for a scalar)."""
-    arr = np.asarray(x, dtype=float)
-    lanes = arr.ravel()
-    bad = ~np.isfinite(lanes) | (scaled & (lanes < 0.0))
-    if bad.any():
-        raise DomainError(("airy_scaled: argument must be finite and >= 0" if scaled else
-                           "airy: argument must be finite") + f", got {float(lanes[bad][0])!r}")
-    ai, aip = _airy_pair(lanes)
-    rescale = (lanes > _ASYM_SWITCH) != scaled  # the branches whose scaling differs
-    if rescale.any():
-        zeta = _TWO_THIRDS * lanes[rescale] ** 1.5
-        # past zeta = 700, e^{-zeta} underflows: the graceful limit (0.0, -0.0)
-        scale = np.exp(zeta) if scaled else np.where(zeta > 700.0, 0.0, np.exp(-zeta))
-        ai[rescale] *= scale
-        aip[rescale] *= scale
-    if arr.ndim == 0:
-        return float(ai[0]), float(aip[0])
-    return ai.reshape(arr.shape), aip.reshape(arr.shape)
-
-
 def airy(x):
     """Return (Ai(x), Ai'(x)) for a float or an array of floats.
 
     Arrays come out in x's shape, a scalar gives floats; every element equals
     its scalar call bit for bit.  Relative accuracy is ~1e-13 wherever the
-    values do not underflow; for x beyond ~105 the unscaled Ai underflows to
-    0.0 and ``airy_scaled`` should be used instead.  DomainError if any
-    element is not finite.
+    values do not underflow; past x ~ 105 (zeta > 700) both underflow to
+    the graceful limit (0.0, -0.0).  DomainError if any element is not
+    finite.
     """
-    return _airy_lanes(x, scaled=False)
-
-
-def airy_scaled(x):
-    """Return (Ai(x)*e^{zeta}, Ai'(x)*e^{zeta}) with zeta = (2/3) x^{3/2}.
-
-    Only defined for x >= 0, where the scaling removes the exponential decay;
-    takes arrays as ``airy`` does, and raises DomainError if any element is
-    negative or not finite.
-    """
-    return _airy_lanes(x, scaled=True)
+    arr = np.asarray(x, dtype=float)
+    lanes = arr.ravel()
+    bad = ~np.isfinite(lanes)
+    if bad.any():
+        raise DomainError(f"airy: argument must be finite, got {float(lanes[bad][0])!r}")
+    ai, aip = _airy_pair(lanes)
+    pos = lanes > _ASYM_SWITCH  # the scaled lanes
+    zeta = _TWO_THIRDS * lanes[pos] ** 1.5
+    scale = np.where(zeta > 700.0, 0.0, np.exp(-zeta))
+    ai[pos] *= scale
+    aip[pos] *= scale
+    if arr.ndim == 0:
+        return float(ai[0]), float(aip[0])
+    return ai.reshape(arr.shape), aip.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ which stays finite at the poles of Ai'/Ai.  Low-lying levels are bracketed
 between consecutive zeros of Ai (where psi decreases through a half turn
 exactly once) and found by one lockstep safeguarded Newton over all brackets
 from the zeros shifted by the first-order wall correction; the attractive
-wall's split-off state is bracketed on xi > 0 using the scaled Airy forms,
-which stay finite up to xi ~ 1e5.  High levels follow the zero-law tail: a
-pure power law in the level index, shifted by the last root-solved level's
-offset from the Airy zero the law follows at that index (0 for Dirichlet and
-Neumann), which keeps every infinite thermodynamic sum closed-form integrable.
+wall's split-off state is bracketed on xi > 0, where the Airy pair is
+scaled by e^{zeta} past xi = 12 and stays finite up to xi ~ 1e5.  High
+levels follow the zero-law tail: a pure power law in the level index,
+shifted by the last root-solved level's offset from the Airy zero the law
+follows at that index (0 for Dirichlet and Neumann), which keeps every
+infinite thermodynamic sum closed-form integrable.
 """
 
 from __future__ import annotations
@@ -296,15 +297,3 @@ def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     return [LevelGap(n=n, delta=d, ratio=r) for n, d, r in
             zip(range(1, n_max + 1), delta.tolist(), (delta / delta[0]).tolist())]
 
-
-def residual(spectrum: Spectrum, n: int) -> float:
-    """Eigenvalue-equation residual of a root-solved level, in the
-    logarithmic-derivative form F^(1/3) Ai'/Ai - 1/lam."""
-    wall = spectrum.wall
-    if wall.lam is None:
-        raise DomainError("residual is defined for Robin walls only")
-    n = _check_index(n, 0, "level index")
-    if n >= spectrum.n_exact:
-        raise DomainError(f"level {n} is not root-solved")
-    (ai,), (aip,) = _airy_pair(-spectrum.exact_levels[n:n + 1] * wall.field ** (-2.0 / 3.0))
-    return float(wall.field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam)

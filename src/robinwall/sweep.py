@@ -109,8 +109,8 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
     """(beta, cells) -> ThermoPoint of arrays over the lanes of ``beta``,
     lane i in the ensemble ``ensembles[cells[i]]`` (all of one statistics,
     else DomainError): ``thermo_point`` for the canonical ensemble (one
-    particle, no mu, n0 or errors), else the grand-canonical evaluator,
-    whose mu solves start from the states already solved in their cell."""
+    particle, no mu or n0), else the grand-canonical evaluator, whose mu
+    solves start from the states already solved in their cell."""
     if {e.statistics for e in ensembles} == {Statistics.CANONICAL}:
         return lambda beta, cells: thermo_point(spectrum, beta)
     return gc._Evaluator(spectrum, ensembles)
@@ -120,7 +120,7 @@ def _c_or_raise(evaluate):
     """c(beta, cells) of an evaluator; SolverError names the first failed lane."""
     def c_fn(beta, cells):
         p = evaluate(beta, cells)
-        for e in filter(None, p.errors or ()):
+        for e in filter(None, p.errors):
             raise SolverError(e)
         return p.heat_capacity
     return c_fn
@@ -142,7 +142,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     failure of the whole batch in every row); a result with any failed row
     reports ``failed`` and the CLI exits nonzero.
     """
-    spectrum = build_spectrum(spec.wall, count=spec.n_exact, n_exact=spec.n_exact)
+    spectrum = build_spectrum(spec.wall, n_exact=spec.n_exact)
     condensate = None
     ens = spec.ensemble
     if ens.statistics is Statistics.BOSE_EINSTEIN:
@@ -156,7 +156,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     evaluate = _evaluator(spectrum, [ens])
     try:
         p = evaluate(betas, np.zeros(len(betas), dtype=int))
-        errors = p.errors or (None,) * len(betas)
+        errors = p.errors
     except RobinWallError as exc:
         p, errors = None, (str(exc),) * len(betas)
     rows: list[SweepRow] = []

@@ -174,7 +174,7 @@ class TestGcPoint:
         p = evaluate(beta * np.exp(h * np.array([0.0, -2.0, -1.0, 1.0, 2.0])),
                      np.zeros(5, dtype=int))
         assert p.errors == (None,) * 5
-        _, _, u, slope = evaluate.states  # sorted by ln beta: offsets -2h .. 2h
+        _, u, slope = evaluate.states[0]  # sorted by ln beta: offsets -2h .. 2h
         fd = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
         assert slope[2] == pytest.approx(fd, rel=1e-7, abs=0.0)
 
@@ -189,7 +189,7 @@ class TestGcPoint:
         evaluate = gc._Evaluator(sp, [ens])
         p = evaluate(np.array([1000.0, 2.0]), np.zeros(2, dtype=int))
         assert p.errors == (None, None)
-        _, ln_beta, _, slope = evaluate.states
+        ln_beta, _, slope = evaluate.states[0]
         assert p.heat_capacity[0] == 0.0 == slope[ln_beta == math.log(1000.0)][0]
         assert p.heat_capacity[1] > 0.0
 
@@ -306,12 +306,13 @@ class TestSolveAcceptance:
             assert np.isfinite(a[1]) == accepted  # a rejected lane's values are NaN
 
     def test_lanes_with_their_own_particle_numbers(self):
-        # one batch of lanes, each with its own N, gives every lane the
-        # state it has in a batch of its own N alone, up to the rounding of
-        # the ladder's node sets, padded to a common length across a batch
+        # one cold batch of lanes, each in its own cell with its own N, as
+        # ``locate_peak`` runs them, gives every lane the state it has in a
+        # batch of its own N alone, up to the rounding of the ladder's node
+        # sets, padded to a common length across a batch
         sp, betas, ns = attractive(1e-5), np.array([2.0, 5.0, 9.0, 5.0]), (1, 10, 1000, 2)
         for stat in (FD, BE):
-            p = gc_point(sp, betas, [EnsembleSpec(stat, n) for n in ns])
+            p = gc._Evaluator(sp, [EnsembleSpec(stat, n) for n in ns])(betas, np.arange(4))
             assert p.errors == (None,) * 4
             for i, n in enumerate(ns):
                 q = gc_point(sp, betas[i:i + 1], EnsembleSpec(stat, n))
@@ -319,9 +320,9 @@ class TestSolveAcceptance:
                     if getattr(q, f) is not None:
                         assert getattr(p, f)[i] == pytest.approx(getattr(q, f)[0], rel=1e-13)
         with pytest.raises(DomainError):
-            gc_point(sp, betas, [EnsembleSpec(FD, 1), EnsembleSpec(BE, 1)] * 2)
-        with pytest.raises(DomainError):
-            gc_point(sp, betas, [EnsembleSpec(FD, 1)] * 3)
+            gc._Evaluator(sp, [EnsembleSpec(FD, 1), EnsembleSpec(BE, 1)] * 2)
+        with pytest.raises(DomainError, match="every ensemble FD"):  # one ensemble only
+            gc_point(sp, betas, [EnsembleSpec(FD, n) for n in ns])
 
     def test_beta_of_two_dimensions_rejected(self):
         # a scalar or 1-D beta only: a (2, 3) beta raised nothing and came
@@ -335,11 +336,13 @@ class TestSolveAcceptance:
     def test_canonical_ensemble_rejected(self):
         # the canonical ensemble has no chemical potential to solve
         sp, canonical = attractive(1e-5), EnsembleSpec(Statistics.CANONICAL, 1)
-        for ensemble in (canonical, [canonical] * 2, [canonical, EnsembleSpec(FD, 1)]):
-            with pytest.raises(DomainError, match="grand-canonical"):
-                gc_point(sp, np.array([2.0, 5.0]), ensemble)
+        with pytest.raises(DomainError, match="grand-canonical"):
+            gc_point(sp, np.array([2.0, 5.0]), canonical)
         with pytest.raises(DomainError):
             gc_point(sp, 2.0, canonical)
+        for ensembles in ([canonical] * 2, [canonical, EnsembleSpec(FD, 1)]):
+            with pytest.raises(DomainError, match="grand-canonical"):
+                gc._Evaluator(sp, ensembles)
 
     @pytest.mark.parametrize("stat, ns, field", [(FD, (2, 10), 1e-5), (BE, (1, 1000), 1e-5)])
     def test_failed_lane_of_a_mixed_block_names_its_own_n_and_beta(
@@ -390,35 +393,33 @@ class TestPlainFloats:
             assert all(type(v) is float for v in fields)
 
 
-def loop_starts(states, beta, cells):
-    """The warm starts as a loop over cells computed them before the
-    evaluator kept its states as sorted arrays: ``states[k]`` lists cell
-    k's states as (ln beta, u, du/d ln beta) in the order solved.  Ties in
-    distance go to the state lower in ln beta, then to the earlier solved."""
+def lane_starts(solved, beta, cells):
+    """The warm starts lane by lane: ``solved[k]`` lists cell k's states
+    as (ln beta, u, du/d ln beta) in the order solved.  A lane's two
+    nearest states are the first two in the order of distance, then ln
+    beta (the one below the lane first), then the order solved."""
     start = np.full(len(beta), np.nan)
-    for k in {k for k in cells.tolist() if states[k]}:
-        rows = np.array(states[k]).T
-        rows = rows[:, np.argsort(rows[0], kind="stable")]
-        lane = cells == k
-        lb = np.log(beta[lane])
-        near = np.argsort(np.abs(lb[:, None] - rows[0]), axis=1, kind="stable")
-        near = near[:, [0, min(1, rows.shape[1] - 1)]].T
-        (l0, l1), (u0, u1), (s0, s1) = (np.take(row, near) for row in rows)
-        h, d = l1 - l0, lb - l0
-        t = np.divide(d, h, out=np.zeros_like(d), where=h != 0.0)
+    for i, (x, k) in enumerate(zip(np.log(beta).tolist(), cells.tolist())):
+        if not solved[k]:
+            continue
+        order = sorted(range(len(solved[k])),
+                       key=lambda j: (abs(x - solved[k][j][0]), solved[k][j][0], j))
+        (l0, u0, s0), (l1, u1, s1) = (solved[k][j] for j in (order + order)[:2])
+        h, d = l1 - l0, x - l0
+        t = d / h if h != 0.0 else 0.0
         du = u1 - u0
-        start[lane] = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
-                                             + t * (h * (s0 + s1) - 2.0 * du))
+        start[i] = u0 + s0 * d + t * t * (3.0 * du - h * (2.0 * s0 + s1)
+                                          + t * (h * (s0 + s1) - 2.0 * du))
     return start
 
 
 class TestWarmStarts:
     def test_starts_match_the_loop_over_cells(self):
-        # random states kept in three batches, against the loop: equal
-        # ln beta solved twice (ties: the earlier solved first), lanes
-        # midway between two states (ties: the one below first), a
-        # one-state cell, a cell without states (cold: NaN) and lanes
-        # outside every state's range
+        # random states of three batches, kept as the evaluator keeps them,
+        # against the lane-by-lane reference: equal ln beta solved twice
+        # (ties: the earlier solved first), lanes midway between two states
+        # (ties: the one below first), a one-state cell, a cell without
+        # states (cold: NaN) and lanes outside every state's range
         rng = np.random.default_rng(11)
         evaluate = gc._Evaluator(attractive(1e-3), [EnsembleSpec(FD, 1)] * 4)
         # the lanes' ln beta in one binade, where a step of 1/8 to either
@@ -426,22 +427,35 @@ class TestWarmStarts:
         x = np.log(np.exp(rng.uniform(1.25, 1.75, 10)))
         pool = np.concatenate([x, x[:4] + 0.125, x[:4] - 0.125])
         for _ in range(30):
-            evaluate.states = np.empty((4, 0))
-            kept = [[] for _ in range(4)]
+            solved = [[] for _ in range(4)]
             for batch, size in enumerate(rng.integers(3, 8, 3)):
                 cells = rng.choice([0, 3], size)
                 if batch == 0:
                     cells[:3] = 0, 1, 3  # cell 1 keeps this one state alone
-                lb = rng.choice(pool, size)
-                u, du = rng.normal(size=(2, size))
-                evaluate._keep(cells, lb, u, du)
-                for state in zip(cells.tolist(), lb.tolist(), u.tolist(), du.tolist()):
-                    kept[state[0]].append(state[1:])
+                for state in zip(cells.tolist(), *rng.choice(pool, (1, size)).tolist(),
+                                 *rng.normal(size=(2, size)).tolist()):
+                    solved[state[0]].append(state[1:])
+            evaluate.states = [np.array(sorted(s, key=lambda state: state[0])).T.reshape(3, -1)
+                               for s in solved]  # sorted() is stable
             beta = np.exp(np.concatenate([x, [0.3, 3.0]] * 4))
             cells = np.repeat(np.arange(4), len(x) + 2)
-            ref = loop_starts(kept, beta, cells)
+            ref = lane_starts(solved, beta, cells)
             assert np.isnan(ref[cells == 2]).all() and np.isfinite(ref[cells != 2]).all()
             np.testing.assert_array_equal(evaluate._starts(beta, cells), ref)
+
+    def test_states_are_kept_sorted_by_ln_beta_per_cell(self):
+        # two batches over two cells, the second interleaved with the first
+        sp, ens = attractive(1e-5), [EnsembleSpec(FD, 2), EnsembleSpec(FD, 10)]
+        evaluate = gc._Evaluator(sp, ens)
+        first, second = np.array([2.0, 9.0, 5.0, 3.0]), np.array([7.0, 4.0, 2.5])
+        evaluate(first, np.array([0, 0, 1, 1]))
+        evaluate(second, np.array([1, 0, 1]))
+        for k, betas in enumerate(([2.0, 9.0, 4.0], [5.0, 3.0, 7.0, 2.5])):
+            lb, u, _ = evaluate.states[k]
+            assert lb.tolist() == sorted(np.log(betas).tolist())
+            for b, uk in zip(np.exp(lb), u):
+                assert gc_point(sp, b, ens[k]).mu == pytest.approx(
+                    sp.e0 - uk / b, rel=1e-9, abs=1e-12)
 
 
 class TestWorkCounts:
@@ -461,7 +475,7 @@ class TestWorkCounts:
             return sums(plan, lanes, *args)
 
         def counting_evaluate(self, beta, cells):
-            calls.append((np.size(beta), bool(np.isin(cells, self.states[0]).all()), []))
+            calls.append((np.size(beta), all(self.states[k].size for k in cells.tolist()), []))
             return evaluate(self, beta, cells)
 
         monkeypatch.setattr(gc, "_sums", counting_sums)

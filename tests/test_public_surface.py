@@ -8,7 +8,7 @@ PUBLIC = {
     "AiryZeroKind", "CondensateReport", "DomainError", "EnsembleSpec",
     "ExtremumReport", "LevelGap", "RobinWallError", "SolverError", "Spectrum",
     "Statistics", "SweepResult", "SweepRow", "SweepSpec", "ThermoPoint",
-    "WallKind", "WallSpec", "airy", "airy_scaled", "airy_zero", "asymptotic_beta_cr",
+    "WallKind", "WallSpec", "airy", "airy_zero", "asymptotic_beta_cr",
     "asymptotic_mu_cn", "be_critical", "build_spectrum", "fd_plateau",
     "fd_single_peak", "find_extrema", "gc_point", "lambert_w", "level_gaps",
     "resonance_predictors", "result_from_json", "result_to_csv", "result_to_json",

@@ -115,8 +115,15 @@ class TestRobinLevels:
     @pytest.mark.parametrize("field", [1e-5, 1e-2, 1.0])
     @pytest.mark.parametrize("kind", [ATTR, REP])
     def test_eigenvalue_residuals(self, field, kind):
-        sp = build_spectrum(WallSpec(kind, field), count=64)
-        worst = max(abs(spm.residual(sp, n)) for n in range(sp.n_exact))
+        # F^(1/3) Ai'/Ai - 1/lam at every root-solved level, from scipy's
+        # Ai and Ai' (scaled by e^zeta on xi > 0, which cancels in the ratio)
+        wall = WallSpec(kind, field)
+        xi = -build_spectrum(wall).exact_levels * field ** (-2.0 / 3.0)
+        ai, aip = np.empty_like(xi), np.empty_like(xi)
+        pos = xi > 0.0
+        ai[pos], aip[pos] = sps.airye(xi[pos])[:2]
+        ai[~pos], aip[~pos] = sps.airy(xi[~pos])[:2]
+        worst = np.abs(field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam).max()
         assert worst < 1e-10
 
     @pytest.mark.parametrize("field", [1e-7, 1e-3, 0.1, 1.0, 10.0])
@@ -284,7 +291,6 @@ BAD_INDEX_CALLS = {
     "build_spectrum(n_exact=1)": lambda: build_spectrum(WALL, n_exact=1),
     "level(1.5)": lambda: SP8.level(1.5),
     "level(-1)": lambda: SP8.level(-1),
-    "residual(0.5)": lambda: spm.residual(SP8, 0.5),
     "level_gaps(2.5)": lambda: level_gaps(SP8, 2.5),
     "EnsembleSpec(2.5)": lambda: EnsembleSpec(FD, 2.5),
     "EnsembleSpec(inf)": lambda: EnsembleSpec(FD, math.inf),
@@ -340,9 +346,3 @@ class TestValidation:
     def test_root_block_size_is_bounded(self):
         with pytest.raises(DomainError, match="n_exact must be in"):
             build_spectrum(WALL, n_exact=513)
-
-    def test_residual_needs_a_root_solved_robin_level(self):
-        with pytest.raises(DomainError, match="Robin walls only"):
-            spm.residual(build_spectrum(WallSpec(WallKind.DIRICHLET, 1.0)), 0)
-        with pytest.raises(DomainError, match="not root-solved"):
-            spm.residual(SP8, SP8.n_exact)

@@ -1,10 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robinwall
+from robinwall.canonical import thermo_point
 from robinwall.cli import main
 from robinwall.errors import DomainError, RobinWallError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics
@@ -669,6 +675,22 @@ class TestCli:
         assert float(failed["beta"]) == bad_beta
         assert len(cols) > 3 and all(failed[c] == "" for c in cols[2:-1])
 
+    def test_canonical_sweep_with_nonfinite_sums_fails(self, capsys):
+        # at robin-, F = 1e-28 the canonical sums come out NaN (the tail
+        # law's quadrature takes the square root of a negative number): each
+        # row records why, the sweep exits 3, and a scalar thermo_point raises
+        argv = ["sweep", "--wall", "robin-", "--field", "1e-28",
+                "--beta-inv-min", "0.1", "--beta-inv-max", "10", "--points", "3"]
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
+            assert main(argv) == 3
+        header, *rows = [ln for ln in capsys.readouterr().out.splitlines()
+                         if not ln.startswith("#")]
+        assert header == "beta_inv,beta,error" and len(rows) == 3
+        assert all(r.endswith("are not finite") for r in rows)
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-28))
+        with pytest.warns(RuntimeWarning), pytest.raises(SolverError, match="not finite"):
+            thermo_point(sp, 2.0)
+
     def test_sweep_batch_failure_fails_every_row(self, monkeypatch, tmp_path):
         # an error raised for the whole batch is recorded in every row
         import robinwall.sweep as sweep_mod
@@ -779,3 +801,23 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+def test_table1_block_and_bose_sweep_never_import_numpy_ma():
+    # numpy imports numpy.ma lazily, on first use (np.unique is one); in a
+    # fresh interpreter a table1 block and the README's Bose sweep leave it
+    # unloaded, since it adds about 1 MB to the benchmark's peak memory
+    code = """if True:
+        import sys
+        from robinwall import *
+        table1_harness(fields=(1e-3,), ensembles=("be",))
+        spec = SweepSpec(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-5),
+                         EnsembleSpec(Statistics.BOSE_EINSTEIN, 1000), 0.3, 1.8, 200,
+                         log_grid=True, normalize_by_tcr=True)
+        result_to_json(run_sweep(spec))
+        print("numpy.ma" in sys.modules)
+    """
+    src = str(Path(robinwall.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
