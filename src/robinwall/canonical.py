@@ -2,8 +2,8 @@
 
 Exact truncated sums over a Spectrum, the universal Dirichlet/Neumann
 curves in the variable y = beta * F^(2/3), and a grid-scan extremum locator
-for any c(beta), refined by Brent's parabolic search in lockstep over
-extrema.  The closed forms of the two-term model are in ``limits``.
+for any c(beta), refined in lockstep over extrema by parabolic passes of
+a few points each.  The closed forms of the two-term model are in ``limits``.
 
 Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
 wall's negative ground level can never overflow the sums; means and
@@ -33,7 +33,6 @@ __all__ = [
     "find_extrema",
 ]
 
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0   # golden-section fraction of Brent's method
 _SQRT_EPS = math.sqrt(2.0 ** -52)
 
 
@@ -100,59 +99,41 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
 # extremum location
 # ---------------------------------------------------------------------------
 
-def _brent(a: float, fa: float, x: float, fx: float, b: float,
-           fb: float) -> Generator[float, float, tuple[float, float]]:
-    """Minimum of fn on [a, b] by Brent's method (Brent 1973, "Algorithms
-    for Minimization without Derivatives", ch. 5): parabolic interpolation
-    through the three best points, with a golden-section step whenever the
-    parabola is untrustworthy.  Starts from a bracketing triple a < x < b
-    with fx below fa and fb, all three values already known, so the first
-    step is the parabola through them; stops once the bracket around the
-    best point is about 1e-6 wide.  A generator: it yields each point u
-    to evaluate and is sent fn(u), and returns (x, fn(x)) of the best
-    point evaluated."""
-    (w, fw), (v, fv) = sorted(((a, fa), (b, fb)), key=lambda p: p[1])
-    d, e = 0.0, b - a
+def _refine(a: float, fa: float, x: float, fx: float, b: float,
+            fb: float) -> Generator[list[float], list[float], tuple[float, float]]:
+    """Minimum of fn on [a, b] in a few multi-point passes, from a
+    bracketing triple a < x < b with fx below fa and fb, all three values
+    already known.  Each pass evaluates the vertex v of the parabola through
+    the best point x and its two neighbours among the points evaluated (v
+    snapped to x within tol1 of it), probes at v +- |v - x|/5, or at
+    v +- tol1 once |v - x| <= 20 tol1, and, after a pass that did not halve
+    the bracket (a Bose cusp, where the parabola misleads), 5 points evenly
+    across it; points outside the bracket or within tol1/2 of another are
+    skipped.  Stops by Brent's (1973) rule, once both sides of the bracket
+    around x are within 2 tol1, tol1 = sqrt(eps)|x| + 2.5e-7.  A generator:
+    it yields each pass's points u and is sent the list fn(u), and returns
+    (x, fn(x)) of the best point evaluated."""
+    points, zoom = [(a, fa), (x, fx), (b, fb)], False
     while True:
-        m = 0.5 * (a + b)
         tol1 = _SQRT_EPS * abs(x) + 0.25e-6
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
+        if max(x - a, b - x) <= 2.0 * tol1:
             return x, fx
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                parabolic = True
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if x < m else -tol1
-        if not parabolic:
-            e = (b - x) if x < m else (a - x)
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = yield u
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        p, q = (x - a) * (fx - fb), (x - b) * (fx - fa)
+        v = x - 0.5 * ((x - a) * p - (x - b) * q) / (p - q) if p != q else x
+        v = x if abs(v - x) < tol1 else v
+        h = abs(v - x) / 5.0 if abs(v - x) > 20.0 * tol1 else tol1
+        taken = [a, x, b]
+        for u in [v, v - h, v + h] + ([a + k * (b - a) / 6.0 for k in range(1, 6)]
+                                      if zoom else []):
+            if a < u < b and min(abs(u - t) for t in taken) >= 0.5 * tol1:
+                taken.append(u)
+        if len(taken) == 3:
+            return x, fx
+        points += zip(taken[3:], (yield taken[3:]))
+        points.sort()
+        i = min(range(len(points)), key=lambda k: points[k][1])
+        width, ((a, fa), (x, fx), (b, fb)) = b - a, points[i - 1:i + 2]
+        zoom = b - a > 0.5 * width
 
 
 def find_extrema(beta_grid: Sequence, c_grid: Sequence,
@@ -160,10 +141,12 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence,
                  ) -> ExtremumReport | tuple[ExtremumReport, ...]:
     """Locate the heat-capacity extrema of one scan, or of several as
     rows: ``c_grid`` holds c(beta) on the monotone ``beta_grid``, evaluated
-    by the caller.  Every interior extremum of every scan is refined by
-    Brent's method from its grid point (relative 1e-6 in beta), all in
-    lockstep: a pass is one call ``c_fn(beta, rows)`` with the next point
-    of each open refinement and its scan's row, returning their c values.
+    by the caller.  Every interior extremum of every scan is refined from
+    its grid point (relative 1e-6 in beta) by ``_refine``, all in lockstep:
+    a pass is one call ``c_fn(beta, rows)`` with the points of that pass of
+    every open refinement (3 for a smooth peak, 8 when a cusp needs a zoom)
+    and their scans' rows, returning their c values; a smooth peak takes 3
+    or 4 passes.
 
     A report per scan (a tuple of them for rows) carries the global maximum
     and minimum found; a scan without interior extrema yields an empty
@@ -178,7 +161,7 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence,
     if cs.shape != betas.shape:
         raise DomainError(f"c_grid has shape {cs.shape} for beta_grid of shape {betas.shape}")
 
-    runs = []  # (row, sign, Brent generator) per interior extremum
+    runs = []  # (row, sign, refinement generator) per interior extremum
     rows = list(zip(np.atleast_2d(betas).tolist(), np.atleast_2d(cs).tolist()))
     for row, (b, c) in enumerate(rows):
         for i in range(1, len(b) - 1):
@@ -187,11 +170,11 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence,
                 continue
             lo, hi = sorted(((math.log(b[i - 1]), -sign * c[i - 1]),
                              (math.log(b[i + 1]), -sign * c[i + 1])))
-            runs.append((row, sign, _brent(*lo, math.log(b[i]), -sign * c[i], *hi)))
+            runs.append((row, sign, _refine(*lo, math.log(b[i]), -sign * c[i], *hi)))
     best = {}  # (row, sign) -> (1/beta, c) of the scan's global extremum
-    sent = dict.fromkeys(range(len(runs)))  # the value each open one is sent next
+    sent = dict.fromkeys(range(len(runs)))  # the values each open one is sent next
     while sent:
-        pending = {}
+        pending = {}  # the points of each open one's next pass
         for j, fu in sent.items():
             try:
                 pending[j] = runs[j][2].send(fu)
@@ -200,9 +183,10 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence,
                 c = -sign * stop.value[1]
                 if (row, sign) not in best or sign * c > sign * best[row, sign][1]:
                     best[row, sign] = (1.0 / math.exp(stop.value[0]), c)
-        values = c_fn(np.array([math.exp(u) for u in pending.values()]),
-                      np.array([runs[j][0] for j in pending], dtype=int)) if pending else ()
-        sent = {j: -runs[j][1] * float(cj) for j, cj in zip(pending, values)}
+        lanes = [(j, u) for j, us in pending.items() for u in us]
+        values = iter(c_fn(np.array([math.exp(u) for _, u in lanes]),
+                           np.array([runs[j][0] for j, _ in lanes], dtype=int)) if lanes else ())
+        sent = {j: [-runs[j][1] * float(next(values)) for _ in us] for j, us in pending.items()}
 
     reports = tuple(ExtremumReport(*best.get((row, 1), (None, None)),
                                    *best.get((row, -1), (None, None)))

@@ -251,10 +251,11 @@ def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
         # below it keeps the Newton steps landing there inside the bracket
         lo, hi = np.log(np.log1p(1.0 / n)) - 1e-9, np.full(n.shape, math.log(_GAMMA_MAX))
     else:
-        # mu between E_0 - pad/beta and E_N + pad/beta
+        # mu between E_0 - hi/beta and E_N + pad/beta, hi = pad past the
+        # Boltzmann continuum's root gamma = ln(A/N) where that is > 0 (hot fermions)
         pad = 50.0 + np.log(n + 2.0)
         lo = -(beta * (spectrum.energies(n) - spectrum.e0) + pad)
-        hi = pad
+        hi = pad + np.maximum(_ln_weight(spectrum.wall.field, beta) - np.log(n), 0.0)
     cold = np.isnan(start)
     if cold.any():
         start[cold] = _cold_start(spectrum, beta[cold], statistics, n[cold],

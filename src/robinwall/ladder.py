@@ -78,7 +78,7 @@ The integral is the tail law's quadrature, 24-point Gauss-Legendre in the
 law's own variable, where the level measure is a polynomial, on energy
 panels matched to the kernel (a filled Fermi sea, the transition layer
 around x = 0, and geometric panels down the exponential tail from wherever
-it starts to ~78 past it), clipped at E_{n1} and padded with zero-width
+it starts to ~44 past it), clipped at E_{n1} and padded with zero-width
 panels to a common count across lanes.  Every path is validated against
 brute-force summation to ~1e-10 relative; the payoff is that the worst evaluation in
 the whole parameter domain costs ~1e4 kernel evaluations instead of ~1e8
@@ -171,10 +171,10 @@ X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
-# exponent offsets of the geometric tail panels, from 0.5 up to the first
-# edge past X_DEAD (77.7 units up): the integrand has fallen by e^-77 there
+# exponent offsets of the geometric tail panels, from 0.5 up to the last
+# edge below X_DEAD (44.3 units up): the integrand has fallen by e^-44 there
 _TAIL_Y = [0.5]
-while _TAIL_Y[-1] < X_DEAD:
+while 1.7 * _TAIL_Y[-1] + 2.0 < X_DEAD:
     _TAIL_Y.append(1.7 * _TAIL_Y[-1] + 2.0)
 _TAIL_Y = np.array(_TAIL_Y[1:])
 
@@ -247,15 +247,16 @@ def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.nda
     m = np.array([n0, np.where(finite, n1, n0)], dtype=np.int64)[:1 + finite.any()]
     ends = spectrum.energies(m[:, :, None] + _STENCIL) - e0
     edges = np.multiply.outer(np.array([np.ones(len(beta)), -1.0 * finite])[:len(m)], _EDGE)
-    breaks = np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
-                        np.where(finite, ends[-1, :, 2], np.inf)[:, None])
+
+    def live(b):  # b without the panels of zero width in all its lanes (a sea's past its end)
+        return b[:, np.concatenate(([True], (b[:, 1:] > b[:, :-1]).any(axis=0)))]
+
+    breaks = live(np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
+                             np.where(finite, ends[-1, :, 2], np.inf)[:, None]))
     blocks = []
     for rows in _blocks(np.arange(len(beta)),
                         (breaks.shape[1] - 1) * len(_GL_NODES) + edges.shape[0] * len(_EDGE)):
-        # drop the panels of zero width in every lane of the block (a sea's past its end)
-        b = breaks[rows]
-        b = b[:, np.concatenate(([True], (b[:, 1:] > b[:, :-1]).any(axis=0)))]
-        e, w = spectrum.tail.quadrature(b + e0, _GL_NODES, _GL_WEIGHTS)
+        e, w = spectrum.tail.quadrature(live(breaks[rows]) + e0, _GL_NODES, _GL_WEIGHTS)
         blocks.append((rows, np.concatenate([e - e0, *ends[:, rows]], axis=1),
                        np.concatenate([w, *edges[:, rows]], axis=1)))
     return blocks

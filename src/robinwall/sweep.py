@@ -2,11 +2,11 @@
 regression harness.
 
 A sweep evaluates one wall/ensemble configuration on a temperature grid
-as one batch, locates the heat-capacity extrema with Brent's parabolic
-refinement, and (for bosons) attaches the condensation threshold.  One
-evaluator per spectrum serves the scan and every Brent pass, so each
-chemical-potential solve starts from the states of its cell already
-solved (``grand_canonical._Evaluator``).
+as one batch, locates the heat-capacity extrema with parabolic passes of
+a few points each (``canonical.find_extrema``), and (for bosons) attaches
+the condensation threshold.  One evaluator per spectrum serves the scan and
+every refinement pass, so each chemical-potential solve starts from the
+states of its cell already solved (``grand_canonical._Evaluator``).
 Results serialize to CSV and JSON with shortest round-trip float
 formatting, so the two emissions carry bit-identical numbers and a JSON
 round trip reproduces the rows exactly.
@@ -324,10 +324,10 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
     """Heat-capacity extrema of the cells of one spectrum, cell i in the
     ensemble ``ensembles[i]`` (all of one statistics): each cell's log
     window around ``t_centers[i]`` is scanned, all cells as one batch, and
-    the extrema of all scans are refined in lockstep, one batch per Brent
-    pass.  SolverError names the first lane whose solve failed; DomainError
-    unless there is one center per ensemble, at least one, each finite and
-    > 0, and ``span`` is finite and > 1."""
+    the extrema of all scans are refined in lockstep, one batch per
+    refinement pass.  SolverError names the first lane whose solve failed;
+    DomainError unless there is one center per ensemble, at least one, each
+    finite and > 0, and ``span`` is finite and > 1."""
     if not 1 <= len(ensembles) == len(t_centers):
         raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
                           f"{len(t_centers)} for {len(ensembles)} ensembles")

@@ -257,7 +257,8 @@ class TestFindExtrema:
 
 def _golden_reference(fn, lo, hi, sign, tol=1e-6):
     """The golden-section refinement find_extrema used before Brent's
-    method: extremum of sign*fn(e^u) on [lo, hi], interval shrunk to tol."""
+    method and its multi-point passes: extremum of sign*fn(e^u) on
+    [lo, hi], interval shrunk to tol."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
@@ -277,6 +278,7 @@ def _golden_reference(fn, lo, hi, sign, tol=1e-6):
 
 
 class TestBrentRefinement:
+    # the multi-point passes of find_extrema, which keep Brent's stop rule
     @staticmethod
     def _exact_extremum(beta_guess):
         # c = beta^2 d^2 ln Z / dbeta^2, Z = e^beta + sqrt(2 pi / beta); the
@@ -317,8 +319,9 @@ class TestBrentRefinement:
 
     def test_lockstep_visits_the_points_of_the_sequential_search(self):
         # the zero-field scan's maximum and minimum are refined together,
-        # one c_fn call per pass; each must visit exactly the points Brent's
-        # method visits on it alone, and the passes must be shared
+        # one c_fn call per pass; in each pass each must visit exactly the
+        # points its refinement visits in that pass on it alone, and the
+        # passes must be shared: as many as the longer refinement's
         grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
         cs = [zero_field_attractive(b).heat_capacity for b in grid]
         passes = []
@@ -329,7 +332,7 @@ class TestBrentRefinement:
             return [zero_field_attractive(b).heat_capacity for b in betas]
 
         rep = find_extrema(grid, cs, c_fn)
-        alone = {}  # sign -> (bracket, points visited, best point)
+        alone = {}  # sign -> (bracket, points of each pass, best point)
         for i in range(1, len(grid) - 1):
             if cs[i] > max(cs[i - 1], cs[i + 1]):
                 sign = 1.0
@@ -339,21 +342,23 @@ class TestBrentRefinement:
                 continue
             (a, fa), (b, fb) = sorted(((math.log(grid[i - 1]), -sign * cs[i - 1]),
                                        (math.log(grid[i + 1]), -sign * cs[i + 1])))
-            brent = can._brent(a, fa, math.log(grid[i]), -sign * cs[i], b, fb)
+            refine = can._refine(a, fa, math.log(grid[i]), -sign * cs[i], b, fb)
             visited, fu = [], None
             try:
                 while True:
-                    u = brent.send(fu)
-                    visited.append(math.exp(u))
-                    fu = -sign * zero_field_attractive(math.exp(u)).heat_capacity
+                    us = refine.send(fu)
+                    visited.append([math.exp(u) for u in us])
+                    fu = [-sign * zero_field_attractive(math.exp(u)).heat_capacity for u in us]
             except StopIteration as stop:
                 u, f = stop.value
             alone[sign] = ((grid[i - 1], grid[i + 1]), visited, (1.0 / math.exp(u), -sign * f))
         assert sorted(alone) == [-1.0, 1.0]
-        for (lo, hi), visited, _ in alone.values():
-            assert [b for p in passes for b in p if lo < b < hi] == visited
         assert len(passes) == max(len(v) for _, v, _ in alone.values())
-        assert len(passes[0]) == 2
+        for (lo, hi), visited, _ in alone.values():
+            assert len(visited[0]) == 3  # the vertex and its two probes
+            assert ([[b for b in p if lo < b < hi] for p in passes]
+                    == visited + [[]] * (len(passes) - len(visited)))
+        assert len(passes[0]) == sum(len(v[0]) for _, v, _ in alone.values())
         assert (rep.beta_inv_at_max, rep.c_max) == alone[1.0][2]
         assert (rep.beta_inv_at_min, rep.c_min) == alone[-1.0][2]
 

@@ -383,6 +383,33 @@ def test_every_node_set_within_the_pair_budget(monkeypatch):
         assert np.array_equal(np.sort(np.concatenate(root)), np.arange(300))
 
 
+def test_sea_closures_sized_after_their_dead_panels_drop(monkeypatch):
+    # the 300-lane FD plan above: past its sea's end each lane's closure
+    # keeps 1-2 panels (34-58 nodes), so its 142 sea closures fit 2 blocks of
+    # _PAIRS (lane, node) pairs.  Sized by the padded panel count before the
+    # drop they took 8 blocks of 16-18 lanes.  Every lane sums as it does
+    # alone, up to rounding
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
+    beta = np.geomspace(1.0, 100.0, 300)
+    gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
+    blocks, closure = [], ladder._closure
+
+    def counting_closure(spectrum, beta, gamma, n0, n1):
+        out = closure(spectrum, beta, gamma, n0, n1)
+        if np.isfinite(n1).all():
+            blocks.append([len(rows) for rows, _, _ in out])
+        return out
+
+    monkeypatch.setattr(ladder, "_closure", counting_closure)
+    batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
+    (sea,) = blocks
+    assert sum(sea) > 100 and len(sea) <= 3
+    for i in range(0, 300, 5):
+        one = ladder_sums(sp, beta[i], Statistics.FERMI_DIRAC, gamma=gamma[i])
+        for b, o in zip(batch, one):
+            assert b[i] == pytest.approx(o, rel=1e-15, abs=0.0)
+
+
 def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
     """The closure integrals by the geometric expansion of the kernels,
     occupation = sum_k a_k e^{-kx} and distribution = sum_k k a_k e^{-kx}

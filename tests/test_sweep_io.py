@@ -328,12 +328,13 @@ class TestTable1Harness:
 
     def test_cells_reproduce_recorded_values(self):
         # a regression pin on the recorded peaks: every peak height agrees
-        # to 1e-8.  The peak temperature is Brent's point, set to its 1e-6
-        # tolerance in beta: in the flattest cells the last comparisons of
-        # Brent's search are decided by the ~1e-13 noise of the
+        # to 1e-8.  The peak temperature is the refinement's best point, set
+        # to its 1e-6 tolerance in beta: in the flattest cells the last
+        # comparisons of the search are decided by the ~1e-13 noise of the
         # particle-number solve, which depends on where the solve started,
         # so t agrees to that tolerance (seen: 2.8e-7 at fd N=10, F=1e-7,
-        # when the batched engine replaced one lane at a time).  Anchoring
+        # when the batched engine replaced one lane at a time, and 1.4e-7
+        # when multi-point passes replaced Brent's one-point steps).  Anchoring
         # the tail law on the last root moved the cells by up to 8.4e-5
         # (c) and 4.8e-5 (t) relative at F = 1e-3, the field where the old
         # first-order shift was worst
@@ -346,12 +347,12 @@ class TestTable1Harness:
 
     def test_evaluator_batches_per_round(self, monkeypatch):
         # each (ensemble, field) block of the table is one locate_peak call:
-        # one batch scans all its cells, then each Brent pass is one batch
-        # over every refinement still open.  One cell and one point at a
-        # time took 454 batches a round (55 scans, 399 Brent points); now
-        # 137 (15 blocks, 122 passes).  Fewer, say <= 60, would need lanes
-        # across fields, but one ladder batch serves one spectrum, so a
-        # per-block lockstep cannot reach it.
+        # one batch scans all its cells, then each refinement pass is one
+        # batch over the points of every refinement still open.  One cell
+        # and one point at a time took 454 batches a round (55 scans, 399
+        # Brent points), Brent's one-point steps in lockstep 137 (15 blocks,
+        # 122 passes); the multi-point passes take 81 (66 passes: 3 per
+        # canonical or FD block and 6-8 per BE block).
         import robinwall.sweep as sweep_mod
         counts = {"blocks": 0, "batches": 0}
 
@@ -368,17 +369,18 @@ class TestTable1Harness:
         monkeypatch.setattr(sweep_mod, "locate_peak", counting(sweep_mod.locate_peak, "blocks"))
         assert table1_harness().passed
         assert counts["blocks"] == 15
-        assert counts["batches"] <= 180
-        assert counts["batches"] - counts["blocks"] <= 130  # Brent passes
+        assert counts["batches"] <= 90
+        assert counts["batches"] - counts["blocks"] <= 75  # refinement passes
 
     def test_ladder_calls_per_round(self, monkeypatch):
-        # work-count gate on the mu solves: 35 canonical calls, and one
+        # work-count gate on the mu solves: 20 canonical calls, and one
         # call per lockstep Newton pass.  Cold scans start from the two-term
-        # balance (in Bose statistics for bosons) and Brent's points from
-        # the cubic Hermite through their cell's solved states and slopes:
-        # 268 calls.  A Boltzmann continuum and linear hints took 378.  A mu
-        # solve's passes are sums over its batch's plan (ladder._sums), the
-        # other calls ladder_sums
+        # balance (in Bose statistics for bosons) and the refinement's
+        # points from the cubic Hermite through their cell's solved states
+        # and slopes: 176 calls (268, 35 of them canonical, with Brent's
+        # one-point steps).  A Boltzmann continuum and linear hints took
+        # 378.  A mu solve's passes are sums over its batch's plan
+        # (ladder._sums), the other calls ladder_sums
         from robinwall import canonical
         import robinwall.sweep as sweep_mod
         calls = []
@@ -396,16 +398,18 @@ class TestTable1Harness:
         monkeypatch.setattr(canonical, "ladder_sums",
                             counting(canonical.ladder_sums, lambda args: args[2]))
         assert table1_harness().passed
-        assert calls.count(Statistics.CANONICAL) == 35
+        assert calls.count(Statistics.CANONICAL) == 20
         assert calls.count(Statistics.FERMI_DIRAC) > 0 and calls.count(Statistics.BOSE_EINSTEIN) > 0
-        assert len(calls) <= 290
+        assert len(calls) <= 195
 
     def test_kernel_passes_per_round(self, monkeypatch):
         # work-count gate on the ladder: each ladder pass evaluates its
         # kernels once per node set of its plan that serves a lane of it:
         # the root block, the closure nodes with their end stencils and the
         # blocks of its direct windows, each cut into runs of lanes of at
-        # most ladder._PAIRS (lane, node) pairs.  780 passes a round with the
+        # most ladder._PAIRS (lane, node) pairs.  567 passes a round with
+        # multi-point refinement passes and closure blocks sized after their
+        # dead panels drop, 780 with Brent's one-point steps and the
         # whole batch planned at once; with the batch cut into 32-lane
         # groups, each group's node sets apart, it took 1,125, and planned
         # anew on every pass 1,078; with the closure integral, each end
@@ -421,17 +425,20 @@ class TestTable1Harness:
 
         monkeypatch.setattr(ladder, "_summands", counting)
         assert table1_harness().passed
-        assert 0 < len(passes) <= 820
+        assert 0 < len(passes) <= 620
 
     def test_plan_builds_per_round(self, monkeypatch):
         # work-count gate on the ladder's planning: every ladder_sums call
         # plans its batch, and every mu solve plans its batch once, at the
         # lanes' start gamma; its later Newton passes sum over that plan, and
         # only a lane whose gamma leaves its window gets a plan of its own.
-        # A round builds 137 plans (35 of the canonical calls, 102 of the mu
-        # solves), and 1,817,983 kernel elements, within 5% of the 1,804,892
-        # of planning every pass; cut into 32-lane groups it built 142 plans
-        # of 217 groups, and planned anew on every pass 478 groups
+        # A round builds 81 plans (20 of the canonical calls, 61 of the mu
+        # solves) and 1,783,662 kernel elements.  With Brent's one-point
+        # steps it built 137 plans and 1,817,983 elements, within 5% of the
+        # 1,804,892 of planning every pass; the multi-point passes alone
+        # raised that to 1,981,350, and the tail panel past X_DEAD, dropped,
+        # paid for it.  Cut into 32-lane groups it built 142 plans of 217
+        # groups, and planned anew on every pass 478 groups
         from robinwall import ladder
         counts = {"plans": 0, "elements": 0}
         init, summands = ladder._Plan.__init__, ladder._summands
@@ -447,14 +454,14 @@ class TestTable1Harness:
         monkeypatch.setattr(ladder._Plan, "__init__", counting_plan)
         monkeypatch.setattr(ladder, "_summands", counting_summands)
         assert table1_harness().passed
-        assert 0 < counts["plans"] <= 150
-        assert 0 < counts["elements"] <= 1.05 * 1_804_892
+        assert 0 < counts["plans"] <= 90
+        assert 0 < counts["elements"] <= 1_817_983
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
     def test_block_matches_its_cells_alone(self, ensemble):
         # a block's cells refined together take the peaks each cell finds
         # alone: every lane's mu solve starts from its own cell's states, so
-        # each Brent path is the sequential one up to batch rounding
+        # each refinement path is the sequential one up to batch rounding
         field = 1e-4
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         ns = sorted(n for e, n, f in TABLE1 if e == ensemble and f == field)
@@ -465,6 +472,24 @@ class TestTable1Harness:
             alone, = locate_peak(sp, [spec], [t_ref])
             assert rep.c_max == pytest.approx(alone.c_max, rel=1e-12, abs=0.0)
             assert rep.beta_inv_at_max == pytest.approx(alone.beta_inv_at_max, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n,field", [(100000, 1e-7), (100000, 1e-3), (1000, 1e-5)])
+    def test_hardest_peaks_against_a_fine_grid(self, n, field):
+        # the Bose peaks whose refinement needs its zoom, against an oracle
+        # independent of it: the largest c of gc_point on 401 points 1e-7
+        # apart in ln beta around the refined peak (seen: 7.6e-12 in c and
+        # 1e-7 in T at most)
+        from robinwall.grand_canonical import gc_point
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
+        ens = EnsembleSpec(Statistics.BOSE_EINSTEIN, n)
+        rep, = locate_peak(sp, [ens], [TABLE1["be", n, field][0]])
+        ln_beta = -math.log(rep.beta_inv_at_max) + 1e-7 * np.arange(-200, 201)
+        p = gc_point(sp, np.exp(ln_beta), ens)
+        assert p.errors == (None,) * 401
+        k = int(np.argmax(p.heat_capacity))
+        assert 0 < k < 400  # the grid holds its maximum inside
+        assert rep.c_max == pytest.approx(p.heat_capacity[k], rel=1e-10, abs=0.0)
+        assert rep.beta_inv_at_max == pytest.approx(math.exp(-ln_beta[k]), rel=5e-7, abs=0.0)
 
     def test_block_of_mixed_statistics_rejected(self):
         # one block is one statistics: a canonical first cell does not make
