@@ -8,28 +8,37 @@ The chemical potential is solved from the particle-number sum
 degeneracy 1).  Internally the solve runs in the shifted variable
 gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
-crowds the ground level to within 1e-14.  Newton runs on ln N in the
-solve's coordinate u (gamma for fermions, ln gamma for bosons, whose gamma
-spans decades), safeguarded by the bracket of the points already
-evaluated: ``specfun._newton_root``, which also finds every Airy zero,
-Robin level and condensation temperature.  It runs on a batch of
-temperatures in lockstep: every pass is one fused ladder pass over the
-unsolved lanes giving N, dN/dgamma and the energy moments together.  A
-lane stops at |N - N_target| <= 1e-12 N_target or once its bracket has
-collapsed, and its last iterate is its result if it meets
-|N - N_target| <= 1e-10 N_target: its sums give <E> and c directly.
+crowds the ground level to within 1e-14.  Newton runs on ln N, nearly
+linear over most of the domain, in the solve's coordinate u (gamma for
+fermions, ln gamma for bosons, whose gamma spans decades), safeguarded by
+the bracket of the points already evaluated: ``specfun._newton_root``,
+which also finds every Airy zero, Robin level and condensation
+temperature.  It runs on a batch of temperatures in lockstep: every pass
+is one fused ladder pass over the unsolved lanes giving N,
+dN/dgamma = -D_0 and the energy moments together.  A lane stops at
+|N - N_target| <= 1e-12 N_target or once its bracket has collapsed, and
+its last iterate is its result if it meets |N - N_target| <= 1e-10
+N_target: its sums give <E> and c directly.  The result depends on the
+start within the 1e-12 target: c at FD, N = 10, F = 1e-7, beta = 9.532
+spreads by ~1e-13 relative over starts.
 
 One evaluator, ``_Evaluator``, runs every solve and starts each lane from
-the states already solved in its cell; a cell's first lanes start cold from
-the two-term balance of the ground level and the quasi-continuum (the model
-of ``limits``, whose continuum weight and Boltzmann balance they read), the
-continuum in the lanes' own statistics: the complete Fermi-Dirac integral
-f_{3/2} for fermions, which holds a filled sea, and g_{3/2} for bosons.  A
-fermion lane whose Fermi edge is frozen (half the gap E_N - E_{N-1} past
-ln(2e12) kT) starts at mid-gap, where the two edge levels hold as many
-holes as particles and the first pass meets the 1e-12 target, so mu lands
-on the exact two-level value.  ``gc_point`` is the evaluator's cold,
-one-call form.
+the states already solved in its cell.  A cell's first lanes start cold,
+with no ladder pass, from the root of the two-term balance
+
+    N = 1/(e^gamma +- 1) + A g(-(gamma + beta Delta))
+
+of the ground level and the tail law's quasi-continuum of density
+sqrt(E - shift)/(pi F) above shift, A = 1/(2 sqrt(pi) F beta^{3/2}) and
+Delta = shift - E_0 (the model of ``limits``, whose continuum weight and
+Boltzmann balance they read), the continuum in the lanes' own statistics:
+g = f_{3/2}, the complete Fermi-Dirac integral, for fermions, which holds
+a filled sea (``_fermi_start``), and g = g_{3/2} for bosons
+(``_bose_start``).  A fermion lane whose Fermi edge is frozen (half the
+gap E_N - E_{N-1} past ln(2e12) kT) starts at mid-gap, where the two edge
+levels hold as many holes as particles and the first pass meets the
+1e-12 target, so mu lands on the exact two-level value.  ``gc_point`` is
+the evaluator's cold, one-call form.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -144,16 +153,16 @@ _GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
 _FROZEN_HALF_GAP = math.log(2.0 / _N_TARGET)
 
 
-def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, ln_a: np.ndarray,
-                 bd: np.ndarray) -> np.ndarray:
-    """Cold gamma of fermions: the root of N = 1/(e^gamma + 1) + A f_{3/2}(eta)
-    in eta = -(gamma + beta Delta), ``ln_a`` = ln A and ``bd`` = beta Delta,
-    to 1e-6 by ``_newton_root`` on the log-ratio of the continuum A f_{3/2}
-    to the N - 1/(e^gamma + 1) particles it must hold, which stays nearly
-    linear in gamma where the ground level holds most of N.  The root lies
-    between the Boltzmann root (f_{3/2}(eta) < e^eta) and the zero-temperature
-    edge eta = (Gamma(5/2) N/A)^{2/3} (f_{3/2}(eta) > eta^{3/2}/Gamma(5/2)),
-    and Newton starts from the first where its eta <= 0 and from the second
+def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Cold gamma of fermions: the root of the two-term balance
+    N = 1/(e^gamma + 1) + A f_{3/2}(eta) in eta = -(gamma + beta Delta),
+    whose complete Fermi-Dirac integral f_{3/2} holds a filled sea, to 1e-6
+    by ``_newton_root`` on the log-ratio of the continuum A f_{3/2} to the
+    N - 1/(e^gamma + 1) particles it must hold, which stays nearly linear in
+    gamma where the ground level holds most of N.  The root lies between the
+    Boltzmann root (f_{3/2}(eta) < e^eta) and the zero-temperature edge
+    eta = (Gamma(5/2) N/A)^{2/3} (f_{3/2}(eta) > eta^{3/2}/Gamma(5/2)), and
+    Newton starts from the first where its eta <= 0 and from the second
     where the sea is degenerate.  On a ladder whose spacings do not grow, mu
     lies at or below mid-gap, mu = (E_{N-1} + E_N)/2, where the two levels
     around the Fermi edge hold as many holes as particles and every deeper
@@ -165,7 +174,9 @@ def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, ln_a: np.n
     thaw = (0.5 * beta * (e_next - e_top) <= _FROZEN_HALF_GAP).nonzero()[0]
     if not thaw.size:
         return start
-    n, ln_a, bd = n[thaw], ln_a[thaw], bd[thaw]
+    n, beta = n[thaw], beta[thaw]
+    ln_a = _ln_weight(spectrum.wall.field, beta)
+    bd = beta * (spectrum.tail.shift - spectrum.e0)
     boltzmann = -_two_term_log_t(ln_a - bd, n, Statistics.FERMI_DIRAC)
     edge = -np.exp((np.log(0.75 * _SQRT_PI * n) - ln_a) / 1.5) - bd
 
@@ -183,30 +194,18 @@ def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, ln_a: np.n
     return start
 
 
-def _cold_start(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
-                n: np.ndarray, lo, hi):
-    """Cold start of the solve in its coordinate (gamma, or ln gamma for
-    bosons), with no ladder pass: the root of the two-term balance
-
-        N = 1/(e^gamma +- 1) + A g(-(gamma + beta Delta)),
-
-    the ground level plus the tail law's quasi-continuum of density
-    sqrt(E - shift) / (pi F) above shift, A = 1/(2 sqrt(pi) F beta^{3/2})
-    and Delta = shift - E_0, with the continuum in its own statistics.
-    Fermions take g = f_{3/2}, the complete Fermi-Dirac integral, which
-    holds a filled sea (``_fermi_start``, which also places a frozen edge
-    at mid-gap).  Bosons take g = g_{3/2}, which near condensation holds
-    about twice what the Boltzmann continuum g = e^eta does, with Delta
-    raised to 0 where the tail law starts below E_0 (so the fugacity stays
-    below 1); its root is found to 1e-6 in N by ``_newton_root`` in
-    ln gamma on the bracket (lo, hi), from the Boltzmann root
+def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+    """Cold ln gamma of bosons: the root of the two-term balance
+    N = 1/(e^gamma - 1) + A g_{3/2}(-(gamma + beta Delta)), whose g_{3/2}
+    holds about twice what the Boltzmann continuum e^eta does near
+    condensation, with Delta raised to 0 where the tail law starts below E_0
+    (so the fugacity stays below 1).  Found to 1e-6 in N by ``_newton_root``
+    in ln gamma on the bracket (lo, hi), from the Boltzmann root
     (``_two_term_log_t``), on the closed forms of g_{3/2} and
     g_{1/2} = -dg_{3/2}/dalpha."""
     ln_a = _ln_weight(spectrum.wall.field, beta)
-    delta = spectrum.tail.shift - spectrum.e0
-    if statistics is Statistics.FERMI_DIRAC:
-        return _fermi_start(spectrum, beta, n, ln_a, beta * delta)
-    bd = beta * max(delta, 0.0)
+    bd = beta * max(spectrum.tail.shift - spectrum.e0, 0.0)
 
     def log_n(v, lanes):
         gamma = np.exp(v)
@@ -220,59 +219,9 @@ def _cold_start(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
             return np.log(total / n[lanes]), slope / total, v[None]
 
     with np.errstate(divide="ignore"):
-        start = np.log(-_two_term_log_t(ln_a - bd, n, statistics))
+        start = np.log(-_two_term_log_t(ln_a - bd, n, Statistics.BOSE_EINSTEIN))
     start = np.fmax(np.fmin(start, hi), lo)
     return _newton_root(log_n, lo, hi, start, lambda r, slope, v: np.abs(r) <= 1e-6)[0][0]
-
-
-def _solve_gamma(spectrum: Spectrum, beta: np.ndarray, statistics: Statistics,
-                 n: np.ndarray, start: np.ndarray):
-    """The solve's coordinate u (gamma = beta (E_0 - mu), or ln gamma for
-    bosons) satisfying the particle-number sum of ``statistics`` to
-    |N - N_target| <= 1e-10 N_target for every lane of ``beta``, whose
-    particle number N_target is that lane's ``n``, and the ladder sums
-    (N_0, N_1, D_0, D_1, D_2) of that gamma, with moments about the upper
-    of E_0 and mu (``_moment_offset``).  Returns ``(u, sums, errors)`` with
-    one column of ``sums`` and one entry of ``errors`` (None, or the
-    message of a failed lane) per lane.
-
-    Newton runs on ln N, which is nearly linear in u over most of the
-    domain; each step is one fused ladder pass over the lanes still
-    unsolved, which gives N and dN/dgamma = -D_0 together.  A lane starts
-    from its ``start`` u (NaN: cold), clipped into the bracket, or else
-    from the two-term balance of ``_cold_start``, which spends no ladder
-    pass.  The result depends on the start within the 1e-12 target: c at
-    fd N=10, F=1e-7, beta=9.532 spreads by ~1e-13 relative over starts.
-    """
-    log_space = statistics is Statistics.BOSE_EINSTEIN
-    if log_space:
-        # the ground level alone holds N at gamma = ln(1 + 1/N), so the root
-        # lies above it, deep in a condensate by ~1e-12: a low end 1e-9
-        # below it keeps the Newton steps landing there inside the bracket
-        lo, hi = np.log(np.log1p(1.0 / n)) - 1e-9, np.full(n.shape, math.log(_GAMMA_MAX))
-    else:
-        # mu between E_0 - hi/beta and E_N + pad/beta, hi = pad past the
-        # Boltzmann continuum's root gamma = ln(A/N) where that is > 0 (hot fermions)
-        pad = 50.0 + np.log(n + 2.0)
-        lo = -(beta * (spectrum.energies(n) - spectrum.e0) + pad)
-        hi = pad + np.maximum(_ln_weight(spectrum.wall.field, beta) - np.log(n), 0.0)
-    cold = np.isnan(start)
-    if cold.any():
-        start[cold] = _cold_start(spectrum, beta[cold], statistics, n[cold],
-                                  lo[cold], hi[cold])
-    start = np.fmax(np.fmin(start, hi), lo)
-    plan = _Plan(spectrum, beta, np.exp(start) if log_space else start, statistics)
-
-    def step(u: np.ndarray, lanes: np.ndarray):
-        gamma = np.exp(u) if log_space else u
-        sums = _sums(plan, lanes, gamma, _moment_offset(beta[lanes], gamma))
-        # dN/du with dN/dgamma = -D_0
-        return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([u, sums])
-
-    payload, errors = _solve_n(
-        step, start, lo, hi, n,
-        lambda i: f"particle-number solve at beta={beta[i]}, N={n[i]}")
-    return payload[0], payload[1:], errors
 
 
 def _moment_offset(beta, gamma):
@@ -298,7 +247,9 @@ class _Evaluator:
     states of equal ln beta stay in the order solved.  A lane starts from
     the cubic Hermite through its cell's two states nearest in ln beta (on
     a tie, the first in that order: a state below the lane before one
-    above it), or the Taylor step from one, or else cold."""
+    above it), or the Taylor step from one, or else cold (``_fermi_start``,
+    ``_bose_start``); a start is clipped into its lane's bracket.  One plan,
+    made at the starts, serves every Newton pass of a call."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
         if {getattr(e, "statistics", None) for e in ensembles} not in (
@@ -328,13 +279,38 @@ class _Evaluator:
         return start
 
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
-        n = self.n[cells]
-        u, (n_sum, n1, d0, d1, d2), errors = _solve_gamma(
-            self.spectrum, beta, self.statistics, n, self._starts(beta, cells))
+        sp, n = self.spectrum, self.n[cells]
         log_space = self.statistics is Statistics.BOSE_EINSTEIN
+        if log_space:
+            # the ground level alone holds N at gamma = ln(1 + 1/N), so the root
+            # lies above it, deep in a condensate by ~1e-12: a low end 1e-9
+            # below it keeps the Newton steps landing there inside the bracket
+            lo, hi = np.log(np.log1p(1.0 / n)) - 1e-9, np.full(n.shape, math.log(_GAMMA_MAX))
+        else:
+            # mu between E_0 - hi/beta and E_N + pad/beta, hi = pad past the
+            # Boltzmann continuum's root gamma = ln(A/N) where that is > 0 (hot fermions)
+            pad = 50.0 + np.log(n + 2.0)
+            lo = -(beta * (sp.energies(n) - sp.e0) + pad)
+            hi = pad + np.maximum(_ln_weight(sp.wall.field, beta) - np.log(n), 0.0)
+        start = self._starts(beta, cells)
+        cold = np.isnan(start)
+        if cold.any():
+            start[cold] = (_bose_start(sp, beta[cold], n[cold], lo[cold], hi[cold]) if log_space
+                           else _fermi_start(sp, beta[cold], n[cold]))
+        start = np.fmax(np.fmin(start, hi), lo)
+        plan = _Plan(sp, beta, np.exp(start) if log_space else start, self.statistics)
+
+        def step(u: np.ndarray, lanes: np.ndarray):
+            gamma = np.exp(u) if log_space else u
+            sums = _sums(plan, lanes, gamma, _moment_offset(beta[lanes], gamma))
+            # dN/du with dN/dgamma = -D_0
+            return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([u, sums])
+
+        (u, n_sum, n1, d0, d1, d2), errors = _solve_n(
+            step, start, lo, hi, n,
+            lambda i: f"particle-number solve at beta={beta[i]}, N={n[i]}")
         gamma = np.exp(u) if log_space else u
-        e0 = self.spectrum.e0
-        moff = _moment_offset(beta, gamma)
+        e0, moff = sp.e0, _moment_offset(beta, gamma)
         energy = (e0 - moff) * n_sum + n1
         with np.errstate(divide="ignore", invalid="ignore"):
             # where every weight underflowed (D0 = D1 = D2 = 0), c lies below

@@ -16,8 +16,8 @@ the Boltzmann sums S_0, S_1, S_2, or, for Fermi and Bose statistics, the
 occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2.
 Both occupation kernels come from the same exponentials, so a
 grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
-costs a single ladder pass.  A call takes arrays of lanes (beta, gamma,
-moment offset); a scalar call is a one-lane batch.
+costs a single ladder pass.  A call takes arrays of lanes (beta, gamma);
+a scalar call is a one-lane batch.
 
 Summing takes two steps.  The plan (``_Plan``) lists each piece of the
 sums of a batch as a node set, energies above E_0 with weights, one row per
@@ -26,8 +26,9 @@ Euler-Maclaurin closure nodes with their end stencils, and blocks of the
 lanes' own direct windows.  The sum step (``_sums``) evaluates any subset
 of the planned lanes at any gamma and moment offset, with one kernel pass
 and one weighted reduction (``_node_sums``) per node set.  ``ladder_sums``
-is the two steps in sequence; a chemical-potential solve plans its batch
-once, at each lane's start, and its Newton passes sum over that plan.
+is the two steps in sequence, with moments about E_0; a chemical-potential
+solve plans its batch once, at each lane's start, and its Newton passes sum
+over that plan with moments about the upper of E_0 and mu.
 The engine sums energies only and reads every level through
 ``Spectrum.energies``; what else it needs of the level law (the index at an
 energy or a level spacing, the closure's quadrature) it asks of
@@ -401,19 +402,17 @@ def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -
 
 
 def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statistics, *,
-                gamma: float | np.ndarray = 0.0, moment_offset: float | np.ndarray = 0.0,
-                start_index: int = 0) -> tuple:
+                gamma: float | np.ndarray = 0.0, start_index: int = 0) -> tuple:
     """All sums of the kernel family of ``statistics`` over
     n >= start_index, in one pass, for a batch of lanes.
 
-    ``beta``, ``gamma`` and ``moment_offset`` broadcast against each other,
-    one lane per element.  With x_n = beta*(E_n - E_0) + gamma and moments
-    about ref = E_0 - moment_offset:
+    ``beta`` and ``gamma`` broadcast against each other, one lane per
+    element.  With x_n = beta*(E_n - E_0) + gamma and moments about E_0:
 
-    * ``CANONICAL``: (S_0, S_1, S_2), S_p = sum (E_n - ref)^p e^{-x_n};
+    * ``CANONICAL``: (S_0, S_1, S_2), S_p = sum (E_n - E_0)^p e^{-x_n};
     * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2) with
-      N_p = sum (E_n - ref)^p / (e^{x_n} +- 1) and
-      D_p = sum (E_n - ref)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
+      N_p = sum (E_n - E_0)^p / (e^{x_n} +- 1) and
+      D_p = sum (E_n - E_0)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
       fermions and the lower for bosons.
 
     ``start_index`` lies in the root-solved block, 0 <= start_index <
@@ -428,10 +427,10 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     if start_index >= spectrum.n_exact:
         raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
                           f"got {start_index!r}")
-    shape = np.broadcast(beta, gamma, moment_offset).shape
-    beta, gamma, moff = ((np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset))
+    shape = np.broadcast(beta, gamma).shape
+    beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, gamma))
     sums = _sums(_Plan(spectrum, beta, gamma, statistics, start_index),
-                 np.arange(beta.size), gamma, moff)
+                 np.arange(beta.size), gamma, np.zeros(beta.size))
     if not shape:
         return tuple(sums[:, 0].tolist())
     return tuple(s.reshape(shape) for s in sums)

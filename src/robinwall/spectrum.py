@@ -132,7 +132,8 @@ class TailLaw:
         the panels between ``breaks`` (ascending energies, a row per lane):
         the rule ``nodes``, ``weights`` on [-1, 1] in s = sqrt((E-shift)/tau),
         where dm = (3/4) s^2 ds is a polynomial and f smooth to the lower end."""
-        s = np.sqrt((breaks - self.shift) / self.tau)
+        # a break at the law's lower end can round below shift (robin-, E_0 = -1, shift ~F)
+        s = np.sqrt(np.maximum(breaks - self.shift, 0.0) / self.tau)
         lo = s[:, :-1, None]
         half = 0.5 * (s[:, 1:, None] - lo)
         s = (half * (nodes + 1.0) + lo).reshape(len(s), -1)

@@ -11,7 +11,8 @@ from robinwall import grand_canonical as gc
 from robinwall import specfun as sf
 from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics, be_critical, gc_point
-from robinwall.limits import asymptotic_beta_cr, asymptotic_mu_cn, fd_plateau, fd_single_peak
+from robinwall.limits import (asymptotic_beta_cr, asymptotic_mu_cn, fd_plateau, fd_single_peak,
+                              weak_field_composite)
 from robinwall.specfun import lambert_w
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
@@ -600,7 +601,7 @@ class TestFermiColdStart:
         beta = np.geomspace(0.1, 1e4, 30) / 1e-3 ** (2.0 / 3.0)
         for n in (1, 1000):
             nn = np.full(beta.size, n)
-            gamma = gc._cold_start(sp, beta, FD, nn, None, None)
+            gamma = gc._fermi_start(sp, beta, nn)
             e_top, e_next = sp.level(n - 1) - sp.e0, sp.level(n) - sp.e0
             mid = -0.5 * beta * (e_top + e_next)
             frozen = 0.5 * beta * (e_next - e_top) > gc._FROZEN_HALF_GAP
@@ -614,6 +615,29 @@ class TestFermiColdStart:
             assert balanced[~frozen].any()
             assert (gamma >= mid).all()
 
+
+
+class TestBoseColdStart:
+    @pytest.mark.parametrize("kind", list(WallKind), ids=lambda k: k.value)
+    def test_start_solves_the_two_term_balance(self, kind):
+        # every lane starts at the root of N = 1/(e^gamma - 1) + A g_{3/2}(gamma + beta
+        # Delta), Delta = max(shift - E_0, 0), to 1e-6 and inside the solve's bracket,
+        # over y = beta F^(2/3) from a classical gas (y = 1e-4) to a deep condensate
+        from robinwall.limits import _ln_weight
+        for field in (1e-7, 1e-3, 1.0):
+            sp = build_spectrum(WallSpec(kind, field))
+            beta = np.geomspace(1e-4, 1e4, 40) / field ** (2.0 / 3.0)
+            bd = beta * max(sp.tail.shift - sp.e0, 0.0)
+            for n in (1, 1000, 100000):
+                nn = np.full(beta.size, n)
+                lo = np.log(np.log1p(1.0 / nn)) - 1e-9
+                hi = np.full(beta.size, math.log(gc._GAMMA_MAX))
+                v = gc._bose_start(sp, beta, nn, lo, hi)
+                assert ((lo < v) & (v < hi)).all()
+                gamma = np.exp(v)
+                g32, _ = sf._bose_g(gamma + bd)
+                total = 1.0 / np.expm1(gamma) + np.exp(_ln_weight(field, beta)) * g32
+                np.testing.assert_allclose(total, n, rtol=1e-6, atol=0.0)
 
 class TestHotFermions:
     @pytest.mark.parametrize("field", [1e-5, 1e-3, 1.0])
@@ -686,6 +710,36 @@ class TestNoSilentNan:
                                    if not good and e is None]
         assert silent == []
 
+
+
+class TestWeakestFields:
+    @pytest.mark.parametrize("field", [1e-27, 1e-28, 1e-30, 1e-31])
+    def test_sums_meet_the_two_term_model(self, field):
+        # robin- at F = 1e-27 ... 1e-31: E_0 = -1 swallows the tail law's
+        # shift ~F, a quadrature break rounded below it, and <E> and c were
+        # NaN in all three ensembles.  From the classical gas through the
+        # bound level's peak (beta ~ 60-70) every lane is finite with c >= 0,
+        # the canonical <E> and c are the composite's and mu is the two-term
+        # root.  Past beta ~ 75 a lone fermion's edge freezes: holes and
+        # particles both fall below 1e-10, and the 1e-12 N target pins mu
+        # only to ~1e-6 (1.5e-6 at F = 1e-28, beta = 100)
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
+        beta = np.geomspace(0.5, 100.0, 16)
+        p = can.thermo_point(sp, beta)
+        e_ref, c_ref = np.array([weak_field_composite(b, field) for b in beta]).T
+        np.testing.assert_allclose(p.mean_energy, e_ref, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(p.heat_capacity, c_ref, rtol=1e-11, atol=0.0)
+        assert p.errors == (None,) * beta.size and (p.heat_capacity >= 0.0).all()
+        pinned = beta < 75.0
+        for stat in (FD, BE):
+            for n in (1, 10, 1000):
+                ens = EnsembleSpec(stat, n)
+                q = gc_point(sp, beta, ens)
+                assert q.errors == (None,) * beta.size
+                assert np.isfinite([q.mu, q.mean_energy, q.heat_capacity]).all()
+                assert (q.heat_capacity >= 0.0).all()
+                mu_ref = [asymptotic_mu_cn(b, field, ens)[0] for b in beta[pinned]]
+                np.testing.assert_allclose(q.mu[pinned], mu_ref, rtol=0.0, atol=1e-12)
 
 class TestFdClosedForms:
     def test_plateau_values(self):

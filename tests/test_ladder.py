@@ -63,10 +63,21 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
         assert lo < 200_000_000, "brute-force reference runaway"
 
 
-def pick(spectrum, beta, kind, sign, powers, **kw):
-    """The sums S_p of one kernel from the fused engine: ladder_sums returns
-    (S0, S1, S2) for BOLTZ and (N0, N1, D0, D1, D2) for FERMI and BOSE."""
-    sums = ladder_sums(spectrum, beta, STATS[sign], **kw)
+def offset_sums(spectrum, beta, statistics, gamma, moment_offset, start_index=0):
+    """The sums of ``ladder_sums`` with moments about E_0 - moment_offset, as
+    the mu solve takes them: ``_sums`` over a plan made at gamma, one row per
+    sum and one column per lane of the broadcast arguments."""
+    shape = np.broadcast(beta, gamma, moment_offset).shape
+    beta, gamma, moff = ((np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset))
+    plan = ladder._Plan(spectrum, beta, gamma, statistics, start_index)
+    return ladder._sums(plan, np.arange(beta.size), gamma, moff)
+
+
+def pick(spectrum, beta, kind, sign, powers, gamma=0.0, moment_offset=0.0, start_index=0):
+    """The sums S_p of one kernel at one temperature from the fused engine,
+    which returns (S0, S1, S2) for BOLTZ and (N0, N1, D0, D1, D2) for FERMI
+    and BOSE."""
+    sums = offset_sums(spectrum, beta, STATS[sign], gamma, moment_offset, start_index)[:, 0]
     first = 2 if kind == DIST else 0
     return [sums[first + p] for p in powers]
 
@@ -521,7 +532,7 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
         assert gamma < -ladder.X_DEAD
     if moff == "mu":
         moff = gamma / beta
-    fused = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=moff)
+    fused = offset_sums(sp, beta, STATS[sign], gamma, moff)[:, 0]
     ref = np.concatenate([
         brute_force(sp, beta, OCC, sign, gamma, moff, powers=(0, 1)),
         brute_force(sp, beta, DIST, sign, gamma, moff, powers=(0, 1, 2))])
@@ -650,12 +661,12 @@ def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
     else:
         gamma = 10.0 ** rng.uniform(-7.0, 1.0, 50)
     paths = count_closures(monkeypatch)
-    batch = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=moff)
+    batch = offset_sums(sp, beta, STATS[sign], gamma, moff)
     assert 0 < paths["closed"] < 50  # some lanes closed, the others stopped
     assert (paths["sea"] > 0) == (sign == FERMI)
     assert all(s.shape == (50,) for s in batch)
     for i in range(50):
-        one = ladder_sums(sp, beta[i], STATS[sign], gamma=gamma[i], moment_offset=moff[i])
+        one = offset_sums(sp, beta[i], STATS[sign], gamma[i], moff[i])[:, 0]
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
 
@@ -675,7 +686,7 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
     n_em, sea, _ = ladder._direct_range(sp, np.full(4, beta), gamma, Statistics.FERMI_DIRAC, 0)
     assert (sea - first).tolist() == [1, 2, 3, 4]
     assert (n_em > sea).all()
-    batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma, moment_offset=0.2)
+    batch = offset_sums(sp, beta, Statistics.FERMI_DIRAC, gamma, 0.2)
     for i, g in enumerate(gamma):
         ref = np.concatenate([
             brute_force(sp, beta, OCC, FERMI, g, 0.2, powers=(0, 1)),
@@ -770,7 +781,7 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
         n_em, _, stop = ladder._direct_range(sp, np.array([beta]), np.array([gamma]),
                                              STATS[sign], 0)
         assert first < stop[0] < n_em[0]
-        sums = ladder_sums(sp, beta, STATS[sign], gamma=gamma, moment_offset=0.1)
+        sums = offset_sums(sp, beta, STATS[sign], gamma, 0.1)[:, 0]
         if kind == BOLTZ_KIND:
             ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=(0, 1, 2))
         else:
