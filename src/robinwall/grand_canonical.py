@@ -24,21 +24,23 @@ spreads by ~1e-13 relative over starts.
 
 One evaluator, ``_Evaluator``, runs every solve and starts each lane from
 the states already solved in its cell.  A cell's first lanes start cold,
-with no ladder pass, from the root of the two-term balance
+with no ladder pass, from the two-term balance
 
     N = 1/(e^gamma +- 1) + A g(-(gamma + beta Delta))
 
 of the ground level and the tail law's quasi-continuum of density
 sqrt(E - shift)/(pi F) above shift, A = 1/(2 sqrt(pi) F beta^{3/2}) and
 Delta = shift - E_0 (the model of ``limits``, whose continuum weight and
-Boltzmann balance they read), the continuum in the lanes' own statistics:
-g = f_{3/2}, the complete Fermi-Dirac integral, for fermions, which holds
-a filled sea (``_fermi_start``), and g = g_{3/2} for bosons
-(``_bose_start``).  A fermion lane whose Fermi edge is frozen (half the
-gap E_N - E_{N-1} past ln(2e12) kT) starts at mid-gap, where the two edge
-levels hold as many holes as particles and the first pass meets the
-1e-12 target, so mu lands on the exact two-level value.  ``gc_point`` is
-the evaluator's cold, one-call form.
+Boltzmann balance they read), the continuum in the lanes' own statistics.
+Bosons start at its root with g = g_{3/2} (``_bose_start``).  Fermions
+(``_fermi_start``), with g = f_{3/2}, start in closed form: at the
+Boltzmann root moved by the next term of f_{3/2}'s classical series, or
+in a degenerate sea at the zero-temperature Fermi edge.  A fermion lane
+whose Fermi edge is frozen (half the gap E_N - E_{N-1} past ln(2e12) kT)
+starts at mid-gap, where the two edge levels hold as many holes as
+particles and the first pass meets the 1e-12 target, so mu lands on the
+exact two-level value.  ``gc_point`` is the evaluator's cold, one-call
+form.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -74,7 +76,7 @@ from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
 from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
 from .spectrum import Spectrum
-from .specfun import _SQRT_PI, _bose_g, _check_beta, _check_index, _fermi_f, _newton_root
+from .specfun import _SQRT_PI, _bose_g, _check_beta, _check_index, _newton_root
 
 __all__ = [
     "Statistics",
@@ -154,21 +156,17 @@ _FROZEN_HALF_GAP = math.log(2.0 / _N_TARGET)
 
 
 def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Cold gamma of fermions: the root of the two-term balance
-    N = 1/(e^gamma + 1) + A f_{3/2}(eta) in eta = -(gamma + beta Delta),
-    whose complete Fermi-Dirac integral f_{3/2} holds a filled sea, to 1e-6
-    by ``_newton_root`` on the log-ratio of the continuum A f_{3/2} to the
-    N - 1/(e^gamma + 1) particles it must hold, which stays nearly linear in
-    gamma where the ground level holds most of N.  The root lies between the
-    Boltzmann root (f_{3/2}(eta) < e^eta) and the zero-temperature edge
-    eta = (Gamma(5/2) N/A)^{2/3} (f_{3/2}(eta) > eta^{3/2}/Gamma(5/2)), and
-    Newton starts from the first where its eta <= 0 and from the second
-    where the sea is degenerate.  On a ladder whose spacings do not grow, mu
-    lies at or below mid-gap, mu = (E_{N-1} + E_N)/2, where the two levels
-    around the Fermi edge hold as many holes as particles and every deeper
-    hole is outweighed by a particle above, so no start puts mu above it.
-    A lane whose edge is frozen, beta (E_N - E_{N-1})/2 > _FROZEN_HALF_GAP,
-    starts at mid-gap."""
+    """Cold gamma of fermions, in closed form from the two-term balance
+    N = 1/(e^gamma + 1) + A f_{3/2}(eta), eta = -(gamma + beta Delta).  Where
+    the Boltzmann root gamma_B (``_two_term_log_t``) has eta_B <= 0, the
+    classical series f_{3/2}(eta) = e^eta - e^{2 eta}/2^{3/2} + ... moves it
+    to gamma_B - ln(1 + e^{eta_B}/2^{3/2}); in a degenerate sea the start is
+    the zero-temperature edge eta = (Gamma(5/2) N/A)^{2/3}.  On a ladder
+    whose spacings do not grow, mu lies at or below mid-gap,
+    mu = (E_{N-1} + E_N)/2, where the two levels around the Fermi edge hold
+    as many holes as particles and every deeper hole is outweighed by a
+    particle above, so no start puts mu above it.  A lane whose edge is
+    frozen, beta (E_N - E_{N-1})/2 > _FROZEN_HALF_GAP, starts at mid-gap."""
     e_top, e_next = spectrum.energies(np.stack([n - 1, n])) - spectrum.e0
     start = -0.5 * beta * (e_top + e_next)  # mid-gap
     thaw = (0.5 * beta * (e_next - e_top) <= _FROZEN_HALF_GAP).nonzero()[0]
@@ -178,19 +176,10 @@ def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray) -> np.ndar
     ln_a = _ln_weight(spectrum.wall.field, beta)
     bd = beta * (spectrum.tail.shift - spectrum.e0)
     boltzmann = -_two_term_log_t(ln_a - bd, n, Statistics.FERMI_DIRAC)
+    eta = -(boltzmann + bd)
+    classical = boltzmann - np.log1p(np.exp(np.minimum(eta, 0.0)) / 2.0 ** 1.5)
     edge = -np.exp((np.log(0.75 * _SQRT_PI * n) - ln_a) / 1.5) - bd
-
-    def log_ratio(gamma, lanes):
-        f32, f12 = _fermi_f(-(gamma + bd[lanes]))
-        t = np.exp(-np.abs(gamma))
-        rest = n[lanes] - 1.0 + np.where(gamma >= 0.0, 1.0, t) / (1.0 + t)  # N - ground
-        r = ln_a[lanes] + np.log(f32) - np.log(rest)
-        return r, -f12 / f32 - t / (1.0 + t) ** 2 / rest, gamma[None]
-
-    root = _newton_root(log_ratio, edge - 1.0, boltzmann + 1.0,
-                        np.where(boltzmann + bd >= 0.0, boltzmann, edge),
-                        lambda r, slope, v: np.abs(r) <= 1e-6)[0][0]
-    start[thaw] = np.maximum(root, start[thaw])
+    start[thaw] = np.maximum(np.where(eta <= 0.0, classical, edge), start[thaw])
     return start
 
 

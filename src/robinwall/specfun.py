@@ -2,12 +2,11 @@
 
 Everything here is self-contained: Airy Ai and Ai', their negative zeros,
 the principal branch of the Lambert W function on the nonnegative axis (the
-predictors of ``limits``), the Bose functions g_{3/2}, g_{1/2} and the
-Fermi functions f_{3/2}, f_{1/2} (the continua of the cold mu solves), the
-safeguarded Newton solver of every root of the package (Airy zeros, Robin
-levels, the chemical potential and the condensation temperature), and the
-checks shared by every index and count and every inverse temperature of the
-package.
+predictors of ``limits``), the Bose functions g_{3/2}, g_{1/2} (the
+continuum of the cold Bose mu solve), the safeguarded Newton solver of
+every root of the package (Airy zeros, Robin levels, the chemical potential
+and the condensation temperature), and the checks shared by every index and
+count and every inverse temperature of the package.
 
 ``_airy_pair`` routes each element of a float array to its branch and
 returns each branch's own output, scaled by e^{zeta} past x = 12, which the
@@ -382,7 +381,7 @@ def lambert_w(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bose and Fermi functions
+# Bose functions
 # ---------------------------------------------------------------------------
 
 # zeta(3/2 - k) / k!, k = 0..10: Robinson's expansion of the Bose functions
@@ -391,7 +390,7 @@ _ROBINSON = np.array([
     -4.247533648305506e-3, 3.5487203241043044e-4, 3.7008427795661933e-5,
     -4.293985065577547e-6, -5.3005119442444933e-7, 6.8124204849624721e-8,
     9.0085967057986663e-9, -1.2169402758501129e-9])
-_POWERS = np.arange(1, 21)  # terms of the power series of g_s and f_s
+_POWERS = np.arange(1, 21)  # terms of the power series of g_s
 
 
 def _bose_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,56 +411,6 @@ def _bose_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 _SQRT_PI / np.sqrt(x) - (terms[..., 1:] / x[..., None]) @ k[1:])
     small = a[..., 0] < 1.0
     return tuple(np.where(small, r, s) for r, s in zip(robinson, series))
-
-
-# the Fermi functions above eta = -2 by the inversion formula: Hurwitz zeta
-# zeta(sigma, a), sigma = 1-s, by Euler-Maclaurin past _HURWITZ_SHIFT direct
-# terms, its end b^{-sigma}/2 + b^{1-sigma} sum_k _EM_COEF[., k] b^{-2k} at
-# b = a + _HURWITZ_SHIFT: 1/(sigma-1) at k = 0, and at k = 1..6
-# B_2k/(2k)! sigma (sigma+1) ... (sigma+2k-2), with _BERNOULLI[k-1] = B_2k/(2k)!
-_FERMI_S = np.array([1.5, 0.5])  # the orders of (f_{3/2}, f_{1/2})
-_HURWITZ_SHIFT = 6
-_BERNOULLI = np.array([1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
-                       1.0 / 47900160.0, -691.0 / 1307674368000.0])
-_EM_COEF = np.array([np.concatenate(([1.0 / (sigma - 1.0)], _BERNOULLI * np.cumprod(
-    sigma + np.arange(2 * _BERNOULLI.size - 1))[::2])) for sigma in 1.0 - _FERMI_S])
-_INVERSION = (-(2.0 * math.pi) ** _FERMI_S * np.exp(0.5j * math.pi * _FERMI_S)
-              / [math.gamma(s) for s in _FERMI_S])  # -(2 pi)^s e^{i pi s/2} / Gamma(s)
-_FERMI_SERIES = -(-1.0) ** _POWERS * _POWERS ** -_FERMI_S[:, None]  # (-1)^{j+1} / j^s
-
-
-def _fermi_f(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fermi functions (f_{3/2}, f_{1/2}) at eta, f_s(eta) = -Li_s(-e^eta)
-    = sum_{j>=1} (-1)^{j+1} e^{j eta} / j^s, the complete Fermi-Dirac
-    integrals (DLMF section 25.12(iii)), to ~1e-11 relative: the
-    alternating power series for eta < -2 (20 terms), and above it
-    Jonquiere's inversion formula for the polylogarithm (section 25.12(ii)),
-
-        f_s(eta) = Re[-(2 pi)^s e^{i pi s/2} / Gamma(s) zeta(1-s, 1/2 - i eta/(2 pi))],
-
-    whose Hurwitz zeta is summed directly for 6 terms and closed by
-    Euler-Maclaurin (section 2.10(i)): one form from eta = -2 into the
-    deepest sea, with no asymptotic series.  The inversion's other term,
-    e^{i pi s} f_s(-eta), is imaginary at half-integer s, so the real part
-    is exact.  f_{1/2} = df_{3/2}/deta, as ``_bose_g``'s g_{1/2} is the
-    derivative of its g_{3/2}."""
-    e = np.asarray(eta, dtype=float)
-    f = np.empty((2,) + e.shape)
-    low = e < -2.0
-    if low.any():
-        with np.errstate(under="ignore"):
-            f[:, low] = _FERMI_SERIES @ np.exp(_POWERS[:, None] * e[low])
-    if low.all():
-        return f[0], f[1]
-    a = 0.5 - 0.5j / math.pi * e[~low]
-    root = np.sqrt(a[:, None] + np.arange(_HURWITZ_SHIFT))  # (a + n)^{1/2}
-    b = a + _HURWITZ_SHIFT
-    rb = np.sqrt(b)
-    ends = _series(_EM_COEF, 1.0 / (b * b))
-    zeta = np.stack([root.sum(-1) + 0.5 * rb + b * rb * ends[:, 0],  # zeta(-1/2, a)
-                     (1.0 / root).sum(-1) + 0.5 / rb + rb * ends[:, 1]])  # zeta(1/2, a)
-    f[:, ~low] = (_INVERSION[:, None] * zeta).real
-    return f[0], f[1]
 
 
 def interlacing_ok(n_max: int = 50) -> bool:

@@ -294,30 +294,3 @@ class TestBoseFunctions:
         g32, g12 = sf._bose_g(np.array([[0.5, 2.0], [800.0, 1e-3]]))
         assert g32.shape == g12.shape == (2, 2)
         assert g32[1, 0] == g12[1, 0] == 0.0  # e^-800 underflows quietly
-
-
-class TestFermiFunctions:
-    def test_against_mpmath_polylog(self):
-        # f_{3/2} and f_{1/2} = -Li_s(-e^eta) from the Boltzmann tail through
-        # eta = 0 into a deep Fermi sea, on both sides of the eta = -2 switch
-        # from the power series to the inversion formula; f_{1/2} is where
-        # the identity -Li_s(-z) = Li_s(z) - 2^(1-s) Li_s(z^2) cancels
-        eta = np.concatenate([np.linspace(-50.0, -2.5, 8),
-                              [-2.0 - 1e-12, -2.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 2.5, 5.0],
-                              np.geomspace(10.0, 1e4, 7)])
-        f32, f12 = sf._fermi_f(eta)
-        with mpmath.workdps(30):
-            for e, x, y in zip(eta.tolist(), f32.tolist(), f12.tolist()):
-                z = -mpmath.exp(mpmath.mpf(e))
-                assert x == pytest.approx(float(mpmath.re(-mpmath.polylog(1.5, z))), rel=1e-8)
-                assert y == pytest.approx(float(mpmath.re(-mpmath.polylog(0.5, z))), rel=1e-8)
-
-    def test_shape_deep_tail_and_sommerfeld_limit(self):
-        f32, f12 = sf._fermi_f(np.array([[-1.0, 3.0], [-800.0, 1e6]]))
-        assert f32.shape == f12.shape == (2, 2)
-        assert f32[1, 0] == f12[1, 0] == 0.0  # e^-800 underflows quietly
-        # deep in the sea: f_s = eta^s/Gamma(s+1) (1 + pi^2 s (s-1)/(6 eta^2) + ...)
-        assert f32[1, 1] == pytest.approx(1e9 / math.gamma(2.5) * (1.0 + math.pi ** 2 / 8e12),
-                                          rel=1e-12)
-        assert f12[1, 1] == pytest.approx(1e3 / math.gamma(1.5) * (1.0 - math.pi ** 2 / 24e12),
-                                          rel=1e-12)
