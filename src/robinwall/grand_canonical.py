@@ -8,19 +8,21 @@ The chemical potential is solved from the particle-number sum
 degeneracy 1).  Internally the solve runs in the shifted variable
 gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
 positive for bosons and keeps every exponent well conditioned when mu
-crowds the ground level to within 1e-14.  Newton runs on ln N, nearly
-linear over most of the domain, in the solve's coordinate u (gamma for
-fermions, ln gamma for bosons, whose gamma spans decades), safeguarded by
-the bracket of the points already evaluated: ``specfun._newton_root``,
-which also finds every Airy zero, Robin level and condensation
-temperature.  It runs on a batch of temperatures in lockstep: every pass
+crowds the ground level to within 1e-14.  The solve runs on
+g = ln(N/N_target), nearly linear over most of the domain, in the solve's
+coordinate u (gamma for fermions, ln gamma for bosons, whose gamma spans
+decades), safeguarded by the bracket of the points already evaluated:
+``specfun._newton_root``, which also finds every Airy zero, Robin level and
+condensation temperature.  Its steps are Halley's (third order): Newton's
+with the slope g'(1 - g g''/(2 g'^2)), or g' itself where that correction
+reaches 1/2.  It runs on a batch of temperatures in lockstep: every pass
 is one fused ladder pass over the unsolved lanes giving N,
-dN/dgamma = -D_0 and the energy moments together.  A lane stops at
-|N - N_target| <= 1e-12 N_target or once its bracket has collapsed, and
-its last iterate is its result if it meets |N - N_target| <= 1e-10
-N_target: its sums give <E> and c directly.  The result depends on the
-start within the 1e-12 target: c at FD, N = 10, F = 1e-7, beta = 9.532
-spreads by ~1e-13 relative over starts.
+dN/dgamma = -D_0, d^2N/dgamma^2 and the energy moments together.  A lane
+stops at |N - N_target| <= 1e-12 N_target or once its bracket has
+collapsed, and its last iterate is its result if it meets
+|N - N_target| <= 1e-10 N_target: its sums give <E> and c directly.  The
+result depends on the start within the 1e-12 target: c at FD, N = 10,
+F = 1e-7, beta = 9.532 spreads by ~1e-13 relative over starts.
 
 One evaluator, ``_Evaluator``, runs every solve and starts each lane from
 the states already solved in its cell.  A cell's first lanes start cold,
@@ -125,7 +127,8 @@ def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
     ln(N / N_target) from the starts ``u`` in the brackets (lo, hi), a lane
     done at |N - N_target| <= 1e-12 N_target.
     ``fn(u, lanes)`` evaluates the lanes ``lanes`` at ``u`` and returns
-    arrays ``(N, dN/du, payload)``, one payload column per lane; N <= 0
+    arrays ``(N, dN/du, payload)``, one payload column per lane (dN/du may
+    carry a higher-order correction of the same sign); N <= 0
     (every occupation underflowed) counts as ln N = -inf.  A lane's last
     point is accepted if it meets the 1e-10 contract (a NaN residual fails
     at once).  Returns the payloads and, per lane, None or the message
@@ -292,10 +295,22 @@ class _Evaluator:
         def step(u: np.ndarray, lanes: np.ndarray):
             gamma = np.exp(u) if log_space else u
             sums = _sums(plan, lanes, gamma, _moment_offset(beta[lanes], gamma))
-            # dN/du with dN/dgamma = -D_0
-            return sums[0], -sums[2] * (gamma if log_space else 1.0), np.vstack([u, sums])
+            n_sum, d0 = sums[0], sums[2]
+            # dN/du and d2N/du2, with dN/dgamma = -D_0 and
+            # d2N/dgamma2 = D_0 -+ 2 sum D f (fermions -, bosons +)
+            n_u, n_uu = -d0, d0 + (2.0 if log_space else -2.0) * sums[5]
+            if log_space:
+                n_u, n_uu = gamma * n_u, gamma * (n_u + gamma * n_uu)
+            # Halley's step on g = ln(N/N_target) is Newton's with the slope
+            # g'(1 - a), a = g g''/(2 g'^2) = g (N N_uu/N_u^2 - 1)/2; where
+            # |a| >= 1/2, or a is not finite, the slope stays Newton's, so its
+            # sign, which places the point in the bracket, never flips
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = 0.5 * np.log(n_sum / n[lanes]) * (n_sum * n_uu / (n_u * n_u) - 1.0)
+            halley = np.isfinite(a) & (np.abs(a) < 0.5)
+            return n_sum, n_u * np.where(halley, 1.0 - a, 1.0), np.vstack([u, sums])
 
-        (u, n_sum, n1, d0, d1, d2), errors = _solve_n(
+        (u, n_sum, n1, d0, d1, d2, _), errors = _solve_n(
             step, start, lo, hi, n,
             lambda i: f"particle-number solve at beta={beta[i]}, N={n[i]}")
         gamma = np.exp(u) if log_space else u
@@ -374,8 +389,8 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
 
     def step(u: np.ndarray, lanes: np.ndarray):
         beta = np.exp(u)
-        n, _, _, d1, _ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN, gamma=0.0,
-                                     start_index=1)
+        n, _, _, d1, _, _ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN, gamma=0.0,
+                                        start_index=1)
         # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
         return n, -beta * d1, beta[None]
 

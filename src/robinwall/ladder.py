@@ -13,11 +13,11 @@ for any temperature.
 
 One call evaluates the whole kernel family of its statistics in one pass:
 the Boltzmann sums S_0, S_1, S_2, or, for Fermi and Bose statistics, the
-occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2.
-Both occupation kernels come from the same exponentials, so a
-grand-canonical state (N, dN/dgamma, <E> and the heat-capacity moments)
-costs a single ladder pass.  A call takes arrays of lanes (beta, gamma);
-a scalar call is a one-lane batch.
+occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2
+and the sum of the two kernels' product.  All of them come from the same
+exponentials, so a grand-canonical state (N, dN/dgamma, d^2N/dgamma^2, <E>
+and the heat-capacity moments) costs a single ladder pass.  A call takes
+arrays of lanes (beta, gamma); a scalar call is a one-lane batch.
 
 Summing takes two steps.  The plan (``_Plan``) lists each piece of the
 sums of a batch as a node set, energies above E_0 with weights, one row per
@@ -27,7 +27,7 @@ lanes' own direct windows.  The sum step (``_sums``) evaluates any subset
 of the planned lanes at any gamma and moment offset, with one kernel pass
 and one weighted reduction (``_node_sums``) per node set.  ``ladder_sums``
 is the two steps in sequence, with moments about E_0; a chemical-potential
-solve plans its batch once, at each lane's start, and its Newton passes sum
+solve plans its batch once, at each lane's start, and its Halley passes sum
 over that plan with moments about the upper of E_0 and mu.
 The engine sums energies only and reads every level through
 ``Spectrum.energies``; what else it needs of the level law (the index at an
@@ -50,9 +50,9 @@ fermion sums were off by up to 6e-6, from levels the direct range had
 dropped.
 
 No node set holds more than 2^13 (lane, node) pairs, so no temporary of
-a kernel pass exceeds ~0.4 MB.  A plan holds its node sets, ~2.6 KB per
-lane (at most ~3.9 KB; up to 0.95 MB for a 300-lane Table 1 scan), most of
-it closure nodes, for as long as its solve runs.
+a kernel pass exceeds 64 KB.  A plan holds its node sets, ~1.5 KB per lane
+over a Table 1 round (at most ~2.4 KB; up to 0.49 MB for a 300-lane scan),
+most of it closure nodes, for as long as its solve runs.
 
 Each lane has its own direct range, closure and filled sea; the batch
 only pads a node set's rows with zero-weight nodes to a common length, so
@@ -75,8 +75,9 @@ n1 = inf): to infinity from where the ladder is dense on the thermal scale
 (beta * dE/dn below a threshold), and across a deeply filled Fermi sea from
 the closure floor (two levels past the root-solved block, at least
 EM_START), whose summands are smooth in m however sparse the Fermi edge.
-The integral is the tail law's quadrature, 24-point Gauss-Legendre in the
-law's own variable, where the level measure is a polynomial, on energy
+The integral is the tail law's quadrature, Gauss-Legendre in the law's own
+variable, where the level measure is a polynomial (12 points a panel for
+Boltzmann sums, 14 for Bose and 20 for Fermi sums, see ``_RULES``), on energy
 panels matched to the kernel (a filled Fermi sea, the transition layer
 around x = 0, and geometric panels down the exponential tail from wherever
 it starts to ~44 past it), clipped at E_{n1} and padded with zero-width
@@ -124,12 +125,12 @@ EM_START = 16             # no Euler-Maclaurin part starts below this index:
                           # lower, the ladder bends too hard for the end
                           # correction's five-point differences
 
-# the sums one call returns per statistics, as (kernel index, moment power)
-# pairs: kernel 0 is e^{-x} (canonical) or the occupation, kernel 1 the
-# distribution
-_OCC_ROWS = ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
-_ROWS = {Statistics.CANONICAL: ((0, 0), (0, 1), (0, 2)),
-         Statistics.FERMI_DIRAC: _OCC_ROWS, Statistics.BOSE_EINSTEIN: _OCC_ROWS}
+# the sums one call returns per statistics, as the number of moments
+# (powers 0, 1, ...) of each of its kernels (``_kernels``): S_0..S_2 of
+# e^{-x}; N_0, N_1 of the occupation, D_0..D_2 of the distribution and the
+# zeroth moment of their product
+_MOMENTS = {Statistics.CANONICAL: (3,), Statistics.FERMI_DIRAC: (2, 3, 1),
+            Statistics.BOSE_EINSTEIN: (2, 3, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -138,30 +139,23 @@ _ROWS = {Statistics.CANONICAL: ((0, 0), (0, 1), (0, 2)),
 
 def _kernels(x: np.ndarray, statistics: Statistics) -> list[np.ndarray]:
     """The kernels of ``statistics`` at exponents x, from one exponential:
-    [e^{-x}] canonical, [1/(e^x +- 1), e^x/(e^x +- 1)^2] for Fermi-Dirac
-    and Bose-Einstein."""
+    [e^{-x}] canonical, [f, D, D f] with f = 1/(e^x +- 1) and
+    D = e^x/(e^x +- 1)^2 for Fermi-Dirac and Bose-Einstein."""
     if statistics is Statistics.CANONICAL:
         return [np.exp(-x)]
     if statistics is Statistics.FERMI_DIRAC:
         t = np.exp(-np.abs(x))
         inv = 1.0 / (1.0 + t)
-        return [np.where(x >= 0.0, t * inv, inv), t * inv * inv]
+        dist = t * inv * inv
+        occ = np.where(x >= 0.0, t * inv, inv)
+        return [occ, dist, dist * occ]
     # Bose statistics: exponents are strictly positive (mu < E0)
     if (x <= 0.0).any():
         raise SolverError("bose weights need strictly positive exponents (mu < E0)")
     inv = 1.0 / -np.expm1(-x)  # 1/(1 - e^{-x}), exact for small x
     occ = np.exp(-x) * inv
-    return [occ, occ * inv]
-
-
-def _summands(x: np.ndarray, d: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """Summands of every returned sum, one row per sum: d^p * kernel(x)."""
-    kern = _kernels(x, statistics)
-    powers = (1.0, d, d * d)
-    out = np.empty((len(_ROWS[statistics]),) + x.shape)
-    for row, (k, p) in zip(out, _ROWS[statistics]):
-        np.multiply(kern[k], powers[p], out=row)
-    return out
+    dist = occ * inv
+    return [occ, dist, dist * occ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,13 @@ def _summands(x: np.ndarray, d: np.ndarray, statistics: Statistics) -> np.ndarra
 
 X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# the closure integral's Gauss-Legendre rule (nodes, weights) per statistics.
+# Over 4 walls x 5 fields x 40 temperatures the sums stay within 1.4e-14
+# (canonical), 2.7e-14 (FD, whose transition layer needs the most nodes) and
+# 1.3e-14 (BE) of a 64-node rule's; a Bose closure from x = 0.5, next to the
+# kernel's pole, needs 14 nodes to meet 1e-12 alone (12 left 2.9e-12 in D_0)
+_RULES = {s: np.polynomial.legendre.leggauss(n) for s, n in (
+    (Statistics.CANONICAL, 12), (Statistics.FERMI_DIRAC, 20), (Statistics.BOSE_EINSTEIN, 14))}
 
 # exponent offsets of the geometric tail panels, from 0.5 up to the last
 # edge below X_DEAD (44.3 units up): the integrand has fallen by e^-44 there
@@ -226,20 +226,28 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.nda
 def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
                moff: np.ndarray, statistics: Statistics) -> np.ndarray:
     """sum_j w_j (d_j + moff)^p F(beta d_j + gamma) over the nodes of each
-    lane, d_j = E_j - E_0 (a row of d and w per lane, or one row for all),
-    one row per returned sum and one column per lane: the one kernel pass
-    and weighted reduction of a node set."""
-    f = _summands(beta[:, None] * d + gamma[:, None], d + moff[:, None], statistics)
-    return np.einsum("rln,ln->rl", f, w)
+    lane, d_j = E_j - E_0 (a row of d and w per lane), one row per returned
+    sum and one column per lane: the one kernel pass of a node set, each
+    kernel weighted once and its moments reduced from that."""
+    dm = d + moff[:, None]
+    out = []
+    for kern, moments in zip(_kernels(beta[:, None] * d + gamma[:, None], statistics),
+                             _MOMENTS[statistics]):
+        kern *= w
+        out.append(kern.sum(axis=1))
+        for _ in range(1, moments):
+            kern *= dm
+            out.append(kern.sum(axis=1))
+    return np.array(out)
 
 
 def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.ndarray,
-             n1: np.ndarray) -> list[tuple]:
+             n1: np.ndarray, statistics: Statistics) -> list[tuple]:
     """Node sets of the Euler-Maclaurin closure of sum_{n0 <= m < n1} f(E_m)
     at the exponents beta(E_m - E_0) + gamma (n1 = inf: the tail), one
     (rows, d, w) per block of the lanes given: the integral, edge(n0) and
     -edge(n1).  The integral is the tail law's quadrature with the rule
-    (``_GL_NODES``, ``_GL_WEIGHTS``) on the panels of ``_panel_breaks``,
+    ``_RULES[statistics]`` on the panels of ``_panel_breaks``,
     clipped at E_{n1}; each edge is ``_EDGE`` on the five levels around it."""
     e0 = spectrum.e0
     finite = np.isfinite(n1)
@@ -254,10 +262,11 @@ def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.nda
 
     breaks = live(np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
                              np.where(finite, ends[-1, :, 2], np.inf)[:, None]))
+    nodes, weights = _RULES[statistics]
     blocks = []
     for rows in _blocks(np.arange(len(beta)),
-                        (breaks.shape[1] - 1) * len(_GL_NODES) + edges.shape[0] * len(_EDGE)):
-        e, w = spectrum.tail.quadrature(live(breaks[rows]) + e0, _GL_NODES, _GL_WEIGHTS)
+                        (breaks.shape[1] - 1) * len(nodes) + edges.shape[0] * len(_EDGE)):
+        e, w = spectrum.tail.quadrature(live(breaks[rows]) + e0, nodes, weights)
         blocks.append((rows, np.concatenate([e - e0, *ends[:, rows]], axis=1),
                        np.concatenate([w, *edges[:, rows]], axis=1)))
     return blocks
@@ -354,7 +363,7 @@ class _Plan:
                               ((sea > first).nonzero()[0], np.full(n, first), sea)):
             if len(lanes):
                 for rows, d, w in _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes],
-                                           n1[lanes]):
+                                           n1[lanes], statistics):
                     rows = lanes[rows]
                     self.sets.append((rows, d, w))
                     if statistics is Statistics.BOSE_EINSTEIN:
@@ -388,7 +397,7 @@ def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -
     if stale.any():
         plans.append((_Plan(plan.spectrum, plan.beta[lanes[stale]], gamma[stale],
                             plan.statistics, plan.start_index), stale.nonzero()[0]))
-    out = np.zeros((len(_ROWS[plan.statistics]), len(lanes)))
+    out = np.zeros((sum(_MOMENTS[plan.statistics]), len(lanes)))
     for p, at in plans:
         for rows, d, w in p.sets:
             keep = at[rows] >= 0
@@ -410,10 +419,11 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     element.  With x_n = beta*(E_n - E_0) + gamma and moments about E_0:
 
     * ``CANONICAL``: (S_0, S_1, S_2), S_p = sum (E_n - E_0)^p e^{-x_n};
-    * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2) with
-      N_p = sum (E_n - E_0)^p / (e^{x_n} +- 1) and
-      D_p = sum (E_n - E_0)^p e^{x_n} / (e^{x_n} +- 1)^2, the upper sign for
-      fermions and the lower for bosons.
+    * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2, G) with
+      N_p = sum (E_n - E_0)^p f_n, f_n = 1 / (e^{x_n} +- 1),
+      D_p = sum (E_n - E_0)^p D(x_n), D(x) = e^x / (e^x +- 1)^2, and
+      G = sum D(x_n) f_n, the upper sign for fermions and the lower for
+      bosons.  dN_0/dgamma = -D_0 and d^2N_0/dgamma^2 = D_0 -+ 2 G.
 
     ``start_index`` lies in the root-solved block, 0 <= start_index <
     ``spectrum.n_exact``.  Scalar arguments give plain floats, and otherwise

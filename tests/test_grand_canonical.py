@@ -383,6 +383,26 @@ class TestSolveAcceptance:
             cs.append(evaluate(beta, np.zeros(1, dtype=int)).heat_capacity[0])
         assert max(cs) - min(cs) <= 1e-12 * min(cs)
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+    @pytest.mark.parametrize("stat, n, beta", [(FD, 10, 20.0), (BE, 1000, 1.0)])
+    def test_halley_step_meets_the_target_on_the_second_pass(self, monkeypatch, stat, n,
+                                                             beta, side):
+        # one lane started 1e-4 off in ln N from its root: the Halley step
+        # lands within 1e-12 (seen: 4e-14) on the second pass, where Newton's
+        # (an error of ~1e-8) needs a third
+        sp = attractive(1e-3)
+        gamma = beta * (sp.e0 - gc_point(sp, beta, EnsembleSpec(stat, n)).mu)
+        n_sum, _, d0, *_ = gc.ladder_sums(sp, beta, stat, gamma=gamma)
+        u, slope = (math.log(gamma), -gamma * d0 / n_sum) if stat is BE else (gamma, -d0 / n_sum)
+        evaluate = gc._Evaluator(sp, [EnsembleSpec(stat, n)])
+        evaluate.states[0] = np.array([[math.log(beta)], [u + side * 1e-4 / slope], [0.0]])
+        passes, sums = [], gc._sums
+        monkeypatch.setattr(gc, "_sums", lambda *a: passes.append(a[1]) or sums(*a))
+        p = evaluate(np.array([beta]), np.zeros(1, dtype=int))
+        assert len(passes) == 2 and p.errors == (None,)
+        n_end = gc.ladder_sums(sp, beta, stat, gamma=beta * (sp.e0 - p.mu[0]))[0]
+        assert abs(n_end / n - 1.0) <= 1e-12
+
 
 class TestPlainFloats:
     def test_gc_point_fields_are_float(self):
@@ -573,26 +593,28 @@ class TestWorkCounts:
     @pytest.mark.parametrize("kind", list(WallKind), ids=lambda k: k.value)
     def test_cold_fermi_grids(self, kind):
         # each grid at N >= 1000 takes at most 6 lockstep ladder passes
-        # (3-5 at N = 1000 and 2 at N = 1e6)
+        # (3-4 at N = 1000 and 2 at N = 1e6)
         for (_, n), (first, passes) in cold_fermi_passes(kind).items():
             assert first == 40
             assert n < 1000 or passes <= 6
 
     def test_cold_fermi_grids_total(self):
         # the 72 grids of the four walls at N in {1, 2, 10, 100, 1000, 1e6}
-        # take 486 ladder passes; the Newton root of the two-term balance with
-        # the Fermi-Dirac continuum took 688, as it started lanes of thin
-        # ladders (Neumann, N <= 100: 9-14 passes, now 4-5) worse than the
-        # closed forms it lies between
+        # take 383 ladder passes with Halley steps and 486 with Newton's;
+        # the Newton root of the two-term balance with the Fermi-Dirac
+        # continuum took 688, as it started lanes of thin ladders (Neumann,
+        # N <= 100: 9-14 passes, now 3-4) worse than the closed forms it
+        # lies between
         total = sum(passes for kind in WallKind
                     for _, passes in cold_fermi_passes(kind).values())
-        assert total <= 500
+        assert total <= 400
 
     def test_table1_sums_no_stale_lane(self, monkeypatch):
-        # every Newton pass of a table1 round sums its lanes within the
+        # every mu-solve pass of a table1 round sums its lanes within the
         # reach of their planned gamma: no lane falls back to a plan of its
         # own (the Fermi-edge and warm starts land that close).  A round
-        # makes 156 such passes (233 with Brent's one-point refinement)
+        # makes 127 such passes with Halley steps (156 with Newton's, 233
+        # with Brent's one-point refinement)
         from robinwall.sweep import table1_harness
         stale, sums = [], gc._sums
 
@@ -602,7 +624,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(gc, "_sums", counting_sums)
         assert table1_harness().passed
-        assert len(stale) > 140 and sum(stale) == 0
+        assert len(stale) > 110 and sum(stale) == 0
 
     def test_be_critical_ladder_passes(self, monkeypatch):
         calls = []
@@ -720,6 +742,18 @@ class TestFrozenFermiEdge:
         assert p.mu == pytest.approx(float(mu), rel=1e-12)
         assert p.heat_capacity == pytest.approx(float(c), rel=1e-8, abs=1e-300)
         assert p.heat_capacity >= 0.0
+
+    def test_in_a_cold_batch_with_thawed_lanes(self):
+        # the frozen lane at beta = 100 starts at mid-gap and leaves on the
+        # first pass, while the thawed lanes of its batch (beta(E_1 - E_0)
+        # from 1.8 up) take Halley steps: no lane errs, every c >= 0, and mu
+        # stays at mid-gap
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
+        beta = np.append(np.geomspace(0.5, 200.0, 26), 100.0)
+        p = gc_point(sp, beta, EnsembleSpec(FD, 1))
+        assert p.errors == (None,) * beta.size
+        assert (p.heat_capacity >= 0.0).all()
+        assert p.mu[-1] == pytest.approx(0.5 * (sp.level(0) + sp.level(1)), rel=1e-14)
 
 
 class TestNoSilentNan:

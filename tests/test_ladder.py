@@ -15,11 +15,13 @@ from robinwall.ladder import Statistics, ladder_sums
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
 # the kernels of the brute-force reference: e^-x, the occupation
-# 1/(e^x +- 1) and the distribution e^x/(e^x +- 1)^2, which ladder_sums
-# returns together for Fermi-Dirac and Bose-Einstein statistics
+# f = 1/(e^x +- 1), the distribution D = e^x/(e^x +- 1)^2 and their product
+# D f, which ladder_sums returns together for Fermi-Dirac and Bose-Einstein
+# statistics
 BOLTZ_KIND = "boltz"
 OCC = "occ"
 DIST = "dist"
+DIST_OCC = "dist_occ"
 # the reference's own sign s of e^x + s, +1 fermions and -1 bosons (0 with
 # e^-x), and the statistics ladder_sums takes for each
 FERMI, BOSE, BOLTZ = +1, -1, 0
@@ -32,12 +34,14 @@ def _kernel(x, kind, sign):
     if kind == BOLTZ_KIND:
         return np.exp(-x)
     if sign == FERMI:
-        if kind == OCC:
-            return np.exp(-np.logaddexp(0.0, x))
-        return np.exp(-np.logaddexp(0.0, x) - np.logaddexp(0.0, -x))
+        # f = 1/(1 + e^x) and D = f/(1 + e^-x), in logs
+        ln_f = -np.logaddexp(0.0, x)
+        ln_d = ln_f - np.logaddexp(0.0, -x)
+        return np.exp({OCC: ln_f, DIST: ln_d, DIST_OCC: ln_d + ln_f}[kind])
     with np.errstate(over="ignore"):  # e^x beyond the float range: occupation 0
         occ = 1.0 / np.expm1(x)
-    return occ if kind == OCC else occ + occ * occ
+    dist = occ + occ * occ
+    return {OCC: occ, DIST: dist, DIST_OCC: dist * occ}[kind]
 
 
 def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
@@ -63,6 +67,15 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
         assert lo < 200_000_000, "brute-force reference runaway"
 
 
+def family_brute_force(spectrum, beta, sign, gamma=0.0, moment_offset=0.0, start=0):
+    """The six sums ladder_sums returns for Fermi-Dirac or Bose-Einstein
+    statistics, (N0, N1, D0, D1, D2, (D f)0), by ``brute_force``."""
+    return np.concatenate([
+        brute_force(spectrum, beta, OCC, sign, gamma, moment_offset, (0, 1), start),
+        brute_force(spectrum, beta, DIST, sign, gamma, moment_offset, (0, 1, 2), start),
+        brute_force(spectrum, beta, DIST_OCC, sign, gamma, moment_offset, (0,), start)])
+
+
 def offset_sums(spectrum, beta, statistics, gamma, moment_offset, start_index=0):
     """The sums of ``ladder_sums`` with moments about E_0 - moment_offset, as
     the mu solve takes them: ``_sums`` over a plan made at gamma, one row per
@@ -75,8 +88,8 @@ def offset_sums(spectrum, beta, statistics, gamma, moment_offset, start_index=0)
 
 def pick(spectrum, beta, kind, sign, powers, gamma=0.0, moment_offset=0.0, start_index=0):
     """The sums S_p of one kernel at one temperature from the fused engine,
-    which returns (S0, S1, S2) for BOLTZ and (N0, N1, D0, D1, D2) for FERMI
-    and BOSE."""
+    which returns (S0, S1, S2) for BOLTZ and (N0, N1, D0, D1, D2, (D f)0)
+    for FERMI and BOSE."""
     sums = offset_sums(spectrum, beta, STATS[sign], gamma, moment_offset, start_index)[:, 0]
     first = 2 if kind == DIST else 0
     return [sums[first + p] for p in powers]
@@ -188,10 +201,8 @@ def test_small_exponent_bose_quadrature_matches_brute_force():
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     for beta, gamma in ((0.05, 1e-4), (0.05, 2.0), (0.3, 1e-6)):
         hyb = ladder_sums(sp, beta, Statistics.BOSE_EINSTEIN, gamma=gamma)
-        ref = np.concatenate([
-            brute_force(sp, beta, OCC, BOSE, gamma=gamma, powers=(0, 1)),
-            brute_force(sp, beta, DIST, BOSE, gamma=gamma, powers=(0, 1, 2))])
-        for h, r in zip(hyb, ref):
+        ref = family_brute_force(sp, beta, BOSE, gamma)
+        for h, r in zip(hyb, ref, strict=True):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
@@ -222,7 +233,8 @@ def em_integral(spectrum, beta, gamma, moment_offset, n0, sign, planned_at=None)
     plan_gamma = gamma if planned_at is None else np.atleast_1d(planned_at)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder, "_EDGE", np.zeros(5))
-        (rows, d, w), = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]))
+        (rows, d, w), = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]),
+                                        STATS[sign])
     assert rows.tolist() == [0]
     return ladder._node_sums(d, w, beta, gamma, moment_offset, STATS[sign])[:, 0]
 
@@ -243,7 +255,7 @@ def closure_args(spectrum, beta, gamma, moment_offset=0.0):
 
 
 def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
-    """(N0, N1, D0, D1, D2) closure integrals in the ladder variable
+    """(N0, N1, D0, D1, D2, (D f)0) closure integrals in the ladder variable
     v = argument(m)^(2/3), (3/8) int_{v0}^inf sqrt(v) (tau v + ds_ref)^p
     F(beta tau v + sigma) dv, by mpmath's tanh-sinh rule at 30 digits."""
     with mpmath.workdps(30):
@@ -260,8 +272,11 @@ def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
         def dist(x):
             return mpmath.exp(x) / (mpmath.exp(x) + sign) ** 2
 
+        def dist_occ(x):
+            return dist(x) * occ(x)
+
         out = []
-        for kernel, p in ((occ, 0), (occ, 1), (dist, 0), (dist, 1), (dist, 2)):
+        for kernel, p in ((occ, 0), (occ, 1), (dist, 0), (dist, 1), (dist, 2), (dist_occ, 0)):
             def f(v, kernel=kernel, p=p):
                 return 0.375 * mpmath.sqrt(v) * (tau * v + ds_ref) ** p * kernel(bt * v + sigma)
             out.append(float(mpmath.quad(f, points)))
@@ -317,9 +332,8 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge,
     if sign == BOLTZ:
         ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=(0, 1, 2))
     else:
-        ref = np.concatenate([brute_force(sp, beta, OCC, sign, g, 0.1, powers=(0, 1)),
-                              brute_force(sp, beta, DIST, sign, g, 0.1, powers=(0, 1, 2))])
-    for s, r in zip(sums, ref):
+        ref = family_brute_force(sp, beta, sign, g, 0.1)
+    for s, r in zip(sums, ref, strict=True):
         assert s == pytest.approx(r, rel=1e-10, abs=0.0)
     sigma, ds_ref, n0 = closure_args(sp, beta, g)
     mine = em_integral(sp, beta, g, 0.0, n0, sign, planned_at=gamma)
@@ -405,8 +419,8 @@ def test_sea_closures_sized_after_their_dead_panels_drop(monkeypatch):
     gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
     blocks, closure = [], ladder._closure
 
-    def counting_closure(spectrum, beta, gamma, n0, n1):
-        out = closure(spectrum, beta, gamma, n0, n1)
+    def counting_closure(spectrum, beta, gamma, n0, n1, statistics):
+        out = closure(spectrum, beta, gamma, n0, n1, statistics)
         if np.isfinite(n1).all():
             blocks.append([len(rows) for rows, _, _ in out])
         return out
@@ -424,14 +438,16 @@ def test_sea_closures_sized_after_their_dead_panels_drop(monkeypatch):
 def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
     """The closure integrals by the geometric expansion of the kernels,
     occupation = sum_k a_k e^{-kx} and distribution = sum_k k a_k e^{-kx}
-    (a_k = 1 for bosons, (-1)^(k+1) for fermions): order k is a sum of
+    (a_k = 1 for bosons, (-1)^(k+1) for fermions), and their product
+    sum_k b_k e^{-kx}, b_k = -a_k k(k - 1)/2 for fermions and k(k - 1)/2 for
+    bosons (D f = -(f^2)'/2): order k is a sum of
     upper incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0, 1, 2.
     Converges like e^{-k x0}, so it needs a positive starting exponent."""
     tau = tail.tau
     v0 = float(argument(tail, n0)) ** (2.0 / 3.0)
     assert beta * tau * v0 + sigma > 0.0
     rows = ((0, 0), (0, 1), (0, 2)) if kind == BOLTZ_KIND else \
-        ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
+        ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0))
     totals = np.zeros(len(rows))
     for k in range(1, 10_000):
         lam = k * beta * tau
@@ -448,7 +464,8 @@ def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
         if kind == BOLTZ_KIND:
             return list(mom)
         alt = 1.0 if (sign == BOSE or k % 2 == 1) else -1.0
-        terms = np.array([alt * (k if kern else 1) * mom[p] for kern, p in rows])
+        coef = (1.0, k, 0.5 * k * (k - 1) * (1.0 if sign == BOSE else -1.0))
+        terms = np.array([alt * coef[kern] * mom[p] for kern, p in rows])
         totals += terms
         if np.all(np.abs(terms) <= 1e-17 * np.abs(totals)):
             return list(totals)
@@ -487,12 +504,14 @@ def capped_tail_panels(cap):
 
 @pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
 def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
-    # the shipped closure (24-node panels, tail panels up to the first edge
-    # past X_DEAD) against a 64-node rule whose tail panels reach e^-119,
+    # the shipped closure (its rule per statistics, 12 nodes a panel for
+    # canonical, 14 for BE and 20 for FD, and tail panels up to the last edge
+    # below X_DEAD) against a 64-node rule whose tail panels reach e^-119,
     # over the closed tails and filled Fermi seas of 40 temperatures per
     # field and statistics (beta F^(2/3) from 1e-3 to 30)
     paths = count_closures(monkeypatch)
-    reference = (*np.polynomial.legendre.leggauss(64), capped_tail_panels(120.0))
+    rule = np.polynomial.legendre.leggauss(64)
+    reference = {"_RULES": {s: rule for s in Statistics}, "_TAIL_Y": capped_tail_panels(120.0)}
     for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
         sp = build_spectrum(WallSpec(wall_kind, field), count=64)
         beta = np.geomspace(1e-3, 30.0, 40) * field ** (-2.0 / 3.0)
@@ -502,7 +521,7 @@ def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
                                   (Statistics.BOSE_EINSTEIN, np.geomspace(1e-7, 3.0, 40))):
             shipped = ladder_sums(sp, beta, statistics, gamma=gamma)
             with monkeypatch.context() as patch:
-                for name, value in zip(("_GL_NODES", "_GL_WEIGHTS", "_TAIL_Y"), reference):
+                for name, value in reference.items():
                     patch.setattr(ladder, name, value)
                 ref = ladder_sums(sp, beta, statistics, gamma=gamma)
             for s, r in zip(shipped, ref):  # moments about E_0: every sum >= 0
@@ -524,8 +543,9 @@ FUSED_CASES = [
 
 @pytest.mark.parametrize("wall_kind,field,sign,beta,gamma,moff", FUSED_CASES)
 def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff):
-    # one pass gives N_0, N_1 (occupation) and D_0, D_1, D_2 (distribution),
-    # through a filled Fermi sea and next to Bose condensation (gamma < 1e-6)
+    # one pass gives N_0, N_1 (occupation), D_0, D_1, D_2 (distribution) and
+    # (D f)_0, through a filled Fermi sea and next to Bose condensation
+    # (gamma < 1e-6)
     sp = build_spectrum(WallSpec(wall_kind, field), count=64)
     if isinstance(gamma, tuple):
         gamma = beta * (sp.e0 - float(sp.tail.energy(gamma[1])))
@@ -533,11 +553,8 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
     if moff == "mu":
         moff = gamma / beta
     fused = offset_sums(sp, beta, STATS[sign], gamma, moff)[:, 0]
-    ref = np.concatenate([
-        brute_force(sp, beta, OCC, sign, gamma, moff, powers=(0, 1)),
-        brute_force(sp, beta, DIST, sign, gamma, moff, powers=(0, 1, 2))])
-    assert len(fused) == 5
-    for f, r in zip(fused, ref):
+    ref = family_brute_force(sp, beta, sign, gamma, moff)
+    for f, r in zip(fused, ref, strict=True):
         assert f == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
@@ -587,10 +604,8 @@ def test_start_index_must_lie_in_the_root_block(start):
 def test_start_index_in_the_root_block_matches_brute_force(spectrum_m3):
     for start in (0, 1, spectrum_m3.n_exact - 1):
         sums = ladder_sums(spectrum_m3, 0.5, Statistics.FERMI_DIRAC, start_index=start)
-        ref = np.concatenate([
-            brute_force(spectrum_m3, 0.5, OCC, FERMI, powers=(0, 1), start=start),
-            brute_force(spectrum_m3, 0.5, DIST, FERMI, powers=(0, 1, 2), start=start)])
-        for h, r in zip(sums, ref):
+        ref = family_brute_force(spectrum_m3, 0.5, FERMI, start=start)
+        for h, r in zip(sums, ref, strict=True):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
@@ -688,10 +703,8 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
     assert (n_em > sea).all()
     batch = offset_sums(sp, beta, Statistics.FERMI_DIRAC, gamma, 0.2)
     for i, g in enumerate(gamma):
-        ref = np.concatenate([
-            brute_force(sp, beta, OCC, FERMI, g, 0.2, powers=(0, 1)),
-            brute_force(sp, beta, DIST, FERMI, g, 0.2, powers=(0, 1, 2))])
-        for b, r in zip(batch, ref):
+        ref = family_brute_force(sp, beta, FERMI, g, 0.2)
+        for b, r in zip(batch, ref, strict=True):
             assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
@@ -701,26 +714,26 @@ def count_closures(monkeypatch):
     paths = {"closed": 0, "sea": 0}
     closure = ladder._closure
 
-    def counting_closure(spectrum, beta, gamma, n0, n1):
+    def counting_closure(spectrum, beta, gamma, n0, n1, statistics):
         finite = np.isfinite(n1)
         paths["sea"] += int(finite.sum())
         paths["closed"] += int((~finite).sum())
-        return closure(spectrum, beta, gamma, n0, n1)
+        return closure(spectrum, beta, gamma, n0, n1, statistics)
 
     monkeypatch.setattr(ladder, "_closure", counting_closure)
     return paths
 
 
-def count_summands(monkeypatch):
-    """Record the size of every summand block the engine evaluates."""
+def count_node_sums(monkeypatch):
+    """Record the size of every node set the engine evaluates its kernels on."""
     sizes = []
-    summands = ladder._summands
+    node_sums = ladder._node_sums
 
-    def counting_summands(x, *args):
-        sizes.append(x.size)
-        return summands(x, *args)
+    def counting_node_sums(d, *args):
+        sizes.append(d.size)
+        return node_sums(d, *args)
 
-    monkeypatch.setattr(ladder, "_summands", counting_summands)
+    monkeypatch.setattr(ladder, "_node_sums", counting_node_sums)
     return sizes
 
 
@@ -748,7 +761,7 @@ def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
     # the levels from its sea's end to its stop, ~1e3 (1e4 at N = 1e8)
     # around the Fermi edge; evaluating whole blocks past the sea would
     # take 3.3e6 and 2.9e7 summands
-    sizes = count_summands(monkeypatch)
+    sizes = count_node_sums(monkeypatch)
     for field, n_fermi, betas in ((1e-3, 10 ** 5, (150.0, 300.0)), (8.7, 10 ** 8, (0.5, 2.0))):
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
         beta = np.linspace(*betas, 50)
@@ -785,8 +798,6 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
         if kind == BOLTZ_KIND:
             ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=(0, 1, 2))
         else:
-            ref = np.concatenate([
-                brute_force(sp, beta, OCC, sign, gamma, 0.1, powers=(0, 1)),
-                brute_force(sp, beta, DIST, sign, gamma, 0.1, powers=(0, 1, 2))])
-        for h, r in zip(sums, ref):
+            ref = family_brute_force(sp, beta, sign, gamma, 0.1)
+        for h, r in zip(sums, ref, strict=True):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)

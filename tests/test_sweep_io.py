@@ -377,7 +377,8 @@ class TestTable1Harness:
         # call per lockstep Newton pass.  Cold scans start from the two-term
         # balance (in Bose statistics for bosons) and the refinement's
         # points from the cubic Hermite through their cell's solved states
-        # and slopes: 176 calls (268, 35 of them canonical, with Brent's
+        # and slopes, and each Newton pass is a Halley step: 147 calls (176
+        # with Newton steps, 268, 35 of them canonical, with Brent's
         # one-point steps).  A Boltzmann continuum and linear hints took
         # 378.  A mu solve's passes are sums over its batch's plan
         # (ladder._sums), the other calls ladder_sums
@@ -400,16 +401,17 @@ class TestTable1Harness:
         assert table1_harness().passed
         assert calls.count(Statistics.CANONICAL) == 20
         assert calls.count(Statistics.FERMI_DIRAC) > 0 and calls.count(Statistics.BOSE_EINSTEIN) > 0
-        assert len(calls) <= 195
+        assert len(calls) <= 162
 
     def test_kernel_passes_per_round(self, monkeypatch):
         # work-count gate on the ladder: each ladder pass evaluates its
         # kernels once per node set of its plan that serves a lane of it:
         # the root block, the closure nodes with their end stencils and the
         # blocks of its direct windows, each cut into runs of lanes of at
-        # most ladder._PAIRS (lane, node) pairs.  567 passes a round with
-        # multi-point refinement passes and closure blocks sized after their
-        # dead panels drop, 780 with Brent's one-point steps and the
+        # most ladder._PAIRS (lane, node) pairs.  423 passes a round with the
+        # mu solves' Halley steps, 567 with Newton steps, multi-point
+        # refinement passes and closure blocks sized after their dead panels
+        # drop, 780 with Brent's one-point steps and the
         # whole batch planned at once; with the batch cut into 32-lane
         # groups, each group's node sets apart, it took 1,125, and planned
         # anew on every pass 1,078; with the closure integral, each end
@@ -417,15 +419,15 @@ class TestTable1Harness:
         # the mu solves' older starts 1,350.
         from robinwall import ladder
         passes = []
-        summands = ladder._summands
+        node_sums = ladder._node_sums
 
-        def counting(x, *args):
-            passes.append(x.size)
-            return summands(x, *args)
+        def counting(d, *args):
+            passes.append(d.size)
+            return node_sums(d, *args)
 
-        monkeypatch.setattr(ladder, "_summands", counting)
+        monkeypatch.setattr(ladder, "_node_sums", counting)
         assert table1_harness().passed
-        assert 0 < len(passes) <= 620
+        assert 0 < len(passes) <= 465
 
     def test_plan_builds_per_round(self, monkeypatch):
         # work-count gate on the ladder's planning: every ladder_sums call
@@ -433,29 +435,32 @@ class TestTable1Harness:
         # lanes' start gamma; its later Newton passes sum over that plan, and
         # only a lane whose gamma leaves its window gets a plan of its own.
         # A round builds 81 plans (20 of the canonical calls, 61 of the mu
-        # solves) and 1,783,662 kernel elements.  With Brent's one-point
-        # steps it built 137 plans and 1,817,983 elements, within 5% of the
-        # 1,804,892 of planning every pass; the multi-point passes alone
-        # raised that to 1,981,350, and the tail panel past X_DEAD, dropped,
-        # paid for it.  Cut into 32-lane groups it built 142 plans of 217
-        # groups, and planned anew on every pass 478 groups
+        # solves) and 1,179,945 kernel elements, with a closure rule of 12
+        # nodes a panel for canonical, 14 for BE and 20 for FD and the mu
+        # solves' Halley steps; with 24 nodes and Newton steps it took
+        # 1,781,943 (1,783,662 before the Fermi-edge start).  With Brent's
+        # one-point steps it built 137 plans and 1,817,983 elements, within
+        # 5% of the 1,804,892 of planning every pass; the multi-point passes
+        # alone raised that to 1,981,350, and the tail panel past X_DEAD,
+        # dropped, paid for it.  Cut into 32-lane groups it built 142 plans
+        # of 217 groups, and planned anew on every pass 478 groups
         from robinwall import ladder
         counts = {"plans": 0, "elements": 0}
-        init, summands = ladder._Plan.__init__, ladder._summands
+        init, node_sums = ladder._Plan.__init__, ladder._node_sums
 
         def counting_plan(self, *args):
             counts["plans"] += 1
             return init(self, *args)
 
-        def counting_summands(x, *args):
-            counts["elements"] += x.size
-            return summands(x, *args)
+        def counting_node_sums(d, *args):
+            counts["elements"] += d.size
+            return node_sums(d, *args)
 
         monkeypatch.setattr(ladder._Plan, "__init__", counting_plan)
-        monkeypatch.setattr(ladder, "_summands", counting_summands)
+        monkeypatch.setattr(ladder, "_node_sums", counting_node_sums)
         assert table1_harness().passed
         assert 0 < counts["plans"] <= 90
-        assert 0 < counts["elements"] <= 1_817_983
+        assert 0 < counts["elements"] <= 1_300_000
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
     def test_block_matches_its_cells_alone(self, ensemble):
