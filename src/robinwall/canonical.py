@@ -20,6 +20,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
+from . import _work
 from .errors import DomainError, SolverError
 from .ladder import Statistics, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
@@ -68,6 +69,7 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
     summed as one batch).  A lane whose <E> or c is not finite is NaN with
     its message in ``errors``; a scalar beta raises SolverError instead."""
     beta = _check_beta(beta)
+    _work.counts.update(batches=1, batch_lanes=np.size(beta))
     s0, s1, s2 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
     m = s1 / s0
     energy, c = np.atleast_1d(spectrum.e0 + m, beta * beta * (s2 / s0 - m * m))
@@ -184,6 +186,7 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence,
                 if (row, sign) not in best or sign * c > sign * best[row, sign][1]:
                     best[row, sign] = (1.0 / math.exp(stop.value[0]), c)
         lanes = [(j, u) for j, us in pending.items() for u in us]
+        _work.counts["refine_passes"] += bool(lanes)
         values = iter(c_fn(np.array([math.exp(u) for _, u in lanes]),
                            np.array([runs[j][0] for j, _ in lanes], dtype=int)) if lanes else ())
         sent = {j: [-runs[j][1] * float(next(values)) for _ in us] for j, us in pending.items()}

@@ -42,7 +42,8 @@ whose Fermi edge is frozen (half the gap E_N - E_{N-1} past ln(2e12) kT)
 starts at mid-gap, where the two edge levels hold as many holes as
 particles and the first pass meets the 1e-12 target, so mu lands on the
 exact two-level value.  ``gc_point`` is the evaluator's cold, one-call
-form.
+form.  Each call counts its batch, lanes and cold lanes in ``_work.counts``,
+and the ladder each of its passes.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -73,6 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _work
 from .canonical import ThermoPoint
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
@@ -286,6 +288,7 @@ class _Evaluator:
             hi = pad + np.maximum(_ln_weight(sp.wall.field, beta) - np.log(n), 0.0)
         start = self._starts(beta, cells)
         cold = np.isnan(start)
+        _work.counts.update(batches=1, batch_lanes=len(beta), cold_lanes=int(cold.sum()))
         if cold.any():
             start[cold] = (_bose_start(sp, beta[cold], n[cold], lo[cold], hi[cold]) if log_space
                            else _fermi_start(sp, beta[cold], n[cold]))
@@ -357,8 +360,6 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     and raises SolverError instead.
     """
     beta = _check_beta(beta)
-    if np.ndim(beta) > 1:
-        raise DomainError(f"gc_point takes a scalar or 1-D beta, got shape {np.shape(beta)}")
     lanes = np.ravel(beta)
     p = _Evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
     if np.ndim(beta) > 0:

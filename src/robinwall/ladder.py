@@ -82,9 +82,10 @@ panels matched to the kernel (a filled Fermi sea, the transition layer
 around x = 0, and geometric panels down the exponential tail from wherever
 it starts to ~44 past it), clipped at E_{n1} and padded with zero-width
 panels to a common count across lanes.  Every path is validated against
-brute-force summation to ~1e-10 relative; the payoff is that the worst evaluation in
-the whole parameter domain costs ~1e4 kernel evaluations instead of ~1e8
-exp() calls.
+brute-force summation to ~1e-10 relative; the payoff is that the worst
+evaluation in the whole parameter domain costs ~1e4 kernel elements instead
+of ~1e8 exp() calls.  ``_work.counts`` counts the plans, passes, stale
+lanes, kernel passes and elements and closure blocks where they are made.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ import enum
 
 import numpy as np
 
+from . import _work
 from .errors import DomainError, SolverError
 from .specfun import _check_beta, _check_index
 from .spectrum import Spectrum
@@ -229,6 +231,7 @@ def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray
     lane, d_j = E_j - E_0 (a row of d and w per lane), one row per returned
     sum and one column per lane: the one kernel pass of a node set, each
     kernel weighted once and its moments reduced from that."""
+    _work.counts.update(node_sums=1, kernel_elements=d.size)
     dm = d + moff[:, None]
     out = []
     for kern, moments in zip(_kernels(beta[:, None] * d + gamma[:, None], statistics),
@@ -349,6 +352,7 @@ class _Plan:
         self.spectrum, self.statistics, self.start_index = spectrum, statistics, start_index
         self.beta, self.gamma = beta, gamma = _check_beta(beta), np.array(gamma, dtype=float)
         n, e0, first = len(beta), spectrum.e0, _closure_floor(spectrum)
+        _work.counts.update(plans=1, plan_lanes=n)
         n_em, sea, stop = _direct_range(spectrum, beta, gamma, statistics, start_index)
         self.reach = np.full(n, _REACH)
 
@@ -359,11 +363,13 @@ class _Plan:
 
         # the closures: the tail [n_em, inf) of each lane whose range reaches
         # its closure index, and each filled sea [first, sea)
-        for lanes, n0, n1 in (((stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
-                              ((sea > first).nonzero()[0], np.full(n, first), sea)):
+        for path, lanes, n0, n1 in (("tail", (stop == n_em).nonzero()[0], n_em, np.full(n, np.inf)),
+                                    ("sea", (sea > first).nonzero()[0], np.full(n, first), sea)):
             if len(lanes):
-                for rows, d, w in _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes],
-                                           n1[lanes], statistics):
+                blocks = _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes], n1[lanes],
+                                  statistics)
+                _work.counts.update({f"{path}_lanes": len(lanes), f"{path}_blocks": len(blocks)})
+                for rows, d, w in blocks:
                     rows = lanes[rows]
                     self.sets.append((rows, d, w))
                     if statistics is Statistics.BOSE_EINSTEIN:
@@ -391,6 +397,8 @@ def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -
     beyond their reach from the gamma they were planned at are summed over
     a plan of their own, made at their gamma."""
     stale = np.abs(gamma - plan.gamma[lanes]) > plan.reach[lanes]
+    _work.counts.update({f"{plan.statistics.value}_passes": 1, "pass_lanes": len(lanes),
+                         "stale_lanes": int(stale.sum())})
     at = np.full(len(plan.beta), -1)  # each lane's column
     at[lanes[~stale]] = (~stale).nonzero()[0]
     plans = [(plan, at)]

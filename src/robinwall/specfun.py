@@ -79,11 +79,13 @@ def _check_field(field: float) -> float:
 
 
 def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
-    """beta as a float, or a float array for a batch; DomainError unless
-    each is finite and > 0."""
+    """beta as a float, or a 1-D float array for a batch; DomainError unless
+    it is at most 1-D and each is finite and > 0."""
     b = np.asarray(beta, dtype=float)
     if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
+    if b.ndim > 1:
+        raise DomainError(f"expected a scalar or 1-D beta, got shape {b.shape}")
     return float(b) if b.ndim == 0 else b
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import _work
 from .errors import DomainError, SolverError
 from .specfun import (
     N_EXACT_ZEROS,
@@ -213,6 +214,7 @@ def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray,
     """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) and its slope, from the
     raw (Ai, Ai') pair, scaled only for xi > 12 (below, Ai^2 >= 1e-27); psi
     decreases between the zeros of Ai and stays finite at them."""
+    _work.counts.update(airy_calls=1, airy_points=np.size(xi))
     ai, aip = _airy_pair(xi)
     d = field_cbrt * aip
     psi = np.arctan2(d * np.copysign(1.0, ai), np.abs(ai)) - math.atan(1.0 / lam)

@@ -220,9 +220,9 @@ def result_to_json(result: SweepResult) -> str:
 
 def result_from_json(text: str) -> SweepResult:
     """The result of a ``result_to_json`` document; DomainError naming a
-    key that is missing or that no field takes."""
-    doc = json.loads(text)
+    key that is missing or that no field takes, or for text that is not JSON."""
     try:
+        doc = json.loads(text)
         cond = doc["condensate"]
         return SweepResult(spec=_spec_from_dict(doc["spec"]),
                            rows=tuple(SweepRow(**r) for r in doc["rows"]),
@@ -232,6 +232,8 @@ def result_from_json(text: str) -> SweepResult:
         raise DomainError(f"sweep document has no key {e}") from None
     except TypeError as e:  # a dataclass given an unknown key, or none for a field
         raise DomainError(f"sweep document: {e}") from None
+    except json.JSONDecodeError as e:
+        raise DomainError(f"sweep document is not JSON: {e}") from None
 
 
 def _fmt(value) -> str:

@@ -57,6 +57,18 @@ class TestMeanEnergyHeatCapacity:
             worst = max(worst, abs(c + beta * beta * dedb) / abs(c))
         assert worst <= 1e-5
 
+    def test_beta_of_two_dimensions_rejected(self):
+        # thermo_point and gc_point share one check of a scalar or 1-D beta:
+        # a (2, 2) beta raised numpy's "truth value ... is ambiguous" from
+        # thermo_point, and raises DomainError in both
+        from robinwall.grand_canonical import EnsembleSpec, Statistics, gc_point
+        sp = attractive(1e-3)
+        for evaluate in (lambda b: thermo_point(sp, b),
+                         lambda b: gc_point(sp, b, EnsembleSpec(Statistics.FERMI_DIRAC, 2))):
+            with pytest.raises(DomainError, match=r"1-D beta, got shape \(2, 2\)"):
+                evaluate(np.ones((2, 2)))
+            assert evaluate(np.ones(4)).mean_energy.shape == (4,)
+
     @pytest.mark.parametrize("field", [1e-4, 1e-2, 1.0])
     def test_repulsive_wall_monotone(self, field):
         # at F ~ 1 the high-T region weighs ~10^3 tail levels, so the check

@@ -10,6 +10,7 @@ import pytest
 from robinwall import canonical as can
 from robinwall import grand_canonical as gc
 from robinwall import specfun as sf
+from robinwall._work import reading
 from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics, be_critical, gc_point
 from robinwall.limits import (asymptotic_beta_cr, asymptotic_mu_cn, fd_plateau, fd_single_peak,
@@ -385,8 +386,7 @@ class TestSolveAcceptance:
 
     @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
     @pytest.mark.parametrize("stat, n, beta", [(FD, 10, 20.0), (BE, 1000, 1.0)])
-    def test_halley_step_meets_the_target_on_the_second_pass(self, monkeypatch, stat, n,
-                                                             beta, side):
+    def test_halley_step_meets_the_target_on_the_second_pass(self, stat, n, beta, side):
         # one lane started 1e-4 off in ln N from its root: the Halley step
         # lands within 1e-12 (seen: 4e-14) on the second pass, where Newton's
         # (an error of ~1e-8) needs a third
@@ -396,10 +396,9 @@ class TestSolveAcceptance:
         u, slope = (math.log(gamma), -gamma * d0 / n_sum) if stat is BE else (gamma, -d0 / n_sum)
         evaluate = gc._Evaluator(sp, [EnsembleSpec(stat, n)])
         evaluate.states[0] = np.array([[math.log(beta)], [u + side * 1e-4 / slope], [0.0]])
-        passes, sums = [], gc._sums
-        monkeypatch.setattr(gc, "_sums", lambda *a: passes.append(a[1]) or sums(*a))
-        p = evaluate(np.array([beta]), np.zeros(1, dtype=int))
-        assert len(passes) == 2 and p.errors == (None,)
+        with reading() as work:
+            p = evaluate(np.array([beta]), np.zeros(1, dtype=int))
+        assert work[f"{stat.value}_passes"] == 2 and p.errors == (None,)
         n_end = gc.ladder_sums(sp, beta, stat, gamma=beta * (sp.e0 - p.mu[0]))[0]
         assert abs(n_end / n - 1.0) <= 1e-12
 
@@ -484,19 +483,17 @@ class TestWarmStarts:
 def cold_fermi_passes(kind):
     """Ladder passes of each cold 40-lane FD grid on the wall ``kind``, over
     y = beta F^(2/3) in [0.1, 30], from a classical gas into a degenerate
-    sea: {(field, N): (lanes of the first pass, passes)}."""
+    sea: {(field, N): (lanes planned but for the stale lanes' re-plans,
+    passes)}, the first 40 when the batch is planned once, as one."""
     passes = {}
-    with pytest.MonkeyPatch.context() as mp:
-        calls, sums = [], gc._sums
-        mp.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
-        for field in (1e-5, 1e-2, 1.0):
-            sp = build_spectrum(WallSpec(kind, field))
-            beta = np.geomspace(0.1, 30.0, 40) / field ** (2.0 / 3.0)
-            for n in (1, 2, 10, 100, 1000, 10 ** 6):
-                calls.clear()
+    for field in (1e-5, 1e-2, 1.0):
+        sp = build_spectrum(WallSpec(kind, field))
+        beta = np.geomspace(0.1, 30.0, 40) / field ** (2.0 / 3.0)
+        for n in (1, 2, 10, 100, 1000, 10 ** 6):
+            with reading() as work:
                 p = gc_point(sp, beta, EnsembleSpec(FD, n))
-                assert p.errors == (None,) * 40
-                passes[field, n] = (len(calls[0]), len(calls))
+            assert p.errors == (None,) * 40
+            passes[field, n] = (work["plan_lanes"] - work["stale_lanes"], work["fd_passes"])
     return passes
 
 
@@ -534,46 +531,40 @@ class TestWorkCounts:
         assert all(1 <= lanes <= 8 and warm for lanes, warm, _ in refine)
         assert sum(len(p) for _, _, p in refine) <= 17
 
-    def test_cold_start_of_the_first_scan_point(self, monkeypatch):
+    def test_cold_start_of_the_first_scan_point(self):
         # the first, cold point of the BE N=1000, F=1e-5 scan starts
         # from the two-term balance and needs at most 5 ladder passes
         from robinwall.reference_values import TABLE1
-        calls = []
-        sums = gc._sums
-        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
         t_ref, _ = TABLE1[("be", 1000, 1e-5)]
-        gc_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
-        assert 0 < len(calls) <= 5
+        with reading() as work:
+            gc_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
+        assert 0 < work["be_passes"] <= 5
 
-    def test_bose_cold_start_of_a_large_scan(self, monkeypatch):
+    def test_bose_cold_start_of_a_large_scan(self):
         # the 50-point scan of the BE N=1e5, F=1e-3 cell, all lanes cold:
         # the two-term balance with the continuum in Bose statistics starts
         # every lane near its root, so the lockstep solve takes at most 5
         # ladder passes (12 with the continuum in Boltzmann statistics)
         from robinwall.reference_values import TABLE1
-        calls = []
-        sums = gc._sums
-        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
         t_ref, _ = TABLE1[("be", 100000, 1e-3)]
         beta = np.geomspace(1.0 / (2.2 * t_ref), 2.2 / t_ref, 50)
-        p = gc_point(attractive(1e-3), beta, EnsembleSpec(BE, 100000))
+        with reading() as work:
+            p = gc_point(attractive(1e-3), beta, EnsembleSpec(BE, 100000))
         assert p.errors == (None,) * 50
-        assert len(calls[0]) == 50 and len(calls) <= 5
+        assert work["plans"] == 1 and work["plan_lanes"] == 50 and work["be_passes"] <= 5
 
-    def test_deep_condensate_cold_solve(self, monkeypatch):
+    def test_deep_condensate_cold_solve(self):
         # N = 1e8 bosons at F = 1e-9, beta in [2e8, 1e9]: the root lies within
         # ~1e-12 of ln ln(1 + 1/N), where the ground level alone holds N.
         # With the bracket's low end there, Newton's steps landed on or below
         # it, were refused, and every pass bisected: 13 passes
-        calls = []
-        sums = gc._sums
-        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
-        p = gc_point(attractive(1e-9), np.geomspace(2e8, 1e9, 5), EnsembleSpec(BE, 10 ** 8))
+        with reading() as work:
+            p = gc_point(attractive(1e-9), np.geomspace(2e8, 1e9, 5), EnsembleSpec(BE, 10 ** 8))
         assert p.errors == (None,) * 5
-        assert 0 < len(calls) <= 3
+        assert 0 < work["be_passes"] <= 3
 
     @pytest.mark.parametrize("n", [1000, 10 ** 8])
-    def test_deep_condensate_warm_batch(self, monkeypatch, n):
+    def test_deep_condensate_warm_batch(self, n):
         # five lanes over beta in [2e8, 1e9] solved cold, then their four
         # midpoints warm: mu carries few digits of gamma = beta (E_0 - mu)
         # here, none at N = 1e8 (gamma/beta is below the spacing of floats
@@ -583,19 +574,17 @@ class TestWorkCounts:
         beta, cells = np.geomspace(2e8, 1e9, 5), np.zeros(5, dtype=int)
         evaluate = gc._Evaluator(attractive(1e-9), [EnsembleSpec(BE, n)])
         assert evaluate(beta, cells).errors == (None,) * 5
-        calls = []
-        sums = gc._sums
-        monkeypatch.setattr(gc, "_sums", lambda *a: calls.append(a[1]) or sums(*a))
-        p = evaluate(np.sqrt(beta[1:] * beta[:-1]), cells[1:])
+        with reading() as work:
+            p = evaluate(np.sqrt(beta[1:] * beta[:-1]), cells[1:])
         assert p.errors == (None,) * 4
-        assert len(calls) == 1
+        assert work["be_passes"] == 1 and work["cold_lanes"] == 0
 
     @pytest.mark.parametrize("kind", list(WallKind), ids=lambda k: k.value)
     def test_cold_fermi_grids(self, kind):
         # each grid at N >= 1000 takes at most 6 lockstep ladder passes
         # (3-4 at N = 1000 and 2 at N = 1e6)
-        for (_, n), (first, passes) in cold_fermi_passes(kind).items():
-            assert first == 40
+        for (_, n), (planned, passes) in cold_fermi_passes(kind).items():
+            assert planned == 40
             assert n < 1000 or passes <= 6
 
     def test_cold_fermi_grids_total(self):
@@ -609,30 +598,21 @@ class TestWorkCounts:
                     for _, passes in cold_fermi_passes(kind).values())
         assert total <= 400
 
-    def test_table1_sums_no_stale_lane(self, monkeypatch):
+    def test_table1_sums_no_stale_lane(self):
         # every mu-solve pass of a table1 round sums its lanes within the
         # reach of their planned gamma: no lane falls back to a plan of its
         # own (the Fermi-edge and warm starts land that close).  A round
         # makes 127 such passes with Halley steps (156 with Newton's, 233
         # with Brent's one-point refinement)
         from robinwall.sweep import table1_harness
-        stale, sums = [], gc._sums
+        with reading() as work:
+            assert table1_harness().passed
+        assert work["fd_passes"] + work["be_passes"] > 110 and work["stale_lanes"] == 0
 
-        def counting_sums(plan, lanes, gamma, moff):
-            stale.append(int((np.abs(gamma - plan.gamma[lanes]) > plan.reach[lanes]).sum()))
-            return sums(plan, lanes, gamma, moff)
-
-        monkeypatch.setattr(gc, "_sums", counting_sums)
-        assert table1_harness().passed
-        assert len(stale) > 110 and sum(stale) == 0
-
-    def test_be_critical_ladder_passes(self, monkeypatch):
-        calls = []
-        ladder = gc.ladder_sums
-        monkeypatch.setattr(gc, "ladder_sums",
-                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
-        be_critical(attractive(1e-5), 1000)
-        assert 0 < len(calls) <= 8
+    def test_be_critical_ladder_passes(self):
+        with reading() as work:
+            be_critical(attractive(1e-5), 1000)
+        assert 0 < work["be_passes"] <= 8
 
 
 class TestFermiColdStart:

@@ -10,6 +10,7 @@ import pytest
 from scipy import special as sp
 
 from robinwall import ladder
+from robinwall._work import reading
 from robinwall.errors import DomainError, SolverError
 from robinwall.ladder import Statistics, ladder_sums
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
@@ -311,7 +312,7 @@ WINDOW_CASES = [
 
 @pytest.mark.parametrize("edge", [-1.0, 1.0], ids=["below", "above"])
 @pytest.mark.parametrize("wall_kind,field,sign,beta,gamma", WINDOW_CASES)
-def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge, monkeypatch):
+def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge):
     # a lane planned at gamma and summed at either edge of its window (one
     # reach away, where a mu solve's Newton pass still reuses the plan)
     # against brute force at that gamma, and the closure nodes planned at
@@ -324,11 +325,9 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge,
     g = gamma + edge * plan.reach[0]
     if abs(g - gamma) > plan.reach[0]:
         g = np.nextafter(g, gamma)
-    planned, init = [], ladder._Plan.__init__
-    monkeypatch.setattr(ladder._Plan, "__init__",
-                        lambda self, *a: planned.append(a) or init(self, *a))
-    sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
-    assert not planned  # no _Plan built during the sum
+    with reading() as work:
+        sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
+    assert not work["plans"]  # no _Plan built during the sum
     if sign == BOLTZ:
         ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=(0, 1, 2))
     else:
@@ -385,7 +384,7 @@ def test_stale_and_held_lanes_interleaved(sign):
                           ladder._sums(plan, lanes[~stale], gamma[~stale], moff[~stale]))
 
 
-def test_every_node_set_within_the_pair_budget(monkeypatch):
+def test_every_node_set_within_the_pair_budget():
     # one plan per batch: the root block, each closure (the tail and the
     # filled seas) and each window block of a 300-lane batch are cut into
     # runs of lanes of at most _PAIRS (lane, node) pairs, and every lane is
@@ -394,21 +393,23 @@ def test_every_node_set_within_the_pair_budget(monkeypatch):
     beta = np.geomspace(1.0, 100.0, 300)
     # a Fermi level at level 2000: the colder lanes fill a sea past the floor
     gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
-    paths = count_closures(monkeypatch)
-    fd = ladder._Plan(sp, beta, gamma, Statistics.FERMI_DIRAC)
-    assert paths["sea"] > 0 and paths["closed"] > 0
-    plans, sums = [], ladder._sums
-    monkeypatch.setattr(ladder, "_sums", lambda plan, *a: plans.append(plan) or sums(plan, *a))
-    ladder_sums(sp, beta, Statistics.CANONICAL)
-    assert len(plans) == 1
-    for plan in (fd, plans[0]):
+    with reading() as work:
+        fd = ladder._Plan(sp, beta, gamma, Statistics.FERMI_DIRAC)
+    assert work["sea_lanes"] > 0 and work["tail_lanes"] > 0
+    canonical = ladder._Plan(sp, beta, np.zeros(300), Statistics.CANONICAL)
+    with reading() as work:
+        sums = ladder_sums(sp, beta, Statistics.CANONICAL)
+    # ladder_sums makes one plan, and sums to the bit over the one above
+    assert work["plans"] == 1 and np.array_equal(
+        sums, ladder._sums(canonical, np.arange(300), np.zeros(300), np.zeros(300)))
+    for plan in (fd, canonical):
         assert max(d.size for _, d, _ in plan.sets) <= ladder._PAIRS
         root = [rows for rows, d, _ in plan.sets if d.strides[0] == 0]
         assert len(root) > 1  # 300 rows of the root block exceed the budget
         assert np.array_equal(np.sort(np.concatenate(root)), np.arange(300))
 
 
-def test_sea_closures_sized_after_their_dead_panels_drop(monkeypatch):
+def test_sea_closures_sized_after_their_dead_panels_drop():
     # the 300-lane FD plan above: past its sea's end each lane's closure
     # keeps 1-2 panels (34-58 nodes), so its 142 sea closures fit 2 blocks of
     # _PAIRS (lane, node) pairs.  Sized by the padded panel count before the
@@ -417,18 +418,10 @@ def test_sea_closures_sized_after_their_dead_panels_drop(monkeypatch):
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     beta = np.geomspace(1.0, 100.0, 300)
     gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
-    blocks, closure = [], ladder._closure
-
-    def counting_closure(spectrum, beta, gamma, n0, n1, statistics):
-        out = closure(spectrum, beta, gamma, n0, n1, statistics)
-        if np.isfinite(n1).all():
-            blocks.append([len(rows) for rows, _, _ in out])
-        return out
-
-    monkeypatch.setattr(ladder, "_closure", counting_closure)
-    batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
-    (sea,) = blocks
-    assert sum(sea) > 100 and len(sea) <= 3
+    with reading() as work:
+        batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
+    # one plan, so one sea closure
+    assert work["plans"] == 1 and work["sea_lanes"] > 100 and work["sea_blocks"] <= 3
     for i in range(0, 300, 5):
         one = ladder_sums(sp, beta[i], Statistics.FERMI_DIRAC, gamma=gamma[i])
         for b, o in zip(batch, one):
@@ -509,24 +502,24 @@ def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
     # below X_DEAD) against a 64-node rule whose tail panels reach e^-119,
     # over the closed tails and filled Fermi seas of 40 temperatures per
     # field and statistics (beta F^(2/3) from 1e-3 to 30)
-    paths = count_closures(monkeypatch)
     rule = np.polynomial.legendre.leggauss(64)
     reference = {"_RULES": {s: rule for s in Statistics}, "_TAIL_Y": capped_tail_panels(120.0)}
-    for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
-        sp = build_spectrum(WallSpec(wall_kind, field), count=64)
-        beta = np.geomspace(1e-3, 30.0, 40) * field ** (-2.0 / 3.0)
-        fermi_level = sp.tail.energy(np.geomspace(70.0, 3e4, 40))
-        for statistics, gamma in ((Statistics.CANONICAL, 0.0),
-                                  (Statistics.FERMI_DIRAC, beta * (sp.e0 - fermi_level)),
-                                  (Statistics.BOSE_EINSTEIN, np.geomspace(1e-7, 3.0, 40))):
-            shipped = ladder_sums(sp, beta, statistics, gamma=gamma)
-            with monkeypatch.context() as patch:
-                for name, value in reference.items():
-                    patch.setattr(ladder, name, value)
-                ref = ladder_sums(sp, beta, statistics, gamma=gamma)
-            for s, r in zip(shipped, ref):  # moments about E_0: every sum >= 0
-                assert np.all(np.abs(s - r) <= 1e-13 * r)
-    assert paths["closed"] > 200 and paths["sea"] > 50
+    with reading() as work:
+        for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
+            sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+            beta = np.geomspace(1e-3, 30.0, 40) * field ** (-2.0 / 3.0)
+            fermi_level = sp.tail.energy(np.geomspace(70.0, 3e4, 40))
+            for statistics, gamma in ((Statistics.CANONICAL, 0.0),
+                                      (Statistics.FERMI_DIRAC, beta * (sp.e0 - fermi_level)),
+                                      (Statistics.BOSE_EINSTEIN, np.geomspace(1e-7, 3.0, 40))):
+                shipped = ladder_sums(sp, beta, statistics, gamma=gamma)
+                with monkeypatch.context() as patch:
+                    for name, value in reference.items():
+                        patch.setattr(ladder, name, value)
+                    ref = ladder_sums(sp, beta, statistics, gamma=gamma)
+                for s, r in zip(shipped, ref):  # moments about E_0: every sum >= 0
+                    assert np.all(np.abs(s - r) <= 1e-13 * r)
+    assert work["tail_lanes"] > 200 and work["sea_lanes"] > 50
 
 
 FUSED_CASES = [
@@ -660,7 +653,7 @@ def test_bose_positive_exponent_guard(spectrum_m3):
 
 
 @pytest.mark.parametrize("kind,sign", [(BOLTZ_KIND, BOLTZ), (OCC, FERMI), (OCC, BOSE)])
-def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
+def test_batched_lanes_match_single_lanes(kind, sign):
     # 50 lanes in one call give each lane's own one-lane sums; the lanes
     # cover direct ranges that end before the closure index, the
     # Euler-Maclaurin closure of the tail and (fermions) that of a filled sea
@@ -675,10 +668,10 @@ def test_batched_lanes_match_single_lanes(kind, sign, monkeypatch):
         gamma = np.where(np.arange(50) % 3 == 0, sea, rng.uniform(-5.0, 5.0, 50))
     else:
         gamma = 10.0 ** rng.uniform(-7.0, 1.0, 50)
-    paths = count_closures(monkeypatch)
-    batch = offset_sums(sp, beta, STATS[sign], gamma, moff)
-    assert 0 < paths["closed"] < 50  # some lanes closed, the others stopped
-    assert (paths["sea"] > 0) == (sign == FERMI)
+    with reading() as work:
+        batch = offset_sums(sp, beta, STATS[sign], gamma, moff)
+    assert 0 < work["tail_lanes"] < 50  # some lanes closed, the others stopped
+    assert (work["sea_lanes"] > 0) == (sign == FERMI)
     assert all(s.shape == (50,) for s in batch)
     for i in range(50):
         one = offset_sums(sp, beta[i], STATS[sign], gamma[i], moff[i])[:, 0]
@@ -708,35 +701,6 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
             assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def count_closures(monkeypatch):
-    """Count the lanes the engine plans a closure for: a tail (an infinite
-    upper end) or a filled sea (a finite one)."""
-    paths = {"closed": 0, "sea": 0}
-    closure = ladder._closure
-
-    def counting_closure(spectrum, beta, gamma, n0, n1, statistics):
-        finite = np.isfinite(n1)
-        paths["sea"] += int(finite.sum())
-        paths["closed"] += int((~finite).sum())
-        return closure(spectrum, beta, gamma, n0, n1, statistics)
-
-    monkeypatch.setattr(ladder, "_closure", counting_closure)
-    return paths
-
-
-def count_node_sums(monkeypatch):
-    """Record the size of every node set the engine evaluates its kernels on."""
-    sizes = []
-    node_sums = ladder._node_sums
-
-    def counting_node_sums(d, *args):
-        sizes.append(d.size)
-        return node_sums(d, *args)
-
-    monkeypatch.setattr(ladder, "_node_sums", counting_node_sums)
-    return sizes
-
-
 def edge_brute_force(spectrum, beta, gamma, lo):
     """(N0, D0) of a filled Fermi sea whose levels below lo lie at exponents
     below -X_DEAD: those count 1 each to N0 and at most e^-45 each to D0;
@@ -755,20 +719,19 @@ def edge_brute_force(spectrum, beta, gamma, lo):
         lo += 1 << 14
 
 
-def test_deep_sea_is_not_summed_level_by_level(monkeypatch):
+def test_deep_sea_is_not_summed_level_by_level():
     # work-count gate: 50-lane passes with a Fermi level between levels
     # n_fermi - 1 and n_fermi.  Each lane sums directly its first block and
     # the levels from its sea's end to its stop, ~1e3 (1e4 at N = 1e8)
     # around the Fermi edge; evaluating whole blocks past the sea would
     # take 3.3e6 and 2.9e7 summands
-    sizes = count_node_sums(monkeypatch)
     for field, n_fermi, betas in ((1e-3, 10 ** 5, (150.0, 300.0)), (8.7, 10 ** 8, (0.5, 2.0))):
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
         beta = np.linspace(*betas, 50)
         gamma = beta * (sp.e0 - 0.5 * (sp.level(n_fermi - 1) + sp.level(n_fermi)))
-        sizes.clear()
-        batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
-        assert sum(sizes) <= 250_000
+        with reading() as work:
+            batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
+        assert work["kernel_elements"] <= 250_000
         for i in (0, 49):
             if n_fermi <= 10 ** 5:
                 ref = brute_force(sp, beta[i], OCC, FERMI, gamma[i], powers=(0, 1))

@@ -8,6 +8,7 @@ from scipy import optimize
 from scipy import special as sps
 
 from robinwall import spectrum as spm
+from robinwall._work import reading
 from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics
 from robinwall.limits import asymptotic_beta_cr
@@ -148,28 +149,18 @@ class TestRobinLevels:
             ref = -xi * field ** (2.0 / 3.0)
             assert sp.exact_levels[n] == pytest.approx(ref, rel=1e-12, abs=0)
 
-    def test_airy_calls_per_level(self, monkeypatch):
+    def test_airy_calls_per_level(self):
         # every Airy evaluation of the Robin solve, bracket checks included:
         # the points evaluated per level, and the array calls per build
-        calls, points = [0], [0]
-
-        def counted(fn):
-            def wrapper(x):
-                calls[0] += 1
-                points[0] += np.size(x)
-                return fn(x)
-            return wrapper
-
-        monkeypatch.setattr(spm, "_airy_pair", counted(spm._airy_pair))
         for n_exact, field, kind in itertools.product(
                 (8, 64, 512), (1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0), (ATTR, REP)):
-            calls[0] = points[0] = 0
-            sp = build_spectrum(WallSpec(kind, field), count=n_exact, n_exact=n_exact)
-            per_level = points[0] / sp.n_exact
+            with reading() as work:
+                sp = build_spectrum(WallSpec(kind, field), count=n_exact, n_exact=n_exact)
+            per_level = work["airy_points"] / sp.n_exact
             assert per_level <= 9.0
             if field <= 1e-5:
                 assert per_level <= 6.0
-            assert 1 <= calls[0] <= 12
+            assert 1 <= work["airy_calls"] <= 12
 
     @pytest.mark.parametrize("field", [1e-7, 1e-5, 1e-3, 1e-2, 1.0, 1e2, 1e6])
     def test_tail_handoff(self, field):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import robinwall
+from robinwall._work import reading
 from robinwall.canonical import thermo_point
 from robinwall.cli import main
 from robinwall.errors import DomainError, RobinWallError, SolverError
@@ -259,6 +261,12 @@ class TestSerialization:
         with pytest.raises(DomainError, match="unknown wall 'xx'"):
             result_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ["not json", "", '{"spec": '],
+                             ids=["text", "empty", "truncated"])
+    def test_text_that_is_not_json_rejected(self, text):
+        with pytest.raises(DomainError, match="sweep document is not JSON"):
+            result_from_json(text)
+
     @pytest.mark.parametrize("part,edit,message", [
         ("spec", lambda d: d.pop("particles"), "has no key 'particles'"),
         ("spec", lambda d: d.pop("points"), "argument: 'points'"),
@@ -317,6 +325,14 @@ class TestSerialization:
         assert repr(float(first)) == first
 
 
+@functools.cache
+def table1_work():
+    """The work of one table1 round, counted once for the gates that read it."""
+    with reading() as work:
+        assert table1_harness().passed
+    return work
+
+
 class TestTable1Harness:
     def test_single_field_subset_passes(self):
         report = table1_harness(fields=(1e-3,), ensembles=("canonical", "fd"))
@@ -345,7 +361,7 @@ class TestTable1Harness:
             assert cell.c_found == pytest.approx(c, rel=1e-8, abs=0.0)
             assert cell.t_found == pytest.approx(t, rel=1e-6, abs=0.0)
 
-    def test_evaluator_batches_per_round(self, monkeypatch):
+    def test_evaluator_batches_per_round(self):
         # each (ensemble, field) block of the table is one locate_peak call:
         # one batch scans all its cells, then each refinement pass is one
         # batch over the points of every refinement still open.  One cell
@@ -353,26 +369,12 @@ class TestTable1Harness:
         # Brent points), Brent's one-point steps in lockstep 137 (15 blocks,
         # 122 passes); the multi-point passes take 81 (66 passes: 3 per
         # canonical or FD block and 6-8 per BE block).
-        import robinwall.sweep as sweep_mod
-        counts = {"blocks": 0, "batches": 0}
+        work = table1_work()
+        assert work["batches"] - work["refine_passes"] == 15  # one scan per block
+        assert work["batches"] <= 90
+        assert work["refine_passes"] <= 75
 
-        def counting(fn, key):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(sweep_mod.gc._Evaluator, "__call__",
-                            counting(sweep_mod.gc._Evaluator.__call__, "batches"))
-        monkeypatch.setattr(sweep_mod, "thermo_point",
-                            counting(sweep_mod.thermo_point, "batches"))
-        monkeypatch.setattr(sweep_mod, "locate_peak", counting(sweep_mod.locate_peak, "blocks"))
-        assert table1_harness().passed
-        assert counts["blocks"] == 15
-        assert counts["batches"] <= 90
-        assert counts["batches"] - counts["blocks"] <= 75  # refinement passes
-
-    def test_ladder_calls_per_round(self, monkeypatch):
+    def test_ladder_calls_per_round(self):
         # work-count gate on the mu solves: 20 canonical calls, and one
         # call per lockstep Newton pass.  Cold scans start from the two-term
         # balance (in Bose statistics for bosons) and the refinement's
@@ -380,30 +382,14 @@ class TestTable1Harness:
         # and slopes, and each Newton pass is a Halley step: 147 calls (176
         # with Newton steps, 268, 35 of them canonical, with Brent's
         # one-point steps).  A Boltzmann continuum and linear hints took
-        # 378.  A mu solve's passes are sums over its batch's plan
-        # (ladder._sums), the other calls ladder_sums
-        from robinwall import canonical
-        import robinwall.sweep as sweep_mod
-        calls = []
+        # 378.  A mu solve's passes are sums over its batch's plan, the
+        # other calls ladder_sums, one sum each
+        work = table1_work()
+        assert work["canonical_passes"] == 20
+        assert work["fd_passes"] > 0 and work["be_passes"] > 0
+        assert sum(work[f"{s.value}_passes"] for s in Statistics) <= 162
 
-        def counting(fn, statistics):
-            def wrapper(*args, **kwargs):
-                calls.append(statistics(args))
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(sweep_mod.gc, "_sums",
-                            counting(sweep_mod.gc._sums, lambda args: args[0].statistics))
-        monkeypatch.setattr(sweep_mod.gc, "ladder_sums",
-                            counting(sweep_mod.gc.ladder_sums, lambda args: args[2]))
-        monkeypatch.setattr(canonical, "ladder_sums",
-                            counting(canonical.ladder_sums, lambda args: args[2]))
-        assert table1_harness().passed
-        assert calls.count(Statistics.CANONICAL) == 20
-        assert calls.count(Statistics.FERMI_DIRAC) > 0 and calls.count(Statistics.BOSE_EINSTEIN) > 0
-        assert len(calls) <= 162
-
-    def test_kernel_passes_per_round(self, monkeypatch):
+    def test_kernel_passes_per_round(self):
         # work-count gate on the ladder: each ladder pass evaluates its
         # kernels once per node set of its plan that serves a lane of it:
         # the root block, the closure nodes with their end stencils and the
@@ -417,19 +403,9 @@ class TestTable1Harness:
         # anew on every pass 1,078; with the closure integral, each end
         # correction and each direct block evaluated apart 1,943, and with
         # the mu solves' older starts 1,350.
-        from robinwall import ladder
-        passes = []
-        node_sums = ladder._node_sums
+        assert 0 < table1_work()["node_sums"] <= 465
 
-        def counting(d, *args):
-            passes.append(d.size)
-            return node_sums(d, *args)
-
-        monkeypatch.setattr(ladder, "_node_sums", counting)
-        assert table1_harness().passed
-        assert 0 < len(passes) <= 465
-
-    def test_plan_builds_per_round(self, monkeypatch):
+    def test_plan_builds_per_round(self):
         # work-count gate on the ladder's planning: every ladder_sums call
         # plans its batch, and every mu solve plans its batch once, at the
         # lanes' start gamma; its later Newton passes sum over that plan, and
@@ -444,23 +420,23 @@ class TestTable1Harness:
         # alone raised that to 1,981,350, and the tail panel past X_DEAD,
         # dropped, paid for it.  Cut into 32-lane groups it built 142 plans
         # of 217 groups, and planned anew on every pass 478 groups
-        from robinwall import ladder
-        counts = {"plans": 0, "elements": 0}
-        init, node_sums = ladder._Plan.__init__, ladder._node_sums
+        work = table1_work()
+        assert 0 < work["plans"] <= 90
+        assert 0 < work["kernel_elements"] <= 1_300_000
 
-        def counting_plan(self, *args):
-            counts["plans"] += 1
-            return init(self, *args)
-
-        def counting_node_sums(d, *args):
-            counts["elements"] += d.size
-            return node_sums(d, *args)
-
-        monkeypatch.setattr(ladder._Plan, "__init__", counting_plan)
-        monkeypatch.setattr(ladder, "_node_sums", counting_node_sums)
-        assert table1_harness().passed
-        assert 0 < counts["plans"] <= 90
-        assert 0 < counts["elements"] <= 1_300_000
+    def test_work_counts_repeat_and_reading_them_changes_no_output(self, capsys):
+        # two table1 rounds in one process do the same work, counted alike,
+        # and `robinwall table1` prints the same bytes while a reading is open
+        assert main(["table1"]) == 0
+        plain = capsys.readouterr().out
+        works = []
+        for _ in range(2):
+            with reading() as work:
+                assert main(["table1"]) == 0
+            assert capsys.readouterr().out == plain
+            works.append(work)
+        assert works[0] == works[1] == table1_work()
+        assert works[0]["plans"] > 0 and works[0]["kernel_elements"] > 0
 
     @pytest.mark.parametrize("ensemble", ["fd", "be"])
     def test_block_matches_its_cells_alone(self, ensemble):
