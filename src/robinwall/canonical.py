@@ -2,14 +2,17 @@
 
 Exact truncated sums over a Spectrum, the universal Dirichlet/Neumann
 curves in the variable y = beta * F^(2/3), and a grid-scan extremum locator
-for any c(beta), refined in lockstep over extrema by parabolic passes of
-a few points each.  The closed forms of the two-term model are in ``limits``.
+for any c(beta) that comes with its slope, refined in lockstep over
+extrema on the cubic Hermite through the values and slopes of a bracket.
+The closed forms of the two-term model are in ``limits``.
 
 Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
 wall's negative ground level can never overflow the sums; means and
-variances are reconstructed exactly from the shifted moments.  The heat
-capacity is the fluctuation form c = beta^2 * (<E^2> - <E>^2), which equals
--beta^2 d<E>/dbeta for these sums.
+central moments are reconstructed exactly from the shifted moments.  The
+heat capacity is the fluctuation form c = beta^2 kappa_2, which equals
+-beta^2 d<E>/dbeta for these sums, and its slope
+beta dc/dbeta = 2c - beta^3 kappa_3 follows from dkappa_2/dbeta = -kappa_3,
+with kappa_2 and kappa_3 the second and third cumulants of the energy.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ class ThermoPoint:
     """One evaluated state, or arrays of them over a batch of temperatures:
     mean energy <E> of all the particles, heat capacity per particle (in
     units of k_B), for the grand-canonical ensembles mu and the Bose
-    ground-level fraction n0, and for a batch each lane's error message
-    (None, or why its values are NaN); None where a field does not apply."""
+    ground-level fraction n0, for a batch each lane's error message
+    (None, or why its values are NaN), and the slope of the heat capacity,
+    dc/d ln beta = -T dc/dT; None where a field does not apply or was not
+    evaluated."""
 
     beta: float
     mean_energy: float
@@ -51,6 +56,7 @@ class ThermoPoint:
     mu: float | None = None
     n0: float | None = None
     errors: tuple[str | None, ...] | None = None
+    heat_capacity_slope: float | None = None
 
 
 @dataclass(frozen=True)
@@ -64,24 +70,29 @@ class ExtremumReport:
 
 
 def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
-    """Mean energy <E> = sum E_n w_n / sum w_n and heat capacity
-    c = beta^2 (<E^2> - <E>^2) of one particle (arrays for an array of beta,
-    summed as one batch).  A lane whose <E> or c is not finite is NaN with
-    its message in ``errors``; a scalar beta raises SolverError instead."""
+    """Mean energy <E> = sum E_n w_n / sum w_n, heat capacity
+    c = beta^2 (<E^2> - <E>^2) of one particle and its slope
+    dc/d ln beta = 2c - beta^3 kappa_3 (arrays for an array of beta, summed
+    as one batch).  A lane whose <E> or c is not finite is NaN with its
+    message in ``errors``; a scalar beta raises SolverError instead."""
     beta = _check_beta(beta)
     _work.counts.update(batches=1, batch_lanes=np.size(beta))
-    s0, s1, s2 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
-    m = s1 / s0
-    energy, c = np.atleast_1d(spectrum.e0 + m, beta * beta * (s2 / s0 - m * m))
+    s0, s1, s2, s3 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
+    m, m2 = s1 / s0, s2 / s0
+    kappa2 = m2 - m * m
+    kappa3 = s3 / s0 - m * (3.0 * m2 - 2.0 * m * m)
+    energy, c = np.atleast_1d(spectrum.e0 + m, beta * beta * kappa2)
+    slope = np.atleast_1d(2.0 * c - beta ** 3 * kappa3)
     ok = np.isfinite(energy) & np.isfinite(c)
     errors = tuple(None if good else f"canonical sums at beta={b}: <E> = {e} and c = {cb} "
                    "are not finite" for good, b, e, cb in zip(ok, np.ravel(beta), energy, c))
     if np.ndim(beta) == 0:
         if errors[0]:
             raise SolverError(errors[0])
-        return ThermoPoint(beta, float(energy[0]), float(c[0]))
-    return ThermoPoint(beta, np.where(ok, energy, np.nan), np.where(ok, c, np.nan),
-                       errors=errors)
+        return ThermoPoint(beta, float(energy[0]), float(c[0]),
+                           heat_capacity_slope=float(slope[0]))
+    return ThermoPoint(beta, *(np.where(ok, a, np.nan) for a in (energy, c)), errors=errors,
+                       heat_capacity_slope=np.where(ok, slope, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -101,78 +112,82 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
 # extremum location
 # ---------------------------------------------------------------------------
 
-def _refine(a: float, fa: float, x: float, fx: float, b: float,
-            fb: float) -> Generator[list[float], list[float], tuple[float, float]]:
-    """Minimum of fn on [a, b] in a few multi-point passes, from a
-    bracketing triple a < x < b with fx below fa and fb, all three values
-    already known.  Each pass evaluates the vertex v of the parabola through
-    the best point x and its two neighbours among the points evaluated (v
-    snapped to x within tol1 of it), probes at v +- |v - x|/5, or at
-    v +- tol1 once |v - x| <= 20 tol1, and, after a pass that did not halve
-    the bracket (a Bose cusp, where the parabola misleads), 5 points evenly
-    across it; points outside the bracket or within tol1/2 of another are
-    skipped.  Stops by Brent's (1973) rule, once both sides of the bracket
-    around x are within 2 tol1, tol1 = sqrt(eps)|x| + 2.5e-7.  A generator:
-    it yields each pass's points u and is sent the list fn(u), and returns
-    (x, fn(x)) of the best point evaluated."""
-    points, zoom = [(a, fa), (x, fx), (b, fb)], False
+def _cubic_min(a: float, fa: float, ga: float, b: float, fb: float, gb: float) -> float:
+    """Minimiser of the cubic Hermite through the values f and slopes g at
+    the ends of a bracket a < b with ga < 0 <= gb (Nocedal & Wright, eq.
+    3.59), or the midpoint where rounding puts it outside (a, b)."""
+    d1 = ga + gb - 3.0 * (fb - fa) / (b - a)
+    d2 = math.sqrt(d1 * d1 - ga * gb)
+    v = b - (b - a) * (gb + d2 - d1) / (gb - ga + 2.0 * d2)
+    return v if a < v < b else 0.5 * (a + b)
+
+
+def _refine(a: float, fa: float, ga: float, b: float, fb: float,
+            gb: float) -> Generator[list[float], list[tuple], tuple[float, float]]:
+    """Minimum of f on [a, b] in a few multi-point passes, from a bracket
+    a < b whose slopes change sign, ga < 0 <= gb, values and slopes known.
+    Each pass evaluates the minimiser v of the cubic Hermite on the bracket
+    (``_cubic_min``), v +- max(tol1, w/1000) on a bracket of width w, and
+    its three quarter points, those inside it, and the next bracket is the
+    pair of neighbours among its ends and these points whose slopes change
+    sign, next to the lowest value.  Stops by Brent's (1973) rule, once the
+    bracket is within 4 tol1, tol1 = sqrt(eps)|x| + 2.5e-7 at the end x of
+    the lower value.  A generator: it yields each pass's points u and is sent the list of
+    (f(u), f'(u)), and returns (x, f(x))."""
     while True:
-        tol1 = _SQRT_EPS * abs(x) + 0.25e-6
-        if max(x - a, b - x) <= 2.0 * tol1:
+        x, fx = (a, fa) if fa <= fb else (b, fb)
+        tol1, w = _SQRT_EPS * abs(x) + 0.25e-6, b - a
+        if w <= 4.0 * tol1:
             return x, fx
-        p, q = (x - a) * (fx - fb), (x - b) * (fx - fa)
-        v = x - 0.5 * ((x - a) * p - (x - b) * q) / (p - q) if p != q else x
-        v = x if abs(v - x) < tol1 else v
-        h = abs(v - x) / 5.0 if abs(v - x) > 20.0 * tol1 else tol1
-        taken = [a, x, b]
-        for u in [v, v - h, v + h] + ([a + k * (b - a) / 6.0 for k in range(1, 6)]
-                                      if zoom else []):
-            if a < u < b and min(abs(u - t) for t in taken) >= 0.5 * tol1:
-                taken.append(u)
-        if len(taken) == 3:
-            return x, fx
-        points += zip(taken[3:], (yield taken[3:]))
-        points.sort()
-        i = min(range(len(points)), key=lambda k: points[k][1])
-        width, ((a, fa), (x, fx), (b, fb)) = b - a, points[i - 1:i + 2]
-        zoom = b - a > 0.5 * width
+        v, h = _cubic_min(a, fa, ga, b, fb, gb), max(tol1, w / 1000.0)
+        us = sorted({u for u in (v - h, v, v + h, a + 0.25 * w, a + 0.5 * w, a + 0.75 * w)
+                     if a < u < b})
+        points = [(a, fa, ga), *((u, *fg) for u, fg in zip(us, (yield us))), (b, fb, gb)]
+        brackets = [(min(lo[1], hi[1]), lo, hi) for lo, hi in zip(points, points[1:])
+                    if lo[2] < 0.0 <= hi[2]]
+        if not brackets:  # a slope that is not a number: the lowest point
+            return min(((u, f) for u, f, _ in points), key=lambda p: p[1])
+        _, (a, fa, ga), (b, fb, gb) = min(brackets, key=lambda t: t[0])
 
 
-def find_extrema(beta_grid: Sequence, c_grid: Sequence,
-                 c_fn: Callable[[np.ndarray, np.ndarray], Sequence[float]]
+def find_extrema(beta_grid: Sequence, c_grid: Sequence, slope_grid: Sequence,
+                 fn: Callable[[np.ndarray, np.ndarray], tuple[Sequence[float], Sequence[float]]]
                  ) -> ExtremumReport | tuple[ExtremumReport, ...]:
     """Locate the heat-capacity extrema of one scan, or of several as
-    rows: ``c_grid`` holds c(beta) on the monotone ``beta_grid``, evaluated
-    by the caller.  Every interior extremum of every scan is refined from
-    its grid point (relative 1e-6 in beta) by ``_refine``, all in lockstep:
-    a pass is one call ``c_fn(beta, rows)`` with the points of that pass of
-    every open refinement (3 for a smooth peak, 8 when a cusp needs a zoom)
-    and their scans' rows, returning their c values; a smooth peak takes 3
-    or 4 passes.
+    rows: ``c_grid`` and ``slope_grid`` hold c and dc/d ln beta on the
+    monotone ``beta_grid``, evaluated by the caller.  Each extremum is
+    bracketed by neighbouring scan points between which the slope changes
+    sign, and every one of every scan is refined (relative 1e-6 in beta) by
+    ``_refine``, all in lockstep: a pass is one call ``fn(beta, rows)`` with
+    the points of that pass of every open refinement (up to 6) and their
+    scans' rows, returning their (c, dc/d ln beta); a smooth peak takes 2
+    passes.
 
     A report per scan (a tuple of them for rows) carries the global maximum
     and minimum found; a scan without interior extrema yields an empty
     report (not an error).
     """
     betas, cs = np.asarray(beta_grid, dtype=float), np.asarray(c_grid, dtype=float)
+    slopes = np.asarray(slope_grid, dtype=float)
     if betas.ndim not in (1, 2) or betas.shape[-1] < 3:
         raise DomainError("beta_grid must be monotone with at least 3 points")
     d = np.diff(np.atleast_2d(betas))
     if not np.all((d > 0).all(axis=1) | (d < 0).all(axis=1)):
         raise DomainError("beta_grid must be strictly monotone")
-    if cs.shape != betas.shape:
-        raise DomainError(f"c_grid has shape {cs.shape} for beta_grid of shape {betas.shape}")
+    if not cs.shape == slopes.shape == betas.shape:
+        raise DomainError(f"c_grid and slope_grid have shapes {cs.shape} and {slopes.shape} "
+                          f"for beta_grid of shape {betas.shape}")
 
     runs = []  # (row, sign, refinement generator) per interior extremum
-    rows = list(zip(np.atleast_2d(betas).tolist(), np.atleast_2d(cs).tolist()))
-    for row, (b, c) in enumerate(rows):
-        for i in range(1, len(b) - 1):
-            sign = (c[i - 1] < c[i] > c[i + 1]) - (c[i - 1] > c[i] < c[i + 1])
-            if not sign:
-                continue
-            lo, hi = sorted(((math.log(b[i - 1]), -sign * c[i - 1]),
-                             (math.log(b[i + 1]), -sign * c[i + 1])))
-            runs.append((row, sign, _refine(*lo, math.log(b[i]), -sign * c[i], *hi)))
+    scans = list(zip(*(np.atleast_2d(a).tolist() for a in (betas, cs, slopes))))
+    for row, scan in enumerate(scans):
+        points = sorted(zip(*scan))  # ascending in beta, so in u = ln beta
+        for (b0, c0, s0), (b1, c1, s1) in zip(points, points[1:]):
+            # a maximum where the slope falls through 0, a minimum where it rises
+            for sign in (1.0, -1.0):
+                if sign * s0 > 0.0 >= sign * s1:
+                    runs.append((row, sign, _refine(math.log(b0), -sign * c0, -sign * s0,
+                                                    math.log(b1), -sign * c1, -sign * s1)))
     best = {}  # (row, sign) -> (1/beta, c) of the scan's global extremum
     sent = dict.fromkeys(range(len(runs)))  # the values each open one is sent next
     while sent:
@@ -186,12 +201,15 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence,
                 if (row, sign) not in best or sign * c > sign * best[row, sign][1]:
                     best[row, sign] = (1.0 / math.exp(stop.value[0]), c)
         lanes = [(j, u) for j, us in pending.items() for u in us]
-        _work.counts["refine_passes"] += bool(lanes)
-        values = iter(c_fn(np.array([math.exp(u) for _, u in lanes]),
-                           np.array([runs[j][0] for j, _ in lanes], dtype=int)) if lanes else ())
-        sent = {j: [-runs[j][1] * float(next(values)) for _ in us] for j, us in pending.items()}
+        if lanes:
+            _work.counts.update(refine_passes=1, refine_lanes=len(lanes))
+        values = iter(zip(*fn(np.array([math.exp(u) for _, u in lanes]),
+                              np.array([runs[j][0] for j, _ in lanes], dtype=int)))
+                      if lanes else ())
+        sent = {j: [(-runs[j][1] * float(c), -runs[j][1] * float(g))
+                    for c, g in (next(values) for _ in us)] for j, us in pending.items()}
 
     reports = tuple(ExtremumReport(*best.get((row, 1), (None, None)),
                                    *best.get((row, -1), (None, None)))
-                    for row in range(len(rows)))
+                    for row in range(len(scans)))
     return reports[0] if betas.ndim == 1 else reports

@@ -64,6 +64,18 @@ FD, N = 1: c = 8.8e-35 at beta = 50 and 2.0e-72 at beta = 100).  A warm
 start, or a lane that thaws across a grid, can still stop at a mu away
 from mid-gap that meets the target, where the variance can cancel to a
 tiny c of either sign with no error message (ROADMAP.md, open item 3).
+
+The slope of c comes from the same pass.  At fixed N each exponent moves
+as dx_n/dbeta = eps_n = E_n - <E>_w, the energy about its w-weighted mean,
+so with c = beta^2 V/N, V = sum eps_n^2 w_n, and dw/dx = -w +- 2 w f,
+
+    dV/dbeta = sum eps_n^3 (-w_n +- 2 w_n f_n),
+    dc/d ln beta = 2c + beta^3 (dV/dbeta) / N,
+
+its third central moments formed from D_0..D_3 and G_0..G_3 = sum
+(E_n - ref)^p w_n f_n about the same level.  Deep in a condensate they do
+not cancel: at n0 = 1 - 4e-8 the slope lies within 1.2e-14 of a 50-digit
+sum.
 """
 
 from __future__ import annotations
@@ -275,6 +287,7 @@ class _Evaluator:
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
         sp, n = self.spectrum, self.n[cells]
         log_space = self.statistics is Statistics.BOSE_EINSTEIN
+        pm = -1.0 if log_space else 1.0  # the sign of e^x +- 1
         if log_space:
             # the ground level alone holds N at gamma = ln(1 + 1/N), so the root
             # lies above it, deep in a condensate by ~1e-12: a low end 1e-9
@@ -300,8 +313,8 @@ class _Evaluator:
             sums = _sums(plan, lanes, gamma, _moment_offset(beta[lanes], gamma))
             n_sum, d0 = sums[0], sums[2]
             # dN/du and d2N/du2, with dN/dgamma = -D_0 and
-            # d2N/dgamma2 = D_0 -+ 2 sum D f (fermions -, bosons +)
-            n_u, n_uu = -d0, d0 + (2.0 if log_space else -2.0) * sums[5]
+            # d2N/dgamma2 = D_0 -+ 2 G_0 (fermions -, bosons +)
+            n_u, n_uu = -d0, d0 - pm * 2.0 * sums[6]
             if log_space:
                 n_u, n_uu = gamma * n_u, gamma * (n_u + gamma * n_uu)
             # Halley's step on g = ln(N/N_target) is Newton's with the slope
@@ -313,7 +326,7 @@ class _Evaluator:
             halley = np.isfinite(a) & (np.abs(a) < 0.5)
             return n_sum, n_u * np.where(halley, 1.0 - a, 1.0), np.vstack([u, sums])
 
-        (u, n_sum, n1, d0, d1, d2, _), errors = _solve_n(
+        (u, n_sum, n1, d0, d1, d2, d3, g0, g1, g2, g3), errors = _solve_n(
             step, start, lo, hi, n,
             lambda i: f"particle-number solve at beta={beta[i]}, N={n[i]}")
         gamma = np.exp(u) if log_space else u
@@ -321,8 +334,15 @@ class _Evaluator:
         energy = (e0 - moff) * n_sum + n1
         with np.errstate(divide="ignore", invalid="ignore"):
             # where every weight underflowed (D0 = D1 = D2 = 0), c lies below
-            # the float range and N pins no gamma: both read 0
+            # the float range and N pins no gamma: all read 0
             c = np.where(d0 > 0.0, beta * beta * (d2 - d1 * d1 / d0) / n, 0.0)
+            # c = beta^2 V / N, V = sum eps^2 D about the D-weighted mean,
+            # eps = E - <E>_w = E - ref - a; at fixed N each exponent moves
+            # by dx/dbeta = eps, so dV/dbeta = sum eps^3 (-D +- 2 D f)
+            a = np.where(d0 > 0.0, d1 / d0, 0.0)
+            dv = (2.0 * pm * (g3 - a * (3.0 * g2 - a * (3.0 * g1 - a * g0)))
+                  - (d3 - a * (3.0 * d2 - 2.0 * a * d1)))
+            c_slope = 2.0 * c + beta ** 3 * dv / n  # dc/d ln beta
             slope = beta * np.where(d0 > 0.0, moff - d1 / d0, 0.0)  # dgamma/d ln beta
             du = slope / gamma if log_space else slope  # du/d ln beta
         mu = e0 - gamma / beta
@@ -340,9 +360,9 @@ class _Evaluator:
             new = ok & (cells == k)
             states = np.hstack([self.states[k], [np.log(beta[new]), u[new], du[new]]])
             self.states[k] = states[:, np.argsort(states[0], kind="stable")]
-        for a in (mu, energy, c) if n0 is None else (mu, energy, c, n0):
+        for a in (mu, energy, c, c_slope) if n0 is None else (mu, energy, c, c_slope, n0):
             a[~ok] = np.nan
-        return ThermoPoint(beta, energy, c, mu, n0, tuple(errors))
+        return ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope)
 
 
 def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
@@ -367,7 +387,8 @@ def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
     if p.errors[0]:
         raise SolverError(p.errors[0])
     return ThermoPoint(beta, *(float(a[0]) for a in (p.mean_energy, p.heat_capacity, p.mu)),
-                       n0=None if p.n0 is None else float(p.n0[0]))
+                       n0=None if p.n0 is None else float(p.n0[0]),
+                       heat_capacity_slope=float(p.heat_capacity_slope[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +411,8 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
 
     def step(u: np.ndarray, lanes: np.ndarray):
         beta = np.exp(u)
-        n, _, _, d1, _, _ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN, gamma=0.0,
-                                        start_index=1)
+        n, _, _, d1, *_ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN, gamma=0.0,
+                                      start_index=1)
         # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
         return n, -beta * d1, beta[None]
 

@@ -12,12 +12,13 @@ level (plus the offset ``gamma = beta*(E_0 - mu)``), which keeps them finite
 for any temperature.
 
 One call evaluates the whole kernel family of its statistics in one pass:
-the Boltzmann sums S_0, S_1, S_2, or, for Fermi and Bose statistics, the
-occupation sums N_0, N_1 together with the distribution sums D_0, D_1, D_2
-and the sum of the two kernels' product.  All of them come from the same
-exponentials, so a grand-canonical state (N, dN/dgamma, d^2N/dgamma^2, <E>
-and the heat-capacity moments) costs a single ladder pass.  A call takes
-arrays of lanes (beta, gamma); a scalar call is a one-lane batch.
+the Boltzmann sums S_0..S_3, or, for Fermi and Bose statistics, the
+occupation sums N_0, N_1 together with the distribution sums D_0..D_3 and
+the moments G_0..G_3 of the two kernels' product.  All of them come from
+the same exponentials, so a grand-canonical state (N, dN/dgamma,
+d^2N/dgamma^2, <E>, the heat capacity and its temperature slope) costs a
+single ladder pass.  A call takes arrays of lanes (beta, gamma); a scalar
+call is a one-lane batch.
 
 Summing takes two steps.  The plan (``_Plan``) lists each piece of the
 sums of a batch as a node set, energies above E_0 with weights, one row per
@@ -128,11 +129,11 @@ EM_START = 16             # no Euler-Maclaurin part starts below this index:
                           # correction's five-point differences
 
 # the sums one call returns per statistics, as the number of moments
-# (powers 0, 1, ...) of each of its kernels (``_kernels``): S_0..S_2 of
-# e^{-x}; N_0, N_1 of the occupation, D_0..D_2 of the distribution and the
-# zeroth moment of their product
-_MOMENTS = {Statistics.CANONICAL: (3,), Statistics.FERMI_DIRAC: (2, 3, 1),
-            Statistics.BOSE_EINSTEIN: (2, 3, 1)}
+# (powers 0, 1, ...) of each of its kernels (``_kernels``): S_0..S_3 of
+# e^{-x}; N_0, N_1 of the occupation, D_0..D_3 of the distribution and
+# G_0..G_3 of their product (the third moments give the slope of c)
+_MOMENTS = {Statistics.CANONICAL: (4,), Statistics.FERMI_DIRAC: (2, 4, 4),
+            Statistics.BOSE_EINSTEIN: (2, 4, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,11 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.nda
     x = np.where(sea, -40.0, x0)
     x_cols = []
     if (x <= 0.0).any():
-        # up to x = 0.5 in equal steps of at most 5: np.linspace(x, 0.5, n + 1)[1:]
+        # up to x = 0.5 in equal steps of at most 4: np.linspace(x, 0.5, n + 1)[1:].
+        # Steps of 5 left 1.2e-12 in G_3 = sum d^3 D f from a weak-field closure
+        # starting at x = -4.3 with v0 ~1e-5 of its panel; 4 leave <= 3e-14
         to = np.where(x <= 0.0, 0.5, x)
-        n = np.maximum(np.ceil((to - x) / 5.0), 1.0)
+        n = np.maximum(np.ceil((to - x) / 4.0), 1.0)
         j = np.arange(1.0, n.max() + 1.0)
         x_cols.append(np.where(j < n[:, None], j * ((to - x) / n)[:, None] + x[:, None],
                                to[:, None]))
@@ -426,12 +429,14 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     ``beta`` and ``gamma`` broadcast against each other, one lane per
     element.  With x_n = beta*(E_n - E_0) + gamma and moments about E_0:
 
-    * ``CANONICAL``: (S_0, S_1, S_2), S_p = sum (E_n - E_0)^p e^{-x_n};
-    * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2, G) with
-      N_p = sum (E_n - E_0)^p f_n, f_n = 1 / (e^{x_n} +- 1),
-      D_p = sum (E_n - E_0)^p D(x_n), D(x) = e^x / (e^x +- 1)^2, and
-      G = sum D(x_n) f_n, the upper sign for fermions and the lower for
-      bosons.  dN_0/dgamma = -D_0 and d^2N_0/dgamma^2 = D_0 -+ 2 G.
+    * ``CANONICAL``: (S_0, S_1, S_2, S_3), S_p = sum (E_n - E_0)^p e^{-x_n};
+    * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2, D_3,
+      G_0, G_1, G_2, G_3) with N_p = sum (E_n - E_0)^p f_n,
+      f_n = 1 / (e^{x_n} +- 1), D_p = sum (E_n - E_0)^p D(x_n),
+      D(x) = e^x / (e^x +- 1)^2, and G_p = sum (E_n - E_0)^p D(x_n) f_n, the
+      upper sign for fermions and the lower for bosons.
+      dN_0/dgamma = -D_0 and d^2N_0/dgamma^2 = D_0 -+ 2 G_0, from
+      dD/dx = -D +- 2 D f, which with D_3 and G_3 also gives the slope of c.
 
     ``start_index`` lies in the root-solved block, 0 <= start_index <
     ``spectrum.n_exact``.  Scalar arguments give plain floats, and otherwise

@@ -82,13 +82,18 @@ def zero_field_attractive(beta: float) -> ThermoPoint:
 
         <E> = p/(2 beta) - (1-p),   c = p [(beta^2 + beta)(1-p) + 3/4 - p/4],
 
-    the level's share 1-p taken as 1/(1+q)."""
+    the level's share 1-p taken as 1/(1+q); with
+    dp/d ln beta = -p (1-p)(beta + 1/2) the slope dc/d ln beta is exact."""
     beta = _check_beta(beta)
     q = _SQRT_2PI / math.sqrt(beta) * math.exp(-beta)
     p, level = q / (1.0 + q), 1.0 / (1.0 + q)
     e = 0.5 * p / beta - level
-    c = p * level * beta * (beta + 1.0) + 0.25 * p * (3.0 - p)
-    return ThermoPoint(beta=beta, mean_energy=e, heat_capacity=c)
+    mix = p * level
+    c = mix * beta * (beta + 1.0) + 0.25 * p * (3.0 - p)
+    dp = -mix * (beta + 0.5)  # dp/d ln beta
+    slope = (dp * (level - p) * (beta + 1.0) + mix * (2.0 * beta + 1.0)) * beta \
+        + 0.25 * dp * (3.0 - 2.0 * p)
+    return ThermoPoint(beta=beta, mean_energy=e, heat_capacity=c, heat_capacity_slope=slope)
 
 
 def resonance_predictors(field: float) -> tuple[float, float, float]:

@@ -2,9 +2,11 @@
 regression harness.
 
 A sweep evaluates one wall/ensemble configuration on a temperature grid
-as one batch, locates the heat-capacity extrema with parabolic passes of
-a few points each (``canonical.find_extrema``), and (for bosons) attaches
-the condensation threshold.  One evaluator per spectrum serves the scan and
+as one batch, locates the heat-capacity extrema from the values and
+slopes of c the same batch gives, refined in passes of a few points each
+on the cubic Hermite through a bracket where the slope changes sign
+(``canonical.find_extrema``), and (for bosons) attaches the condensation
+threshold.  A Table 1 peak search scans 33 points a cell.  One evaluator per spectrum serves the scan and
 every refinement pass, so each chemical-potential solve starts from the
 states of its cell already solved (``grand_canonical._Evaluator``).
 Results serialize to CSV and JSON with shortest round-trip float
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 OUTPUT_FIELDS = ("mean_energy", "heat_capacity", "mu", "n0")
-_SCAN_POINTS = 50  # log-spaced points of a peak search's scan
+_SCAN_POINTS = 33  # log-spaced points of a peak search's scan
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,13 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
 
 
 def _c_or_raise(evaluate):
-    """c(beta, cells) of an evaluator; SolverError names the first failed lane."""
+    """(c, dc/d ln beta)(beta, cells) of an evaluator; SolverError names the
+    first failed lane."""
     def c_fn(beta, cells):
         p = evaluate(beta, cells)
         for e in filter(None, p.errors):
             raise SolverError(e)
-        return p.heat_capacity
+        return p.heat_capacity, p.heat_capacity_slope
     return c_fn
 
 
@@ -171,7 +174,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     extrema = ExtremumReport()
     if not any(errors) and len(rows) >= 3:
-        extrema = find_extrema(betas, p.heat_capacity, _c_or_raise(evaluate))
+        extrema = find_extrema(betas, p.heat_capacity, p.heat_capacity_slope,
+                               _c_or_raise(evaluate))
     return SweepResult(spec=spec, rows=tuple(rows), extrema=extrema,
                        condensate=condensate)
 
@@ -341,7 +345,8 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
                     for t in t_centers])
     c_fn = _c_or_raise(_evaluator(spectrum, ensembles))
     cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
-    return find_extrema(grids, c_fn(grids.ravel(), cells).reshape(grids.shape), c_fn)
+    c, slope = (np.reshape(a, grids.shape) for a in c_fn(grids.ravel(), cells))
+    return find_extrema(grids, c, slope, c_fn)
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,

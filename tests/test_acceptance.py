@@ -45,8 +45,12 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_zero_field_extrema():
     t0 = time.monotonic()
     grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
-    c_fn = lambda b: zero_field_attractive(b).heat_capacity  # noqa: E731
-    rep = find_extrema(grid, [c_fn(b) for b in grid], lambda bs, _: [c_fn(b) for b in bs])
+
+    def c_fn(bs, _):  # c and dc/d ln beta at each beta
+        points = [zero_field_attractive(b) for b in bs]
+        return [p.heat_capacity for p in points], [p.heat_capacity_slope for p in points]
+
+    rep = find_extrema(grid, *c_fn(grid, None), c_fn)
     elapsed = time.monotonic() - t0
     t_max_ref, c_max_ref = ZERO_FIELD_MAX
     t_min_ref, c_min_ref = ZERO_FIELD_MIN
@@ -63,14 +67,21 @@ def test_criterion_1_zero_field_extrema():
 def test_criterion_2_neumann_universal_curve():
     t0 = time.monotonic()
     grid = np.exp(np.linspace(math.log(0.02), math.log(2.0), 80))
-    c_fn = lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1]  # noqa: E731
-    rep = find_extrema(grid, [c_fn(y) for y in grid], lambda ys, _: [c_fn(y) for y in ys])
+    neumann = build_spectrum(WallSpec(WallKind.NEUMANN, 1.0))  # the curve at F = 1: y = beta
+
+    def c_fn(ys, _):  # c and dc/d ln y at each y
+        p = thermo_point(neumann, np.asarray(ys, dtype=float))
+        return p.heat_capacity, p.heat_capacity_slope
+
+    rep = find_extrema(grid, *c_fn(grid, None), c_fn)
     elapsed = time.monotonic() - t0
     y_ref, c_ref = NEUMANN_CURVE_MAX
     y_found = 1.0 / rep.beta_inv_at_max
     ok = (abs(rep.c_max - c_ref) <= 5e-3
           and abs(y_found - y_ref) / y_ref <= 0.02
-          and elapsed < 1.0)
+          and elapsed < 1.0
+          and abs(rep.c_max - universal_dn_curve(y_found, WallKind.NEUMANN)[1])
+          <= 1e-12 * rep.c_max)
     _report(2, ok, f"reflecting-wall curve peak c={rep.c_max:.4f} at "
                    f"y={y_found:.4f} in {elapsed:.2f}s")
 

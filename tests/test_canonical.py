@@ -19,6 +19,21 @@ def attractive(field):
     return build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
 
 
+def zero_field_fn(betas, rows=None):
+    """(c, dc/d ln beta) of the zero-field closed form at each beta, the
+    form find_extrema evaluates"""
+    points = [zero_field_attractive(b) for b in betas]
+    return [p.heat_capacity for p in points], [p.heat_capacity_slope for p in points]
+
+
+def thermo_fn(spectrum):
+    """(c, dc/d ln beta)(beta, rows) of thermo_point on one spectrum."""
+    def fn(betas, rows=None):
+        p = thermo_point(spectrum, np.asarray(betas, dtype=float))
+        return p.heat_capacity, p.heat_capacity_slope
+    return fn
+
+
 class TestMeanEnergyHeatCapacity:
     def test_weak_field_composite_limit(self):
         sp = attractive(1e-6)
@@ -84,8 +99,7 @@ class TestMeanEnergyHeatCapacity:
 class TestZeroField:
     def test_attractive_extrema(self):
         grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
-        c_fn = lambda b: zero_field_attractive(b).heat_capacity  # noqa: E731
-        rep = find_extrema(grid, [c_fn(b) for b in grid], lambda bs, _: [c_fn(b) for b in bs])
+        rep = find_extrema(grid, *zero_field_fn(grid), zero_field_fn)
         assert rep.c_max == pytest.approx(1.0752, abs=2e-3)
         assert rep.beta_inv_at_max == pytest.approx(0.5260, rel=5e-3)
         assert rep.c_min == pytest.approx(0.4774, abs=2e-3)
@@ -111,19 +125,64 @@ class TestZeroField:
                   + s / 4 * (1.5 + 0.25 / math.pi) * beta ** 1.5)
         assert c_appr == pytest.approx(0.4784, abs=1e-4)
 
+    def test_slope_matches_a_difference(self):
+        # the closed form's exact dc/d ln beta against the 5-point
+        # difference of c in ln beta, across the maximum and the minimum
+        h = 1e-3
+        for beta in (0.01, 0.1, 0.3, 1.0, 1.9, 3.0, 10.0, 20.0):
+            c = [zero_field_attractive(beta * math.exp(k * h)).heat_capacity for k in (-2, -1, 1, 2)]
+            ref = (c[0] - 8.0 * c[1] + 8.0 * c[2] - c[3]) / (12.0 * h)
+            tp = zero_field_attractive(beta)
+            assert abs(tp.heat_capacity_slope - ref) <= 1e-8 * (abs(ref) + tp.heat_capacity)
+
     def test_low_temperature_freezeout(self):
         tp = zero_field_attractive(50.0)
         assert tp.mean_energy == pytest.approx(-1.0, abs=1e-18)
         assert 0.0 <= tp.heat_capacity < 1e-15
 
 
+def mp_cumulants(spectrum, beta):
+    """(kappa_2, kappa_3) of the energy over the spectrum's levels, summed at
+    50 digits up to e^-70 of the ground level's weight."""
+    m = 64
+    while beta * (spectrum.level(m) - spectrum.e0) < 70.0:
+        m *= 2
+    with mpmath.workdps(50):
+        e = [mpmath.mpf(float(x)) for x in spectrum.energies(np.arange(m))]
+        w = [mpmath.exp(-mpmath.mpf(beta) * (x - e[0])) for x in e]
+        z = mpmath.fsum(w)
+        mean = mpmath.fsum(wi * x for wi, x in zip(w, e)) / z
+        return tuple(float(mpmath.fsum(wi * (x - mean) ** p for wi, x in zip(w, e)) / z)
+                     for p in (2, 3))
+
+
+class TestThirdCumulant:
+    @pytest.mark.parametrize("kind", list(WallKind), ids=lambda k: k.value)
+    def test_slope_carries_the_third_cumulant(self, kind):
+        # beta dc/dbeta = 2c - beta^3 kappa_3, kappa_3 from S_0..S_3 about
+        # E_0: c and kappa_3 against the level sums at 50 digits, at 0.3, 1
+        # and 3 over the first gap (within 8.1e-13 of them, at robin-,
+        # F = 0.1, beta = 0.3 over the gap, as the level sums themselves)
+        for field in (1.0, 0.1):
+            sp = build_spectrum(WallSpec(kind, field), count=64)
+            for beta in np.array([0.3, 1.0, 3.0]) / (sp.level(1) - sp.e0):
+                tp = thermo_point(sp, beta)
+                kappa2, kappa3 = mp_cumulants(sp, beta)
+                assert tp.heat_capacity / beta ** 2 == pytest.approx(kappa2, rel=1e-10, abs=0.0)
+                assert (2.0 * tp.heat_capacity - tp.heat_capacity_slope) / beta ** 3 \
+                    == pytest.approx(kappa3, rel=1e-10, abs=0.0)
+
+
 class TestUniversalCurve:
     def test_neumann_peak(self):
+        # the curve in y is thermo_point's at F = 1, where y = beta
         grid = np.exp(np.linspace(math.log(0.02), math.log(2.0), 80))
-        c_fn = lambda y: universal_dn_curve(y, WallKind.NEUMANN)[1]  # noqa: E731
-        rep = find_extrema(grid, [c_fn(y) for y in grid], lambda ys, _: [c_fn(y) for y in ys])
+        c_fn = thermo_fn(build_spectrum(WallSpec(WallKind.NEUMANN, 1.0)))
+        rep = find_extrema(grid, *c_fn(grid), c_fn)
         assert rep.c_max == pytest.approx(1.522, abs=5e-3)
         assert 1.0 / rep.beta_inv_at_max == pytest.approx(0.175, rel=0.02)
+        assert rep.c_max == pytest.approx(
+            universal_dn_curve(1.0 / rep.beta_inv_at_max, WallKind.NEUMANN)[1], rel=1e-12)
 
     def test_dirichlet_large_y_decay(self):
         b1, b2 = -airy_zero(1), -airy_zero(2)
@@ -233,18 +292,19 @@ class TestFindExtrema:
     def test_table_cell_weak_field(self):
         sp = attractive(1e-5)
         grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
-        rep = find_extrema(grid, thermo_point(sp, grid).heat_capacity,
-                           lambda b, _: thermo_point(sp, b).heat_capacity)
+        rep = find_extrema(grid, *thermo_fn(sp)(grid), thermo_fn(sp))
         assert rep.beta_inv_at_max == pytest.approx(0.1324, rel=0.01)
         assert rep.c_max == pytest.approx(20.538, rel=0.01)
 
     def test_monotone_grid_required(self):
         with pytest.raises(DomainError):
-            find_extrema([1.0, 3.0, 2.0], [1.0, 3.0, 2.0], lambda b, _: b)
+            find_extrema([1.0, 3.0, 2.0], [1.0, 3.0, 2.0], [1.0, 1.0, 1.0], lambda b, _: (b, b))
         with pytest.raises(DomainError):
-            find_extrema([1.0, 2.0], [1.0, 2.0], lambda b, _: b)
+            find_extrema([1.0, 2.0], [1.0, 2.0], [1.0, 1.0], lambda b, _: (b, b))
         with pytest.raises(DomainError):
-            find_extrema([1.0, 2.0, 4.0], [1.0, 2.0], lambda b, _: b)
+            find_extrema([1.0, 2.0, 4.0], [1.0, 2.0], [1.0, 1.0, 1.0], lambda b, _: (b, b))
+        with pytest.raises(DomainError, match="slope_grid"):
+            find_extrema([1.0, 2.0, 4.0], [1.0, 2.0, 4.0], [1.0, 1.0], lambda b, _: (b, b))
 
     def test_scans_as_rows_match_each_scan_alone(self):
         # two scans refined in lockstep: c_fn learns the row of each point,
@@ -252,19 +312,46 @@ class TestFindExtrema:
         sps = [attractive(1e-5), attractive(1e-3)]
         grid = np.exp(np.linspace(math.log(2.0), math.log(30.0), 60))
         grids = np.array([grid, grid / 2.0])
-        cs = [thermo_point(sp, g).heat_capacity for sp, g in zip(sps, grids)]
-        reps = find_extrema(grids, cs, lambda b, rows: [
-            thermo_point(sps[r], x).heat_capacity for x, r in zip(b, rows)])
-        assert reps == tuple(find_extrema(g, c,
-                                          lambda b, _, sp=sp: thermo_point(sp, b).heat_capacity)
-                             for sp, g, c in zip(sps, grids, cs))
+        scans = [thermo_fn(sp)(g) for sp, g in zip(sps, grids)]
+
+        def rows_fn(b, rows):
+            points = [thermo_point(sps[r], x) for x, r in zip(b, rows)]
+            return [p.heat_capacity for p in points], [p.heat_capacity_slope for p in points]
+
+        reps = find_extrema(grids, *zip(*scans), rows_fn)
+        assert reps == tuple(find_extrema(g, *scan, thermo_fn(sp))
+                             for sp, g, scan in zip(sps, grids, scans))
         assert reps[0].c_max != reps[1].c_max
 
     def test_absent_extremum(self):
-        rep = find_extrema([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], lambda b, _: b)
+        rep = find_extrema([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0],
+                           lambda b, _: (b, b))
         assert rep.beta_inv_at_max is None
         assert rep.c_max is None
         assert rep.beta_inv_at_min is None
+
+    def test_tied_scan_maximum_is_found(self):
+        # c = -(ln beta - 1.5)^2 on ln beta = 0, 1, 2, 3: the two middle
+        # points tie, so no scan point beats both neighbours, and a search for
+        # a strict scan maximum reported none; the slope changes sign between
+        # them, and the refinement lands on ln beta = 1.5
+        def fn(betas, rows=None):
+            u = np.log(betas)
+            return -(u - 1.5) ** 2, -2.0 * (u - 1.5)
+
+        grid = np.exp([0.0, 1.0, 2.0, 3.0])
+        for g in (grid, grid[::-1]):  # ascending or descending in beta
+            rep = find_extrema(g, *fn(g), fn)
+            assert rep.c_max == pytest.approx(0.0, abs=1e-12)
+            assert math.log(rep.beta_inv_at_max) == pytest.approx(-1.5, abs=1e-6)
+            assert rep.c_min is None
+
+    def test_hermite_step_is_exact_on_a_cubic(self):
+        # the minimiser of the cubic Hermite is the cubic's own minimum
+        f = lambda u: (u - 0.3) ** 2 * (u + 2.0)  # noqa: E731, minimum at 0.3
+        g = lambda u: (u - 0.3) * (3.0 * u + 3.7)  # noqa: E731
+        assert can._cubic_min(0.0, f(0.0), g(0.0), 1.0, f(1.0), g(1.0)) == pytest.approx(
+            0.3, abs=1e-15)
 
 
 def _golden_reference(fn, lo, hi, sign, tol=1e-6):
@@ -290,7 +377,8 @@ def _golden_reference(fn, lo, hi, sign, tol=1e-6):
 
 
 class TestBrentRefinement:
-    # the multi-point passes of find_extrema, which keep Brent's stop rule
+    # the multi-point passes of find_extrema on the slope, which keep
+    # Brent's stop rule
     @staticmethod
     def _exact_extremum(beta_guess):
         # c = beta^2 d^2 ln Z / dbeta^2, Z = e^beta + sqrt(2 pi / beta); the
@@ -311,10 +399,10 @@ class TestBrentRefinement:
 
         def c_fn(betas, rows):
             evals.extend(betas)
-            return [zero_field_attractive(b).heat_capacity for b in betas]
+            return zero_field_fn(betas)
 
-        cs = [zero_field_attractive(b).heat_capacity for b in grid]
-        rep = find_extrema(grid, cs, c_fn)
+        cs, slopes = zero_field_fn(grid)
+        rep = find_extrema(grid, cs, slopes, c_fn)
         beta_inv = rep.beta_inv_at_max if sign > 0 else rep.beta_inv_at_min
         brent_evals = len(evals)  # beta values, refining both the maximum and the minimum
         i = next(i for i in range(1, len(grid) - 1)
@@ -335,39 +423,37 @@ class TestBrentRefinement:
         # points its refinement visits in that pass on it alone, and the
         # passes must be shared: as many as the longer refinement's
         grid = np.exp(np.linspace(math.log(0.05), math.log(50.0), 200))
-        cs = [zero_field_attractive(b).heat_capacity for b in grid]
+        cs, slopes = zero_field_fn(grid)
         passes = []
 
         def c_fn(betas, rows):
             assert rows.tolist() == [0] * len(betas)
             passes.append(betas.tolist())
-            return [zero_field_attractive(b).heat_capacity for b in betas]
+            return zero_field_fn(betas)
 
-        rep = find_extrema(grid, cs, c_fn)
+        rep = find_extrema(grid, cs, slopes, c_fn)
         alone = {}  # sign -> (bracket, points of each pass, best point)
-        for i in range(1, len(grid) - 1):
-            if cs[i] > max(cs[i - 1], cs[i + 1]):
-                sign = 1.0
-            elif cs[i] < min(cs[i - 1], cs[i + 1]):
-                sign = -1.0
-            else:
+        for i in range(len(grid) - 1):
+            # the slope falls through 0 at a maximum and rises through it at a minimum
+            sign = next((s for s in (1.0, -1.0) if s * slopes[i] > 0.0 >= s * slopes[i + 1]), 0)
+            if not sign:
                 continue
-            (a, fa), (b, fb) = sorted(((math.log(grid[i - 1]), -sign * cs[i - 1]),
-                                       (math.log(grid[i + 1]), -sign * cs[i + 1])))
-            refine = can._refine(a, fa, math.log(grid[i]), -sign * cs[i], b, fb)
+            refine = can._refine(math.log(grid[i]), -sign * cs[i], -sign * slopes[i],
+                                 math.log(grid[i + 1]), -sign * cs[i + 1], -sign * slopes[i + 1])
             visited, fu = [], None
             try:
                 while True:
                     us = refine.send(fu)
                     visited.append([math.exp(u) for u in us])
-                    fu = [-sign * zero_field_attractive(math.exp(u)).heat_capacity for u in us]
+                    fu = [(-sign * c, -sign * g) for c, g in zip(*zero_field_fn(visited[-1]))]
             except StopIteration as stop:
                 u, f = stop.value
-            alone[sign] = ((grid[i - 1], grid[i + 1]), visited, (1.0 / math.exp(u), -sign * f))
+            alone[sign] = ((grid[i], grid[i + 1]), visited, (1.0 / math.exp(u), -sign * f))
         assert sorted(alone) == [-1.0, 1.0]
         assert len(passes) == max(len(v) for _, v, _ in alone.values())
         for (lo, hi), visited, _ in alone.values():
-            assert len(visited[0]) == 3  # the vertex and its two probes
+            # the Hermite point, its two probes and the three quarter points
+            assert len(visited[0]) == 6
             assert ([[b for b in p if lo < b < hi] for p in passes]
                     == visited + [[]] * (len(passes) - len(visited)))
         assert len(passes[0]) == sum(len(v[0]) for _, v, _ in alone.values())

@@ -499,12 +499,13 @@ def cold_fermi_passes(kind):
 
 class TestWorkCounts:
     def test_table1_cell_be_1000(self, monkeypatch):
-        # the published cell BE N=1000, F=1e-5: the 50-point scan is one
-        # evaluator batch of cold lanes solved in at most 6 lockstep ladder
-        # passes, and the refinement at most 8 batches of at most 8 lanes,
-        # each warm-started from the cell's solved states, at most 17 ladder
+        # the published cell BE N=1000, F=1e-5: the scan is one evaluator
+        # batch of cold lanes solved in at most 6 lockstep ladder passes,
+        # and the refinement at most 8 batches of at most 8 lanes, each
+        # warm-started from the cell's solved states, at most 17 ladder
         # passes in all (Brent's one-lane batches took 9 batches and 17
-        # passes; the multi-point passes take 6 batches and 14)
+        # passes; the parabola's multi-point passes 6 batches and 14; the
+        # passes on the slope take 2 batches of 5 and 6 lanes and 4)
         from robinwall import sweep
         from robinwall.reference_values import TABLE1
         calls = []  # per evaluator batch: (lanes, warm, lanes of each ladder pass)
@@ -524,8 +525,8 @@ class TestWorkCounts:
         rep, = sweep.locate_peak(attractive(1e-5), [EnsembleSpec(BE, 1000)], [t_ref])
         assert abs(rep.c_max - c_ref) <= 0.015 * c_ref
         (lanes, warm, passes), *refine = calls
-        assert lanes == 50 and not warm
-        assert passes[0] == 50 and len(passes) <= 6
+        assert lanes == sweep._SCAN_POINTS and not warm
+        assert passes[0] == sweep._SCAN_POINTS and len(passes) <= 6
         assert passes == sorted(passes, reverse=True)  # solved lanes drop out
         assert 0 < len(refine) <= 8
         assert all(1 <= lanes <= 8 and warm for lanes, warm, _ in refine)
@@ -602,12 +603,13 @@ class TestWorkCounts:
         # every mu-solve pass of a table1 round sums its lanes within the
         # reach of their planned gamma: no lane falls back to a plan of its
         # own (the Fermi-edge and warm starts land that close).  A round
-        # makes 127 such passes with Halley steps (156 with Newton's, 233
-        # with Brent's one-point refinement)
+        # makes 76 such passes with the peaks refined on the slope from
+        # 33-point scans (127 with the parabola's passes and Halley steps,
+        # 156 with Newton's, 233 with Brent's one-point refinement)
         from robinwall.sweep import table1_harness
         with reading() as work:
             assert table1_harness().passed
-        assert work["fd_passes"] + work["be_passes"] > 110 and work["stale_lanes"] == 0
+        assert work["fd_passes"] + work["be_passes"] > 60 and work["stale_lanes"] == 0
 
     def test_be_critical_ladder_passes(self):
         with reading() as work:
@@ -976,3 +978,97 @@ class TestFailedScalarSolvesRaise:
         with pytest.raises(SolverError, match="condensation solve at N=1000: "
                                               "particle-number residual nan"):
             be_critical(attractive(1e-5), 1000)
+
+
+def state(sp, statistics, n, beta):
+    """thermo_point for the canonical ensemble, else gc_point, at an array beta."""
+    beta = np.asarray(beta, dtype=float)
+    if statistics is Statistics.CANONICAL:
+        return can.thermo_point(sp, beta)
+    return gc_point(sp, beta, EnsembleSpec(statistics, n))
+
+
+def richardson_slope(sp, statistics, n, beta, h=1e-3):
+    """dc/d ln beta by the 5-point (Richardson-extrapolated central)
+    difference of c in ln beta, step h."""
+    c = state(sp, statistics, n, beta * np.exp(h * np.array([-2.0, -1.0, 1.0, 2.0]))).heat_capacity
+    return (c[0] - 8.0 * c[1] + 8.0 * c[2] - c[3]) / (12.0 * h)
+
+
+def mp_levels(sp, beta, x_max):
+    """The spectrum's levels up to where beta (E - E_0) passes x_max."""
+    m = 64
+    while beta * (sp.level(m) - sp.e0) < x_max:
+        m *= 2
+    return sp.energies(np.arange(m))
+
+
+def mp_slope(sp, beta, gamma, sign, n):
+    """dc/d ln beta = 2c + beta^3 dV/dbeta / N at fixed N with
+    V = sum eps^2 D and dV/dbeta = sum eps^3 (-D + 2 s D f), eps the energy
+    about its D-weighted mean, summed over the levels at 50 digits (s = +1
+    fermions, -1 bosons; gamma = beta (E_0 - mu)) up to e^-70 of the kernel's
+    peak."""
+    with mpmath.workdps(50):
+        e = [mpmath.mpf(float(x)) for x in mp_levels(sp, beta, 70.0 + max(0.0, -gamma))]
+        b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+        ex = [mpmath.exp(b * (x - e[0]) + g) for x in e]
+        f = [1 / (t + sign) for t in ex]
+        dist = [t / (t + sign) ** 2 for t in ex]
+        mean = mpmath.fsum(d * x for d, x in zip(dist, e)) / mpmath.fsum(dist)
+        v = mpmath.fsum(d * (x - mean) ** 2 for d, x in zip(dist, e))
+        dv = mpmath.fsum((x - mean) ** 3 * d * (2 * sign * fi - 1) for d, fi, x in zip(dist, f, e))
+        return float(b * b * (2 * v + b * dv) / n)
+
+
+class TestHeatCapacitySlope:
+    # dc/d ln beta from the third moments of the same ladder pass
+
+    @pytest.mark.parametrize("statistics,n", [(Statistics.CANONICAL, 1), (FD, 10), (BE, 100)],
+                             ids=["canonical", "fd", "be"])
+    @pytest.mark.parametrize("kind", list(WallKind), ids=lambda k: k.value)
+    def test_slope_matches_a_richardson_difference(self, kind, statistics, n):
+        # 4 walls x 3 ensembles at a strong and a weak field, at 0.3, 1 and 3
+        # over the first gap: within 2.4e-11 of (|slope| + c) but for BE
+        # N = 100, robin-, F = 1e-3 at beta = 0.98, where c climbs towards the
+        # condensation cusp and the difference itself is off by 2.1e-9
+        for field in (1.0, 1e-3):
+            sp = build_spectrum(WallSpec(kind, field), count=64)
+            for beta in np.array([0.3, 1.0, 3.0]) / (sp.level(1) - sp.e0):
+                p = state(sp, statistics, n, [beta])
+                slope, c = p.heat_capacity_slope[0], p.heat_capacity[0]
+                ref = richardson_slope(sp, statistics, n, beta)
+                assert abs(slope - ref) <= 1e-8 * (abs(ref) + c)
+
+    @pytest.mark.parametrize("kind,field,statistics,n,betas", [
+        (WallKind.ROBIN_ATTRACTIVE, 1e-3, BE, 100_000, (3.0, 8.0)),
+        (WallKind.DIRICHLET, 1.0, BE, 100_000, (1.0, 3.0)),
+        (WallKind.ROBIN_ATTRACTIVE, 1.0, FD, 10, (1.0, 5.0)),
+    ], ids=["robin-condensate", "dirichlet-condensate", "robin-fd"])
+    def test_slope_matches_a_50_digit_sum(self, kind, field, statistics, n, betas):
+        # deep in a condensate (n0 up to 1 - 4e-8) the ground level holds
+        # nearly all the weight D, and the third central moments, formed from
+        # moments about E_0, do not cancel: the slope stays within 1.2e-14 of
+        # the level sum at 50 digits at the solve's own gamma, as in a
+        # degenerate Fermi sea (2e-14); each also meets the difference of c
+        sp = build_spectrum(WallSpec(kind, field), count=64)
+        evaluate = gc._Evaluator(sp, [EnsembleSpec(statistics, n)])
+        p = evaluate(np.array(betas), np.zeros(len(betas), dtype=int))
+        ln_beta, u, _ = evaluate.states[0]
+        for i, beta in enumerate(betas):
+            u_i = u[np.searchsorted(ln_beta, math.log(beta))]
+            gamma, sign = (math.exp(u_i), -1) if statistics is BE else (u_i, 1)
+            slope = p.heat_capacity_slope[i]
+            assert slope == pytest.approx(mp_slope(sp, beta, gamma, sign, n), rel=1e-12, abs=0.0)
+            ref = richardson_slope(sp, statistics, n, beta)
+            assert abs(slope - ref) <= 1e-8 * (abs(ref) + p.heat_capacity[i])
+        if statistics is BE:
+            assert p.n0.min() > 0.999
+
+    def test_scalar_states_carry_the_slope(self):
+        sp = attractive(1e-3)
+        for p, batch in ((gc_point(sp, 2.0, EnsembleSpec(FD, 3)),
+                          gc_point(sp, np.array([2.0]), EnsembleSpec(FD, 3))),
+                         (can.thermo_point(sp, 2.0), can.thermo_point(sp, np.array([2.0])))):
+            assert type(p.heat_capacity_slope) is float
+            assert p.heat_capacity_slope == batch.heat_capacity_slope[0]

@@ -17,8 +17,8 @@ from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
 # the kernels of the brute-force reference: e^-x, the occupation
 # f = 1/(e^x +- 1), the distribution D = e^x/(e^x +- 1)^2 and their product
-# D f, which ladder_sums returns together for Fermi-Dirac and Bose-Einstein
-# statistics
+# D f, whose moments ladder_sums returns together for Fermi-Dirac and
+# Bose-Einstein statistics
 BOLTZ_KIND = "boltz"
 OCC = "occ"
 DIST = "dist"
@@ -28,6 +28,7 @@ DIST_OCC = "dist_occ"
 FERMI, BOSE, BOLTZ = +1, -1, 0
 STATS = {BOLTZ: Statistics.CANONICAL, FERMI: Statistics.FERMI_DIRAC,
          BOSE: Statistics.BOSE_EINSTEIN}
+BOLTZ_POWERS = (0, 1, 2, 3)  # the canonical family S_0..S_3
 
 
 def _kernel(x, kind, sign):
@@ -69,12 +70,12 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
 
 
 def family_brute_force(spectrum, beta, sign, gamma=0.0, moment_offset=0.0, start=0):
-    """The six sums ladder_sums returns for Fermi-Dirac or Bose-Einstein
-    statistics, (N0, N1, D0, D1, D2, (D f)0), by ``brute_force``."""
+    """The ten sums ladder_sums returns for Fermi-Dirac or Bose-Einstein
+    statistics, (N0, N1, D0..D3, (D f)0..(D f)3), by ``brute_force``."""
     return np.concatenate([
         brute_force(spectrum, beta, OCC, sign, gamma, moment_offset, (0, 1), start),
-        brute_force(spectrum, beta, DIST, sign, gamma, moment_offset, (0, 1, 2), start),
-        brute_force(spectrum, beta, DIST_OCC, sign, gamma, moment_offset, (0,), start)])
+        brute_force(spectrum, beta, DIST, sign, gamma, moment_offset, (0, 1, 2, 3), start),
+        brute_force(spectrum, beta, DIST_OCC, sign, gamma, moment_offset, (0, 1, 2, 3), start)])
 
 
 def offset_sums(spectrum, beta, statistics, gamma, moment_offset, start_index=0):
@@ -89,10 +90,10 @@ def offset_sums(spectrum, beta, statistics, gamma, moment_offset, start_index=0)
 
 def pick(spectrum, beta, kind, sign, powers, gamma=0.0, moment_offset=0.0, start_index=0):
     """The sums S_p of one kernel at one temperature from the fused engine,
-    which returns (S0, S1, S2) for BOLTZ and (N0, N1, D0, D1, D2, (D f)0)
+    which returns (S0..S3) for BOLTZ and (N0, N1, D0..D3, (D f)0..(D f)3)
     for FERMI and BOSE."""
     sums = offset_sums(spectrum, beta, STATS[sign], gamma, moment_offset, start_index)[:, 0]
-    first = 2 if kind == DIST else 0
+    first = {DIST: 2, DIST_OCC: 6}.get(kind, 0)
     return [sums[first + p] for p in powers]
 
 
@@ -109,14 +110,16 @@ def spectrum_m3():
 
 
 CASES = [
-    (BOLTZ_KIND, BOLTZ, 4.0, 0.0, 0.0, (0, 1, 2), 0),
-    (BOLTZ_KIND, BOLTZ, 0.05, 0.0, 0.0, (0, 1, 2), 0),
+    (BOLTZ_KIND, BOLTZ, 4.0, 0.0, 0.0, BOLTZ_POWERS, 0),
+    (BOLTZ_KIND, BOLTZ, 0.05, 0.0, 0.0, BOLTZ_POWERS, 0),
     (OCC, FERMI, 3.0, -2.0, 0.0, (0, 1), 0),
     (OCC, FERMI, 8.0, 5.0, 0.0, (0, 1), 0),
     (OCC, BOSE, 2.0, 0.3, 0.0, (0, 1), 0),
     (OCC, BOSE, 3.0, 1e-9, 0.0, (0,), 1),
-    (DIST, BOSE, 2.0, 0.3, 0.15, (0, 1, 2), 0),
-    (DIST, FERMI, 5.0, -1.0, -0.2, (0, 1, 2), 0),
+    (DIST, BOSE, 2.0, 0.3, 0.15, (0, 1, 2, 3), 0),
+    (DIST, FERMI, 5.0, -1.0, -0.2, (0, 1, 2, 3), 0),
+    (DIST_OCC, BOSE, 2.0, 0.3, 0.15, (0, 1, 2, 3), 0),
+    (DIST_OCC, FERMI, 5.0, -1.0, -0.2, (0, 1, 2, 3), 0),
 ]
 
 
@@ -133,8 +136,8 @@ def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma,
 def test_weak_field_closure_matches_brute_force():
     sp7 = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-7), count=64)
     hybrid = ladder_sums(sp7, 11.455, Statistics.CANONICAL)
-    ref = brute_force(sp7, 11.455, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
-    for h, r in zip(hybrid, ref):
+    ref = brute_force(sp7, 11.455, BOLTZ_KIND, BOLTZ, powers=BOLTZ_POWERS)
+    for h, r in zip(hybrid, ref, strict=True):
         assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
@@ -216,8 +219,8 @@ def test_short_root_block_matches_brute_force(kind):
     sp = build_spectrum(WallSpec(kind, 0.1), count=2, n_exact=2)
     for beta in (0.005, 0.05):
         hyb = ladder_sums(sp, beta, Statistics.CANONICAL)
-        ref = brute_force(sp, beta, BOLTZ_KIND, BOLTZ, powers=(0, 1, 2))
-        for h, r in zip(hyb, ref):
+        ref = brute_force(sp, beta, BOLTZ_KIND, BOLTZ, powers=BOLTZ_POWERS)
+        for h, r in zip(hyb, ref, strict=True):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
     for gamma in (-50.0, -200.0):
         hyb = pick(sp, 1.0, OCC, FERMI, (0, 1), gamma=gamma)
@@ -256,7 +259,7 @@ def closure_args(spectrum, beta, gamma, moment_offset=0.0):
 
 
 def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
-    """(N0, N1, D0, D1, D2, (D f)0) closure integrals in the ladder variable
+    """(N0, N1, D0..D3, (D f)0..(D f)3) closure integrals in the ladder variable
     v = argument(m)^(2/3), (3/8) int_{v0}^inf sqrt(v) (tau v + ds_ref)^p
     F(beta tau v + sigma) dv, by mpmath's tanh-sinh rule at 30 digits."""
     with mpmath.workdps(30):
@@ -277,7 +280,8 @@ def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
             return dist(x) * occ(x)
 
         out = []
-        for kernel, p in ((occ, 0), (occ, 1), (dist, 0), (dist, 1), (dist, 2), (dist_occ, 0)):
+        for kernel, p in ((occ, 0), (occ, 1), *((k, p) for k in (dist, dist_occ)
+                                                for p in range(4))):
             def f(v, kernel=kernel, p=p):
                 return 0.375 * mpmath.sqrt(v) * (tau * v + ds_ref) ** p * kernel(bt * v + sigma)
             out.append(float(mpmath.quad(f, points)))
@@ -329,7 +333,7 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
         sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
     assert not work["plans"]  # no _Plan built during the sum
     if sign == BOLTZ:
-        ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=(0, 1, 2))
+        ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=BOLTZ_POWERS)
     else:
         ref = family_brute_force(sp, beta, sign, g, 0.1)
     for s, r in zip(sums, ref, strict=True):
@@ -338,8 +342,8 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
     mine = em_integral(sp, beta, g, 0.0, n0, sign, planned_at=gamma)
     ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
     full = ladder_sums(sp, beta, STATS[sign], gamma=g)
-    if sign == BOLTZ:  # e^-x is both of the reference's kernels at sign 0
-        ref = [ref[0], ref[1], ref[4]]
+    if sign == BOLTZ:  # e^-x is the reference's distribution kernel at sign 0
+        ref = ref[2:6]
     for m, r, f in zip(mine, ref, full):
         assert abs(m - r) <= 1e-12 * abs(f)
 
@@ -434,28 +438,26 @@ def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
     (a_k = 1 for bosons, (-1)^(k+1) for fermions), and their product
     sum_k b_k e^{-kx}, b_k = -a_k k(k - 1)/2 for fermions and k(k - 1)/2 for
     bosons (D f = -(f^2)'/2): order k is a sum of
-    upper incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0, 1, 2.
+    upper incomplete gammas Gamma(j + 3/2, k beta tau v0), j = 0 .. 3.
     Converges like e^{-k x0}, so it needs a positive starting exponent."""
     tau = tail.tau
     v0 = float(argument(tail, n0)) ** (2.0 / 3.0)
     assert beta * tau * v0 + sigma > 0.0
-    rows = ((0, 0), (0, 1), (0, 2)) if kind == BOLTZ_KIND else \
-        ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0))
+    rows = tuple((0, p) for p in BOLTZ_POWERS) if kind == BOLTZ_KIND else \
+        ((0, 0), (0, 1), *((kern, p) for kern in (1, 2) for p in range(4)))
     totals = np.zeros(len(rows))
     for k in range(1, 10_000):
         lam = k * beta * tau
         g = []
-        for a in (1.5, 2.5, 3.5):
+        for a in (1.5, 2.5, 3.5, 4.5):
             q = sp.gammaincc(a, lam * v0)
             assert q > 0.0
             g.append(math.exp(math.log(q) + math.lgamma(a) - a * math.log(lam) - k * sigma))
         # moments of (tau v + ds_ref)^p over the tail measure, 3/8 Jacobian
-        mom = (0.375 * g[0],
-               0.375 * (ds_ref * g[0] + tau * g[1]),
-               0.375 * (ds_ref * ds_ref * g[0] + 2.0 * ds_ref * tau * g[1]
-                        + tau * tau * g[2]))
+        mom = [0.375 * sum(math.comb(p, j) * ds_ref ** (p - j) * tau ** j * g[j]
+                           for j in range(p + 1)) for p in range(4)]
         if kind == BOLTZ_KIND:
-            return list(mom)
+            return mom
         alt = 1.0 if (sign == BOSE or k % 2 == 1) else -1.0
         coef = (1.0, k, 0.5 * k * (k - 1) * (1.0 if sign == BOSE else -1.0))
         terms = np.array([alt * coef[kern] * mom[p] for kern, p in rows])
@@ -536,9 +538,9 @@ FUSED_CASES = [
 
 @pytest.mark.parametrize("wall_kind,field,sign,beta,gamma,moff", FUSED_CASES)
 def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff):
-    # one pass gives N_0, N_1 (occupation), D_0, D_1, D_2 (distribution) and
-    # (D f)_0, through a filled Fermi sea and next to Bose condensation
-    # (gamma < 1e-6)
+    # one pass gives N_0, N_1 (occupation), D_0..D_3 (distribution) and
+    # (D f)_0..(D f)_3, through a filled Fermi sea and next to Bose
+    # condensation (gamma < 1e-6)
     sp = build_spectrum(WallSpec(wall_kind, field), count=64)
     if isinstance(gamma, tuple):
         gamma = beta * (sp.e0 - float(sp.tail.energy(gamma[1])))
@@ -561,7 +563,7 @@ def test_direct_range_covers_every_sum(direct, temperature, monkeypatch):
     beta = 1.0 / temperature
     if direct:
         force_direct(monkeypatch)
-    s0, s1, s2 = ladder_sums(sp, beta, Statistics.CANONICAL)
+    s0, s1, s2, _ = ladder_sums(sp, beta, Statistics.CANONICAL)
     c = beta * beta * (s2 / s0 - (s1 / s0) ** 2)
     levels = sp.energies(np.arange(400_000))
     assert beta * (levels[-1] - levels[1]) > 80.0
@@ -759,7 +761,7 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
         assert first < stop[0] < n_em[0]
         sums = offset_sums(sp, beta, STATS[sign], gamma, 0.1)[:, 0]
         if kind == BOLTZ_KIND:
-            ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=(0, 1, 2))
+            ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=BOLTZ_POWERS)
         else:
             ref = family_brute_force(sp, beta, sign, gamma, 0.1)
         for h, r in zip(sums, ref, strict=True):

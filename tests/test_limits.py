@@ -32,7 +32,7 @@ def _inside(beta, field):
 def test_zero_field_form(log_beta):
     beta = 10.0 ** log_beta
     tp = zero_field_attractive(beta)
-    assert math.isfinite(tp.mean_energy)
+    assert math.isfinite(tp.mean_energy) and math.isfinite(tp.heat_capacity_slope)
     assert 0.0 <= tp.heat_capacity < 1.08  # the maximum is 1.0752
     if beta <= 1e-12:  # the free continuum: <E> -> 1/(2 beta), c -> 1/2
         assert 2.0 * beta * tp.mean_energy == pytest.approx(1.0, abs=1e-6)

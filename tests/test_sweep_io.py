@@ -367,35 +367,46 @@ class TestTable1Harness:
         # batch over the points of every refinement still open.  One cell
         # and one point at a time took 454 batches a round (55 scans, 399
         # Brent points), Brent's one-point steps in lockstep 137 (15 blocks,
-        # 122 passes); the multi-point passes take 81 (66 passes: 3 per
-        # canonical or FD block and 6-8 per BE block).
+        # 122 passes), multi-point passes on the parabola through three
+        # values of c 81 (66 passes over 703 lanes: 3 per canonical or FD
+        # block and 6-8 per BE block, 36 in all).  Refined on the slope
+        # from 33-point scans a round takes 48 (33 passes over 659 lanes, 12
+        # of them in the BE blocks)
         work = table1_work()
         assert work["batches"] - work["refine_passes"] == 15  # one scan per block
-        assert work["batches"] <= 90
-        assert work["refine_passes"] <= 75
+        assert work["batches"] <= 53
+        assert work["refine_passes"] <= 36
+        assert work["refine_lanes"] <= 725
+        with reading() as be:
+            table1_harness(ensembles=("be",))
+        assert 0 < be["refine_passes"] <= 13
 
     def test_ladder_calls_per_round(self):
-        # work-count gate on the mu solves: 20 canonical calls, and one
-        # call per lockstep Newton pass.  Cold scans start from the two-term
-        # balance (in Bose statistics for bosons) and the refinement's
-        # points from the cubic Hermite through their cell's solved states
-        # and slopes, and each Newton pass is a Halley step: 147 calls (176
-        # with Newton steps, 268, 35 of them canonical, with Brent's
-        # one-point steps).  A Boltzmann continuum and linear hints took
-        # 378.  A mu solve's passes are sums over its batch's plan, the
-        # other calls ladder_sums, one sum each
+        # work-count gate on the mu solves: 15 canonical calls (one scan
+        # and 2 refinement passes per block), and one call per lockstep
+        # Newton pass.  Cold scans start from the two-term balance (in Bose
+        # statistics for bosons) and the refinement's points from the cubic
+        # Hermite through their cell's solved states and slopes, and each
+        # Newton pass is a Halley step: 91 calls with the peaks refined on
+        # the slope from 33-point scans (147, 20 canonical, with 50-point
+        # scans and the parabola's passes; 176 with Newton steps, 268, 35
+        # of them canonical, with Brent's one-point steps).  A Boltzmann
+        # continuum and linear hints took 378.  A mu solve's passes are
+        # sums over its batch's plan, the other calls ladder_sums, one sum each
         work = table1_work()
-        assert work["canonical_passes"] == 20
+        assert work["canonical_passes"] == 15
         assert work["fd_passes"] > 0 and work["be_passes"] > 0
-        assert sum(work[f"{s.value}_passes"] for s in Statistics) <= 162
+        assert sum(work[f"{s.value}_passes"] for s in Statistics) <= 100
 
     def test_kernel_passes_per_round(self):
         # work-count gate on the ladder: each ladder pass evaluates its
         # kernels once per node set of its plan that serves a lane of it:
         # the root block, the closure nodes with their end stencils and the
         # blocks of its direct windows, each cut into runs of lanes of at
-        # most ladder._PAIRS (lane, node) pairs.  423 passes a round with the
-        # mu solves' Halley steps, 567 with Newton steps, multi-point
+        # most ladder._PAIRS (lane, node) pairs.  273 passes a round with the
+        # peaks refined on the slope from 33-point scans, 423 with the
+        # parabola's passes and the mu solves' Halley steps, 567 with Newton
+        # steps, multi-point
         # refinement passes and closure blocks sized after their dead panels
         # drop, 780 with Brent's one-point steps and the
         # whole batch planned at once; with the batch cut into 32-lane
@@ -403,15 +414,17 @@ class TestTable1Harness:
         # anew on every pass 1,078; with the closure integral, each end
         # correction and each direct block evaluated apart 1,943, and with
         # the mu solves' older starts 1,350.
-        assert 0 < table1_work()["node_sums"] <= 465
+        assert 0 < table1_work()["node_sums"] <= 300
 
     def test_plan_builds_per_round(self):
         # work-count gate on the ladder's planning: every ladder_sums call
         # plans its batch, and every mu solve plans its batch once, at the
         # lanes' start gamma; its later Newton passes sum over that plan, and
         # only a lane whose gamma leaves its window gets a plan of its own.
-        # A round builds 81 plans (20 of the canonical calls, 61 of the mu
-        # solves) and 1,179,945 kernel elements, with a closure rule of 12
+        # A round builds 48 plans (15 of the canonical calls, 33 of the mu
+        # solves) and 825,254 kernel elements with the peaks refined on the
+        # slope from 33-point scans; 81 plans and 1,179,945 elements with
+        # 50-point scans and the parabola's passes, a closure rule of 12
         # nodes a panel for canonical, 14 for BE and 20 for FD and the mu
         # solves' Halley steps; with 24 nodes and Newton steps it took
         # 1,781,943 (1,783,662 before the Fermi-edge start).  With Brent's
@@ -421,8 +434,8 @@ class TestTable1Harness:
         # dropped, paid for it.  Cut into 32-lane groups it built 142 plans
         # of 217 groups, and planned anew on every pass 478 groups
         work = table1_work()
-        assert 0 < work["plans"] <= 90
-        assert 0 < work["kernel_elements"] <= 1_300_000
+        assert 0 < work["plans"] <= 53
+        assert 0 < work["kernel_elements"] <= 910_000
 
     def test_work_counts_repeat_and_reading_them_changes_no_output(self, capsys):
         # two table1 rounds in one process do the same work, counted alike,
@@ -688,8 +701,8 @@ class TestCli:
         sums = canonical.ladder_sums
 
         def nan_sums(*args, **kwargs):
-            s0, s1, s2 = sums(*args, **kwargs)
-            return s0, s1, s2 * np.nan
+            s0, s1, s2, s3 = sums(*args, **kwargs)
+            return s0, s1, s2 * np.nan, s3
 
         monkeypatch.setattr(canonical, "ladder_sums", nan_sums)
         argv = ["sweep", "--wall", "robin-", "--field", "1e-3",
