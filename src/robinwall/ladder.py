@@ -39,16 +39,21 @@ A plan depends on gamma only through where the exponents
 x = beta (E - E_0) + gamma meet its cuts: the X_DEAD margins of the direct
 range and of a filled sea, and the closure panels, laid out in x.  So it
 holds while gamma moves a little: within _REACH = 1 of the gamma it was
-planned at, and, for bosons, within a quarter of the exponent of its lowest
-closure node, whose distance from the kernel's pole at x = 0 the panels
-were laid out for.  A lane summed past that reach is summed over a plan of
-its own, made at its gamma for that one pass.  Plans summed at either edge
-of their reach match brute force to 1e-10 and their closures mpmath to
-1e-12.  Over 4 walls, 5 fields, 16 temperatures and 9-27 gammas each, sums
-of a plan moved by up to +-10 in gamma (fermions and canonical) or 0.99 of
-that exponent (bosons) stayed within 1.3e-12 of a fresh plan's; at +-20
-fermion sums were off by up to 6e-6, from levels the direct range had
-dropped.
+planned at.  A Bose plan holds for any rise of gamma, which moves every
+exponent up alike: its direct range ends where the exponent of E_1 passes
+X_DEAD, and so does not move, its closure index does not depend on gamma,
+and its closure panels, laid out for the distance of the lowest closure
+node from the kernel's pole at x = 0, only grow finer than they need as
+the pole recedes.  Toward the pole it holds for a fall of at most _REACH
+and a quarter of the exponent of that node.  A lane summed past its reach
+is summed over a plan of its own, made at its gamma for that one pass.
+Plans summed at either edge of their reach match brute force to 1e-10 and
+their closures mpmath to 1e-12.  Over 4 walls, 5 fields, 16 temperatures
+and 9-27 gammas each, sums of a plan moved by up to +-10 in gamma
+(fermions and canonical) or 0.99 of that exponent (bosons) stayed within
+1.3e-12 of a fresh plan's, and Bose plans moved up by 1 to 30 from gammas
+of 1e-6 to 2 within 5.2e-15; at +-20 fermion sums were off by up to 6e-6,
+from levels the direct range had dropped.
 
 No node set holds more than 2^13 (lane, node) pairs, so no temporary of
 a kernel pass exceeds 64 KB.  A plan holds its node sets, ~1.5 KB per lane
@@ -80,9 +85,11 @@ The integral is the tail law's quadrature, Gauss-Legendre in the law's own
 variable, where the level measure is a polynomial (12 points a panel for
 Boltzmann sums, 14 for Bose and 20 for Fermi sums, see ``_RULES``), on energy
 panels matched to the kernel (a filled Fermi sea, the transition layer
-around x = 0, and geometric panels down the exponential tail from wherever
-it starts to ~44 past it), clipped at E_{n1} and padded with zero-width
-panels to a common count across lanes.  Every path is validated against
+around x = 0, octave panels up to x = 2 from a closure that starts below
+it, next to the Bose kernel's pole, and geometric panels down the
+exponential tail from there to ~44 past it), clipped at E_{n1} and padded
+with zero-width panels to a common count across lanes.  Every path is
+validated against
 brute-force summation to ~1e-10 relative; the payoff is that the worst
 evaluation in the whole parameter domain costs ~1e4 kernel elements instead
 of ~1e8 exp() calls.  ``_work.counts`` counts the plans, passes, stale
@@ -169,14 +176,16 @@ X_DEAD = 45.0  # |x| beyond which occupations are 0/1 to better than 1e-19
 
 # the closure integral's Gauss-Legendre rule (nodes, weights) per statistics.
 # Over 4 walls x 5 fields x 40 temperatures the sums stay within 1.4e-14
-# (canonical), 2.7e-14 (FD, whose transition layer needs the most nodes) and
-# 1.3e-14 (BE) of a 64-node rule's; a Bose closure from x = 0.5, next to the
-# kernel's pole, needs 14 nodes to meet 1e-12 alone (12 left 2.9e-12 in D_0)
+# (canonical), 3.1e-14 (FD, whose transition layer needs the most nodes) and
+# 1.7e-14 (BE, down to beta F^(2/3) = 1e-7 at 5 gammas each) of a 64-node
+# rule's; a Bose closure from x = 0.5, next to the kernel's pole, needs 14
+# nodes to meet 1e-12 alone (12 left 2.9e-12 in D_0)
 _RULES = {s: np.polynomial.legendre.leggauss(n) for s, n in (
     (Statistics.CANONICAL, 12), (Statistics.FERMI_DIRAC, 20), (Statistics.BOSE_EINSTEIN, 14))}
 
 # exponent offsets of the geometric tail panels, from 0.5 up to the last
-# edge below X_DEAD (44.3 units up): the integrand has fallen by e^-44 there
+# edge below X_DEAD, laid out from where the tail starts (44.3 units up):
+# the integrand has fallen by e^-44 there
 _TAIL_Y = [0.5]
 while 1.7 * _TAIL_Y[-1] + 2.0 < X_DEAD:
     _TAIL_Y.append(1.7 * _TAIL_Y[-1] + 2.0)
@@ -200,9 +209,9 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.nda
     one row per lane, matched to the kernel's structure at the exponents
     beta * d + gamma: octave panels in d across a filled Fermi sea (the
     kernel is constant there to e^-40), a finely split transition layer,
-    octave panels through a 1/x-like Bose region, and geometric panels down
-    the exponential tail, laid out from the exponent where the tail starts.
-    Rows with fewer panels are padded with zero-width ones."""
+    octave panels up to x = 2 through a 1/x-like Bose region, and geometric
+    panels down the exponential tail, laid out from the exponent where the
+    tail starts.  Rows with fewer panels are padded with zero-width ones."""
     x0 = beta * d0 + gamma
     d_cols = [d0[:, None]]
     sea = x0 < -40.0
@@ -220,9 +229,12 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.nda
         x_cols.append(np.where(j < n[:, None], j * ((to - x) / n)[:, None] + x[:, None],
                                to[:, None]))
         x = to
-    if (x < 0.5).any():
-        x_cols.append(_doublings(x, np.maximum(x, 0.5)))
-        x = np.maximum(x, 0.5)
+    # octaves up to x = 2, where Bose D f ~ 1/x^3 falls off the pole: octaves
+    # up to 0.5 and a first tail panel [0.5, 2.85] left 3.6e-10 in G_0 at
+    # beta F^(2/3) = 1e-7, gamma = 0.5
+    if (x < 2.0).any():
+        x_cols.append(_doublings(x, np.maximum(x, 2.0)))
+        x = np.maximum(x, 2.0)
     x_cols.append(x[:, None] + _TAIL_Y - 0.5)
     d_cols.append((np.concatenate(x_cols, axis=1) - gamma[:, None]) / beta[:, None])
     return np.concatenate(d_cols, axis=1)
@@ -329,8 +341,9 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
 
 _PAIRS = 1 << 13     # (lane, node) pairs of one node set at most
 
-# a lane's reach in gamma, and for bosons its share of the exponent of its
-# lowest closure node (sized against brute force; see the module docstring)
+# a lane's reach in gamma, and for bosons, whose plans hold for any rise of
+# gamma, the share of the exponent of its lowest closure node it may fall by
+# (sized against brute force; see the module docstring)
 _REACH = 1.0
 _REACH_BOSE = 0.25
 
@@ -348,7 +361,8 @@ class _Plan:
     lane, in blocks of at most ``_PAIRS`` (lane, node) pairs: the root block
     [start_index, closure floor) with weight 1, the closures of the tail and
     of each filled Fermi sea, and the blocks of the direct windows.  Lane i's
-    node sets hold while its gamma stays within ``reach[i]`` of ``gamma[i]``."""
+    node sets hold while its gamma stays within ``reach[i]`` of ``gamma[i]``,
+    or, for bosons, above ``gamma[i] - reach[i]``."""
 
     def __init__(self, spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                  statistics: Statistics, start_index: int = 0) -> None:
@@ -397,9 +411,15 @@ def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -
     ``gamma`` with moment offsets ``moff``, one of each per lane: one row per
     sum and one column per lane, from one kernel pass and weighted reduction
     (``_node_sums``) per node set that serves them.  Lanes whose gamma lies
-    beyond their reach from the gamma they were planned at are summed over
-    a plan of their own, made at their gamma."""
-    stale = np.abs(gamma - plan.gamma[lanes]) > plan.reach[lanes]
+    beyond their reach from the gamma they were planned at (for bosons,
+    below it by more than their reach) are summed over a plan of their own,
+    made at their gamma."""
+    # each lane's move from where it was planned: its fall for bosons, whose
+    # plans hold for any rise, else its distance
+    drop = plan.gamma[lanes] - gamma
+    if plan.statistics is not Statistics.BOSE_EINSTEIN:
+        drop = np.abs(drop)
+    stale = drop > plan.reach[lanes]
     _work.counts.update({f"{plan.statistics.value}_passes": 1, "pass_lanes": len(lanes),
                          "stale_lanes": int(stale.sum())})
     at = np.full(len(plan.beta), -1)  # each lane's column

@@ -505,7 +505,9 @@ class TestWorkCounts:
         # warm-started from the cell's solved states, at most 17 ladder
         # passes in all (Brent's one-lane batches took 9 batches and 17
         # passes; the parabola's multi-point passes 6 batches and 14; the
-        # passes on the slope take 2 batches of 5 and 6 lanes and 4)
+        # passes on the slope from 33-point scans 2 batches of 5 and 6 lanes
+        # and 4, and from 7-point scans, whose warm starts lie farther from
+        # the roots, 2 batches of 5 and 6 lanes and 6)
         from robinwall import sweep
         from robinwall.reference_values import TABLE1
         calls = []  # per evaluator batch: (lanes, warm, lanes of each ladder pass)
@@ -602,10 +604,13 @@ class TestWorkCounts:
     def test_table1_sums_no_stale_lane(self):
         # every mu-solve pass of a table1 round sums its lanes within the
         # reach of their planned gamma: no lane falls back to a plan of its
-        # own (the Fermi-edge and warm starts land that close).  A round
-        # makes 76 such passes with the peaks refined on the slope from
-        # 33-point scans (127 with the parabola's passes and Halley steps,
-        # 156 with Newton's, 233 with Brent's one-point refinement)
+        # own (the Fermi-edge and warm starts land that close, and a Bose
+        # plan holds for any rise of gamma).  A round makes 85 such passes
+        # with the peaks refined on the slope from 7-point scans (76 from
+        # 33-point scans, whose warm starts at the Bose cusps stayed in
+        # reach of a plan that held both ways; 127 with the parabola's
+        # passes and Halley steps, 156 with Newton's, 233 with Brent's
+        # one-point refinement)
         from robinwall.sweep import table1_harness
         with reading() as work:
             assert table1_harness().passed

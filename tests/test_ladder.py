@@ -350,16 +350,50 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
 
 def test_lanes_past_their_reach_sum_as_a_fresh_plan():
     # a Bose batch of 40 lanes: each of its first 32 lanes leaves its
-    # window, and the sums are bit for bit those of a batch planned at the
-    # new gammas
+    # window toward the kernel's pole, from gamma = 5 to 3, and the sums are
+    # bit for bit those of a batch planned at the new gammas (at either gamma
+    # every closure starts above x = 2, where no octave panels are laid, so
+    # both batches pad their node sets to the same width)
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
     beta, lanes, moff = np.geomspace(0.1, 1.0, 40), np.arange(40), np.zeros(40)
-    plan = ladder._Plan(sp, beta, np.full(40, 0.5), Statistics.BOSE_EINSTEIN)
+    plan = ladder._Plan(sp, beta, np.full(40, 5.0), Statistics.BOSE_EINSTEIN)
+    assert np.all(plan.reach == 1.0)
     stale = lanes < 32
-    gamma = 0.5 + np.where(stale, 2.0 * plan.reach, 0.0)
-    sums = ladder._sums(plan, lanes, gamma, moff)
+    gamma = 5.0 - np.where(stale, 2.0 * plan.reach, 0.0)
+    with reading() as work:
+        sums = ladder._sums(plan, lanes, gamma, moff)
+    assert work["stale_lanes"] == 32
     fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
     assert np.array_equal(sums, ladder._sums(fresh, lanes, gamma, moff))
+
+
+@pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
+def test_bose_plans_hold_as_gamma_rises(wall_kind):
+    # a Bose plan holds for any rise of gamma: every exponent moves up alike,
+    # the direct range ends where that of E_1 passes X_DEAD, and the closure
+    # panels laid out for the pole only grow finer than they need.  Over 5
+    # fields, 16 temperatures (beta F^(2/3) from 1e-5 to 30) and 6 planned
+    # gammas (1e-6 to 2), sums moved up by 1 to 30 count no stale lane and
+    # match a plan made there (seen: 5.2e-15) and brute force (8.2e-16)
+    y, gamma0 = np.geomspace(1e-5, 30.0, 16), np.geomspace(1e-6, 2.0, 6)
+    for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
+        sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+        beta = np.repeat(y, len(gamma0)) * field ** (-2.0 / 3.0)
+        planned, lanes = np.tile(gamma0, len(y)), np.arange(beta.size)
+        plan = ladder._Plan(sp, beta, planned, Statistics.BOSE_EINSTEIN)
+        for up in (1.0, 3.0, 10.0, 30.0):
+            gamma, moff = planned + up, np.zeros(beta.size)
+            with reading() as work:
+                moved = ladder._sums(plan, lanes, gamma, moff)
+            assert work["stale_lanes"] == 0 and not work["plans"]
+            fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
+            assert np.all(np.abs(moved - ladder._sums(fresh, lanes, gamma, moff))
+                          <= 1e-12 * moved)
+            # the lanes cold enough to sum by brute force (beta F^(2/3) >= 0.05)
+            for i in (54, 59, 77, 95):
+                ref = family_brute_force(sp, beta[i], BOSE, gamma[i])
+                for s, r in zip(moved[:, i], ref, strict=True):
+                    assert s == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("sign", [FERMI, BOSE])
@@ -371,14 +405,14 @@ def test_stale_and_held_lanes_interleaved(sign):
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     rng = np.random.default_rng(5)
     beta = np.geomspace(0.1, 3.0, 40)
-    # fermions: some lanes with a filled sea; bosons move up only, away
-    # from the kernel's pole
-    gamma0 = np.full(40, 0.5) if sign == BOSE else rng.uniform(-60.0, 5.0, 40)
+    # fermions: some lanes with a filled sea; bosons leave their reach only
+    # toward the kernel's pole, so their stale lanes move down
+    gamma0 = np.full(40, 3.0) if sign == BOSE else rng.uniform(-60.0, 5.0, 40)
     plan = ladder._Plan(sp, beta, gamma0, STATS[sign])
     lanes = rng.permutation(40)[:33]
     stale = np.arange(len(lanes)) % 3 == 0
-    held = rng.uniform(0.0 if sign == BOSE else -0.9, 0.9, len(lanes))
-    gamma = gamma0[lanes] + plan.reach[lanes] * np.where(stale, 2.0, held)
+    held = rng.uniform(-0.9, 0.9, len(lanes))
+    gamma = gamma0[lanes] + plan.reach[lanes] * np.where(stale, 2.0 * sign, held)
     moff = rng.uniform(0.0, 0.3, len(lanes))
     sums = ladder._sums(plan, lanes, gamma, moff)
     fresh = ladder._Plan(sp, beta[lanes[stale]], gamma[stale], STATS[sign])
@@ -503,17 +537,23 @@ def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
     # canonical, 14 for BE and 20 for FD, and tail panels up to the last edge
     # below X_DEAD) against a 64-node rule whose tail panels reach e^-119,
     # over the closed tails and filled Fermi seas of 40 temperatures per
-    # field and statistics (beta F^(2/3) from 1e-3 to 30)
+    # field and statistics (beta F^(2/3) from 1e-3 to 30, and for bosons
+    # from 1e-7, each at 5 gammas from 1e-7 to 3: Table 1's hottest Bose
+    # lanes reach 1e-5).  Octave panels that stopped at x = 0.5 left a first
+    # tail panel [x0, x0 + 2.35] too wide for D f ~ 1/x^3 next to the pole:
+    # 3.6e-10 in G_0 at beta F^(2/3) = 1e-7, gamma = 0.5
     rule = np.polynomial.legendre.leggauss(64)
     reference = {"_RULES": {s: rule for s in Statistics}, "_TAIL_Y": capped_tail_panels(120.0)}
     with reading() as work:
         for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
             sp = build_spectrum(WallSpec(wall_kind, field), count=64)
             beta = np.geomspace(1e-3, 30.0, 40) * field ** (-2.0 / 3.0)
+            hot = np.repeat(np.geomspace(1e-7, 30.0, 40), 5) * field ** (-2.0 / 3.0)
             fermi_level = sp.tail.energy(np.geomspace(70.0, 3e4, 40))
-            for statistics, gamma in ((Statistics.CANONICAL, 0.0),
-                                      (Statistics.FERMI_DIRAC, beta * (sp.e0 - fermi_level)),
-                                      (Statistics.BOSE_EINSTEIN, np.geomspace(1e-7, 3.0, 40))):
+            for statistics, beta, gamma in (
+                    (Statistics.CANONICAL, beta, 0.0),
+                    (Statistics.FERMI_DIRAC, beta, beta * (sp.e0 - fermi_level)),
+                    (Statistics.BOSE_EINSTEIN, hot, np.tile([1e-7, 1e-3, 0.1, 0.5, 3.0], 40))):
                 shipped = ladder_sums(sp, beta, statistics, gamma=gamma)
                 with monkeypatch.context() as patch:
                     for name, value in reference.items():

@@ -370,13 +370,17 @@ class TestTable1Harness:
         # 122 passes), multi-point passes on the parabola through three
         # values of c 81 (66 passes over 703 lanes: 3 per canonical or FD
         # block and 6-8 per BE block, 36 in all).  Refined on the slope
-        # from 33-point scans a round takes 48 (33 passes over 659 lanes, 12
-        # of them in the BE blocks)
+        # from 33-point scans a round took 48 (33 passes over 659 lanes, 12
+        # of them in the BE blocks) over 2,474 evaluator lanes, 1,650 of
+        # them cold; from 7-point scans it takes 48 (33 passes over 650
+        # lanes, 11 in the BE blocks) over 1,035 lanes, 350 of them cold
         work = table1_work()
         assert work["batches"] - work["refine_passes"] == 15  # one scan per block
         assert work["batches"] <= 53
         assert work["refine_passes"] <= 36
         assert work["refine_lanes"] <= 725
+        assert work["batch_lanes"] <= 1_140
+        assert work["cold_lanes"] <= 385  # the 7 lanes of each of the 50 grand-canonical scans
         with reading() as be:
             table1_harness(ensembles=("be",))
         assert 0 < be["refine_passes"] <= 13
@@ -387,12 +391,14 @@ class TestTable1Harness:
         # Newton pass.  Cold scans start from the two-term balance (in Bose
         # statistics for bosons) and the refinement's points from the cubic
         # Hermite through their cell's solved states and slopes, and each
-        # Newton pass is a Halley step: 91 calls with the peaks refined on
-        # the slope from 33-point scans (147, 20 canonical, with 50-point
-        # scans and the parabola's passes; 176 with Newton steps, 268, 35
-        # of them canonical, with Brent's one-point steps).  A Boltzmann
-        # continuum and linear hints took 378.  A mu solve's passes are
-        # sums over its batch's plan, the other calls ladder_sums, one sum each
+        # Newton pass is a Halley step: 100 calls with the peaks refined on
+        # the slope from 7-point scans, whose coarser warm starts take 9
+        # more mu passes than the 91 from 33-point scans (147, 20
+        # canonical, with 50-point scans and the parabola's passes; 176 with
+        # Newton steps, 268, 35 of them canonical, with Brent's one-point
+        # steps).  A Boltzmann continuum and linear hints took 378.  A mu
+        # solve's passes are sums over its batch's plan, the other calls
+        # ladder_sums, one sum each
         work = table1_work()
         assert work["canonical_passes"] == 15
         assert work["fd_passes"] > 0 and work["be_passes"] > 0
@@ -403,17 +409,16 @@ class TestTable1Harness:
         # kernels once per node set of its plan that serves a lane of it:
         # the root block, the closure nodes with their end stencils and the
         # blocks of its direct windows, each cut into runs of lanes of at
-        # most ladder._PAIRS (lane, node) pairs.  273 passes a round with the
-        # peaks refined on the slope from 33-point scans, 423 with the
-        # parabola's passes and the mu solves' Halley steps, 567 with Newton
-        # steps, multi-point
-        # refinement passes and closure blocks sized after their dead panels
-        # drop, 780 with Brent's one-point steps and the
-        # whole batch planned at once; with the batch cut into 32-lane
-        # groups, each group's node sets apart, it took 1,125, and planned
-        # anew on every pass 1,078; with the closure integral, each end
-        # correction and each direct block evaluated apart 1,943, and with
-        # the mu solves' older starts 1,350.
+        # most ladder._PAIRS (lane, node) pairs.  232 passes a round with the
+        # peaks refined on the slope from 7-point scans, 273 from 33-point
+        # scans, 423 with the parabola's passes and the mu solves' Halley
+        # steps, 567 with Newton steps, multi-point refinement passes and
+        # closure blocks sized after their dead panels drop, 780 with
+        # Brent's one-point steps and the whole batch planned at once; with
+        # the batch cut into 32-lane groups, each group's node sets apart, it
+        # took 1,125, and planned anew on every pass 1,078; with the closure
+        # integral, each end correction and each direct block evaluated apart
+        # 1,943, and with the mu solves' older starts 1,350.
         assert 0 < table1_work()["node_sums"] <= 300
 
     def test_plan_builds_per_round(self):
@@ -422,8 +427,10 @@ class TestTable1Harness:
         # lanes' start gamma; its later Newton passes sum over that plan, and
         # only a lane whose gamma leaves its window gets a plan of its own.
         # A round builds 48 plans (15 of the canonical calls, 33 of the mu
-        # solves) and 825,254 kernel elements with the peaks refined on the
-        # slope from 33-point scans; 81 plans and 1,179,945 elements with
+        # solves) and 347,360 kernel elements with the peaks refined on the
+        # slope from 7-point scans, Bose plans that hold as gamma rises and
+        # octave closure panels up to x = 2 (325,940 with them up to 0.5);
+        # 825,254 from 33-point scans; 81 plans and 1,179,945 elements with
         # 50-point scans and the parabola's passes, a closure rule of 12
         # nodes a panel for canonical, 14 for BE and 20 for FD and the mu
         # solves' Halley steps; with 24 nodes and Newton steps it took
@@ -435,7 +442,7 @@ class TestTable1Harness:
         # of 217 groups, and planned anew on every pass 478 groups
         work = table1_work()
         assert 0 < work["plans"] <= 53
-        assert 0 < work["kernel_elements"] <= 910_000
+        assert 0 < work["kernel_elements"] <= 375_000
 
     def test_work_counts_repeat_and_reading_them_changes_no_output(self, capsys):
         # two table1 rounds in one process do the same work, counted alike,
@@ -466,6 +473,19 @@ class TestTable1Harness:
             alone, = locate_peak(sp, [spec], [t_ref])
             assert rep.c_max == pytest.approx(alone.c_max, rel=1e-12, abs=0.0)
             assert rep.beta_inv_at_max == pytest.approx(alone.beta_inv_at_max, rel=1e-10, abs=0.0)
+
+    def test_coarse_scans_find_the_peaks_of_fine_ones(self, monkeypatch):
+        # each scan only brackets its peaks for the refinement on the slope:
+        # the 55 maxima from 7-point scans match those refined from 65-point
+        # scans (seen: 3.6e-8 in T and 1.1e-12 in c)
+        from robinwall import sweep
+        coarse = table1_harness()
+        monkeypatch.setattr(sweep, "_SCAN_POINTS", 65)
+        fine = table1_harness()
+        assert len(coarse.cells) == len(fine.cells) == 55
+        for a, b in zip(coarse.cells, fine.cells, strict=True):
+            assert a.t_found == pytest.approx(b.t_found, rel=2e-7, abs=0.0)
+            assert a.c_found == pytest.approx(b.c_found, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("n,field", [(100000, 1e-7), (100000, 1e-3), (1000, 1e-5)])
     def test_hardest_peaks_against_a_fine_grid(self, n, field):
