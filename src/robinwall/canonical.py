@@ -132,13 +132,14 @@ def _refine(a: float, fa: float, ga: float, b: float, fb: float,
     pair of neighbours among its ends and these points whose slopes change
     sign, next to the lowest value.  Stops by Brent's (1973) rule, once the
     bracket is within 4 tol1, tol1 = sqrt(eps)|x| + 2.5e-7 at the end x of
-    the lower value.  A generator: it yields each pass's points u and is sent the list of
-    (f(u), f'(u)), and returns (x, f(x))."""
+    the lower value, and returns (v, f(x)), v the cubic's minimiser on that
+    last bracket.  A generator: it yields each pass's points u and is sent
+    the list of (f(u), f'(u))."""
     while True:
         x, fx = (a, fa) if fa <= fb else (b, fb)
         tol1, w = _SQRT_EPS * abs(x) + 0.25e-6, b - a
         if w <= 4.0 * tol1:
-            return x, fx
+            return _cubic_min(a, fa, ga, b, fb, gb), fx
         v, h = _cubic_min(a, fa, ga, b, fb, gb), max(tol1, w / 1000.0)
         us = sorted({u for u in (v - h, v, v + h, a + 0.25 * w, a + 0.5 * w, a + 0.75 * w)
                      if a < u < b})
@@ -157,11 +158,11 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence, slope_grid: Sequence,
     rows: ``c_grid`` and ``slope_grid`` hold c and dc/d ln beta on the
     monotone ``beta_grid``, evaluated by the caller.  Each extremum is
     bracketed by neighbouring scan points between which the slope changes
-    sign, and every one of every scan is refined (relative 1e-6 in beta) by
-    ``_refine``, all in lockstep: a pass is one call ``fn(beta, rows)`` with
-    the points of that pass of every open refinement (up to 6) and their
-    scans' rows, returning their (c, dc/d ln beta); a smooth peak takes 2
-    passes.
+    sign, and every one of every scan is refined by ``_refine``, all in
+    lockstep: a pass is one call ``fn(beta, rows)`` with the points of that
+    pass of every open refinement (up to 6) and their scans' rows, returning
+    their (c, dc/d ln beta); a smooth peak takes 2 passes.  An extremum
+    lies at the cubic's minimiser on its last bracket, ~1e-6 wide in ln beta.
 
     A report per scan (a tuple of them for rows) carries the global maximum
     and minimum found; a scan without interior extrema yields an empty

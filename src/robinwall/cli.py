@@ -18,14 +18,7 @@ from . import __version__, grand_canonical as gc, limits
 from .errors import DomainError, RobinWallError, SolverError
 from .selftest import run_all
 from .spectrum import DEFAULT_N_EXACT, WallKind, WallSpec, build_spectrum, level_gaps
-from .sweep import (
-    OUTPUT_FIELDS,
-    SweepSpec,
-    result_to_csv,
-    result_to_json,
-    run_sweep,
-    table1_harness,
-)
+from .sweep import SweepSpec, result_to_csv, result_to_json, run_sweep, table1_harness
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -83,16 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="logarithmic temperature spacing")
     p.add_argument("--normalize-tcr", action="store_true", default=False,
                    help="interpret the grid as T/T_cr (Bose sweeps only)")
-    p.add_argument("--outputs", default=",".join(OUTPUT_FIELDS),
-                   help="comma-separated subset of " + ",".join(OUTPUT_FIELDS))
     _add_io_args(p)
 
     p = sub.add_parser("table1", help="reproduce the tabulated peaks")
     p.add_argument("--fields", default=None,
                    help="comma-separated subset of the tabulated fields")
     p.add_argument("--ensembles", default=",".join(s.value for s in gc.Statistics))
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative tolerance override for every cell")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("predict", help="weak-field Lambert-W predictors")
@@ -130,13 +119,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     wall = WallSpec(WallKind(args.wall), args.field)
-    outputs = tuple(s for s in args.outputs.split(",") if s)
     ensemble = gc.EnsembleSpec(gc.Statistics(args.ensemble), args.particles)
     spec = SweepSpec(wall=wall, ensemble=ensemble,
                      beta_inv_min=args.beta_inv_min, beta_inv_max=args.beta_inv_max,
                      points=args.points, log_grid=args.log_grid,
-                     normalize_by_tcr=args.normalize_tcr, outputs=outputs,
-                     n_exact=args.levels)
+                     normalize_by_tcr=args.normalize_tcr, n_exact=args.levels)
     result = run_sweep(spec)
     text = result_to_json(result) if args.format == "json" else result_to_csv(result)
     _emit(text, args.out)
@@ -156,7 +143,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             raise DomainError(f"--fields must be comma-separated numbers, "
                               f"got {args.fields!r}") from None
     ensembles = tuple(s for s in args.ensembles.split(",") if s)
-    report = table1_harness(fields=fields, ensembles=ensembles, tol=args.tol)
+    report = table1_harness(fields=fields, ensembles=ensembles)
     _emit(report.as_text(), args.out)
     return EXIT_OK if report.passed else EXIT_REGRESSION
 

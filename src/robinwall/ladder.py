@@ -446,8 +446,9 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     """All sums of the kernel family of ``statistics`` over
     n >= start_index, in one pass, for a batch of lanes.
 
-    ``beta`` and ``gamma`` broadcast against each other, one lane per
-    element.  With x_n = beta*(E_n - E_0) + gamma and moments about E_0:
+    ``beta`` (finite, > 0) and ``gamma`` (finite), each a scalar or 1-D,
+    broadcast against each other, one lane per element.  With
+    x_n = beta*(E_n - E_0) + gamma and moments about E_0:
 
     * ``CANONICAL``: (S_0, S_1, S_2, S_3), S_p = sum (E_n - E_0)^p e^{-x_n};
     * ``FERMI_DIRAC`` or ``BOSE_EINSTEIN``: (N_0, N_1, D_0, D_1, D_2, D_3,
@@ -470,8 +471,11 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     if start_index >= spectrum.n_exact:
         raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
                           f"got {start_index!r}")
-    shape = np.broadcast(beta, gamma).shape
-    beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, gamma))
+    beta, g = _check_beta(beta), np.asarray(gamma, dtype=float)
+    if g.ndim > 1 or not (g.size and np.isfinite(g).all()):
+        raise DomainError(f"gamma must be finite, a scalar or 1-D and not empty, got {gamma!r}")
+    shape = np.broadcast(beta, g).shape
+    beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, g))
     sums = _sums(_Plan(spectrum, beta, gamma, statistics, start_index),
                  np.arange(beta.size), gamma, np.zeros(beta.size))
     if not shape:

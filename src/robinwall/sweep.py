@@ -7,8 +7,8 @@ slopes of c the same batch gives, refined in passes of a few points each
 on the cubic Hermite through a bracket where the slope changes sign
 (``canonical.find_extrema``), and (for bosons) attaches the condensation
 threshold.  A Table 1 peak search scans 7 points a cell: the scan only
-brackets each peak, and the 55 maxima match those refined from 65-point
-scans to 3.6e-8 in T.  One evaluator per spectrum serves the scan and
+brackets each peak, and the 55 maxima from 5- to 33-point scans match
+those of 65-point scans to 1.9e-10 in T.  One evaluator per spectrum serves the scan and
 every refinement pass, so each chemical-potential solve starts from the
 states of its cell already solved (``grand_canonical._Evaluator``).
 Results serialize to CSV and JSON with shortest round-trip float
@@ -36,7 +36,6 @@ from .spectrum import (DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, _check_n_e
                        build_spectrum)
 
 __all__ = [
-    "OUTPUT_FIELDS",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -50,8 +49,9 @@ __all__ = [
     "locate_peak",
 ]
 
-OUTPUT_FIELDS = ("mean_energy", "heat_capacity", "mu", "n0")
+_VALUES = ("mean_energy", "heat_capacity", "mu", "n0")  # of a row, in CSV column order
 _SCAN_POINTS = 7  # log-spaced points of a peak search's scan
+_SCAN_SPAN = 2.2  # its window, from T/span to T*span about the cell's center
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class SweepSpec:
     points: int
     log_grid: bool = True
     normalize_by_tcr: bool = False
-    outputs: tuple[str, ...] = OUTPUT_FIELDS
     n_exact: int = DEFAULT_N_EXACT
 
     def __post_init__(self) -> None:
@@ -76,9 +75,6 @@ class SweepSpec:
                               "with a finite 1/beta_inv_min")
         object.__setattr__(self, "points", _check_index(self.points, 2, "sweep grid points"))
         object.__setattr__(self, "n_exact", _check_n_exact(self.n_exact))
-        bad = set(self.outputs) - set(OUTPUT_FIELDS)
-        if bad:
-            raise DomainError(f"unknown output fields: {sorted(bad)}")
         if not isinstance(self.ensemble, EnsembleSpec):
             raise DomainError(f"ensemble must be an EnsembleSpec, got {self.ensemble!r}")
         if self.normalize_by_tcr and self.ensemble.statistics is not Statistics.BOSE_EINSTEIN:
@@ -171,7 +167,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if errors[i] is not None:
             rows.append(SweepRow(error=errors[i], **common))
             continue
-        rows.append(SweepRow(**common, **{f: float(getattr(p, f)[i]) for f in spec.outputs
+        rows.append(SweepRow(**common, **{f: float(getattr(p, f)[i]) for f in _VALUES
                                           if getattr(p, f) is not None}))
 
     extrema = ExtremumReport()
@@ -197,7 +193,6 @@ def _spec_to_dict(spec: SweepSpec) -> dict:
         "points": spec.points,
         "log_grid": spec.log_grid,
         "normalize_by_tcr": spec.normalize_by_tcr,
-        "outputs": list(spec.outputs),
         "n_exact": spec.n_exact,
     }
 
@@ -206,7 +201,6 @@ def _spec_from_dict(d: dict) -> SweepSpec:
     d = dict(d)
     wall = WallSpec(WallKind(d.pop("wall")), d.pop("field"))
     ensemble = EnsembleSpec(Statistics(d.pop("ensemble")), d.pop("particles"))
-    d["outputs"] = tuple(d["outputs"])
     return SweepSpec(wall=wall, ensemble=ensemble, **d)
 
 
@@ -264,7 +258,7 @@ def result_to_csv(result: SweepResult) -> str:
     if ex.c_max is not None:
         out.write(f"# c_max = {_fmt(ex.c_max)} at beta_inv = {_fmt(ex.beta_inv_at_max)}\n")
     cols = ["beta_inv", "beta"]
-    cols += [f for f in OUTPUT_FIELDS
+    cols += [f for f in _VALUES
              if any(getattr(r, f) is not None for r in result.rows)]
     if spec.normalize_by_tcr:
         cols.append("t_over_tcr")
@@ -328,23 +322,21 @@ class Table1Report:
 
 
 def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
-                t_centers: Sequence[float], span: float = 2.2) -> tuple[ExtremumReport, ...]:
+                t_centers: Sequence[float]) -> tuple[ExtremumReport, ...]:
     """Heat-capacity extrema of the cells of one spectrum, cell i in the
     ensemble ``ensembles[i]`` (all of one statistics): each cell's log
-    window around ``t_centers[i]`` is scanned, all cells as one batch, and
-    the extrema of all scans are refined in lockstep, one batch per
-    refinement pass.  SolverError names the first lane whose solve failed;
-    DomainError unless there is one center per ensemble, at least one, each
-    finite and > 0, and ``span`` is finite and > 1."""
+    window from T/``_SCAN_SPAN`` to T ``_SCAN_SPAN``, T = ``t_centers[i]``, is
+    scanned, all cells as one batch, and the extrema of all scans are
+    refined in lockstep, one batch per refinement pass.  SolverError names
+    the first lane whose solve failed; DomainError unless there is one
+    center per ensemble, at least one, each finite and > 0."""
     if not 1 <= len(ensembles) == len(t_centers):
         raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
                           f"{len(t_centers)} for {len(ensembles)} ensembles")
     if not all(math.isfinite(t) and t > 0.0 for t in t_centers):
         raise DomainError(f"t_centers must be finite and > 0, got {list(t_centers)!r}")
-    if not (math.isfinite(span) and span > 1.0):
-        raise DomainError(f"span must be finite and > 1, got {span!r}")
-    grids = np.exp([np.linspace(math.log(1.0 / (t * span)), math.log(span / t), _SCAN_POINTS)
-                    for t in t_centers])
+    grids = np.exp([np.linspace(math.log(1.0 / (t * _SCAN_SPAN)), math.log(_SCAN_SPAN / t),
+                                _SCAN_POINTS) for t in t_centers])
     c_fn = _c_or_raise(_evaluator(spectrum, ensembles))
     cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
     c, slope = (np.reshape(a, grids.shape) for a in c_fn(grids.ravel(), cells))
@@ -352,22 +344,23 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
-                   ensembles: tuple[str, ...] = ("canonical", "fd", "be"),
-                   tol: float | None = None) -> Table1Report:
+                   ensembles: tuple[str, ...] = ("canonical", "fd", "be")) -> Table1Report:
     """Reproduce the tabulated attractive-wall peaks and report per-cell
-    relative errors.  Deterministic: two runs give byte-identical reports.
+    relative errors; a cell passes within the published ``TOLERANCE`` of its
+    ensemble.  Deterministic: two runs give byte-identical reports.
     DomainError, before any cell is computed, unless at least one field and
-    one ensemble are selected, every ensemble is a ``Statistics`` name and
-    every field a tabulated one, and ``tol`` (None: the per-ensemble
-    defaults) is finite and > 0."""
+    one ensemble are selected, none of them twice, every ensemble is a
+    ``Statistics`` name and every field a tabulated one."""
     if not (fields and ensembles):
         raise DomainError(f"table1 needs a field and an ensemble, got {fields!r}, {ensembles!r}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     statistics = [Statistics(name) for name in ensembles]
     for field in fields:
         if field not in TABLE1_FIELDS:  # the table holds every cell of its fields
             raise DomainError(f"no reference value for field {field!r}")
+    for name, chosen in (("field", tuple(fields)), ("ensemble", tuple(ensembles))):
+        for i, x in enumerate(chosen):
+            if x in chosen[:i]:  # it would repeat its cells
+                raise DomainError(f"table1 selects the {name} {x!r} more than once")
     spectra = {f: build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, f)) for f in fields}
     cells: list[Table1Cell] = []
     for stat in statistics:
@@ -381,12 +374,11 @@ def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
                 if rep.c_max is None:
                     raise DomainError(f"no peak found in the scan window for {key}")
                 t_ref, c_ref = TABLE1[key]
-                tolerance = tol if tol is not None else TOLERANCE[ens_name]
                 cells.append(Table1Cell(
                     ensemble=ens_name, n_particles=key[1], field=field,
                     t_ref=t_ref, c_ref=c_ref,
                     t_found=rep.beta_inv_at_max, c_found=rep.c_max,
                     rel_t=abs(rep.beta_inv_at_max - t_ref) / t_ref,
                     rel_c=abs(rep.c_max - c_ref) / c_ref,
-                    tolerance=tolerance))
+                    tolerance=TOLERANCE[ens_name]))
     return Table1Report(cells=tuple(cells))

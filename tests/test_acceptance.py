@@ -161,8 +161,7 @@ def test_criterion_7_predictor_convergence():
     for field in fields:
         sp = attractive(field)
         beta_zero, beta_max, c_max = resonance_predictors(field)
-        rep, = locate_peak(sp, [EnsembleSpec(Statistics.CANONICAL, 1)], [1.0 / beta_max],
-                           span=2.6)
+        rep, = locate_peak(sp, [EnsembleSpec(Statistics.CANONICAL, 1)], [1.0 / beta_max])
         b_num = 1.0 / rep.beta_inv_at_max
         seqs["canonical beta"].append(abs(beta_max - b_num) / b_num)
         seqs["canonical c"].append(abs(c_max - rep.c_max) / rep.c_max)
@@ -178,7 +177,7 @@ def test_criterion_7_predictor_convergence():
         seqs["zero-energy beta"].append(abs(beta_zero - math.sqrt(lo * hi))
                                         / math.sqrt(lo * hi))
         fd_beta, fd_c = limits.fd_single_peak(field)
-        rep, = locate_peak(sp, [EnsembleSpec(FD, 1)], [1.0 / fd_beta], span=2.6)
+        rep, = locate_peak(sp, [EnsembleSpec(FD, 1)], [1.0 / fd_beta])
         b_num = 1.0 / rep.beta_inv_at_max
         seqs["fd beta"].append(abs(fd_beta - b_num) / b_num)
         seqs["fd c"].append(abs(fd_c - rep.c_max) / rep.c_max)

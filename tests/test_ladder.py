@@ -644,10 +644,35 @@ def test_start_index_in_the_root_block_matches_brute_force(spectrum_m3):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0, [], [1.0, math.nan]])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0, [], [1.0, math.nan],
+                                  [[1.0, 2.0]]])
 def test_beta_checked(spectrum_m3, beta):
-    with pytest.raises(DomainError):
+    # a 2-D beta was summed as a batch of its elements
+    with pytest.raises(DomainError, match="beta"):
         ladder_sums(spectrum_m3, beta, Statistics.FERMI_DIRAC, gamma=0.5)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, [0.5, math.nan],
+                                   [[0.5, 1.0]], []],
+                         ids=["inf", "-inf", "nan", "nan-lane", "2-D", "empty"])
+def test_gamma_checked(spectrum_m3, gamma):
+    # checked before planning: an infinite gamma once allocated until
+    # MemoryError, a NaN failed on a negative level index, a 2-D gamma was
+    # summed as a batch of its elements, and an empty one was blamed on beta
+    with pytest.raises(DomainError, match="gamma"):
+        ladder_sums(spectrum_m3, 1.0, Statistics.FERMI_DIRAC, gamma=gamma)
+
+
+def test_scalar_and_1d_arguments_broadcast(spectrum_m3):
+    # a scalar beta or gamma against a 1-D other gives one lane per element,
+    # each the sums of its scalar call
+    betas, gammas = [0.5, 2.0], [-1.0, 0.5]
+    for beta, gamma in ((betas, 0.5), (2.0, gammas), (betas, gammas)):
+        sums = ladder_sums(spectrum_m3, beta, Statistics.FERMI_DIRAC, gamma=gamma)
+        assert all(s.shape == (2,) for s in sums)
+        for i, (b, g) in enumerate(np.broadcast(beta, gamma)):
+            one = ladder_sums(spectrum_m3, float(b), Statistics.FERMI_DIRAC, gamma=float(g))
+            assert [s[i] for s in sums] == pytest.approx(one, rel=1e-13, abs=0.0)
 
 
 def test_huge_fermion_number_is_fast_and_validated():
