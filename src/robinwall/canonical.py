@@ -128,9 +128,9 @@ def _refine(a: float, fa: float, ga: float, b: float, fb: float,
     a < b whose slopes change sign, ga < 0 <= gb, values and slopes known.
     Each pass evaluates the minimiser v of the cubic Hermite on the bracket
     (``_cubic_min``), v +- max(tol1, w/1000) on a bracket of width w, and
-    its three quarter points, those inside it, and the next bracket is the
-    pair of neighbours among its ends and these points whose slopes change
-    sign, next to the lowest value.  Stops by Brent's (1973) rule, once the
+    its midpoint a + w/2, those inside it, and the next bracket is the pair of
+    neighbours among its ends and these points whose slopes change sign,
+    next to the lowest value.  Stops by Brent's (1973) rule, once the
     bracket is within 4 tol1, tol1 = sqrt(eps)|x| + 2.5e-7 at the end x of
     the lower value, and returns (v, f(x)), v the cubic's minimiser on that
     last bracket.  A generator: it yields each pass's points u and is sent
@@ -141,8 +141,7 @@ def _refine(a: float, fa: float, ga: float, b: float, fb: float,
         if w <= 4.0 * tol1:
             return _cubic_min(a, fa, ga, b, fb, gb), fx
         v, h = _cubic_min(a, fa, ga, b, fb, gb), max(tol1, w / 1000.0)
-        us = sorted({u for u in (v - h, v, v + h, a + 0.25 * w, a + 0.5 * w, a + 0.75 * w)
-                     if a < u < b})
+        us = sorted({u for u in (v - h, v, v + h, a + 0.5 * w) if a < u < b})
         points = [(a, fa, ga), *((u, *fg) for u, fg in zip(us, (yield us))), (b, fb, gb)]
         brackets = [(min(lo[1], hi[1]), lo, hi) for lo, hi in zip(points, points[1:])
                     if lo[2] < 0.0 <= hi[2]]
@@ -160,7 +159,7 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence, slope_grid: Sequence,
     bracketed by neighbouring scan points between which the slope changes
     sign, and every one of every scan is refined by ``_refine``, all in
     lockstep: a pass is one call ``fn(beta, rows)`` with the points of that
-    pass of every open refinement (up to 6) and their scans' rows, returning
+    pass of every open refinement (up to 4) and their scans' rows, returning
     their (c, dc/d ln beta); a smooth peak takes 2 passes.  An extremum
     lies at the cubic's minimiser on its last bracket, ~1e-6 wide in ln beta.
 

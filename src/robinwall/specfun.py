@@ -284,8 +284,10 @@ def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
         f, df = fn(x)
         return f, df, x - f / df
 
-    roots, met = _newton_root(step, lo, hi, x, lambda f, df, x: (
-        np.abs(f / df) <= rtol * np.maximum(1.0, np.abs(x))))
+    # a zero or NaN slope fails the test, and the lane bisects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots, met = _newton_root(step, lo, hi, x, lambda f, df, x: (
+            np.abs(f / df) <= rtol * np.maximum(1.0, np.abs(x))))
     if not met.all():
         raise SolverError(f"safeguarded Newton stalled short of its test in lane {np.argmin(met)}")
     return roots

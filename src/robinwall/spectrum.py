@@ -225,7 +225,9 @@ def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
     """Levels 0..stop-1: the root of psi on each level's bracket, where psi
     decreases through zero, by one lockstep safeguarded Newton from the Airy
     zero ``near`` shifted by lam*F^(1/3) (the first-order wall shift), or
-    from the midpoint if that leaves the bracket."""
+    from the midpoint if that leaves the bracket.  On the attractive wall
+    SolverError names the field where psi does not fall through zero across
+    the ground level's root."""
     lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
     zeros = _airy_zeros(stop)
     # level n >= 1 lies in (a_{n+1}, a_n), near a_n on the attractive wall
@@ -245,6 +247,15 @@ def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
     x = near + lam * fc
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     xis = _polished_roots(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
+    if lam < 0.0:
+        # at a weak field the slope of psi cancels to noise near the
+        # split-off state, and Newton's test on |psi/psi'| can pass far
+        # from its root
+        d = 1e-10 * max(1.0, abs(xis[0]))
+        psi_0 = _robin_psi(np.array([xis[0] - d, xis[0] + d]), fc, lam)[0]
+        if not psi_0[0] > 0.0 > psi_0[1]:
+            raise SolverError(f"robin ground level at field {wall.field!r}: psi does not change "
+                              f"sign across the root xi={xis[0]} ({psi_0[0]:.3e}, {psi_0[1]:.3e})")
     return -xis * wall.field ** (2.0 / 3.0)
 
 

@@ -452,8 +452,8 @@ class TestBrentRefinement:
         assert sorted(alone) == [-1.0, 1.0]
         assert len(passes) == max(len(v) for _, v, _ in alone.values())
         for (lo, hi), visited, _ in alone.values():
-            # the Hermite point, its two probes and the three quarter points
-            assert len(visited[0]) == 6
+            # the Hermite point, its two probes and the bracket's midpoint
+            assert len(visited[0]) == 4
             assert ([[b for b in p if lo < b < hi] for p in passes]
                     == visited + [[]] * (len(passes) - len(visited)))
         assert len(passes[0]) == sum(len(v[0]) for _, v, _ in alone.values())

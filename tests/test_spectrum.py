@@ -9,7 +9,7 @@ from scipy import special as sps
 
 from robinwall import spectrum as spm
 from robinwall._work import reading
-from robinwall.errors import DomainError, SolverError
+from robinwall.errors import DomainError, RobinWallError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics
 from robinwall.limits import asymptotic_beta_cr
 from robinwall.specfun import AiryZeroKind, airy_zero, interlacing_ok
@@ -36,6 +36,26 @@ def repulsive(field, count=8):
 
 def ground_level(kind, field):
     return build_spectrum(WallSpec(kind, field)).e0
+
+
+# 10 fields a decade from 1e-31 to 1e-10 and one ulp below each whole decade
+WEAK_FIELDS = ([10.0 ** (k / 10) for k in range(-310, -99)]
+               + [math.nextafter(10.0 ** k, 0.0) for k in range(-31, -9)])
+
+
+def weak_field_tally():
+    """The fields of WEAK_FIELDS where robin- builds its ground level at the
+    first-order -1 + F/2 to 1e-11, where it raises, and where it builds
+    another level."""
+    right, raising, wrong = [], [], []
+    for field in WEAK_FIELDS:
+        try:
+            e0 = ground_level(ATTR, field)
+        except RobinWallError:
+            raising.append(field)
+            continue
+        (right if abs(e0 - (-1.0 + field / 2.0)) <= 1e-11 else wrong).append(field)
+    return right, raising, wrong
 
 
 class TestWallSpec:
@@ -198,6 +218,22 @@ class TestRobinLevels:
             assert np.all(np.diff(sp.levels) > 0.0), (kind, k, n_exact)
             if kind.is_robin:
                 assert sp.n_exact == n_exact
+
+    def test_weak_field_ground_level_is_right_or_raises(self):
+        # the bound state builds at its first-order level or raises, never
+        # at a wrong level; 62 of the 233 fields raise, none above 1.6e-15
+        right, raising, wrong = weak_field_tally()
+        assert wrong == []
+        assert len(raising) == 62 and len(right) == 171
+        assert max(raising) < 1.6e-15
+
+    def test_repulsive_wall_builds_at_weak_fields(self):
+        # no bound state splits off the repulsive wall, and every field of
+        # the grid builds with its ground level inside (0, |a_1| F^(2/3))
+        a1 = abs(airy_zero(1, AiryZeroKind.FunctionZero))
+        for field in WEAK_FIELDS:
+            e0 = ground_level(REP, field)
+            assert 0.0 < e0 < a1 * field ** (2.0 / 3.0)
 
     def test_tail_below_last_root_rejected(self):
         sp = attractive(1e-3, count=8)

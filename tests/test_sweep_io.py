@@ -372,22 +372,16 @@ class TestTable1Harness:
     def test_evaluator_batches_per_round(self):
         # each (ensemble, field) block of the table is one locate_peak call:
         # one batch scans all its cells, then each refinement pass is one
-        # batch over the points of every refinement still open.  One cell
-        # and one point at a time took 454 batches a round (55 scans, 399
-        # Brent points), Brent's one-point steps in lockstep 137 (15 blocks,
-        # 122 passes), multi-point passes on the parabola through three
-        # values of c 81 (66 passes over 703 lanes: 3 per canonical or FD
-        # block and 6-8 per BE block, 36 in all).  Refined on the slope
-        # from 33-point scans a round took 48 (33 passes over 659 lanes, 12
-        # of them in the BE blocks) over 2,474 evaluator lanes, 1,650 of
-        # them cold; from 7-point scans it takes 48 (33 passes over 650
-        # lanes, 11 in the BE blocks) over 1,035 lanes, 350 of them cold
+        # batch over the points of every refinement still open, up to 4 a
+        # refinement.  A round takes 48 batches (33 passes over 423 lanes,
+        # 11 of them in the BE blocks) over 808 evaluator lanes, 350 of
+        # them cold
         work = table1_work()
         assert work["batches"] - work["refine_passes"] == 15  # one scan per block
         assert work["batches"] <= 53
         assert work["refine_passes"] <= 36
-        assert work["refine_lanes"] <= 725
-        assert work["batch_lanes"] <= 1_140
+        assert work["refine_lanes"] <= 466
+        assert work["batch_lanes"] <= 889
         assert work["cold_lanes"] <= 385  # the 7 lanes of each of the 50 grand-canonical scans
         with reading() as be:
             table1_harness(ensembles=("be",))
@@ -399,14 +393,9 @@ class TestTable1Harness:
         # Newton pass.  Cold scans start from the two-term balance (in Bose
         # statistics for bosons) and the refinement's points from the cubic
         # Hermite through their cell's solved states and slopes, and each
-        # Newton pass is a Halley step: 100 calls with the peaks refined on
-        # the slope from 7-point scans, whose coarser warm starts take 9
-        # more mu passes than the 91 from 33-point scans (147, 20
-        # canonical, with 50-point scans and the parabola's passes; 176 with
-        # Newton steps, 268, 35 of them canonical, with Brent's one-point
-        # steps).  A Boltzmann continuum and linear hints took 378.  A mu
-        # solve's passes are sums over its batch's plan, the other calls
-        # ladder_sums, one sum each
+        # Newton pass is a Halley step: 96 calls a round (36 FD, 45 BE).
+        # A mu solve's passes are sums over its batch's plan, the other
+        # calls ladder_sums, one sum each
         work = table1_work()
         assert work["canonical_passes"] == 15
         assert work["fd_passes"] > 0 and work["be_passes"] > 0
@@ -417,16 +406,7 @@ class TestTable1Harness:
         # kernels once per node set of its plan that serves a lane of it:
         # the root block, the closure nodes with their end stencils and the
         # blocks of its direct windows, each cut into runs of lanes of at
-        # most ladder._PAIRS (lane, node) pairs.  232 passes a round with the
-        # peaks refined on the slope from 7-point scans, 273 from 33-point
-        # scans, 423 with the parabola's passes and the mu solves' Halley
-        # steps, 567 with Newton steps, multi-point refinement passes and
-        # closure blocks sized after their dead panels drop, 780 with
-        # Brent's one-point steps and the whole batch planned at once; with
-        # the batch cut into 32-lane groups, each group's node sets apart, it
-        # took 1,125, and planned anew on every pass 1,078; with the closure
-        # integral, each end correction and each direct block evaluated apart
-        # 1,943, and with the mu solves' older starts 1,350.
+        # most ladder._PAIRS (lane, node) pairs: 224 passes a round.
         assert 0 < table1_work()["node_sums"] <= 300
 
     def test_plan_builds_per_round(self):
@@ -435,22 +415,10 @@ class TestTable1Harness:
         # lanes' start gamma; its later Newton passes sum over that plan, and
         # only a lane whose gamma leaves its window gets a plan of its own.
         # A round builds 48 plans (15 of the canonical calls, 33 of the mu
-        # solves) and 347,360 kernel elements with the peaks refined on the
-        # slope from 7-point scans, Bose plans that hold as gamma rises and
-        # octave closure panels up to x = 2 (325,940 with them up to 0.5);
-        # 825,254 from 33-point scans; 81 plans and 1,179,945 elements with
-        # 50-point scans and the parabola's passes, a closure rule of 12
-        # nodes a panel for canonical, 14 for BE and 20 for FD and the mu
-        # solves' Halley steps; with 24 nodes and Newton steps it took
-        # 1,781,943 (1,783,662 before the Fermi-edge start).  With Brent's
-        # one-point steps it built 137 plans and 1,817,983 elements, within
-        # 5% of the 1,804,892 of planning every pass; the multi-point passes
-        # alone raised that to 1,981,350, and the tail panel past X_DEAD,
-        # dropped, paid for it.  Cut into 32-lane groups it built 142 plans
-        # of 217 groups, and planned anew on every pass 478 groups
+        # solves) and 270,699 kernel elements
         work = table1_work()
         assert 0 < work["plans"] <= 53
-        assert 0 < work["kernel_elements"] <= 375_000
+        assert 0 < work["kernel_elements"] <= 298_000
 
     def test_work_counts_repeat_and_reading_them_changes_no_output(self, capsys):
         # two table1 rounds in one process do the same work, counted alike,
@@ -830,6 +798,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == prefix + "\n"
+
+    def test_weak_field_solver_error_exit_code(self, capsys):
+        # a zero slope of psi where the bound state's Newton stalls is a
+        # solver error, not a numpy warning
+        assert main(["spectrum", "--wall", "robin-", "--field", "1e-16"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver error: ")
 
     def test_parser_built_once_serves_every_call(self, tmp_path, capsys):
         # main builds its parser on the first call and reuses it: a CSV
