@@ -29,7 +29,6 @@ from .canonical import (
     ExtremumReport,
     ThermoPoint,
     find_extrema,
-    thermo_point,
     universal_dn_curve,
 )
 from .limits import (
@@ -46,7 +45,7 @@ from .grand_canonical import (
     EnsembleSpec,
     Statistics,
     be_critical,
-    gc_point,
+    thermo_point,
 )
 from .sweep import (
     SweepResult,

@@ -2,9 +2,10 @@
 each site defining a unit of work adds to under its own keys: ``_Plan``
 (plans, plan_lanes), ``ladder._sums`` ({statistics}_passes, pass_lanes,
 stale_lanes), ``_node_sums`` (node_sums, kernel_elements), ``_Plan``'s
-closures (tail_ and sea_ lanes and blocks), ``_Evaluator`` and ``thermo_point``
-(batches, batch_lanes, cold_lanes), ``find_extrema`` (refine_passes,
-refine_lanes) and ``spectrum._robin_psi`` (airy_calls, airy_points).
+closures (tail_ and sea_ lanes and blocks), ``_Evaluator`` and
+``canonical._canonical`` (batches, batch_lanes, cold_lanes),
+``find_extrema`` (refine_passes, refine_lanes) and ``spectrum._robin_psi``
+(airy_calls, airy_points).
 ``reading`` gives the work of a run as the difference of two snapshots."""
 
 import contextlib

@@ -32,7 +32,6 @@ from .specfun import _check_beta
 __all__ = [
     "ThermoPoint",
     "ExtremumReport",
-    "thermo_point",
     "universal_dn_curve",
     "find_extrema",
 ]
@@ -69,30 +68,23 @@ class ExtremumReport:
     c_min: float | None = None
 
 
-def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
+def _canonical(spectrum: Spectrum, beta: np.ndarray) -> ThermoPoint:
     """Mean energy <E> = sum E_n w_n / sum w_n, heat capacity
     c = beta^2 (<E^2> - <E>^2) of one particle and its slope
-    dc/d ln beta = 2c - beta^3 kappa_3 (arrays for an array of beta, summed
-    as one batch).  A lane whose <E> or c is not finite is NaN with its
-    message in ``errors``; a scalar beta raises SolverError instead."""
-    beta = _check_beta(beta)
-    _work.counts.update(batches=1, batch_lanes=np.size(beta))
+    dc/d ln beta = 2c - beta^3 kappa_3, as arrays over the 1-D ``beta``,
+    summed as one batch.  A lane whose <E> or c is not finite is NaN with
+    its message in ``errors``."""
+    _work.counts.update(batches=1, batch_lanes=beta.size)
     s0, s1, s2, s3 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
     m, m2 = s1 / s0, s2 / s0
     kappa2 = m2 - m * m
     kappa3 = s3 / s0 - m * (3.0 * m2 - 2.0 * m * m)
-    energy, c = np.atleast_1d(spectrum.e0 + m, beta * beta * kappa2)
-    slope = np.atleast_1d(2.0 * c - beta ** 3 * kappa3)
+    energy, c = spectrum.e0 + m, beta * beta * kappa2
     ok = np.isfinite(energy) & np.isfinite(c)
     errors = tuple(None if good else f"canonical sums at beta={b}: <E> = {e} and c = {cb} "
-                   "are not finite" for good, b, e, cb in zip(ok, np.ravel(beta), energy, c))
-    if np.ndim(beta) == 0:
-        if errors[0]:
-            raise SolverError(errors[0])
-        return ThermoPoint(beta, float(energy[0]), float(c[0]),
-                           heat_capacity_slope=float(slope[0]))
+                   "are not finite" for good, b, e, cb in zip(ok, beta, energy, c))
     return ThermoPoint(beta, *(np.where(ok, a, np.nan) for a in (energy, c)), errors=errors,
-                       heat_capacity_slope=np.where(ok, slope, np.nan))
+                       heat_capacity_slope=np.where(ok, 2.0 * c - beta ** 3 * kappa3, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +93,15 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray) -> ThermoPoint:
 
 def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
     """(<E>/F^(2/3), c) for the hard or reflecting wall as functions of the
-    single collapsed variable y = beta * F^(2/3)."""
+    single collapsed variable y = beta * F^(2/3), a finite scalar > 0."""
     if kind not in (WallKind.DIRICHLET, WallKind.NEUMANN):
         raise DomainError(f"universal curve is defined for Dirichlet/Neumann, got {kind}")
-    tp = thermo_point(build_spectrum(WallSpec(kind, 1.0)), y)
-    return tp.mean_energy, tp.heat_capacity
+    if np.ndim(y):
+        raise DomainError(f"universal curve takes a scalar y, got shape {np.shape(y)}")
+    p = _canonical(build_spectrum(WallSpec(kind, 1.0)), np.array([_check_beta(y)]))
+    if p.errors[0]:
+        raise SolverError(p.errors[0])
+    return float(p.mean_energy[0]), float(p.heat_capacity[0])
 
 
 # ---------------------------------------------------------------------------

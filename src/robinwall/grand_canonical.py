@@ -41,9 +41,9 @@ in a degenerate sea at the zero-temperature Fermi edge.  A fermion lane
 whose Fermi edge is frozen (half the gap E_N - E_{N-1} past ln(2e12) kT)
 starts at mid-gap, where the two edge levels hold as many holes as
 particles and the first pass meets the 1e-12 target, so mu lands on the
-exact two-level value.  ``gc_point`` is the evaluator's cold, one-call
-form.  Each call counts its batch, lanes and cold lanes in ``_work.counts``,
-and the ladder each of its passes.
+exact two-level value.  Each call counts its batch, lanes and cold lanes
+in ``_work.counts``, and the ladder each of its passes; ``thermo_point``
+is the one-call state of any ensemble, through ``_evaluator``.
 
 The heat capacity uses the implicit-function temperature derivative of mu:
 with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
@@ -87,7 +87,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _work
-from .canonical import ThermoPoint
+from .canonical import ThermoPoint, _canonical
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
 from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
@@ -98,7 +98,7 @@ __all__ = [
     "Statistics",
     "EnsembleSpec",
     "CondensateReport",
-    "gc_point",
+    "thermo_point",
     "be_critical",
 ]
 
@@ -365,30 +365,38 @@ class _Evaluator:
         return ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope)
 
 
-def gc_point(spectrum: Spectrum, beta: float | np.ndarray,
-             ensemble: EnsembleSpec) -> ThermoPoint:
-    """Mean energy <E> of the N particles, heat capacity per particle, mu
-    and, for bosons, the ground-level fraction n0 at one temperature, or at
-    a batch of temperatures solved cold in lockstep: the one-call form of
-    ``_Evaluator``.
+def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
+    """(beta, cells) -> ThermoPoint of arrays over the lanes of ``beta``,
+    lane i in the ensemble ``ensembles[cells[i]]`` (all of one statistics,
+    else DomainError): the canonical sums for the canonical ensemble (one
+    particle, no mu or n0), else an ``_Evaluator``, whose mu solves start
+    from the states already solved in their cell."""
+    if {getattr(e, "statistics", None) for e in ensembles} == {Statistics.CANONICAL}:
+        return lambda beta, cells: _canonical(spectrum, beta)
+    return _Evaluator(spectrum, ensembles)
 
-    The returned state has been validated: the occupation sum reproduces N
-    to 1e-10 relative, and for bosons gamma = beta (E_0 - mu) > 0 (mu may
-    round to E_0 deep in a condensate) with n0 in [0, 1].  With a 1-D array
-    ``beta`` every field is an array over the lanes, and a failed lane is
-    NaN with its message in ``errors``; a scalar ``beta`` gives plain floats
-    and raises SolverError instead.
-    """
+
+def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
+                 ensemble: EnsembleSpec = EnsembleSpec(Statistics.CANONICAL, 1)) -> ThermoPoint:
+    """Mean energy <E> of the N particles, heat capacity per particle, its
+    slope dc/d ln beta and, where they apply, mu and the Bose ground-level
+    fraction n0, in any of the three ensembles (``_evaluator``), at one
+    temperature or at a 1-D batch solved cold.  A grand-canonical state
+    reproduces N to 1e-10 relative, and for bosons has gamma = beta (E_0 - mu)
+    > 0 (mu may round to E_0 deep in a condensate) with n0 in [0, 1].  A batch
+    gives arrays, a failed lane NaN with its message in ``errors``; a scalar
+    ``beta`` gives plain floats (None where a field does not apply) and
+    raises SolverError instead."""
     beta = _check_beta(beta)
     lanes = np.ravel(beta)
-    p = _Evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
+    p = _evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
     if np.ndim(beta) > 0:
         return p
     if p.errors[0]:
         raise SolverError(p.errors[0])
-    return ThermoPoint(beta, *(float(a[0]) for a in (p.mean_energy, p.heat_capacity, p.mu)),
-                       n0=None if p.n0 is None else float(p.n0[0]),
-                       heat_capacity_slope=float(p.heat_capacity_slope[0]))
+    return ThermoPoint(beta, *(None if a is None else float(a[0]) for a in (
+        p.mean_energy, p.heat_capacity, p.mu, p.n0)),
+        heat_capacity_slope=float(p.heat_capacity_slope[0]))
 
 
 # ---------------------------------------------------------------------------

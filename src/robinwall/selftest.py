@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import canonical as can
 from . import grand_canonical as gc
 from .grand_canonical import EnsembleSpec, Statistics
 from .ladder import ladder_sums
@@ -43,9 +42,9 @@ def check_fluctuation_dissipation() -> CheckResult:
         field = 10.0 ** rng.uniform(-5.0, -1.0)
         beta = 10.0 ** rng.uniform(math.log10(0.2), math.log10(15.0))
         sp = build_spectrum(WallSpec(kind, field))
-        c = can.thermo_point(sp, beta).heat_capacity
+        c = gc.thermo_point(sp, beta).heat_capacity
         h = 2e-3 * beta
-        es = [can.thermo_point(sp, beta + k * h).mean_energy for k in (-2, -1, 1, 2)]
+        es = [gc.thermo_point(sp, beta + k * h).mean_energy for k in (-2, -1, 1, 2)]
         dedb = (es[0] - 8.0 * es[1] + 8.0 * es[2] - es[3]) / (12.0 * h)
         c_fd = -beta * beta * dedb
         worst = max(worst, abs(c - c_fd) / abs(c))
@@ -63,29 +62,12 @@ def check_particle_number() -> CheckResult:
         n = rng.choice([1, 2, 5, 10, 100])
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         for stat in (Statistics.FERMI_DIRAC, Statistics.BOSE_EINSTEIN):
-            mu = gc.gc_point(sp, beta, EnsembleSpec(stat, n)).mu
+            mu = gc.thermo_point(sp, beta, EnsembleSpec(stat, n)).mu
             gamma = beta * (sp.e0 - mu)
             got = ladder_sums(sp, beta, stat, gamma=gamma)[0]
             worst = max(worst, abs(got - n) / n)
     return CheckResult("particle-number residual after mu solve",
                        worst <= 1e-10, f"worst relative residual {worst:.2e} (<= 1e-10)")
-
-
-def check_bose_mu_below_ground() -> CheckResult:
-    """mu < E_0 strictly at every evaluated Bose point."""
-    rng = random.Random(7777)
-    ok = True
-    margin = math.inf
-    for _ in range(20):
-        field = 10.0 ** rng.uniform(-6.0, -2.0)
-        beta = 10.0 ** rng.uniform(-0.5, 1.2)
-        n = rng.choice([1, 10, 1000])
-        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
-        mu = gc.gc_point(sp, beta, EnsembleSpec(Statistics.BOSE_EINSTEIN, n)).mu
-        margin = min(margin, sp.e0 - mu)
-        ok = ok and (mu < sp.e0)
-    return CheckResult("bose chemical potential below ground level",
-                       ok, f"smallest E0 - mu = {margin:.3e} (> 0)")
 
 
 def check_ground_fraction_monotone() -> CheckResult:
@@ -94,7 +76,7 @@ def check_ground_fraction_monotone() -> CheckResult:
     rep = gc.be_critical(sp, 1000)
     ts = np.linspace(0.1, 2.0, 40) * rep.t_cr
     ens = EnsembleSpec(Statistics.BOSE_EINSTEIN, 1000)
-    n0s = [gc.gc_point(sp, 1.0 / t, ens).n0 for t in ts]
+    n0s = [gc.thermo_point(sp, 1.0 / t, ens).n0 for t in ts]
     in_range = all(0.0 <= v <= 1.0 for v in n0s)
     mono = all(b <= a + 1e-12 for a, b in zip(n0s, n0s[1:]))
     return CheckResult("ground occupation in [0,1], nonincreasing in T",
@@ -108,10 +90,10 @@ def check_high_t_ensemble_agreement() -> CheckResult:
     field = 1e-4
     beta = 1e-4 / field ** (2.0 / 3.0)
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
-    c_can = can.thermo_point(sp, beta).heat_capacity
+    c_can = gc.thermo_point(sp, beta).heat_capacity
     cs = [c_can]
     for stat in (Statistics.FERMI_DIRAC, Statistics.BOSE_EINSTEIN):
-        cs.append(gc.gc_point(sp, beta, EnsembleSpec(stat, 3)).heat_capacity)
+        cs.append(gc.thermo_point(sp, beta, EnsembleSpec(stat, 3)).heat_capacity)
     spread = max(cs) - min(cs)
     return CheckResult("three-ensemble agreement at high temperature",
                        spread <= 1e-2,
@@ -138,7 +120,6 @@ ALL_CHECKS = (
     check_lambert_roundtrip,
     check_fluctuation_dissipation,
     check_particle_number,
-    check_bose_mu_below_ground,
     check_ground_fraction_monotone,
     check_high_t_ensemble_agreement,
 )

@@ -62,9 +62,14 @@ _TABLE_STEP = 0.25
 _TAYLOR_TERMS = 30
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (which ``numbers.Real`` takes in)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_index(value, minimum: int, what: str) -> int:
     """An index or count as int; DomainError unless it is an integer >= minimum."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+    if not (_is_real(value) and math.isfinite(value)
             and value == int(value) >= minimum):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
@@ -73,7 +78,7 @@ def _check_index(value, minimum: int, what: str) -> int:
 def _check_field(field: float) -> float:
     """A field as float; DomainError unless it is a real number, finite and
     > 0 (zero-field walls are handled by the closed-form thermodynamics)."""
-    if not (isinstance(field, numbers.Real) and math.isfinite(field) and field > 0.0):
+    if not (_is_real(field) and math.isfinite(field) and field > 0.0):
         raise DomainError(f"field must be a finite real number > 0, got {field!r}")
     return float(field)
 

@@ -27,11 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from . import grand_canonical as gc
-from .canonical import ExtremumReport, find_extrema, thermo_point
+from .canonical import ExtremumReport, find_extrema
 from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
-from .specfun import _check_index
+from .specfun import _check_index, _is_real
 from .spectrum import (DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, _check_n_exact,
                        build_spectrum)
 
@@ -69,10 +69,14 @@ class SweepSpec:
     n_exact: int = DEFAULT_N_EXACT
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta_inv_min < self.beta_inv_max < math.inf
-                and math.isfinite(1.0 / float(self.beta_inv_min))):
-            raise DomainError("sweep grid needs 0 < beta_inv_min < beta_inv_max < inf, "
-                              "with a finite 1/beta_inv_min")
+        lo, hi = self.beta_inv_min, self.beta_inv_max
+        if not (_is_real(lo) and _is_real(hi) and 0.0 < lo < hi < math.inf
+                and math.isfinite(1.0 / float(lo))):
+            raise DomainError("sweep grid needs real numbers 0 < beta_inv_min < beta_inv_max "
+                              f"< inf, with a finite 1/beta_inv_min; got {lo!r}, {hi!r}")
+        for name in ("log_grid", "normalize_by_tcr"):
+            if not isinstance(getattr(self, name), bool):
+                raise DomainError(f"{name} must be a bool, got {getattr(self, name)!r}")
         object.__setattr__(self, "points", _check_index(self.points, 2, "sweep grid points"))
         object.__setattr__(self, "n_exact", _check_n_exact(self.n_exact))
         if not isinstance(self.ensemble, EnsembleSpec):
@@ -103,17 +107,6 @@ class SweepResult:
     @property
     def failed(self) -> bool:
         return any(r.error is not None for r in self.rows)
-
-
-def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
-    """(beta, cells) -> ThermoPoint of arrays over the lanes of ``beta``,
-    lane i in the ensemble ``ensembles[cells[i]]`` (all of one statistics,
-    else DomainError): ``thermo_point`` for the canonical ensemble (one
-    particle, no mu or n0), else the grand-canonical evaluator, whose mu
-    solves start from the states already solved in their cell."""
-    if {e.statistics for e in ensembles} == {Statistics.CANONICAL}:
-        return lambda beta, cells: thermo_point(spectrum, beta)
-    return gc._Evaluator(spectrum, ensembles)
 
 
 def _c_or_raise(evaluate):
@@ -154,7 +147,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     temperatures = t_units * scale
 
     betas = 1.0 / temperatures
-    evaluate = _evaluator(spectrum, [ens])
+    evaluate = gc._evaluator(spectrum, [ens])
     try:
         p = evaluate(betas, np.zeros(len(betas), dtype=int))
         errors = p.errors
@@ -337,7 +330,7 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
         raise DomainError(f"t_centers must be finite and > 0, got {list(t_centers)!r}")
     grids = np.exp([np.linspace(math.log(1.0 / (t * _SCAN_SPAN)), math.log(_SCAN_SPAN / t),
                                 _SCAN_POINTS) for t in t_centers])
-    c_fn = _c_or_raise(_evaluator(spectrum, ensembles))
+    c_fn = _c_or_raise(gc._evaluator(spectrum, ensembles))
     cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
     c, slope = (np.reshape(a, grids.shape) for a in c_fn(grids.ravel(), cells))
     return find_extrema(grids, c, slope, c_fn)

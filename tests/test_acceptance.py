@@ -8,12 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from robinwall import canonical as can
 from robinwall import grand_canonical as gc
 from robinwall import limits, selftest
-from robinwall.canonical import find_extrema, thermo_point, universal_dn_curve
+from robinwall.canonical import find_extrema, universal_dn_curve
 from robinwall.limits import resonance_predictors, zero_field_attractive
-from robinwall.grand_canonical import EnsembleSpec, Statistics
+from robinwall.grand_canonical import EnsembleSpec, Statistics, thermo_point
 from robinwall.reference_values import (
     NEUMANN_CURVE_MAX,
     TABLE1,
@@ -135,7 +134,7 @@ def test_criterion_6_fermion_plateau():
         ens = EnsembleSpec(FD, n)
         plateau = limits.fd_plateau(n)
         temps = np.exp(np.linspace(math.log(0.002), math.log(0.09), 50))
-        p = gc.gc_point(sp, 1.0 / temps, ens)
+        p = thermo_point(sp, 1.0 / temps, ens)
         cs = p.heat_capacity
         near = np.abs(cs - plateau) / plateau <= 0.02
         slopes = np.abs(np.diff(cs) / np.diff(temps))
@@ -209,7 +208,7 @@ def test_criterion_9_condensation_phenomenology():
         # the cusp narrows with N; 400 points on [0.95, 1.08] resolves the
         # descent for all three sizes (slopes are grid-converged there)
         units = np.linspace(0.95, 1.08, 400)
-        p = gc.gc_point(sp, cond.beta_cr / units, ens)
+        p = thermo_point(sp, cond.beta_cr / units, ens)
         solved = solved and not any(p.errors)
         slopes.append(float(np.min(np.diff(p.heat_capacity) / np.diff(units))))
     sharpening = solved and slopes[0] > slopes[1] > slopes[2]
@@ -219,7 +218,7 @@ def test_criterion_9_condensation_phenomenology():
     for f in (1e-4, 1e-5, 1e-6, 1e-7):
         spf = attractive(f)
         cond = gc.be_critical(spf, n)
-        n0s.append(gc.gc_point(spf, 2.0 * cond.beta_cr, EnsembleSpec(BE, n)).n0)
+        n0s.append(thermo_point(spf, 2.0 * cond.beta_cr, EnsembleSpec(BE, n)).n0)
     occupied = all(v > 0.5 for v in n0s)
     ok = sharpening and occupied
     _report(9, ok, f"max downward slopes {['%.1f' % s for s in slopes]} sharpen "

@@ -7,7 +7,8 @@ import pytest
 
 from robinwall import canonical as can
 from robinwall.errors import DomainError
-from robinwall.canonical import find_extrema, thermo_point, universal_dn_curve
+from robinwall.canonical import find_extrema, universal_dn_curve
+from robinwall.grand_canonical import thermo_point
 from robinwall.limits import resonance_predictors, weak_field_composite, zero_field_attractive
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 from robinwall.specfun import airy_zero
@@ -73,13 +74,13 @@ class TestMeanEnergyHeatCapacity:
         assert worst <= 1e-5
 
     def test_beta_of_two_dimensions_rejected(self):
-        # thermo_point and gc_point share one check of a scalar or 1-D beta:
-        # a (2, 2) beta raised numpy's "truth value ... is ambiguous" from
-        # thermo_point, and raises DomainError in both
-        from robinwall.grand_canonical import EnsembleSpec, Statistics, gc_point
+        # every ensemble shares one check of a scalar or 1-D beta: a (2, 2)
+        # beta raised numpy's "truth value ... is ambiguous" from the
+        # canonical sums, and raises DomainError in each
+        from robinwall.grand_canonical import EnsembleSpec, Statistics
         sp = attractive(1e-3)
         for evaluate in (lambda b: thermo_point(sp, b),
-                         lambda b: gc_point(sp, b, EnsembleSpec(Statistics.FERMI_DIRAC, 2))):
+                         lambda b: thermo_point(sp, b, EnsembleSpec(Statistics.FERMI_DIRAC, 2))):
             with pytest.raises(DomainError, match=r"1-D beta, got shape \(2, 2\)"):
                 evaluate(np.ones((2, 2)))
             assert evaluate(np.ones(4)).mean_energy.shape == (4,)
@@ -203,6 +204,12 @@ class TestUniversalCurve:
     def test_kind_guard(self):
         with pytest.raises(DomainError):
             universal_dn_curve(1.0, WallKind.ROBIN_ATTRACTIVE)
+
+    def test_scalar_y_only(self):
+        # the curve is a function of one y: an array of them is refused by
+        # its own shape, not summed as a 2-D beta
+        with pytest.raises(DomainError, match=r"scalar y, got shape \(2,\)"):
+            universal_dn_curve(np.array([1.0, 2.0]), WallKind.NEUMANN)
 
 
 class TestResonancePredictors:
@@ -459,14 +466,6 @@ class TestBrentRefinement:
         assert len(passes[0]) == sum(len(v[0]) for _, v, _ in alone.values())
         assert (rep.beta_inv_at_max, rep.c_max) == alone[1.0][2]
         assert (rep.beta_inv_at_min, rep.c_min) == alone[-1.0][2]
-
-
-class TestPlainFloats:
-    @pytest.mark.parametrize("field", [1e-3], ids=["spectrum"])
-    def test_canonical_results_are_float(self, field):
-        sp = attractive(field)
-        tp = thermo_point(sp, 2.0)
-        assert all(type(v) is float for v in (tp.beta, tp.mean_energy, tp.heat_capacity))
 
 
 def exact_root_heat_capacity(kind, field, beta):

@@ -12,7 +12,7 @@ from robinwall import grand_canonical as gc
 from robinwall import specfun as sf
 from robinwall._work import reading
 from robinwall.errors import DomainError, SolverError
-from robinwall.grand_canonical import EnsembleSpec, Statistics, be_critical, gc_point
+from robinwall.grand_canonical import EnsembleSpec, Statistics, be_critical, thermo_point
 from robinwall.limits import (asymptotic_beta_cr, asymptotic_mu_cn, fd_plateau, fd_single_peak,
                               weak_field_composite)
 from robinwall.specfun import lambert_w
@@ -86,7 +86,7 @@ class TestEnsembleSpec:
 class TestSolveMu:
     def test_single_fermion_weak_field_closed_form(self):
         beta, field = 8.0, 1e-4
-        mu = gc_point(attractive(field), beta, EnsembleSpec(FD, 1)).mu
+        mu = thermo_point(attractive(field), beta, EnsembleSpec(FD, 1)).mu
         arg = 8.0 * SQRT_PI * beta ** 1.5 * field * math.exp(beta)
         mu_ref = math.log(0.5 * math.exp(-beta) * (math.sqrt(1.0 + arg) - 1.0)) / beta
         assert mu == pytest.approx(mu_ref, rel=0.02)
@@ -100,14 +100,14 @@ class TestSolveMu:
         r = 0.5 / (SQRT_PI * beta ** 1.5 * field)
         mu_ref = math.log(1.0 / (r - 0.25)) / beta
         for stat in (FD, BE):
-            mu = gc_point(spd, beta, EnsembleSpec(stat, 1)).mu
+            mu = thermo_point(spd, beta, EnsembleSpec(stat, 1)).mu
             assert mu == pytest.approx(mu_ref, rel=0.02)
 
     def test_bose_low_temperature_limit(self):
         # single-level occupation forces mu -> E_0 - ln(1 + 1/N)/beta
         sp = attractive(1e-3)
         beta, n = 600.0, 3
-        mu = gc_point(sp, beta, EnsembleSpec(BE, n)).mu
+        mu = thermo_point(sp, beta, EnsembleSpec(BE, n)).mu
         ref = sp.e0 - math.log(1.0 + 1.0 / n) / beta
         assert mu == pytest.approx(ref, abs=1e-12)
 
@@ -119,7 +119,7 @@ class TestSolveMu:
             n = rng.choice([1, 2, 10, 100])
             sp = attractive(field)
             for stat in (FD, BE):
-                mu = gc_point(sp, beta, EnsembleSpec(stat, n)).mu
+                mu = thermo_point(sp, beta, EnsembleSpec(stat, n)).mu
                 gamma = beta * (sp.e0 - mu)
                 got = direct_occupation(sp, beta, gamma, stat)
                 assert abs(got - n) <= 1e-10 * n
@@ -127,18 +127,18 @@ class TestSolveMu:
     def test_bose_mu_strictly_below_ground(self):
         sp = attractive(1e-4)
         for beta in (0.3, 1.0, 5.0, 50.0):
-            mu = gc_point(sp, beta, EnsembleSpec(BE, 1000)).mu
+            mu = thermo_point(sp, beta, EnsembleSpec(BE, 1000)).mu
             assert mu < sp.e0
 
 
 class TestGcPoint:
     def test_fields_and_invariants(self):
         sp = attractive(1e-4)
-        p = gc_point(sp, 5.0, EnsembleSpec(BE, 100))
+        p = thermo_point(sp, 5.0, EnsembleSpec(BE, 100))
         assert p.mu < sp.e0
         assert 0.0 <= p.n0 <= 1.0
         assert p.heat_capacity >= 0.0
-        pf = gc_point(sp, 5.0, EnsembleSpec(FD, 10))
+        pf = thermo_point(sp, 5.0, EnsembleSpec(FD, 10))
         assert pf.n0 is None
 
     def test_capacity_against_temperature_derivative(self):
@@ -153,9 +153,9 @@ class TestGcPoint:
             n = rng.choice([1, 2, 5, 10, 1000])
             sp = attractive(field)
             ens = EnsembleSpec(stat, n)
-            c = gc_point(sp, beta, ens).heat_capacity
+            c = thermo_point(sp, beta, ens).heat_capacity
             h = 2e-3 * beta
-            es = [gc_point(sp, beta + k * h, ens).mean_energy for k in (-2, -1, 1, 2)]
+            es = [thermo_point(sp, beta + k * h, ens).mean_energy for k in (-2, -1, 1, 2)]
             dedb = (es[0] - 8 * es[1] + 8 * es[2] - es[3]) / (12 * h)
             c_fd = -beta * beta * dedb / n
             worst = max(worst, abs(c - c_fd) / abs(c))
@@ -188,7 +188,7 @@ class TestGcPoint:
         # no gamma there, and its slope reads 0
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
         ens = EnsembleSpec(FD, 1)
-        assert gc_point(sp, 1000.0, ens).heat_capacity == 0.0
+        assert thermo_point(sp, 1000.0, ens).heat_capacity == 0.0
         evaluate = gc._Evaluator(sp, [ens])
         p = evaluate(np.array([1000.0, 2.0]), np.zeros(2, dtype=int))
         assert p.errors == (None, None)
@@ -200,9 +200,9 @@ class TestGcPoint:
         field = 1e-4
         beta = 1e-4 / field ** (2.0 / 3.0)
         sp = attractive(field)
-        c_can = can.thermo_point(sp, beta).heat_capacity
+        c_can = thermo_point(sp, beta).heat_capacity
         for stat in (FD, BE):
-            c = gc_point(sp, beta, EnsembleSpec(stat, 3)).heat_capacity
+            c = thermo_point(sp, beta, EnsembleSpec(stat, 3)).heat_capacity
             assert c == pytest.approx(c_can, abs=1e-2)
 
     def test_fermi_level_plateau_value(self):
@@ -212,7 +212,7 @@ class TestGcPoint:
             sp = attractive(field)
             gap = sp.level(n) - sp.level(n - 1)
             beta = 30.0 / gap
-            mu = gc_point(sp, beta, EnsembleSpec(FD, n)).mu
+            mu = thermo_point(sp, beta, EnsembleSpec(FD, n)).mu
             mid = 0.5 * (sp.level(n - 1) + sp.level(n))
             assert abs(mu - mid) <= 0.05 * gap
 
@@ -249,7 +249,7 @@ class TestCondensateHeatCapacity:
         # rounds to 0 while the state is valid (gamma > 0, n0 in [0, 1]);
         # it was rejected as "mu - E_0 = 0.0" at n0 = 0.99999999999904
         sp = attractive(1e-9)
-        p = gc_point(sp, 1e9, EnsembleSpec(BE, 10 ** 8))
+        p = thermo_point(sp, 1e9, EnsembleSpec(BE, 10 ** 8))
         assert p.mu == sp.e0
         assert 1.0 - 1e-11 < p.n0 <= 1.0
         assert p.heat_capacity >= 0.0
@@ -261,7 +261,7 @@ class TestCondensateHeatCapacity:
         # sum beta^2 sum w (E - <E>_w)^2 / N at the same mu
         sp = attractive(1e-5)
         beta = 100.0
-        p = gc_point(sp, beta, EnsembleSpec(BE, n))
+        p = thermo_point(sp, beta, EnsembleSpec(BE, n))
         assert p.heat_capacity >= 0.0
         t = sp.tail
         levels = np.concatenate([sp.exact_levels, t.energy(np.arange(sp.n_exact, 40_000))])
@@ -284,7 +284,7 @@ class TestSolveAcceptance:
         # out of reach, the lane runs until its bracket collapses, and its
         # last point is judged by the 1e-10 contract alone
         sp, ens, betas = attractive(1e-5), EnsembleSpec(FD, 10), np.array([2.0, 5.0, 9.0])
-        clean = gc_point(sp, betas, ens)
+        clean = thermo_point(sp, betas, ens)
         sums, passes = gc._sums, []
 
         def offset(plan, lanes, *args):
@@ -294,7 +294,7 @@ class TestSolveAcceptance:
             return np.array([np.where(plan.beta[lanes] == betas[1], shifted, n), *rest])
 
         monkeypatch.setattr(gc, "_sums", offset)
-        p = gc_point(sp, betas, ens)
+        p = thermo_point(sp, betas, ens)
         assert passes[0] == 3
         assert p.errors[0] is None and p.errors[2] is None
         if accepted:
@@ -318,14 +318,14 @@ class TestSolveAcceptance:
             p = gc._Evaluator(sp, [EnsembleSpec(stat, n) for n in ns])(betas, np.arange(4))
             assert p.errors == (None,) * 4
             for i, n in enumerate(ns):
-                q = gc_point(sp, betas[i:i + 1], EnsembleSpec(stat, n))
+                q = thermo_point(sp, betas[i:i + 1], EnsembleSpec(stat, n))
                 for f in ("mu", "mean_energy", "heat_capacity", "n0"):
                     if getattr(q, f) is not None:
                         assert getattr(p, f)[i] == pytest.approx(getattr(q, f)[0], rel=1e-13)
         with pytest.raises(DomainError):
             gc._Evaluator(sp, [EnsembleSpec(FD, 1), EnsembleSpec(BE, 1)] * 2)
         with pytest.raises(DomainError, match="every ensemble FD"):  # one ensemble only
-            gc_point(sp, betas, [EnsembleSpec(FD, n) for n in ns])
+            thermo_point(sp, betas, [EnsembleSpec(FD, n) for n in ns])
 
     def test_beta_of_two_dimensions_rejected(self):
         # a scalar or 1-D beta only: a (2, 3) beta raised nothing and came
@@ -333,16 +333,14 @@ class TestSolveAcceptance:
         sp = attractive(1e-5)
         for stat in (FD, BE):
             with pytest.raises(DomainError, match=r"1-D beta, got shape \(2, 3\)"):
-                gc_point(sp, np.full((2, 3), 2.0), EnsembleSpec(stat, 10))
-            assert gc_point(sp, np.full(6, 2.0), EnsembleSpec(stat, 10)).mu.shape == (6,)
+                thermo_point(sp, np.full((2, 3), 2.0), EnsembleSpec(stat, 10))
+            assert thermo_point(sp, np.full(6, 2.0), EnsembleSpec(stat, 10)).mu.shape == (6,)
 
     def test_canonical_ensemble_rejected(self):
-        # the canonical ensemble has no chemical potential to solve
+        # the canonical ensemble has no chemical potential to solve; its
+        # states are the canonical sums, which thermo_point gives by default
         sp, canonical = attractive(1e-5), EnsembleSpec(Statistics.CANONICAL, 1)
-        with pytest.raises(DomainError, match="grand-canonical"):
-            gc_point(sp, np.array([2.0, 5.0]), canonical)
-        with pytest.raises(DomainError):
-            gc_point(sp, 2.0, canonical)
+        assert thermo_point(sp, 2.0, canonical) == thermo_point(sp, 2.0)
         for ensembles in ([canonical] * 2, [canonical, EnsembleSpec(FD, 1)]):
             with pytest.raises(DomainError, match="grand-canonical"):
                 gc._Evaluator(sp, ensembles)
@@ -377,7 +375,7 @@ class TestSolveAcceptance:
         # the cold start, and the Taylor steps from states solved at ten
         # temperatures around it
         sp, ens, beta = attractive(1e-7), EnsembleSpec(FD, 10), np.array([9.532])
-        cs = [gc_point(sp, beta, ens).heat_capacity[0]]
+        cs = [thermo_point(sp, beta, ens).heat_capacity[0]]
         for d in np.linspace(-0.5, 0.5, 10):
             evaluate = gc._Evaluator(sp, [ens])
             evaluate(beta * math.exp(d), np.zeros(1, dtype=int))
@@ -391,7 +389,7 @@ class TestSolveAcceptance:
         # lands within 1e-12 (seen: 4e-14) on the second pass, where Newton's
         # (an error of ~1e-8) needs a third
         sp = attractive(1e-3)
-        gamma = beta * (sp.e0 - gc_point(sp, beta, EnsembleSpec(stat, n)).mu)
+        gamma = beta * (sp.e0 - thermo_point(sp, beta, EnsembleSpec(stat, n)).mu)
         n_sum, _, d0, *_ = gc.ladder_sums(sp, beta, stat, gamma=gamma)
         u, slope = (math.log(gamma), -gamma * d0 / n_sum) if stat is BE else (gamma, -d0 / n_sum)
         evaluate = gc._Evaluator(sp, [EnsembleSpec(stat, n)])
@@ -403,15 +401,59 @@ class TestSolveAcceptance:
         assert abs(n_end / n - 1.0) <= 1e-12
 
 
-class TestPlainFloats:
-    def test_gc_point_fields_are_float(self):
+ALL_ENSEMBLES = pytest.mark.parametrize(
+    "ens", [EnsembleSpec(Statistics.CANONICAL, 1), EnsembleSpec(FD, 10), EnsembleSpec(BE, 10)],
+    ids=["canonical", "fd", "be"])
+STATE_FIELDS = ("beta", "mean_energy", "heat_capacity", "heat_capacity_slope", "mu", "n0")
+
+
+class TestOneStateCall:
+    @ALL_ENSEMBLES
+    def test_scalar_contract(self, ens, monkeypatch):
+        # a scalar beta gives plain floats, None for mu and n0 where they do
+        # not apply, and raises the message its one-lane batch records
         sp = attractive(1e-4)
-        for stat in (FD, BE):
-            p = gc_point(sp, 3.0, EnsembleSpec(stat, 10))
-            fields = [p.beta, p.mu, p.mean_energy, p.heat_capacity]
-            if stat is BE:
-                fields.append(p.n0)
-            assert all(type(v) is float for v in fields)
+        p = thermo_point(sp, 3.0, ens)
+        unset = {"mu": ens.statistics is Statistics.CANONICAL, "n0": ens.statistics is not BE}
+        for name in STATE_FIELDS:
+            value = getattr(p, name)
+            assert value is None if unset.get(name) else type(value) is float, name
+        assert p.errors is None
+        # sums that come out NaN, in the canonical ladder and the mu solve's
+        ladder, sums = can.ladder_sums, gc._sums
+        monkeypatch.setattr(can, "ladder_sums",
+                            lambda *a, **k: tuple(s * np.nan for s in ladder(*a, **k)))
+        monkeypatch.setattr(gc, "_sums", lambda *args: sums(*args) * np.nan)
+        message = thermo_point(sp, np.array([3.0]), ens).errors[0]
+        assert message
+        with pytest.raises(SolverError) as exc:
+            thermo_point(sp, 3.0, ens)
+        assert str(exc.value) == message
+
+    @ALL_ENSEMBLES
+    def test_equals_its_evaluator_bitwise(self, ens):
+        # a batch is its evaluator's batch, solved cold, and a scalar beta
+        # its one-lane batch
+        sp, betas = attractive(1e-3), np.array([0.5, 2.0, 9.0])
+
+        def evaluate(beta):
+            if ens.statistics is Statistics.CANONICAL:
+                return can._canonical(sp, beta)
+            return gc._Evaluator(sp, [ens])(beta, np.zeros(beta.size, dtype=int))
+
+        ref, batch = evaluate(betas), thermo_point(sp, betas, ens)
+        assert batch.errors == ref.errors == (None,) * betas.size
+        for name in STATE_FIELDS:
+            if getattr(ref, name) is None:
+                assert getattr(batch, name) is None, name
+            else:
+                np.testing.assert_array_equal(getattr(batch, name), getattr(ref, name),
+                                              strict=True)
+        for beta in betas.tolist():
+            one = evaluate(np.array([beta]))
+            expected = {name: None if getattr(one, name) is None else float(getattr(one, name)[0])
+                        for name in STATE_FIELDS}
+            assert vars(thermo_point(sp, beta, ens)) == {**expected, "errors": None}
 
 
 def lane_starts(solved, beta, cells):
@@ -475,7 +517,7 @@ class TestWarmStarts:
             lb, u, _ = evaluate.states[k]
             assert lb.tolist() == sorted(np.log(betas).tolist())
             for b, uk in zip(np.exp(lb), u):
-                assert gc_point(sp, b, ens[k]).mu == pytest.approx(
+                assert thermo_point(sp, b, ens[k]).mu == pytest.approx(
                     sp.e0 - uk / b, rel=1e-9, abs=1e-12)
 
 
@@ -491,7 +533,7 @@ def cold_fermi_passes(kind):
         beta = np.geomspace(0.1, 30.0, 40) / field ** (2.0 / 3.0)
         for n in (1, 2, 10, 100, 1000, 10 ** 6):
             with reading() as work:
-                p = gc_point(sp, beta, EnsembleSpec(FD, n))
+                p = thermo_point(sp, beta, EnsembleSpec(FD, n))
             assert p.errors == (None,) * 40
             passes[field, n] = (work["plan_lanes"] - work["stale_lanes"], work["fd_passes"])
     return passes
@@ -540,7 +582,7 @@ class TestWorkCounts:
         from robinwall.reference_values import TABLE1
         t_ref, _ = TABLE1[("be", 1000, 1e-5)]
         with reading() as work:
-            gc_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
+            thermo_point(attractive(1e-5), 1.0 / (2.2 * t_ref), EnsembleSpec(BE, 1000))
         assert 0 < work["be_passes"] <= 5
 
     def test_bose_cold_start_of_a_large_scan(self):
@@ -552,7 +594,7 @@ class TestWorkCounts:
         t_ref, _ = TABLE1[("be", 100000, 1e-3)]
         beta = np.geomspace(1.0 / (2.2 * t_ref), 2.2 / t_ref, 50)
         with reading() as work:
-            p = gc_point(attractive(1e-3), beta, EnsembleSpec(BE, 100000))
+            p = thermo_point(attractive(1e-3), beta, EnsembleSpec(BE, 100000))
         assert p.errors == (None,) * 50
         assert work["plans"] == 1 and work["plan_lanes"] == 50 and work["be_passes"] <= 5
 
@@ -562,7 +604,8 @@ class TestWorkCounts:
         # With the bracket's low end there, Newton's steps landed on or below
         # it, were refused, and every pass bisected: 13 passes
         with reading() as work:
-            p = gc_point(attractive(1e-9), np.geomspace(2e8, 1e9, 5), EnsembleSpec(BE, 10 ** 8))
+            p = thermo_point(attractive(1e-9), np.geomspace(2e8, 1e9, 5),
+                             EnsembleSpec(BE, 10 ** 8))
         assert p.errors == (None,) * 5
         assert 0 < work["be_passes"] <= 3
 
@@ -695,7 +738,7 @@ class TestHotFermions:
         from robinwall.limits import _ln_weight, _two_term_log_t
         sp = attractive(field)
         beta = 1.0 / np.geomspace(1e9, 1e20, 12)
-        p = gc_point(sp, beta, EnsembleSpec(FD, n))
+        p = thermo_point(sp, beta, EnsembleSpec(FD, n))
         assert p.errors == (None,) * 12
         np.testing.assert_allclose(p.heat_capacity, 1.5, rtol=1e-9, atol=0.0)
         ln_t = _two_term_log_t(_ln_weight(field, beta) - beta * (sp.tail.shift - sp.e0), n, FD)
@@ -713,7 +756,7 @@ class TestFrozenFermiEdge:
         # levels solve that balance in log form and take c from the
         # distribution moments about mu
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
-        p = gc_point(sp, beta, EnsembleSpec(FD, 1))
+        p = thermo_point(sp, beta, EnsembleSpec(FD, 1))
         with mpmath.workdps(50):
             b = mpmath.mpf(beta)
             e = [mpmath.mpf(x) for x in sp.energies(np.arange(100)).tolist()]
@@ -737,7 +780,7 @@ class TestFrozenFermiEdge:
         # stays at mid-gap
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
         beta = np.append(np.geomspace(0.5, 200.0, 26), 100.0)
-        p = gc_point(sp, beta, EnsembleSpec(FD, 1))
+        p = thermo_point(sp, beta, EnsembleSpec(FD, 1))
         assert p.errors == (None,) * beta.size
         assert (p.heat_capacity >= 0.0).all()
         assert p.mu[-1] == pytest.approx(0.5 * (sp.level(0) + sp.level(1)), rel=1e-14)
@@ -757,7 +800,7 @@ class TestNoSilentNan:
                 beta = np.geomspace(1e-6, 1e3, 10) / field ** (2.0 / 3.0)
                 for stat in (FD, BE):
                     for n in (1, 10 ** 4, 10 ** 8):
-                        p = gc_point(sp, beta, EnsembleSpec(stat, n))
+                        p = thermo_point(sp, beta, EnsembleSpec(stat, n))
                         n0 = np.zeros(beta.size) if p.n0 is None else p.n0
                         ok = (np.isfinite([p.mu, p.mean_energy, p.heat_capacity, n0]).all(axis=0)
                               & (p.heat_capacity >= 0.0) & (0.0 <= n0) & (n0 <= 1.0))
@@ -781,7 +824,7 @@ class TestWeakestFields:
         # only to ~1e-6 (1.5e-6 at F = 1e-28, beta = 100)
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         beta = np.geomspace(0.5, 100.0, 16)
-        p = can.thermo_point(sp, beta)
+        p = thermo_point(sp, beta)
         e_ref, c_ref = np.array([weak_field_composite(b, field) for b in beta]).T
         np.testing.assert_allclose(p.mean_energy, e_ref, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(p.heat_capacity, c_ref, rtol=1e-11, atol=0.0)
@@ -790,7 +833,7 @@ class TestWeakestFields:
         for stat in (FD, BE):
             for n in (1, 10, 1000):
                 ens = EnsembleSpec(stat, n)
-                q = gc_point(sp, beta, ens)
+                q = thermo_point(sp, beta, ens)
                 assert q.errors == (None,) * beta.size
                 assert np.isfinite([q.mu, q.mean_energy, q.heat_capacity]).all()
                 assert (q.heat_capacity >= 0.0).all()
@@ -868,7 +911,7 @@ class TestAsymptoticMuCn:
         beta, field, n = 6.0, 1e-5, 100
         ens = EnsembleSpec(FD, n)
         _, c_n = asymptotic_mu_cn(beta, field, ens)
-        exact = gc_point(attractive(field), beta, ens).heat_capacity
+        exact = thermo_point(attractive(field), beta, ens).heat_capacity
         assert c_n == pytest.approx(exact, rel=0.05)
 
     def test_contract(self):
@@ -931,20 +974,20 @@ class TestGroundOccupation:
         field, n = 1e-7, 100000
         sp = attractive(field)
         rep = be_critical(sp, n)
-        n0_cold = gc_point(sp, 2.0 * rep.beta_cr, EnsembleSpec(BE, n)).n0
-        n0_warm = gc_point(sp, 0.5 * rep.beta_cr, EnsembleSpec(BE, n)).n0
+        n0_cold = thermo_point(sp, 2.0 * rep.beta_cr, EnsembleSpec(BE, n)).n0
+        n0_warm = thermo_point(sp, 0.5 * rep.beta_cr, EnsembleSpec(BE, n)).n0
         assert n0_cold > 0.5 > n0_warm > 0.0
 
     def test_zero_temperature_limit(self):
         sp = attractive(1e-4)
         rep = be_critical(sp, 1000)
-        assert gc_point(sp, 40.0 * rep.beta_cr, EnsembleSpec(BE, 1000)).n0 > 0.999
+        assert thermo_point(sp, 40.0 * rep.beta_cr, EnsembleSpec(BE, 1000)).n0 > 0.999
 
     def test_nonincreasing_in_temperature(self):
         sp = attractive(1e-4)
         rep = be_critical(sp, 1000)
         ts = np.linspace(0.1, 2.0, 25) * rep.t_cr
-        n0s = [gc_point(sp, 1.0 / t, EnsembleSpec(BE, 1000)).n0 for t in ts]
+        n0s = [thermo_point(sp, 1.0 / t, EnsembleSpec(BE, 1000)).n0 for t in ts]
         assert all(b <= a + 1e-12 for a, b in zip(n0s, n0s[1:]))
         assert all(0.0 <= v <= 1.0 for v in n0s)
 
@@ -957,7 +1000,7 @@ class TestGroundOccupation:
         for field in (1e-4, 1e-6):
             sp = attractive(field)
             rep = be_critical(sp, n)
-            resid.append(1.0 - gc_point(sp, 2.0 * rep.beta_cr, EnsembleSpec(BE, n)).n0)
+            resid.append(1.0 - thermo_point(sp, 2.0 * rep.beta_cr, EnsembleSpec(BE, n)).n0)
         assert resid[1] < resid[0]  # closer to the step at the weaker field
 
 
@@ -970,15 +1013,6 @@ class TestFailedScalarSolvesRaise:
                             lambda *args, **kwargs: tuple(s * np.nan for s in ladder(*args, **kwargs)))
         monkeypatch.setattr(gc, "_sums", lambda *args: sums(*args) * np.nan)
 
-    def test_gc_point(self, nan_ladder):
-        # a scalar call raises the message its one-lane batch records
-        sp, ens = attractive(1e-5), EnsembleSpec(FD, 10)
-        message = gc_point(sp, np.array([2.0]), ens).errors[0]
-        assert "particle-number residual nan" in message
-        with pytest.raises(SolverError) as exc:
-            gc_point(sp, 2.0, ens)
-        assert str(exc.value) == message
-
     def test_be_critical(self, nan_ladder):
         with pytest.raises(SolverError, match="condensation solve at N=1000: "
                                               "particle-number residual nan"):
@@ -986,11 +1020,8 @@ class TestFailedScalarSolvesRaise:
 
 
 def state(sp, statistics, n, beta):
-    """thermo_point for the canonical ensemble, else gc_point, at an array beta."""
-    beta = np.asarray(beta, dtype=float)
-    if statistics is Statistics.CANONICAL:
-        return can.thermo_point(sp, beta)
-    return gc_point(sp, beta, EnsembleSpec(statistics, n))
+    """thermo_point in the ensemble (statistics, n) at an array beta."""
+    return thermo_point(sp, np.asarray(beta, dtype=float), EnsembleSpec(statistics, n))
 
 
 def richardson_slope(sp, statistics, n, beta, h=1e-3):
@@ -1069,11 +1100,3 @@ class TestHeatCapacitySlope:
             assert abs(slope - ref) <= 1e-8 * (abs(ref) + p.heat_capacity[i])
         if statistics is BE:
             assert p.n0.min() > 0.999
-
-    def test_scalar_states_carry_the_slope(self):
-        sp = attractive(1e-3)
-        for p, batch in ((gc_point(sp, 2.0, EnsembleSpec(FD, 3)),
-                          gc_point(sp, np.array([2.0]), EnsembleSpec(FD, 3))),
-                         (can.thermo_point(sp, 2.0), can.thermo_point(sp, np.array([2.0])))):
-            assert type(p.heat_capacity_slope) is float
-            assert p.heat_capacity_slope == batch.heat_capacity_slope[0]

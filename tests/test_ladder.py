@@ -679,9 +679,9 @@ def test_huge_fermion_number_is_fast_and_validated():
     # worst corner found by randomized stress: 1e8 fermions, strong field
     import time
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 8.7), count=64)
-    from robinwall.grand_canonical import EnsembleSpec, Statistics, gc_point
+    from robinwall.grand_canonical import EnsembleSpec, Statistics, thermo_point
     t0 = time.monotonic()
-    p = gc_point(sp, 0.958, EnsembleSpec(Statistics.FERMI_DIRAC, 10 ** 8))
+    p = thermo_point(sp, 0.958, EnsembleSpec(Statistics.FERMI_DIRAC, 10 ** 8))
     assert time.monotonic() - t0 < 5.0
     assert p.heat_capacity >= 0.0
     assert p.mu > sp.level(63)  # mu sits deep in the ladder

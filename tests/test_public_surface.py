@@ -10,7 +10,7 @@ PUBLIC = {
     "Statistics", "SweepResult", "SweepRow", "SweepSpec", "ThermoPoint",
     "WallKind", "WallSpec", "airy", "airy_zero", "asymptotic_beta_cr",
     "asymptotic_mu_cn", "be_critical", "build_spectrum", "fd_plateau",
-    "fd_single_peak", "find_extrema", "gc_point", "lambert_w", "level_gaps",
+    "fd_single_peak", "find_extrema", "lambert_w", "level_gaps",
     "resonance_predictors", "result_from_json", "result_to_csv", "result_to_json",
     "run_sweep", "table1_harness", "thermo_point", "universal_dn_curve",
     "weak_field_composite", "zero_field_attractive",

@@ -12,7 +12,7 @@ import pytest
 
 import robinwall
 from robinwall._work import reading
-from robinwall.canonical import thermo_point
+from robinwall.grand_canonical import thermo_point
 from robinwall.cli import main
 from robinwall.errors import DomainError, RobinWallError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics
@@ -146,6 +146,18 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=0.1,
                       beta_inv_max=1.0, points=1)
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(beta_inv_max="2"), "sweep grid needs real numbers"),
+        (dict(beta_inv_max=True), "sweep grid needs real numbers"),
+        (dict(log_grid="no"), "log_grid must be a bool"),
+        (dict(normalize_by_tcr=None), "normalize_by_tcr must be a bool"),
+    ], ids=["bound-text", "bound-bool", "flag-text", "flag-none"])
+    def test_bounds_are_numbers_and_flags_bools(self, bad, message):
+        # a text bound raised a bare TypeError, and log_grid="no" ran a log grid
+        with pytest.raises(DomainError, match=message):
+            SweepSpec(wall=ATTR, ensemble=CANONICAL, **{"beta_inv_min": 0.1,
+                                                        "beta_inv_max": 1.0, "points": 5, **bad})
 
     def test_normalize_requires_bose(self):
         with pytest.raises(DomainError):
@@ -283,12 +295,20 @@ class TestSerialization:
         ("row", lambda d: d.update(entropy=0.5), "argument 'entropy'"),
         ("spec", lambda d: d.update(field="abc"), "field must be a finite real number"),
         ("spec", lambda d: d.update(field="1e-3"), "field must be a finite real number"),
+        # JSON's true is no number and a number or a string no flag: each
+        # was taken as it came, true as 1 and "false" as a true flag
+        ("spec", lambda d: d.update(particles=True), "n_particles must be an integer"),
+        ("spec", lambda d: d.update(field=True), "field must be a finite real number"),
+        ("spec", lambda d: d.update(beta_inv_max=True), "sweep grid needs real numbers"),
+        ("spec", lambda d: d.update(log_grid="false"), "log_grid must be a bool"),
+        ("spec", lambda d: d.update(normalize_by_tcr=0), "normalize_by_tcr must be a bool"),
     ], ids=["spec-ensemble-key", "spec-key", "spec-extra", "spec-n-exact", "spec-outputs",
             "row-key", "row-extra",
-            "spec-field-text", "spec-field-numeric-text"])
+            "spec-field-text", "spec-field-numeric-text", "spec-particles-bool",
+            "spec-field-bool", "spec-bound-bool", "spec-flag-text", "spec-flag-number"])
     def test_bad_keys_in_json_rejected(self, part, edit, message):
-        # a missing or unknown key is a DomainError that names it, not a
-        # KeyError or TypeError
+        # a missing or unknown key, or a value of the wrong type, is a
+        # DomainError that names it, not a KeyError or TypeError
         doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
         edit(doc["spec"] if part == "spec" else doc["rows"][2])
         with pytest.raises(DomainError, match=message):
@@ -470,15 +490,14 @@ class TestTable1Harness:
     @pytest.mark.parametrize("n,field", [(100000, 1e-7), (100000, 1e-3), (1000, 1e-5)])
     def test_hardest_peaks_against_a_fine_grid(self, n, field):
         # the Bose peaks whose refinement needs its zoom, against an oracle
-        # independent of it: the largest c of gc_point on 401 points 1e-7
+        # independent of it: the largest c of thermo_point on 401 points 1e-7
         # apart in ln beta around the refined peak (seen: 7.6e-12 in c and
         # 1e-7 in T at most)
-        from robinwall.grand_canonical import gc_point
         sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
         ens = EnsembleSpec(Statistics.BOSE_EINSTEIN, n)
         rep, = locate_peak(sp, [ens], [TABLE1["be", n, field][0]])
         ln_beta = -math.log(rep.beta_inv_at_max) + 1e-7 * np.arange(-200, 201)
-        p = gc_point(sp, np.exp(ln_beta), ens)
+        p = thermo_point(sp, np.exp(ln_beta), ens)
         assert p.errors == (None,) * 401
         k = int(np.argmax(p.heat_capacity))
         assert 0 < k < 400  # the grid holds its maximum inside
@@ -781,7 +800,7 @@ class TestCli:
 
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
-        assert "selftest: 7/7 checks passed" in capsys.readouterr().out
+        assert "selftest: 6/6 checks passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("error, prefix", [
         (SolverError("synthetic"), "solver error: synthetic"),
