@@ -128,14 +128,16 @@ def _refine(a: float, fa: float, ga: float, b: float, fb: float,
     neighbours among its ends and these points whose slopes change sign,
     next to the lowest value.  Stops by Brent's (1973) rule, once the
     bracket is within 4 tol1, tol1 = sqrt(eps)|x| + 2.5e-7 at the end x of
-    the lower value, and returns (v, f(x)), v the cubic's minimiser on that
-    last bracket.  A generator: it yields each pass's points u and is sent
-    the list of (f(u), f'(u))."""
+    the lower value, and returns (v, f(x)), v the root of the slope's secant
+    on that last bracket (at that width the differences of the values are
+    rounding noise, which would move a minimiser fitted to them).  A
+    generator: it yields each pass's points u and is sent the list of
+    (f(u), f'(u))."""
     while True:
         x, fx = (a, fa) if fa <= fb else (b, fb)
         tol1, w = _SQRT_EPS * abs(x) + 0.25e-6, b - a
         if w <= 4.0 * tol1:
-            return _cubic_min(a, fa, ga, b, fb, gb), fx
+            return a - ga * w / (gb - ga), fx
         v, h = _cubic_min(a, fa, ga, b, fb, gb), max(tol1, w / 1000.0)
         us = sorted({u for u in (v - h, v, v + h, a + 0.5 * w) if a < u < b})
         points = [(a, fa, ga), *((u, *fg) for u, fg in zip(us, (yield us))), (b, fb, gb)]
@@ -157,7 +159,8 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence, slope_grid: Sequence,
     lockstep: a pass is one call ``fn(beta, rows)`` with the points of that
     pass of every open refinement (up to 4) and their scans' rows, returning
     their (c, dc/d ln beta); a smooth peak takes 2 passes.  An extremum
-    lies at the cubic's minimiser on its last bracket, ~1e-6 wide in ln beta.
+    lies at the root of the slope's secant on its last bracket, ~1e-6 wide
+    in ln beta.
 
     A report per scan (a tuple of them for rows) carries the global maximum
     and minimum found; a scan without interior extrema yields an empty

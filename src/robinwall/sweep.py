@@ -8,7 +8,7 @@ on the cubic Hermite through a bracket where the slope changes sign
 (``canonical.find_extrema``), and (for bosons) attaches the condensation
 threshold.  A Table 1 peak search scans 7 points a cell: the scan only
 brackets each peak, and the 55 maxima from 5- to 33-point scans match
-those of 65-point scans to 1.9e-10 in T.  One evaluator per spectrum serves the scan and
+those of 65-point scans to 2.5e-11 in T.  One evaluator per spectrum serves the scan and
 every refinement pass, so each chemical-potential solve starts from the
 states of its cell already solved (``grand_canonical._Evaluator``).
 Results serialize to CSV and JSON with shortest round-trip float

@@ -85,6 +85,24 @@ class TestMeanEnergyHeatCapacity:
                 evaluate(np.ones((2, 2)))
             assert evaluate(np.ones(4)).mean_energy.shape == (4,)
 
+    def test_bool_beta_rejected(self):
+        # True and a bool array read as beta = 1 through the one beta check
+        from robinwall.grand_canonical import EnsembleSpec, Statistics
+        from robinwall.ladder import ladder_sums
+        sp = attractive(1e-3)
+        calls = (lambda b: thermo_point(sp, b),
+                 lambda b: thermo_point(sp, b, EnsembleSpec(Statistics.BOSE_EINSTEIN, 10)),
+                 lambda b: ladder_sums(sp, b, Statistics.CANONICAL),
+                 lambda b: universal_dn_curve(b, WallKind.DIRICHLET))
+        for evaluate in calls:
+            for bad in (True, np.True_):
+                with pytest.raises(DomainError, match="not a bool"):
+                    evaluate(bad)
+            evaluate(1.0)
+        for evaluate in calls[:3]:
+            with pytest.raises(DomainError, match="not a bool"):
+                evaluate(np.array([True, True]))
+
     @pytest.mark.parametrize("field", [1e-4, 1e-2, 1.0])
     def test_repulsive_wall_monotone(self, field):
         # at F ~ 1 the high-T region weighs ~10^3 tail levels, so the check

@@ -99,6 +99,50 @@ class TestAiry:
         with pytest.raises(DomainError):
             sf.airy(bad)
 
+    def test_series_cut_below_double_precision(self):
+        # each fixed-length series stops where its first omitted term falls
+        # below 2^-53 of its largest, at the seam zeta(12) = 27.7 where its
+        # terms fall slowest: the asymptotic sums in 1/zeta (leading term 1,
+        # the odd rows of the oscillatory ones times 1/zeta), and each table
+        # node's Taylor rows at the march's step, the largest offset used
+        eps, zeta = 2.0 ** -53, (2.0 / 3.0) * 12.0 ** 1.5
+        pos, neg = sf._POS_SERIES.shape[-1], sf._NEG_SERIES.shape[-1]
+        u, v = sf._build_uv(max(pos, 2 * neg + 1) + 1)
+        for c in (u, v):
+            assert abs(c[pos]) / zeta ** pos < eps
+            assert abs(c[2 * neg]) / zeta ** (2 * neg) < eps
+            assert abs(c[2 * neg + 1]) / zeta ** (2 * neg + 1) < eps
+        k = sf._TABLE_COEF.shape[-1]
+        h = sf._TABLE_STEP ** np.arange(k + 1)
+        for x0, (ai_row, aip_row) in zip(sf._TABLE_X, sf._TABLE_COEF):
+            c = list(ai_row)
+            for j in (k, k + 1):  # c_{j} = (x0 c_{j-2} + c_{j-3}) / ((j-1) j)
+                c.append((x0 * c[j - 2] + c[j - 3]) / ((j - 1) * j))
+            omitted = (abs(c[k]) * h[k], (k + 1) * abs(c[k + 1]) * h[k])
+            for row, first in zip((ai_row, aip_row), omitted):
+                assert first < eps * np.abs(row * h[:k]).max()
+
+    @pytest.mark.parametrize("x", [-12.5, 11.5])
+    def test_against_mpmath_at_the_seams(self, x):
+        # the branches on both sides of x = -12 and x = +12 against 30-digit
+        # mpmath (seen: 5.8e-15 of the envelope on the negative side, 2.1e-15
+        # relative on the positive, the raw pair scaled by e^zeta past 12)
+        grid = np.append(np.linspace(x, x + 1.0, 81), [np.sign(x) * 12.0 + d for d in (-1e-9, 1e-9)])
+        ai, aip = sf._airy_pair(grid)
+        with mpmath.workdps(30):
+            for xi, a, b in zip(grid.tolist(), ai.tolist(), aip.tolist()):
+                ref_a, ref_b = mpmath.airyai(xi), mpmath.airyai(xi, 1)
+                if xi > 12.0:
+                    scale = mpmath.exp(mpmath.mpf(2) / 3 * mpmath.mpf(xi) ** 1.5)
+                    ref_a, ref_b = ref_a * scale, ref_b * scale
+                if xi < 0.0:  # the oscillation's envelopes of Ai and Ai'
+                    env = abs(xi) ** 0.25 / math.sqrt(math.pi)
+                    assert abs(a - float(ref_a)) <= 1e-14 / env
+                    assert abs(b - float(ref_b)) <= 1e-14 * env
+                else:
+                    assert a == pytest.approx(float(ref_a), rel=1e-14, abs=0.0)
+                    assert b == pytest.approx(float(ref_b), rel=1e-14, abs=0.0)
+
     def test_ode_consistency(self):
         # Ai'' = x Ai via central difference of Ai'
         h = 1e-4
@@ -213,7 +257,7 @@ class TestNewtonRoot:
         # lane 1 has no root in (2, 3): its bracket collapses on 2 before
         # the step test holds
         with pytest.raises(SolverError, match="stalled short of its test in lane 1"):
-            sf._polished_roots(lambda x: (x - 0.5, np.ones_like(x)),
+            sf._polished_roots(lambda x: (x - 0.5, np.ones_like(x), np.zeros_like(x)),
                                [0.0, 2.0], [1.0, 3.0], [0.2, 2.7], 1e-15)
 
 

@@ -147,9 +147,14 @@ class TestRobinLevels:
         worst = np.abs(field ** (1.0 / 3.0) * aip / ai - 1.0 / wall.lam).max()
         assert worst < 1e-10
 
-    @pytest.mark.parametrize("field", [1e-7, 1e-3, 0.1, 1.0, 10.0])
+    # 64-level blocks across the field domain, and 512-level ones at the
+    # strong fields where a level's start on its phase is furthest from the
+    # weak-field start a + lam F^(1/3)
+    @pytest.mark.parametrize("field,n_exact", [
+        *(pytest.param(f, 64, id=repr(f)) for f in (1e-7, 1e-3, 0.1, 1.0, 10.0)),
+        *(pytest.param(f, 512, id=f"{f!r}-512") for f in (1.0, 10.0))])
     @pytest.mark.parametrize("kind", [ATTR, REP])
-    def test_levels_against_scipy_brentq(self, field, kind):
+    def test_levels_against_scipy_brentq(self, field, n_exact, kind):
         # independent oracle: brentq on the smooth g = lam F^(1/3) Ai' - Ai
         # (scaled by e^zeta for xi >= 0, which keeps its sign), bracketed by
         # scipy's Ai zeros; level n must lie in its own bracket (a_{n+1}, a_n)
@@ -160,11 +165,11 @@ class TestRobinLevels:
             ai, aip = (sps.airye(xi) if xi >= 0.0 else sps.airy(xi))[:2]
             return lam * fc * aip - ai
 
-        sp = build_spectrum(WallSpec(kind, field), count=64, n_exact=64)
-        assert sp.n_exact == 64
-        a = sps.ai_zeros(64)[0]
+        sp = build_spectrum(WallSpec(kind, field), count=n_exact, n_exact=n_exact)
+        assert sp.n_exact == n_exact
+        a = sps.ai_zeros(n_exact)[0]
         uppers = [4.0 * field ** (-2.0 / 3.0) + 4.0, *a[:-1]]
-        for n in range(64):
+        for n in range(n_exact):
             xi = optimize.brentq(g, a[n], uppers[n], xtol=1e-300, rtol=1e-15)
             ref = -xi * field ** (2.0 / 3.0)
             assert sp.exact_levels[n] == pytest.approx(ref, rel=1e-12, abs=0)
@@ -172,15 +177,16 @@ class TestRobinLevels:
     def test_airy_calls_per_level(self):
         # every Airy evaluation of the Robin solve, bracket checks included:
         # the points evaluated per level, and the array calls per build
+        # (seen: 5.625, 4.875 at weak fields, and 8 calls)
         for n_exact, field, kind in itertools.product(
                 (8, 64, 512), (1e-7, 1e-5, 1e-3, 0.1, 1.0, 10.0), (ATTR, REP)):
             with reading() as work:
                 sp = build_spectrum(WallSpec(kind, field), count=n_exact, n_exact=n_exact)
             per_level = work["airy_points"] / sp.n_exact
-            assert per_level <= 9.0
+            assert per_level <= 6.0
             if field <= 1e-5:
-                assert per_level <= 6.0
-            assert 1 <= work["airy_calls"] <= 12
+                assert per_level <= 5.0
+            assert 1 <= work["airy_calls"] <= 9
 
     @pytest.mark.parametrize("field", [1e-7, 1e-5, 1e-3, 1e-2, 1.0, 1e2, 1e6])
     def test_tail_handoff(self, field):

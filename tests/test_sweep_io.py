@@ -472,10 +472,12 @@ class TestTable1Harness:
 
     def test_coarse_scans_find_the_peaks_of_fine_ones(self, monkeypatch):
         # each scan only brackets its peaks for the refinement on the slope,
-        # and each peak is reported at the cubic's extremum on its last
-        # bracket, not at that bracket's better end: the 55 maxima from 5- to
-        # 17-point scans match those refined from 65-point scans (seen:
-        # 1.9e-10 in T; at the better end, 2.9e-7 at 17 points)
+        # and each peak is reported at the root of the slope's secant on its
+        # last bracket, not at that bracket's better end: the 55 maxima from
+        # 5- to 17-point scans match those refined from 65-point scans (seen:
+        # 2.5e-11 in T; 1.9e-10 at the cubic's minimiser, 1.4e-7 once its
+        # fallback to the midpoint fired; at the better end, 2.9e-7 at 17
+        # points)
         from robinwall import sweep
         monkeypatch.setattr(sweep, "_SCAN_POINTS", 65)
         fine = table1_harness()
@@ -484,7 +486,7 @@ class TestTable1Harness:
             coarse = table1_harness()
             assert len(coarse.cells) == len(fine.cells) == 55
             for a, b in zip(coarse.cells, fine.cells, strict=True):
-                assert a.t_found == pytest.approx(b.t_found, rel=1e-9, abs=0.0), points
+                assert a.t_found == pytest.approx(b.t_found, rel=1e-10, abs=0.0), points
                 assert a.c_found == pytest.approx(b.c_found, rel=1e-10, abs=0.0), points
 
     @pytest.mark.parametrize("n,field", [(100000, 1e-7), (100000, 1e-3), (1000, 1e-5)])
