@@ -11,18 +11,14 @@ positive for bosons and keeps every exponent well conditioned when mu
 crowds the ground level to within 1e-14.  The solve runs on
 g = ln(N/N_target), nearly linear over most of the domain, in the solve's
 coordinate u (gamma for fermions, ln gamma for bosons, whose gamma spans
-decades), safeguarded by the bracket of the points already evaluated:
-``specfun._newton_root``, which also finds every Airy zero, Robin level and
-condensation temperature.  Its steps are Halley's (third order): Newton's
-with the slope g'(1 - g g''/(2 g'^2)), or g' itself where that correction
-reaches 1/2.  It runs on a batch of temperatures in lockstep: every pass
-is one fused ladder pass over the unsolved lanes giving N,
-dN/dgamma = -D_0, d^2N/dgamma^2 and the energy moments together.  A lane
-stops at |N - N_target| <= 1e-12 N_target or once its bracket has
-collapsed, and its last iterate is its result if it meets
-|N - N_target| <= 1e-10 N_target: its sums give <E> and c directly.  The
-result depends on the start within the 1e-12 target: c at FD, N = 10,
-F = 1e-7, beta = 9.532 spreads by ~1e-13 relative over starts.
+decades), by the Halley steps of ``specfun._newton_root``, safeguarded by
+the bracket of the points already evaluated.  It runs on a batch of
+temperatures in lockstep: every pass is one fused ladder pass over the
+unsolved lanes giving N, dN/dgamma = -D_0, d^2N/dgamma^2 and the energy
+moments together.  A lane stops at |N - N_target| <= 1e-12 N_target or
+once its bracket has collapsed, and its last iterate is its result if it
+meets |N - N_target| <= 1e-10 N_target: its sums give <E> and c
+directly, so the result depends on the start within the 1e-12 target.
 
 One evaluator, ``_Evaluator``, runs every solve and starts each lane from
 the states already solved in its cell.  A cell's first lanes start cold,
@@ -59,8 +55,7 @@ about the level where w peaks (the upper of E_0 and mu), so D1 is small
 and the variance does not cancel when one level holds nearly all of the
 weight, as the Bose ground level does deep in the condensate.  About a
 mid-gap mu the two levels around a frozen Fermi edge hold the weight
-symmetrically, D1 vanishes, and c is tiny and positive (robin-, F = 1,
-FD, N = 1: c = 8.8e-35 at beta = 50 and 2.0e-72 at beta = 100).  A warm
+symmetrically, D1 vanishes, and c is tiny and positive.  A warm
 start, or a lane that thaws across a grid, can still stop at a mu away
 from mid-gap that meets the target, where the variance can cancel to a
 tiny c of either sign with no error message (ROADMAP.md, open item 3).
@@ -73,9 +68,8 @@ so with c = beta^2 V/N, V = sum eps_n^2 w_n, and dw/dx = -w +- 2 w f,
     dc/d ln beta = 2c + beta^3 (dV/dbeta) / N,
 
 its third central moments formed from D_0..D_3 and G_0..G_3 = sum
-(E_n - ref)^p w_n f_n about the same level.  Deep in a condensate they do
-not cancel: at n0 = 1 - 4e-8 the slope lies within 1.2e-14 of a 50-digit
-sum.
+(E_n - ref)^p w_n f_n about the same level, which do not cancel deep in
+a condensate either.
 """
 
 from __future__ import annotations
@@ -138,24 +132,24 @@ class CondensateReport:
 def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
     """Roots of N(u) = N_target for strictly decreasing N(u), one per lane
     and each with its own ``n_target``: ``specfun._newton_root`` on
-    ln(N / N_target) from the starts ``u`` in the brackets (lo, hi), a lane
-    done at |N - N_target| <= 1e-12 N_target.
-    ``fn(u, lanes)`` evaluates the lanes ``lanes`` at ``u`` and returns
-    arrays ``(N, dN/du, payload)``, one payload column per lane (dN/du may
-    carry a higher-order correction of the same sign); N <= 0
-    (every occupation underflowed) counts as ln N = -inf.  A lane's last
-    point is accepted if it meets the 1e-10 contract (a NaN residual fails
-    at once).  Returns the payloads and, per lane, None or the message
-    ``what(lane)`` of a failed lane."""
+    g = ln(N / N_target), g' = N_u/N and g'' = N_uu/N - g'^2, from the
+    starts ``u`` in the brackets (lo, hi), a lane done at
+    |N - N_target| <= 1e-12 N_target.  ``fn(u, lanes)`` evaluates the
+    lanes ``lanes`` at ``u`` and returns arrays ``(N, dN/du, d2N/du2,
+    payload)``, one payload column per lane (d2N/du2 = 0: Newton's steps);
+    N <= 0 (every occupation underflowed) counts as ln N = -inf.  A lane's
+    last point is accepted if it meets the 1e-10 contract (a NaN residual
+    fails at once).  Returns the payloads and, per lane, None or the
+    message ``what(lane)`` of a failed lane."""
     def log_n(x, lanes):
-        n, dn_du, pay = fn(x, lanes)
+        n, n_u, n_uu, pay = fn(x, lanes)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.log(np.maximum(n, 0.0) / n_target[lanes])
-            slope = np.where(n > 0.0, dn_du / n, np.nan)  # d ln N / du
-        return r, slope, np.vstack([r, pay])
+            g = np.log(np.maximum(n, 0.0) / n_target[lanes])
+            g1 = np.where(n > 0.0, n_u / n, np.nan)
+            return g, g1, n_uu / n - g1 * g1, np.vstack([g, pay])
 
-    payload, _ = _newton_root(log_n, lo, hi, u,
-                              lambda r, slope, x: np.abs(np.expm1(r)) <= _N_TARGET)
+    payload, _, _ = _newton_root(log_n, lo, hi, u,
+                                 lambda g, slope, x: np.abs(np.expm1(g)) <= _N_TARGET)
     err = np.abs(np.expm1(payload[0]))
     errors = [None if e <= _N_RESIDUAL else
               f"{what(i)}: particle-number residual {e:.3e} N exceeds tolerance "
@@ -206,28 +200,27 @@ def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndar
     N = 1/(e^gamma - 1) + A g_{3/2}(-(gamma + beta Delta)), whose g_{3/2}
     holds about twice what the Boltzmann continuum e^eta does near
     condensation, with Delta raised to 0 where the tail law starts below E_0
-    (so the fugacity stays below 1).  Found to 1e-6 in N by ``_newton_root``
-    in ln gamma on the bracket (lo, hi), from the Boltzmann root
-    (``_two_term_log_t``), on the closed forms of g_{3/2} and
-    g_{1/2} = -dg_{3/2}/dalpha."""
+    (so the fugacity stays below 1).  Found by ``_solve_n`` in ln gamma on
+    the bracket (lo, hi), from the Boltzmann root (``_two_term_log_t``), on
+    the closed forms of g_{3/2} and g_{1/2} = -dg_{3/2}/dalpha; a lane that
+    misses the solve's target keeps its last point, as it is only a start."""
     ln_a = _ln_weight(spectrum.wall.field, beta)
     bd = beta * max(spectrum.tail.shift - spectrum.e0, 0.0)
 
-    def log_n(v, lanes):
+    def balance(v, lanes):
         gamma = np.exp(v)
         g32, g12 = _bose_g(gamma + bd[lanes])
-        with np.errstate(all="ignore"):  # ground = 0 and ln N = -inf past e^750
+        with np.errstate(all="ignore"):  # ground = 0 and N = 0 past e^750
             a = np.exp(ln_a[lanes])
             ground = 1.0 / np.expm1(gamma)
-            total = ground + a * g32
             # dN/d ln gamma, with -d(ground)/dgamma = e^gamma/(e^gamma - 1)^2
             slope = -gamma * (ground / -np.expm1(-gamma) + a * g12)
-            return np.log(total / n[lanes]), slope / total, v[None]
+            return ground + a * g32, slope, np.zeros_like(v), v[None]
 
     with np.errstate(divide="ignore"):
         start = np.log(-_two_term_log_t(ln_a - bd, n, Statistics.BOSE_EINSTEIN))
     start = np.fmax(np.fmin(start, hi), lo)
-    return _newton_root(log_n, lo, hi, start, lambda r, slope, v: np.abs(r) <= 1e-6)[0][0]
+    return _solve_n(balance, start, lo, hi, n, str)[0][0]
 
 
 def _moment_offset(beta, gamma):
@@ -317,14 +310,7 @@ class _Evaluator:
             n_u, n_uu = -d0, d0 - pm * 2.0 * sums[6]
             if log_space:
                 n_u, n_uu = gamma * n_u, gamma * (n_u + gamma * n_uu)
-            # Halley's step on g = ln(N/N_target) is Newton's with the slope
-            # g'(1 - a), a = g g''/(2 g'^2) = g (N N_uu/N_u^2 - 1)/2; where
-            # |a| >= 1/2, or a is not finite, the slope stays Newton's, so its
-            # sign, which places the point in the bracket, never flips
-            with np.errstate(divide="ignore", invalid="ignore"):
-                a = 0.5 * np.log(n_sum / n[lanes]) * (n_sum * n_uu / (n_u * n_u) - 1.0)
-            halley = np.isfinite(a) & (np.abs(a) < 0.5)
-            return n_sum, n_u * np.where(halley, 1.0 - a, 1.0), np.vstack([u, sums])
+            return n_sum, n_u, n_uu, np.vstack([u, sums])
 
         (u, n_sum, n1, d0, d1, d2, d3, g0, g1, g2, g3), errors = _solve_n(
             step, start, lo, hi, n,
@@ -406,8 +392,8 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
 def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     """Largest temperature at which the condensate survives: beta_cr solves
     sum_{n>=1} 1/(e^{(E_n-E_0) beta} - 1) = N (chemical potential pinned at
-    the ground level with no particles left in it), by safeguarded Newton
-    on ln N in ln beta from the Lambert-W estimate, clipped into the
+    the ground level with no particles left in it), by ``_solve_n`` in
+    ln beta from the Lambert-W estimate, clipped into the
     bracket: the first excited level alone holds N at
     beta = ln(1 + 1/N)/(E_1 - E_0), so the root lies above it, and every
     occupation underflows at beta = _GAMMA_MAX/(E_1 - E_0)."""
@@ -419,10 +405,11 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
 
     def step(u: np.ndarray, lanes: np.ndarray):
         beta = np.exp(u)
-        n, _, _, d1, *_ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN, gamma=0.0,
-                                      start_index=1)
-        # dN/d ln beta with dN/dbeta = -sum Delta_n w_n = -D_1
-        return n, -beta * d1, beta[None]
+        n, _, _, d1, d2, _, _, _, g2, _ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN,
+                                                      gamma=0.0, start_index=1)
+        # dN/d ln beta and d2N/d(ln beta)^2, with dN/dbeta = -sum Delta_n w_n = -D_1
+        # and dw/dx = -w - 2 w f: d2N/dbeta2 = D_2 + 2 G_2
+        return n, -beta * d1, beta * (beta * (d2 + 2.0 * g2) - d1), beta[None]
 
     payload, errors = _solve_n(step, min(max(math.log(beta_a), lo), hi), lo, hi,
                                np.array([n_target]),

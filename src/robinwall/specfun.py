@@ -3,11 +3,12 @@
 Everything here is self-contained: Airy Ai and Ai', their negative zeros,
 the principal branch of the Lambert W function on the nonnegative axis (the
 predictors of ``limits``), the Bose functions g_{3/2}, g_{1/2} (the
-continuum of the cold Bose mu solve), the safeguarded Newton solver of
-every root of the package (Airy zeros, Robin levels, the chemical potential
-and the condensation temperature; Halley's steps where a caller has f''),
-and the checks shared by every index and count and every inverse
-temperature of the package.
+continuum of the cold Bose mu solve), the one root solver of the package
+(Airy zeros, Robin levels, W, the chemical potential and the condensation
+temperature): ``_newton_root``, Halley's steps, i.e. Newton's with the
+slope f'(1 - f f''/(2 f'^2)) where that correction stays below 1/2,
+safeguarded by the bracket, and the checks shared by every index and count
+and every inverse temperature of the package.
 
 ``_airy_pair`` routes each element of a float array to its branch and
 returns each branch's own output, scaled by e^{zeta} past x = 12, which the
@@ -37,8 +38,8 @@ the first term each series drops is below 2^-53 of its largest, and
 further from the seam it is smaller still.  Every branch is one
 power sum (``_series``): the (lanes x terms) powers times a (sums x terms)
 coefficient matrix, shared by all lanes or gathered per lane, summed along
-each lane's row.  The branches agree to ~1e-14 at the seams.  The first 64
-zeros of Ai and of Ai' are refined at import too.
+each lane's row.  The first 64 zeros of Ai and of Ai' are refined at
+import too.
 """
 
 from __future__ import annotations
@@ -244,68 +245,65 @@ def airy(x):
 
 
 # ---------------------------------------------------------------------------
-# safeguarded Newton and the zeros of Ai and Ai'
+# the root solver and the zeros of Ai and Ai'
 # ---------------------------------------------------------------------------
 
-def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray]:
+def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of fn, monotone on each bracket (lo, hi), one lane per element,
-    by Newton safeguarded by the bracket (Numerical Recipes, 2nd ed.,
-    section 9.4, "rtsafe"), all lanes in lockstep.
+    by Halley's steps safeguarded by the bracket (Numerical Recipes, 2nd
+    ed., section 9.4, "rtsafe"), all lanes in lockstep.
 
     ``fn(x, lanes)`` evaluates the lanes ``lanes`` (indices into the
-    batch) at the points x and returns arrays of values, slopes and a
-    payload whose last axis runs over those lanes; the starts x lie inside
-    and no bracket end is evaluated.  In each lane every evaluated point
-    becomes the bracket end on its side of the root (the signs of value and
-    slope tell which).  A Newton step is taken when it lands strictly inside
-    the bracket and is at most half the step before last; otherwise the
-    bracket is bisected.  A lane leaves at its first point where
-    ``done(value, slope, x)`` holds, at a NaN value, or once its bracket has
-    collapsed to one float, keeping that point's payload.  Returns the
-    payloads and, per lane, whether it met ``done``; SolverError names the
-    first bracket still open after 200 passes."""
+    batch) at the points x and returns arrays f, f', f'' and a payload
+    whose last axis runs over those lanes, f'' = 0 where it is not known;
+    the starts x lie inside and no bracket end is evaluated.  Halley's step
+    is Newton's with the slope s = f'(1 - a), a = f f''/(2 f'^2), wherever
+    a is finite and |a| < 1/2, else s = f', so the sign of s, which places
+    the point in the bracket, never flips (f'' = 0 is Newton's step).  In
+    each lane every evaluated point becomes the bracket end on its side of
+    the root.  The step is taken when it lands strictly inside the bracket
+    and is at most half the step before last; otherwise the bracket is
+    bisected.  A lane leaves at its first point where ``done(f, s, x)``
+    holds, at a NaN value, or once its bracket has collapsed to one float,
+    keeping that point's payload.  Returns the payloads, each lane's
+    x - f/s at the point it left, and per lane whether it met ``done``;
+    SolverError names the first bracket still open after 200 passes."""
     lo, hi, x = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, x))
     met, live, out = np.zeros(x.size, dtype=bool), np.arange(x.size), None
+    roots = np.empty(x.size)
     last = older = hi - lo  # the last step and the one before it
     for _ in range(200):
-        f, df, pay = fn(x, live)
+        f, df, ddf, pay = fn(x, live)
         out = np.empty(pay.shape[:-1] + met.shape) if out is None else out
         up = (f > 0.0) == (df > 0.0)
         hi, lo = np.where(up, x, hi), np.where(up, lo, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / df
-            x_new = x - step
-            newton = (lo < x_new) & (x_new < hi) & (np.abs(step) <= 0.5 * np.abs(older))
-        step = np.where(newton, step, x - 0.5 * (lo + hi))
+        with np.errstate(all="ignore"):
+            a = f * ddf / (2.0 * df * df)
+            slope = df * np.where(np.abs(a) < 0.5, 1.0 - a, 1.0)  # a NaN a fails the test
+            step = f / slope
+            halley = x - step
+            inside = (lo < halley) & (halley < hi) & (np.abs(step) <= 0.5 * np.abs(older))
+            ok = done(f, slope, x)
+        step = np.where(inside, step, x - 0.5 * (lo + hi))
         x_new = x - step
-        ok = done(f, df, x)
         leave = ok | np.isnan(f) | (x_new == x)  # x_new == x: a collapsed bracket
         met[live[ok]] = True
         out[..., live[leave]] = pay[..., leave]
+        roots[live[leave]] = halley[leave]
         if leave.all():
-            return out, met
+            return out, roots, met
         stay = ~leave
         live, lo, hi, x, older, last = (a[stay] for a in (live, lo, hi, x_new, last, step))
     raise SolverError(f"safeguarded Newton did not converge in ({lo[0]}, {hi[0]})")
 
 
 def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
-    """Roots of ``fn(x) -> (f, f', f'')`` by ``_newton_root`` with Halley's
-    steps: the slope is f'(1 - a), a = f f''/(2 f'^2), wherever a is finite
-    and |a| < 1/2, else f', so its sign, which places the point in the
-    bracket, never flips.  Each lane returns x - f/slope at its first point
-    where |f/slope| <= rtol * max(1, |x|), and SolverError names a lane that
-    stopped short of it."""
-    def step(x, lanes):
-        f, df, ddf = fn(x)
-        a = f * ddf / (2.0 * df * df)
-        slope = df * np.where(np.isfinite(a) & (np.abs(a) < 0.5), 1.0 - a, 1.0)
-        return f, slope, x - f / slope
-
-    # a zero or NaN slope fails the test, and the lane bisects
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots, met = _newton_root(step, lo, hi, x, lambda f, df, x: (
-            np.abs(f / df) <= rtol * np.maximum(1.0, np.abs(x))))
+    """Roots of ``fn(x) -> (f, f', f'')`` by ``_newton_root``: each lane
+    returns x - f/s at its first point where |f/s| <= rtol * max(1, |x|)
+    (a zero or NaN slope fails it, and the lane bisects), and SolverError
+    names a lane that stopped short of it."""
+    _, roots, met = _newton_root(lambda x, lanes: (*fn(x), x), lo, hi, x, lambda f, s, x: (
+        np.abs(f / s) <= rtol * np.maximum(1.0, np.abs(x))))
     if not met.all():
         raise SolverError(f"safeguarded Newton stalled short of its test in lane {np.argmin(met)}")
     return roots
@@ -378,28 +376,29 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
 def lambert_w(x: float) -> float:
     """Principal-branch Lambert W on x >= 0: solves w e^w = x.
 
-    Logarithmic initial guess refined by Halley iteration; the round-trip
-    residual |w e^w - x| / x is below 1e-12 over the whole domain.
+    The root of f(w) = w - x e^{-w} on (0, log1p(x)), which cannot
+    overflow, by ``_polished_roots`` (Halley's iteration, Corless et al.,
+    Adv. Comput. Math. 5, 329 (1996)) from Winitzki's
+    L (1 - log1p(L)/(2 + L)), L = log1p(x); SolverError unless the
+    round-trip residual |w e^w - x| / x is below 1e-12.
     """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"lambert_w: argument must be finite and >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    if x < 1.0:
-        w = x * (1.0 - x)  # series start, adequate basin for Halley
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx) if lx > 1.0 else 0.5 * lx + 0.45
-    for _ in range(60):
-        ew = math.exp(w)
-        err = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * err / (2.0 * w + 2.0)
-        dw = err / denom
-        w -= dw
-        if abs(dw) <= 1e-14 * (1.0 + abs(w)):
-            break
-    if abs(w * math.exp(w) - x) > 1e-12 * x:
+    top = math.log1p(x)
+    start = top * (1.0 - math.log1p(top) / (2.0 + top))
+    # the start rounds onto the bracket's top below x ~ 2e-16
+    start = start if start < top else 0.5 * top
+
+    def fn(w):
+        t = x * np.exp(-w)
+        return w - t, 1.0 + t, -t
+
+    w = float(_polished_roots(fn, 0.0, top, start, 1e-15)[0])
+    # |w e^w - x| / x = |f(w)| / w at the root
+    if not abs(w - x * math.exp(-w)) <= 1e-12 * w:
         raise SolverError(f"lambert_w failed to converge for x={x}")
     return w
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,8 +162,7 @@ def _energies(exact: np.ndarray, tail: TailLaw, m: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LevelGap:
+class LevelGap(NamedTuple):
     """Gap above the ground state and its ratio to the first gap."""
 
     n: int
@@ -322,6 +322,6 @@ def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     n_max = _check_index(n_max, 1, "n_max")
     levels = spectrum.energies(np.arange(n_max + 1))
     delta = levels[1:] - levels[0]
-    return [LevelGap(n=n, delta=d, ratio=r) for n, d, r in
-            zip(range(1, n_max + 1), delta.tolist(), (delta / delta[0]).tolist())]
+    return list(map(LevelGap._make, zip(range(1, n_max + 1), delta.tolist(),
+                                        (delta / delta[0]).tolist())))
 

@@ -66,6 +66,45 @@ def direct_occupation(sp, beta, gamma, statistics, start=0):
     return math.fsum(parts)
 
 
+def excited_bose_occupation(sp, beta, direct=1 << 14):
+    """sum_{m >= 1} 1/(e^{x_m} - 1), x_m = beta (E_m - E_0): levels below
+    ``direct`` summed one by one, and past them, where the tail law changes
+    little from one level to the next, its Euler-Maclaurin sum
+    integral_M^inf f dm + f(M)/2 - f'(M)/12 at M = ``direct``, the integral
+    by scipy's quad in E with dm/dE = (3/8) tau^(-3/2) sqrt(E - shift)."""
+    from scipy.integrate import quad
+
+    def occupation(e):
+        w = np.exp(-beta * (np.asarray(e, dtype=float) - sp.e0))
+        return w / (1.0 - w)
+
+    t = sp.tail
+    levels = sp.energies(np.arange(1, direct))
+    total = math.fsum(occupation(levels).tolist())
+    if beta * (levels[-1] - sp.e0) > 50.0:  # every further level holds below e^-50
+        return total
+    f = occupation(t.energy(np.array([direct - 1.0, direct, direct + 1.0])))
+    e_m = float(t.energy(direct))
+    integral, _ = quad(lambda e: 0.375 * t.tau ** -1.5 * math.sqrt(e - t.shift) * occupation(e),
+                       e_m, e_m + 60.0 / beta, epsrel=1e-13, epsabs=0.0, limit=200)
+    return total + integral + f[1] / 2.0 - (f[2] - f[0]) / 24.0
+
+
+@functools.lru_cache(maxsize=1)
+def be_critical_grid():
+    """(spectrum, N, report, ladder passes) of each be_critical case of the
+    4 walls x F in {1e-7, 1e-5, 1e-3, 0.1, 10} x N in {1, 10, 1e3, 1e5, 1e8}."""
+    out = []
+    for kind in WallKind:
+        for field in (1e-7, 1e-5, 1e-3, 0.1, 10.0):
+            sp = build_spectrum(WallSpec(kind, field))
+            for n in (1, 10, 1000, 10 ** 5, 10 ** 8):
+                with reading() as work:
+                    rep = be_critical(sp, n)
+                out.append((sp, n, rep, work["be_passes"]))
+    return out
+
+
 class TestEnsembleSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -660,9 +699,15 @@ class TestWorkCounts:
         assert work["fd_passes"] + work["be_passes"] > 60 and work["stale_lanes"] == 0
 
     def test_be_critical_ladder_passes(self):
+        # Halley steps on ln N in ln beta: 3 ladder passes (Newton's took 4)
         with reading() as work:
             be_critical(attractive(1e-5), 1000)
-        assert 0 < work["be_passes"] <= 8
+        assert 0 < work["be_passes"] <= 3
+
+    def test_be_critical_grid_ladder_passes(self):
+        # the 100 cases of the 4 walls x 5 fields x 5 particle numbers take
+        # 332 ladder passes with Halley steps (399 with Newton's)
+        assert sum(passes for *_, passes in be_critical_grid()) <= 340
 
 
 class TestFermiColdStart:
@@ -930,6 +975,13 @@ class TestBeCritical:
         got = direct_occupation(sp, rep.beta_cr, 0.0, BE, start=1)
         assert abs(got - 1000.0) <= 1e-10 * 1000.0
         assert rep.t_cr == pytest.approx(1.0 / rep.beta_cr, rel=1e-15)
+
+    def test_grid_holds_n(self):
+        # every beta_cr of the 100-case grid holds N excited particles to
+        # 1e-10 N in a level sum of the test's own
+        for sp, n, rep, _ in be_critical_grid():
+            got = excited_bose_occupation(sp, rep.beta_cr)
+            assert abs(got - n) <= 1e-10 * n, (sp.wall, n, got)
 
     def test_asymptote_converges_with_vanishing_field(self):
         devs = []

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -204,8 +205,9 @@ class TestAiryArrays:
 
 
 def _cos_step(x, lanes):
-    """cos with its slope and the Newton point as payload."""
-    return np.cos(x), -np.sin(x), x + np.cos(x) / np.sin(x)
+    """cos with its slope, no f'' (Newton's steps) and the Newton point as
+    payload."""
+    return np.cos(x), -np.sin(x), np.zeros_like(x), x + np.cos(x) / np.sin(x)
 
 
 def _step_below(rtol):
@@ -219,25 +221,47 @@ class TestNewtonRoot:
     LO, HI, START = K * np.pi, (K + 1) * np.pi, K * np.pi + 0.1 * K + 0.3
 
     def test_lanes_equal_single_solves(self):
-        roots, met = sf._newton_root(_cos_step, self.LO, self.HI, self.START,
-                                     _step_below(1e-15))
+        roots, _, met = sf._newton_root(_cos_step, self.LO, self.HI, self.START,
+                                        _step_below(1e-15))
         assert met.all()
         for i, r in enumerate(roots):
-            one, one_met = sf._newton_root(_cos_step, self.LO[i], self.HI[i], self.START[i],
-                                           _step_below(1e-15))
+            one, _, one_met = sf._newton_root(_cos_step, self.LO[i], self.HI[i],
+                                              self.START[i], _step_below(1e-15))
             assert one.tolist() == [r] and one_met.tolist() == [True]
         assert np.allclose(roots, (self.K + 0.5) * np.pi, rtol=1e-15, atol=0)
+
+    def test_halley_steps_from_the_second_derivative(self):
+        # f'' = 0 takes Newton's steps: 5 passes over 9, 9, 9, 9 and 8 lanes,
+        # as the Newton-only solver did; with cos's own f'' = -cos the last
+        # pass has 6 lanes.  Each lane returns its last step's point x - f/s
+        def passes(curvature):
+            seen = []
+
+            def fn(x, lanes):
+                seen.append(lanes.size)
+                return np.cos(x), -np.sin(x), -curvature * np.cos(x), x
+
+            _, roots, met = sf._newton_root(fn, self.LO, self.HI, self.START,
+                                            _step_below(1e-15))
+            assert met.all()
+            assert np.allclose(roots, (self.K + 0.5) * np.pi, rtol=1e-15, atol=0)
+            return seen
+
+        assert passes(0.0) == [9, 9, 9, 9, 8]
+        halley = passes(1.0)
+        assert len(halley) <= 5 and sum(halley) < 44
 
     def test_nan_lane_leaves_after_one_pass(self):
         seen = []
 
         def fn(x, lanes):
             seen.append(lanes.tolist())
-            f, df, pay = _cos_step(x, lanes)
-            return np.where(lanes == 4, np.nan, f), df, pay
+            f, df, ddf, pay = _cos_step(x, lanes)
+            return np.where(lanes == 4, np.nan, f), df, ddf, pay
 
-        roots, met = sf._newton_root(fn, self.LO, self.HI, self.START, _step_below(1e-15))
-        clean, _ = sf._newton_root(_cos_step, self.LO, self.HI, self.START, _step_below(1e-15))
+        roots, _, met = sf._newton_root(fn, self.LO, self.HI, self.START, _step_below(1e-15))
+        clean, _, _ = sf._newton_root(_cos_step, self.LO, self.HI, self.START,
+                                      _step_below(1e-15))
         assert 4 in seen[0] and all(4 not in lanes for lanes in seen[1:])
         assert met.tolist() == [i != 4 for i in range(9)]
         keep = np.arange(9) != 4
@@ -248,7 +272,7 @@ class TestNewtonRoot:
         # its bracket collapses on 3; lane 0 bisects toward its root at 0 and
         # is still open after 200 passes, so its final bracket is named
         with pytest.raises(SolverError, match=re.escape(f"in (0.0, {2.0 ** -198!r})")):
-            sf._newton_root(lambda x, lanes: (x, np.ones_like(x), x),
+            sf._newton_root(lambda x, lanes: (x, np.ones_like(x), np.zeros_like(x), x),
                             [-2.0, 3.0], [2.0, 5.0], [1.0, 4.0],
                             lambda f, df, x: np.zeros(f.shape, dtype=bool))
 
@@ -320,6 +344,29 @@ class TestLambertW:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             sf.lambert_w(-0.1)
+
+    def test_against_mpmath_over_the_float_range(self, monkeypatch):
+        # W to 2.5e-16 relative from 1e-300 to 1.7e308, where w e^w would
+        # overflow above its root, and at subnormal x, with no RuntimeWarning;
+        # every solve starts strictly inside (0, log1p(x)), except at 5e-324,
+        # where no float lies strictly inside
+        starts = []
+
+        def polished_roots(fn, lo, hi, x, rtol):
+            starts.append((lo, x, hi))
+            return polished(fn, lo, hi, x, rtol)
+
+        polished = sf._polished_roots
+        monkeypatch.setattr(sf, "_polished_roots", polished_roots)
+        xs = np.geomspace(1e-300, 1.7e308, 400).tolist() + [5e-324, 1e-310]
+        with warnings.catch_warnings(), mpmath.workdps(30):
+            warnings.simplefilter("error", RuntimeWarning)
+            for x in xs:
+                w, ref = sf.lambert_w(x), mpmath.lambertw(mpmath.mpf(x))
+                assert abs((w - ref) / ref) <= 2.5e-16, x
+        assert len(starts) == len(xs)
+        for (lo, start, hi), x in zip(starts, xs):
+            assert lo < start < hi or x == 5e-324 and lo <= start <= hi
 
 
 class TestBoseFunctions:
