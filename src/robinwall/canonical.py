@@ -1,24 +1,15 @@
-"""Canonical-ensemble thermodynamics of the walled particle.
-
-Exact truncated sums over a Spectrum, the universal Dirichlet/Neumann
-curves in the variable y = beta * F^(2/3), and a grid-scan extremum locator
-for any c(beta) that comes with its slope, refined in lockstep over
-extrema on the cubic Hermite through the values and slopes of a bracket.
-The closed forms of the two-term model are in ``limits``.
-
-Every Boltzmann weight is formed as exp(-beta*(E_n - E_0)) so the attractive
-wall's negative ground level can never overflow the sums; means and
-central moments are reconstructed exactly from the shifted moments.  The
-heat capacity is the fluctuation form c = beta^2 kappa_2, which equals
--beta^2 d<E>/dbeta for these sums, and its slope
-beta dc/dbeta = 2c - beta^3 kappa_3 follows from dkappa_2/dbeta = -kappa_3,
-with kappa_2 and kappa_3 the second and third cumulants of the energy.
+"""Canonical thermodynamics of one particle from the Boltzmann sums of
+``ladder``, whose weights exp(-beta (E_n - E_0)) are finite for any ground
+level: with kappa_2, kappa_3 the second and third energy cumulants,
+c = beta^2 kappa_2 = -beta^2 d<E>/dbeta and dc/d ln beta = 2c - beta^3 kappa_3.
+Also the universal Dirichlet/Neumann curves in y = beta F^(2/3), and the
+extremum search on c(beta) of every sweep and peak search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -41,13 +32,10 @@ _SQRT_EPS = math.sqrt(2.0 ** -52)
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """One evaluated state, or arrays of them over a batch of temperatures:
-    mean energy <E> of all the particles, heat capacity per particle (in
-    units of k_B), for the grand-canonical ensembles mu and the Bose
-    ground-level fraction n0, for a batch each lane's error message
-    (None, or why its values are NaN), and the slope of the heat capacity,
-    dc/d ln beta = -T dc/dT; None where a field does not apply or was not
-    evaluated."""
+    """A state, or arrays of them over a batch: <E> of all the particles, c
+    per particle (units of k_B), mu and the Bose ground fraction n0 (None
+    where they do not apply), per lane of a batch None or why its values
+    are NaN, and dc/d ln beta = -T dc/dT."""
 
     beta: float
     mean_energy: float
@@ -60,7 +48,8 @@ class ThermoPoint:
 
 @dataclass(frozen=True)
 class ExtremumReport:
-    """Located heat-capacity extrema on a temperature scan."""
+    """The largest and smallest c of a scan's interior extrema and their
+    temperatures; None where it has none."""
 
     beta_inv_at_max: float | None = None
     c_max: float | None = None
@@ -68,23 +57,33 @@ class ExtremumReport:
     c_min: float | None = None
 
 
+def _checked(p: ThermoPoint, what: Callable[[int], str]) -> ThermoPoint:
+    """The finished batch ``p`` with every failed lane NaN in all its values:
+    a lane with a message, and a lane whose <E>, c or dc/d ln beta is not
+    finite, which gets one naming it by ``what(lane)``."""
+    values = (p.mean_energy, p.heat_capacity, p.heat_capacity_slope)
+    bad = ~np.isfinite(values).all(axis=0)
+    errors = tuple(e or (f"{what(i)}: <E> = {values[0][i]}, c = {values[1][i]} and "
+                         f"dc/d ln beta = {values[2][i]} are not finite" if bad[i] else None)
+                   for i, e in enumerate(p.errors))
+    failed = np.array([e is not None for e in errors])
+    return replace(p, errors=errors, **{f: np.where(failed, np.nan, getattr(p, f)) for f in (
+        "mean_energy", "heat_capacity", "mu", "n0", "heat_capacity_slope")
+        if getattr(p, f) is not None})
+
+
 def _canonical(spectrum: Spectrum, beta: np.ndarray) -> ThermoPoint:
-    """Mean energy <E> = sum E_n w_n / sum w_n, heat capacity
-    c = beta^2 (<E^2> - <E>^2) of one particle and its slope
-    dc/d ln beta = 2c - beta^3 kappa_3, as arrays over the 1-D ``beta``,
-    summed as one batch.  A lane whose <E> or c is not finite is NaN with
-    its message in ``errors``."""
+    """<E>, c and dc/d ln beta of one particle over the 1-D ``beta``, one
+    batch of ladder sums, each failed lane checked by ``_checked``."""
     _work.counts.update(batches=1, batch_lanes=beta.size)
     s0, s1, s2, s3 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
     m, m2 = s1 / s0, s2 / s0
     kappa2 = m2 - m * m
     kappa3 = s3 / s0 - m * (3.0 * m2 - 2.0 * m * m)
-    energy, c = spectrum.e0 + m, beta * beta * kappa2
-    ok = np.isfinite(energy) & np.isfinite(c)
-    errors = tuple(None if good else f"canonical sums at beta={b}: <E> = {e} and c = {cb} "
-                   "are not finite" for good, b, e, cb in zip(ok, beta, energy, c))
-    return ThermoPoint(beta, *(np.where(ok, a, np.nan) for a in (energy, c)), errors=errors,
-                       heat_capacity_slope=np.where(ok, 2.0 * c - beta ** 3 * kappa3, np.nan))
+    c = beta * beta * kappa2
+    return _checked(ThermoPoint(beta, spectrum.e0 + m, c, errors=(None,) * beta.size,
+                                heat_capacity_slope=2.0 * c - beta ** 3 * kappa3),
+                    lambda i: f"canonical sums at beta={beta[i]}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +91,8 @@ def _canonical(spectrum: Spectrum, beta: np.ndarray) -> ThermoPoint:
 # ---------------------------------------------------------------------------
 
 def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
-    """(<E>/F^(2/3), c) for the hard or reflecting wall as functions of the
-    single collapsed variable y = beta * F^(2/3), a finite scalar > 0."""
+    """(<E>/F^(2/3), c) of the hard or reflecting wall at the scalar
+    y = beta F^(2/3) > 0, on which both depend alone."""
     if kind not in (WallKind.DIRICHLET, WallKind.NEUMANN):
         raise DomainError(f"universal curve is defined for Dirichlet/Neumann, got {kind}")
     if np.ndim(y):
@@ -110,8 +109,8 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
 
 def _cubic_min(a: float, fa: float, ga: float, b: float, fb: float, gb: float) -> float:
     """Minimiser of the cubic Hermite through the values f and slopes g at
-    the ends of a bracket a < b with ga < 0 <= gb (Nocedal & Wright, eq.
-    3.59), or the midpoint where rounding puts it outside (a, b)."""
+    the ends of a < b, ga < 0 <= gb (Nocedal & Wright, eq. 3.59), or the
+    midpoint where rounding puts it outside (a, b)."""
     d1 = ga + gb - 3.0 * (fb - fa) / (b - a)
     d2 = math.sqrt(d1 * d1 - ga * gb)
     v = b - (b - a) * (gb + d2 - d1) / (gb - ga + 2.0 * d2)
@@ -120,19 +119,14 @@ def _cubic_min(a: float, fa: float, ga: float, b: float, fb: float, gb: float) -
 
 def _refine(a: float, fa: float, ga: float, b: float, fb: float,
             gb: float) -> Generator[list[float], list[tuple], tuple[float, float]]:
-    """Minimum of f on [a, b] in a few multi-point passes, from a bracket
-    a < b whose slopes change sign, ga < 0 <= gb, values and slopes known.
-    Each pass evaluates the minimiser v of the cubic Hermite on the bracket
-    (``_cubic_min``), v +- max(tol1, w/1000) on a bracket of width w, and
-    its midpoint a + w/2, those inside it, and the next bracket is the pair of
-    neighbours among its ends and these points whose slopes change sign,
-    next to the lowest value.  Stops by Brent's (1973) rule, once the
-    bracket is within 4 tol1, tol1 = sqrt(eps)|x| + 2.5e-7 at the end x of
-    the lower value, and returns (v, f(x)), v the root of the slope's secant
-    on that last bracket (at that width the differences of the values are
-    rounding noise, which would move a minimiser fitted to them).  A
-    generator: it yields each pass's points u and is sent the list of
-    (f(u), f'(u))."""
+    """Minimum of f on a bracket a < b with ga < 0 <= gb, as a generator
+    that yields each pass's points u and is sent their (f(u), f'(u)).  A
+    pass evaluates, inside the bracket of width w, the ``_cubic_min`` v,
+    v +- max(tol1, w/1000) and a + w/2; the next bracket is the adjacent
+    pair whose slopes change sign next to the lowest value.  Once w <= 4 tol1
+    (Brent, 1973), tol1 = sqrt(eps)|x| + 2.5e-7 at the lower end x, returns
+    (root of the slope's secant on the bracket, f(x)): at that width the
+    values differ by rounding alone."""
     while True:
         x, fx = (a, fa) if fa <= fb else (b, fb)
         tol1, w = _SQRT_EPS * abs(x) + 0.25e-6, b - a
@@ -151,20 +145,12 @@ def _refine(a: float, fa: float, ga: float, b: float, fb: float,
 def find_extrema(beta_grid: Sequence, c_grid: Sequence, slope_grid: Sequence,
                  fn: Callable[[np.ndarray, np.ndarray], tuple[Sequence[float], Sequence[float]]]
                  ) -> ExtremumReport | tuple[ExtremumReport, ...]:
-    """Locate the heat-capacity extrema of one scan, or of several as
-    rows: ``c_grid`` and ``slope_grid`` hold c and dc/d ln beta on the
-    monotone ``beta_grid``, evaluated by the caller.  Each extremum is
-    bracketed by neighbouring scan points between which the slope changes
-    sign, and every one of every scan is refined by ``_refine``, all in
-    lockstep: a pass is one call ``fn(beta, rows)`` with the points of that
-    pass of every open refinement (up to 4) and their scans' rows, returning
-    their (c, dc/d ln beta); a smooth peak takes 2 passes.  An extremum
-    lies at the root of the slope's secant on its last bracket, ~1e-6 wide
-    in ln beta.
-
-    A report per scan (a tuple of them for rows) carries the global maximum
-    and minimum found; a scan without interior extrema yields an empty
-    report (not an error).
+    """The ``ExtremumReport`` of a scan, or a tuple of them for scans as rows,
+    from c and dc/d ln beta on a strictly monotone ``beta_grid`` of at least
+    3 points (else DomainError).  Neighbours whose slopes change sign
+    bracket an extremum, refined by ``_refine`` in ln beta, all in lockstep:
+    a pass is one call ``fn(beta, rows)`` returning (c, dc/d ln beta) at the
+    points of every open refinement.
     """
     betas, cs = np.asarray(beta_grid, dtype=float), np.asarray(c_grid, dtype=float)
     slopes = np.asarray(slope_grid, dtype=float)

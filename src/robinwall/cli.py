@@ -1,10 +1,7 @@
-"""Command-line front end.
-
-Subcommands: ``spectrum`` (emit energy levels), ``sweep`` (temperature
-sweep of one configuration), ``table1`` (tabulated-peak regression),
-``predict`` (weak-field Lambert-W predictors), ``selftest`` (invariant
-suite).  Exit codes: 0 success, 2 bad specification (an ``--out`` path
-that cannot be written included), 3 solver failure, 4 regression failure.
+"""The ``robinwall`` command: ``spectrum``, ``sweep``, ``table1``,
+``predict`` and ``selftest``.  Exit codes: EXIT_OK, EXIT_SPEC for a bad
+request or an ``--out`` path that cannot be written, EXIT_SOLVER,
+EXIT_REGRESSION.
 """
 
 from __future__ import annotations
@@ -50,8 +47,7 @@ def _emit(text: str, out: str | None) -> None:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call, built on the first: parsing keeps
-    no state between calls."""
+    """The parser of every ``main`` call, built once: parsing keeps no state."""
     ap = argparse.ArgumentParser(
         prog="robinwall",
         description="Spectra and thermodynamics of a charged particle at a "

@@ -1,75 +1,33 @@
 """Fermi-Dirac and Bose-Einstein thermodynamics over a wall spectrum.
 
-The chemical potential is solved from the particle-number sum
+The chemical potential solves the particle number (spin degeneracy 1)
 
-    N = sum_n 1/(e^{(E_n - mu) beta} +- 1)
+    N = sum_n 1/(e^{(E_n - mu) beta} +- 1)      (upper sign fermions)
 
-(upper sign fermions, lower bosons; at most one fermion per level, spin
-degeneracy 1).  Internally the solve runs in the shifted variable
-gamma = beta*(E_0 - mu), which is exactly the quantity that must stay
-positive for bosons and keeps every exponent well conditioned when mu
-crowds the ground level to within 1e-14.  The solve runs on
-g = ln(N/N_target), nearly linear over most of the domain, in the solve's
-coordinate u (gamma for fermions, ln gamma for bosons, whose gamma spans
-decades), by the Halley steps of ``specfun._newton_root``, safeguarded by
-the bracket of the points already evaluated.  It runs on a batch of
-temperatures in lockstep: every pass is one fused ladder pass over the
-unsolved lanes giving N, dN/dgamma = -D_0, d^2N/dgamma^2 and the energy
-moments together.  A lane stops at |N - N_target| <= 1e-12 N_target or
-once its bracket has collapsed, and its last iterate is its result if it
-meets |N - N_target| <= 1e-10 N_target: its sums give <E> and c
-directly, so the result depends on the start within the 1e-12 target.
+in gamma = beta (E_0 - mu), which bosons need > 0 and which stays exact as
+mu rounds to E_0 deep in a condensate, by ``_solve_n`` in u = gamma, or
+ln gamma for bosons, in lockstep over lanes, each pass one ladder pass
+that also gives the energy moments.  ``_Evaluator`` runs every solve, from
+its cell's solved states or cold from the two-term balance of ``limits``.
 
-One evaluator, ``_Evaluator``, runs every solve and starts each lane from
-the states already solved in its cell.  A cell's first lanes start cold,
-with no ladder pass, from the two-term balance
-
-    N = 1/(e^gamma +- 1) + A g(-(gamma + beta Delta))
-
-of the ground level and the tail law's quasi-continuum of density
-sqrt(E - shift)/(pi F) above shift, A = 1/(2 sqrt(pi) F beta^{3/2}) and
-Delta = shift - E_0 (the model of ``limits``, whose continuum weight and
-Boltzmann balance they read), the continuum in the lanes' own statistics.
-Bosons start at its root with g = g_{3/2} (``_bose_start``).  Fermions
-(``_fermi_start``), with g = f_{3/2}, start in closed form: at the
-Boltzmann root moved by the next term of f_{3/2}'s classical series, or
-in a degenerate sea at the zero-temperature Fermi edge.  A fermion lane
-whose Fermi edge is frozen (half the gap E_N - E_{N-1} past ln(2e12) kT)
-starts at mid-gap, where the two edge levels hold as many holes as
-particles and the first pass meets the 1e-12 target, so mu lands on the
-exact two-level value.  Each call counts its batch, lanes and cold lanes
-in ``_work.counts``, and the ladder each of its passes; ``thermo_point``
-is the one-call state of any ensemble, through ``_evaluator``.
-
-The heat capacity uses the implicit-function temperature derivative of mu:
-with w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu),
+With w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu), the implicit
+temperature derivative of mu,
 
     beta dmu/dbeta = sum (E_n - mu) w_n / sum w_n,
 
-which collapses the full expression to the variance form
-c = beta^2 (D2 - D1^2/D0) over the w-weighted moments.  The same sums
-give each state's slope dgamma/dbeta = -sum (E_n - E_0) w_n / sum w_n,
-from which the evaluator starts the solves of nearby temperatures; both
-read 0 where every weight underflows (D0 = 0).  The moments are taken
-about the level where w peaks (the upper of E_0 and mu), so D1 is small
-and the variance does not cancel when one level holds nearly all of the
-weight, as the Bose ground level does deep in the condensate.  About a
-mid-gap mu the two levels around a frozen Fermi edge hold the weight
-symmetrically, D1 vanishes, and c is tiny and positive.  A warm
-start, or a lane that thaws across a grid, can still stop at a mu away
-from mid-gap that meets the target, where the variance can cancel to a
-tiny c of either sign with no error message (ROADMAP.md, open item 3).
-
-The slope of c comes from the same pass.  At fixed N each exponent moves
-as dx_n/dbeta = eps_n = E_n - <E>_w, the energy about its w-weighted mean,
-so with c = beta^2 V/N, V = sum eps_n^2 w_n, and dw/dx = -w +- 2 w f,
+gives c = beta^2 (D_2 - D_1^2/D_0) / N over the w-weighted moments, taken
+about max(E_0, mu) (``_moment_offset``), and the slope of gamma that warm
+starts read.  At fixed N each exponent moves as dx_n/dbeta = eps_n, the
+energy about its w-weighted mean, so with V = sum eps_n^2 w_n and
+dw/dx = -w +- 2 w f,
 
     dV/dbeta = sum eps_n^3 (-w_n +- 2 w_n f_n),
     dc/d ln beta = 2c + beta^3 (dV/dbeta) / N,
 
-its third central moments formed from D_0..D_3 and G_0..G_3 = sum
-(E_n - ref)^p w_n f_n about the same level, which do not cancel deep in
-a condensate either.
+from D_0..D_3 and G_0..G_3 of the same pass.  A frozen Fermi edge solved at
+mid-gap has c tiny and positive; a warm start that stops away from mid-gap
+within the target can cancel c to a tiny value of either sign with no
+error (ROADMAP.md, open item 3).
 """
 
 from __future__ import annotations
@@ -81,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _work
-from .canonical import ThermoPoint, _canonical
+from .canonical import ThermoPoint, _canonical, _checked
 from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
 from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
@@ -98,11 +56,13 @@ __all__ = [
 
 _N_RESIDUAL = 1e-10  # relative particle-number residual of every accepted state
 _N_TARGET = 1e-12  # the residual the Newton iteration aims at
+_N_MAX = int(np.iinfo(np.int64).max)  # past it an array of N holds Python ints
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Ensemble: statistics plus particle number N >= 1 (N = 1 canonical)."""
+    """Statistics plus particle number N, an integer in [1, _N_MAX] (1 for
+    the canonical ensemble); DomainError otherwise."""
 
     statistics: Statistics
     n_particles: int
@@ -111,6 +71,8 @@ class EnsembleSpec:
         _check_statistics(self.statistics)
         object.__setattr__(self, "n_particles",
                            _check_index(self.n_particles, 1, "n_particles"))
+        if self.n_particles > _N_MAX:
+            raise DomainError(f"n_particles must be at most {_N_MAX}, got {self.n_particles!r}")
         if self.statistics is Statistics.CANONICAL and self.n_particles != 1:
             raise DomainError(f"the canonical ensemble is computed for 1 particle, "
                               f"got {self.n_particles!r}")
@@ -118,7 +80,8 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class CondensateReport:
-    """Condensation threshold of a Bose system."""
+    """Condensation threshold of a Bose system: beta_cr, T_cr = 1/beta_cr,
+    and the weak-field Lambert-W estimate of beta_cr."""
 
     beta_cr: float
     t_cr: float
@@ -130,17 +93,13 @@ class CondensateReport:
 # ---------------------------------------------------------------------------
 
 def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
-    """Roots of N(u) = N_target for strictly decreasing N(u), one per lane
-    and each with its own ``n_target``: ``specfun._newton_root`` on
-    g = ln(N / N_target), g' = N_u/N and g'' = N_uu/N - g'^2, from the
-    starts ``u`` in the brackets (lo, hi), a lane done at
-    |N - N_target| <= 1e-12 N_target.  ``fn(u, lanes)`` evaluates the
-    lanes ``lanes`` at ``u`` and returns arrays ``(N, dN/du, d2N/du2,
-    payload)``, one payload column per lane (d2N/du2 = 0: Newton's steps);
-    N <= 0 (every occupation underflowed) counts as ln N = -inf.  A lane's
-    last point is accepted if it meets the 1e-10 contract (a NaN residual
-    fails at once).  Returns the payloads and, per lane, None or the
-    message ``what(lane)`` of a failed lane."""
+    """Roots of N(u) = n_target for N(u) strictly decreasing, a lane each:
+    ``specfun._newton_root`` on g = ln(N / n_target) from the starts ``u``
+    in the brackets (lo, hi), a lane done at _N_TARGET.  ``fn(u, lanes)``
+    returns ``(N, dN/du, d2N/du2, payload)`` over the lanes ``lanes``, a
+    payload column per lane (d2N/du2 = 0: Newton's steps); N <= 0 is
+    ln N = -inf.  Returns the payloads and per lane None, or, where the last
+    point misses _N_RESIDUAL or is NaN, a message starting ``what(lane)``."""
     def log_n(x, lanes):
         n, n_u, n_uu, pay = fn(x, lanes)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,27 +116,23 @@ def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
     return payload[1:], errors
 
 
-_GAMMA_MAX = 750.0  # beyond it every occupation underflows: N(gamma) = 0
-
+_GAMMA_MAX = 750.0  # e^-750 underflows: past it N(gamma) = 0
 
 # past this half-gap in units of kT a frozen Fermi edge's top hole and first
-# particle each hold below half the particle-number target: at mid-gap the
-# solve's first pass meets it
+# particle each hold below half of _N_TARGET: at mid-gap the first pass meets it
 _FROZEN_HALF_GAP = math.log(2.0 / _N_TARGET)
 
 
 def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Cold gamma of fermions, in closed form from the two-term balance
-    N = 1/(e^gamma + 1) + A f_{3/2}(eta), eta = -(gamma + beta Delta).  Where
-    the Boltzmann root gamma_B (``_two_term_log_t``) has eta_B <= 0, the
-    classical series f_{3/2}(eta) = e^eta - e^{2 eta}/2^{3/2} + ... moves it
-    to gamma_B - ln(1 + e^{eta_B}/2^{3/2}); in a degenerate sea the start is
-    the zero-temperature edge eta = (Gamma(5/2) N/A)^{2/3}.  On a ladder
-    whose spacings do not grow, mu lies at or below mid-gap,
-    mu = (E_{N-1} + E_N)/2, where the two levels around the Fermi edge hold
-    as many holes as particles and every deeper hole is outweighed by a
-    particle above, so no start puts mu above it.  A lane whose edge is
-    frozen, beta (E_N - E_{N-1})/2 > _FROZEN_HALF_GAP, starts at mid-gap."""
+    """Cold gamma of fermions from the two-term balance
+    N = 1/(e^gamma + 1) + A f_{3/2}(eta), eta = -(gamma + beta Delta), with
+    A and Delta = shift - E_0 of ``limits``: the Boltzmann root gamma_B
+    (``_two_term_log_t``) moved by the next term of f_{3/2}'s classical
+    series to gamma_B - ln(1 + e^{eta_B}/2^{3/2}) where eta_B <= 0, else the
+    zero-temperature edge eta = (Gamma(5/2) N/A)^{2/3}; never above
+    mid-gap, mu = (E_{N-1} + E_N)/2, which bounds mu on a ladder whose
+    spacings do not grow.  A lane with beta (E_N - E_{N-1})/2 past
+    _FROZEN_HALF_GAP starts at mid-gap."""
     e_top, e_next = spectrum.energies(np.stack([n - 1, n])) - spectrum.e0
     start = -0.5 * beta * (e_top + e_next)  # mid-gap
     thaw = (0.5 * beta * (e_next - e_top) <= _FROZEN_HALF_GAP).nonzero()[0]
@@ -196,21 +151,18 @@ def _fermi_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray) -> np.ndar
 
 def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray) -> np.ndarray:
-    """Cold ln gamma of bosons: the root of the two-term balance
-    N = 1/(e^gamma - 1) + A g_{3/2}(-(gamma + beta Delta)), whose g_{3/2}
-    holds about twice what the Boltzmann continuum e^eta does near
-    condensation, with Delta raised to 0 where the tail law starts below E_0
-    (so the fugacity stays below 1).  Found by ``_solve_n`` in ln gamma on
-    the bracket (lo, hi), from the Boltzmann root (``_two_term_log_t``), on
-    the closed forms of g_{3/2} and g_{1/2} = -dg_{3/2}/dalpha; a lane that
-    misses the solve's target keeps its last point, as it is only a start."""
+    """Cold ln gamma of bosons: the root in (lo, hi) of the two-term balance
+    N = 1/(e^gamma - 1) + A g_{3/2}(-(gamma + beta Delta)), Delta >= 0 so
+    that the fugacity stays below 1, by ``_solve_n`` from the Boltzmann
+    root (``_two_term_log_t``).  A lane that misses the target keeps its
+    last point: it is only a start."""
     ln_a = _ln_weight(spectrum.wall.field, beta)
     bd = beta * max(spectrum.tail.shift - spectrum.e0, 0.0)
 
     def balance(v, lanes):
         gamma = np.exp(v)
         g32, g12 = _bose_g(gamma + bd[lanes])
-        with np.errstate(all="ignore"):  # ground = 0 and N = 0 past e^750
+        with np.errstate(all="ignore"):  # ground = 0 and N = 0 past _GAMMA_MAX
             a = np.exp(ln_a[lanes])
             ground = 1.0 / np.expm1(gamma)
             # dN/d ln gamma, with -d(ground)/dgamma = e^gamma/(e^gamma - 1)^2
@@ -224,31 +176,21 @@ def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndar
 
 
 def _moment_offset(beta, gamma):
-    """Moment offset E_0 - ref of the grand-canonical sums, for moments about
-    ref = max(E_0, mu), where the distribution kernel e^x/(e^x +- 1)^2
-    peaks over the levels.  About it the first distribution moment is
-    small, so the variance D_2 - D_1^2/D_0 does not cancel against a
-    dominant level (the Bose ground level, or the two levels around a
-    frozen Fermi level)."""
+    """E_0 - ref for moments about ref = max(E_0, mu), where the kernel
+    e^x/(e^x +- 1)^2 peaks over the levels: there D_1 is small, so the
+    variance D_2 - D_1^2/D_0 does not cancel on a dominant level (the Bose
+    ground level, or the two levels around a frozen Fermi edge)."""
     return np.minimum(gamma, 0.0) / beta
 
 
 class _Evaluator:
-    """Grand-canonical states of batches of temperatures as one
-    ``ThermoPoint`` of arrays, lane i of ``beta`` in the cell ``cells[i]``
-    with the ensemble ``ensembles[cells[i]]`` (all FD, or all BE).  A failed
-    lane does not raise: its mu, energy, heat capacity and n0 are NaN and
-    its message, naming its beta and N, is in ``errors``.
-
-    ``states[k]`` holds the solved states of cell k as a (3, m) array, one
-    column each: ln beta, and u and du/d ln beta of its solve (u = gamma =
-    beta (E_0 - mu), or ln gamma for bosons), stably sorted by ln beta, so
-    states of equal ln beta stay in the order solved.  A lane starts from
-    the cubic Hermite through its cell's two states nearest in ln beta (on
-    a tie, the first in that order: a state below the lane before one
-    above it), or the Taylor step from one, or else cold (``_fermi_start``,
-    ``_bose_start``); a start is clipped into its lane's bracket.  One plan,
-    made at the starts, serves every Newton pass of a call."""
+    """Called with (beta, cells), the ``ThermoPoint`` of arrays of the batch,
+    lane i in ``ensembles[cells[i]]`` (all FD, or all BE, else DomainError),
+    each failed lane checked by ``canonical._checked``.  ``states[k]`` holds
+    cell k's solved (ln beta, u, du/d ln beta) as columns, stably sorted by
+    ln beta; a lane starts on the cubic Hermite through its cell's two
+    nearest (on a tie, the first), the Taylor step from one, or else cold,
+    clipped into its bracket.  One plan, made at the starts, serves a call."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
         if {getattr(e, "statistics", None) for e in ensembles} not in (
@@ -283,8 +225,8 @@ class _Evaluator:
         pm = -1.0 if log_space else 1.0  # the sign of e^x +- 1
         if log_space:
             # the ground level alone holds N at gamma = ln(1 + 1/N), so the root
-            # lies above it, deep in a condensate by ~1e-12: a low end 1e-9
-            # below it keeps the Newton steps landing there inside the bracket
+            # lies above it, deep in a condensate within rounding of the N
+            # target: the low end's margin keeps Newton steps there inside
             lo, hi = np.log(np.log1p(1.0 / n)) - 1e-9, np.full(n.shape, math.log(_GAMMA_MAX))
         else:
             # mu between E_0 - hi/beta and E_N + pad/beta, hi = pad past the
@@ -322,9 +264,7 @@ class _Evaluator:
             # where every weight underflowed (D0 = D1 = D2 = 0), c lies below
             # the float range and N pins no gamma: all read 0
             c = np.where(d0 > 0.0, beta * beta * (d2 - d1 * d1 / d0) / n, 0.0)
-            # c = beta^2 V / N, V = sum eps^2 D about the D-weighted mean,
-            # eps = E - <E>_w = E - ref - a; at fixed N each exponent moves
-            # by dx/dbeta = eps, so dV/dbeta = sum eps^3 (-D +- 2 D f)
+            # dV/dbeta of the module docstring, eps = E - ref - a
             a = np.where(d0 > 0.0, d1 / d0, 0.0)
             dv = (2.0 * pm * (g3 - a * (3.0 * g2 - a * (3.0 * g1 - a * g0)))
                   - (d3 - a * (3.0 * d2 - 2.0 * a * d1)))
@@ -341,22 +281,20 @@ class _Evaluator:
                                           f"gamma = beta (E_0 - mu) = {gamma[i]} and ground "
                                           f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
             n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
-        ok = np.array([e is None for e in errors])
+        p = _checked(ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope),
+                     lambda i: f"{self.statistics.value} state at beta={beta[i]}, N={n[i]}")
+        ok = np.array([e is None for e in p.errors])
         for k in set(cells[ok].tolist()):
             new = ok & (cells == k)
             states = np.hstack([self.states[k], [np.log(beta[new]), u[new], du[new]]])
             self.states[k] = states[:, np.argsort(states[0], kind="stable")]
-        for a in (mu, energy, c, c_slope) if n0 is None else (mu, energy, c, c_slope, n0):
-            a[~ok] = np.nan
-        return ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope)
+        return p
 
 
 def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
-    """(beta, cells) -> ThermoPoint of arrays over the lanes of ``beta``,
-    lane i in the ensemble ``ensembles[cells[i]]`` (all of one statistics,
-    else DomainError): the canonical sums for the canonical ensemble (one
-    particle, no mu or n0), else an ``_Evaluator``, whose mu solves start
-    from the states already solved in their cell."""
+    """The evaluator (beta, cells) -> ThermoPoint of ``ensembles``, all of
+    one statistics (else DomainError): ``canonical._canonical``, or an
+    ``_Evaluator``."""
     if {getattr(e, "statistics", None) for e in ensembles} == {Statistics.CANONICAL}:
         return lambda beta, cells: _canonical(spectrum, beta)
     return _Evaluator(spectrum, ensembles)
@@ -364,15 +302,12 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
 
 def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
                  ensemble: EnsembleSpec = EnsembleSpec(Statistics.CANONICAL, 1)) -> ThermoPoint:
-    """Mean energy <E> of the N particles, heat capacity per particle, its
-    slope dc/d ln beta and, where they apply, mu and the Bose ground-level
-    fraction n0, in any of the three ensembles (``_evaluator``), at one
-    temperature or at a 1-D batch solved cold.  A grand-canonical state
-    reproduces N to 1e-10 relative, and for bosons has gamma = beta (E_0 - mu)
-    > 0 (mu may round to E_0 deep in a condensate) with n0 in [0, 1].  A batch
-    gives arrays, a failed lane NaN with its message in ``errors``; a scalar
-    ``beta`` gives plain floats (None where a field does not apply) and
-    raises SolverError instead."""
+    """The state of ``ensemble`` at ``beta``, a scalar or a 1-D batch solved
+    cold: <E> of the N particles, c per particle, dc/d ln beta, and mu and
+    the Bose ground fraction n0 where they apply.  A grand-canonical state
+    meets N to _N_RESIDUAL, and a Bose one has gamma = beta (E_0 - mu) > 0
+    and n0 in [0, 1].  A batch gives arrays, a failed lane NaN with its
+    message in ``errors``; a scalar gives floats, or raises SolverError."""
     beta = _check_beta(beta)
     lanes = np.ravel(beta)
     p = _evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
@@ -390,13 +325,11 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
 # ---------------------------------------------------------------------------
 
 def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
-    """Largest temperature at which the condensate survives: beta_cr solves
-    sum_{n>=1} 1/(e^{(E_n-E_0) beta} - 1) = N (chemical potential pinned at
-    the ground level with no particles left in it), by ``_solve_n`` in
-    ln beta from the Lambert-W estimate, clipped into the
-    bracket: the first excited level alone holds N at
-    beta = ln(1 + 1/N)/(E_1 - E_0), so the root lies above it, and every
-    occupation underflows at beta = _GAMMA_MAX/(E_1 - E_0)."""
+    """Condensation threshold of N bosons: beta_cr solves
+    sum_{n>=1} 1/(e^{(E_n - E_0) beta} - 1) = N (mu at E_0, the ground
+    level empty), by ``_solve_n`` in ln beta from the Lambert-W estimate,
+    on the bracket from beta = ln(1 + 1/N)/(E_1 - E_0), where E_1 alone
+    holds N, to _GAMMA_MAX/(E_1 - E_0).  SolverError if it fails."""
     n_particles = _check_index(n_particles, 1, "n_particles")
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)

@@ -1,14 +1,11 @@
-"""Closed forms of the two-term model of the attractive wall: its split-off
-level near E_0 = -1 against the field's quasi-continuum above zero energy,
-of level density sqrt(E)/(pi F), whose Boltzmann particles weigh
-A = 1/(2 sqrt(pi) F beta^{3/2}) against a level at its bottom.  The model
-gives the canonical <E> and c, the Lambert-W predictors of their resonance
-(the ln^2 F peak height at the (-ln F)^-1 peak temperature), the fermion
-shelf 3(N-1)/(2N), mu, c_N and T_cr; at zero field the continuum is the
-free one.  ln A (``_ln_weight``) and the Boltzmann particle balance
-(``_two_term_log_t``) are written once, and the cold starts of the mu solves
-read them.  One check, ``_check_weak``, bounds the weak-field regime, and
-each form, written in the model's own variables, stays finite over it.
+"""Closed forms of the two-term model of the attractive wall: the split-off
+level near E_0 = -1 against the field's quasi-continuum of level density
+sqrt(E)/(pi F) above zero energy, whose Boltzmann weight against a level at
+its bottom is A = 1/(2 sqrt(pi) F beta^{3/2}) (``_ln_weight``).  It gives
+<E> and c, the Lambert-W predictors of the resonance, the fermion shelf,
+mu, c_N and T_cr, and, through ``_two_term_log_t``, the cold starts of the
+mu solves; at zero field the continuum is the free one.  ``_check_weak``
+bounds the weak-field regime, over which each form stays finite.
 """
 
 from __future__ import annotations
@@ -31,12 +28,12 @@ __all__ = ["zero_field_attractive", "resonance_predictors", "weak_field_composit
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
-WEAK_FIELD_MAX = 1e-2          # contract bound for the asymptotic predictors
+WEAK_FIELD_MAX = 1e-2          # the largest field of the weak-field forms
 
 
 def _check_weak(field: float, beta: float | None = None) -> float:
-    """``field`` checked for the weak-field forms, F <= WEAK_FIELD_MAX, and
-    with a checked ``beta`` also beta F^(2/3) <= 0.1."""
+    """``field`` as float; DomainError unless 0 < F <= WEAK_FIELD_MAX and,
+    with ``beta``, beta F^(2/3) <= 0.1."""
     field = _check_field(field)
     if field > WEAK_FIELD_MAX:
         raise DomainError(
@@ -48,19 +45,16 @@ def _check_weak(field: float, beta: float | None = None) -> float:
 
 
 def _ln_weight(field: float, beta):
-    """ln A, A = 1/(2 sqrt(pi) F beta^{3/2}): the quasi-continuum's weight
-    against a level at its bottom."""
+    """ln A, A = 1/(2 sqrt(pi) F beta^{3/2})."""
     return -math.log(2.0 * _SQRT_PI * field) - 1.5 * np.log(beta)
 
 
 def _two_term_log_t(ln_a, n: float, statistics: Statistics):
-    """ln t, t = e^{-gamma}, of the two-term balance N = 1/(1/t +- 1) + a t
-    (the ground level, upper sign fermions, plus a Boltzmann quasi-continuum
-    of weight a = e^{ln_a}; for bosons the root t < 1), subtraction-free.
-    Past a = e^300 the square of a would overflow, and the ground level's
-    share of N lies below rounding: ln t = ln N - ln a.  Below a = e^-300 a
-    lone fermion's 4 a N may underflow: there t (1 + t) = 1/a, ln t =
-    -ln a / 2."""
+    """ln t, t = e^{-gamma}, of the balance N = 1/(1/t +- 1) + a t of the
+    ground level (upper sign fermions) and a Boltzmann continuum of weight
+    a = e^{ln_a}, subtraction-free; for bosons the root t < 1.  Past
+    a = e^300, where a^2 overflows, ln t = ln N - ln a; below e^-300, where
+    a lone fermion's 4 a N underflows, ln t = -ln a / 2."""
     with np.errstate(all="ignore"):
         a = np.exp(ln_a)
         if statistics is Statistics.FERMI_DIRAC:
@@ -75,15 +69,12 @@ def _two_term_log_t(ln_a, n: float, statistics: Statistics):
 
 
 def zero_field_attractive(beta: float) -> ThermoPoint:
-    """Zero-field attractive wall: bound level at -1 plus the free
-    continuum, Z = e^beta + sqrt(2 pi / beta).  The continuum's share of the
-    particle, p = q/(1+q) with q = sqrt(2 pi / beta) e^{-beta}, mixes its
-    <E> = 1/(2 beta) and c = 1/2 with the level's -1 and 0:
+    """The zero-field attractive wall, Z = e^beta + sqrt(2 pi / beta): with
+    the continuum's share p = q/(1+q), q = sqrt(2 pi / beta) e^{-beta},
 
         <E> = p/(2 beta) - (1-p),   c = p [(beta^2 + beta)(1-p) + 3/4 - p/4],
 
-    the level's share 1-p taken as 1/(1+q); with
-    dp/d ln beta = -p (1-p)(beta + 1/2) the slope dc/d ln beta is exact."""
+    and dc/d ln beta exact from dp/d ln beta = -p (1-p)(beta + 1/2)."""
     beta = _check_beta(beta)
     q = _SQRT_2PI / math.sqrt(beta) * math.exp(-beta)
     p, level = q / (1.0 + q), 1.0 / (1.0 + q)
@@ -97,12 +88,9 @@ def zero_field_attractive(beta: float) -> ThermoPoint:
 
 
 def resonance_predictors(field: float) -> tuple[float, float, float]:
-    """Lambert-W predictors for the attractive wall's weak-field resonance.
-
-    Returns (beta at which <E> crosses zero, beta of the heat-capacity
-    maximum, predicted peak height beta_max^2/4).  The two temperatures
-    solve beta^{5/2} e^beta = 3/(4 sqrt(pi) F) and
-    2 sqrt(pi) F beta^{3/2} e^beta = 1 exactly.
+    """(beta where <E> = 0, beta_max of the c peak, its height beta_max^2/4)
+    of the weak-field resonance, the betas solving
+    beta^{5/2} e^beta = 3/(4 sqrt(pi) F) and 2 sqrt(pi) F beta^{3/2} e^beta = 1.
     """
     field = _check_weak(field)
     a_zero = 3.0 / (4.0 * _SQRT_PI * field)
@@ -112,17 +100,13 @@ def resonance_predictors(field: float) -> tuple[float, float, float]:
 
 
 def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
-    """Closed-form weak-field mean energy and heat capacity of the
-    attractive wall (split-off level plus quasi-continuum):
+    """Weak-field (<E>, c) of the two-term model, within ``_check_weak``:
 
         <E> = (3/(4 beta) - u) / (u + 1/2)
         c   = (1/2) (3 + u (4 beta^2 + 12 beta + 15)) / (1 + 2u)^2,
 
-    u = sqrt(pi) F beta^{3/2} e^beta = e^beta / (2A) the level's weight over
-    twice the continuum's.  Where u > 1, <E> is taken in 1/u, and past
-    u = e^250 c is its limit (4 beta^2 + 12 beta + 15)/(8u), in logs.
-
-    Valid for field <= 1e-2 and beta * field^(2/3) <= 0.1.
+    u = e^beta / (2A); <E> in 1/u where u > 1, and past u = e^250 c is its
+    limit (4 beta^2 + 12 beta + 15)/(8u), in logs.
     """
     beta = _check_beta(beta)
     field = _check_weak(field, beta)
@@ -139,17 +123,15 @@ def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
 
 
 def fd_plateau(n_particles: int) -> float:
-    """Low-temperature shelf of the fermionic specific heat per particle,
-    3 (N-1) / (2 N): the N-1 particles sitting in the dense positive levels
-    are classical while the split-off one is frozen out."""
+    """The fermion shelf of c, 3 (N-1) / (2 N): N-1 classical particles in
+    the continuum, the split-off level's one frozen."""
     n = _check_index(n_particles, 1, "n_particles")
     return 1.5 * (n - 1) / n
 
 
 def fd_single_peak(field: float) -> tuple[float, float]:
-    """Lambert-W predictor for the single-fermion heat-capacity peak of the
-    attractive wall: beta solves 8 sqrt(pi) F beta^{3/2} e^beta = 1, and
-    c_max = beta^2 / (sqrt(2) (sqrt(2)+1)^2)."""
+    """(beta, c_max) of one fermion's c peak: beta solves
+    8 sqrt(pi) F beta^{3/2} e^beta = 1, c_max = beta^2/(sqrt(2) (sqrt(2)+1)^2)."""
     field = _check_weak(field)
     beta = 1.5 * lambert_w(1.0 / (6.0 * math.pi ** (1.0 / 3.0) * field ** (2.0 / 3.0)))
     c_max = beta * beta / (math.sqrt(2.0) * (math.sqrt(2.0) + 1.0) ** 2)
@@ -158,17 +140,14 @@ def fd_single_peak(field: float) -> tuple[float, float]:
 
 def asymptotic_mu_cn(beta: float, field: float,
                      ensemble: EnsembleSpec) -> tuple[float, float]:
-    """Weak-field closed forms for the attractive wall: the chemical
-    potential from the two-term (bound level + quasi-continuum) particle
-    balance, and the large-N specific heat per particle
+    """Weak-field (mu, c_N) of the two-term model, within ``_check_weak``:
+    mu from its particle balance (``_two_term_log_t``; for bosons mu < E_0)
+    and the large-N specific heat
 
         c_N = 3/2 + beta (2 beta + 3) u / (2 u N +- 1)^2,
 
-    u = sqrt(pi) F beta^{3/2} e^beta = e^beta / (2A), taken in 1/u where
-    u > 1.  Valid for field <= 1e-2 and beta * field^(2/3) <= 0.1.  The
-    fugacity is the root of r z^2 +- z (1 + r e^{-beta} -+ N) -+ N e^{-beta}
-    = 0 with r = A, evaluated in subtraction-free form (``_two_term_log_t``);
-    for bosons this is the root with mu < E_0.
+    u = e^beta / (2A), taken in 1/u where u > 1.  DomainError for the
+    canonical ensemble, or where the Bose c_N diverges.
     """
     if ensemble.statistics is Statistics.CANONICAL:
         raise DomainError("asymptotic_mu_cn needs a grand-canonical ensemble")
@@ -188,7 +167,7 @@ def asymptotic_mu_cn(beta: float, field: float,
 
 
 def asymptotic_beta_cr(field: float, n_particles: int) -> float:
-    """Weak-field Lambert-W form of the condensation temperature:
+    """Weak-field condensation threshold
     beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
     field = _check_field(field)
     n = _check_index(n_particles, 1, "n_particles")

@@ -1,12 +1,7 @@
-"""Published reference values for the regression harness.
-
-Peak coordinates (temperature 1/beta at the maximum, peak specific heat per
-particle in units of k_B) of the attractive-wall heat capacity, tabulated
-for the canonical ensemble and for fermion/boson systems of N particles at
-five weak fields.  The zero-field and Neumann-curve extrema used by the
-acceptance suite are included at the bottom.  Values are reproduced here
-verbatim from the published tabulation so the regression suite cannot
-drift; do not reformat or round.
+"""Published reference values, verbatim from the paper: do not reformat or
+round.  Table 1 holds the attractive wall's c peaks (1/beta at the maximum,
+c per particle in units of k_B) per ensemble, N and field; the zero-field
+and Neumann-curve extrema are the acceptance suite's.
 """
 
 from __future__ import annotations

@@ -1,10 +1,6 @@
-"""Built-in invariant suite, runnable from the CLI.
-
-Each check exercises a cross-cutting consistency property of the library:
-thermodynamic identities against finite differences, particle-number
-conservation after every chemical-potential solve, ensemble agreement at
-high temperature, and the special-function invariants.  All checks are
-deterministic (fixed seeds).
+"""The invariant suite of ``robinwall selftest``: thermodynamic identities
+against finite differences, the particle number after mu solves, ensemble
+agreement when hot, and special-function invariants, all with fixed seeds.
 """
 
 from __future__ import annotations

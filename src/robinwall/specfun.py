@@ -1,45 +1,27 @@
-"""Real-argument special functions used by the spectrum and thermodynamics code.
+"""Real-argument special functions, self-contained: Airy Ai and Ai' and
+their negative zeros, the principal branch of Lambert W on x >= 0, the Bose
+functions g_{3/2} and g_{1/2}, the package's one root solver
+(``_newton_root``), and the checks shared by every index, count, field and
+inverse temperature of the package.
 
-Everything here is self-contained: Airy Ai and Ai', their negative zeros,
-the principal branch of the Lambert W function on the nonnegative axis (the
-predictors of ``limits``), the Bose functions g_{3/2}, g_{1/2} (the
-continuum of the cold Bose mu solve), the one root solver of the package
-(Airy zeros, Robin levels, W, the chemical potential and the condensation
-temperature): ``_newton_root``, Halley's steps, i.e. Newton's with the
-slope f'(1 - f f''/(2 f'^2)) where that correction stays below 1/2,
-safeguarded by the bracket, and the checks shared by every index and count
-and every inverse temperature of the package.
+Each element of an Airy argument goes to one branch, each a power sum
+(``_series``), summed in a fixed order, so an element of an array call
+equals its scalar call bit for bit:
 
-``_airy_pair`` routes each element of a float array to its branch and
-returns each branch's own output, scaled by e^{zeta} past x = 12, which the
-root solves of ``spectrum`` take as it is; ``airy`` takes floats or arrays
-of any shape (a scalar gives floats, as a one-element batch of the same
-code) and undoes that scaling.  Each element is summed in a fixed order, so
-it equals its scalar call bit for bit.
+* ``|x| <= _ASYM_SWITCH``: the Taylor expansion of y'' = x y about the
+  nearest node of a table, built at import by marching down from
+  ``_ASYM_SWITCH`` along the growing solution, which keeps Ai's relative
+  accuracy (marching up would not).
+* ``x > _ASYM_SWITCH``: the exponential asymptotic series, _POS_TERMS terms
+  in 1/zeta, zeta = (2/3) x^{3/2}, as ``Ai(x) e^{zeta}``, which stays finite
+  where Ai underflows.
+* ``x < -_ASYM_SWITCH``: the oscillatory series, _NEG_TERMS terms in zeta^-2.
 
-* ``|x| <= 12`` -- local Taylor expansion of the ODE ``y'' = x y``: one gather
-  from a table of the 24 Taylor coefficients of (Ai, Ai') at every node,
-  summed as powers of the offset from the node.  The table is built at import
-  by marching the same Taylor expansion downward from ``x = +12`` (where the
-  exponential asymptotic series is converged to machine precision).  Marching
-  toward negative ``x`` follows the growing solution, so relative accuracy is
-  preserved; marching upward would be unstable for Ai.
-* ``x > 12`` -- exponential asymptotic series (20 terms in 1/zeta), evaluated
-  in scaled form ``Ai(x) e^{zeta}`` with ``zeta = (2/3) x^{3/2}`` so the
-  bound-state root solve can form ratios at arguments ~1e5 without underflow.
-* ``x < -12`` -- oscillatory asymptotic series (ue, uo, ve, vo: 10 terms in
-  zeta^-2 each).
-
-The series have fixed length, cut where double precision stops seeing
-their terms.  Their terms fall slowest at the seam, ``|x| = 12`` (``zeta =
-27.7``), where the ratio of consecutive asymptotic terms is about
-k/(2 zeta) < 1 and the Taylor offset is largest (the march's step); there
-the first term each series drops is below 2^-53 of its largest, and
-further from the seam it is smaller still.  Every branch is one
-power sum (``_series``): the (lanes x terms) powers times a (sums x terms)
-coefficient matrix, shared by all lanes or gathered per lane, summed along
-each lane's row.  The first 64 zeros of Ai and of Ai' are refined at
-import too.
+Each series (and _TAYLOR_TERMS) is cut where its first dropped term is
+below 2^-53 of its largest where terms fall slowest: at the seam, or a
+table step from a node (test_series_cut_below_double_precision).
+``_airy_pair`` gives each branch's output as it is, as the root solves of
+``spectrum`` read it; ``airy`` undoes the scaling.
 """
 
 from __future__ import annotations
@@ -73,7 +55,7 @@ def _is_real(value) -> bool:
 
 
 def _check_index(value, minimum: int, what: str) -> int:
-    """An index or count as int; DomainError unless it is an integer >= minimum."""
+    """An index or count as int; DomainError unless an integer >= minimum."""
     if not (_is_real(value) and math.isfinite(value)
             and value == int(value) >= minimum):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
@@ -81,8 +63,8 @@ def _check_index(value, minimum: int, what: str) -> int:
 
 
 def _check_field(field: float) -> float:
-    """A field as float; DomainError unless it is a real number, finite and
-    > 0 (zero-field walls are handled by the closed-form thermodynamics)."""
+    """A field as float; DomainError unless a finite real number > 0 (zero
+    field has the closed forms of ``limits``)."""
     if not (_is_real(field) and math.isfinite(field) and field > 0.0):
         raise DomainError(f"field must be a finite real number > 0, got {field!r}")
     return float(field)
@@ -90,8 +72,7 @@ def _check_field(field: float) -> float:
 
 def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
     """beta as a float, or a 1-D float array for a batch; DomainError unless
-    it is at most 1-D and each is finite and > 0, and not a bool (True
-    would read as beta = 1)."""
+    at most 1-D, each finite and > 0, and not a bool (True would read as 1)."""
     if np.asarray(beta).dtype == bool:
         raise DomainError(f"beta must be a real number, not a bool, got {beta!r}")
     b = np.asarray(beta, dtype=float)
@@ -133,9 +114,8 @@ _NEG_SERIES = np.stack([_SIGNS[:_NEG_TERMS] * c[k::2][:_NEG_TERMS]
 
 
 def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k coef[j, k] w^k for every lane and row j, as (lanes, rows):
-    ``coef`` is one (rows, terms) matrix for all lanes or one per lane,
-    (lanes, rows, terms)."""
+    """sum_k coef[j, k] w^k per lane and row j, as (lanes, rows); ``coef``
+    is (rows, terms) for all lanes or (lanes, rows, terms)."""
     powers = np.empty((len(w), coef.shape[-1]), dtype=w.dtype)
     powers[:, 0] = 1.0
     powers[:, 1:] = w[:, None]
@@ -165,12 +145,12 @@ def _asymptotic_neg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# table on [-12, 12] via downward Taylor marching
+# the Taylor table on [-_ASYM_SWITCH, _ASYM_SWITCH], marched down
 # ---------------------------------------------------------------------------
 
 def _taylor_coefs(x0: float, f: float, fp: float) -> np.ndarray:
-    """Taylor coefficients at x0 of the y''=xy solution through (f, fp), as
-    rows [c_k of y] and [c_{k+1} (k+1) of y'] for k < _TAYLOR_TERMS."""
+    """Taylor coefficients at x0 of the y'' = x y solution through (f, fp),
+    rows [c_k of y] and [(k+1) c_{k+1} of y'], k < _TAYLOR_TERMS."""
     c = [0.0] * (_TAYLOR_TERMS + 1)
     c[0] = f
     c[1] = fp
@@ -182,7 +162,7 @@ def _taylor_coefs(x0: float, f: float, fp: float) -> np.ndarray:
 
 def _build_table() -> tuple[np.ndarray, np.ndarray]:
     """The table's nodes and their (nodes, 2, terms) Taylor coefficients,
-    marched down from x = +12 by one step of each node's own expansion."""
+    marched down from _ASYM_SWITCH by one step of each node's expansion."""
     xs = np.linspace(-_ASYM_SWITCH, _ASYM_SWITCH, int(round(2 * _ASYM_SWITCH / _TABLE_STEP)) + 1)
     coef = np.empty((len(xs), 2, _TAYLOR_TERMS))
     f, fp = (v[0] * math.exp(-_TWO_THIRDS * _ASYM_SWITCH ** 1.5)
@@ -220,13 +200,10 @@ def _airy_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def airy(x):
-    """Return (Ai(x), Ai'(x)) for a float or an array of floats.
-
-    Arrays come out in x's shape, a scalar gives floats; every element equals
-    its scalar call bit for bit.  Relative accuracy is ~1e-13 wherever the
-    values do not underflow; past x ~ 105 (zeta > 700) both underflow to
-    the graceful limit (0.0, -0.0).  DomainError if any element is not
-    finite.
+    """(Ai(x), Ai'(x)) for a float, as floats, or an array, in its shape,
+    each element its scalar call bit for bit; within 1e-12 of scipy
+    (TestAiry); (0.0, -0.0) once zeta > 700.  DomainError for an element
+    that is not finite.
     """
     arr = np.asarray(x, dtype=float)
     lanes = arr.ravel()
@@ -249,25 +226,20 @@ def airy(x):
 # ---------------------------------------------------------------------------
 
 def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of fn, monotone on each bracket (lo, hi), one lane per element,
+    """Roots of fn, monotone on each bracket (lo, hi), a lane per element,
     by Halley's steps safeguarded by the bracket (Numerical Recipes, 2nd
     ed., section 9.4, "rtsafe"), all lanes in lockstep.
 
-    ``fn(x, lanes)`` evaluates the lanes ``lanes`` (indices into the
-    batch) at the points x and returns arrays f, f', f'' and a payload
-    whose last axis runs over those lanes, f'' = 0 where it is not known;
-    the starts x lie inside and no bracket end is evaluated.  Halley's step
-    is Newton's with the slope s = f'(1 - a), a = f f''/(2 f'^2), wherever
-    a is finite and |a| < 1/2, else s = f', so the sign of s, which places
-    the point in the bracket, never flips (f'' = 0 is Newton's step).  In
-    each lane every evaluated point becomes the bracket end on its side of
-    the root.  The step is taken when it lands strictly inside the bracket
-    and is at most half the step before last; otherwise the bracket is
-    bisected.  A lane leaves at its first point where ``done(f, s, x)``
-    holds, at a NaN value, or once its bracket has collapsed to one float,
-    keeping that point's payload.  Returns the payloads, each lane's
-    x - f/s at the point it left, and per lane whether it met ``done``;
-    SolverError names the first bracket still open after 200 passes."""
+    ``fn(x, lanes)`` returns f, f', f'' (0 where not known) and a payload
+    whose last axis runs over the lanes ``lanes``, at starts x inside the
+    brackets; no bracket end is evaluated.  The step is Newton's with the
+    slope s = f'(1 - a), a = f f''/(2 f'^2), where |a| < 1/2, else s = f',
+    so the sign of s never flips.  Every point becomes the bracket end on
+    its side; a step that leaves the bracket or is over half the step
+    before last bisects instead.  A lane leaves where ``done(f, s, x)``
+    holds, at a NaN f, or once its bracket is one float.  Returns the
+    payloads, each lane's x - f/s where it left, and whether it met
+    ``done``; SolverError names a bracket still open after 200 passes."""
     lo, hi, x = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, x))
     met, live, out = np.zeros(x.size, dtype=bool), np.arange(x.size), None
     roots = np.empty(x.size)
@@ -298,10 +270,9 @@ def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
-    """Roots of ``fn(x) -> (f, f', f'')`` by ``_newton_root``: each lane
-    returns x - f/s at its first point where |f/s| <= rtol * max(1, |x|)
-    (a zero or NaN slope fails it, and the lane bisects), and SolverError
-    names a lane that stopped short of it."""
+    """Roots of ``fn(x) -> (f, f', f'')`` by ``_newton_root``, each x - f/s
+    at the first point with |f/s| <= rtol max(1, |x|); SolverError names a
+    lane that stopped short of it."""
     _, roots, met = _newton_root(lambda x, lanes: (*fn(x), x), lo, hi, x, lambda f, s, x: (
         np.abs(f / s) <= rtol * np.maximum(1.0, np.abs(x))))
     if not met.all():
@@ -313,8 +284,7 @@ N_EXACT_ZEROS = 64  # root-refined below; asymptotic law beyond
 
 
 def _zero_law(n, kind: AiryZeroKind):
-    """Large-index expansion of the n-th zero (McMahon-style); n may be an
-    integer array."""
+    """Large-index (McMahon) expansion of the n-th zero, n an int or array."""
     if kind is AiryZeroKind.FunctionZero:
         t = 3.0 * math.pi * (4 * n - 1) / 8.0
         ti2 = 1.0 / (t * t)
@@ -325,9 +295,9 @@ def _zero_law(n, kind: AiryZeroKind):
 
 
 def _refined_zeros(kind: AiryZeroKind) -> np.ndarray:
-    """The first N_EXACT_ZEROS zeros as a read-only array: one lockstep Halley
-    solve from the large-index estimates, each inside +-1/4 of the local zero
-    spacing pi/sqrt|x|, checked to |residual| <= 1e-12."""
+    """The first N_EXACT_ZEROS zeros, read-only: one lockstep solve from the
+    large-index estimates, each within a quarter of the local spacing
+    pi/sqrt|x|; SolverError unless every residual is <= 1e-12."""
     def fn(x):
         ai, aip = _airy_pair(x)  # Ai'' = x Ai and Ai''' = Ai + x Ai'
         if kind is AiryZeroKind.FunctionZero:
@@ -349,19 +319,15 @@ _ZEROS = {kind: _refined_zeros(kind) for kind in AiryZeroKind}
 
 
 def _airy_zeros(count: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> np.ndarray:
-    """The zeros 1..count as an array: refined up to N_EXACT_ZEROS, the
-    large-index expansion beyond (as ``airy_zero``)."""
+    """The zeros 1..count as an array, as ``airy_zero`` gives them."""
     law = _zero_law(np.arange(N_EXACT_ZEROS + 1, count + 1), kind)
     return np.concatenate([_ZEROS[kind][:count], law])
 
 
 def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
-    """n-th negative zero a_n of Ai (or a'_n of Ai'), n >= 1 an integer.
-
-    The first 64 are found by safeguarded Halley steps from the large-index
-    expansion and checked to |Ai| (or |Ai'|) <= 1e-12; larger indices use
-    the expansion itself, which matches the refined values to better than
-    1e-8 relative at the switch.
+    """n-th negative zero a_n of Ai (or a'_n of Ai'), n >= 1 an integer:
+    refined up to N_EXACT_ZEROS, past it the large-index expansion, which
+    meets the refined zero there to 1e-8 (test_law_handoff_at_switch).
     """
     n = _check_index(n, 1, "airy_zero index")
     if n <= N_EXACT_ZEROS:
@@ -374,13 +340,11 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
 # ---------------------------------------------------------------------------
 
 def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W on x >= 0: solves w e^w = x.
-
-    The root of f(w) = w - x e^{-w} on (0, log1p(x)), which cannot
-    overflow, by ``_polished_roots`` (Halley's iteration, Corless et al.,
-    Adv. Comput. Math. 5, 329 (1996)) from Winitzki's
-    L (1 - log1p(L)/(2 + L)), L = log1p(x); SolverError unless the
-    round-trip residual |w e^w - x| / x is below 1e-12.
+    """Principal-branch Lambert W on x >= 0: w with w e^w = x, the root of
+    f(w) = w - x e^{-w} on (0, log1p(x)), which cannot overflow, from
+    Winitzki's L (1 - log1p(L)/(2 + L)), L = log1p(x) (Corless et al., Adv.
+    Comput. Math. 5, 329 (1996)).  DomainError for x < 0 or not finite;
+    SolverError unless |w e^w - x| / x <= 1e-12.
     """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
@@ -389,7 +353,7 @@ def lambert_w(x: float) -> float:
         return 0.0
     top = math.log1p(x)
     start = top * (1.0 - math.log1p(top) / (2.0 + top))
-    # the start rounds onto the bracket's top below x ~ 2e-16
+    # at the smallest x the start rounds onto the bracket's top
     start = start if start < top else 0.5 * top
 
     def fn(w):
@@ -417,12 +381,12 @@ _POWERS = np.arange(1, 21)  # terms of the power series of g_s
 
 
 def _bose_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bose functions (g_{3/2}, g_{1/2}) at fugacity z = e^{-alpha}, alpha > 0,
-    g_s(z) = sum_{j>=1} z^j / j^s, to ~1e-9 relative: the power series for
-    alpha >= 1 (z <= 1/e, 20 terms), and below Robinson's expansion
-    g_s(e^{-alpha}) = Gamma(1-s) alpha^{s-1} + sum_k zeta(s-k) (-alpha)^k / k!
-    (Pathria & Beale, appendix D), which carries the branch points at z = 1.
-    g_{1/2} = -dg_{3/2}/dalpha, term by term."""
+    """Bose functions (g_{3/2}, g_{1/2}), g_s(z) = sum_{j>=1} z^j / j^s, at
+    z = e^{-alpha}, alpha > 0, within 1e-8 of mpmath
+    (test_against_mpmath_polylog): the power series ``_POWERS`` for
+    alpha >= 1, below it Robinson's expansion (Pathria & Beale, appendix D)
+    g_s(e^{-alpha}) = Gamma(1-s) alpha^{s-1} + sum_k zeta(s-k) (-alpha)^k / k!,
+    which carries the branch point at z = 1; g_{1/2} = -dg_{3/2}/dalpha."""
     a = np.asarray(alpha, dtype=float)[..., None]
     with np.errstate(under="ignore"):
         zj = np.exp(-a * _POWERS)
@@ -437,7 +401,7 @@ def _bose_g(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interlacing_ok(n_max: int = 50) -> bool:
-    """Check a'_n > a_n > a'_{n+1} for n <= n_max (used by the selftest)."""
+    """Whether a'_n > a_n > a'_{n+1} for n <= n_max (the selftest's check)."""
     a = _airy_zeros(_check_index(n_max, 1, "n_max"))
     ap = _airy_zeros(len(a) + 1, AiryZeroKind.DerivativeZero)
     return bool(((ap[:-1] > a) & (a > ap[1:])).all())

@@ -1,27 +1,14 @@
 """Dimensionless energy spectra of a particle on the half-line pressed to the
-wall by a uniform field.
+wall by a uniform field F > 0.
 
-The wall is either hard (Dirichlet), reflecting (Neumann), or a Robin wall
-with extrapolation length +1 (repulsive) or -1 (attractive).  With the field
-``F > 0`` the eigenvalue condition for a Robin wall reads
-
-    F^(1/3) * Ai'(xi) = (1/lam) * Ai(xi),      xi = -E * F^(-2/3),
-
-solved here in phase form, psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) = 0,
-which stays finite at the poles of Ai'/Ai.  Low-lying levels are bracketed
-between consecutive zeros of Ai (where psi decreases through a half turn
-exactly once) and found by one lockstep safeguarded solve over all brackets,
-in Halley's steps on psi and its first two derivatives.  Each excited
-level starts on the leading-order phase of its Airy zero a (DLMF 9.7.9,
-9.7.11), which the wall turns by atan(lam F^(1/3) sqrt|a|), and the ground
-level at a_1 + lam F^(1/3); every level matches scipy's brentq roots to
-1e-12 relative, from at most 6 Airy points a level.  The attractive
-wall's split-off state is bracketed on xi > 0, where the Airy pair is
-scaled by e^{zeta} past xi = 12 and stays finite up to xi ~ 1e5.  High
-levels follow the zero-law tail: a pure power law in the level index,
-shifted by the last root-solved level's offset from the Airy zero the law
-follows at that index (0 for Dirichlet and Neumann), which keeps every
-infinite thermodynamic sum closed-form integrable.
+The wall is hard (Dirichlet), reflecting (Neumann), or Robin with
+extrapolation length lam = +1 (repulsive) or -1 (attractive), whose levels
+solve F^(1/3) Ai'(xi) = (1/lam) Ai(xi), xi = -E F^(-2/3), in a phase form
+finite at the zeros of Ai (``_robin_psi``), by one lockstep solve over the
+levels' brackets (``_robin_exact_levels``): within 1e-12 of scipy's brentq
+(test_levels_against_scipy_brentq), from at most 6 Airy points a level
+(test_airy_calls_per_level).  Past the root-solved block the levels follow
+the ``TailLaw``, the Airy zeros' power law shifted to meet the block.
 """
 
 from __future__ import annotations
@@ -106,10 +93,10 @@ class WallSpec:
 
 @dataclass(frozen=True)
 class TailLaw:
-    """High-index level law E(m) = tau * (4*(m + j0) - k_off)^(2/3) + shift,
-    valid past the spectrum's root-solved block; ``tau`` absorbs the
-    zero-law prefactor and the field scaling.  Its methods are all that the
-    ladder's sums know of a level law."""
+    """Level law past the root-solved block,
+    E(m) = tau (4 (m + j0) - k_off)^(2/3) + shift, tau holding the zero
+    law's prefactor and F^(2/3).  Its methods are all that ``ladder`` knows
+    of a level law."""
 
     tau: float
     j0: int
@@ -117,27 +104,26 @@ class TailLaw:
     shift: float
 
     def energy(self, m):
-        # np.power, not **: a scalar then takes the array's rounding
+        """E(m) at real m; np.power, not **, so a scalar rounds as an array."""
         a = 4.0 * (np.asarray(m, dtype=float) + self.j0) - self.k_off
         return self.tau * np.power(a, 2.0 / 3.0) + self.shift
 
     def index(self, e):
-        """The real index m with energy(m) == e (the law's lower end, where
-        E = shift, for an e below it)."""
+        """The real m with energy(m) == e (the lower end, E = shift, for an e
+        below it)."""
         a = (np.maximum(np.asarray(e, dtype=float) - self.shift, 0.0) / self.tau) ** 1.5
         return (a + self.k_off) / 4.0 - self.j0
 
     def spacing_index(self, g):
-        """The real index m where the level spacing dE/dm has fallen to g
-        (it falls on past m)."""
+        """The real m where the spacing dE/dm has fallen to g."""
         a = (8.0 * self.tau / (3.0 * np.asarray(g, dtype=float))) ** 3
         return (a + self.k_off) / 4.0 - self.j0
 
     def quadrature(self, breaks, nodes, weights):
-        """(energies, weights), one row per lane, of integral f(E(m)) dm over
-        the panels between ``breaks`` (ascending energies, a row per lane):
-        the rule ``nodes``, ``weights`` on [-1, 1] in s = sqrt((E-shift)/tau),
-        where dm = (3/4) s^2 ds is a polynomial and f smooth to the lower end."""
+        """(energies, weights) of integral f(E(m)) dm over the panels between
+        ``breaks`` (ascending energies, a row per lane): the rule ``nodes``,
+        ``weights`` on [-1, 1] in s = sqrt((E - shift)/tau), where
+        dm = (3/4) s^2 ds is a polynomial."""
         # a break at the law's lower end can round below shift (robin-, E_0 = -1, shift ~F)
         s = np.sqrt(np.maximum(breaks - self.shift, 0.0) / self.tau)
         lo = s[:, :-1, None]
@@ -148,8 +134,8 @@ class TailLaw:
 
 
 def _energies(exact: np.ndarray, tail: TailLaw, m: np.ndarray) -> np.ndarray:
-    """``Spectrum.energies`` of the root-solved block ``exact`` and ``tail``:
-    the law at max(m, n_exact), the block gathered where m < n_exact."""
+    """``Spectrum.energies`` of the root-solved block ``exact`` and ``tail``;
+    DomainError for an index < 0."""
     n = len(exact)
     low = m < n
     if not low.any():
@@ -172,12 +158,9 @@ class LevelGap(NamedTuple):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered energy levels for one wall configuration.
-
-    ``levels`` holds the materialized levels that were requested;
-    ``exact_levels`` always holds the full root-solved block (``n_exact``
-    entries), with the ``tail`` law generating every level beyond it;
-    ``energies`` gives any level by index from the two.
+    """The levels of one wall: ``levels`` the ones requested, read-only,
+    ``exact_levels`` the root-solved block of ``n_exact``, the ``tail`` law
+    past it; SolverError unless the block and the first tail level ascend.
     """
 
     wall: WallSpec
@@ -202,8 +185,8 @@ class Spectrum:
         return float(self.exact_levels[0])
 
     def energies(self, m: np.ndarray) -> np.ndarray:
-        """Levels at the indices m >= 0 (an int array, levels in its shape):
-        the root-solved block below ``n_exact``, the tail law beyond."""
+        """Levels at the int array m >= 0, in its shape: the root-solved
+        block below ``n_exact``, the tail law from there."""
         return _energies(self.exact_levels, self.tail, m)
 
     def level(self, n: int) -> float:
@@ -215,12 +198,11 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray, ...]:
-    """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) with its first two
-    derivatives, from the raw (Ai, Ai') pair, scaled only for xi > 12 (below,
-    Ai^2 >= 1e-27); psi decreases between the zeros of Ai and stays finite
-    at them.  With N = xi Ai^2 - Ai'^2 and D = Ai^2 + F^(2/3) Ai'^2,
-    psi' = F^(1/3) N/D and psi'' = F^(1/3) (Ai^2 D - 2 N Ai Ai' (1 + F^(2/3) xi))/D^2,
-    both homogeneous in the pair, so its scaling cancels."""
+    """psi(xi) = atan(F^(1/3) Ai'/Ai) - atan(1/lam) and its first two
+    derivatives from the raw pair of ``specfun._airy_pair``: with
+    N = xi Ai^2 - Ai'^2 and D = Ai^2 + F^(2/3) Ai'^2, psi' = F^(1/3) N/D and
+    psi'' = F^(1/3) (Ai^2 D - 2 N Ai Ai' (1 + F^(2/3) xi))/D^2, homogeneous
+    in the pair, so that its scaling cancels."""
     _work.counts.update(airy_calls=1, airy_points=np.size(xi))
     ai, aip = _airy_pair(xi)
     d = field_cbrt * aip
@@ -231,15 +213,14 @@ def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray,
 
 
 def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
-    """Levels 0..stop-1: the root of psi on each level's bracket, where psi
-    decreases through zero, by one lockstep safeguarded Halley solve
-    (``_polished_roots``), or from the bracket's midpoint if the start
-    leaves it.  Level n >= 1 starts on the leading-order phase of its Airy
-    zero a = ``near`` (DLMF 9.7.9, 9.7.11: Ai'/Ai ~ -sqrt|xi| cot(zeta + pi/4)),
-    at zeta = (2/3)|xi|^(3/2) = (2/3)|a|^(3/2) - atan(lam F^(1/3) sqrt|a|),
-    which tends to a + lam*F^(1/3) at weak field; the ground level starts at
-    a_1 + lam*F^(1/3).  On the attractive wall SolverError names the field
-    where psi does not fall through zero across the ground level's root."""
+    """Levels 0..stop-1, the roots of psi on their brackets by one lockstep
+    Halley solve (``_polished_roots``).  Level n >= 1 starts on the
+    leading-order phase of its Airy zero a (DLMF 9.7.9, 9.7.11:
+    Ai'/Ai ~ -sqrt|xi| cot(zeta + pi/4)), zeta = (2/3)|a|^(3/2) -
+    atan(lam F^(1/3) sqrt|a|), the ground level at a_1 + lam F^(1/3), and a
+    start outside its bracket at the midpoint.  SolverError names a bracket
+    without a sign change, or on the attractive wall a ground level across
+    which psi does not change sign."""
     lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
     zeros = _airy_zeros(stop)
     # level n >= 1 lies in (a_{n+1}, a_n), near a_n on the attractive wall
@@ -291,13 +272,11 @@ _TAILS = {
 
 def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
                    n_exact: int = DEFAULT_N_EXACT) -> Spectrum:
-    """Construct the spectrum for any wall kind.
-
-    ``count`` is how many levels to materialize in ``levels``; ``n_exact``
-    is the size of the root-solved block (Robin walls) or refined-zero block
-    (Dirichlet/Neumann, at most N_EXACT_ZEROS).  The tail law continues the
-    block from its last level: its shift is that level's offset from the
-    Airy zero the law follows at the same index.
+    """The spectrum of ``wall`` with ``count`` levels in ``levels`` and a
+    root-solved block of ``n_exact`` (Dirichlet/Neumann: refined Airy zeros,
+    at most N_EXACT_ZEROS); the tail law's shift is the block's last level
+    less the Airy zero the law follows there.  DomainError for a bad
+    ``count`` or ``n_exact``.
     """
     count = _check_index(count, 1, "count")
     n_exact = _check_n_exact(n_exact)

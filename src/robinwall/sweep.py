@@ -1,19 +1,12 @@
-"""Temperature sweeps, their serialization, and the tabulated-peak
-regression harness.
+"""Temperature sweeps, their CSV and JSON forms, and the Table 1 harness.
 
-A sweep evaluates one wall/ensemble configuration on a temperature grid
-as one batch, locates the heat-capacity extrema from the values and
-slopes of c the same batch gives, refined in passes of a few points each
-on the cubic Hermite through a bracket where the slope changes sign
-(``canonical.find_extrema``), and (for bosons) attaches the condensation
-threshold.  A Table 1 peak search scans 7 points a cell: the scan only
-brackets each peak, and the 55 maxima from 5- to 33-point scans match
-those of 65-point scans to 2.5e-11 in T.  One evaluator per spectrum serves the scan and
-every refinement pass, so each chemical-potential solve starts from the
-states of its cell already solved (``grand_canonical._Evaluator``).
-Results serialize to CSV and JSON with shortest round-trip float
-formatting, so the two emissions carry bit-identical numbers and a JSON
-round trip reproduces the rows exactly.
+A sweep or a peak search evaluates its grid as one batch and refines the
+c extrema with ``canonical.find_extrema`` on the same evaluator, so each
+mu solve starts from its cell's solved states.  A peak search's scan of
+_SCAN_POINTS only brackets each peak: scans of 5 to 17 points find the
+peaks of 65-point scans to 1e-10 (test_coarse_scans_find_the_peaks_of_fine_ones).
+Floats are written in shortest round-trip form, so CSV and JSON carry the
+same digits and a JSON round trip gives the rows back exactly.
 """
 
 from __future__ import annotations
@@ -56,8 +49,9 @@ _SCAN_SPAN = 2.2  # its window, from T/span to T*span about the cell's center
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep request: wall, ensemble, and a temperature grid,
-    optionally expressed in units of T_cr for bosons."""
+    """One sweep: wall, ensemble and a grid of ``points`` temperatures from
+    ``beta_inv_min`` to ``beta_inv_max``, in units of T_cr with
+    ``normalize_by_tcr`` (bosons only); DomainError for a bad request."""
 
     wall: WallSpec
     ensemble: EnsembleSpec
@@ -128,13 +122,10 @@ def _temperature_grid(spec: SweepSpec) -> np.ndarray:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every row of the sweep as one batch, then locate the
-    heat-capacity extrema from the rows' values, refined on the same
-    evaluator.
-
-    Solver failures are recorded per row instead of aborting the sweep (a
-    failure of the whole batch in every row); a result with any failed row
-    reports ``failed`` and the CLI exits nonzero.
+    """Every row of ``spec`` as one batch, its c extrema and, for bosons,
+    ``be_critical``.  A failed lane's row carries its message (a failure of
+    the whole batch: every row), no extrema are sought, and the result
+    reports ``failed``.
     """
     spectrum = build_spectrum(spec.wall, n_exact=spec.n_exact)
     condensate = None
@@ -198,9 +189,8 @@ def _spec_from_dict(d: dict) -> SweepSpec:
 
 
 def result_to_json(result: SweepResult) -> str:
-    """JSON document {spec, rows, extrema, condensate}; a row holds only
-    its fields that are not None, read in field order from the flat
-    ``SweepRow`` with no deep copy."""
+    """JSON document {spec, rows, extrema, condensate}, each row with its
+    fields that are not None."""
     doc = {
         "spec": _spec_to_dict(result.spec),
         "rows": [{k: v for k, v in vars(r).items() if v is not None}
@@ -212,8 +202,8 @@ def result_to_json(result: SweepResult) -> str:
 
 
 def result_from_json(text: str) -> SweepResult:
-    """The result of a ``result_to_json`` document; DomainError naming a
-    key that is missing or that no field takes, or for text that is not JSON."""
+    """The result of a ``result_to_json`` document; DomainError for text that
+    is not JSON or a key that is missing or unknown."""
     try:
         doc = json.loads(text)
         cond = doc["condensate"]
@@ -236,11 +226,9 @@ def _fmt(value) -> str:
 
 
 def result_to_csv(result: SweepResult) -> str:
-    """CSV emission with a '#'-prefixed header block echoing the spec.
-
-    Numeric cells use shortest round-trip decimal representation, identical
-    to the JSON emission.
-    """
+    """CSV: a '#'-prefixed header echoing the spec, beta_cr and c_max, then
+    beta_inv, beta, each value any row holds, t_over_tcr if normalized, and
+    error if a row failed."""
     spec = result.spec
     out = io.StringIO()
     for key, val in _spec_to_dict(spec).items():
@@ -316,13 +304,11 @@ class Table1Report:
 
 def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
                 t_centers: Sequence[float]) -> tuple[ExtremumReport, ...]:
-    """Heat-capacity extrema of the cells of one spectrum, cell i in the
-    ensemble ``ensembles[i]`` (all of one statistics): each cell's log
-    window from T/``_SCAN_SPAN`` to T ``_SCAN_SPAN``, T = ``t_centers[i]``, is
-    scanned, all cells as one batch, and the extrema of all scans are
-    refined in lockstep, one batch per refinement pass.  SolverError names
-    the first lane whose solve failed; DomainError unless there is one
-    center per ensemble, at least one, each finite and > 0."""
+    """The c extrema of cells of one spectrum, cell i in ``ensembles[i]``
+    (all of one statistics) scanned over T/_SCAN_SPAN .. T _SCAN_SPAN,
+    T = ``t_centers[i]``: the scans one batch, each refinement pass one.
+    SolverError names the first failed lane; DomainError unless there is one
+    finite center > 0 per ensemble, at least one."""
     if not 1 <= len(ensembles) == len(t_centers):
         raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
                           f"{len(t_centers)} for {len(ensembles)} ensembles")
@@ -338,12 +324,10 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,
                    ensembles: tuple[str, ...] = ("canonical", "fd", "be")) -> Table1Report:
-    """Reproduce the tabulated attractive-wall peaks and report per-cell
-    relative errors; a cell passes within the published ``TOLERANCE`` of its
-    ensemble.  Deterministic: two runs give byte-identical reports.
-    DomainError, before any cell is computed, unless at least one field and
-    one ensemble are selected, none of them twice, every ensemble is a
-    ``Statistics`` name and every field a tabulated one."""
+    """The Table 1 peaks of ``fields`` and ``ensembles`` with their relative
+    errors, a cell passing within ``TOLERANCE`` of its ensemble; two runs
+    give the same bytes.  DomainError, before any cell, unless at least one
+    field and one ensemble are chosen, none twice, each one tabulated."""
     if not (fields and ensembles):
         raise DomainError(f"table1 needs a field and an ensemble, got {fields!r}, {ensembles!r}")
     statistics = [Statistics(name) for name in ensembles]

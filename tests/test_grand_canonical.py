@@ -121,6 +121,31 @@ class TestEnsembleSpec:
         with pytest.raises(DomainError):
             EnsembleSpec(Statistics.CANONICAL, 0)
 
+    def test_particle_number_at_most_int64(self):
+        # an array of a larger N holds Python ints, on which np.log raises a
+        # TypeError; at the limit both statistics solve
+        limit = 2 ** 63 - 1
+        with pytest.raises(DomainError, match=f"n_particles must be at most {limit}"):
+            EnsembleSpec(FD, limit + 1)
+        for stat in (FD, BE):
+            p = thermo_point(attractive(1e-3), 1.0, EnsembleSpec(stat, limit))
+            assert math.isfinite(p.mu) and math.isfinite(p.heat_capacity)
+
+
+class TestNonFiniteStates:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes c NaN
+    @pytest.mark.parametrize("stat,beta", [(FD, 1e-200), (BE, 1e300)])
+    def test_state_with_nonfinite_c_fails(self, stat, beta):
+        # N solves, but c overflows: a scalar call raises, and in a batch
+        # the lane is NaN with its message while the other lane is good
+        sp, ens = attractive(1e-3), EnsembleSpec(stat, 3)
+        with pytest.raises(SolverError, match="are not finite"):
+            thermo_point(sp, beta, ens)
+        p = thermo_point(sp, np.array([beta, 1.0]), ens)
+        assert p.errors[0].endswith("are not finite") and p.errors[1] is None
+        values = np.array([p.mean_energy, p.heat_capacity, p.mu, p.heat_capacity_slope])
+        assert np.isnan(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
+
 
 class TestSolveMu:
     def test_single_fermion_weak_field_closed_form(self):

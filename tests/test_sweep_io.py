@@ -733,6 +733,21 @@ class TestCli:
         with pytest.raises(SolverError, match="not finite"):
             thermo_point(sp, 2.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes c NaN
+    @pytest.mark.parametrize("ensemble,lo,hi", [("fd", "1e199", "1e201"),
+                                                ("be", "1e-300", "1e-299")])
+    def test_grand_canonical_sweep_with_nonfinite_states_fails(self, ensemble, lo, hi,
+                                                                capsys):
+        # N solves in every row but c overflows: each row names its state,
+        # as a canonical one does, and the sweep exits 3
+        assert main(["sweep", "--wall", "robin-", "--field", "1e-3", "--ensemble", ensemble,
+                     "--particles", "3", "--beta-inv-min", lo, "--beta-inv-max", hi,
+                     "--points", "3"]) == 3
+        header, *rows = [ln for ln in capsys.readouterr().out.splitlines()
+                         if not ln.startswith("#")]
+        assert header.endswith(",error") and len(rows) == 3
+        assert all(r.endswith("are not finite") for r in rows)
+
     def test_sweep_batch_failure_fails_every_row(self, monkeypatch, tmp_path):
         # an error raised for the whole batch is recorded in every row
         import robinwall.sweep as sweep_mod
@@ -757,6 +772,9 @@ class TestCli:
         ["sweep", "--wall", "robin-", "--field", "1e-3", "--ensemble", "canonical",
          "--particles", "7", "--beta-inv-min", "0.1", "--beta-inv-max", "1",
          "--points", "5"],
+        ["sweep", "--wall", "robin-", "--field", "1e-3", "--ensemble", "fd",
+         "--particles", str(10 ** 30), "--beta-inv-min", "0.1", "--beta-inv-max", "1",
+         "--points", "5"],
         ["table1", "--fields", "abc"],
         *(["sweep", "--wall", "robin-", "--field", "1e-3", "--beta-inv-min", lo,
            "--beta-inv-max", hi, "--points", "5"]
@@ -770,7 +788,8 @@ class TestCli:
          "--beta-inv-max", "1", "--points", "5", "--out", UNWRITABLE],
         ["spectrum", "--wall", "robin-", "--field", "1e-3", "--out", UNWRITABLE],
         ["table1", "--fields", "1e-3", "--ensembles", "canonical", "--out", UNWRITABLE],
-    ], ids=["predict-zero", "predict-negative", "sweep-canonical-many", "table1-fields",
+    ], ids=["predict-zero", "predict-negative", "sweep-canonical-many",
+            "sweep-particles-1e30", "table1-fields",
             "sweep-max-inf", "sweep-max-1e400", "sweep-min-1e-320",
             "table1-no-ensemble", "table1-bad-last-ensemble", "table1-bad-last-field",
             "table1-repeated-field", "table1-repeated-ensemble",
