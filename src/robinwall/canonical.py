@@ -1,7 +1,7 @@
 """Canonical thermodynamics of one particle from the Boltzmann sums of
-``ladder``, whose weights exp(-beta (E_n - E_0)) are finite for any ground
-level: with kappa_2, kappa_3 the second and third energy cumulants,
-c = beta^2 kappa_2 = -beta^2 d<E>/dbeta and dc/d ln beta = 2c - beta^3 kappa_3.
+``ladder``, finite for any ground level, with moments in units of kT about
+E_0: from their mean m and cumulants kappa_2, kappa_3, <E> = E_0 + m/beta,
+c = kappa_2 = -beta^2 d<E>/dbeta and dc/d ln beta = 2c - kappa_3.
 Also the universal Dirichlet/Neumann curves in y = beta F^(2/3), and the
 extremum search on c(beta) of every sweep and peak search.
 """
@@ -78,11 +78,10 @@ def _canonical(spectrum: Spectrum, beta: np.ndarray) -> ThermoPoint:
     _work.counts.update(batches=1, batch_lanes=beta.size)
     s0, s1, s2, s3 = ladder_sums(spectrum, beta, Statistics.CANONICAL)
     m, m2 = s1 / s0, s2 / s0
-    kappa2 = m2 - m * m
+    c = m2 - m * m  # kappa_2
     kappa3 = s3 / s0 - m * (3.0 * m2 - 2.0 * m * m)
-    c = beta * beta * kappa2
-    return _checked(ThermoPoint(beta, spectrum.e0 + m, c, errors=(None,) * beta.size,
-                                heat_capacity_slope=2.0 * c - beta ** 3 * kappa3),
+    return _checked(ThermoPoint(beta, spectrum.e0 + m / beta, c, errors=(None,) * beta.size,
+                                heat_capacity_slope=2.0 * c - kappa3),
                     lambda i: f"canonical sums at beta={beta[i]}")
 
 

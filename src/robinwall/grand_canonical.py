@@ -7,22 +7,23 @@ The chemical potential solves the particle number (spin degeneracy 1)
 in gamma = beta (E_0 - mu), which bosons need > 0 and which stays exact as
 mu rounds to E_0 deep in a condensate, by ``_solve_n`` in u = gamma, or
 ln gamma for bosons, in lockstep over lanes, each pass one ladder pass
-that also gives the energy moments.  ``_Evaluator`` runs every solve, from
-its cell's solved states or cold from the two-term balance of ``limits``.
+that also gives the moments.  ``_Evaluator`` runs every solve, from its
+cell's solved states or cold from the two-term balance of ``limits``.
 
-With w_n = e^{x_n}/(e^{x_n} +- 1)^2 and x_n = beta (E_n - mu), the implicit
-temperature derivative of mu,
+The ladder's moments are in y_n = x_n - max(gamma, 0) = beta (E_n - ref),
+units of kT about ref = max(E_0, mu), x_n = beta (E_n - mu); so
+<E> = E_0 N + (N_1 - min(gamma, 0) N)/beta.  With w_n = e^{x_n}/(e^{x_n} +- 1)^2,
+the implicit temperature derivative of mu,
 
     beta dmu/dbeta = sum (E_n - mu) w_n / sum w_n,
 
-gives c = beta^2 (D_2 - D_1^2/D_0) / N over the w-weighted moments, taken
-about max(E_0, mu) (``_moment_offset``), and the slope of gamma that warm
-starts read.  At fixed N each exponent moves as dx_n/dbeta = eps_n, the
-energy about its w-weighted mean, so with V = sum eps_n^2 w_n and
-dw/dx = -w +- 2 w f,
+gives c = (D_2 - D_1^2/D_0) / N over the w-weighted moments and the slope
+dgamma/d ln beta = min(gamma, 0) - D_1/D_0 that warm starts read.  At
+fixed N each exponent moves as dx_n/d ln beta = eps_n, y_n about its
+w-weighted mean, so with V = sum eps_n^2 w_n and dw/dx = -w +- 2 w f,
 
-    dV/dbeta = sum eps_n^3 (-w_n +- 2 w_n f_n),
-    dc/d ln beta = 2c + beta^3 (dV/dbeta) / N,
+    dV = sum eps_n^3 (-w_n +- 2 w_n f_n),
+    dc/d ln beta = 2c + dV / N,
 
 from D_0..D_3 and G_0..G_3 of the same pass.  A frozen Fermi edge solved at
 mid-gap has c tiny and positive; a warm start that stops away from mid-gap
@@ -41,10 +42,10 @@ import numpy as np
 from . import _work
 from .canonical import ThermoPoint, _canonical, _checked
 from .errors import DomainError, SolverError
-from .ladder import Statistics, _Plan, _check_statistics, _sums, ladder_sums
+from .ladder import Statistics, _Plan, _sums, ladder_sums
 from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
 from .spectrum import Spectrum
-from .specfun import _SQRT_PI, _bose_g, _check_beta, _check_index, _newton_root
+from .specfun import _SQRT_PI, _bose_g, _check_beta, _check_index, _check_member, _newton_root
 
 __all__ = [
     "Statistics",
@@ -68,7 +69,7 @@ class EnsembleSpec:
     n_particles: int
 
     def __post_init__(self) -> None:
-        _check_statistics(self.statistics)
+        _check_member(self.statistics, Statistics)
         object.__setattr__(self, "n_particles",
                            _check_index(self.n_particles, 1, "n_particles"))
         if self.n_particles > _N_MAX:
@@ -175,14 +176,6 @@ def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndar
     return _solve_n(balance, start, lo, hi, n, str)[0][0]
 
 
-def _moment_offset(beta, gamma):
-    """E_0 - ref for moments about ref = max(E_0, mu), where the kernel
-    e^x/(e^x +- 1)^2 peaks over the levels: there D_1 is small, so the
-    variance D_2 - D_1^2/D_0 does not cancel on a dominant level (the Bose
-    ground level, or the two levels around a frozen Fermi edge)."""
-    return np.minimum(gamma, 0.0) / beta
-
-
 class _Evaluator:
     """Called with (beta, cells), the ``ThermoPoint`` of arrays of the batch,
     lane i in ``ensembles[cells[i]]`` (all FD, or all BE, else DomainError),
@@ -245,7 +238,7 @@ class _Evaluator:
 
         def step(u: np.ndarray, lanes: np.ndarray):
             gamma = np.exp(u) if log_space else u
-            sums = _sums(plan, lanes, gamma, _moment_offset(beta[lanes], gamma))
+            sums = _sums(plan, lanes, gamma)
             n_sum, d0 = sums[0], sums[2]
             # dN/du and d2N/du2, with dN/dgamma = -D_0 and
             # d2N/dgamma2 = D_0 -+ 2 G_0 (fermions -, bosons +)
@@ -258,19 +251,19 @@ class _Evaluator:
             step, start, lo, hi, n,
             lambda i: f"particle-number solve at beta={beta[i]}, N={n[i]}")
         gamma = np.exp(u) if log_space else u
-        e0, moff = sp.e0, _moment_offset(beta, gamma)
-        energy = (e0 - moff) * n_sum + n1
+        e0, low = sp.e0, np.minimum(gamma, 0.0)
+        energy = e0 * n_sum + (n1 - low * n_sum) / beta
         with np.errstate(divide="ignore", invalid="ignore"):
             # where every weight underflowed (D0 = D1 = D2 = 0), c lies below
             # the float range and N pins no gamma: all read 0
-            c = np.where(d0 > 0.0, beta * beta * (d2 - d1 * d1 / d0) / n, 0.0)
-            # dV/dbeta of the module docstring, eps = E - ref - a
+            c = np.where(d0 > 0.0, (d2 - d1 * d1 / d0) / n, 0.0)
+            # dV of the module docstring, eps = y - a
             a = np.where(d0 > 0.0, d1 / d0, 0.0)
             dv = (2.0 * pm * (g3 - a * (3.0 * g2 - a * (3.0 * g1 - a * g0)))
                   - (d3 - a * (3.0 * d2 - 2.0 * a * d1)))
-            c_slope = 2.0 * c + beta ** 3 * dv / n  # dc/d ln beta
-            slope = beta * np.where(d0 > 0.0, moff - d1 / d0, 0.0)  # dgamma/d ln beta
-            du = slope / gamma if log_space else slope  # du/d ln beta
+            c_slope = 2.0 * c + dv / n  # dc/d ln beta
+            # du/d ln beta from dgamma/d ln beta = min(gamma, 0) - D_1/D_0
+            du = np.where(d0 > 0.0, low - a, 0.0) / (gamma if log_space else 1.0)
         mu = e0 - gamma / beta
         n0 = None
         if log_space:
@@ -340,9 +333,9 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
         beta = np.exp(u)
         n, _, _, d1, d2, _, _, _, g2, _ = ladder_sums(spectrum, beta, Statistics.BOSE_EINSTEIN,
                                                       gamma=0.0, start_index=1)
-        # dN/d ln beta and d2N/d(ln beta)^2, with dN/dbeta = -sum Delta_n w_n = -D_1
-        # and dw/dx = -w - 2 w f: d2N/dbeta2 = D_2 + 2 G_2
-        return n, -beta * d1, beta * (beta * (d2 + 2.0 * g2) - d1), beta[None]
+        # dN/d ln beta = -sum y_n w_n = -D_1, y_n = beta (E_n - E_0), and with
+        # dw/dx = -w - 2 w f: d2N/d(ln beta)^2 = D_2 + 2 G_2 - D_1
+        return n, -d1, d2 + 2.0 * g2 - d1, beta[None]
 
     payload, errors = _solve_n(step, min(max(math.log(beta_a), lo), hi), lo, hi,
                                np.array([n_target]),

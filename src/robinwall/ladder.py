@@ -1,7 +1,8 @@
 """Infinite sums over a level ladder for a batch of lanes (beta, gamma):
 
-    S_p = sum_n (E_n - ref)^p K(beta (E_n - E_0) + gamma)
+    S_p = sum_n (x_n - max(gamma, 0))^p K(x_n),  x_n = beta (E_n - E_0) + gamma,
 
+dimensionless moments in units of kT about max(E_0, mu), mu = E_0 - gamma/beta,
 for every kernel K of a statistics (``_kernels``): e^{-x} for Boltzmann
 sums; for Fermi and Bose sums the occupation f = 1/(e^x +- 1), the
 distribution kernel D = e^x/(e^x +- 1)^2 and their product D f, all from
@@ -12,10 +13,9 @@ A batch is summed in two steps.  ``_Plan`` lays out its node sets, each a
 block of lanes with their energies above E_0 and weights: the root-solved
 levels below the closure floor, the Euler-Maclaurin closures with their
 end stencils, and blocks of the lanes' direct windows.  ``_sums`` sums any
-of the planned lanes at any gamma and moment offset, one kernel pass
-(``_node_sums``) per node set.  Levels come from ``Spectrum.energies``; the
-index at an energy, the spacing and the closure quadrature from
-``spectrum.TailLaw``.
+of the planned lanes at any gamma, one kernel pass (``_node_sums``) per
+node set.  Levels come from ``Spectrum.energies``; the index at an energy,
+the spacing and the closure quadrature from ``spectrum.TailLaw``.
 
 A plan depends on gamma only through where the exponents meet its cuts, so
 it holds within _REACH of the gamma it was planned at
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _work
 from .errors import DomainError, SolverError
-from .specfun import _check_beta, _check_index
+from .specfun import _check_beta, _check_index, _check_member
 from .spectrum import Spectrum
 
 __all__ = ["Statistics", "ladder_sums"]
@@ -67,12 +67,6 @@ class Statistics(enum.Enum):
     @classmethod
     def _missing_(cls, value):
         raise DomainError(f"unknown ensemble {value!r}")
-
-
-def _check_statistics(statistics) -> None:
-    """DomainError unless ``statistics`` is a Statistics member."""
-    if not isinstance(statistics, Statistics):
-        raise DomainError(f"statistics must be a Statistics value, got {statistics!r}")
 
 
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
@@ -176,19 +170,23 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.nda
 
 
 def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
-               moff: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """sum_j w_j (d_j + moff)^p K(beta d_j + gamma) over the nodes of each
-    lane (a row of d = E - E_0 and w per lane) for the kernels and powers
-    of ``_MOMENTS``: a row per sum, a column per lane."""
+               statistics: Statistics) -> np.ndarray:
+    """sum_j w_j y_j^p K(x_j) over the nodes of each lane (a row of d = E - E_0
+    and w per lane), x = beta d + gamma and y = x - max(gamma, 0), for the
+    kernels and powers of ``_MOMENTS``: a row per sum, a column per lane."""
     _work.counts.update(node_sums=1, kernel_elements=d.size)
-    dm = d + moff[:, None]
+    # moments about max(E_0, mu), where e^x/(e^x +- 1)^2 peaks over the
+    # levels: there D_1 is small, so the variance D_2 - D_1^2/D_0 does not
+    # cancel on a dominant level (the Bose ground level, or the two levels
+    # around a frozen Fermi edge)
+    bd = beta[:, None] * d
+    y = bd + np.minimum(gamma, 0.0)[:, None]
     out = []
-    for kern, moments in zip(_kernels(beta[:, None] * d + gamma[:, None], statistics),
-                             _MOMENTS[statistics]):
+    for kern, moments in zip(_kernels(bd + gamma[:, None], statistics), _MOMENTS[statistics]):
         kern *= w
         out.append(kern.sum(axis=1))
         for _ in range(1, moments):
-            kern *= dm
+            kern *= y
             out.append(kern.sum(axis=1))
     return np.array(out)
 
@@ -232,7 +230,8 @@ def _closure_floor(spectrum) -> int:
 def _dense_index(spectrum, beta: np.ndarray) -> np.ndarray:
     """Per lane the first index, from the closure floor on, where
     beta dE/dn <= DENSE_THRESHOLD (capped at 2^62, within int64)."""
-    m = spectrum.tail.spacing_index(DENSE_THRESHOLD / beta)
+    with np.errstate(over="ignore"):  # an infinite index past beta tau ~ 1e100: capped
+        m = spectrum.tail.spacing_index(DENSE_THRESHOLD / beta)
     return np.maximum(_closure_floor(spectrum),
                       np.ceil(np.minimum(m, 2.0 ** 62))).astype(np.int64)
 
@@ -334,10 +333,10 @@ class _Plan:
             lo, hi = hi, min(2 * hi, hi + _PAIRS)
 
 
-def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -> np.ndarray:
-    """The sums of ``plan``'s batch rows ``lanes`` at ``gamma`` and moment
-    offsets ``moff`` (one each per lane), a row per sum and a column per
-    lane.  Lanes past their reach are summed over a plan made at their gamma."""
+def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """The sums of ``plan``'s batch rows ``lanes`` at ``gamma`` (one per
+    lane), a row per sum and a column per lane.  Lanes past their reach are
+    summed over a plan made at their gamma."""
     # each lane's move from where it was planned: for bosons only a fall counts
     drop = plan.gamma[lanes] - gamma
     if plan.statistics is not Statistics.BOSE_EINSTEIN:
@@ -360,27 +359,28 @@ def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray, moff: np.ndarray) -
                     continue
                 rows, d, w = rows[keep], d[keep], w[keep]
             c = at[rows]
-            out[:, c] += _node_sums(d, w, p.beta[rows], gamma[c], moff[c], p.statistics)
+            out[:, c] += _node_sums(d, w, p.beta[rows], gamma[c], p.statistics)
     return out
 
 
 def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statistics, *,
                 gamma: float | np.ndarray = 0.0, start_index: int = 0) -> tuple:
     """Every sum of the kernels of ``statistics`` over n >= start_index,
-    moments about E_0, with x_n = beta (E_n - E_0) + gamma:
+    with x_n = beta (E_n - E_0) + gamma, its moments dimensionless, in
+    y_n = x_n - max(gamma, 0) = beta (E_n - max(E_0, mu)):
 
-    * ``CANONICAL``: (S_0, S_1, S_2, S_3), S_p = sum (E_n - E_0)^p e^{-x_n};
+    * ``CANONICAL``: (S_0, S_1, S_2, S_3), S_p = sum y_n^p e^{-x_n};
     * ``FERMI_DIRAC`` (upper signs), ``BOSE_EINSTEIN`` (lower signs):
-      (N_0, N_1, D_0..D_3, G_0..G_3), the moments of f = 1/(e^x +- 1),
-      D = e^x/(e^x +- 1)^2 and D f.  dN_0/dgamma = -D_0 and
-      d^2N_0/dgamma^2 = D_0 -+ 2 G_0, since dD/dx = -D +- 2 D f.
+      (N_0, N_1, D_0..D_3, G_0..G_3), the moments sum y_n^p K(x_n) of
+      f = 1/(e^x +- 1), D = e^x/(e^x +- 1)^2 and D f.  dN_0/dgamma = -D_0
+      and d^2N_0/dgamma^2 = D_0 -+ 2 G_0, since dD/dx = -D +- 2 D f.
 
     ``beta`` (finite, > 0) and ``gamma`` (finite) are scalars or 1-D and
     broadcast, a lane per element; 0 <= start_index < ``spectrum.n_exact``.
     Scalars give floats, else arrays of the broadcast shape; DomainError for
     bad arguments, SolverError for a Bose exponent <= 0.
     """
-    _check_statistics(statistics)
+    _check_member(statistics, Statistics)
     start_index = _check_index(start_index, 0, "start_index")
     if start_index >= spectrum.n_exact:
         raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
@@ -391,7 +391,7 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     shape = np.broadcast(beta, g).shape
     beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, g))
     sums = _sums(_Plan(spectrum, beta, gamma, statistics, start_index),
-                 np.arange(beta.size), gamma, np.zeros(beta.size))
+                 np.arange(beta.size), gamma)
     if not shape:
         return tuple(sums[:, 0].tolist())
     return tuple(s.reshape(shape) for s in sums)

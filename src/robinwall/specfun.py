@@ -70,12 +70,23 @@ def _check_field(field: float) -> float:
     return float(field)
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float array; DomainError unless numbers, not bools or text."""
+    if np.asarray(x).dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be real numbers, not a bool or text, got {x!r}")
+    return np.asarray(x, dtype=float)
+
+
+def _check_member(value, kind: type[enum.Enum]) -> None:
+    """DomainError unless ``value`` is a member of the enum ``kind``."""
+    if not isinstance(value, kind):
+        raise DomainError(f"expected a {kind.__name__} value, got {value!r}")
+
+
 def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
     """beta as a float, or a 1-D float array for a batch; DomainError unless
-    at most 1-D, each finite and > 0, and not a bool (True would read as 1)."""
-    if np.asarray(beta).dtype == bool:
-        raise DomainError(f"beta must be a real number, not a bool, got {beta!r}")
-    b = np.asarray(beta, dtype=float)
+    real numbers (``_real_array``), at most 1-D, each finite and > 0."""
+    b = _real_array(beta, "beta")
     if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
         raise DomainError(f"beta must be finite and > 0, got {beta!r}")
     if b.ndim > 1:
@@ -203,9 +214,9 @@ def airy(x):
     """(Ai(x), Ai'(x)) for a float, as floats, or an array, in its shape,
     each element its scalar call bit for bit; within 1e-12 of scipy
     (TestAiry); (0.0, -0.0) once zeta > 700.  DomainError for an element
-    that is not finite.
+    that is not a finite number (``_real_array``).
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _real_array(x, "airy: argument")
     lanes = arr.ravel()
     bad = ~np.isfinite(lanes)
     if bad.any():
@@ -330,6 +341,7 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
     meets the refined zero there to 1e-8 (test_law_handoff_at_switch).
     """
     n = _check_index(n, 1, "airy_zero index")
+    _check_member(kind, AiryZeroKind)
     if n <= N_EXACT_ZEROS:
         return float(_ZEROS[kind][n - 1])
     return _zero_law(n, kind)
@@ -343,12 +355,12 @@ def lambert_w(x: float) -> float:
     """Principal-branch Lambert W on x >= 0: w with w e^w = x, the root of
     f(w) = w - x e^{-w} on (0, log1p(x)), which cannot overflow, from
     Winitzki's L (1 - log1p(L)/(2 + L)), L = log1p(x) (Corless et al., Adv.
-    Comput. Math. 5, 329 (1996)).  DomainError for x < 0 or not finite;
-    SolverError unless |w e^w - x| / x <= 1e-12.
+    Comput. Math. 5, 329 (1996)).  DomainError unless x is a finite real
+    scalar >= 0; SolverError unless |w e^w - x| / x <= 1e-12.
     """
+    if not (_is_real(x) and math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"lambert_w: argument must be a finite real number >= 0, got {x!r}")
     x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"lambert_w: argument must be finite and >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
     top = math.log1p(x)

@@ -133,17 +133,25 @@ class TestEnsembleSpec:
 
 
 class TestNonFiniteStates:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow that makes c NaN
-    @pytest.mark.parametrize("stat,beta", [(FD, 1e-200), (BE, 1e300)])
-    def test_state_with_nonfinite_c_fails(self, stat, beta):
-        # N solves, but c overflows: a scalar call raises, and in a batch
-        # the lane is NaN with its message while the other lane is good
-        sp, ens = attractive(1e-3), EnsembleSpec(stat, 3)
-        with pytest.raises(SolverError, match="are not finite"):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow past the float range
+    @pytest.mark.parametrize("ens,beta,message", [
+        (EnsembleSpec(Statistics.CANONICAL, 1), 1e-250, "are not finite"),
+        (EnsembleSpec(FD, 3), 1e-250, "particle-number residual nan"),
+        (EnsembleSpec(BE, 3), 1e-300, "particle-number residual nan"),
+    ], ids=["canonical", "fd", "be"])
+    def test_state_with_nonfinite_c_fails(self, ens, beta, message):
+        # below beta ~ 1e-203 (robin-, F = 1e-3) the tail law's level index
+        # leaves the float range and the sums are NaN: the canonical state
+        # names its values that are not finite, a grand-canonical one its NaN
+        # particle-number residual.  A scalar call raises, and in a batch the
+        # lane is NaN in every value with its message while the other lane is good
+        sp = attractive(1e-3)
+        with pytest.raises(SolverError, match=message):
             thermo_point(sp, beta, ens)
         p = thermo_point(sp, np.array([beta, 1.0]), ens)
-        assert p.errors[0].endswith("are not finite") and p.errors[1] is None
-        values = np.array([p.mean_energy, p.heat_capacity, p.mu, p.heat_capacity_slope])
+        assert message in p.errors[0] and p.errors[1] is None
+        values = np.array([p.mean_energy, p.heat_capacity, p.heat_capacity_slope]
+                          + ([] if p.mu is None else [p.mu]))
         assert np.isnan(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
 
 
@@ -879,6 +887,29 @@ class TestNoSilentNan:
                                    if not good and e is None]
         assert silent == []
 
+
+class TestStateDomain:
+    def test_hot_and_cold_states(self):
+        # 2,016 lanes: 4 walls x F in {1e-7, 1e-3, 1, 1e3} x the three
+        # ensembles (N = 3 for FD and BE) at beta = 10^k, k = -150..-30 and
+        # 20..300 in steps of 10.  With the ladder's moments in units of kT
+        # every lane is a state: hot ones classical, |c - 3/2| <= 1e-9, cold
+        # ones frozen, c = dc/d ln beta = 0 (1,264 lanes failed with moments
+        # in energy units, multiplied back by beta^2 and beta^3)
+        beta = 10.0 ** np.concatenate([np.arange(-150, -29, 10), np.arange(20, 301, 10)])
+        hot, wrong = beta < 1.0, []
+        for kind in WallKind:
+            for field in (1e-7, 1e-3, 1.0, 1e3):
+                sp = build_spectrum(WallSpec(kind, field))
+                for ens in (EnsembleSpec(Statistics.CANONICAL, 1), EnsembleSpec(FD, 3),
+                            EnsembleSpec(BE, 3)):
+                    p = thermo_point(sp, beta, ens)
+                    c, slope = p.heat_capacity, p.heat_capacity_slope
+                    ok = (np.array([e is None for e in p.errors])
+                          & np.where(hot, np.abs(c - 1.5) <= 1e-9, (c == 0.0) & (slope == 0.0)))
+                    wrong += [(kind.value, field, ens.statistics.value, b, e)
+                              for b, good, e in zip(beta, ok, p.errors) if not good]
+        assert wrong == []
 
 
 class TestWeakestFields:

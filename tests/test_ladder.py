@@ -46,9 +46,9 @@ def _kernel(x, kind, sign):
     return {OCC: occ, DIST: dist, DIST_OCC: dist * occ}[kind]
 
 
-def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
-                powers=(0,), start=0):
-    """Literal ascending summation until the exponents are machine-dead."""
+def brute_force(spectrum, beta, kind, sign, gamma=0.0, powers=(0,), start=0):
+    """Literal ascending summation until the exponents are machine-dead, the
+    moments in y = beta (E - max(E_0, mu)) = beta (E - E_0) + min(gamma, 0)."""
     e0 = spectrum.e0
     totals = np.zeros(len(powers))
     lo, chunk = start, 1 << 14
@@ -60,8 +60,9 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
         dE[~head] = spectrum.tail.energy(idx[~head].astype(float)) - e0
         x = beta * dE + gamma
         w = _kernel(x, kind, sign)
+        y = beta * dE + min(gamma, 0.0)
         for i, p in enumerate(powers):
-            totals[i] += np.sum((dE + moment_offset) ** p * w)
+            totals[i] += np.sum(y ** p * w)
         if x[-1] > 55.0:
             return totals
         lo += chunk
@@ -69,30 +70,41 @@ def brute_force(spectrum, beta, kind, sign, gamma=0.0, moment_offset=0.0,
         assert lo < 200_000_000, "brute-force reference runaway"
 
 
-def family_brute_force(spectrum, beta, sign, gamma=0.0, moment_offset=0.0, start=0):
+def family_brute_force(spectrum, beta, sign, gamma=0.0, start=0):
     """The ten sums ladder_sums returns for Fermi-Dirac or Bose-Einstein
     statistics, (N0, N1, D0..D3, (D f)0..(D f)3), by ``brute_force``."""
     return np.concatenate([
-        brute_force(spectrum, beta, OCC, sign, gamma, moment_offset, (0, 1), start),
-        brute_force(spectrum, beta, DIST, sign, gamma, moment_offset, (0, 1, 2, 3), start),
-        brute_force(spectrum, beta, DIST_OCC, sign, gamma, moment_offset, (0, 1, 2, 3), start)])
+        brute_force(spectrum, beta, OCC, sign, gamma, (0, 1), start),
+        brute_force(spectrum, beta, DIST, sign, gamma, (0, 1, 2, 3), start),
+        brute_force(spectrum, beta, DIST_OCC, sign, gamma, (0, 1, 2, 3), start)])
 
 
-def offset_sums(spectrum, beta, statistics, gamma, moment_offset, start_index=0):
-    """The sums of ``ladder_sums`` with moments about E_0 - moment_offset, as
-    the mu solve takes them: ``_sums`` over a plan made at gamma, one row per
-    sum and one column per lane of the broadcast arguments."""
-    shape = np.broadcast(beta, gamma, moment_offset).shape
-    beta, gamma, moff = ((np.zeros(shape) + a).ravel() for a in (beta, gamma, moment_offset))
+def planned_sums(spectrum, beta, statistics, gamma, start_index=0):
+    """The sums of ``ladder_sums`` as the mu solve takes them: ``_sums`` over
+    a plan made at gamma, one row per sum and one column per lane of the
+    broadcast arguments."""
+    shape = np.broadcast(beta, gamma).shape
+    beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, gamma))
     plan = ladder._Plan(spectrum, beta, gamma, statistics, start_index)
-    return ladder._sums(plan, np.arange(beta.size), gamma, moff)
+    return ladder._sums(plan, np.arange(beta.size), gamma)
 
 
-def pick(spectrum, beta, kind, sign, powers, gamma=0.0, moment_offset=0.0, start_index=0):
+def about_e0(sums, gamma, statistics):
+    """The moments of ``ladder_sums`` moved to units of kT about E_0, in
+    beta (E - E_0) = y - min(gamma, 0), where each is a sum of terms >= 0."""
+    shift, out = -np.minimum(gamma, 0.0), []
+    for moments in ladder._MOMENTS[statistics]:
+        s, sums = sums[:moments], sums[moments:]
+        out += [sum(math.comb(p, j) * s[j] * shift ** (p - j) for j in range(p + 1))
+                for p in range(moments)]
+    return out
+
+
+def pick(spectrum, beta, kind, sign, powers, gamma=0.0, start_index=0):
     """The sums S_p of one kernel at one temperature from the fused engine,
     which returns (S0..S3) for BOLTZ and (N0, N1, D0..D3, (D f)0..(D f)3)
     for FERMI and BOSE."""
-    sums = offset_sums(spectrum, beta, STATS[sign], gamma, moment_offset, start_index)[:, 0]
+    sums = planned_sums(spectrum, beta, STATS[sign], gamma, start_index)[:, 0]
     first = {DIST: 2, DIST_OCC: 6}.get(kind, 0)
     return [sums[first + p] for p in powers]
 
@@ -110,25 +122,23 @@ def spectrum_m3():
 
 
 CASES = [
-    (BOLTZ_KIND, BOLTZ, 4.0, 0.0, 0.0, BOLTZ_POWERS, 0),
-    (BOLTZ_KIND, BOLTZ, 0.05, 0.0, 0.0, BOLTZ_POWERS, 0),
-    (OCC, FERMI, 3.0, -2.0, 0.0, (0, 1), 0),
-    (OCC, FERMI, 8.0, 5.0, 0.0, (0, 1), 0),
-    (OCC, BOSE, 2.0, 0.3, 0.0, (0, 1), 0),
-    (OCC, BOSE, 3.0, 1e-9, 0.0, (0,), 1),
-    (DIST, BOSE, 2.0, 0.3, 0.15, (0, 1, 2, 3), 0),
-    (DIST, FERMI, 5.0, -1.0, -0.2, (0, 1, 2, 3), 0),
-    (DIST_OCC, BOSE, 2.0, 0.3, 0.15, (0, 1, 2, 3), 0),
-    (DIST_OCC, FERMI, 5.0, -1.0, -0.2, (0, 1, 2, 3), 0),
+    (BOLTZ_KIND, BOLTZ, 4.0, 0.0, BOLTZ_POWERS, 0),
+    (BOLTZ_KIND, BOLTZ, 0.05, 0.0, BOLTZ_POWERS, 0),
+    (OCC, FERMI, 3.0, -2.0, (0, 1), 0),
+    (OCC, FERMI, 8.0, 5.0, (0, 1), 0),
+    (OCC, BOSE, 2.0, 0.3, (0, 1), 0),
+    (OCC, BOSE, 3.0, 1e-9, (0,), 1),
+    (DIST, BOSE, 2.0, 0.3, (0, 1, 2, 3), 0),
+    (DIST, FERMI, 5.0, -1.0, (0, 1, 2, 3), 0),
+    (DIST_OCC, BOSE, 2.0, 0.3, (0, 1, 2, 3), 0),
+    (DIST_OCC, FERMI, 5.0, -1.0, (0, 1, 2, 3), 0),
 ]
 
 
-@pytest.mark.parametrize("kind,sign,beta,gamma,moff,powers,start", CASES)
-def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma,
-                                    moff, powers, start):
-    hybrid = pick(spectrum_m3, beta, kind, sign, powers, gamma=gamma,
-                  moment_offset=moff, start_index=start)
-    ref = brute_force(spectrum_m3, beta, kind, sign, gamma, moff, powers, start)
+@pytest.mark.parametrize("kind,sign,beta,gamma,powers,start", CASES)
+def test_hybrid_matches_brute_force(spectrum_m3, kind, sign, beta, gamma, powers, start):
+    hybrid = pick(spectrum_m3, beta, kind, sign, powers, gamma=gamma, start_index=start)
+    ref = brute_force(spectrum_m3, beta, kind, sign, gamma, powers, start)
     for h, r in zip(hybrid, ref):
         assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
@@ -192,9 +202,8 @@ def test_degenerate_fermi_sea_matches_brute_force(wall_kind, field, beta, mu_idx
     ref = brute_force(sp, beta, OCC, FERMI, gamma=gamma, powers=(0, 1))
     for h, r in zip(hyb, ref):
         assert h == pytest.approx(r, rel=1e-10, abs=0.0)
-    hyb = pick(sp, beta, DIST, FERMI, (0, 2), gamma=gamma, moment_offset=gamma / beta)
-    ref = brute_force(sp, beta, DIST, FERMI, gamma=gamma,
-                      moment_offset=gamma / beta, powers=(0, 2))
+    hyb = pick(sp, beta, DIST, FERMI, (0, 2), gamma=gamma)
+    ref = brute_force(sp, beta, DIST, FERMI, gamma=gamma, powers=(0, 2))
     for h, r in zip(hyb, ref):
         assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
@@ -229,18 +238,18 @@ def test_short_root_block_matches_brute_force(kind):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-def em_integral(spectrum, beta, gamma, moment_offset, n0, sign, planned_at=None):
+def em_integral(spectrum, beta, gamma, n0, sign, planned_at=None):
     """The engine's closure integrals of one lane over [n0, inf) at gamma:
     the closure's one node set (a block of that lane), planned at gamma or
     else at ``planned_at``, with the end correction's weights set to 0."""
-    beta, gamma, moment_offset, n0 = (np.atleast_1d(a) for a in (beta, gamma, moment_offset, n0))
+    beta, gamma, n0 = (np.atleast_1d(a) for a in (beta, gamma, n0))
     plan_gamma = gamma if planned_at is None else np.atleast_1d(planned_at)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder, "_EDGE", np.zeros(5))
         (rows, d, w), = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]),
                                         STATS[sign])
     assert rows.tolist() == [0]
-    return ladder._node_sums(d, w, beta, gamma, moment_offset, STATS[sign])[:, 0]
+    return ladder._node_sums(d, w, beta, gamma, STATS[sign])[:, 0]
 
 
 def argument(tail, m):
@@ -248,19 +257,20 @@ def argument(tail, m):
     return 4.0 * (m + tail.j0) - tail.k_off
 
 
-def closure_args(spectrum, beta, gamma, moment_offset=0.0):
-    """(sigma, ds_ref, n0) of the closure that ladder_sums engages: the
-    exponent beta * tau * v + sigma and moment tau * v + ds_ref of a level
-    with v = argument^(2/3), and the closure index."""
+def closure_args(spectrum, beta, gamma):
+    """(sigma, rho, n0) of the closure that ladder_sums engages: the
+    exponent beta * tau * v + sigma and moment beta * tau * v + rho, in
+    units of kT about max(E_0, mu), of a level with v = argument^(2/3), and
+    the closure index."""
     tail = spectrum.tail
     return (beta * (tail.shift - spectrum.e0) + gamma,
-            tail.shift - spectrum.e0 + moment_offset,
+            beta * (tail.shift - spectrum.e0) + min(gamma, 0.0),
             ladder._dense_index(spectrum, beta))
 
 
-def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
+def mpmath_closure(tail, beta, sigma, rho, n0, sign):
     """(N0, N1, D0..D3, (D f)0..(D f)3) closure integrals in the ladder variable
-    v = argument(m)^(2/3), (3/8) int_{v0}^inf sqrt(v) (tau v + ds_ref)^p
+    v = argument(m)^(2/3), (3/8) int_{v0}^inf sqrt(v) (beta tau v + rho)^p
     F(beta tau v + sigma) dv, by mpmath's tanh-sinh rule at 30 digits."""
     with mpmath.workdps(30):
         tau = mpmath.mpf(tail.tau)
@@ -283,7 +293,7 @@ def mpmath_closure(tail, beta, sigma, ds_ref, n0, sign):
         for kernel, p in ((occ, 0), (occ, 1), *((k, p) for k in (dist, dist_occ)
                                                 for p in range(4))):
             def f(v, kernel=kernel, p=p):
-                return 0.375 * mpmath.sqrt(v) * (tau * v + ds_ref) ** p * kernel(bt * v + sigma)
+                return 0.375 * mpmath.sqrt(v) * (bt * v + rho) ** p * kernel(bt * v + sigma)
             out.append(float(mpmath.quad(f, points)))
     return out
 
@@ -298,9 +308,9 @@ def test_closure_matches_mpmath(field, sign, beta, gamma):
     # polynomial, which cost the v-panels 4.8e-6 of N0 and 1.4e-6 of D0
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
     full = ladder_sums(sp, beta, STATS[sign], gamma=gamma)
-    sigma, ds_ref, n0 = closure_args(sp, beta, gamma)
-    mine = em_integral(sp, beta, gamma, 0.0, n0, sign)
-    ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
+    sigma, rho, n0 = closure_args(sp, beta, gamma)
+    mine = em_integral(sp, beta, gamma, n0, sign)
+    ref = mpmath_closure(sp.tail, beta, sigma, rho, n0, sign)
     for m, r, f in zip(mine, ref, full):
         assert abs(m - r) <= 1e-12 * abs(f)
 
@@ -330,17 +340,17 @@ def test_plan_holds_across_its_window(wall_kind, field, sign, beta, gamma, edge)
     if abs(g - gamma) > plan.reach[0]:
         g = np.nextafter(g, gamma)
     with reading() as work:
-        sums = ladder._sums(plan, np.array([0]), np.array([g]), np.array([0.1]))[:, 0]
+        sums = ladder._sums(plan, np.array([0]), np.array([g]))[:, 0]
     assert not work["plans"]  # no _Plan built during the sum
     if sign == BOLTZ:
-        ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, 0.1, powers=BOLTZ_POWERS)
+        ref = brute_force(sp, beta, BOLTZ_KIND, sign, g, powers=BOLTZ_POWERS)
     else:
-        ref = family_brute_force(sp, beta, sign, g, 0.1)
+        ref = family_brute_force(sp, beta, sign, g)
     for s, r in zip(sums, ref, strict=True):
         assert s == pytest.approx(r, rel=1e-10, abs=0.0)
-    sigma, ds_ref, n0 = closure_args(sp, beta, g)
-    mine = em_integral(sp, beta, g, 0.0, n0, sign, planned_at=gamma)
-    ref = mpmath_closure(sp.tail, beta, sigma, ds_ref, n0, sign)
+    sigma, rho, n0 = closure_args(sp, beta, g)
+    mine = em_integral(sp, beta, g, n0, sign, planned_at=gamma)
+    ref = mpmath_closure(sp.tail, beta, sigma, rho, n0, sign)
     full = ladder_sums(sp, beta, STATS[sign], gamma=g)
     if sign == BOLTZ:  # e^-x is the reference's distribution kernel at sign 0
         ref = ref[2:6]
@@ -355,16 +365,16 @@ def test_lanes_past_their_reach_sum_as_a_fresh_plan():
     # every closure starts above x = 2, where no octave panels are laid, so
     # both batches pad their node sets to the same width)
     sp = build_spectrum(WallSpec(WallKind.NEUMANN, 1e-3), count=64)
-    beta, lanes, moff = np.geomspace(0.1, 1.0, 40), np.arange(40), np.zeros(40)
+    beta, lanes = np.geomspace(0.1, 1.0, 40), np.arange(40)
     plan = ladder._Plan(sp, beta, np.full(40, 5.0), Statistics.BOSE_EINSTEIN)
     assert np.all(plan.reach == 1.0)
     stale = lanes < 32
     gamma = 5.0 - np.where(stale, 2.0 * plan.reach, 0.0)
     with reading() as work:
-        sums = ladder._sums(plan, lanes, gamma, moff)
+        sums = ladder._sums(plan, lanes, gamma)
     assert work["stale_lanes"] == 32
     fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
-    assert np.array_equal(sums, ladder._sums(fresh, lanes, gamma, moff))
+    assert np.array_equal(sums, ladder._sums(fresh, lanes, gamma))
 
 
 @pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
@@ -382,12 +392,12 @@ def test_bose_plans_hold_as_gamma_rises(wall_kind):
         planned, lanes = np.tile(gamma0, len(y)), np.arange(beta.size)
         plan = ladder._Plan(sp, beta, planned, Statistics.BOSE_EINSTEIN)
         for up in (1.0, 3.0, 10.0, 30.0):
-            gamma, moff = planned + up, np.zeros(beta.size)
+            gamma = planned + up
             with reading() as work:
-                moved = ladder._sums(plan, lanes, gamma, moff)
+                moved = ladder._sums(plan, lanes, gamma)
             assert work["stale_lanes"] == 0 and not work["plans"]
             fresh = ladder._Plan(sp, beta, gamma, Statistics.BOSE_EINSTEIN)
-            assert np.all(np.abs(moved - ladder._sums(fresh, lanes, gamma, moff))
+            assert np.all(np.abs(moved - ladder._sums(fresh, lanes, gamma))
                           <= 1e-12 * moved)
             # the lanes cold enough to sum by brute force (beta F^(2/3) >= 0.05)
             for i in (54, 59, 77, 95):
@@ -413,13 +423,10 @@ def test_stale_and_held_lanes_interleaved(sign):
     stale = np.arange(len(lanes)) % 3 == 0
     held = rng.uniform(-0.9, 0.9, len(lanes))
     gamma = gamma0[lanes] + plan.reach[lanes] * np.where(stale, 2.0 * sign, held)
-    moff = rng.uniform(0.0, 0.3, len(lanes))
-    sums = ladder._sums(plan, lanes, gamma, moff)
+    sums = ladder._sums(plan, lanes, gamma)
     fresh = ladder._Plan(sp, beta[lanes[stale]], gamma[stale], STATS[sign])
-    assert np.array_equal(sums[:, stale],
-                          ladder._sums(fresh, np.arange(stale.sum()), gamma[stale], moff[stale]))
-    assert np.array_equal(sums[:, ~stale],
-                          ladder._sums(plan, lanes[~stale], gamma[~stale], moff[~stale]))
+    assert np.array_equal(sums[:, stale], ladder._sums(fresh, np.arange(stale.sum()), gamma[stale]))
+    assert np.array_equal(sums[:, ~stale], ladder._sums(plan, lanes[~stale], gamma[~stale]))
 
 
 def test_every_node_set_within_the_pair_budget():
@@ -439,7 +446,7 @@ def test_every_node_set_within_the_pair_budget():
         sums = ladder_sums(sp, beta, Statistics.CANONICAL)
     # ladder_sums makes one plan, and sums to the bit over the one above
     assert work["plans"] == 1 and np.array_equal(
-        sums, ladder._sums(canonical, np.arange(300), np.zeros(300), np.zeros(300)))
+        sums, ladder._sums(canonical, np.arange(300), np.zeros(300)))
     for plan in (fd, canonical):
         assert max(d.size for _, d, _ in plan.sets) <= ladder._PAIRS
         root = [rows for rows, d, _ in plan.sets if d.strides[0] == 0]
@@ -452,7 +459,7 @@ def test_sea_closures_sized_after_their_dead_panels_drop():
     # keeps 1-2 panels (34-58 nodes), so its 142 sea closures fit 2 blocks of
     # _PAIRS (lane, node) pairs.  Sized by the padded panel count before the
     # drop they took 8 blocks of 16-18 lanes.  Every lane sums as it does
-    # alone, up to rounding
+    # alone, up to rounding, its moments taken about E_0, where no sum cancels
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     beta = np.geomspace(1.0, 100.0, 300)
     gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
@@ -460,13 +467,15 @@ def test_sea_closures_sized_after_their_dead_panels_drop():
         batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
     # one plan, so one sea closure
     assert work["plans"] == 1 and work["sea_lanes"] > 100 and work["sea_blocks"] <= 3
+    batch = about_e0(batch, gamma, Statistics.FERMI_DIRAC)
     for i in range(0, 300, 5):
-        one = ladder_sums(sp, beta[i], Statistics.FERMI_DIRAC, gamma=gamma[i])
+        one = about_e0(ladder_sums(sp, beta[i], Statistics.FERMI_DIRAC, gamma=gamma[i]),
+                       gamma[i], Statistics.FERMI_DIRAC)
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-15, abs=0.0)
 
 
-def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
+def series_closure(tail, beta, sigma, rho, n0, kind, sign):
     """The closure integrals by the geometric expansion of the kernels,
     occupation = sum_k a_k e^{-kx} and distribution = sum_k k a_k e^{-kx}
     (a_k = 1 for bosons, (-1)^(k+1) for fermions), and their product
@@ -487,8 +496,8 @@ def series_closure(tail, beta, sigma, ds_ref, n0, kind, sign):
             q = sp.gammaincc(a, lam * v0)
             assert q > 0.0
             g.append(math.exp(math.log(q) + math.lgamma(a) - a * math.log(lam) - k * sigma))
-        # moments of (tau v + ds_ref)^p over the tail measure, 3/8 Jacobian
-        mom = [0.375 * sum(math.comb(p, j) * ds_ref ** (p - j) * tau ** j * g[j]
+        # moments of (beta tau v + rho)^p over the tail measure, 3/8 Jacobian
+        mom = [0.375 * sum(math.comb(p, j) * rho ** (p - j) * (beta * tau) ** j * g[j]
                            for j in range(p + 1)) for p in range(4)]
         if kind == BOLTZ_KIND:
             return mom
@@ -515,9 +524,9 @@ def test_closure_matches_incomplete_gamma_series(kind, sign):
         _, _, n0 = closure_args(spec, beta, 0.0)
         u0 = beta * (float(tail.energy(n0)) - spec.e0)
         for gamma in [x0 - u0 for x0 in (0.5, 0.9, 3.0, 12.0, 40.0, 105.0)] + [90.0]:
-            sigma, ds_ref, _ = closure_args(spec, beta, gamma, 0.3)
-            mine = em_integral(spec, beta, gamma, 0.3, n0, sign)
-            ref = series_closure(tail, beta, sigma, ds_ref, n0, kind, sign)
+            sigma, rho, _ = closure_args(spec, beta, gamma)
+            mine = em_integral(spec, beta, gamma, n0, sign)
+            ref = series_closure(tail, beta, sigma, rho, n0, kind, sign)
             assert len(mine) == len(ref)
             for m, r in zip(mine, ref):
                 assert m == pytest.approx(r, rel=1e-12, abs=0.0)
@@ -559,25 +568,27 @@ def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
                     for name, value in reference.items():
                         patch.setattr(ladder, name, value)
                     ref = ladder_sums(sp, beta, statistics, gamma=gamma)
-                for s, r in zip(shipped, ref):  # moments about E_0: every sum >= 0
+                # about E_0 every sum is one of terms >= 0
+                for s, r in zip(about_e0(shipped, gamma, statistics),
+                                about_e0(ref, gamma, statistics)):
                     assert np.all(np.abs(s - r) <= 1e-13 * r)
     assert work["tail_lanes"] > 200 and work["sea_lanes"] > 50
 
 
 FUSED_CASES = [
-    # (wall kind, field, statistics, beta, gamma or Fermi-level index, moment offset)
-    (WallKind.ROBIN_ATTRACTIVE, 1e-3, FERMI, 3.0, -2.0, 0.0),
-    (WallKind.ROBIN_ATTRACTIVE, 1e-3, FERMI, 6.0, 4.0, 0.3),
-    (WallKind.NEUMANN, 1e-4, FERMI, 30.0, ("sea", 30_000), 0.0),
-    (WallKind.ROBIN_ATTRACTIVE, 1e-2, FERMI, 2.0, ("sea", 400_000), "mu"),
-    (WallKind.ROBIN_ATTRACTIVE, 1e-3, BOSE, 2.0, 0.3, 0.15),
-    (WallKind.ROBIN_ATTRACTIVE, 1e-3, BOSE, 3.0, 1e-7, 0.0),
-    (WallKind.NEUMANN, 1e-3, BOSE, 0.3, 5e-7, 0.0),
+    # (wall kind, field, statistics, beta, gamma or Fermi-level index)
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, FERMI, 3.0, -2.0),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, FERMI, 6.0, 4.0),
+    (WallKind.NEUMANN, 1e-4, FERMI, 30.0, ("sea", 30_000)),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-2, FERMI, 2.0, ("sea", 400_000)),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, BOSE, 2.0, 0.3),
+    (WallKind.ROBIN_ATTRACTIVE, 1e-3, BOSE, 3.0, 1e-7),
+    (WallKind.NEUMANN, 1e-3, BOSE, 0.3, 5e-7),
 ]
 
 
-@pytest.mark.parametrize("wall_kind,field,sign,beta,gamma,moff", FUSED_CASES)
-def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff):
+@pytest.mark.parametrize("wall_kind,field,sign,beta,gamma", FUSED_CASES)
+def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma):
     # one pass gives N_0, N_1 (occupation), D_0..D_3 (distribution) and
     # (D f)_0..(D f)_3, through a filled Fermi sea and next to Bose
     # condensation (gamma < 1e-6)
@@ -585,10 +596,8 @@ def test_fused_sums_match_brute_force(wall_kind, field, sign, beta, gamma, moff)
     if isinstance(gamma, tuple):
         gamma = beta * (sp.e0 - float(sp.tail.energy(gamma[1])))
         assert gamma < -ladder.X_DEAD
-    if moff == "mu":
-        moff = gamma / beta
-    fused = offset_sums(sp, beta, STATS[sign], gamma, moff)[:, 0]
-    ref = family_brute_force(sp, beta, sign, gamma, moff)
+    fused = planned_sums(sp, beta, STATS[sign], gamma)[:, 0]
+    ref = family_brute_force(sp, beta, sign, gamma)
     for f, r in zip(fused, ref, strict=True):
         assert f == pytest.approx(r, rel=1e-10, abs=0.0)
 
@@ -604,7 +613,7 @@ def test_direct_range_covers_every_sum(direct, temperature, monkeypatch):
     if direct:
         force_direct(monkeypatch)
     s0, s1, s2, _ = ladder_sums(sp, beta, Statistics.CANONICAL)
-    c = beta * beta * (s2 / s0 - (s1 / s0) ** 2)
+    c = s2 / s0 - (s1 / s0) ** 2
     levels = sp.energies(np.arange(400_000))
     assert beta * (levels[-1] - levels[1]) > 80.0
     w = np.exp(-beta * (levels - sp.e0))
@@ -727,7 +736,7 @@ def test_batched_lanes_match_single_lanes(kind, sign):
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     rng = np.random.default_rng(7)
     beta = np.geomspace(0.05, 400.0, 50)
-    moff = rng.uniform(-0.5, 0.5, 50)
+    rng.uniform(size=50)  # the gammas below are the stream's draws after these 50
     if kind == BOLTZ_KIND:
         gamma = np.zeros(50)
     elif sign == FERMI:
@@ -736,12 +745,12 @@ def test_batched_lanes_match_single_lanes(kind, sign):
     else:
         gamma = 10.0 ** rng.uniform(-7.0, 1.0, 50)
     with reading() as work:
-        batch = offset_sums(sp, beta, STATS[sign], gamma, moff)
+        batch = planned_sums(sp, beta, STATS[sign], gamma)
     assert 0 < work["tail_lanes"] < 50  # some lanes closed, the others stopped
     assert (work["sea_lanes"] > 0) == (sign == FERMI)
     assert all(s.shape == (50,) for s in batch)
     for i in range(50):
-        one = offset_sums(sp, beta[i], STATS[sign], gamma[i], moff[i])[:, 0]
+        one = planned_sums(sp, beta[i], STATS[sign], gamma[i])[:, 0]
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
 
@@ -761,9 +770,9 @@ def test_sea_ending_just_past_the_first_block_matches_brute_force():
     n_em, sea, _ = ladder._direct_range(sp, np.full(4, beta), gamma, Statistics.FERMI_DIRAC, 0)
     assert (sea - first).tolist() == [1, 2, 3, 4]
     assert (n_em > sea).all()
-    batch = offset_sums(sp, beta, Statistics.FERMI_DIRAC, gamma, 0.2)
+    batch = planned_sums(sp, beta, Statistics.FERMI_DIRAC, gamma)
     for i, g in enumerate(gamma):
-        ref = family_brute_force(sp, beta, FERMI, g, 0.2)
+        ref = family_brute_force(sp, beta, FERMI, g)
         for b, r in zip(batch, ref, strict=True):
             assert b[i] == pytest.approx(r, rel=1e-10, abs=0.0)
 
@@ -824,10 +833,10 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
         n_em, _, stop = ladder._direct_range(sp, np.array([beta]), np.array([gamma]),
                                              STATS[sign], 0)
         assert first < stop[0] < n_em[0]
-        sums = offset_sums(sp, beta, STATS[sign], gamma, 0.1)[:, 0]
+        sums = planned_sums(sp, beta, STATS[sign], gamma)[:, 0]
         if kind == BOLTZ_KIND:
-            ref = brute_force(sp, beta, kind, sign, gamma, 0.1, powers=BOLTZ_POWERS)
+            ref = brute_force(sp, beta, kind, sign, gamma, powers=BOLTZ_POWERS)
         else:
-            ref = family_brute_force(sp, beta, sign, gamma, 0.1)
+            ref = family_brute_force(sp, beta, sign, gamma)
         for h, r in zip(sums, ref, strict=True):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)

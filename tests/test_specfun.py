@@ -319,6 +319,15 @@ class TestAiryZeros:
         with pytest.raises(DomainError):
             sf.airy_zero(0)
 
+    @pytest.mark.parametrize("n", [3, 100])
+    @pytest.mark.parametrize("kind", ["function", "derivative", 0, None])
+    def test_kind_that_is_not_a_member_rejected(self, n, kind):
+        # an AiryZeroKind only: airy_zero(100, "function") gave the Ai' zero
+        # -60.2533 (the Ai zero is -60.4556), and airy_zero(3, "function")
+        # raised KeyError
+        with pytest.raises(DomainError, match="AiryZeroKind"):
+            sf.airy_zero(n, kind)
+
 
 class TestLambertW:
     def test_fixed_points(self):
@@ -344,6 +353,32 @@ class TestLambertW:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             sf.lambert_w(-0.1)
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize("bad", [True, False, "3", "1", np.bool_(True),
+                                     np.array([True, False]), np.array(["1.0"])],
+                             ids=["True", "False", "text-3", "text-1", "numpy-bool",
+                                  "bool-array", "text-array"])
+    def test_bools_and_text_rejected(self, bad):
+        # lambert_w(True) gave W(1), lambert_w("3") 1.0499, and airy("1") and
+        # airy(True) Ai(1) and Ai'(1); beta's check took "3" as 3
+        for fn in (sf.airy, sf._check_beta):
+            with pytest.raises(DomainError, match="not a bool or text"):
+                fn(bad)
+        with pytest.raises(DomainError, match="finite real number"):
+            sf.lambert_w(bad)
+
+    def test_numpy_numbers_accepted(self):
+        assert sf.lambert_w(np.float64(3.0)) == sf.lambert_w(np.int64(3)) == sf.lambert_w(3.0)
+        assert sf.airy(np.float32(1.0)) == sf.airy(1.0) == sf.airy(1)
+        ai, aip = sf.airy(np.array([1, 2], dtype=np.int32))
+        assert ai.tolist() == [sf.airy(1.0)[0], sf.airy(2.0)[0]]
+        assert aip.tolist() == [sf.airy(1.0)[1], sf.airy(2.0)[1]]
+
+    def test_lambert_w_takes_a_scalar(self):
+        with pytest.raises(DomainError, match="finite real number"):
+            sf.lambert_w(np.array([3.0]))
 
     def test_against_mpmath_over_the_float_range(self, monkeypatch):
         # W to 2.5e-16 relative from 1e-300 to 1.7e308, where w e^w would
