@@ -18,7 +18,7 @@ from . import _work
 from .errors import DomainError, SolverError
 from .ladder import Statistics, ladder_sums
 from .spectrum import Spectrum, WallKind, WallSpec, build_spectrum
-from .specfun import _check_beta
+from .specfun import _check_real
 
 __all__ = [
     "ThermoPoint",
@@ -58,18 +58,22 @@ class ExtremumReport:
 
 
 def _checked(p: ThermoPoint, what: Callable[[int], str]) -> ThermoPoint:
-    """The finished batch ``p`` with every failed lane NaN in all its values:
-    a lane with a message, and a lane whose <E>, c or dc/d ln beta is not
-    finite, which gets one naming it by ``what(lane)``."""
+    """The finished batch ``p``, n0 clipped to 1, with every failed lane NaN
+    in all its values: a lane with a message, and a lane whose <E>, c or
+    dc/d ln beta is not finite or whose n0 lies outside [0, 1 + 1e-9],
+    which gets one naming it by ``what(lane)``."""
     values = (p.mean_energy, p.heat_capacity, p.heat_capacity_slope)
     bad = ~np.isfinite(values).all(axis=0)
+    off = bad if p.n0 is None else bad | ~((p.n0 >= 0.0) & (p.n0 <= 1.0 + 1e-9))
     errors = tuple(e or (f"{what(i)}: <E> = {values[0][i]}, c = {values[1][i]} and "
-                         f"dc/d ln beta = {values[2][i]} are not finite" if bad[i] else None)
-                   for i, e in enumerate(p.errors))
+                         f"dc/d ln beta = {values[2][i]} are not finite" if bad[i] else
+                         f"{what(i)}: ground occupation n0 = {p.n0[i]} lies outside [0, 1]")
+                   if off[i] else e for i, e in enumerate(p.errors))
     failed = np.array([e is not None for e in errors])
+    # the clip takes off the last-ulp overshoot of a full condensate
     return replace(p, errors=errors, **{f: np.where(failed, np.nan, getattr(p, f)) for f in (
-        "mean_energy", "heat_capacity", "mu", "n0", "heat_capacity_slope")
-        if getattr(p, f) is not None})
+        "mean_energy", "heat_capacity", "mu", "heat_capacity_slope") if getattr(p, f) is not None},
+        n0=None if p.n0 is None else np.minimum(np.where(failed, np.nan, p.n0), 1.0))
 
 
 def _canonical(spectrum: Spectrum, beta: np.ndarray) -> ThermoPoint:
@@ -94,9 +98,7 @@ def universal_dn_curve(y: float, kind: WallKind) -> tuple[float, float]:
     y = beta F^(2/3) > 0, on which both depend alone."""
     if kind not in (WallKind.DIRICHLET, WallKind.NEUMANN):
         raise DomainError(f"universal curve is defined for Dirichlet/Neumann, got {kind}")
-    if np.ndim(y):
-        raise DomainError(f"universal curve takes a scalar y, got shape {np.shape(y)}")
-    p = _canonical(build_spectrum(WallSpec(kind, 1.0)), np.array([_check_beta(y)]))
+    p = _canonical(build_spectrum(WallSpec(kind, 1.0)), np.array([_check_real(y, "y")]))
     if p.errors[0]:
         raise SolverError(p.errors[0])
     return float(p.mean_energy[0]), float(p.heat_capacity[0])
@@ -145,14 +147,15 @@ def find_extrema(beta_grid: Sequence, c_grid: Sequence, slope_grid: Sequence,
                  fn: Callable[[np.ndarray, np.ndarray], tuple[Sequence[float], Sequence[float]]]
                  ) -> ExtremumReport | tuple[ExtremumReport, ...]:
     """The ``ExtremumReport`` of a scan, or a tuple of them for scans as rows,
-    from c and dc/d ln beta on a strictly monotone ``beta_grid`` of at least
-    3 points (else DomainError).  Neighbours whose slopes change sign
+    from finite c and dc/d ln beta on a strictly monotone ``beta_grid`` of at
+    least 3 points (else DomainError).  Neighbours whose slopes change sign
     bracket an extremum, refined by ``_refine`` in ln beta, all in lockstep:
     a pass is one call ``fn(beta, rows)`` returning (c, dc/d ln beta) at the
     points of every open refinement.
     """
-    betas, cs = np.asarray(beta_grid, dtype=float), np.asarray(c_grid, dtype=float)
-    slopes = np.asarray(slope_grid, dtype=float)
+    betas = np.asarray(_check_real(beta_grid, "beta_grid", ndim=2))
+    cs, slopes = (np.asarray(_check_real(a, what, ndim=2, sign=None))
+                  for a, what in ((c_grid, "c_grid"), (slope_grid, "slope_grid")))
     if betas.ndim not in (1, 2) or betas.shape[-1] < 3:
         raise DomainError("beta_grid must be monotone with at least 3 points")
     d = np.diff(np.atleast_2d(betas))

@@ -45,7 +45,7 @@ from .errors import DomainError, SolverError
 from .ladder import Statistics, _Plan, _sums, ladder_sums
 from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
 from .spectrum import Spectrum
-from .specfun import _SQRT_PI, _bose_g, _check_beta, _check_index, _check_member, _newton_root
+from .specfun import _SQRT_PI, _bose_g, _check_index, _check_member, _check_real, _newton_root
 
 __all__ = [
     "Statistics",
@@ -225,8 +225,20 @@ class _Evaluator:
             # mu between E_0 - hi/beta and E_N + pad/beta, hi = pad past the
             # Boltzmann continuum's root gamma = ln(A/N) where that is > 0 (hot fermions)
             pad = 50.0 + np.log(n + 2.0)
-            lo = -(beta * (sp.energies(n) - sp.e0) + pad)
+            with np.errstate(over="ignore"):
+                lo = -(beta * (sp.energies(n) - sp.e0) + pad)
             hi = pad + np.maximum(_ln_weight(sp.wall.field, beta) - np.log(n), 0.0)
+            # a lane whose bracket leaves the float range fails unsolved, and
+            # the others solve as a batch of their own
+            wild = np.isinf(lo)
+            if wild.any():
+                q = None if wild.all() else self(beta[~wild], cells[~wild])
+                at, done = np.cumsum(~wild) - 1, iter(q.errors if q else ())  # places in q
+                return ThermoPoint(beta, errors=tuple(
+                    f"fd state at beta={b}, N={m}: its mu bracket beta (E_N - E_0) leaves the "
+                    "float range" if w else next(done) for b, m, w in zip(beta, n, wild)), **{
+                    f: np.where(wild, np.nan, getattr(q, f)[at] if q else np.nan)
+                    for f in ("mean_energy", "heat_capacity", "mu", "heat_capacity_slope")})
         start = self._starts(beta, cells)
         cold = np.isnan(start)
         _work.counts.update(batches=1, batch_lanes=len(beta), cold_lanes=int(cold.sum()))
@@ -265,15 +277,8 @@ class _Evaluator:
             # du/d ln beta from dgamma/d ln beta = min(gamma, 0) - D_1/D_0
             du = np.where(d0 > 0.0, low - a, 0.0) / (gamma if log_space else 1.0)
         mu = e0 - gamma / beta
-        n0 = None
-        if log_space:
-            n0 = 1.0 / np.expm1(gamma) / n
-            # gamma, not mu - E_0: deep in a condensate mu rounds to E_0
-            for i in ((gamma <= 0.0) | (n0 < 0.0) | (n0 > 1.0 + 1e-9)).nonzero()[0]:
-                errors[i] = errors[i] or (f"bose state at beta={beta[i]}, N={n[i]} with "
-                                          f"gamma = beta (E_0 - mu) = {gamma[i]} and ground "
-                                          f"occupation {n0[i]} (need gamma > 0, n0 in [0, 1])")
-            n0 = np.minimum(n0, 1.0)  # clip the last-ulp overshoot of a full condensate
+        # n0 from gamma, not mu - E_0: deep in a condensate mu rounds to E_0
+        n0 = 1.0 / np.expm1(gamma) / n if log_space else None
         p = _checked(ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope),
                      lambda i: f"{self.statistics.value} state at beta={beta[i]}, N={n[i]}")
         ok = np.array([e is None for e in p.errors])
@@ -301,7 +306,7 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
     meets N to _N_RESIDUAL, and a Bose one has gamma = beta (E_0 - mu) > 0
     and n0 in [0, 1].  A batch gives arrays, a failed lane NaN with its
     message in ``errors``; a scalar gives floats, or raises SolverError."""
-    beta = _check_beta(beta)
+    beta = _check_real(beta, "beta", ndim=1)
     lanes = np.ravel(beta)
     p = _evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
     if np.ndim(beta) > 0:

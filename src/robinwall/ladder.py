@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _work
 from .errors import DomainError, SolverError
-from .specfun import _check_beta, _check_index, _check_member
+from .specfun import _check_index, _check_member, _check_real
 from .spectrum import Spectrum
 
 __all__ = ["Statistics", "ladder_sums"]
@@ -285,17 +285,17 @@ def _blocks(lanes: np.ndarray, width: int) -> list[np.ndarray]:
 
 
 class _Plan:
-    """The node sets of a batch of lanes ``beta`` planned at ``gamma``:
-    ``sets`` holds (rows, d, w), the batch rows served with a row each of
-    energies above E_0 and weights: the root block [start_index, closure
-    floor), the tail and sea closures, and the direct windows.  Lane i's
-    sets hold while its gamma stays within ``reach[i]`` of ``gamma[i]``
+    """The node sets of a checked 1-D batch of lanes ``beta`` planned at
+    ``gamma``: ``sets`` holds (rows, d, w), the batch rows served with a row
+    each of energies above E_0 and weights: the root block [start_index,
+    closure floor), the tail and sea closures, and the direct windows.  Lane
+    i's sets hold while its gamma stays within ``reach[i]`` of ``gamma[i]``
     (for bosons, above ``gamma[i] - reach[i]``)."""
 
     def __init__(self, spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
                  statistics: Statistics, start_index: int = 0) -> None:
         self.spectrum, self.statistics, self.start_index = spectrum, statistics, start_index
-        self.beta, self.gamma = beta, gamma = _check_beta(beta), np.array(gamma, dtype=float)
+        self.beta, self.gamma = beta, gamma = beta, np.array(gamma, dtype=float)
         n, e0, first = len(beta), spectrum.e0, _closure_floor(spectrum)
         _work.counts.update(plans=1, plan_lanes=n)
         n_em, sea, stop = _direct_range(spectrum, beta, gamma, statistics, start_index)
@@ -385,9 +385,7 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     if start_index >= spectrum.n_exact:
         raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
                           f"got {start_index!r}")
-    beta, g = _check_beta(beta), np.asarray(gamma, dtype=float)
-    if g.ndim > 1 or not (g.size and np.isfinite(g).all()):
-        raise DomainError(f"gamma must be finite, a scalar or 1-D and not empty, got {gamma!r}")
+    beta, g = _check_real(beta, "beta", ndim=1), _check_real(gamma, "gamma", ndim=1, sign=None)
     shape = np.broadcast(beta, g).shape
     beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, g))
     sums = _sums(_Plan(spectrum, beta, gamma, statistics, start_index),

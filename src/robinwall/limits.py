@@ -18,7 +18,7 @@ import numpy as np
 from .canonical import ThermoPoint
 from .errors import DomainError
 from .ladder import Statistics
-from .specfun import _SQRT_PI, _check_beta, _check_field, _check_index, lambert_w
+from .specfun import _SQRT_PI, _check_index, _check_real, lambert_w
 
 if TYPE_CHECKING:
     from .grand_canonical import EnsembleSpec
@@ -34,7 +34,7 @@ WEAK_FIELD_MAX = 1e-2          # the largest field of the weak-field forms
 def _check_weak(field: float, beta: float | None = None) -> float:
     """``field`` as float; DomainError unless 0 < F <= WEAK_FIELD_MAX and,
     with ``beta``, beta F^(2/3) <= 0.1."""
-    field = _check_field(field)
+    field = _check_real(field, "field")
     if field > WEAK_FIELD_MAX:
         raise DomainError(
             f"weak-field asymptotics require 0 < field <= {WEAK_FIELD_MAX}, got {field!r}")
@@ -75,7 +75,7 @@ def zero_field_attractive(beta: float) -> ThermoPoint:
         <E> = p/(2 beta) - (1-p),   c = p [(beta^2 + beta)(1-p) + 3/4 - p/4],
 
     and dc/d ln beta exact from dp/d ln beta = -p (1-p)(beta + 1/2)."""
-    beta = _check_beta(beta)
+    beta = _check_real(beta, "beta")
     q = _SQRT_2PI / math.sqrt(beta) * math.exp(-beta)
     p, level = q / (1.0 + q), 1.0 / (1.0 + q)
     e = 0.5 * p / beta - level
@@ -108,7 +108,7 @@ def weak_field_composite(beta: float, field: float) -> tuple[float, float]:
     u = e^beta / (2A); <E> in 1/u where u > 1, and past u = e^250 c is its
     limit (4 beta^2 + 12 beta + 15)/(8u), in logs.
     """
-    beta = _check_beta(beta)
+    beta = _check_real(beta, "beta")
     field = _check_weak(field, beta)
     ln_u = beta - _ln_weight(field, beta) - _LN2
     v = math.exp(-abs(ln_u))  # u, or 1/u where u > 1
@@ -151,7 +151,7 @@ def asymptotic_mu_cn(beta: float, field: float,
     """
     if ensemble.statistics is Statistics.CANONICAL:
         raise DomainError("asymptotic_mu_cn needs a grand-canonical ensemble")
-    beta = _check_beta(beta)
+    beta = _check_real(beta, "beta")
     field = _check_weak(field, beta)
     n = float(ensemble.n_particles)
     ln_a = _ln_weight(field, beta)
@@ -169,7 +169,7 @@ def asymptotic_mu_cn(beta: float, field: float,
 def asymptotic_beta_cr(field: float, n_particles: int) -> float:
     """Weak-field condensation threshold
     beta_cr = (3/2) W(4^(2/3) / (6 pi^(1/3) (N F)^(2/3)))."""
-    field = _check_field(field)
+    field = _check_real(field, "field")
     n = _check_index(n_particles, 1, "n_particles")
     arg = 4.0 ** (2.0 / 3.0) / (6.0 * math.pi ** (1.0 / 3.0)
                                 * (n * field) ** (2.0 / 3.0))

@@ -1,8 +1,8 @@
 """Real-argument special functions, self-contained: Airy Ai and Ai' and
 their negative zeros, the principal branch of Lambert W on x >= 0, the Bose
 functions g_{3/2} and g_{1/2}, the package's one root solver
-(``_newton_root``), and the checks shared by every index, count, field and
-inverse temperature of the package.
+(``_newton_root``), and the checks shared by every index, count and real
+argument of the package.
 
 Each element of an Airy argument goes to one branch, each a power sum
 (``_series``), summed in a fixed order, so an element of an array call
@@ -49,49 +49,36 @@ _TABLE_STEP = 0.25
 _TAYLOR_TERMS = 24
 
 
-def _is_real(value) -> bool:
-    """A real number that is not a bool (which ``numbers.Real`` takes in)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_index(value, minimum: int, what: str) -> int:
-    """An index or count as int; DomainError unless an integer >= minimum."""
-    if not (_is_real(value) and math.isfinite(value)
-            and value == int(value) >= minimum):
+    """An index or count as int; DomainError unless an integer >= minimum
+    (a number, not a bool, which ``numbers.Real`` takes in)."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value == int(value) >= minimum):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
-def _check_field(field: float) -> float:
-    """A field as float; DomainError unless a finite real number > 0 (zero
-    field has the closed forms of ``limits``)."""
-    if not (_is_real(field) and math.isfinite(field) and field > 0.0):
-        raise DomainError(f"field must be a finite real number > 0, got {field!r}")
-    return float(field)
-
-
-def _real_array(x, what: str) -> np.ndarray:
-    """x as a float array; DomainError unless numbers, not bools or text."""
-    if np.asarray(x).dtype.kind not in "iuf":
-        raise DomainError(f"{what} must be real numbers, not a bool or text, got {x!r}")
-    return np.asarray(x, dtype=float)
+def _check_real(x, what: str, *, ndim: int = 0, sign: str | None = "> 0"):
+    """``x`` as a float, or a float array where up to ``ndim`` dimensions
+    are allowed (then not empty); DomainError unless real numbers, not bools
+    or text, each finite and of ``sign`` ("> 0", ">= 0" or None: any)."""
+    a = np.asarray(x)
+    if ndim and (a.ndim > ndim or not a.size):
+        raise DomainError(f"expected a non-empty, at most {ndim}-D {what}, got shape {a.shape}")
+    # numpy reads the bools of a list of numbers as numbers: [0.5, True] is float
+    mixed = a.ndim and not isinstance(x, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
+    if mixed or not (a.dtype.kind in "iuf" and a.ndim <= ndim and np.isfinite(a).all()
+                     and (sign is None or (a > 0.0 if sign == "> 0" else a >= 0.0).all())):
+        raise DomainError(f"{what} must be a finite real number{' ' + sign if sign else ''}, "
+                          f"not a bool or text, got {x!r}")
+    return float(a) if a.ndim == 0 else np.asarray(a, dtype=float)
 
 
 def _check_member(value, kind: type[enum.Enum]) -> None:
     """DomainError unless ``value`` is a member of the enum ``kind``."""
     if not isinstance(value, kind):
         raise DomainError(f"expected a {kind.__name__} value, got {value!r}")
-
-
-def _check_beta(beta: float | np.ndarray) -> float | np.ndarray:
-    """beta as a float, or a 1-D float array for a batch; DomainError unless
-    real numbers (``_real_array``), at most 1-D, each finite and > 0."""
-    b = _real_array(beta, "beta")
-    if not (b.size and (np.isfinite(b) & (b > 0.0)).all()):
-        raise DomainError(f"beta must be finite and > 0, got {beta!r}")
-    if b.ndim > 1:
-        raise DomainError(f"expected a scalar or 1-D beta, got shape {b.shape}")
-    return float(b) if b.ndim == 0 else b
 
 
 class AiryZeroKind(enum.Enum):
@@ -214,13 +201,10 @@ def airy(x):
     """(Ai(x), Ai'(x)) for a float, as floats, or an array, in its shape,
     each element its scalar call bit for bit; within 1e-12 of scipy
     (TestAiry); (0.0, -0.0) once zeta > 700.  DomainError for an element
-    that is not a finite number (``_real_array``).
+    that is not a finite real number, or no element (``_check_real``).
     """
-    arr = _real_array(x, "airy: argument")
+    arr = np.asarray(_check_real(x, "airy: argument", ndim=np.ndim(x), sign=None))  # any shape
     lanes = arr.ravel()
-    bad = ~np.isfinite(lanes)
-    if bad.any():
-        raise DomainError(f"airy: argument must be finite, got {float(lanes[bad][0])!r}")
     ai, aip = _airy_pair(lanes)
     pos = lanes > _ASYM_SWITCH  # the scaled lanes
     zeta = _TWO_THIRDS * lanes[pos] ** 1.5
@@ -358,9 +342,7 @@ def lambert_w(x: float) -> float:
     Comput. Math. 5, 329 (1996)).  DomainError unless x is a finite real
     scalar >= 0; SolverError unless |w e^w - x| / x <= 1e-12.
     """
-    if not (_is_real(x) and math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"lambert_w: argument must be a finite real number >= 0, got {x!r}")
-    x = float(x)
+    x = _check_real(x, "lambert_w: argument", sign=">= 0")
     if x == 0.0:
         return 0.0
     top = math.log1p(x)

@@ -27,8 +27,8 @@ from .specfun import (
     AiryZeroKind,
     _airy_pair,
     _airy_zeros,
-    _check_field,
     _check_index,
+    _check_real,
     _polished_roots,
 )
 
@@ -79,7 +79,7 @@ class WallSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, WallKind):
             raise DomainError(f"WallSpec: kind must be a WallKind, got {self.kind!r}")
-        object.__setattr__(self, "field", _check_field(self.field))
+        object.__setattr__(self, "field", _check_real(self.field, "field"))
 
     @property
     def lam(self) -> int | None:
@@ -110,8 +110,9 @@ class TailLaw:
 
     def index(self, e):
         """The real m with energy(m) == e (the lower end, E = shift, for an e
-        below it)."""
-        a = (np.maximum(np.asarray(e, dtype=float) - self.shift, 0.0) / self.tau) ** 1.5
+        below it; inf past the float range)."""
+        with np.errstate(over="ignore"):
+            a = (np.maximum(np.asarray(e, dtype=float) - self.shift, 0.0) / self.tau) ** 1.5
         return (a + self.k_off) / 4.0 - self.j0
 
     def spacing_index(self, g):

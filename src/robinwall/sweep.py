@@ -24,7 +24,7 @@ from .canonical import ExtremumReport, find_extrema
 from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
-from .specfun import _check_index, _is_real
+from .specfun import _check_index, _check_real
 from .spectrum import (DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, _check_n_exact,
                        build_spectrum)
 
@@ -63,11 +63,10 @@ class SweepSpec:
     n_exact: int = DEFAULT_N_EXACT
 
     def __post_init__(self) -> None:
-        lo, hi = self.beta_inv_min, self.beta_inv_max
-        if not (_is_real(lo) and _is_real(hi) and 0.0 < lo < hi < math.inf
-                and math.isfinite(1.0 / float(lo))):
-            raise DomainError("sweep grid needs real numbers 0 < beta_inv_min < beta_inv_max "
-                              f"< inf, with a finite 1/beta_inv_min; got {lo!r}, {hi!r}")
+        lo, hi = (_check_real(getattr(self, f), f) for f in ("beta_inv_min", "beta_inv_max"))
+        if not (lo < hi and math.isfinite(1.0 / lo)):
+            raise DomainError("sweep grid needs beta_inv_min < beta_inv_max, with a finite "
+                              f"1/beta_inv_min; got {self.beta_inv_min!r}, {self.beta_inv_max!r}")
         for name in ("log_grid", "normalize_by_tcr"):
             if not isinstance(getattr(self, name), bool):
                 raise DomainError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -312,10 +311,8 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
     if not 1 <= len(ensembles) == len(t_centers):
         raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
                           f"{len(t_centers)} for {len(ensembles)} ensembles")
-    if not all(math.isfinite(t) and t > 0.0 for t in t_centers):
-        raise DomainError(f"t_centers must be finite and > 0, got {list(t_centers)!r}")
     grids = np.exp([np.linspace(math.log(1.0 / (t * _SCAN_SPAN)), math.log(_SCAN_SPAN / t),
-                                _SCAN_POINTS) for t in t_centers])
+                                _SCAN_POINTS) for t in _check_real(t_centers, "t_centers", ndim=1)])
     c_fn = _c_or_raise(gc._evaluator(spectrum, ensembles))
     cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
     c, slope = (np.reshape(a, grids.shape) for a in c_fn(grids.ravel(), cells))

@@ -155,6 +155,51 @@ class TestNonFiniteStates:
         assert np.isnan(values[:, 0]).all() and np.isfinite(values[:, 1]).all()
 
 
+class TestLanesFailAlone:
+    def test_bracket_past_the_float_range(self):
+        # robin-, F = 1, N = 1e6: beta (E_N - E_0) overflows from beta ~ 6e303,
+        # and the plan of the mu bracket's end raised an uncaught OverflowError
+        # for the whole batch.  Such a lane fails unsolved with a message that
+        # names beta; the other lane is its state alone, bit for bit
+        sp, ens = attractive(1.0), EnsembleSpec(FD, 10 ** 6)
+        p, alone = thermo_point(sp, np.array([1e294, 1e306]), ens), thermo_point(sp, 1e294, ens)
+        fields = ("mean_energy", "heat_capacity", "mu", "heat_capacity_slope")
+        assert [getattr(p, f)[0] for f in fields] == [getattr(alone, f) for f in fields]
+        assert np.isnan([getattr(p, f)[1] for f in fields]).all()
+        assert p.errors[0] is None
+        assert p.errors[1] == ("fd state at beta=1e+306, N=1000000: its mu bracket "
+                               "beta (E_N - E_0) leaves the float range")
+        with pytest.raises(SolverError, match=re.escape(p.errors[1])):
+            thermo_point(sp, 1e306, ens)
+
+    def test_bose_ground_fraction_past_one(self, monkeypatch):
+        # a Bose lane whose n0 leaves [0, 1 + 1e-9] fails by the one check of a
+        # finished lane (canonical._checked), here lane 0 with its solved
+        # ln gamma moved down by 10, so that n0 ~ e^10; the other lane's n0 is
+        # clipped to 1 at most
+        solve = gc._solve_n
+
+        def low_gamma(*args):
+            payload, errors = solve(*args)
+            payload[0, 0] -= 10.0
+            return payload, errors
+
+        monkeypatch.setattr(gc, "_solve_n", low_gamma)
+        p = thermo_point(attractive(1e-3), np.array([2.0, 3.0]), EnsembleSpec(BE, 10))
+        assert p.errors[0].startswith("be state at beta=2.0, N=10: ground occupation n0 = ")
+        assert p.errors[0].endswith("lies outside [0, 1]")
+        assert np.isnan([p.mean_energy[0], p.heat_capacity[0], p.mu[0], p.n0[0]]).all()
+        assert p.errors[1] is None and 0.0 <= p.n0[1] <= 1.0
+
+    def test_ground_fraction_clipped_to_one(self):
+        ones = np.ones(4)
+        n0 = np.array([0.5, 1.0 + 1e-10, 1.0 + 1e-8, -1e-3])
+        p = can._checked(can.ThermoPoint(ones, ones, ones, ones, n0, (None,) * 4, ones),
+                         lambda i: f"lane {i}")
+        assert p.errors[:2] == (None, None) and None not in p.errors[2:]
+        assert p.n0[:2].tolist() == [0.5, 1.0] and np.isnan(p.n0[2:]).all()
+
+
 class TestSolveMu:
     def test_single_fermion_weak_field_closed_form(self):
         beta, field = 8.0, 1e-4
@@ -890,17 +935,22 @@ class TestNoSilentNan:
 
 class TestStateDomain:
     def test_hot_and_cold_states(self):
-        # 2,016 lanes: 4 walls x F in {1e-7, 1e-3, 1, 1e3} x the three
+        # 2,088 lanes: 4 walls x F in {1e-7, 1e-3, 1, 1e3} x the three
         # ensembles (N = 3 for FD and BE) at beta = 10^k, k = -150..-30 and
-        # 20..300 in steps of 10.  With the ladder's moments in units of kT
-        # every lane is a state: hot ones classical, |c - 3/2| <= 1e-9, cold
-        # ones frozen, c = dc/d ln beta = 0 (1,264 lanes failed with moments
-        # in energy units, multiplied back by beta^2 and beta^3)
-        beta = 10.0 ** np.concatenate([np.arange(-150, -29, 10), np.arange(20, 301, 10)])
-        hot, wrong = beta < 1.0, []
+        # 20..300 in steps of 10, and from F = 1e-3 on also k = -203 and -202,
+        # where the tail law's level index overflowed with a RuntimeWarning
+        # though the state is finite.  With the ladder's moments in units of
+        # kT every lane is a state: hot ones classical, |c - 3/2| <= 1e-9, cold
+        # ones frozen, c = dc/d ln beta = 0 (1,264 of the 2,016 lanes without
+        # k = -203, -202 failed with moments in energy units, multiplied back
+        # by beta^2 and beta^3)
+        grid = 10.0 ** np.concatenate([np.arange(-150, -29, 10), np.arange(20, 301, 10)])
+        wrong = []
         for kind in WallKind:
             for field in (1e-7, 1e-3, 1.0, 1e3):
                 sp = build_spectrum(WallSpec(kind, field))
+                beta = grid if field == 1e-7 else np.concatenate([[1e-203, 1e-202], grid])
+                hot = beta < 1.0
                 for ens in (EnsembleSpec(Statistics.CANONICAL, 1), EnsembleSpec(FD, 3),
                             EnsembleSpec(BE, 3)):
                     p = thermo_point(sp, beta, ens)

@@ -10,8 +10,15 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from robinwall import specfun as sf
+from robinwall.canonical import find_extrema, universal_dn_curve
 from robinwall.errors import DomainError, SolverError
+from robinwall.grand_canonical import EnsembleSpec, Statistics, thermo_point
+from robinwall.ladder import ladder_sums
+from robinwall.limits import (asymptotic_beta_cr, asymptotic_mu_cn, resonance_predictors,
+                              weak_field_composite, zero_field_attractive)
 from robinwall.specfun import AiryZeroKind
+from robinwall.spectrum import WallKind, WallSpec, build_spectrum
+from robinwall.sweep import SweepSpec, locate_peak
 
 AI0 = 0.35502805388781723926
 AIP0 = -0.25881940379280679840
@@ -355,26 +362,94 @@ class TestLambertW:
             sf.lambert_w(-0.1)
 
 
+@pytest.fixture(scope="module")
+def real_arguments():
+    """(what, call, good) for every real argument of the package: ``call(x)``
+    passes x as that argument, whose DomainError names it ``what``, and
+    ``good`` is a value it takes."""
+    wall = WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3)
+    spectrum = build_spectrum(wall)
+    canonical, fd = EnsembleSpec(Statistics.CANONICAL, 1), EnsembleSpec(Statistics.FERMI_DIRAC, 2)
+
+    def sweep(**bound):
+        return SweepSpec(wall, canonical, **{"beta_inv_min": 0.1, "beta_inv_max": 1.0, **bound},
+                         points=5)
+
+    def never(beta, rows):
+        raise AssertionError("find_extrema evaluated a grid it should have refused")
+
+    def scan(x):  # a grid of three or more points ending in the elements of x
+        return [1.0, 2.0, *np.ravel(x)], [0.0] * (2 + np.size(x)), [0.0] * (2 + np.size(x))
+
+    return [
+        ("airy: argument", sf.airy, 1.0),
+        ("lambert_w: argument", sf.lambert_w, 3.0),
+        ("beta", lambda x: thermo_point(spectrum, x), 2.0),
+        ("beta", lambda x: ladder_sums(spectrum, x, Statistics.FERMI_DIRAC), 2.0),
+        ("gamma", lambda x: ladder_sums(spectrum, 1.0, Statistics.FERMI_DIRAC, gamma=x), -1.0),
+        ("field", lambda x: WallSpec(WallKind.ROBIN_ATTRACTIVE, x), 1.0),
+        ("field", resonance_predictors, 1e-3),
+        ("field", lambda x: asymptotic_beta_cr(x, 10), 1e-3),
+        ("beta_inv_min", lambda x: sweep(beta_inv_min=x), 0.5),
+        ("beta_inv_max", lambda x: sweep(beta_inv_max=x), 2.0),
+        ("t_centers", lambda x: locate_peak(spectrum, [canonical] * np.size(x), list(np.ravel(x))),
+         0.5),
+        ("beta_grid", lambda x: find_extrema(*scan(x), never), 4.0),
+        ("y", lambda x: universal_dn_curve(x, WallKind.NEUMANN), 1.0),
+        ("beta", zero_field_attractive, 2.0),
+        ("beta", lambda x: weak_field_composite(x, 1e-3), 2.0),
+        ("beta", lambda x: asymptotic_mu_cn(x, 1e-3, fd), 2.0),
+    ]
+
+
 class TestRealArguments:
     @pytest.mark.parametrize("bad", [True, False, "3", "1", np.bool_(True),
                                      np.array([True, False]), np.array(["1.0"])],
                              ids=["True", "False", "text-3", "text-1", "numpy-bool",
                                   "bool-array", "text-array"])
-    def test_bools_and_text_rejected(self, bad):
-        # lambert_w(True) gave W(1), lambert_w("3") 1.0499, and airy("1") and
-        # airy(True) Ai(1) and Ai'(1); beta's check took "3" as 3
-        for fn in (sf.airy, sf._check_beta):
-            with pytest.raises(DomainError, match="not a bool or text"):
-                fn(bad)
-        with pytest.raises(DomainError, match="finite real number"):
-            sf.lambert_w(bad)
+    def test_bools_and_text_rejected(self, bad, real_arguments):
+        # one check, specfun._check_real, for every real argument: lambert_w(True)
+        # gave W(1), airy("1") Ai(1), gamma "3" and True summed at 3 and 1,
+        # t_centers [True] scanned about T = 1, and a beta_grid of text passed
+        for what, call, _ in real_arguments:
+            with pytest.raises(DomainError, match=re.escape(what) + ".* not a bool or text"):
+                call(bad)
 
-    def test_numpy_numbers_accepted(self):
-        assert sf.lambert_w(np.float64(3.0)) == sf.lambert_w(np.int64(3)) == sf.lambert_w(3.0)
-        assert sf.airy(np.float32(1.0)) == sf.airy(1.0) == sf.airy(1)
+    def test_numpy_numbers_accepted(self, real_arguments):
+        # numpy numbers are numbers: each gives the result of its float, and an
+        # integer one that of its int
+        for what, call, good in real_arguments:
+            assert call(np.float64(good)) == call(good), what
+            if good == int(good):
+                assert call(np.int64(good)) == call(int(good)) == call(good), what
         ai, aip = sf.airy(np.array([1, 2], dtype=np.int32))
         assert ai.tolist() == [sf.airy(1.0)[0], sf.airy(2.0)[0]]
         assert aip.tolist() == [sf.airy(1.0)[1], sf.airy(2.0)[1]]
+
+    def test_inputs_let_through_before_are_rejected(self):
+        # each was taken, or raised another error (a hang for the infinite grid)
+        spectrum = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+        canonical = [EnsembleSpec(Statistics.CANONICAL, 1)]
+        for call in (lambda: ladder_sums(spectrum, 1.0, Statistics.FERMI_DIRAC, gamma="3"),
+                     lambda: ladder_sums(spectrum, 1.0, Statistics.FERMI_DIRAC, gamma=True),
+                     lambda: locate_peak(spectrum, canonical, [True]),
+                     lambda: locate_peak(spectrum, canonical, ["1"]),
+                     lambda: locate_peak(spectrum, canonical * 2, [0.3, True]),
+                     lambda: zero_field_attractive(np.array([1.0, 2.0])),
+                     lambda: weak_field_composite(np.array([1.0, 2.0]), 1e-3),
+                     lambda: asymptotic_mu_cn(np.array([1.0, 2.0]), 1e-3,
+                                              EnsembleSpec(Statistics.FERMI_DIRAC, 2))):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("grid", [[1.0, 2.0, np.inf], [1.0, 2.0, 0.0], ["1", "2", "3"],
+                                      [1.0, 2.0, True]], ids=["inf", "zero", "text", "bool"])
+    def test_bad_beta_grid_rejected_before_any_evaluation(self, grid):
+        def never(beta, rows):
+            raise AssertionError("find_extrema evaluated a grid it should have refused")
+
+        with pytest.raises(DomainError, match="beta_grid"):
+            find_extrema(grid, [1.0, 2.0, 1.0], [1.0, -1.0, 1.0], never)
 
     def test_lambert_w_takes_a_scalar(self):
         with pytest.raises(DomainError, match="finite real number"):

@@ -148,8 +148,8 @@ class TestSweepSpec:
                       beta_inv_max=1.0, points=1)
 
     @pytest.mark.parametrize("bad, message", [
-        (dict(beta_inv_max="2"), "sweep grid needs real numbers"),
-        (dict(beta_inv_max=True), "sweep grid needs real numbers"),
+        (dict(beta_inv_max="2"), "beta_inv_max must be a finite real number"),
+        (dict(beta_inv_max=True), "beta_inv_max must be a finite real number"),
         (dict(log_grid="no"), "log_grid must be a bool"),
         (dict(normalize_by_tcr=None), "normalize_by_tcr must be a bool"),
     ], ids=["bound-text", "bound-bool", "flag-text", "flag-none"])
@@ -299,7 +299,7 @@ class TestSerialization:
         # was taken as it came, true as 1 and "false" as a true flag
         ("spec", lambda d: d.update(particles=True), "n_particles must be an integer"),
         ("spec", lambda d: d.update(field=True), "field must be a finite real number"),
-        ("spec", lambda d: d.update(beta_inv_max=True), "sweep grid needs real numbers"),
+        ("spec", lambda d: d.update(beta_inv_max=True), "beta_inv_max must be a finite real number"),
         ("spec", lambda d: d.update(log_grid="false"), "log_grid must be a bool"),
         ("spec", lambda d: d.update(normalize_by_tcr=0), "normalize_by_tcr must be a bool"),
     ], ids=["spec-ensemble-key", "spec-key", "spec-extra", "spec-n-exact", "spec-outputs",
