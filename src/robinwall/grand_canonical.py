@@ -214,6 +214,10 @@ class _Evaluator:
 
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
         sp, n = self.spectrum, self.n[cells]
+
+        def what(i: int) -> str:
+            return f"{self.statistics.value} state at beta={beta[i]}, N={n[i]}"
+
         log_space = self.statistics is Statistics.BOSE_EINSTEIN
         pm = -1.0 if log_space else 1.0  # the sign of e^x +- 1
         if log_space:
@@ -232,13 +236,14 @@ class _Evaluator:
             # the others solve as a batch of their own
             wild = np.isinf(lo)
             if wild.any():
-                q = None if wild.all() else self(beta[~wild], cells[~wild])
-                at, done = np.cumsum(~wild) - 1, iter(q.errors if q else ())  # places in q
-                return ThermoPoint(beta, errors=tuple(
-                    f"fd state at beta={b}, N={m}: its mu bracket beta (E_N - E_0) leaves the "
-                    "float range" if w else next(done) for b, m, w in zip(beta, n, wild)), **{
-                    f: np.where(wild, np.nan, getattr(q, f)[at] if q else np.nan)
-                    for f in ("mean_energy", "heat_capacity", "mu", "heat_capacity_slope")})
+                vals = np.full((4, len(beta)), np.nan)  # <E>, c, mu, dc/d ln beta
+                errors = np.array([f"{what(i)}: its mu bracket beta (E_N - E_0) leaves the "
+                                   "float range" for i in range(len(beta))], dtype=object)
+                if not wild.all():
+                    q = self(beta[~wild], cells[~wild])
+                    vals[:, ~wild] = q.mean_energy, q.heat_capacity, q.mu, q.heat_capacity_slope
+                    errors[~wild] = q.errors
+                return _checked(ThermoPoint(beta, *vals[:3], None, tuple(errors), vals[3]), what)
         start = self._starts(beta, cells)
         cold = np.isnan(start)
         _work.counts.update(batches=1, batch_lanes=len(beta), cold_lanes=int(cold.sum()))
@@ -279,8 +284,7 @@ class _Evaluator:
         mu = e0 - gamma / beta
         # n0 from gamma, not mu - E_0: deep in a condensate mu rounds to E_0
         n0 = 1.0 / np.expm1(gamma) / n if log_space else None
-        p = _checked(ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope),
-                     lambda i: f"{self.statistics.value} state at beta={beta[i]}, N={n[i]}")
+        p = _checked(ThermoPoint(beta, energy, c, mu, n0, tuple(errors), c_slope), what)
         ok = np.array([e is None for e in p.errors])
         for k in set(cells[ok].tolist()):
             new = ok & (cells == k)

@@ -26,6 +26,7 @@ table step from a node (test_series_cut_below_double_precision).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 import numbers
@@ -49,11 +50,14 @@ _TABLE_STEP = 0.25
 _TAYLOR_TERMS = 24
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (which ``numbers.Real`` takes in)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_index(value, minimum: int, what: str) -> int:
-    """An index or count as int; DomainError unless an integer >= minimum
-    (a number, not a bool, which ``numbers.Real`` takes in)."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value == int(value) >= minimum):
+    """An index or count as int; DomainError unless an integer >= minimum."""
+    if not (_is_real(value) and math.isfinite(value) and value == int(value) >= minimum):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -63,15 +67,21 @@ def _check_real(x, what: str, *, ndim: int = 0, sign: str | None = "> 0"):
     are allowed (then not empty); DomainError unless real numbers, not bools
     or text, each finite and of ``sign`` ("> 0", ">= 0" or None: any)."""
     a = np.asarray(x)
-    if ndim and (a.ndim > ndim or not a.size):
-        raise DomainError(f"expected a non-empty, at most {ndim}-D {what}, got shape {a.shape}")
-    # numpy reads the bools of a list of numbers as numbers: [0.5, True] is float
-    mixed = a.ndim and not isinstance(x, np.ndarray) and any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
-    if mixed or not (a.dtype.kind in "iuf" and a.ndim <= ndim and np.isfinite(a).all()
-                     and (sign is None or (a > 0.0 if sign == "> 0" else a >= 0.0).all())):
+    if a.dtype.kind == "O" or a.ndim and not isinstance(x, np.ndarray):
+        # numpy reads the bools of a list of numbers as numbers ([0.5, True] is
+        # float) and keeps an int past int64 or a Fraction as an object
+        items = np.asarray(x, dtype=object)
+        real = all(_is_real(np.asarray(v).item()) for v in items.flat)  # a 0-d array too
+        with contextlib.suppress(OverflowError):  # past the float range it is not finite
+            a = items.astype(float) if real else items
+    if not (a.dtype.kind in "iuf" and np.isfinite(a).all()
+            and (sign is None or (a > 0.0 if sign == "> 0" else a >= 0.0).all())):
         raise DomainError(f"{what} must be a finite real number{' ' + sign if sign else ''}, "
                           f"not a bool or text, got {x!r}")
+    if a.ndim > ndim or not a.size:
+        shape = f"a non-empty, at most {ndim}-D" if ndim else "a scalar"
+        raise DomainError(f"{what} must be a finite real number: expected {shape} {what}, "
+                          f"got shape {a.shape}")
     return float(a) if a.ndim == 0 else np.asarray(a, dtype=float)
 
 

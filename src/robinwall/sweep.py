@@ -63,8 +63,9 @@ class SweepSpec:
     n_exact: int = DEFAULT_N_EXACT
 
     def __post_init__(self) -> None:
-        lo, hi = (_check_real(getattr(self, f), f) for f in ("beta_inv_min", "beta_inv_max"))
-        if not (lo < hi and math.isfinite(1.0 / lo)):
+        for f in ("beta_inv_min", "beta_inv_max"):
+            object.__setattr__(self, f, _check_real(getattr(self, f), f))
+        if not (self.beta_inv_min < self.beta_inv_max and math.isfinite(1.0 / self.beta_inv_min)):
             raise DomainError("sweep grid needs beta_inv_min < beta_inv_max, with a finite "
                               f"1/beta_inv_min; got {self.beta_inv_min!r}, {self.beta_inv_max!r}")
         for name in ("log_grid", "normalize_by_tcr"):
@@ -127,14 +128,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     reports ``failed``.
     """
     spectrum = build_spectrum(spec.wall, n_exact=spec.n_exact)
-    condensate = None
     ens = spec.ensemble
-    if ens.statistics is Statistics.BOSE_EINSTEIN:
-        condensate = gc.be_critical(spectrum, ens.n_particles)
+    condensate = (gc.be_critical(spectrum, ens.n_particles)
+                  if ens.statistics is Statistics.BOSE_EINSTEIN else None)
 
     t_units = _temperature_grid(spec)
-    scale = condensate.t_cr if spec.normalize_by_tcr else 1.0
-    temperatures = t_units * scale
+    temperatures = t_units * (condensate.t_cr if spec.normalize_by_tcr else 1.0)
 
     betas = 1.0 / temperatures
     evaluate = gc._evaluator(spectrum, [ens])
@@ -147,11 +146,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for i, (t_unit, temp) in enumerate(zip(t_units, temperatures)):
         common = dict(beta_inv=float(temp), beta=float(betas[i]),
                       t_over_tcr=float(t_unit) if spec.normalize_by_tcr else None)
-        if errors[i] is not None:
-            rows.append(SweepRow(error=errors[i], **common))
-            continue
-        rows.append(SweepRow(**common, **{f: float(getattr(p, f)[i]) for f in _VALUES
-                                          if getattr(p, f) is not None}))
+        rows.append(SweepRow(error=errors[i], **common, **{} if errors[i] is not None else {
+            f: float(getattr(p, f)[i]) for f in _VALUES if getattr(p, f) is not None}))
 
     extrema = ExtremumReport()
     if not any(errors) and len(rows) >= 3:
@@ -219,9 +215,7 @@ def result_from_json(text: str) -> SweepResult:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
+    return "" if value is None else repr(float(value))
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -246,14 +240,8 @@ def result_to_csv(result: SweepResult) -> str:
         cols.append("error")
     out.write(",".join(cols) + "\n")
     for r in result.rows:
-        cells = []
-        for c in cols:
-            v = getattr(r, c)
-            if c == "error":
-                cells.append("" if v is None else str(v).replace(",", ";"))
-            else:
-                cells.append(_fmt(v))
-        out.write(",".join(cells) + "\n")
+        out.write(",".join(("" if r.error is None else r.error.replace(",", ";")) if c == "error"
+                           else _fmt(getattr(r, c)) for c in cols) + "\n")
     return out.getvalue()
 
 
@@ -311,8 +299,11 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
     if not 1 <= len(ensembles) == len(t_centers):
         raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
                           f"{len(t_centers)} for {len(ensembles)} ensembles")
-    grids = np.exp([np.linspace(math.log(1.0 / (t * _SCAN_SPAN)), math.log(_SCAN_SPAN / t),
-                                _SCAN_POINTS) for t in _check_real(t_centers, "t_centers", ndim=1)])
+    t = _check_real(t_centers, "t_centers", ndim=1)
+    with np.errstate(over="ignore"):  # a center near the ends of the float range
+        ends = _check_real(np.array([1.0 / (t * _SCAN_SPAN), _SCAN_SPAN / t]),
+                           "beta at the ends of the scan about t_centers", ndim=2)
+    grids = np.exp([np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS) for lo, hi in ends.T])
     c_fn = _c_or_raise(gc._evaluator(spectrum, ensembles))
     cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
     c, slope = (np.reshape(a, grids.shape) for a in c_fn(grids.ravel(), cells))

@@ -1,3 +1,4 @@
+import fractions
 import math
 import re
 import warnings
@@ -422,9 +423,31 @@ class TestRealArguments:
             assert call(np.float64(good)) == call(good), what
             if good == int(good):
                 assert call(np.int64(good)) == call(int(good)) == call(good), what
+        # float32(1e-3) is not 1e-3, so float32 is checked at a value it holds
+        assert sf.airy(np.float32(1.0)) == sf.airy(1.0) == sf.airy(1)
         ai, aip = sf.airy(np.array([1, 2], dtype=np.int32))
         assert ai.tolist() == [sf.airy(1.0)[0], sf.airy(2.0)[0]]
         assert aip.tolist() == [sf.airy(1.0)[1], sf.airy(2.0)[1]]
+
+    def test_numbers_numpy_keeps_as_objects_accepted(self, real_arguments):
+        # a Fraction and an int past int64 are real numbers, which numpy keeps
+        # as objects: each gives the result of its float
+        for what, call, good in real_arguments:
+            assert call(fractions.Fraction(good)) == call(good), what
+        assert sf.lambert_w(10 ** 20) == sf.lambert_w(1e20)
+        assert sf._check_real([np.array(2.0), 1], "beta", ndim=1).tolist() == [2.0, 1.0]
+        assert WallSpec(WallKind.NEUMANN, 10 ** 20).field == 1e20
+        with pytest.raises(DomainError, match="field must be a finite real number > 0"):
+            WallSpec(WallKind.NEUMANN, 10 ** 400)  # past the float range
+
+    def test_array_for_a_scalar_argument_names_its_shape(self):
+        for call in (sf.lambert_w, lambda x: universal_dn_curve(x, WallKind.NEUMANN),
+                     zero_field_attractive, lambda x: weak_field_composite(x, 1e-3)):
+            with pytest.raises(DomainError, match=r"expected a scalar .*, got shape \(2,\)"):
+                call(np.array([1.0, 2.0]))
+        spectrum = build_spectrum(WallSpec(WallKind.NEUMANN, 1.0))
+        with pytest.raises(DomainError, match=r"non-empty, at most 1-D beta, got shape \(0,\)"):
+            ladder_sums(spectrum, [], Statistics.CANONICAL)
 
     def test_inputs_let_through_before_are_rejected(self):
         # each was taken, or raised another error (a hang for the infinite grid)
@@ -435,6 +458,13 @@ class TestRealArguments:
                      lambda: locate_peak(spectrum, canonical, [True]),
                      lambda: locate_peak(spectrum, canonical, ["1"]),
                      lambda: locate_peak(spectrum, canonical * 2, [0.3, True]),
+                     lambda: thermo_point(spectrum, [np.array(True), 1.0]),
+                     # a scan end past the float range: an infinite or NaN Bose
+                     # beta reached the plan (1e-309), or math.log(0) (1e308)
+                     lambda: locate_peak(spectrum, [EnsembleSpec(Statistics.BOSE_EINSTEIN, 10)],
+                                         [1e-309]),
+                     lambda: locate_peak(spectrum, [EnsembleSpec(Statistics.BOSE_EINSTEIN, 10)],
+                                         [1e308]),
                      lambda: zero_field_attractive(np.array([1.0, 2.0])),
                      lambda: weak_field_composite(np.array([1.0, 2.0]), 1e-3),
                      lambda: asymptotic_mu_cn(np.array([1.0, 2.0]), 1e-3,

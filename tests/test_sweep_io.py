@@ -267,6 +267,15 @@ class TestSerialization:
         assert result_from_json(text) == result
         assert result_to_json(result_from_json(text)) == text
 
+    def test_array_bound_stored_as_its_float(self):
+        # a 0-d array is a real number: the spec keeps its float, so the
+        # document is JSON (the array itself raised a TypeError there)
+        spec = SweepSpec(wall=ATTR, ensemble=CANONICAL, beta_inv_min=np.array(0.1),
+                         beta_inv_max=np.float64(2.0), points=5)
+        assert type(spec.beta_inv_min) is type(spec.beta_inv_max) is float
+        result = run_sweep(spec)
+        assert result_from_json(result_to_json(result)) == result
+
     def test_unknown_ensemble_in_json_rejected(self):
         doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
         doc["spec"]["ensemble"] = "xx"
