@@ -258,8 +258,9 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     m_top = np.full(len(beta), float(max(start_index, 1)))
     if statistics is Statistics.FERMI_DIRAC:
         m_top = np.maximum(m_top, np.ceil(np.minimum(tail.index(mu), n_em)))
-    x_top = np.maximum(beta * (spectrum.energies(m_top.astype(np.int64)) - e0) + gamma, 0.0)
-    stop = np.minimum(n_em, np.maximum(first, np.ceil(tail.index(mu + (x_top + X_DEAD) / beta))))
+    # in energy, mu + (x_top + X_DEAD) / beta, finite where beta (E - E_0) overflows
+    e_top = np.maximum(spectrum.energies(m_top.astype(np.int64)), mu)
+    stop = np.minimum(n_em, np.maximum(first, np.ceil(tail.index(e_top + X_DEAD / beta))))
     sea = np.full(len(beta), first)
     if statistics is Statistics.FERMI_DIRAC and (gamma < -X_DEAD).any():
         sea = np.maximum(first, np.minimum(np.floor(tail.index(mu - X_DEAD / beta)) - 3, n_em))

@@ -127,7 +127,7 @@ def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
     powers = np.empty((len(w), coef.shape[-1]), dtype=w.dtype)
     powers[:, 0] = 1.0
     powers[:, 1:] = w[:, None]
-    np.cumprod(powers, axis=1, out=powers)
+    powers.cumprod(axis=1, out=powers)
     return (powers[:, None, :] * coef).sum(axis=-1)
 
 
@@ -230,30 +230,39 @@ def airy(x):
 # the root solver and the zeros of Ai and Ai'
 # ---------------------------------------------------------------------------
 
-def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton_root(fn, lo, hi, x, done, first=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of fn, monotone on each bracket (lo, hi), a lane per element,
     by Halley's steps safeguarded by the bracket (Numerical Recipes, 2nd
     ed., section 9.4, "rtsafe"), all lanes in lockstep.
 
     ``fn(x, lanes)`` returns f, f', f'' (0 where not known) and a payload
     whose last axis runs over the lanes ``lanes``, at starts x inside the
-    brackets; no bracket end is evaluated.  The step is Newton's with the
-    slope s = f'(1 - a), a = f f''/(2 f'^2), where |a| < 1/2, else s = f',
-    so the sign of s never flips.  Every point becomes the bracket end on
-    its side; a step that leaves the bracket or is over half the step
-    before last bisects instead.  A lane leaves where ``done(f, s, x)``
-    holds, at a NaN f, or once its bracket is one float.  Returns the
-    payloads, each lane's x - f/s where it left, and whether it met
-    ``done``; SolverError names a bracket still open after 200 passes."""
-    lo, hi, x = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi, x))
-    met, live, out = np.zeros(x.size, dtype=bool), np.arange(x.size), None
-    roots = np.empty(x.size)
-    last = older = hi - lo  # the last step and the one before it
+    brackets; no bracket end is evaluated.  A caller that has fn's output
+    at the starts over all lanes (from one call with the bracket ends, say)
+    hands it in as ``first``, the first pass's, with the same results bit
+    for bit (test_handed_starts_equal_evaluated_ones).  The step is
+    Newton's with the slope s = f'(1 - a), a = f f''/(2 f'^2), where
+    |a| < 1/2, else s = f', so the sign of s never flips.  Every point
+    becomes the bracket end on its side; a step that leaves the bracket or
+    is over half the step before last bisects instead.  A lane leaves
+    where ``done(f, s, x)`` holds, at a NaN f, or once its bracket is one
+    float.  Returns the payloads, each lane's x - f/s where it left, and
+    whether it met ``done``; SolverError names a bracket still open after
+    200 passes."""
+    # a row per lane quantity: lo, hi, x, the last step and the one before it
+    n = np.broadcast(lo, hi, x).size
+    state = np.empty((5, n))
+    state[0], state[1], state[2] = lo, hi, x
+    state[3:] = state[1] - state[0]
+    met, live, out, roots = np.zeros(n, dtype=bool), np.arange(n), None, np.empty(n)
     for _ in range(200):
-        f, df, ddf, pay = fn(x, live)
+        lo, hi, x, last, older = state
+        f, df, ddf, pay = fn(x, live) if first is None else first
+        first = None
         out = np.empty(pay.shape[:-1] + met.shape) if out is None else out
         up = (f > 0.0) == (df > 0.0)
-        hi, lo = np.where(up, x, hi), np.where(up, lo, x)
+        np.copyto(hi, x, where=up)
+        np.copyto(lo, x, where=~up)
         with np.errstate(all="ignore"):
             a = f * ddf / (2.0 * df * df)
             slope = df * np.where(np.abs(a) < 0.5, 1.0 - a, 1.0)  # a NaN a fails the test
@@ -264,22 +273,28 @@ def _newton_root(fn, lo, hi, x, done) -> tuple[np.ndarray, np.ndarray, np.ndarra
         step = np.where(inside, step, x - 0.5 * (lo + hi))
         x_new = x - step
         leave = ok | np.isnan(f) | (x_new == x)  # x_new == x: a collapsed bracket
-        met[live[ok]] = True
-        out[..., live[leave]] = pay[..., leave]
-        roots[live[leave]] = halley[leave]
-        if leave.all():
-            return out, roots, met
-        stay = ~leave
-        live, lo, hi, x, older, last = (a[stay] for a in (live, lo, hi, x_new, last, step))
-    raise SolverError(f"safeguarded Newton did not converge in ({lo[0]}, {hi[0]})")
+        gone = live[leave]
+        if gone.size:  # before the rows move: the payload may be row x itself
+            met[gone] = ok[leave]
+            out[..., gone] = pay[..., leave]
+            roots[gone] = halley[leave]
+            if gone.size == live.size:
+                return out, roots, met
+        state[4], state[3], state[2] = last, step, x_new  # row 4 first: last is row 3
+        if gone.size:
+            stay = ~leave
+            state, live = state[:, stay], live[stay]
+    raise SolverError(f"safeguarded Newton did not converge in ({state[0, 0]}, {state[1, 0]})")
 
 
-def _polished_roots(fn, lo, hi, x, rtol: float) -> np.ndarray:
+def _polished_roots(fn, lo, hi, x, rtol: float, first=None) -> np.ndarray:
     """Roots of ``fn(x) -> (f, f', f'')`` by ``_newton_root``, each x - f/s
-    at the first point with |f/s| <= rtol max(1, |x|); SolverError names a
-    lane that stopped short of it."""
+    at the first point with |f/s| <= rtol max(1, |x|), ``first`` fn's
+    output at the start array x where the caller has it; SolverError names
+    a lane that stopped short of it."""
+    first = None if first is None else (*first, x)
     _, roots, met = _newton_root(lambda x, lanes: (*fn(x), x), lo, hi, x, lambda f, s, x: (
-        np.abs(f / s) <= rtol * np.maximum(1.0, np.abs(x))))
+        np.abs(f / s) <= rtol * np.maximum(1.0, np.abs(x))), first)
     if not met.all():
         raise SolverError(f"safeguarded Newton stalled short of its test in lane {np.argmin(met)}")
     return roots

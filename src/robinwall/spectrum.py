@@ -6,9 +6,11 @@ extrapolation length lam = +1 (repulsive) or -1 (attractive), whose levels
 solve F^(1/3) Ai'(xi) = (1/lam) Ai(xi), xi = -E F^(-2/3), in a phase form
 finite at the zeros of Ai (``_robin_psi``), by one lockstep solve over the
 levels' brackets (``_robin_exact_levels``): within 1e-12 of scipy's brentq
-(test_levels_against_scipy_brentq), from at most 6 Airy points a level
-(test_airy_calls_per_level).  Past the root-solved block the levels follow
-the ``TailLaw``, the Airy zeros' power law shifted to meet the block.
+(test_levels_against_scipy_brentq), from at most 6 Airy points a level in
+at most 7 Airy array calls a build, the first of them the bracket ends with
+the starts (test_airy_calls_per_level).  Past the root-solved block the
+levels follow the ``TailLaw``, the Airy zeros' power law shifted to meet the
+block.
 """
 
 from __future__ import annotations
@@ -208,8 +210,9 @@ def _robin_psi(xi: np.ndarray, field_cbrt: float, lam: int) -> tuple[np.ndarray,
     ai, aip = _airy_pair(xi)
     d = field_cbrt * aip
     psi = np.arctan2(d * np.copysign(1.0, ai), np.abs(ai)) - math.atan(1.0 / lam)
-    n, den = xi * ai * ai - aip * aip, ai * ai + d * d
-    curve = ai * ai * den - 2.0 * n * ai * aip * (1.0 + field_cbrt * field_cbrt * xi)
+    ai2 = ai * ai
+    n, den = xi * ai * ai - aip * aip, ai2 + d * d
+    curve = ai2 * den - 2.0 * n * ai * aip * (1.0 + field_cbrt * field_cbrt * xi)
     return psi, field_cbrt * n / den, field_cbrt * curve / (den * den)
 
 
@@ -219,7 +222,9 @@ def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
     leading-order phase of its Airy zero a (DLMF 9.7.9, 9.7.11:
     Ai'/Ai ~ -sqrt|xi| cot(zeta + pi/4)), zeta = (2/3)|a|^(3/2) -
     atan(lam F^(1/3) sqrt|a|), the ground level at a_1 + lam F^(1/3), and a
-    start outside its bracket at the midpoint.  SolverError names a bracket
+    start outside its bracket at the midpoint.  One Airy call evaluates the
+    bracket ends with the starts, and the solve takes psi, psi' and psi'' at
+    the starts as its first pass.  SolverError names a bracket
     without a sign change, or on the attractive wall a ground level across
     which psi does not change sign."""
     lam, fc = wall.lam, wall.field ** (1.0 / 3.0)
@@ -233,16 +238,18 @@ def _robin_exact_levels(wall: WallSpec, stop: int) -> np.ndarray:
     near = np.concatenate([zeros[:1], zeros[:-1] if lam < 0 else zeros[1:]])
     margin = 1e-12 * np.maximum(1.0, np.abs(zeros))
     lo, hi = zeros + margin, tops - margin
-    psi_lo, psi_hi = np.split(_robin_psi(np.concatenate([lo, hi]), fc, lam)[0], 2)
-    if not ((psi_lo > 0.0) & (psi_hi < 0.0)).all():
-        i = int(np.argmin((psi_lo > 0.0) & (psi_hi < 0.0)))
-        raise SolverError(f"robin level bracket failed on ({lo[i]}, {hi[i]}): "
-                          f"psi={psi_lo[i]:.3e}, {psi_hi[i]:.3e}")
     a = np.abs(near[1:])
     x = np.concatenate([near[:1] + lam * fc,
                         -(a ** 1.5 - 1.5 * np.arctan(lam * fc * np.sqrt(a))) ** (2.0 / 3.0)])
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-    xis = _polished_roots(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13)
+    psi, psi1, psi2 = (v.reshape(3, -1) for v in _robin_psi(np.concatenate([lo, hi, x]), fc, lam))
+    psi_lo, psi_hi = psi[:2]
+    if not ((psi_lo > 0.0) & (psi_hi < 0.0)).all():
+        i = int(np.argmin((psi_lo > 0.0) & (psi_hi < 0.0)))
+        raise SolverError(f"robin level bracket failed on ({lo[i]}, {hi[i]}): "
+                          f"psi={psi_lo[i]:.3e}, {psi_hi[i]:.3e}")
+    xis = _polished_roots(lambda xi: _robin_psi(xi, fc, lam), lo, hi, x, 1e-13,
+                          (psi[2], psi1[2], psi2[2]))
     if lam < 0.0:
         # at a weak field the slope of psi cancels to noise near the
         # split-off state, and the step test on |psi/slope| can pass far

@@ -1,12 +1,17 @@
 import functools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import robinwall
 from robinwall import canonical as can
 from robinwall import grand_canonical as gc
 from robinwall import specfun as sf
@@ -960,6 +965,28 @@ class TestStateDomain:
                     wrong += [(kind.value, field, ens.statistics.value, b, e)
                               for b, good, e in zip(beta, ok, p.errors) if not good]
         assert wrong == []
+
+    def test_largest_beta_returns(self):
+        # robin-, F = 1 at beta = 1e308: beta (E_1 - E_0) overflowed into the
+        # end of the ladder's direct window, and the window loop of
+        # ladder._Plan never ended, in all three ensembles.  With the end
+        # formed in energy each lane fails with a message naming its beta.  A
+        # fresh interpreter, under a timeout, keeps a hang out of the suite
+        code = """if True:
+            import warnings
+            import numpy as np
+            from robinwall import *
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
+            for stat, n in (("canonical", 1), ("fd", 10**6), ("be", 10**6)):
+                p = thermo_point(sp, np.array([1e308]), EnsembleSpec(Statistics(stat), n))
+                print(p.errors[0])
+        """
+        src = str(Path(robinwall.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=30).stdout
+        lines = out.splitlines()
+        assert len(lines) == 3 and all("beta=1e+308" in line for line in lines), out
 
 
 class TestWeakestFields:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from robinwall import specfun as sf
+from robinwall import spectrum as spm
 from robinwall.canonical import find_extrema, universal_dn_curve
 from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics, thermo_point
@@ -274,6 +275,40 @@ class TestNewtonRoot:
         assert met.tolist() == [i != 4 for i in range(9)]
         keep = np.arange(9) != 4
         assert roots[keep].tolist() == clean[keep].tolist()
+
+    def test_handed_starts_equal_evaluated_ones(self, monkeypatch):
+        # fn's output at the starts handed in as ``first`` gives the roots,
+        # payloads and met flags of the solve that evaluates the starts
+        # itself, bit for bit, with one fn call fewer: 64 brackets of cos,
+        # and the 512-level robin- solve at F = 1e-3 as build_spectrum sets
+        # it up
+        k = np.arange(64.0)
+        lo = k * np.pi
+        solves = [(_cos_step, lo, lo + np.pi, lo + np.pi * (0.05 + 0.9 * (k % 9) / 8),
+                   _step_below(1e-15))]
+
+        def polished_roots(fn, lo, hi, x, rtol, first=None):
+            solves.append((lambda x, lanes: (*fn(x), x), lo, hi, x, _step_below(rtol)))
+            return polished(fn, lo, hi, x, rtol, first)
+
+        polished = spm._polished_roots
+        monkeypatch.setattr(spm, "_polished_roots", polished_roots)
+        build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=512, n_exact=512)
+        assert len(solves) == 2 and solves[1][1].size == 512
+        for fn, lo, hi, x, done in solves:
+            calls = []
+
+            def counted(x, lanes):
+                calls.append(lanes.size)
+                return fn(x, lanes)
+
+            evaluated = sf._newton_root(counted, lo, hi, x, done)
+            passes = len(calls)
+            handed = sf._newton_root(counted, lo, hi, x, done, fn(x, np.arange(x.size)))
+            assert len(calls) == 2 * passes - 1
+            for a, b in zip(evaluated, handed):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert evaluated[2].all()
 
     def test_open_bracket_named(self):
         # done never holds: lane 1, with no root in (3, 5), leaves unmet once
