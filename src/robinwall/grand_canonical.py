@@ -69,11 +69,9 @@ class EnsembleSpec:
     n_particles: int
 
     def __post_init__(self) -> None:
-        _check_member(self.statistics, Statistics)
+        _check_member(self.statistics, Statistics, "statistics")
         object.__setattr__(self, "n_particles",
-                           _check_index(self.n_particles, 1, "n_particles"))
-        if self.n_particles > _N_MAX:
-            raise DomainError(f"n_particles must be at most {_N_MAX}, got {self.n_particles!r}")
+                           _check_index(self.n_particles, 1, "n_particles", _N_MAX))
         if self.statistics is Statistics.CANONICAL and self.n_particles != 1:
             raise DomainError(f"the canonical ensemble is computed for 1 particle, "
                               f"got {self.n_particles!r}")
@@ -186,7 +184,7 @@ class _Evaluator:
     clipped into its bracket.  One plan, made at the starts, serves a call."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
-        if {getattr(e, "statistics", None) for e in ensembles} not in (
+        if {e.statistics for e in ensembles} not in (
                 {Statistics.FERMI_DIRAC}, {Statistics.BOSE_EINSTEIN}):
             raise DomainError(f"the grand-canonical solve needs every ensemble FD, or every "
                               f"one BE; got {ensembles!r}")
@@ -294,10 +292,11 @@ class _Evaluator:
 
 
 def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
-    """The evaluator (beta, cells) -> ThermoPoint of ``ensembles``, all of
-    one statistics (else DomainError): ``canonical._canonical``, or an
-    ``_Evaluator``."""
-    if {getattr(e, "statistics", None) for e in ensembles} == {Statistics.CANONICAL}:
+    """The evaluator (beta, cells) -> ThermoPoint of the EnsembleSpecs
+    ``ensembles``, all of one statistics (else DomainError):
+    ``canonical._canonical``, or an ``_Evaluator``."""
+    if {_check_member(e, EnsembleSpec, "ensemble").statistics
+            for e in ensembles} == {Statistics.CANONICAL}:
         return lambda beta, cells: _canonical(spectrum, beta)
     return _Evaluator(spectrum, ensembles)
 

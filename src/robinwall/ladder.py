@@ -44,29 +44,23 @@ elements (test_deep_sea_is_not_summed_level_by_level).
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from . import _work
-from .errors import DomainError, SolverError
-from .specfun import _check_index, _check_member, _check_real
+from .errors import SolverError
+from .specfun import _check_index, _check_member, _check_real, _Names
 from .spectrum import Spectrum
 
 __all__ = ["Statistics", "ladder_sums"]
 
 
-class Statistics(enum.Enum):
+class Statistics(_Names, noun="ensemble"):
     """The ensembles, by their names in the CLI, JSON and Table 1; each
     fixes the kernels of its sums.  DomainError for an unknown name."""
 
     CANONICAL = "canonical"
     FERMI_DIRAC = "fd"
     BOSE_EINSTEIN = "be"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise DomainError(f"unknown ensemble {value!r}")
 
 
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
@@ -381,11 +375,8 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     Scalars give floats, else arrays of the broadcast shape; DomainError for
     bad arguments, SolverError for a Bose exponent <= 0.
     """
-    _check_member(statistics, Statistics)
-    start_index = _check_index(start_index, 0, "start_index")
-    if start_index >= spectrum.n_exact:
-        raise DomainError(f"start_index must be below n_exact = {spectrum.n_exact}, "
-                          f"got {start_index!r}")
+    _check_member(statistics, Statistics, "statistics")
+    start_index = _check_index(start_index, 0, "start_index", spectrum.n_exact - 1)
     beta, g = _check_real(beta, "beta", ndim=1), _check_real(gamma, "gamma", ndim=1, sign=None)
     shape = np.broadcast(beta, g).shape
     beta, gamma = ((np.zeros(shape) + a).ravel() for a in (beta, g))

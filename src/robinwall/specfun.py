@@ -1,8 +1,8 @@
 """Real-argument special functions, self-contained: Airy Ai and Ai' and
 their negative zeros, the principal branch of Lambert W on x >= 0, the Bose
 functions g_{3/2} and g_{1/2}, the package's one root solver
-(``_newton_root``), and the checks shared by every index, count and real
-argument of the package.
+(``_newton_root``), and the package's one check per kind of argument: an
+index or count, a real number, a type or flag, and an enum's name.
 
 Each element of an Airy argument goes to one branch, each a power sum
 (``_series``), summed in a fixed order, so an element of an array call
@@ -55,10 +55,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_index(value, minimum: int, what: str) -> int:
-    """An index or count as int; DomainError unless an integer >= minimum."""
-    if not (_is_real(value) and math.isfinite(value) and value == int(value) >= minimum):
-        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+def _check_index(value, minimum: int, what: str, maximum: float = math.inf) -> int:
+    """An index, count or N as int; DomainError unless an integer in [minimum, maximum]."""
+    if not (_is_real(value) and math.isfinite(value) and minimum <= value == int(value) <= maximum):
+        raise DomainError(f"{what} must be an integer in [{minimum}, {maximum}], got {value!r}")
     return int(value)
 
 
@@ -85,13 +85,27 @@ def _check_real(x, what: str, *, ndim: int = 0, sign: str | None = "> 0"):
     return float(a) if a.ndim == 0 else np.asarray(a, dtype=float)
 
 
-def _check_member(value, kind: type[enum.Enum]) -> None:
-    """DomainError unless ``value`` is a member of the enum ``kind``."""
+def _check_member(value, kind: type, what: str):
+    """``value``; DomainError naming it ``what`` unless it is a ``kind``."""
     if not isinstance(value, kind):
-        raise DomainError(f"expected a {kind.__name__} value, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{what} must be {article} {kind.__name__}, got {value!r}")
+    return value
 
 
-class AiryZeroKind(enum.Enum):
+class _Names(enum.Enum):
+    """An enum of names; an unknown name raises DomainError, with the class keyword ``noun``."""
+
+    def __init_subclass__(cls, noun: str, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._noun = noun
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown {cls._noun} {value!r}")
+
+
+class AiryZeroKind(_Names, noun="Airy zero kind"):
     """Selects zeros of Ai (FunctionZero) or of Ai' (DerivativeZero)."""
 
     FunctionZero = "function"
@@ -350,7 +364,7 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
     meets the refined zero there to 1e-8 (test_law_handoff_at_switch).
     """
     n = _check_index(n, 1, "airy_zero index")
-    _check_member(kind, AiryZeroKind)
+    _check_member(kind, AiryZeroKind, "kind")
     if n <= N_EXACT_ZEROS:
         return float(_ZEROS[kind][n - 1])
     return _zero_law(n, kind)

@@ -15,7 +15,6 @@ block.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
@@ -30,7 +29,9 @@ from .specfun import (
     _airy_pair,
     _airy_zeros,
     _check_index,
+    _check_member,
     _check_real,
+    _Names,
     _polished_roots,
 )
 
@@ -45,26 +46,14 @@ __all__ = [
 
 _ZERO_LAW_PREF = (3.0 * math.pi / 8.0) ** (2.0 / 3.0)
 DEFAULT_N_EXACT = 64
-_MAX_N_EXACT = 512
+_MAX_N_EXACT = 512  # the largest root-solved block, n_exact in [2, _MAX_N_EXACT]
 
 
-def _check_n_exact(n_exact: int) -> int:
-    """n_exact as int; DomainError unless an integer in [2, _MAX_N_EXACT]."""
-    n = _check_index(n_exact, 2, "n_exact")
-    if n > _MAX_N_EXACT:
-        raise DomainError(f"n_exact must be in [2, {_MAX_N_EXACT}], got {n_exact!r}")
-    return n
-
-
-class WallKind(enum.Enum):
+class WallKind(_Names, noun="wall"):
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
     ROBIN_ATTRACTIVE = "robin-"
     ROBIN_REPULSIVE = "robin+"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise DomainError(f"unknown wall {value!r}")
 
     @property
     def is_robin(self) -> bool:
@@ -79,8 +68,7 @@ class WallSpec:
     field: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, WallKind):
-            raise DomainError(f"WallSpec: kind must be a WallKind, got {self.kind!r}")
+        _check_member(self.kind, WallKind, "kind")
         object.__setattr__(self, "field", _check_real(self.field, "field"))
 
     @property
@@ -284,10 +272,11 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
     root-solved block of ``n_exact`` (Dirichlet/Neumann: refined Airy zeros,
     at most N_EXACT_ZEROS); the tail law's shift is the block's last level
     less the Airy zero the law follows there.  DomainError for a bad
-    ``count`` or ``n_exact``.
+    ``wall``, ``count`` or ``n_exact``.
     """
+    _check_member(wall, WallSpec, "wall")
     count = _check_index(count, 1, "count")
-    n_exact = _check_n_exact(n_exact)
+    n_exact = _check_index(n_exact, 2, "n_exact", _MAX_N_EXACT)
 
     j0, k_off, zero_kind, rule = _TAILS[wall.kind]
     f23 = wall.field ** (2.0 / 3.0)

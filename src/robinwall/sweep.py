@@ -24,9 +24,8 @@ from .canonical import ExtremumReport, find_extrema
 from .errors import DomainError, RobinWallError, SolverError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
-from .specfun import _check_index, _check_real
-from .spectrum import (DEFAULT_N_EXACT, Spectrum, WallKind, WallSpec, _check_n_exact,
-                       build_spectrum)
+from .specfun import _check_index, _check_member, _check_real
+from .spectrum import DEFAULT_N_EXACT, _MAX_N_EXACT, Spectrum, WallKind, WallSpec, build_spectrum
 
 __all__ = [
     "SweepSpec",
@@ -63,18 +62,17 @@ class SweepSpec:
     n_exact: int = DEFAULT_N_EXACT
 
     def __post_init__(self) -> None:
+        _check_member(self.wall, WallSpec, "wall")
+        _check_member(self.ensemble, EnsembleSpec, "ensemble")
         for f in ("beta_inv_min", "beta_inv_max"):
             object.__setattr__(self, f, _check_real(getattr(self, f), f))
         if not (self.beta_inv_min < self.beta_inv_max and math.isfinite(1.0 / self.beta_inv_min)):
             raise DomainError("sweep grid needs beta_inv_min < beta_inv_max, with a finite "
                               f"1/beta_inv_min; got {self.beta_inv_min!r}, {self.beta_inv_max!r}")
         for name in ("log_grid", "normalize_by_tcr"):
-            if not isinstance(getattr(self, name), bool):
-                raise DomainError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            _check_member(getattr(self, name), bool, name)
         object.__setattr__(self, "points", _check_index(self.points, 2, "sweep grid points"))
-        object.__setattr__(self, "n_exact", _check_n_exact(self.n_exact))
-        if not isinstance(self.ensemble, EnsembleSpec):
-            raise DomainError(f"ensemble must be an EnsembleSpec, got {self.ensemble!r}")
+        object.__setattr__(self, "n_exact", _check_index(self.n_exact, 2, "n_exact", _MAX_N_EXACT))
         if self.normalize_by_tcr and self.ensemble.statistics is not Statistics.BOSE_EINSTEIN:
             raise DomainError("normalize_by_tcr applies to Bose sweeps only")
 
@@ -196,16 +194,28 @@ def result_to_json(result: SweepResult) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _read(cls, values: dict, where: str, nullable: bool = False):
+    # JSON's numbers are ints and floats (a bool is neither type), so a test of
+    # the type is the whole check, cheap enough for every value of a document
+    for key, v in dict(**values).items():  # TypeError for no mapping, as cls(**values)
+        if not (type(v) is str if key == "error" else
+                type(v) in (int, float) and math.isfinite(v) or nullable and v is None):
+            raise DomainError(f"sweep document: {where} {key} must be "
+                              f"{'text' if key == 'error' else 'a finite number'}, got {v!r}")
+    return cls(**values)
+
+
 def result_from_json(text: str) -> SweepResult:
-    """The result of a ``result_to_json`` document; DomainError for text that
-    is not JSON or a key that is missing or unknown."""
+    """The result of a ``result_to_json`` document; DomainError for text that is not
+    JSON, a key missing or unknown, or a value no finite int or float (error: text)."""
     try:
         doc = json.loads(text)
         cond = doc["condensate"]
         return SweepResult(spec=_spec_from_dict(doc["spec"]),
-                           rows=tuple(SweepRow(**r) for r in doc["rows"]),
-                           extrema=ExtremumReport(**doc["extrema"]),
-                           condensate=None if cond is None else CondensateReport(**cond))
+                           rows=tuple(_read(SweepRow, r, "row") for r in doc["rows"]),
+                           extrema=_read(ExtremumReport, doc["extrema"], "extrema", True),
+                           condensate=None if cond is None else
+                           _read(CondensateReport, cond, "condensate"))
     except KeyError as e:
         raise DomainError(f"sweep document has no key {e}") from None
     except TypeError as e:  # a dataclass given an unknown key, or none for a field

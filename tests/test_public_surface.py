@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import robinwall
@@ -22,3 +24,12 @@ def test_exported_names():
     exported = {name for name, value in vars(robinwall).items()
                 if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exported == PUBLIC
+
+
+def test_only_specfun_checks_types():
+    # every type and flag passes specfun._check_member: no other module of
+    # the package calls isinstance
+    calls = {path.name for path in Path(robinwall.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"}
+    assert calls <= {"specfun.py"}

@@ -12,6 +12,7 @@ from scipy import special as sp
 
 from robinwall import specfun as sf
 from robinwall import spectrum as spm
+from robinwall._work import reading
 from robinwall.canonical import find_extrema, universal_dn_curve
 from robinwall.errors import DomainError, SolverError
 from robinwall.grand_canonical import EnsembleSpec, Statistics, thermo_point
@@ -506,6 +507,41 @@ class TestRealArguments:
                                               EnsembleSpec(Statistics.FERMI_DIRAC, 2))):
             with pytest.raises(DomainError):
                 call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: build_spectrum("robin-"), "wall must be a WallSpec, got 'robin-'"),
+        (lambda s: AiryZeroKind("bogus"), "unknown Airy zero kind 'bogus'"),
+        (lambda s: WallKind("robin"), "unknown wall 'robin'"),
+        (lambda s: Statistics("bose"), "unknown ensemble 'bose'"),
+        (lambda s: thermo_point(s, 1.0, Statistics.FERMI_DIRAC),
+         "ensemble must be an EnsembleSpec, got <Statistics.FERMI_DIRAC"),
+        (lambda s: locate_peak(s, ["canonical"], [0.25]),
+         "ensemble must be an EnsembleSpec, got 'canonical'"),
+        (lambda s: build_spectrum(s.wall, n_exact=513),
+         re.escape("n_exact must be an integer in [2, 512], got 513")),
+        (lambda s: EnsembleSpec(Statistics.FERMI_DIRAC, 2 ** 63),
+         re.escape(f"n_particles must be an integer in [1, {2 ** 63 - 1}]")),
+        (lambda s: ladder_sums(s, 1.0, Statistics.FERMI_DIRAC, start_index=s.n_exact),
+         re.escape("start_index must be an integer in [0, 63], got 64")),
+        (lambda s: SweepSpec(s.wall, EnsembleSpec(Statistics.CANONICAL, 1), 0.1, 1.0, 5,
+                             log_grid="no"), "log_grid must be a bool, got 'no'"),
+        (lambda s: SweepSpec("robin-", EnsembleSpec(Statistics.CANONICAL, 1), 0.1, 1.0, 5),
+         "wall must be a WallSpec"),
+    ], ids=["spectrum-wall", "airy-zero-kind", "wall-name", "ensemble-name",
+            "thermo-point-statistics", "locate-peak-name", "n-exact", "n-particles",
+            "start-index", "log-grid", "sweep-wall"])
+    def test_other_kinds_rejected_before_any_work(self, call, message):
+        # each count, index and N passes specfun._check_index, each type and
+        # flag _check_member, and each name the one enum base; of these
+        # build_spectrum("robin-") and the two ensembles that are no
+        # EnsembleSpec raised AttributeError or a message on the ensembles'
+        # statistics, AiryZeroKind("bogus") a ValueError, and a sweep took
+        # the wall "robin-"
+        spectrum = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+        with reading() as work:
+            with pytest.raises(DomainError, match=message):
+                call(spectrum)
+        assert not work, work
 
     @pytest.mark.parametrize("grid", [[1.0, 2.0, np.inf], [1.0, 2.0, 0.0], ["1", "2", "3"],
                                       [1.0, 2.0, True]], ids=["inf", "zero", "text", "bool"])

@@ -379,5 +379,5 @@ class TestValidation:
             WallSpec("robin-", 1.0)
 
     def test_root_block_size_is_bounded(self):
-        with pytest.raises(DomainError, match="n_exact must be in"):
+        with pytest.raises(DomainError, match=r"n_exact must be an integer in \[2, 512\]"):
             build_spectrum(WALL, n_exact=513)

@@ -152,12 +152,19 @@ class TestSweepSpec:
         (dict(beta_inv_max=True), "beta_inv_max must be a finite real number"),
         (dict(log_grid="no"), "log_grid must be a bool"),
         (dict(normalize_by_tcr=None), "normalize_by_tcr must be a bool"),
-    ], ids=["bound-text", "bound-bool", "flag-text", "flag-none"])
+        (dict(wall="robin-"), "wall must be a WallSpec, got 'robin-'"),
+        (dict(wall=WallKind.ROBIN_ATTRACTIVE), "wall must be a WallSpec"),
+        (dict(ensemble=Statistics.CANONICAL), "ensemble must be an EnsembleSpec"),
+        (dict(n_exact=513), r"n_exact must be an integer in \[2, 512\]"),
+    ], ids=["bound-text", "bound-bool", "flag-text", "flag-none", "wall-name", "wall-kind",
+            "ensemble-statistics", "n-exact-513"])
     def test_bounds_are_numbers_and_flags_bools(self, bad, message):
-        # a text bound raised a bare TypeError, and log_grid="no" ran a log grid
+        # a text bound raised a bare TypeError, log_grid="no" ran a log grid,
+        # and a wall named by its text was taken, for run_sweep to fail with
+        # an AttributeError
         with pytest.raises(DomainError, match=message):
-            SweepSpec(wall=ATTR, ensemble=CANONICAL, **{"beta_inv_min": 0.1,
-                                                        "beta_inv_max": 1.0, "points": 5, **bad})
+            SweepSpec(**{"wall": ATTR, "ensemble": CANONICAL, "beta_inv_min": 0.1,
+                         "beta_inv_max": 1.0, "points": 5, **bad})
 
     def test_normalize_requires_bose(self):
         with pytest.raises(DomainError):
@@ -298,7 +305,7 @@ class TestSerialization:
         ("spec", lambda d: d.pop("particles"), "has no key 'particles'"),
         ("spec", lambda d: d.pop("points"), "argument: 'points'"),
         ("spec", lambda d: d.update(fields=1), "argument 'fields'"),
-        ("spec", lambda d: d.update(n_exact=10 ** 6), "n_exact must be in"),
+        ("spec", lambda d: d.update(n_exact=10 ** 6), r"n_exact must be an integer in \[2, 512\]"),
         ("spec", lambda d: d.update(outputs=["heat_capacity"]), "argument 'outputs'"),
         ("row", lambda d: d.pop("beta"), "argument: 'beta'"),
         ("row", lambda d: d.update(entropy=0.5), "argument 'entropy'"),
@@ -311,16 +318,41 @@ class TestSerialization:
         ("spec", lambda d: d.update(beta_inv_max=True), "beta_inv_max must be a finite real number"),
         ("spec", lambda d: d.update(log_grid="false"), "log_grid must be a bool"),
         ("spec", lambda d: d.update(normalize_by_tcr=0), "normalize_by_tcr must be a bool"),
+        # a value of a row or of the extrema that is no finite number, or an
+        # error that is no text, was read back, for result_to_csv to raise a
+        # ValueError or TypeError
+        ("row", lambda d: d.update(heat_capacity="lots"),
+         "row heat_capacity must be a finite number, got 'lots'"),
+        ("row", lambda d: d.update(heat_capacity=True),
+         "row heat_capacity must be a finite number"),
+        ("row", lambda d: d.update(heat_capacity=[1, 2]),
+         "row heat_capacity must be a finite number"),
+        ("row", lambda d: d.update(mean_energy=math.nan),
+         "row mean_energy must be a finite number"),
+        ("row", lambda d: d.update(beta=None), "row beta must be a finite number"),
+        ("row", lambda d: d.update(error=5), "row error must be text"),
+        ("extrema", lambda d: d.update(c_max=[1, 2]), "extrema c_max must be a finite number"),
+        ("extrema", lambda d: d.update(c_min="1"), "extrema c_min must be a finite number"),
     ], ids=["spec-ensemble-key", "spec-key", "spec-extra", "spec-n-exact", "spec-outputs",
             "row-key", "row-extra",
             "spec-field-text", "spec-field-numeric-text", "spec-particles-bool",
-            "spec-field-bool", "spec-bound-bool", "spec-flag-text", "spec-flag-number"])
+            "spec-field-bool", "spec-bound-bool", "spec-flag-text", "spec-flag-number",
+            "row-text", "row-bool", "row-list", "row-nan", "row-null", "row-error-number",
+            "extrema-list", "extrema-text"])
     def test_bad_keys_in_json_rejected(self, part, edit, message):
         # a missing or unknown key, or a value of the wrong type, is a
         # DomainError that names it, not a KeyError or TypeError
         doc = json.loads(result_to_json(run_sweep(canonical_spec(points=5))))
-        edit(doc["spec"] if part == "spec" else doc["rows"][2])
+        edit(doc[part] if part in ("spec", "extrema") else doc["rows"][2])
         with pytest.raises(DomainError, match=message):
+            result_from_json(json.dumps(doc))
+
+    def test_bad_condensate_value_rejected(self):
+        # the condensate's values are numbers too; its null stays a Fermi
+        # or canonical sweep's
+        doc = json.loads(result_to_json(run_sweep(bose_spec())))
+        doc["condensate"]["t_cr"] = "1.5"
+        with pytest.raises(DomainError, match="condensate t_cr must be a finite number"):
             result_from_json(json.dumps(doc))
 
     @SERIALIZED
