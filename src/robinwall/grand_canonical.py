@@ -295,6 +295,7 @@ def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
     """The evaluator (beta, cells) -> ThermoPoint of the EnsembleSpecs
     ``ensembles``, all of one statistics (else DomainError):
     ``canonical._canonical``, or an ``_Evaluator``."""
+    _check_member(spectrum, Spectrum, "spectrum")
     if {_check_member(e, EnsembleSpec, "ensemble").statistics
             for e in ensembles} == {Statistics.CANONICAL}:
         return lambda beta, cells: _canonical(spectrum, beta)
@@ -331,6 +332,7 @@ def be_critical(spectrum: Spectrum, n_particles: int) -> CondensateReport:
     level empty), by ``_solve_n`` in ln beta from the Lambert-W estimate,
     on the bracket from beta = ln(1 + 1/N)/(E_1 - E_0), where E_1 alone
     holds N, to _GAMMA_MAX/(E_1 - E_0).  SolverError if it fails."""
+    _check_member(spectrum, Spectrum, "spectrum")
     n_particles = _check_index(n_particles, 1, "n_particles")
     n_target = float(n_particles)
     beta_a = asymptotic_beta_cr(spectrum.wall.field, n_particles)

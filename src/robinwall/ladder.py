@@ -375,6 +375,7 @@ def ladder_sums(spectrum: Spectrum, beta: float | np.ndarray, statistics: Statis
     Scalars give floats, else arrays of the broadcast shape; DomainError for
     bad arguments, SolverError for a Bose exponent <= 0.
     """
+    _check_member(spectrum, Spectrum, "spectrum")
     _check_member(statistics, Statistics, "statistics")
     start_index = _check_index(start_index, 0, "start_index", spectrum.n_exact - 1)
     beta, g = _check_real(beta, "beta", ndim=1), _check_real(gamma, "gamma", ndim=1, sign=None)

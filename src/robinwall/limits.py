@@ -18,7 +18,7 @@ import numpy as np
 from .canonical import ThermoPoint
 from .errors import DomainError
 from .ladder import Statistics
-from .specfun import _SQRT_PI, _check_index, _check_real, lambert_w
+from .specfun import _SQRT_PI, _check_index, _check_member, _check_real, lambert_w
 
 if TYPE_CHECKING:
     from .grand_canonical import EnsembleSpec
@@ -149,7 +149,9 @@ def asymptotic_mu_cn(beta: float, field: float,
     u = e^beta / (2A), taken in 1/u where u > 1.  DomainError for the
     canonical ensemble, or where the Bose c_N diverges.
     """
-    if ensemble.statistics is Statistics.CANONICAL:
+    from .grand_canonical import EnsembleSpec  # here: grand_canonical imports limits
+
+    if _check_member(ensemble, EnsembleSpec, "ensemble").statistics is Statistics.CANONICAL:
         raise DomainError("asymptotic_mu_cn needs a grand-canonical ensemble")
     beta = _check_real(beta, "beta")
     field = _check_weak(field, beta)

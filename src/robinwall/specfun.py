@@ -5,8 +5,11 @@ functions g_{3/2} and g_{1/2}, the package's one root solver
 index or count, a real number, a type or flag, and an enum's name.
 
 Each element of an Airy argument goes to one branch, each a power sum
-(``_series``), summed in a fixed order, so an element of an array call
-equals its scalar call bit for bit:
+(``_series``): one ``np.einsum`` contraction of the element's powers with
+the coefficients, summed in a fixed order whatever the batch, so an element
+of an array call equals its scalar call bit for bit.  A BLAS product would
+be faster still, but rounds a one-element call differently from a batch:
+``specfun`` calls no BLAS.
 
 * ``|x| <= _ASYM_SWITCH``: the Taylor expansion of y'' = x y about the
   nearest node of a table, built at import by marching down from
@@ -137,12 +140,16 @@ _NEG_SERIES = np.stack([_SIGNS[:_NEG_TERMS] * c[k::2][:_NEG_TERMS]
 
 def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_k coef[j, k] w^k per lane and row j, as (lanes, rows); ``coef``
-    is (rows, terms) for all lanes or (lanes, rows, terms)."""
+    is (rows, terms) for all lanes or (lanes, rows, terms).  One einsum
+    contraction of the (lanes, terms) power table with ``coef``, without
+    ``optimize`` (which may hand it to BLAS): no (lanes, rows, terms)
+    product is stored, and each lane's terms are added in one order
+    whatever the batch (test_batches_equal_one_point_calls)."""
     powers = np.empty((len(w), coef.shape[-1]), dtype=w.dtype)
     powers[:, 0] = 1.0
     powers[:, 1:] = w[:, None]
     powers.cumprod(axis=1, out=powers)
-    return (powers[:, None, :] * coef).sum(axis=-1)
+    return np.einsum("lt,rt->lr" if coef.ndim == 2 else "lt,lrt->lr", powers, coef)
 
 
 def _asymptotic_pos_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

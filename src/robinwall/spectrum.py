@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -295,9 +296,11 @@ def build_spectrum(wall: WallSpec, count: int = DEFAULT_N_EXACT,
 
 def level_gaps(spectrum: Spectrum, n_max: int) -> list[LevelGap]:
     """Gaps Delta_n = E_n - E_0 and ratios R_n = Delta_n / Delta_1, n=1..n_max."""
+    _check_member(spectrum, Spectrum, "spectrum")
     n_max = _check_index(n_max, 1, "n_max")
     levels = spectrum.energies(np.arange(n_max + 1))
     delta = levels[1:] - levels[0]
-    return list(map(LevelGap._make, zip(range(1, n_max + 1), delta.tolist(),
-                                        (delta / delta[0]).tolist())))
+    # tuple.__new__ skips LevelGap._make's per-item length check
+    return list(map(tuple.__new__, repeat(LevelGap), zip(range(1, n_max + 1), delta.tolist(),
+                                                         (delta / delta[0]).tolist())))
 

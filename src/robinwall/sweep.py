@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -306,7 +306,7 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
     T = ``t_centers[i]``: the scans one batch, each refinement pass one.
     SolverError names the first failed lane; DomainError unless there is one
     finite center > 0 per ensemble, at least one."""
-    if not 1 <= len(ensembles) == len(t_centers):
+    if not 1 <= len(_check_member(ensembles, Sequence, "ensembles")) == len(t_centers):
         raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
                           f"{len(t_centers)} for {len(ensembles)} ensembles")
     t = _check_real(t_centers, "t_centers", ndim=1)

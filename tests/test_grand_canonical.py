@@ -473,7 +473,9 @@ class TestSolveAcceptance:
             self, monkeypatch, stat, ns, field):
         # two cells of one spectrum scanned and refined together; the lanes
         # of the second cell's scan below the first cell's window carry an
-        # N offset past the contract, so only second-cell lanes fail
+        # N offset past the contract, so only second-cell lanes fail; the
+        # offset's sign is never 0, so a lane whose N meets its target
+        # exactly is offset too
         from robinwall import sweep
         from robinwall.reference_values import TABLE1
         t_refs = [TABLE1[(stat.value, n, field)][0] for n in ns]
@@ -482,8 +484,9 @@ class TestSolveAcceptance:
 
         def offset(plan, lanes, *args):
             n, *rest = sums(plan, lanes, *args)
-            return np.array([np.where(plan.beta[lanes] < beta_cut,
-                                      n * (1.0 + 5e-10 * np.sign(n - ns[1])), n), *rest])
+            sign = np.where(n >= ns[1], 1.0, -1.0)
+            return np.array([np.where(plan.beta[lanes] < beta_cut, n * (1.0 + 5e-10 * sign), n),
+                             *rest])
 
         monkeypatch.setattr(gc, "_sums", offset)
         with pytest.raises(SolverError) as info:
