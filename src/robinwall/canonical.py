@@ -9,8 +9,7 @@ extremum search on c(beta) of every sweep and peak search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +29,7 @@ __all__ = [
 _SQRT_EPS = math.sqrt(2.0 ** -52)
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     """A state, or arrays of them over a batch: <E> of all the particles, c
     per particle (units of k_B), mu and the Bose ground fraction n0 (None
     where they do not apply), per lane of a batch None or why its values
@@ -46,8 +44,7 @@ class ThermoPoint:
     heat_capacity_slope: float | None = None
 
 
-@dataclass(frozen=True)
-class ExtremumReport:
+class ExtremumReport(NamedTuple):
     """The largest and smallest c of a scan's interior extrema and their
     temperatures; None where it has none."""
 
@@ -71,7 +68,7 @@ def _checked(p: ThermoPoint, what: Callable[[int], str]) -> ThermoPoint:
                    if off[i] else e for i, e in enumerate(p.errors))
     failed = np.array([e is not None for e in errors])
     # the clip takes off the last-ulp overshoot of a full condensate
-    return replace(p, errors=errors, **{f: np.where(failed, np.nan, getattr(p, f)) for f in (
+    return p._replace(errors=errors, **{f: np.where(failed, np.nan, getattr(p, f)) for f in (
         "mean_energy", "heat_capacity", "mu", "heat_capacity_slope") if getattr(p, f) is not None},
         n0=None if p.n0 is None else np.minimum(np.where(failed, np.nan, p.n0), 1.0))
 

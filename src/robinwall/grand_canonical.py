@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class EnsembleSpec:
                               f"got {self.n_particles!r}")
 
 
-@dataclass(frozen=True)
-class CondensateReport:
+class CondensateReport(NamedTuple):
     """Condensation threshold of a Bose system: beta_cr, T_cr = 1/beta_cr,
     and the weak-field Lambert-W estimate of beta_cr."""
 

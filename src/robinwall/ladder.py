@@ -104,11 +104,28 @@ def _kernels(x: np.ndarray, statistics: Statistics) -> list[np.ndarray]:
 
 X_DEAD = 45.0  # |x| past which an occupation is 0 or 1 to within e^-X_DEAD
 
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule (nodes, weights) on [-1, 1]: the
+    eigenvalues of the Legendre Jacobi matrix (Golub & Welsch, 1969) after
+    one Newton step on P_n, weighted 2/((1 - x^2) P_n'(x)^2), P_n and P_n'
+    from the three-term recurrence (test_gauss_rules_are_exact)."""
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / (1.0 - x * x)
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    x -= np.divide(*legendre(x))
+    return x, 2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)
+
+
 # the closure integral's Gauss-Legendre rule (nodes, weights) per statistics,
 # each within test_closure_quadrature_is_converged's 1e-13 of a 64-node rule:
 # Fermi sums need the most nodes for their transition layer, and Bose sums
 # fail that bound with 12 next to the kernel's pole
-_RULES = {s: np.polynomial.legendre.leggauss(n) for s, n in (
+_RULES = {s: _gauss_legendre(n) for s, n in (
     (Statistics.CANONICAL, 12), (Statistics.FERMI_DIRAC, 20), (Statistics.BOSE_EINSTEIN, 14))}
 
 # exponent offsets of the geometric tail panels, from 0.5 up to the last
@@ -126,9 +143,15 @@ _EDGE = np.array([-11.0, 82.0, 720.0, -82.0, 11.0]) / 1440.0
 
 def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """start * 2^k clipped at stop, k = 1, 2, ..., one row per lane, until
-    every row has reached its stop (earlier rows repeat it)."""
-    k = int(np.ceil(np.log2(np.max(stop / start)))) + 1
-    return np.minimum(start[:, None] * 2.0 ** np.arange(1, k + 1), stop[:, None])
+    every row has reached its stop (earlier rows repeat it); NaN rows where
+    stop / start is not finite, so those lanes' sums are NaN and fail as
+    lanes (test_lanes_past_the_float_range_fail_alone)."""
+    with np.errstate(over="ignore"):
+        ratio = stop / start
+    finite = np.isfinite(ratio)
+    k = int(np.ceil(np.log2(np.max(ratio, where=finite, initial=1.0)))) + 1
+    rows = np.minimum(start[:, None] * 2.0 ** np.arange(1, k + 1), stop[:, None])
+    return np.where(finite[:, None], rows, np.nan)
 
 
 def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:

@@ -138,17 +138,22 @@ _NEG_SERIES = np.stack([_SIGNS[:_NEG_TERMS] * c[k::2][:_NEG_TERMS]
                         for c in (_U_COEF, _V_COEF) for k in (0, 1)])
 
 
-def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k coef[j, k] w^k per lane and row j, as (lanes, rows); ``coef``
-    is (rows, terms) for all lanes or (lanes, rows, terms).  One einsum
-    contraction of the (lanes, terms) power table with ``coef``, without
-    ``optimize`` (which may hand it to BLAS): no (lanes, rows, terms)
-    product is stored, and each lane's terms are added in one order
-    whatever the batch (test_batches_equal_one_point_calls)."""
-    powers = np.empty((len(w), coef.shape[-1]), dtype=w.dtype)
+def _powers(w: np.ndarray, terms: int) -> np.ndarray:
+    """The (lanes, terms) power table 1, w, w^2, ... of the 1-D ``w``."""
+    powers = np.empty((len(w), terms), dtype=w.dtype)
     powers[:, 0] = 1.0
     powers[:, 1:] = w[:, None]
-    powers.cumprod(axis=1, out=powers)
+    return powers.cumprod(axis=1, out=powers)
+
+
+def _series(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k coef[j, k] w^k per lane and row j, as (lanes, rows); ``coef``
+    is (rows, terms) for all lanes or (lanes, rows, terms), ``w`` the 1-D
+    lanes or their ``_powers`` table.  One einsum contraction of the power
+    table with ``coef``, without ``optimize`` (which may hand it to BLAS):
+    no (lanes, rows, terms) product is stored, and each lane's terms are
+    added in one order whatever the batch (test_batches_equal_one_point_calls)."""
+    powers = w if w.ndim == 2 else _powers(w, coef.shape[-1])
     return np.einsum("lt,rt->lr" if coef.ndim == 2 else "lt,lrt->lr", powers, coef)
 
 
@@ -196,9 +201,10 @@ def _build_table() -> tuple[np.ndarray, np.ndarray]:
     coef = np.empty((len(xs), 2, _TAYLOR_TERMS))
     f, fp = (v[0] * math.exp(-_TWO_THIRDS * _ASYM_SWITCH ** 1.5)
              for v in _asymptotic_pos_scaled(np.array([_ASYM_SWITCH])))
+    step = _powers(np.array([-_TABLE_STEP]), _TAYLOR_TERMS)
     for i in range(len(xs) - 1, -1, -1):
         coef[i] = _taylor_coefs(xs[i], f, fp)
-        f, fp = _series(coef[i], np.array([-_TABLE_STEP]))[0]
+        f, fp = _series(coef[i], step)[0]
     return xs, coef
 
 
@@ -335,28 +341,32 @@ def _zero_law(n, kind: AiryZeroKind):
     return -(t ** _TWO_THIRDS) * (1.0 - ti2 * (7.0 / 48.0 - ti2 * 35.0 / 288.0))
 
 
-def _refined_zeros(kind: AiryZeroKind) -> np.ndarray:
-    """The first N_EXACT_ZEROS zeros, read-only: one lockstep solve from the
-    large-index estimates, each within a quarter of the local spacing
-    pi/sqrt|x|; SolverError unless every residual is <= 1e-12."""
-    def fn(x):
+def _refined_zeros() -> dict[AiryZeroKind, np.ndarray]:
+    """The first N_EXACT_ZEROS zeros of each kind, read-only: one lockstep
+    solve, a lane a zero (those of Ai first), from the large-index
+    estimates, each within a quarter of the local spacing pi/sqrt|x|, to
+    the step test of ``_polished_roots`` at 1e-15; SolverError unless every
+    lane meets it with a residual <= 1e-12."""
+    def fn(x, lanes):
         ai, aip = _airy_pair(x)  # Ai'' = x Ai and Ai''' = Ai + x Ai'
-        if kind is AiryZeroKind.FunctionZero:
-            return ai, aip, x * ai
-        return aip, x * ai, ai + x * aip
+        rows = np.array([ai, aip, x * ai, ai + x * aip])
+        # (f, f', f'') of a zero of Ai: rows 0-2; of a zero of Ai': rows 1-3
+        return (*np.where(lanes >= N_EXACT_ZEROS, rows[1:], rows[:-1]), x)
 
-    guess = _zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
+    guess = np.concatenate([_zero_law(np.arange(1, N_EXACT_ZEROS + 1), kind)
+                            for kind in AiryZeroKind])
     quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
-    zs = _polished_roots(fn, guess - quarter, guess + quarter, guess, 1e-15)
-    resid = np.abs(fn(zs)[0])
+    _, zs, met = _newton_root(fn, guess - quarter, guess + quarter, guess, lambda f, s, x: (
+        np.abs(f / s) <= 1e-15 * np.maximum(1.0, np.abs(x))))
+    resid = np.where(met, np.abs(fn(zs, np.arange(zs.size))[0]), np.inf)
     if resid.max() > 1e-12:
         i = int(np.argmax(resid))
         raise SolverError(f"airy zero refinement stalled at x={zs[i]} (residual {resid[i]:.3e})")
     zs.flags.writeable = False
-    return zs
+    return dict(zip(AiryZeroKind, np.split(zs, 2)))
 
 
-_ZEROS = {kind: _refined_zeros(kind) for kind in AiryZeroKind}
+_ZEROS = _refined_zeros()
 
 
 def _airy_zeros(count: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> np.ndarray:

@@ -82,8 +82,7 @@ class WallSpec:
         return None
 
 
-@dataclass(frozen=True)
-class TailLaw:
+class TailLaw(NamedTuple):
     """Level law past the root-solved block,
     E(m) = tau (4 (m + j0) - k_off)^(2/3) + shift, tau holding the zero
     law's prefactor and F^(2/3).  Its methods are all that ``ladder`` knows

@@ -14,8 +14,9 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +78,7 @@ class SweepSpec:
             raise DomainError("normalize_by_tcr applies to Bose sweeps only")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     beta_inv: float
     beta: float
     mean_energy: float | None = None
@@ -89,8 +89,7 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
     extrema: ExtremumReport
@@ -186,10 +185,10 @@ def result_to_json(result: SweepResult) -> str:
     fields that are not None."""
     doc = {
         "spec": _spec_to_dict(result.spec),
-        "rows": [{k: v for k, v in vars(r).items() if v is not None}
+        "rows": [{k: v for k, v in r._asdict().items() if v is not None}
                  for r in result.rows],
-        "extrema": asdict(result.extrema),
-        "condensate": None if result.condensate is None else asdict(result.condensate),
+        "extrema": result.extrema._asdict(),
+        "condensate": None if result.condensate is None else result.condensate._asdict(),
     }
     return json.dumps(doc, indent=1)
 
@@ -218,7 +217,7 @@ def result_from_json(text: str) -> SweepResult:
                            _read(CondensateReport, cond, "condensate"))
     except KeyError as e:
         raise DomainError(f"sweep document has no key {e}") from None
-    except TypeError as e:  # a dataclass given an unknown key, or none for a field
+    except TypeError as e:  # a type given an unknown key, or none for a field
         raise DomainError(f"sweep document: {e}") from None
     except json.JSONDecodeError as e:
         raise DomainError(f"sweep document is not JSON: {e}") from None
@@ -259,8 +258,7 @@ def result_to_csv(result: SweepResult) -> str:
 # tabulated-peak regression harness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Table1Cell:
+class Table1Cell(NamedTuple):
     ensemble: str
     n_particles: int
     field: float
@@ -277,8 +275,7 @@ class Table1Cell:
         return self.rel_t <= self.tolerance and self.rel_c <= self.tolerance
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(NamedTuple):
     cells: tuple[Table1Cell, ...]
 
     @property
@@ -304,12 +301,12 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
     """The c extrema of cells of one spectrum, cell i in ``ensembles[i]``
     (all of one statistics) scanned over T/_SCAN_SPAN .. T _SCAN_SPAN,
     T = ``t_centers[i]``: the scans one batch, each refinement pass one.
-    SolverError names the first failed lane; DomainError unless there is one
-    finite center > 0 per ensemble, at least one."""
-    if not 1 <= len(_check_member(ensembles, Sequence, "ensembles")) == len(t_centers):
-        raise DomainError(f"t_centers needs one center per ensemble, at least one, got "
-                          f"{len(t_centers)} for {len(ensembles)} ensembles")
+    SolverError names the first failed lane; DomainError unless ``t_centers``
+    is 1-D, one finite center > 0 per ensemble, at least one."""
     t = _check_real(t_centers, "t_centers", ndim=1)
+    if np.shape(t) != (len(_check_member(ensembles, Sequence, "ensembles")),):
+        raise DomainError(f"t_centers needs a 1-D sequence of one center per ensemble, got "
+                          f"shape {np.shape(t)} for {len(ensembles)} ensembles")
     with np.errstate(over="ignore"):  # a center near the ends of the float range
         ends = _check_real(np.array([1.0 / (t * _SCAN_SPAN), _SCAN_SPAN / t]),
                            "beta at the ends of the scan about t_centers", ndim=2)

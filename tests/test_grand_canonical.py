@@ -579,7 +579,7 @@ class TestOneStateCall:
             one = evaluate(np.array([beta]))
             expected = {name: None if getattr(one, name) is None else float(getattr(one, name)[0])
                         for name in STATE_FIELDS}
-            assert vars(thermo_point(sp, beta, ens)) == {**expected, "errors": None}
+            assert thermo_point(sp, beta, ens)._asdict() == {**expected, "errors": None}
 
 
 def lane_starts(solved, beta, cells):

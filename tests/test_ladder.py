@@ -3,6 +3,7 @@ summation; everything downstream (canonical and grand-canonical modules)
 stands on these comparisons."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import special as sp
 from robinwall import ladder
 from robinwall._work import reading
 from robinwall.errors import DomainError, SolverError
+from robinwall.grand_canonical import EnsembleSpec, thermo_point
 from robinwall.ladder import Statistics, ladder_sums
 from robinwall.spectrum import WallKind, WallSpec, build_spectrum
 
@@ -840,3 +842,62 @@ def test_strong_field_sparse_range_matches_brute_force(wall_kind, kind, sign):
             ref = family_brute_force(sp, beta, sign, gamma)
         for h, r in zip(sums, ref, strict=True):
             assert h == pytest.approx(r, rel=1e-10, abs=0.0)
+
+
+def test_gauss_rules_are_exact():
+    # each closure rule integrates x^k on [-1, 1] exactly for every k < 2n,
+    # to 1e-15 summed exactly (math.fsum)
+    for nodes, weights in ladder._RULES.values():
+        n = len(nodes)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(weights * nodes ** k) - exact) <= 1e-15, (n, k)
+
+
+def test_gauss_rules_match_leggauss():
+    # the rules as numpy.polynomial.legendre.leggauss gives them, which the
+    # package no longer imports: nodes to 1e-15, weights to 1e-13 relative
+    for statistics, n in ((Statistics.CANONICAL, 12), (Statistics.FERMI_DIRAC, 20),
+                          (Statistics.BOSE_EINSTEIN, 14)):
+        nodes, weights = ladder._RULES[statistics]
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert len(nodes) == n
+        assert np.abs(nodes - ref_nodes).max() <= 1e-15
+        assert np.abs(weights / ref_weights - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("wall_kind,field,ensemble,bad", [
+    *((k, 1e-7, None, [1e-307, 1e-305])
+      for k in (WallKind.DIRICHLET, WallKind.NEUMANN, WallKind.ROBIN_REPULSIVE)),
+    (WallKind.ROBIN_ATTRACTIVE, 1e3, (Statistics.FERMI_DIRAC, 2 ** 63 - 1), [1e293]),
+], ids=["dirichlet", "neumann", "robin+", "fd-sea"])
+def test_lanes_past_the_float_range_fail_alone(wall_kind, field, ensemble, bad):
+    # a lane whose panel octaves run past the float range (an infinite
+    # stop / start in _doublings: a hot canonical lane's first closure
+    # exponent underflows, or a hot full Fermi sea's end overflows) raised a
+    # bare OverflowError for the whole batch.  It fails as a lane, NaN with
+    # a message, alone, one lane each and in a batch, and the other lanes'
+    # states are those of a batch without it, bit for bit.  The numpy
+    # RuntimeWarnings on the way are allowed (ROADMAP item 21)
+    sp = build_spectrum(WallSpec(wall_kind, field))
+    ens = EnsembleSpec(*(ensemble or (Statistics.CANONICAL, 1)))
+    good = np.array([1e-3, 0.3, 1.0, 10.0])
+    mixed = np.concatenate([bad[:1], good, bad[1:]])
+    is_bad = np.isin(mixed, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alone = thermo_point(sp, good, ens)
+        for beta in [*([b] for b in bad), bad, mixed]:
+            p = thermo_point(sp, np.array(beta), ens)
+            for i, b in enumerate(beta):
+                if b in bad:
+                    assert p.errors[i] is not None and f"beta={b}" in p.errors[i]
+                    assert np.isnan(p.mean_energy[i]) and np.isnan(p.heat_capacity[i])
+        if ensemble is None:
+            sums = np.array(ladder_sums(sp, mixed, Statistics.CANONICAL))
+            assert np.isnan(sums[:, is_bad]).all() and np.isfinite(sums[:, ~is_bad]).all()
+    assert all(e is None for e in alone.errors)
+    assert [p.errors[i] for i in (~is_bad).nonzero()[0]] == [None] * len(good)
+    for name in ("mean_energy", "heat_capacity", "mu", "heat_capacity_slope"):
+        if getattr(alone, name) is not None:
+            assert getattr(p, name)[~is_bad].tobytes() == getattr(alone, name).tobytes()

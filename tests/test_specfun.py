@@ -636,3 +636,40 @@ class TestBoseFunctions:
         g32, g12 = sf._bose_g(np.array([[0.5, 2.0], [800.0, 1e-3]]))
         assert g32.shape == g12.shape == (2, 2)
         assert g32[1, 0] == g12[1, 0] == 0.0  # e^-800 underflows quietly
+
+
+def reference_tables():
+    """The import-time builds as they were made before: the Taylor march
+    taking a fresh power row of its step at every node, and one solve per
+    kind of zero."""
+    xs, coef = sf._TABLE_X, np.empty_like(sf._TABLE_COEF)
+    f, fp = (v[0] * math.exp(-sf._TWO_THIRDS * sf._ASYM_SWITCH ** 1.5)
+             for v in sf._asymptotic_pos_scaled(np.array([sf._ASYM_SWITCH])))
+    for i in range(len(xs) - 1, -1, -1):
+        coef[i] = sf._taylor_coefs(xs[i], f, fp)
+        f, fp = sf._series(coef[i], np.array([-sf._TABLE_STEP]))[0]
+    zeros = {}
+    for kind in AiryZeroKind:
+        def fn(x, kind=kind):
+            ai, aip = sf._airy_pair(x)
+            if kind is AiryZeroKind.FunctionZero:
+                return ai, aip, x * ai
+            return aip, x * ai, ai + x * aip
+
+        guess = sf._zero_law(np.arange(1, sf.N_EXACT_ZEROS + 1), kind)
+        quarter = 0.25 * math.pi / np.sqrt(np.abs(guess))
+        zeros[kind] = sf._polished_roots(fn, guess - quarter, guess + quarter, guess, 1e-15)
+    return coef, zeros
+
+
+class TestImportBuilds:
+    def test_tables_equal_their_reference_build(self):
+        # the march with one power row of its step, and both kinds of zero in
+        # one lockstep solve, give the tables of the builds they replace, bit
+        # for bit: a lane's Halley path and its Airy values are its own
+        coef, zeros = reference_tables()
+        assert sf._TABLE_COEF.tobytes() == coef.tobytes()
+        assert set(sf._ZEROS) == set(AiryZeroKind)
+        for kind, zs in zeros.items():
+            assert sf._ZEROS[kind].dtype == zs.dtype and sf._ZEROS[kind].tobytes() == zs.tobytes()
+            assert not sf._ZEROS[kind].flags.writeable

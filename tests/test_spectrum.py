@@ -245,7 +245,7 @@ class TestRobinLevels:
 
     def test_tail_below_last_root_rejected(self):
         sp = attractive(1e-3, count=8)
-        low = dataclasses.replace(sp.tail, shift=sp.tail.shift - 1.0)
+        low = sp.tail._replace(shift=sp.tail.shift - 1.0)
         with pytest.raises(SolverError):
             dataclasses.replace(sp, tail=low)
 

@@ -576,6 +576,15 @@ class TestTable1Harness:
         with pytest.raises(DomainError, match=name):
             locate_peak(sp, specs, t_centers)
 
+    @pytest.mark.parametrize("t_centers", [0.25, np.float64(0.25), "0.25", b"0.25", None],
+                             ids=["float", "numpy-float", "text", "bytes", "none"])
+    def test_peak_centers_not_in_a_sequence_rejected(self, t_centers):
+        # one center given alone, or text: a TypeError from len(t_centers)
+        # before the centers were checked
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+        with pytest.raises(DomainError, match="t_centers"):
+            locate_peak(sp, [CANONICAL], t_centers)
+
     def test_deterministic(self):
         a = table1_harness(fields=(1e-4,), ensembles=("canonical",))
         b = table1_harness(fields=(1e-4,), ensembles=("canonical",))
