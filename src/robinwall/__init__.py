@@ -33,11 +33,9 @@ from .canonical import (
 )
 from .limits import (
     asymptotic_beta_cr,
-    asymptotic_mu_cn,
     fd_plateau,
     fd_single_peak,
     resonance_predictors,
-    weak_field_composite,
     zero_field_attractive,
 )
 from .grand_canonical import (

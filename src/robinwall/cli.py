@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     wall = WallSpec(WallKind(args.wall), args.field)
     sp = build_spectrum(wall, count=args.count, n_exact=args.levels)
-    gaps = level_gaps(sp, min(args.count - 1, 20)) if args.count > 1 else []
     if args.format == "json":
+        gaps = level_gaps(sp, min(args.count - 1, 20)) if args.count > 1 else []
         doc = {
             "wall": wall.kind.value,
             "field": wall.field,
@@ -130,16 +130,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from .reference_values import TABLE1_FIELDS
-    fields = TABLE1_FIELDS
+    chosen = {}  # the tabulated fields, unless --fields names some
     if args.fields:
         try:
-            fields = tuple(float(s) for s in args.fields.split(","))
+            chosen["fields"] = tuple(float(s) for s in args.fields.split(","))
         except ValueError:
             raise DomainError(f"--fields must be comma-separated numbers, "
                               f"got {args.fields!r}") from None
     ensembles = tuple(s for s in args.ensembles.split(",") if s)
-    report = table1_harness(fields=fields, ensembles=ensembles)
+    report = table1_harness(ensembles=ensembles, **chosen)
     _emit(report.as_text(), args.out)
     return EXIT_OK if report.passed else EXIT_REGRESSION
 

@@ -34,7 +34,6 @@ error (ROADMAP.md, open item 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from . import _work
 from .canonical import ThermoPoint, _canonical, _checked
 from .errors import DomainError, SolverError
-from .ladder import Statistics, _Plan, _sums, ladder_sums
+from .ladder import EnsembleSpec, Statistics, _Plan, _sums, ladder_sums
 from .limits import _ln_weight, _two_term_log_t, asymptotic_beta_cr
 from .spectrum import Spectrum
 from .specfun import _SQRT_PI, _bose_g, _check_index, _check_member, _check_real, _newton_root
@@ -57,24 +56,6 @@ __all__ = [
 
 _N_RESIDUAL = 1e-10  # relative particle-number residual of every accepted state
 _N_TARGET = 1e-12  # the residual the Newton iteration aims at
-_N_MAX = int(np.iinfo(np.int64).max)  # past it an array of N holds Python ints
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Statistics plus particle number N, an integer in [1, _N_MAX] (1 for
-    the canonical ensemble); DomainError otherwise."""
-
-    statistics: Statistics
-    n_particles: int
-
-    def __post_init__(self) -> None:
-        _check_member(self.statistics, Statistics, "statistics")
-        object.__setattr__(self, "n_particles",
-                           _check_index(self.n_particles, 1, "n_particles", _N_MAX))
-        if self.statistics is Statistics.CANONICAL and self.n_particles != 1:
-            raise DomainError(f"the canonical ensemble is computed for 1 particle, "
-                              f"got {self.n_particles!r}")
 
 
 class CondensateReport(NamedTuple):
@@ -97,7 +78,8 @@ def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
     returns ``(N, dN/du, d2N/du2, payload)`` over the lanes ``lanes``, a
     payload column per lane (d2N/du2 = 0: Newton's steps); N <= 0 is
     ln N = -inf.  Returns the payloads and per lane None, or, where the last
-    point misses _N_RESIDUAL or is NaN, a message starting ``what(lane)``."""
+    point misses _N_RESIDUAL or its sums are not finite, a message starting
+    ``what(lane)``."""
     def log_n(x, lanes):
         n, n_u, n_uu, pay = fn(x, lanes)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -110,7 +92,9 @@ def _solve_n(fn, u, lo, hi, n_target: np.ndarray, what):
     err = np.abs(np.expm1(payload[0]))
     errors = [None if e <= _N_RESIDUAL else
               f"{what(i)}: particle-number residual {e:.3e} N exceeds tolerance "
-              f"{_N_RESIDUAL:.0e} N" for i, e in enumerate(err.tolist())]
+              f"{_N_RESIDUAL:.0e} N" if math.isfinite(e) else
+              f"{what(i)}: particle-number residual {e} N, as its particle-number "
+              "sums are not finite" for i, e in enumerate(err.tolist())]
     return payload[1:], errors
 
 
@@ -175,19 +159,21 @@ def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndar
 
 class _Evaluator:
     """Called with (beta, cells), the ``ThermoPoint`` of arrays of the batch,
-    lane i in ``ensembles[cells[i]]`` (all FD, or all BE, else DomainError),
-    each failed lane checked by ``canonical._checked``.  ``states[k]`` holds
+    lane i in ``ensembles[cells[i]]``, all of one statistics (else
+    DomainError), each failed lane checked by ``canonical._checked``; the
+    canonical sums are ``canonical._canonical``.  ``states[k]`` holds
     cell k's solved (ln beta, u, du/d ln beta) as columns, stably sorted by
     ln beta; a lane starts on the cubic Hermite through its cell's two
     nearest (on a tie, the first), the Taylor step from one, or else cold,
     clipped into its bracket.  One plan, made at the starts, serves a call."""
 
     def __init__(self, spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]) -> None:
-        if {e.statistics for e in ensembles} not in (
-                {Statistics.FERMI_DIRAC}, {Statistics.BOSE_EINSTEIN}):
-            raise DomainError(f"the grand-canonical solve needs every ensemble FD, or every "
-                              f"one BE; got {ensembles!r}")
-        self.spectrum, self.statistics = spectrum, ensembles[0].statistics
+        self.spectrum = _check_member(spectrum, Spectrum, "spectrum")
+        kinds = {_check_member(e, EnsembleSpec, "ensemble").statistics for e in ensembles}
+        if len(kinds) != 1:
+            raise DomainError(f"the ensembles of one evaluation need one statistics, "
+                              f"got {ensembles!r}")
+        self.statistics, = kinds
         self.n = np.array([e.n_particles for e in ensembles])
         self.states = [np.empty((3, 0)) for _ in ensembles]
 
@@ -210,6 +196,8 @@ class _Evaluator:
         return start
 
     def __call__(self, beta: np.ndarray, cells: np.ndarray) -> ThermoPoint:
+        if self.statistics is Statistics.CANONICAL:
+            return _canonical(self.spectrum, beta)
         sp, n = self.spectrum, self.n[cells]
 
         def what(i: int) -> str:
@@ -289,16 +277,13 @@ class _Evaluator:
             self.states[k] = states[:, np.argsort(states[0], kind="stable")]
         return p
 
-
-def _evaluator(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec]):
-    """The evaluator (beta, cells) -> ThermoPoint of the EnsembleSpecs
-    ``ensembles``, all of one statistics (else DomainError):
-    ``canonical._canonical``, or an ``_Evaluator``."""
-    _check_member(spectrum, Spectrum, "spectrum")
-    if {_check_member(e, EnsembleSpec, "ensemble").statistics
-            for e in ensembles} == {Statistics.CANONICAL}:
-        return lambda beta, cells: _canonical(spectrum, beta)
-    return _Evaluator(spectrum, ensembles)
+    def c(self, beta: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(c, dc/d ln beta) of the batch, as ``canonical.find_extrema``
+        refines them; SolverError names the first failed lane."""
+        p = self(beta, cells)
+        for e in filter(None, p.errors):
+            raise SolverError(e)
+        return p.heat_capacity, p.heat_capacity_slope
 
 
 def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
@@ -311,7 +296,7 @@ def thermo_point(spectrum: Spectrum, beta: float | np.ndarray,
     message in ``errors``; a scalar gives floats, or raises SolverError."""
     beta = _check_real(beta, "beta", ndim=1)
     lanes = np.ravel(beta)
-    p = _evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
+    p = _Evaluator(spectrum, [ensemble])(lanes, np.zeros(lanes.size, dtype=int))
     if np.ndim(beta) > 0:
         return p
     if p.errors[0]:

@@ -44,14 +44,16 @@ elements (test_deep_sea_is_not_summed_level_by_level).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import _work
-from .errors import SolverError
+from .errors import DomainError, SolverError
 from .specfun import _check_index, _check_member, _check_real, _Names
 from .spectrum import Spectrum
 
-__all__ = ["Statistics", "ladder_sums"]
+__all__ = ["Statistics", "EnsembleSpec", "ladder_sums"]
 
 
 class Statistics(_Names, noun="ensemble"):
@@ -61,6 +63,26 @@ class Statistics(_Names, noun="ensemble"):
     CANONICAL = "canonical"
     FERMI_DIRAC = "fd"
     BOSE_EINSTEIN = "be"
+
+
+_N_MAX = int(np.iinfo(np.int64).max)  # past it an array of N holds Python ints
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """Statistics plus particle number N, an integer in [1, _N_MAX] (1 for
+    the canonical ensemble); DomainError otherwise."""
+
+    statistics: Statistics
+    n_particles: int
+
+    def __post_init__(self) -> None:
+        _check_member(self.statistics, Statistics, "statistics")
+        object.__setattr__(self, "n_particles",
+                           _check_index(self.n_particles, 1, "n_particles", _N_MAX))
+        if self.statistics is Statistics.CANONICAL and self.n_particles != 1:
+            raise DomainError(f"the canonical ensemble is computed for 1 particle, "
+                              f"got {self.n_particles!r}")
 
 
 DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime

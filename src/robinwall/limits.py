@@ -11,17 +11,13 @@ bounds the weak-field regime, over which each form stays finite.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .canonical import ThermoPoint
 from .errors import DomainError
-from .ladder import Statistics
+from .ladder import EnsembleSpec, Statistics
 from .specfun import _SQRT_PI, _check_index, _check_member, _check_real, lambert_w
-
-if TYPE_CHECKING:
-    from .grand_canonical import EnsembleSpec
 
 __all__ = ["zero_field_attractive", "resonance_predictors", "weak_field_composite",
            "fd_plateau", "fd_single_peak", "asymptotic_mu_cn", "asymptotic_beta_cr"]
@@ -149,8 +145,6 @@ def asymptotic_mu_cn(beta: float, field: float,
     u = e^beta / (2A), taken in 1/u where u > 1.  DomainError for the
     canonical ensemble, or where the Bose c_N diverges.
     """
-    from .grand_canonical import EnsembleSpec  # here: grand_canonical imports limits
-
     if _check_member(ensemble, EnsembleSpec, "ensemble").statistics is Statistics.CANONICAL:
         raise DomainError("asymptotic_mu_cn needs a grand-canonical ensemble")
     beta = _check_real(beta, "beta")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import grand_canonical as gc
 from .canonical import ExtremumReport, find_extrema
-from .errors import DomainError, RobinWallError, SolverError
+from .errors import DomainError, RobinWallError
 from .grand_canonical import CondensateReport, EnsembleSpec, Statistics
 from .reference_values import TABLE1, TABLE1_FIELDS, TOLERANCE
 from .specfun import _check_index, _check_member, _check_real
@@ -100,17 +100,6 @@ class SweepResult(NamedTuple):
         return any(r.error is not None for r in self.rows)
 
 
-def _c_or_raise(evaluate):
-    """(c, dc/d ln beta)(beta, cells) of an evaluator; SolverError names the
-    first failed lane."""
-    def c_fn(beta, cells):
-        p = evaluate(beta, cells)
-        for e in filter(None, p.errors):
-            raise SolverError(e)
-        return p.heat_capacity, p.heat_capacity_slope
-    return c_fn
-
-
 def _temperature_grid(spec: SweepSpec) -> np.ndarray:
     if spec.log_grid:
         return np.exp(np.linspace(math.log(spec.beta_inv_min),
@@ -133,7 +122,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     temperatures = t_units * (condensate.t_cr if spec.normalize_by_tcr else 1.0)
 
     betas = 1.0 / temperatures
-    evaluate = gc._evaluator(spectrum, [ens])
+    evaluate = gc._Evaluator(spectrum, [ens])
     try:
         p = evaluate(betas, np.zeros(len(betas), dtype=int))
         errors = p.errors
@@ -148,8 +137,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     extrema = ExtremumReport()
     if not any(errors) and len(rows) >= 3:
-        extrema = find_extrema(betas, p.heat_capacity, p.heat_capacity_slope,
-                               _c_or_raise(evaluate))
+        extrema = find_extrema(betas, p.heat_capacity, p.heat_capacity_slope, evaluate.c)
     return SweepResult(spec=spec, rows=tuple(rows), extrema=extrema,
                        condensate=condensate)
 
@@ -311,10 +299,10 @@ def locate_peak(spectrum: Spectrum, ensembles: Sequence[EnsembleSpec],
         ends = _check_real(np.array([1.0 / (t * _SCAN_SPAN), _SCAN_SPAN / t]),
                            "beta at the ends of the scan about t_centers", ndim=2)
     grids = np.exp([np.linspace(math.log(lo), math.log(hi), _SCAN_POINTS) for lo, hi in ends.T])
-    c_fn = _c_or_raise(gc._evaluator(spectrum, ensembles))
+    evaluate = gc._Evaluator(spectrum, ensembles)
     cells = np.repeat(np.arange(len(grids)), _SCAN_POINTS)
-    c, slope = (np.reshape(a, grids.shape) for a in c_fn(grids.ravel(), cells))
-    return find_extrema(grids, c, slope, c_fn)
+    c, slope = (np.reshape(a, grids.shape) for a in evaluate.c(grids.ravel(), cells))
+    return find_extrema(grids, c, slope, evaluate.c)
 
 
 def table1_harness(fields: tuple[float, ...] = TABLE1_FIELDS,

@@ -348,6 +348,22 @@ class TestFindExtrema:
                              for sp, g, scan in zip(sps, grids, scans))
         assert reps[0].c_max != reps[1].c_max
 
+    def test_slopes_that_are_not_numbers_end_at_the_lowest_point(self):
+        # a refinement whose slopes are NaN finds no sign change to bracket:
+        # it stops at the best point it evaluated, here the scan's own
+        # maximum at beta = 2 of c = (1, 2, 1) where every new point has c = 1,
+        # and a new point where that one lies higher
+        grid, cs, slopes = [1.0, 2.0, 4.0], [1.0, 2.0, 1.0], [1.0, 0.0, -1.0]
+        for c_new, c_max in ((1.0, 2.0), (2.5, 2.5)):
+            def fn(betas, rows):
+                return np.full(len(betas), c_new), np.full(len(betas), np.nan)
+            rep = find_extrema(grid, cs, slopes, fn)
+            assert rep.c_max == c_max and rep.c_min is None
+            if c_new < 2.0:
+                assert rep.beta_inv_at_max == 0.5
+            else:
+                assert 0.5 < rep.beta_inv_at_max < 1.0
+
     def test_absent_extremum(self):
         rep = find_extrema([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0],
                            lambda b, _: (b, b))

@@ -459,14 +459,24 @@ class TestSolveAcceptance:
                 thermo_point(sp, np.full((2, 3), 2.0), EnsembleSpec(stat, 10))
             assert thermo_point(sp, np.full(6, 2.0), EnsembleSpec(stat, 10)).mu.shape == (6,)
 
-    def test_canonical_ensemble_rejected(self):
-        # the canonical ensemble has no chemical potential to solve; its
-        # states are the canonical sums, which thermo_point gives by default
+    def test_canonical_cells_served_and_mixed_statistics_rejected(self):
+        # the one state engine serves canonical cells by the canonical sums,
+        # bit for bit, which thermo_point gives by default; ensembles of two
+        # statistics are rejected before any work
         sp, canonical = attractive(1e-5), EnsembleSpec(Statistics.CANONICAL, 1)
         assert thermo_point(sp, 2.0, canonical) == thermo_point(sp, 2.0)
-        for ensembles in ([canonical] * 2, [canonical, EnsembleSpec(FD, 1)]):
-            with pytest.raises(DomainError, match="grand-canonical"):
-                gc._Evaluator(sp, ensembles)
+        betas = np.array([0.5, 2.0, 9.0])
+        p = gc._Evaluator(sp, [canonical] * 2)(betas, np.array([0, 1, 0]))
+        ref = can._canonical(sp, betas)
+        assert p.errors == ref.errors and (p.mu, p.n0) == (ref.mu, ref.n0) == (None, None)
+        for name in ("mean_energy", "heat_capacity", "heat_capacity_slope"):
+            assert getattr(p, name).tobytes() == getattr(ref, name).tobytes()
+        for ensembles in ([canonical, EnsembleSpec(FD, 1)], [EnsembleSpec(BE, 2), canonical], []):
+            with reading() as work:
+                with pytest.raises(DomainError, match="the ensembles of one evaluation need "
+                                                      "one statistics"):
+                    gc._Evaluator(sp, ensembles)
+            assert not work
 
     @pytest.mark.parametrize("stat, ns, field", [(FD, (2, 10), 1e-5), (BE, (1, 1000), 1e-5)])
     def test_failed_lane_of_a_mixed_block_names_its_own_n_and_beta(

@@ -866,19 +866,22 @@ def test_gauss_rules_match_leggauss():
         assert np.abs(weights / ref_weights - 1.0).max() <= 1e-13
 
 
-@pytest.mark.parametrize("wall_kind,field,ensemble,bad", [
-    *((k, 1e-7, None, [1e-307, 1e-305])
+@pytest.mark.parametrize("wall_kind,field,ensemble,bad,message", [
+    *((k, 1e-7, None, [1e-307, 1e-305], "dc/d ln beta = nan are not finite")
       for k in (WallKind.DIRICHLET, WallKind.NEUMANN, WallKind.ROBIN_REPULSIVE)),
-    (WallKind.ROBIN_ATTRACTIVE, 1e3, (Statistics.FERMI_DIRAC, 2 ** 63 - 1), [1e293]),
+    (WallKind.ROBIN_ATTRACTIVE, 1e3, (Statistics.FERMI_DIRAC, 2 ** 63 - 1), [1e293],
+     "particle-number residual nan N, as its particle-number sums are not finite"),
 ], ids=["dirichlet", "neumann", "robin+", "fd-sea"])
-def test_lanes_past_the_float_range_fail_alone(wall_kind, field, ensemble, bad):
+def test_lanes_past_the_float_range_fail_alone(wall_kind, field, ensemble, bad, message):
     # a lane whose panel octaves run past the float range (an infinite
     # stop / start in _doublings: a hot canonical lane's first closure
     # exponent underflows, or a hot full Fermi sea's end overflows) raised a
     # bare OverflowError for the whole batch.  It fails as a lane, NaN with
     # a message, alone, one lane each and in a batch, and the other lanes'
-    # states are those of a batch without it, bit for bit.  The numpy
-    # RuntimeWarnings on the way are allowed (ROADMAP item 21)
+    # states are those of a batch without it, bit for bit.  A Fermi lane's
+    # message says that its sums are not finite, where it read as a residual
+    # past the tolerance.  The numpy RuntimeWarnings on the way are allowed
+    # (ROADMAP item 21)
     sp = build_spectrum(WallSpec(wall_kind, field))
     ens = EnsembleSpec(*(ensemble or (Statistics.CANONICAL, 1)))
     good = np.array([1e-3, 0.3, 1.0, 10.0])
@@ -891,7 +894,7 @@ def test_lanes_past_the_float_range_fail_alone(wall_kind, field, ensemble, bad):
             p = thermo_point(sp, np.array(beta), ens)
             for i, b in enumerate(beta):
                 if b in bad:
-                    assert p.errors[i] is not None and f"beta={b}" in p.errors[i]
+                    assert f"beta={b}" in p.errors[i] and p.errors[i].endswith(message)
                     assert np.isnan(p.mean_energy[i]) and np.isnan(p.heat_capacity[i])
         if ensemble is None:
             sums = np.array(ladder_sums(sp, mixed, Statistics.CANONICAL))

@@ -15,11 +15,10 @@ PUBLIC = {
     "ExtremumReport", "LevelGap", "RobinWallError", "SolverError", "Spectrum",
     "Statistics", "SweepResult", "SweepRow", "SweepSpec", "ThermoPoint",
     "WallKind", "WallSpec", "airy", "airy_zero", "asymptotic_beta_cr",
-    "asymptotic_mu_cn", "be_critical", "build_spectrum", "fd_plateau",
-    "fd_single_peak", "find_extrema", "lambert_w", "level_gaps",
-    "resonance_predictors", "result_from_json", "result_to_csv", "result_to_json",
-    "run_sweep", "table1_harness", "thermo_point", "universal_dn_curve",
-    "weak_field_composite", "zero_field_attractive",
+    "be_critical", "build_spectrum", "fd_plateau", "fd_single_peak",
+    "find_extrema", "lambert_w", "level_gaps", "resonance_predictors",
+    "result_from_json", "result_to_csv", "result_to_json", "run_sweep",
+    "table1_harness", "thermo_point", "universal_dn_curve", "zero_field_attractive",
 }
 
 
@@ -28,6 +27,9 @@ def test_exported_names():
     exported = {name for name, value in vars(robinwall).items()
                 if not name.startswith("_") and not isinstance(value, ModuleType)}
     assert exported == PUBLIC
+    # the ensemble type is defined below every module that takes one
+    assert robinwall.EnsembleSpec is robinwall.grand_canonical.EnsembleSpec \
+        is robinwall.ladder.EnsembleSpec
 
 
 def test_only_specfun_checks_types():
@@ -37,6 +39,21 @@ def test_only_specfun_checks_types():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"}
     assert calls <= {"specfun.py"}
+
+
+def test_every_import_at_module_level():
+    # each module imports what it needs as it loads: no import inside a
+    # function, which hid a cycle between modules, and no TYPE_CHECKING
+    # block, which named a type its module could not import
+    found = []
+    for path in sorted(Path(robinwall.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}.{node.name}" for inner in ast.walk(node)
+                          if isinstance(inner, (ast.Import, ast.ImportFrom))]
+            elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+                found.append(f"{path.stem}: TYPE_CHECKING at line {node.lineno}")
+    assert found == []
 
 
 # the modules that ``import robinwall`` loads, all but the cli and the
@@ -50,7 +67,7 @@ IMPORTED = {
 }
 # the argument-checking types: a NamedTuple's _replace would skip the check
 CHECKED = {"robinwall.spectrum.WallSpec", "robinwall.spectrum.Spectrum",
-           "robinwall.grand_canonical.EnsembleSpec", "robinwall.sweep.SweepSpec"}
+           "robinwall.ladder.EnsembleSpec", "robinwall.sweep.SweepSpec"}
 
 COLD_START = """
 import dataclasses, inspect, json, sys

@@ -874,6 +874,22 @@ class TestCli:
         assert main(["selftest"]) == 0
         assert "selftest: 6/6 checks passed" in capsys.readouterr().out
 
+    def test_selftest_reports_a_failed_check(self, monkeypatch, capsys):
+        # one check that fails among passing ones: the command lists it and
+        # exits with the regression code
+        import robinwall.selftest as selftest_mod
+        from robinwall.cli import EXIT_REGRESSION
+
+        def failing():
+            return selftest_mod.CheckResult("synthetic check", False, "fails on purpose")
+
+        monkeypatch.setattr(selftest_mod, "ALL_CHECKS",
+                            (selftest_mod.check_airy_interlacing, failing))
+        assert main(["selftest"]) == EXIT_REGRESSION
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "FAIL  synthetic check: fails on purpose"
+        assert out[-1] == "selftest: FAILED"
+
     @pytest.mark.parametrize("error, prefix", [
         (SolverError("synthetic"), "solver error: synthetic"),
         (RobinWallError("synthetic"), "error: synthetic")])
