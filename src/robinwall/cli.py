@@ -131,7 +131,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     chosen = {}  # the tabulated fields, unless --fields names some
-    if args.fields:
+    if args.fields is not None:
         try:
             chosen["fields"] = tuple(float(s) for s in args.fields.split(","))
         except ValueError:

@@ -151,9 +151,12 @@ def _bose_start(spectrum: Spectrum, beta: np.ndarray, n: np.ndarray, lo: np.ndar
             slope = -gamma * (ground / -np.expm1(-gamma) + a * g12)
             return ground + a * g32, slope, np.zeros_like(v), v[None]
 
+    root = -_two_term_log_t(ln_a - bd, n, Statistics.BOSE_EINSTEIN)
+    # a root at 0, a condensate, starts at lo; one rounded below 0 (at N near
+    # 2^63, where the balance's 1 - t is below rounding) has no digits left,
+    # and starts at hi
     with np.errstate(divide="ignore"):
-        start = np.log(-_two_term_log_t(ln_a - bd, n, Statistics.BOSE_EINSTEIN))
-    start = np.fmax(np.fmin(start, hi), lo)
+        start = np.clip(np.log(np.where(root < 0.0, np.inf, root)), lo, hi)
     return _solve_n(balance, start, lo, hi, n, str)[0][0]
 
 

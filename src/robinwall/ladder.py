@@ -10,11 +10,11 @@ one exponential.  Exponents are taken from the ground level, so they are
 finite at any temperature, and one pass gives every sum of a state.
 
 A batch is summed in two steps.  ``_Plan`` lays out its node sets, each a
-block of lanes with their energies above E_0 and weights: the root-solved
+run of lanes with their energies above E_0 and weights: the root-solved
 levels below the closure floor, the Euler-Maclaurin closures with their
-end stencils, and blocks of the lanes' direct windows.  ``_sums`` sums any
-of the planned lanes at any gamma, one kernel pass (``_node_sums``) per
-node set.  Levels come from ``Spectrum.energies``; the index at an energy,
+end stencils, and the lanes' direct windows.  ``_sums`` sums any of the
+planned lanes at any gamma, one kernel pass (``_node_sums``) per node
+set.  Levels come from ``Spectrum.energies``; the index at an energy,
 the spacing and the closure quadrature from ``spectrum.TailLaw``.
 
 A plan depends on gamma only through where the exponents meet its cuts, so
@@ -24,9 +24,9 @@ it holds within _REACH of the gamma it was planned at
 moves every exponent up alike and only leaves its closure panels finer
 than needed, and for a fall of at most _REACH_BOSE of the exponent of its
 lowest closure node (test_bose_plans_hold_as_gamma_rises: 1e-12 of a fresh
-plan).  A lane past its reach is summed over a plan of its own.  A node set
-holds at most _PAIRS (lane, node) pairs; padding its rows with zero-weight
-nodes changes a lane's sums only in their rounding.
+plan).  A lane past its reach is summed over a plan of its own.  ``_blocks``
+cuts each node set into runs of lanes of like width, at most _PAIRS (lane,
+node) pairs a run; their zero-weight padding moves sums only in rounding.
 
 Each lane sums its levels directly up to where its exponent is X_DEAD past
 the first level its sums weigh (``_direct_range``), and closes the rest by
@@ -248,15 +248,18 @@ def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.nda
     def live(b):  # b without the panels of zero width in all its lanes (a sea's past its end)
         return b[:, np.concatenate(([True], (b[:, 1:] > b[:, :-1]).any(axis=0)))]
 
-    breaks = live(np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
-                             np.where(finite, ends[-1, :, 2], np.inf)[:, None]))
+    breaks = np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
+                        np.where(finite, ends[-1, :, 2], np.inf)[:, None])
     nodes, weights = _RULES[statistics]
-    blocks = []
-    for rows in _blocks(np.arange(len(beta)),
-                        (breaks.shape[1] - 1) * len(nodes) + edges.shape[0] * len(_EDGE)):
-        e, w = spectrum.tail.quadrature(live(breaks[rows]) + e0, nodes, weights)
-        blocks.append((rows, np.concatenate([e - e0, *ends[:, rows]], axis=1),
-                       np.concatenate([w, *edges[:, rows]], axis=1)))
+    stencils, blocks = edges.shape[0] * len(_EDGE), []
+    widths = (np.diff(breaks) > 0.0).sum(axis=1) * len(nodes) + stencils  # each lane's own
+    for run in _blocks(np.arange(len(beta)), widths):
+        # cut again where the run's live panels outnumber those of its widest lane
+        width = (live(breaks[run]).shape[1] - 1) * len(nodes) + stencils
+        for rows in _blocks(run, np.full(len(run), width)):
+            e, w = spectrum.tail.quadrature(live(breaks[rows]) + e0, nodes, weights)
+            blocks.append((rows, np.concatenate([e - e0, *ends[:, rows]], axis=1),
+                           np.concatenate([w, *edges[:, rows]], axis=1)))
     return blocks
 
 
@@ -318,10 +321,17 @@ _REACH = 1.0
 _REACH_BOSE = 0.25
 
 
-def _blocks(lanes: np.ndarray, width: int) -> list[np.ndarray]:
-    """``lanes`` in runs of max(1, _PAIRS // width), for node sets ``width`` wide."""
-    step = max(1, _PAIRS // width)
-    return [lanes[k:k + step] for k in range(0, len(lanes), step)]
+def _blocks(lanes: np.ndarray, widths: np.ndarray) -> list[np.ndarray]:
+    """``lanes`` in runs of at most _PAIRS (lane, node) pairs, or of one lane,
+    each row counted at the widest of ``widths`` (> 0, one a lane) in its run:
+    as given if one run holds them all, else sorted stably by width."""
+    if len(lanes) and len(lanes) * widths.max() <= _PAIRS:
+        return [lanes]
+    order, cuts = np.argsort(widths, kind="stable"), [0]
+    while (lo := cuts[-1]) < len(lanes):  # the longest run from lo, its widest row its last
+        w = widths[order[lo:lo + _PAIRS // widths[order[lo]] + 1]]
+        cuts.append(lo + max(1, np.count_nonzero(np.arange(1, len(w) + 1) * w <= _PAIRS)))
+    return [lanes[order[i:j]] for i, j in zip(cuts, cuts[1:])]
 
 
 class _Plan:
@@ -344,7 +354,7 @@ class _Plan:
         # the root block: one row of energies, weight 1, broadcast over its lanes
         root = spectrum.energies(np.arange(start_index, first)) - e0
         self.sets = [(rows, np.broadcast_to(root, (len(rows), len(root))), np.ones((len(rows), 1)))
-                     for rows in _blocks(np.arange(n), len(root))]
+                     for rows in _blocks(np.arange(n), np.full(n, len(root)))]
 
         # the closures: the tail [n_em, inf) of each lane whose range reaches
         # its closure index, and each filled sea [first, sea)
@@ -361,16 +371,13 @@ class _Plan:
                         x_low = beta[rows] * d.min(axis=1) + gamma[rows]
                         self.reach[rows] = np.minimum(_REACH, _REACH_BOSE * x_low)
 
-        # the direct windows [sea, stop) in doubling blocks of index past sea,
-        # each serving the lanes it reaches, weight 0 past each lane's stop
+        # the direct windows [sea, stop), a row each from sea, weight 0 past
+        # each lane's stop
         span = stop - sea
-        lo, hi = 0, first
-        while lo < span.max():
-            lanes = (span > lo).nonzero()[0]
-            r = np.arange(lo, min(hi, span[lanes].max()))
-            self.sets += [(rows, spectrum.energies(sea[rows, None] + r) - e0, r < span[rows, None])
-                          for rows in _blocks(lanes, len(r))]
-            lo, hi = hi, min(2 * hi, hi + _PAIRS)
+        for rows in _blocks((span > 0).nonzero()[0], span[span > 0]):
+            r = np.arange(span[rows].max())
+            self.sets.append((rows, spectrum.energies(sea[rows, None] + r) - e0,
+                              r < span[rows, None]))
 
 
 def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray) -> np.ndarray:

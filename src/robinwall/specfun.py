@@ -330,15 +330,16 @@ def _polished_roots(fn, lo, hi, x, rtol: float, first=None) -> np.ndarray:
 N_EXACT_ZEROS = 64  # root-refined below; asymptotic law beyond
 
 
-def _zero_law(n, kind: AiryZeroKind):
-    """Large-index (McMahon) expansion of the n-th zero, n an int or array."""
-    if kind is AiryZeroKind.FunctionZero:
-        t = 3.0 * math.pi * (4 * n - 1) / 8.0
-        ti2 = 1.0 / (t * t)
-        return -(t ** _TWO_THIRDS) * (1.0 + ti2 * (5.0 / 48.0 - ti2 * 5.0 / 36.0))
-    t = 3.0 * math.pi * (4 * n - 3) / 8.0
+# each kind's (k, c1, c2) in McMahon's law -t^(2/3) (1 + c1/t^2 - c2/t^4), t = 3 pi (4n - k)/8
+_ZERO_LAW = dict(zip(AiryZeroKind, ((1, 5.0 / 48.0, 5.0 / 36.0), (3, -7.0 / 48.0, -35.0 / 288.0))))
+
+
+def _zero_law(n: np.ndarray, kind: AiryZeroKind) -> np.ndarray:
+    """Large-index (McMahon) expansion of the n-th zeros, n an array."""
+    k, c1, c2 = _ZERO_LAW[kind]
+    t = 3.0 * math.pi * (4 * n - k) / 8.0
     ti2 = 1.0 / (t * t)
-    return -(t ** _TWO_THIRDS) * (1.0 - ti2 * (7.0 / 48.0 - ti2 * 35.0 / 288.0))
+    return -(t ** _TWO_THIRDS) * (1.0 + ti2 * (c1 - ti2 * c2))
 
 
 def _refined_zeros() -> dict[AiryZeroKind, np.ndarray]:
@@ -384,7 +385,7 @@ def airy_zero(n: int, kind: AiryZeroKind = AiryZeroKind.FunctionZero) -> float:
     _check_member(kind, AiryZeroKind, "kind")
     if n <= N_EXACT_ZEROS:
         return float(_ZEROS[kind][n - 1])
-    return _zero_law(n, kind)
+    return float(_zero_law(np.array([float(n)]), kind)[0])  # as ``_airy_zeros`` gives it
 
 
 # ---------------------------------------------------------------------------

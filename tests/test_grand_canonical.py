@@ -868,6 +868,30 @@ class TestBoseColdStart:
                 total = 1.0 / np.expm1(gamma) + np.exp(_ln_weight(field, beta)) * g32
                 np.testing.assert_allclose(total, n, rtol=1e-6, atol=0.0)
 
+    @pytest.mark.parametrize("field,beta,state", [
+        (1e-3, 1e-11, ("0x1.c69df26c41567p+99", "0x1.a5f9cbfc00e34p+0", "-0x1.f71ec1bbb3e74p+34",
+                       "0x1.3eb2db4b73564p-62", "0x1.ec7b3911ff4a0p-3")),
+        (1e-3, 1e-3, ("-0x1.ffbe7ae8665e6p+62", "0x1.563e09aa15c23p-38", "-0x1.ffbe7af91b492p-1",
+                      "0x1.fffffffffaae2p-1", "-0x1.00bf99b2cd241p-37")),
+        (1.0, 1e-7, ("-0x1.1848b37be283cp+62", "0x1.4e59ed8adfe00p-28", "-0x1.223f9950f058ep-1",
+                     "0x1.ffffffea4dfe2p-1", "-0x1.f586e4fac3bc0p-28")),
+        (1.0, 1e-3, ("-0x1.223f9950e9af2p+62", "0x1.5e7bfa700ad1ap-48", "-0x1.223f9950edf69p-1",
+                     "0x1.fffffffffffe2p-1", "-0x1.06eafd3f17dfep-47")),
+    ])
+    def test_boltzmann_root_rounded_below_zero(self, field, beta, state):
+        # at N = 2^63 - 1 the two-term Boltzmann root -ln t rounds to just
+        # below 0, so its log was NaN with an "invalid value" RuntimeWarning,
+        # which np.fmin then replaced by the bracket's high end.  Such a lane
+        # starts there on purpose, with no warning (filterwarnings = error),
+        # and its state is the one recorded with the warning ignored, bit for
+        # bit: (<E>, c, mu, n0, dc/d ln beta)
+        sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field))
+        p = thermo_point(sp, beta, EnsembleSpec(BE, 2 ** 63 - 1))
+        got = (p.mean_energy, p.heat_capacity, p.mu, p.n0, p.heat_capacity_slope)
+        assert all(math.isfinite(v) for v in got) and 0.0 <= p.n0 <= 1.0
+        assert tuple(map(float.hex, got)) == state
+
+
 class TestHotFermions:
     @pytest.mark.parametrize("field", [1e-5, 1e-3, 1.0])
     @pytest.mark.parametrize("n", [1, 1000])

@@ -433,9 +433,9 @@ def test_stale_and_held_lanes_interleaved(sign):
 
 def test_every_node_set_within_the_pair_budget():
     # one plan per batch: the root block, each closure (the tail and the
-    # filled seas) and each window block of a 300-lane batch are cut into
-    # runs of lanes of at most _PAIRS (lane, node) pairs, and every lane is
-    # served by one root block
+    # filled seas) and the direct windows, one row per lane, of a 300-lane
+    # batch are cut into runs of lanes of at most _PAIRS (lane, node) pairs,
+    # and every lane is served by one root block
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     beta = np.geomspace(1.0, 100.0, 300)
     # a Fermi level at level 2000: the colder lanes fill a sea past the floor
@@ -475,6 +475,50 @@ def test_sea_closures_sized_after_their_dead_panels_drop():
                        gamma[i], Statistics.FERMI_DIRAC)
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-15, abs=0.0)
+
+
+def test_a_lane_costs_its_own_node_sets():
+    # work-count gate: 1,000 canonical lanes log-spaced on beta in [1e-2, 1e2]
+    # and the same lanes with one more at beta = 1e-100 or 1e-200, whose tail
+    # closure takes hundreds of octave panels.  Each lane's node sets are cut
+    # by their own width, so the larger batch makes at most 1.2x the
+    # _node_sums calls of the 1,000 alone (sized by the batch's widest lane
+    # they made 421 and 807 against 50), and the 1,000 lanes sum bit for bit
+    # as in their batch alone
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+    beta = np.geomspace(1e-2, 1e2, 1000)
+    with reading() as work:
+        alone = np.array(ladder_sums(sp, beta, Statistics.CANONICAL))
+    for extra in (1e-100, 1e-200):
+        with reading() as more:
+            sums = np.array(ladder_sums(sp, np.append(beta, extra), Statistics.CANONICAL))
+        assert more["node_sums"] <= 1.2 * work["node_sums"]
+        assert sums[:, :1000].tobytes() == alone.tobytes()
+        assert np.isfinite(sums[:, 1000]).all()
+
+
+def test_closure_runs_within_the_pair_budget_where_lanes_differ_in_layout():
+    # Fermi tail closures whose first exponents lie between -60 and 3: some
+    # lanes take their panels in equal steps across the transition layer,
+    # others in octaves off x = 0, so a run's live panels (those of any of its
+    # lanes) outnumber its widest lane's own.  Cut by the lanes' own widths
+    # alone, a run here held 9,900 pairs; each run is cut again at its live
+    # width.  A few lanes sum as they do alone
+    rng = np.random.default_rng(0)
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
+    beta = np.full(800, 1.0)
+    x_em = beta * (sp.energies(ladder._dense_index(sp, beta)) - sp.e0)
+    gamma = rng.uniform(-60.0, 3.0, 800) - x_em
+    with reading() as work:
+        plan = ladder._Plan(sp, beta, gamma, Statistics.FERMI_DIRAC)
+    assert work["tail_lanes"] > 700 and work["tail_blocks"] > 1
+    assert max(d.size for _, d, _ in plan.sets) <= ladder._PAIRS
+    batch = about_e0(ladder._sums(plan, np.arange(800), gamma), gamma, Statistics.FERMI_DIRAC)
+    for i in range(0, 800, 50):
+        one = about_e0(ladder_sums(sp, beta[i], Statistics.FERMI_DIRAC, gamma=gamma[i]),
+                       gamma[i], Statistics.FERMI_DIRAC)
+        for b, o in zip(batch, one):
+            assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
 
 
 def series_closure(tail, beta, sigma, rho, n0, kind, sign):

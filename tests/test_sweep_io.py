@@ -465,9 +465,9 @@ class TestTable1Harness:
     def test_kernel_passes_per_round(self):
         # work-count gate on the ladder: each ladder pass evaluates its
         # kernels once per node set of its plan that serves a lane of it:
-        # the root block, the closure nodes with their end stencils and the
-        # blocks of its direct windows, each cut into runs of lanes of at
-        # most ladder._PAIRS (lane, node) pairs: 224 passes a round.
+        # the root block, the closure nodes with their end stencils and its
+        # lanes' direct windows, a row each, each cut into runs of lanes of at
+        # most ladder._PAIRS (lane, node) pairs: 203 passes a round.
         assert 0 < table1_work()["node_sums"] <= 300
 
     def test_plan_builds_per_round(self):
@@ -476,7 +476,7 @@ class TestTable1Harness:
         # lanes' start gamma; its later Newton passes sum over that plan, and
         # only a lane whose gamma leaves its window gets a plan of its own.
         # A round builds 48 plans (15 of the canonical calls, 33 of the mu
-        # solves) and 270,699 kernel elements
+        # solves) and 289,628 kernel elements
         work = table1_work()
         assert 0 < work["plans"] <= 53
         assert 0 < work["kernel_elements"] <= 298_000
@@ -831,6 +831,7 @@ class TestCli:
            "--beta-inv-max", hi, "--points", "5"]
           for lo, hi in (("0.1", "inf"), ("0.1", "1e400"), ("1e-320", "1"))),
         ["table1", "--ensembles", ","],
+        ["table1", "--fields", "", "--ensembles", "be"],
         ["table1", "--ensembles", "be,xx"],
         ["table1", "--fields", "1e-3,2e-3"],
         ["table1", "--fields", "1e-3,1e-3"],
@@ -842,7 +843,7 @@ class TestCli:
     ], ids=["predict-zero", "predict-negative", "sweep-canonical-many",
             "sweep-particles-1e30", "table1-fields",
             "sweep-max-inf", "sweep-max-1e400", "sweep-min-1e-320",
-            "table1-no-ensemble", "table1-bad-last-ensemble", "table1-bad-last-field",
+            "table1-no-ensemble", "table1-no-field", "table1-bad-last-ensemble", "table1-bad-last-field",
             "table1-repeated-field", "table1-repeated-ensemble",
             "sweep-out-unwritable", "spectrum-out-unwritable", "table1-out-unwritable"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
