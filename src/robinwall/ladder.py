@@ -29,17 +29,22 @@ cuts each node set into runs of lanes of like width, at most _PAIRS (lane,
 node) pairs a run; their zero-weight padding moves sums only in rounding.
 
 Each lane sums its levels directly up to where its exponent is X_DEAD past
-the first level its sums weigh (``_direct_range``), and closes the rest by
+the first level its sums weigh (``_direct_range``), at most 2 X_DEAD /
+DENSE_THRESHOLD = 900 levels, and closes the rest by
 
     sum_{n0 <= m < n1} f(m) = integral_{n0}^{n1} f dm + edge(n0) - edge(n1),
 
-edge = f/2 - f'/12 + f'''/720 on a five-level stencil (``_EDGE``; none at
-n1 = inf): the tail from where beta dE/dn falls below DENSE_THRESHOLD, and
-a filled Fermi sea from the closure floor.  The integral is the tail law's
-Gauss-Legendre quadrature (``_RULES``) on the panels of ``_panel_breaks``.
-Every path matches brute force to 1e-10 (test_hybrid_matches_brute_force),
-and 50 lanes over a sea of 1e8 filled levels take at most 250,000 kernel
-elements (test_deep_sea_is_not_summed_level_by_level).
+edge = f/2 - f'/12 + f'''/720 - ... on a stencil of the tail law's levels
+(``_EDGES``, nine for Fermi sums and five for the others; none at n1 =
+inf): the tail from where beta dE/dn falls to DENSE_THRESHOLD = 0.1, and a
+filled Fermi sea from the closure floor.  The integral is the tail law's
+Gauss-Legendre quadrature (``_RULES``) on the panels of ``_panel_breaks``;
+a deep Fermi lane takes its closure's energies above its Fermi level, so
+that its exponents near the transition keep their digits.  Every path
+matches brute force to 1e-10 (test_hybrid_matches_brute_force,
+test_closure_at_the_switch), and 50 lanes over a sea of 1e8 filled levels
+take at most 250,000 kernel elements
+(test_deep_sea_is_not_summed_level_by_level).
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ class EnsembleSpec:
                               f"got {self.n_particles!r}")
 
 
-DENSE_THRESHOLD = 0.02    # beta*dE/dn below this => Euler-Maclaurin regime
+DENSE_THRESHOLD = 0.1     # beta*dE/dn below this => Euler-Maclaurin regime
 EM_START = 16             # no Euler-Maclaurin part starts below this index:
                           # lower, the ladder bends too hard for the end
                           # correction's five-point differences
@@ -150,6 +155,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = {s: _gauss_legendre(n) for s, n in (
     (Statistics.CANONICAL, 12), (Statistics.FERMI_DIRAC, 20), (Statistics.BOSE_EINSTEIN, 14))}
 
+# the exponent the octave panels of a closure from x in (0, top) double up
+# to: past 0.5 only the Bose D f ~ 1/x^3 needs them, and octaves that stop at
+# 0.5 miss test_closure_quadrature_is_converged's 1e-13 for bosons alone
+_OCTAVE_TOP = {Statistics.CANONICAL: 0.5, Statistics.FERMI_DIRAC: 0.5,
+               Statistics.BOSE_EINSTEIN: 2.0}
+
 # exponent offsets of the geometric tail panels, from 0.5 up to the last
 # edge below X_DEAD
 _TAIL_Y = [0.5]
@@ -157,10 +168,16 @@ while 1.7 * _TAIL_Y[-1] + 2.0 < X_DEAD:
     _TAIL_Y.append(1.7 * _TAIL_Y[-1] + 2.0)
 _TAIL_Y = np.array(_TAIL_Y[1:])
 
-# the Euler-Maclaurin end correction f/2 - f'/12 + f'''/720 at m as weights
-# of f on m - 2 .. m + 2 (f' and f''' by central differences, the Gregory form)
-_STENCIL = np.arange(-2, 3)
-_EDGE = np.array([-11.0, 82.0, 720.0, -82.0, 11.0]) / 1440.0
+# the Euler-Maclaurin end correction at m per statistics, as weights of f on
+# m - r .. m + r, exact to degree 2r (odd derivatives by central differences,
+# the Gregory form): f/2 - f'/12 + f'''/720 on five levels; Fermi sums, whose
+# transition layer may meet a closure's start just under DENSE_THRESHOLD,
+# add - f^(5)/30240 + f^(7)/1209600 on nine (five left 2e-8 there,
+# test_closure_at_the_switch)
+_EDGE_5 = np.array([-11.0, 82.0, 720.0, -82.0, 11.0]) / 1440.0
+_EDGES = {Statistics.CANONICAL: _EDGE_5, Statistics.BOSE_EINSTEIN: _EDGE_5,
+          Statistics.FERMI_DIRAC: np.array([-2497.0, 26442.0, -136238.0, 505538.0, 3628800.0,
+                                            -505538.0, 136238.0, -26442.0, 2497.0]) / 7257600.0}
 
 
 def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -176,18 +193,23 @@ def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return np.where(finite[:, None], rows, np.nan)
 
 
-def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Panel edges in energy above E_0 of the closure integral from d0 on,
-    one row per lane, laid out in the exponent x = beta d + gamma: octaves
-    in d across a filled Fermi sea, equal steps in x across the transition
-    layer, octaves in x off the Bose pole, where D f ~ 1/x^3, and the tail
-    panels ``_TAIL_Y``.  Rows with fewer panels are padded with zero-width
-    ones."""
+def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
+                  gamma0: np.ndarray, top: float) -> np.ndarray:
+    """Panel edges of the closure integral from d0 on, in energy above each
+    lane's origin E_0 - gamma0 / beta (E_0 where gamma0 = 0), one row per
+    lane, laid out in the exponent x = beta d + gamma - gamma0: octaves in
+    energy above E_0 across a filled Fermi sea, equal steps in x across the
+    transition layer, octaves in x up to ``top`` (off the Bose pole, where
+    D f ~ 1/x^3), and the tail panels ``_TAIL_Y``.  Rows with fewer panels
+    are padded with zero-width ones."""
+    off = gamma0 / beta  # E_0 less the origin
+    gamma = gamma - gamma0
     x0 = beta * d0 + gamma
     d_cols = [d0[:, None]]
     sea = x0 < -40.0
     if sea.any():
-        d_cols.append(_doublings(d0, np.where(sea, (-40.0 - gamma) / beta, d0)))
+        d_cols.append(_doublings(d0 - off, np.where(sea, (-40.0 - gamma) / beta, d0) - off)
+                      + off[:, None])
     x = np.where(sea, -40.0, x0)
     x_cols = []
     if (x <= 0.0).any():
@@ -199,29 +221,30 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> np.nda
         x_cols.append(np.where(j < n[:, None], j * ((to - x) / n)[:, None] + x[:, None],
                                to[:, None]))
         x = to
-    # octaves that stop at 0.5 miss test_closure_quadrature_is_converged's 1e-13
-    if (x < 2.0).any():
-        x_cols.append(_doublings(x, np.maximum(x, 2.0)))
-        x = np.maximum(x, 2.0)
+    if (x < top).any():
+        x_cols.append(_doublings(x, np.maximum(x, top)))
+        x = np.maximum(x, top)
     x_cols.append(x[:, None] + _TAIL_Y - 0.5)
     d_cols.append((np.concatenate(x_cols, axis=1) - gamma[:, None]) / beta[:, None])
     return np.concatenate(d_cols, axis=1)
 
 
 def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
-               statistics: Statistics) -> np.ndarray:
-    """sum_j w_j y_j^p K(x_j) over the nodes of each lane (a row of d = E - E_0
-    and w per lane), x = beta d + gamma and y = x - max(gamma, 0), for the
-    kernels and powers of ``_MOMENTS``: a row per sum, a column per lane."""
+               gamma0: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """sum_j w_j y_j^p K(x_j) over the nodes of each lane (a row of d and w
+    per lane, d the energy above E_0 - gamma0 / beta), x = beta d + gamma -
+    gamma0 and y = x - max(gamma, 0), for the kernels and powers of
+    ``_MOMENTS``: a row per sum, a column per lane."""
     _work.counts.update(node_sums=1, kernel_elements=d.size)
     # moments about max(E_0, mu), where e^x/(e^x +- 1)^2 peaks over the
     # levels: there D_1 is small, so the variance D_2 - D_1^2/D_0 does not
     # cancel on a dominant level (the Bose ground level, or the two levels
     # around a frozen Fermi edge)
     bd = beta[:, None] * d
-    y = bd + np.minimum(gamma, 0.0)[:, None]
+    y = bd + (np.minimum(gamma, 0.0) - gamma0)[:, None]
     out = []
-    for kern, moments in zip(_kernels(bd + gamma[:, None], statistics), _MOMENTS[statistics]):
+    for kern, moments in zip(_kernels(bd + (gamma - gamma0)[:, None], statistics),
+                             _MOMENTS[statistics]):
         kern *= w
         out.append(kern.sum(axis=1))
         for _ in range(1, moments):
@@ -230,42 +253,78 @@ def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray
     return np.array(out)
 
 
+def _quadrature_about(tail, breaks: np.ndarray, rise: np.ndarray, nodes: np.ndarray,
+                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tail.quadrature`` about an origin ``rise`` above the law's lower end
+    (one a lane, > 0), ``breaks`` and the node energies taken above it: in
+    t = s - s_o, s_o = sqrt(rise / tau), E - origin = tau t (t + 2 s_o), so
+    that nodes near the origin keep their digits however far it lies up the
+    ladder, with t = (b - origin) / (tau (s_b + s_o)) at each break b."""
+    s_o = np.sqrt(rise / tail.tau)[:, None]
+    t = breaks / (tail.tau * (np.sqrt(np.maximum(breaks + rise[:, None], 0.0) / tail.tau) + s_o))
+    lo, s_o = t[:, :-1, None], s_o[:, :, None]
+    half = 0.5 * (t[:, 1:, None] - lo)
+    t = half * (nodes + 1.0) + lo
+    s = t + s_o
+    return ((tail.tau * t * (s + s_o)).reshape(len(t), -1),
+            0.75 * (half * weights * s * s).reshape(len(t), -1))
+
+
 def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.ndarray,
              n1: np.ndarray, statistics: Statistics) -> list[tuple]:
-    """Node sets (rows, d, w) of the closure of sum_{n0 <= m < n1} f(E_m)
-    (n1 = inf: the tail), in blocks of the lanes given: the tail law's
+    """Node sets (rows, d, w, gamma0) of the closure of sum_{n0 <= m < n1}
+    f(E_m) (n1 = inf: the tail), in blocks of the lanes given: the tail law's
     quadrature with ``_RULES[statistics]`` on the panels of
-    ``_panel_breaks`` clipped at E_{n1}, plus ``_EDGE`` on the stencils
-    around n0 and, negated, n1."""
-    e0 = spectrum.e0
-    finite = np.isfinite(n1)
-    # the five levels around each end, E(n0) and E(n1) in the middle, with
-    # their weights (the upper end only if a lane has one)
+    ``_panel_breaks`` clipped at E_{n1}, plus ``_EDGES[statistics]`` on
+    the tail law's levels around n0 and, negated, n1.  A Fermi lane at
+    gamma < -_REACH whose Fermi level mu_0 = E_0 - gamma / beta lies up the
+    tail takes its energies above mu_0 (``_quadrature_about``) and gamma0 =
+    gamma, where beta (E - E_0) + gamma would round to 1e-16 |gamma|
+    (test_closure_at_the_switch); the other lanes E_0 and gamma0 = 0."""
+    e0, tail = spectrum.e0, spectrum.tail
+    gamma0 = np.zeros(len(beta))
+    if statistics is Statistics.FERMI_DIRAC:
+        deep = (gamma < -_REACH) & (e0 - gamma / beta > tail.shift)
+        gamma0[deep] = gamma[deep]
+    origin = e0 - gamma0 / beta  # mu_0 for a deep lane, E_0 for the others
+    finite, edge = np.isfinite(n1), _EDGES[statistics]
+    # the stencil's levels around each end, E(n0) and E(n1) in the middle
+    # (column r), with their weights (the upper end only if a lane has one)
+    r = len(edge) // 2
     m = np.array([n0, np.where(finite, n1, n0)], dtype=np.int64)[:1 + finite.any()]
-    ends = spectrum.energies(m[:, :, None] + _STENCIL) - e0
-    edges = np.multiply.outer(np.array([np.ones(len(beta)), -1.0 * finite])[:len(m)], _EDGE)
+    ends = tail.energy(m[:, :, None] + np.arange(-r, r + 1)) - origin[:, None]
+    edges = np.multiply.outer(np.array([np.ones(len(beta)), -1.0 * finite])[:len(m)], edge)
 
     def live(b):  # b without the panels of zero width in all its lanes (a sea's past its end)
         return b[:, np.concatenate(([True], (b[:, 1:] > b[:, :-1]).any(axis=0)))]
 
-    breaks = np.minimum(_panel_breaks(ends[0, :, 2], beta, gamma),
-                        np.where(finite, ends[-1, :, 2], np.inf)[:, None])
+    breaks = np.minimum(_panel_breaks(ends[0, :, r], beta, gamma, gamma0,
+                                      _OCTAVE_TOP[statistics]),
+                        np.where(finite, ends[-1, :, r], np.inf)[:, None])
     nodes, weights = _RULES[statistics]
-    stencils, blocks = edges.shape[0] * len(_EDGE), []
+    stencils, blocks = edges.shape[0] * len(edge), []
     widths = (np.diff(breaks) > 0.0).sum(axis=1) * len(nodes) + stencils  # each lane's own
     for run in _blocks(np.arange(len(beta)), widths):
         # cut again where the run's live panels outnumber those of its widest lane
         width = (live(breaks[run]).shape[1] - 1) * len(nodes) + stencils
         for rows in _blocks(run, np.full(len(run), width)):
-            e, w = spectrum.tail.quadrature(live(breaks[rows]) + e0, nodes, weights)
-            blocks.append((rows, np.concatenate([e - e0, *ends[:, rows]], axis=1),
-                           np.concatenate([w, *edges[:, rows]], axis=1)))
+            b, o = live(breaks[rows]), origin[rows, None]
+            e, w = tail.quadrature(b + o, nodes, weights)
+            e -= o
+            deep = gamma0[rows] < 0.0
+            if deep.any():
+                e[deep], w[deep] = _quadrature_about(tail, b[deep], o[deep, 0] - tail.shift,
+                                                     nodes, weights)
+            blocks.append((rows, np.concatenate([e, *ends[:, rows]], axis=1),
+                           np.concatenate([w, *edges[:, rows]], axis=1), gamma0[rows]))
     return blocks
 
 
 def _closure_floor(spectrum) -> int:
     """Lowest index a closure starts at: two past the root-solved block, so
-    the end stencil sees tail levels only, and at least EM_START."""
+    that a five-level end stencil needs none of its levels, and at least
+    EM_START.  End stencils read the tail law, which the nine-level Fermi
+    stencil continues two levels into the block."""
     return max(spectrum.n_exact + 2, EM_START)
 
 
@@ -289,10 +348,13 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     distribution sums alone), or at n_em, where a lane closes the tail.
     Short of n_em each level raises the exponent by more than
     DENSE_THRESHOLD, so the dropped levels weigh below e^-X_DEAD and the
-    window spans at most 2 X_DEAD / DENSE_THRESHOLD levels
-    (test_direct_window_spans_two_dead_zones_at_most).  A Fermi sea below
-    -X_DEAD past the floor is closed over [floor, sea), sea 3 levels early
-    so that the end stencil stays in it."""
+    window spans at most 2 X_DEAD / DENSE_THRESHOLD = 900 levels
+    (test_direct_window_spans_two_dead_zones_at_most); this switch is the
+    one rule that ends a window, and the closure past it holds the brute
+    force's 1e-10 where beta dE/dn is just under it
+    (test_closure_at_the_switch).  A Fermi sea below
+    -X_DEAD past the floor is closed over [floor, sea), sea one level more
+    than its end stencil's half-width early, so that the stencil stays in it."""
     tail, e0 = spectrum.tail, spectrum.e0
     n_em = _dense_index(spectrum, beta)
     first = _closure_floor(spectrum)
@@ -305,7 +367,8 @@ def _direct_range(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray,
     stop = np.minimum(n_em, np.maximum(first, np.ceil(tail.index(e_top + X_DEAD / beta))))
     sea = np.full(len(beta), first)
     if statistics is Statistics.FERMI_DIRAC and (gamma < -X_DEAD).any():
-        sea = np.maximum(first, np.minimum(np.floor(tail.index(mu - X_DEAD / beta)) - 3, n_em))
+        early = len(_EDGES[statistics]) // 2 + 1
+        sea = np.maximum(first, np.minimum(np.floor(tail.index(mu - X_DEAD / beta)) - early, n_em))
     return n_em, sea.astype(np.int64), stop.astype(np.int64)
 
 
@@ -336,9 +399,11 @@ def _blocks(lanes: np.ndarray, widths: np.ndarray) -> list[np.ndarray]:
 
 class _Plan:
     """The node sets of a checked 1-D batch of lanes ``beta`` planned at
-    ``gamma``: ``sets`` holds (rows, d, w), the batch rows served with a row
-    each of energies above E_0 and weights: the root block [start_index,
-    closure floor), the tail and sea closures, and the direct windows.  Lane
+    ``gamma``: ``sets`` holds (rows, d, w, gamma0), the batch rows served
+    with a row each of energies above E_0 - gamma0 / beta and weights, and
+    their gamma0 (0 but in deep Fermi closures, see ``_closure``): the root
+    block [start_index, closure floor), the tail and sea closures, and the
+    direct windows.  Lane
     i's sets hold while its gamma stays within ``reach[i]`` of ``gamma[i]``
     (for bosons, above ``gamma[i] - reach[i]``)."""
 
@@ -353,8 +418,8 @@ class _Plan:
 
         # the root block: one row of energies, weight 1, broadcast over its lanes
         root = spectrum.energies(np.arange(start_index, first)) - e0
-        self.sets = [(rows, np.broadcast_to(root, (len(rows), len(root))), np.ones((len(rows), 1)))
-                     for rows in _blocks(np.arange(n), np.full(n, len(root)))]
+        self.sets = [(rows, np.broadcast_to(root, (len(rows), len(root))), np.ones((len(rows), 1)),
+                      np.zeros(len(rows))) for rows in _blocks(np.arange(n), np.full(n, len(root)))]
 
         # the closures: the tail [n_em, inf) of each lane whose range reaches
         # its closure index, and each filled sea [first, sea)
@@ -364,9 +429,9 @@ class _Plan:
                 blocks = _closure(spectrum, beta[lanes], gamma[lanes], n0[lanes], n1[lanes],
                                   statistics)
                 _work.counts.update({f"{path}_lanes": len(lanes), f"{path}_blocks": len(blocks)})
-                for rows, d, w in blocks:
+                for rows, d, w, gamma0 in blocks:
                     rows = lanes[rows]
-                    self.sets.append((rows, d, w))
+                    self.sets.append((rows, d, w, gamma0))
                     if statistics is Statistics.BOSE_EINSTEIN:
                         x_low = beta[rows] * d.min(axis=1) + gamma[rows]
                         self.reach[rows] = np.minimum(_REACH, _REACH_BOSE * x_low)
@@ -377,7 +442,7 @@ class _Plan:
         for rows in _blocks((span > 0).nonzero()[0], span[span > 0]):
             r = np.arange(span[rows].max())
             self.sets.append((rows, spectrum.energies(sea[rows, None] + r) - e0,
-                              r < span[rows, None]))
+                              r < span[rows, None], np.zeros(len(rows))))
 
 
 def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -399,14 +464,14 @@ def _sums(plan: _Plan, lanes: np.ndarray, gamma: np.ndarray) -> np.ndarray:
                             plan.statistics, plan.start_index), stale.nonzero()[0]))
     out = np.zeros((sum(_MOMENTS[plan.statistics]), len(lanes)))
     for p, at in plans:
-        for rows, d, w in p.sets:
+        for rows, d, w, gamma0 in p.sets:
             keep = at[rows] >= 0
             if not keep.all():
                 if not keep.any():
                     continue
-                rows, d, w = rows[keep], d[keep], w[keep]
+                rows, d, w, gamma0 = rows[keep], d[keep], w[keep], gamma0[keep]
             c = at[rows]
-            out[:, c] += _node_sums(d, w, p.beta[rows], gamma[c], p.statistics)
+            out[:, c] += _node_sums(d, w, p.beta[rows], gamma[c], gamma0, p.statistics)
     return out
 
 

@@ -247,11 +247,11 @@ def em_integral(spectrum, beta, gamma, n0, sign, planned_at=None):
     beta, gamma, n0 = (np.atleast_1d(a) for a in (beta, gamma, n0))
     plan_gamma = gamma if planned_at is None else np.atleast_1d(planned_at)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ladder, "_EDGE", np.zeros(5))
-        (rows, d, w), = ladder._closure(spectrum, beta, plan_gamma, n0, np.array([np.inf]),
-                                        STATS[sign])
+        patch.setattr(ladder, "_EDGES", {s: 0.0 * e for s, e in ladder._EDGES.items()})
+        (rows, d, w, gamma0), = ladder._closure(spectrum, beta, plan_gamma, n0,
+                                                np.array([np.inf]), STATS[sign])
     assert rows.tolist() == [0]
-    return ladder._node_sums(d, w, beta, gamma, STATS[sign])[:, 0]
+    return ladder._node_sums(d, w, beta, gamma, gamma0, STATS[sign])[:, 0]
 
 
 def argument(tail, m):
@@ -450,20 +450,22 @@ def test_every_node_set_within_the_pair_budget():
     assert work["plans"] == 1 and np.array_equal(
         sums, ladder._sums(canonical, np.arange(300), np.zeros(300)))
     for plan in (fd, canonical):
-        assert max(d.size for _, d, _ in plan.sets) <= ladder._PAIRS
-        root = [rows for rows, d, _ in plan.sets if d.strides[0] == 0]
+        assert max(d.size for _, d, *_ in plan.sets) <= ladder._PAIRS
+        root = [rows for rows, d, *_ in plan.sets if d.strides[0] == 0]
         assert len(root) > 1  # 300 rows of the root block exceed the budget
         assert np.array_equal(np.sort(np.concatenate(root)), np.arange(300))
 
 
 def test_sea_closures_sized_after_their_dead_panels_drop():
-    # the 300-lane FD plan above: past its sea's end each lane's closure
-    # keeps 1-2 panels (34-58 nodes), so its 142 sea closures fit 2 blocks of
-    # _PAIRS (lane, node) pairs.  Sized by the padded panel count before the
-    # drop they took 8 blocks of 16-18 lanes.  Every lane sums as it does
-    # alone, up to rounding, its moments taken about E_0, where no sum cancels
+    # the 300-lane FD plan above, cooled to beta in [1, 200] (to beta = 100
+    # only 100 lanes close a sea past the closure floor): past its sea's end
+    # each lane's closure keeps 1-2 panels (30-50 nodes), so its 126 sea
+    # closures fit 1 block of _PAIRS (lane, node) pairs.  Sized by the padded
+    # panel count before the drop they took 7 blocks.  Every lane sums as it
+    # does alone, up to rounding, its moments taken about E_0, where no sum
+    # cancels
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
-    beta = np.geomspace(1.0, 100.0, 300)
+    beta = np.geomspace(1.0, 200.0, 300)
     gamma = beta * (sp.e0 - float(sp.tail.energy(2000)))
     with reading() as work:
         batch = ladder_sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma)
@@ -497,6 +499,18 @@ def test_a_lane_costs_its_own_node_sets():
         assert np.isfinite(sums[:, 1000]).all()
 
 
+def test_canonical_batch_closes_at_the_switch():
+    # work-count gate: 3,000 canonical lanes (robin-, F = 1e-3, beta
+    # log-spaced on [1e-2, 1e2]) take at most 490,000 kernel elements:
+    # 473,596, their direct windows ending where beta dE/dn falls to
+    # DENSE_THRESHOLD = 0.1 and the octaves of their hot closures at x = 0.5
+    # (852,216 with the switch at 0.02 and octaves up to x = 2)
+    sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
+    with reading() as work:
+        ladder_sums(sp, np.geomspace(1e-2, 1e2, 3000), Statistics.CANONICAL)
+    assert work["kernel_elements"] <= 490_000
+
+
 def test_closure_runs_within_the_pair_budget_where_lanes_differ_in_layout():
     # Fermi tail closures whose first exponents lie between -60 and 3: some
     # lanes take their panels in equal steps across the transition layer,
@@ -512,7 +526,7 @@ def test_closure_runs_within_the_pair_budget_where_lanes_differ_in_layout():
     with reading() as work:
         plan = ladder._Plan(sp, beta, gamma, Statistics.FERMI_DIRAC)
     assert work["tail_lanes"] > 700 and work["tail_blocks"] > 1
-    assert max(d.size for _, d, _ in plan.sets) <= ladder._PAIRS
+    assert max(d.size for _, d, *_ in plan.sets) <= ladder._PAIRS
     batch = about_e0(ladder._sums(plan, np.arange(800), gamma), gamma, Statistics.FERMI_DIRAC)
     for i in range(0, 800, 50):
         one = about_e0(ladder_sums(sp, beta[i], Statistics.FERMI_DIRAC, gamma=gamma[i]),
@@ -586,8 +600,18 @@ def capped_tail_panels(cap):
     return np.array(y[1:])
 
 
+def reference_rule_sums(spectrum, beta, statistics, *, gamma):
+    """``ladder_sums`` with every closure on a 64-node rule and tail panels
+    to e^-119."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder, "_RULES", {s: np.polynomial.legendre.leggauss(64)
+                                         for s in Statistics})
+        patch.setattr(ladder, "_TAIL_Y", capped_tail_panels(120.0))
+        return ladder_sums(spectrum, beta, statistics, gamma=gamma)
+
+
 @pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
-def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
+def test_closure_quadrature_is_converged(wall_kind):
     # the shipped closure (its rule per statistics, 12 nodes a panel for
     # canonical, 14 for BE and 20 for FD, and tail panels up to the last edge
     # below X_DEAD) against a 64-node rule whose tail panels reach e^-119,
@@ -597,8 +621,6 @@ def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
     # lanes reach 1e-5).  Octave panels that stopped at x = 0.5 left a first
     # tail panel [x0, x0 + 2.35] too wide for D f ~ 1/x^3 next to the pole:
     # 3.6e-10 in G_0 at beta F^(2/3) = 1e-7, gamma = 0.5
-    rule = np.polynomial.legendre.leggauss(64)
-    reference = {"_RULES": {s: rule for s in Statistics}, "_TAIL_Y": capped_tail_panels(120.0)}
     with reading() as work:
         for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
             sp = build_spectrum(WallSpec(wall_kind, field), count=64)
@@ -610,15 +632,72 @@ def test_closure_quadrature_is_converged(wall_kind, monkeypatch):
                     (Statistics.FERMI_DIRAC, beta, beta * (sp.e0 - fermi_level)),
                     (Statistics.BOSE_EINSTEIN, hot, np.tile([1e-7, 1e-3, 0.1, 0.5, 3.0], 40))):
                 shipped = ladder_sums(sp, beta, statistics, gamma=gamma)
-                with monkeypatch.context() as patch:
-                    for name, value in reference.items():
-                        patch.setattr(ladder, name, value)
-                    ref = ladder_sums(sp, beta, statistics, gamma=gamma)
+                ref = reference_rule_sums(sp, beta, statistics, gamma=gamma)
                 # about E_0 every sum is one of terms >= 0
                 for s, r in zip(about_e0(shipped, gamma, statistics),
                                 about_e0(ref, gamma, statistics)):
                     assert np.all(np.abs(s - r) <= 1e-13 * r)
     assert work["tail_lanes"] > 200 and work["sea_lanes"] > 50
+
+
+def switch_betas(spectrum, fractions=(0.5, 1.0 - 1e-9)):
+    """beta of lanes whose tail closure starts at the closure floor, with
+    beta dE/dn there (the tail law's slope) at ``fractions`` of
+    DENSE_THRESHOLD."""
+    tail, first = spectrum.tail, ladder._closure_floor(spectrum)
+    slope = 8.0 * tail.tau / (3.0 * argument(tail, first) ** (1.0 / 3.0))
+    beta = np.array(fractions) * ladder.DENSE_THRESHOLD / slope
+    assert (ladder._dense_index(spectrum, beta) == first).all()
+    return beta
+
+
+def switch_errors(wall_kind):
+    """(worst relative error against brute force, worst against the 64-node
+    rule) of the sums at the switch on ``wall_kind``: lanes whose closure
+    starts at the floor (``switch_betas``) at F = 1e-3 and 1, canonical, FD
+    over a shallow and a deep sea (the Fermi level at the floor's level,
+    where the end stencil meets the transition layer, and gamma = -1000)
+    and BE at gamma = 1e-7 and 1; and test_closure_quadrature_is_converged's
+    FD lane 25 at F = 1e-7 (beta F^(2/3) = 0.74, the Fermi level at level
+    3,400, gamma = -3.5e4 at robin-), its transition in its tail closure,
+    with the moments about E_0, where every sum is one of terms >= 0."""
+    brute = 0.0
+    for field in (1e-3, 1.0):
+        sp = build_spectrum(WallSpec(wall_kind, field), count=64)
+        beta = switch_betas(sp)
+        shallow = beta * (sp.e0 - sp.level(ladder._closure_floor(sp)))
+        for statistics, sign, gamma in ((Statistics.CANONICAL, BOLTZ, 0.0),
+                                        (Statistics.FERMI_DIRAC, FERMI, shallow),
+                                        (Statistics.FERMI_DIRAC, FERMI, -1e3),
+                                        (Statistics.BOSE_EINSTEIN, BOSE, 1e-7),
+                                        (Statistics.BOSE_EINSTEIN, BOSE, 1.0)):
+            gamma = np.broadcast_to(gamma, beta.shape)
+            sums = np.array(ladder_sums(sp, beta, statistics, gamma=gamma))
+            for i, (b, g) in enumerate(zip(beta, gamma)):
+                ref = (brute_force(sp, b, BOLTZ_KIND, sign, powers=BOLTZ_POWERS) if sign == BOLTZ
+                       else family_brute_force(sp, b, sign, g))
+                brute = max(brute, float(np.max(np.abs(sums[:, i] - ref) / np.abs(ref))))
+    sp = build_spectrum(WallSpec(wall_kind, 1e-7), count=64)
+    beta = np.geomspace(1e-3, 30.0, 40)[25] * 1e-7 ** (-2.0 / 3.0)
+    gamma = beta * (sp.e0 - float(sp.tail.energy(np.geomspace(70.0, 3e4, 40)[25])))
+    shipped, ref = (about_e0(sums(sp, beta, Statistics.FERMI_DIRAC, gamma=gamma), gamma,
+                             Statistics.FERMI_DIRAC) for sums in (ladder_sums, reference_rule_sums))
+    return brute, max(abs(s - r) / r for s, r in zip(shipped, ref))
+
+
+@pytest.mark.parametrize("wall_kind", list(WallKind), ids=lambda k: k.value)
+def test_closure_at_the_switch(wall_kind):
+    # a tail closure from the floor, where beta dE/dn is half or just under
+    # DENSE_THRESHOLD, matches brute force at the 1e-10 contract in every
+    # statistics (seen: 7.2e-12), the Fermi transition at the floor included
+    # (a five-level end stencil left 2.2e-8 there); and a deep Fermi sea
+    # whose transition lies in its tail closure matches the 64-node rule to
+    # 1e-13 (seen: 5.8e-16), its nodes taken above its Fermi level.  Taken
+    # above E_0, beta (E - E_0) + gamma rounds to 1e-16 |gamma|: 4.9e-13 at
+    # robin-
+    brute, rule = switch_errors(wall_kind)
+    assert brute <= 1e-10
+    assert rule <= 1e-13
 
 
 FUSED_CASES = [
@@ -746,9 +825,10 @@ def test_direct_window_spans_two_dead_zones_at_most():
     # below the closure index every level raises the exponent by more than
     # DENSE_THRESHOLD, so a lane's direct window, from X_DEAD below the
     # Fermi level to X_DEAD above the first level at or above it, spans at
-    # most 2 X_DEAD / DENSE_THRESHOLD levels, plus the sea's 3-level early
+    # most 2 X_DEAD / DENSE_THRESHOLD levels, plus the sea's 5-level early
     # end and the rounding of both ends; Fermi levels midway between levels
-    # 1 .. 1e6 and next to condensation over six decades of temperature
+    # 1 .. 1e6 and next to condensation over six decades of temperature.
+    # The widest window comes within 10% of the bound (862 of 908 levels)
     bound = 2.0 * ladder.X_DEAD / ladder.DENSE_THRESHOLD + 8.0
     widest = 0
     for wall_kind in WallKind:
@@ -765,7 +845,7 @@ def test_direct_window_spans_two_dead_zones_at_most():
                      fermi_beta * (sp.e0 - np.repeat(mu, 80)))):
                 _, sea, stop = ladder._direct_range(sp, b, gamma, statistics, 0)
                 widest = max(widest, int((stop - sea).max()))
-    assert 4000 < widest <= bound
+    assert 0.9 * bound < widest <= bound
 
 
 def test_bose_positive_exponent_guard(spectrum_m3):
@@ -804,13 +884,16 @@ def test_batched_lanes_match_single_lanes(kind, sign):
 def test_sea_ending_just_past_the_first_block_matches_brute_force():
     # seas that end 1..4 levels past the first direct block, which ends at
     # the closure floor, so the closure over [first, sea) is shorter than its
-    # five-point stencils; one batch
+    # nine-level stencils; one batch
+    # (beta = 50: colder, at beta = 20 the closure index is the floor itself)
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
-    beta = 20.0
+    beta = 50.0
     first = ladder._closure_floor(sp)
-    # the Fermi level puts level first + 3 + k + 1/2 at exponent -X_DEAD: the
-    # sea holds the levels up to first + 3 + k, and its closure ends 3 early
-    mu = np.array([float(sp.tail.energy(first + 3.5 + k)) for k in range(1, 5)]) \
+    # the Fermi level puts level first + early + k + 1/2 at exponent -X_DEAD:
+    # the sea holds the levels up to first + early + k, and its closure ends
+    # early = 5 levels early, one more than its stencil's half-width
+    early = len(ladder._EDGES[Statistics.FERMI_DIRAC]) // 2 + 1
+    mu = np.array([float(sp.tail.energy(first + early + 0.5 + k)) for k in range(1, 5)]) \
         + ladder.X_DEAD / beta
     gamma = beta * (sp.e0 - mu)
     n_em, sea, _ = ladder._direct_range(sp, np.full(4, beta), gamma, Statistics.FERMI_DIRAC, 0)
