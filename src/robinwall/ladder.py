@@ -38,9 +38,11 @@ edge = f/2 - f'/12 + f'''/720 - ... on a stencil of the tail law's levels
 (``_EDGES``, nine for Fermi sums and five for the others; none at n1 =
 inf): the tail from where beta dE/dn falls to DENSE_THRESHOLD = 0.1, and a
 filled Fermi sea from the closure floor.  The integral is the tail law's
-Gauss-Legendre quadrature (``_RULES``) on the panels of ``_panel_breaks``;
-a deep Fermi lane takes its closure's energies above its Fermi level, so
-that its exponents near the transition keep their digits.  Every path
+Gauss-Legendre quadrature (``_RULES``) on the panels of ``_panel_breaks``,
+graded in octaves only next to the Bose pole, so that a hot canonical or
+Fermi lane closes on as few panels as a cold one; a deep Fermi lane takes
+its closure's energies above its Fermi level, so that its exponents near
+the transition keep their digits.  Every path
 matches brute force to 1e-10 (test_hybrid_matches_brute_force,
 test_closure_at_the_switch), and 50 lanes over a sea of 1e8 filled levels
 take at most 250,000 kernel elements
@@ -155,11 +157,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _RULES = {s: _gauss_legendre(n) for s, n in (
     (Statistics.CANONICAL, 12), (Statistics.FERMI_DIRAC, 20), (Statistics.BOSE_EINSTEIN, 14))}
 
-# the exponent the octave panels of a closure from x in (0, top) double up
-# to: past 0.5 only the Bose D f ~ 1/x^3 needs them, and octaves that stop at
-# 0.5 miss test_closure_quadrature_is_converged's 1e-13 for bosons alone
-_OCTAVE_TOP = {Statistics.CANONICAL: 0.5, Statistics.FERMI_DIRAC: 0.5,
-               Statistics.BOSE_EINSTEIN: 2.0}
+# the exponent the octave panels of a Bose closure from x in (0, 2) double
+# up to: its D f ~ 1/x^3 at the kernel's pole is the one endpoint singularity
+# of a closure, and octaves that stop at 0.5 miss
+# test_closure_quadrature_is_converged's 1e-13
+_BOSE_TOP = 2.0
 
 # exponent offsets of the geometric tail panels, from 0.5 up to the last
 # edge below X_DEAD
@@ -182,7 +184,8 @@ _EDGES = {Statistics.CANONICAL: _EDGE_5, Statistics.BOSE_EINSTEIN: _EDGE_5,
 
 def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """start * 2^k clipped at stop, k = 1, 2, ..., one row per lane, until
-    every row has reached its stop (earlier rows repeat it); NaN rows where
+    every row has reached its stop (earlier rows repeat it): the octaves of
+    a filled Fermi sea and of a Bose closure off its pole.  NaN rows where
     stop / start is not finite, so those lanes' sums are NaN and fail as
     lanes (test_lanes_past_the_float_range_fail_alone)."""
     with np.errstate(over="ignore"):
@@ -194,22 +197,23 @@ def _doublings(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 
 def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
-                  gamma0: np.ndarray, top: float) -> np.ndarray:
+                  gamma0: np.ndarray, statistics: Statistics) -> np.ndarray:
     """Panel edges of the closure integral from d0 on, in energy above each
     lane's origin E_0 - gamma0 / beta (E_0 where gamma0 = 0), one row per
     lane, laid out in the exponent x = beta d + gamma - gamma0: octaves in
     energy above E_0 across a filled Fermi sea, equal steps in x across the
-    transition layer, octaves in x up to ``top`` (off the Bose pole, where
-    D f ~ 1/x^3), and the tail panels ``_TAIL_Y``.  Rows with fewer panels
-    are padded with zero-width ones."""
+    transition layer, for bosons octaves in x up to _BOSE_TOP (off the pole,
+    where D f ~ 1/x^3), and the tail panels ``_TAIL_Y``: from x0 for a
+    canonical or Fermi closure from x0 > 0, however small, whose kernel is
+    smooth there.  Rows with fewer panels are padded with zero-width ones."""
     off = gamma0 / beta  # E_0 less the origin
     gamma = gamma - gamma0
     x0 = beta * d0 + gamma
     d_cols = [d0[:, None]]
     sea = x0 < -40.0
-    if sea.any():
-        d_cols.append(_doublings(d0 - off, np.where(sea, (-40.0 - gamma) / beta, d0) - off)
-                      + off[:, None])
+    if sea.any():  # lanes without a sea take d0 itself, not d0 through E_0
+        octaves = _doublings(d0 - off, np.where(sea, (-40.0 - gamma) / beta, d0) - off)
+        d_cols.append(np.where(sea[:, None], octaves + off[:, None], d0[:, None]))
     x = np.where(sea, -40.0, x0)
     x_cols = []
     if (x <= 0.0).any():
@@ -221,9 +225,9 @@ def _panel_breaks(d0: np.ndarray, beta: np.ndarray, gamma: np.ndarray,
         x_cols.append(np.where(j < n[:, None], j * ((to - x) / n)[:, None] + x[:, None],
                                to[:, None]))
         x = to
-    if (x < top).any():
-        x_cols.append(_doublings(x, np.maximum(x, top)))
-        x = np.maximum(x, top)
+    if statistics is Statistics.BOSE_EINSTEIN and (x < _BOSE_TOP).any():
+        x_cols.append(_doublings(x, np.maximum(x, _BOSE_TOP)))
+        x = np.maximum(x, _BOSE_TOP)
     x_cols.append(x[:, None] + _TAIL_Y - 0.5)
     d_cols.append((np.concatenate(x_cols, axis=1) - gamma[:, None]) / beta[:, None])
     return np.concatenate(d_cols, axis=1)
@@ -253,23 +257,6 @@ def _node_sums(d: np.ndarray, w: np.ndarray, beta: np.ndarray, gamma: np.ndarray
     return np.array(out)
 
 
-def _quadrature_about(tail, breaks: np.ndarray, rise: np.ndarray, nodes: np.ndarray,
-                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``tail.quadrature`` about an origin ``rise`` above the law's lower end
-    (one a lane, > 0), ``breaks`` and the node energies taken above it: in
-    t = s - s_o, s_o = sqrt(rise / tau), E - origin = tau t (t + 2 s_o), so
-    that nodes near the origin keep their digits however far it lies up the
-    ladder, with t = (b - origin) / (tau (s_b + s_o)) at each break b."""
-    s_o = np.sqrt(rise / tail.tau)[:, None]
-    t = breaks / (tail.tau * (np.sqrt(np.maximum(breaks + rise[:, None], 0.0) / tail.tau) + s_o))
-    lo, s_o = t[:, :-1, None], s_o[:, :, None]
-    half = 0.5 * (t[:, 1:, None] - lo)
-    t = half * (nodes + 1.0) + lo
-    s = t + s_o
-    return ((tail.tau * t * (s + s_o)).reshape(len(t), -1),
-            0.75 * (half * weights * s * s).reshape(len(t), -1))
-
-
 def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.ndarray,
              n1: np.ndarray, statistics: Statistics) -> list[tuple]:
     """Node sets (rows, d, w, gamma0) of the closure of sum_{n0 <= m < n1}
@@ -278,43 +265,39 @@ def _closure(spectrum: Spectrum, beta: np.ndarray, gamma: np.ndarray, n0: np.nda
     ``_panel_breaks`` clipped at E_{n1}, plus ``_EDGES[statistics]`` on
     the tail law's levels around n0 and, negated, n1.  A Fermi lane at
     gamma < -_REACH whose Fermi level mu_0 = E_0 - gamma / beta lies up the
-    tail takes its energies above mu_0 (``_quadrature_about``) and gamma0 =
-    gamma, where beta (E - E_0) + gamma would round to 1e-16 |gamma|
-    (test_closure_at_the_switch); the other lanes E_0 and gamma0 = 0."""
+    tail takes its energies above mu_0 (in t, see ``TailLaw.quadrature``)
+    and gamma0 = gamma, where beta (E - E_0) + gamma would round to
+    1e-16 |gamma| (test_closure_at_the_switch); the other lanes E_0 and
+    gamma0 = 0."""
     e0, tail = spectrum.e0, spectrum.tail
-    gamma0 = np.zeros(len(beta))
+    deep = np.zeros(len(beta), dtype=bool)
     if statistics is Statistics.FERMI_DIRAC:
         deep = (gamma < -_REACH) & (e0 - gamma / beta > tail.shift)
-        gamma0[deep] = gamma[deep]
-    origin = e0 - gamma0 / beta  # mu_0 for a deep lane, E_0 for the others
+    gamma0 = np.where(deep, gamma, 0.0)
+    origin = (e0 - gamma0 / beta)[:, None]  # mu_0 for a deep lane, E_0 for the others
     finite, edge = np.isfinite(n1), _EDGES[statistics]
     # the stencil's levels around each end, E(n0) and E(n1) in the middle
     # (column r), with their weights (the upper end only if a lane has one)
     r = len(edge) // 2
     m = np.array([n0, np.where(finite, n1, n0)], dtype=np.int64)[:1 + finite.any()]
-    ends = tail.energy(m[:, :, None] + np.arange(-r, r + 1)) - origin[:, None]
+    ends = tail.energy(m[:, :, None] + np.arange(-r, r + 1)) - origin
     edges = np.multiply.outer(np.array([np.ones(len(beta)), -1.0 * finite])[:len(m)], edge)
 
     def live(b):  # b without the panels of zero width in all its lanes (a sea's past its end)
         return b[:, np.concatenate(([True], (b[:, 1:] > b[:, :-1]).any(axis=0)))]
 
-    breaks = np.minimum(_panel_breaks(ends[0, :, r], beta, gamma, gamma0,
-                                      _OCTAVE_TOP[statistics]),
+    breaks = np.minimum(_panel_breaks(ends[0, :, r], beta, gamma, gamma0, statistics),
                         np.where(finite, ends[-1, :, r], np.inf)[:, None])
     nodes, weights = _RULES[statistics]
     stencils, blocks = edges.shape[0] * len(edge), []
     widths = (np.diff(breaks) > 0.0).sum(axis=1) * len(nodes) + stencils  # each lane's own
     for run in _blocks(np.arange(len(beta)), widths):
-        # cut again where the run's live panels outnumber those of its widest lane
+        # cut again where the run's live panels outnumber those of its widest
+        # lane: a hot deep lane's sea octaves can round away, so that lanes of
+        # one width differ in layout (beta <= 1e-20, gamma in [-60, 3])
         width = (live(breaks[run]).shape[1] - 1) * len(nodes) + stencils
         for rows in _blocks(run, np.full(len(run), width)):
-            b, o = live(breaks[rows]), origin[rows, None]
-            e, w = tail.quadrature(b + o, nodes, weights)
-            e -= o
-            deep = gamma0[rows] < 0.0
-            if deep.any():
-                e[deep], w[deep] = _quadrature_about(tail, b[deep], o[deep, 0] - tail.shift,
-                                                     nodes, weights)
+            e, w = tail.quadrature(live(breaks[rows]), nodes, weights, origin[rows], deep[rows])
             blocks.append((rows, np.concatenate([e, *ends[:, rows]], axis=1),
                            np.concatenate([w, *edges[:, rows]], axis=1), gamma0[rows]))
     return blocks

@@ -110,18 +110,43 @@ class TailLaw(NamedTuple):
         a = (8.0 * self.tau / (3.0 * np.asarray(g, dtype=float))) ** 3
         return (a + self.k_off) / 4.0 - self.j0
 
-    def quadrature(self, breaks, nodes, weights):
-        """(energies, weights) of integral f(E(m)) dm over the panels between
-        ``breaks`` (ascending energies, a row per lane): the rule ``nodes``,
-        ``weights`` on [-1, 1] in s = sqrt((E - shift)/tau), where
-        dm = (3/4) s^2 ds is a polynomial."""
-        # a break at the law's lower end can round below shift (robin-, E_0 = -1, shift ~F)
-        s = np.sqrt(np.maximum(breaks - self.shift, 0.0) / self.tau)
-        lo = s[:, :-1, None]
-        half = 0.5 * (s[:, 1:, None] - lo)
-        s = (half * (nodes + 1.0) + lo).reshape(len(s), -1)
-        v = s * s
-        return self.tau * v + self.shift, 0.75 * (half * weights).reshape(len(s), -1) * v
+    def quadrature(self, breaks, nodes, weights, origin, up):
+        """(energies above ``origin``, weights) of integral f(E(m)) dm over
+        the panels between ``breaks`` (ascending energies above ``origin``, a
+        row per lane, and a column of origins): the rule ``nodes``, ``weights``
+        on [-1, 1] in s = sqrt((E - shift)/tau), where dm = (3/4) s^2 ds is a
+        polynomial.  The lanes marked ``up`` have their origin up the ladder,
+        above shift, and take the rule in t = s - s_o, s_o =
+        sqrt((origin - shift)/tau), with E - origin = tau t (t + 2 s_o) and
+        t = (b - origin) / (tau (s_b + s_o)) at each break b, so that nodes
+        near the origin keep their digits however far up it lies; the others
+        take their energies as (tau s^2 + shift) - origin."""
+        if up.all() or not up.any():  # lanes of one form: no copies
+            return self._panels(breaks, nodes, weights, origin, up.all())
+        e, w = np.empty((2, len(breaks), (breaks.shape[1] - 1) * len(nodes)))
+        for in_t, rows in ((False, ~up), (True, up)):
+            e[rows], w[rows] = self._panels(breaks[rows], nodes, weights, origin[rows], in_t)
+        return e, w
+
+    def _panels(self, breaks, nodes, weights, origin, in_t):
+        """``quadrature`` of lanes that all take the rule in t (``in_t``) or
+        all in s."""
+        if in_t:
+            rise = origin - self.shift
+            s_o = np.sqrt(rise / self.tau)
+            u = breaks / (self.tau * (np.sqrt(np.maximum(breaks + rise, 0.0) / self.tau) + s_o))
+        else:
+            # a break at the law's lower end can round below shift (robin-, E_0 = -1, shift ~F)
+            u = np.sqrt(np.maximum(breaks + origin - self.shift, 0.0) / self.tau)
+        lo = u[:, :-1, None]
+        half = 0.5 * (u[:, 1:, None] - lo)
+        u = half * (nodes + 1.0) + lo
+        if in_t:
+            s = u + s_o[:, :, None]
+            return ((self.tau * u * (s + s_o[:, :, None])).reshape(len(u), -1),
+                    0.75 * (half * weights * s * s).reshape(len(u), -1))
+        v = u.reshape(len(u), -1) ** 2
+        return self.tau * v + self.shift - origin, 0.75 * (half * weights).reshape(len(u), -1) * v
 
 
 def _energies(exact: np.ndarray, tail: TailLaw, m: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 summation; everything downstream (canonical and grand-canonical modules)
 stands on these comparisons."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -303,11 +305,17 @@ def mpmath_closure(tail, beta, sigma, rho, n0, sign):
 @pytest.mark.parametrize("field,sign,beta,gamma", [
     (2.5119e-7, FERMI, 0.015924, -4.2912),
     (6.3096e-7, BOSE, 0.020131, 0.20701),
+    # Fermi closures from x0 = 1.5e-28, 0.15 and 0.3 (beta F^(2/3) = 1e-30,
+    # 1e-3 and 1e-8), their tail panels straight from x0
+    (1e-3, FERMI, 1e-28, 0.0),
+    (1e-3, FERMI, 0.1, 0.0),
+    (1e-3, FERMI, 1e-6, 0.3),
 ])
 def test_closure_matches_mpmath(field, sign, beta, gamma):
-    # weak-field points where the closure starts at x0 < 0.5 and its first
-    # panel is ~1e5 times wider than v0: there sqrt(v) is far from a
-    # polynomial, which cost the v-panels 4.8e-6 of N0 and 1.4e-6 of D0
+    # robin- points where the closure starts at x0 < 0.5; at the weak fields
+    # its first panel is ~1e5 times wider than v0: there sqrt(v) is far from
+    # a polynomial, which cost the v-panels 4.8e-6 of N0 and 1.4e-6 of D0.
+    # Seen: 3.1e-15 at the Fermi points from x0 in (0, 0.5)
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, field), count=64)
     full = ladder_sums(sp, beta, STATS[sign], gamma=gamma)
     sigma, rho, n0 = closure_args(sp, beta, gamma)
@@ -408,12 +416,10 @@ def test_bose_plans_hold_as_gamma_rises(wall_kind):
                     assert s == pytest.approx(r, rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("sign", [FERMI, BOSE])
-def test_stale_and_held_lanes_interleaved(sign):
-    # a 40-lane batch summed at a subset of its lanes in shuffled order,
-    # every third one past its reach: each stale lane's column is bit for
-    # bit the sums of a plan made at its own gamma, and each other column
-    # those of the original plan at its gamma
+def interleaved_batch(sign):
+    """test_stale_and_held_lanes_interleaved's batch: a plan of 40 lanes,
+    the 33 lanes it is summed at in shuffled order, their gammas, and which
+    of them (every third) are past their reach."""
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3), count=64)
     rng = np.random.default_rng(5)
     beta = np.geomspace(0.1, 3.0, 40)
@@ -424,9 +430,18 @@ def test_stale_and_held_lanes_interleaved(sign):
     lanes = rng.permutation(40)[:33]
     stale = np.arange(len(lanes)) % 3 == 0
     held = rng.uniform(-0.9, 0.9, len(lanes))
-    gamma = gamma0[lanes] + plan.reach[lanes] * np.where(stale, 2.0 * sign, held)
+    return plan, lanes, gamma0[lanes] + plan.reach[lanes] * np.where(stale, 2.0 * sign, held), stale
+
+
+@pytest.mark.parametrize("sign", [FERMI, BOSE])
+def test_stale_and_held_lanes_interleaved(sign):
+    # a 40-lane batch summed at a subset of its lanes in shuffled order,
+    # every third one past its reach: each stale lane's column is bit for
+    # bit the sums of a plan made at its own gamma, and each other column
+    # those of the original plan at its gamma
+    plan, lanes, gamma, stale = interleaved_batch(sign)
     sums = ladder._sums(plan, lanes, gamma)
-    fresh = ladder._Plan(sp, beta[lanes[stale]], gamma[stale], STATS[sign])
+    fresh = ladder._Plan(plan.spectrum, plan.beta[lanes[stale]], gamma[stale], STATS[sign])
     assert np.array_equal(sums[:, stale], ladder._sums(fresh, np.arange(stale.sum()), gamma[stale]))
     assert np.array_equal(sums[:, ~stale], ladder._sums(plan, lanes[~stale], gamma[~stale]))
 
@@ -479,50 +494,78 @@ def test_sea_closures_sized_after_their_dead_panels_drop():
             assert b[i] == pytest.approx(o, rel=1e-15, abs=0.0)
 
 
+def warm_canonical_work(spectrum, beta):
+    """The work counts and the peak traced memory (tracemalloc, bytes) of a
+    warm ``ladder_sums`` call on canonical lanes ``beta``."""
+    ladder_sums(spectrum, beta, Statistics.CANONICAL)
+    tracemalloc.start()
+    try:
+        with reading() as work:
+            sums = ladder_sums(spectrum, beta, Statistics.CANONICAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return np.array(sums), work, peak
+
+
 def test_a_lane_costs_its_own_node_sets():
     # work-count gate: 1,000 canonical lanes log-spaced on beta in [1e-2, 1e2]
-    # and the same lanes with one more at beta = 1e-100 or 1e-200, whose tail
-    # closure takes hundreds of octave panels.  Each lane's node sets are cut
-    # by their own width, so the larger batch makes at most 1.2x the
-    # _node_sums calls of the 1,000 alone (sized by the batch's widest lane
-    # they made 421 and 807 against 50), and the 1,000 lanes sum bit for bit
-    # as in their batch alone
+    # and the same lanes with one more at beta = 1e-100 or 1e-200.  Each
+    # lane's node sets are cut by their own width, and a canonical closure
+    # takes its tail panels straight from its first exponent however hot,
+    # so the larger batch makes no more _node_sums calls than the 1,000
+    # alone, at most 1.01x their kernel elements and 1.2x their warm traced
+    # peak (seen: 20/20 calls, 146,769/146,638 elements, 1.6/1.6 MB).  With
+    # octave panels up to x = 0.5 the lane at 1e-200 took about 660: 23/22
+    # calls, 1.049x the elements and 14.6/1.9 MB.  The 1,000 lanes sum bit
+    # for bit as in their batch alone
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
     beta = np.geomspace(1e-2, 1e2, 1000)
-    with reading() as work:
-        alone = np.array(ladder_sums(sp, beta, Statistics.CANONICAL))
+    alone, work, peak = warm_canonical_work(sp, beta)
     for extra in (1e-100, 1e-200):
-        with reading() as more:
-            sums = np.array(ladder_sums(sp, np.append(beta, extra), Statistics.CANONICAL))
-        assert more["node_sums"] <= 1.2 * work["node_sums"]
+        sums, more, more_peak = warm_canonical_work(sp, np.append(beta, extra))
+        assert more["node_sums"] <= work["node_sums"]
+        assert more["kernel_elements"] <= 1.01 * work["kernel_elements"]
+        assert more_peak <= 1.2 * peak
         assert sums[:, :1000].tobytes() == alone.tobytes()
         assert np.isfinite(sums[:, 1000]).all()
 
 
 def test_canonical_batch_closes_at_the_switch():
     # work-count gate: 3,000 canonical lanes (robin-, F = 1e-3, beta
-    # log-spaced on [1e-2, 1e2]) take at most 490,000 kernel elements:
-    # 473,596, their direct windows ending where beta dE/dn falls to
-    # DENSE_THRESHOLD = 0.1 and the octaves of their hot closures at x = 0.5
-    # (852,216 with the switch at 0.02 and octaves up to x = 2)
+    # log-spaced on [1e-2, 1e2]) take at most 440,000 kernel elements:
+    # 427,300, their direct windows ending where beta dE/dn falls to
+    # DENSE_THRESHOLD = 0.1 and their closures without octave panels
+    # (473,596 with octaves up to x = 0.5, 852,216 with the switch at 0.02
+    # and octaves up to x = 2)
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-3))
     with reading() as work:
         ladder_sums(sp, np.geomspace(1e-2, 1e2, 3000), Statistics.CANONICAL)
-    assert work["kernel_elements"] <= 490_000
+    assert work["kernel_elements"] <= 440_000
 
 
-def test_closure_runs_within_the_pair_budget_where_lanes_differ_in_layout():
-    # Fermi tail closures whose first exponents lie between -60 and 3: some
-    # lanes take their panels in equal steps across the transition layer,
-    # others in octaves off x = 0, so a run's live panels (those of any of its
-    # lanes) outnumber its widest lane's own.  Cut by the lanes' own widths
-    # alone, a run here held 9,900 pairs; each run is cut again at its live
-    # width.  A few lanes sum as they do alone
+def layout_batch():
+    """800 Fermi lanes at robin-, F = 1, beta = 1, whose tail closures start
+    at exponents spread over [-60, 3]: (spectrum, beta, gamma)."""
     rng = np.random.default_rng(0)
     sp = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1.0))
     beta = np.full(800, 1.0)
     x_em = beta * (sp.energies(ladder._dense_index(sp, beta)) - sp.e0)
-    gamma = rng.uniform(-60.0, 3.0, 800) - x_em
+    return sp, beta, rng.uniform(-60.0, 3.0, 800) - x_em
+
+
+def test_closure_runs_within_the_pair_budget_where_lanes_differ_in_layout():
+    # Fermi tail closures whose first exponents lie between -60 and 3: some
+    # lanes take octaves across a filled sea, others equal steps across the
+    # transition layer from where they start.  Each run of lanes is cut by
+    # the lanes' own widths and, where its live panels (those of any of its
+    # lanes) outnumber its widest lane's own, cut again at its live width:
+    # with octaves off x = 0 for Fermi closures a run here held 9,900 pairs
+    # cut by own widths alone.  Without them the recut splits no run of this
+    # batch; it still splits hot ones, where a deep lane's sea octaves round
+    # away (beta <= 1e-20, gamma in [-60, 3]).  A few lanes sum as they do
+    # alone
+    sp, beta, gamma = layout_batch()
     with reading() as work:
         plan = ladder._Plan(sp, beta, gamma, Statistics.FERMI_DIRAC)
     assert work["tail_lanes"] > 700 and work["tail_blocks"] > 1
@@ -533,6 +576,32 @@ def test_closure_runs_within_the_pair_budget_where_lanes_differ_in_layout():
                        gamma[i], Statistics.FERMI_DIRAC)
         for b, o in zip(batch, one):
             assert b[i] == pytest.approx(o, rel=1e-13, abs=0.0)
+
+
+def test_closure_panels_are_wider_than_rounding():
+    # a deep Fermi lane (gamma0 != 0) without a filled sea took its sea
+    # columns as (d0 - off) + off, which rounds 1 ulp off d0: a panel of 20
+    # nodes 5.6e-17 wide.  Over the Fermi batches of
+    # test_stale_and_held_lanes_interleaved and layout_batch, every closure
+    # panel of positive width is wider than 1e-12 of its upper break (seen:
+    # 4.4e-4; 2.3e-16 with the ulp panels)
+    breaks, panel_breaks = [], ladder._panel_breaks
+
+    def spy(*args):
+        breaks.append(panel_breaks(*args))
+        return breaks[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ladder, "_panel_breaks", spy)
+        plan, lanes, gamma, _ = interleaved_batch(FERMI)
+        ladder._sums(plan, lanes, gamma)  # its stale lanes in a plan of their own
+        ladder._Plan(*layout_batch(), Statistics.FERMI_DIRAC)
+    assert len(breaks) == 4
+    for b in breaks:
+        width = np.diff(b)
+        positive = width > 0.0
+        assert positive.any(axis=1).all()
+        assert np.all(width[positive] > 1e-12 * np.abs(b[:, 1:][positive]))
 
 
 def series_closure(tail, beta, sigma, rho, n0, kind, sign):
@@ -573,23 +642,38 @@ def series_closure(tail, beta, sigma, rho, n0, kind, sign):
 SERIES_CASES = [(OCC, FERMI), (OCC, BOSE), (BOLTZ_KIND, BOLTZ)]
 
 
-@pytest.mark.parametrize("kind,sign", SERIES_CASES)
-def test_closure_matches_incomplete_gamma_series(kind, sign):
-    # starting exponents x0 from 0.5 to above 100, where the geometric series
-    # converges; the tail panels are laid out from x0, so they reach e^-77
-    # of the integrand wherever it starts (Bose gamma = 90 included)
+def series_inputs(kind):
+    """(spectrum, beta, gamma) of test_closure_matches_incomplete_gamma_series:
+    at robin-, F = 1e-4, starting exponents x0 from 0.5 to above 100 and a
+    Bose gamma of 90; for the canonical kernel also the hot lanes
+    beta F^(2/3) = 1e-60 .. 0.2 (gamma = 0, x0 down to 1e-58) on every wall
+    at F = 1e-7 .. 1e3, whose closures take their tail panels straight from
+    x0 (the series overflows past about 1e-60)."""
     spec = build_spectrum(WallSpec(WallKind.ROBIN_ATTRACTIVE, 1e-4), count=64)
-    tail = spec.tail
     for beta in (0.8, 2.0, 5.0):
         _, _, n0 = closure_args(spec, beta, 0.0)
-        u0 = beta * (float(tail.energy(n0)) - spec.e0)
+        u0 = beta * (float(spec.tail.energy(n0)) - spec.e0)
         for gamma in [x0 - u0 for x0 in (0.5, 0.9, 3.0, 12.0, 40.0, 105.0)] + [90.0]:
-            sigma, rho, _ = closure_args(spec, beta, gamma)
-            mine = em_integral(spec, beta, gamma, n0, sign)
-            ref = series_closure(tail, beta, sigma, rho, n0, kind, sign)
-            assert len(mine) == len(ref)
-            for m, r in zip(mine, ref):
-                assert m == pytest.approx(r, rel=1e-12, abs=0.0)
+            yield spec, beta, gamma
+    if kind == BOLTZ_KIND:
+        for wall_kind, field in itertools.product(WallKind, (1e-7, 1e-3, 1.0, 1e3)):
+            spec = build_spectrum(WallSpec(wall_kind, field), count=64)
+            for y in (1e-60, 1e-30, 1e-8, 1e-3, 0.05, 0.2):
+                yield spec, y * field ** (-2.0 / 3.0), 0.0
+
+
+@pytest.mark.parametrize("kind,sign", SERIES_CASES)
+def test_closure_matches_incomplete_gamma_series(kind, sign):
+    # where the geometric series converges (x0 > 0); the tail panels are
+    # laid out from x0, so they reach e^-77 of the integrand wherever it
+    # starts.  Seen: 8.0e-14 over the hot canonical lanes
+    for spec, beta, gamma in series_inputs(kind):
+        sigma, rho, n0 = closure_args(spec, beta, gamma)
+        mine = em_integral(spec, beta, gamma, n0, sign)
+        ref = series_closure(spec.tail, beta, sigma, rho, n0, kind, sign)
+        assert len(mine) == len(ref)
+        for m, r in zip(mine, ref):
+            assert m == pytest.approx(r, rel=1e-12, abs=0.0)
 
 
 def capped_tail_panels(cap):
@@ -601,12 +685,16 @@ def capped_tail_panels(cap):
 
 
 def reference_rule_sums(spectrum, beta, statistics, *, gamma):
-    """``ladder_sums`` with every closure on a 64-node rule and tail panels
-    to e^-119."""
+    """``ladder_sums`` with every closure on a 64-node rule, graded in
+    octaves up to x = 2 as a Bose closure is whatever its statistics, with
+    tail panels to e^-119."""
+    panel_breaks = ladder._panel_breaks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ladder, "_RULES", {s: np.polynomial.legendre.leggauss(64)
                                          for s in Statistics})
         patch.setattr(ladder, "_TAIL_Y", capped_tail_panels(120.0))
+        patch.setattr(ladder, "_panel_breaks", lambda *args: panel_breaks(
+            *args[:-1], Statistics.BOSE_EINSTEIN))
         return ladder_sums(spectrum, beta, statistics, gamma=gamma)
 
 
@@ -618,9 +706,14 @@ def test_closure_quadrature_is_converged(wall_kind):
     # over the closed tails and filled Fermi seas of 40 temperatures per
     # field and statistics (beta F^(2/3) from 1e-3 to 30, and for bosons
     # from 1e-7, each at 5 gammas from 1e-7 to 3: Table 1's hottest Bose
-    # lanes reach 1e-5).  Octave panels that stopped at x = 0.5 left a first
-    # tail panel [x0, x0 + 2.35] too wide for D f ~ 1/x^3 next to the pole:
-    # 3.6e-10 in G_0 at beta F^(2/3) = 1e-7, gamma = 0.5
+    # lanes reach 1e-5).  The reference grades every closure in octaves up
+    # to x = 2, the shipped one only a Bose closure: Bose octaves that stopped
+    # at x = 0.5 left a first tail panel [x0, x0 + 2.35] too wide for
+    # D f ~ 1/x^3 next to the pole (3.6e-10 in G_0 at beta F^(2/3) = 1e-7,
+    # gamma = 0.5), while canonical and FD closures take theirs straight
+    # from x0 (seen: 3.0e-15).  For FD lanes also the moments about mu that
+    # c is built from, D_2/D_0 - (D_1/D_0)^2 and N_1/N_0, from the raw sums,
+    # which about_e0 dilutes (seen: 2.2e-15 and 2.6e-15)
     with reading() as work:
         for field in (1e-7, 1e-5, 1e-3, 1e-1, 10.0):
             sp = build_spectrum(WallSpec(wall_kind, field), count=64)
@@ -637,7 +730,16 @@ def test_closure_quadrature_is_converged(wall_kind):
                 for s, r in zip(about_e0(shipped, gamma, statistics),
                                 about_e0(ref, gamma, statistics)):
                     assert np.all(np.abs(s - r) <= 1e-13 * r)
+                if statistics is Statistics.FERMI_DIRAC:
+                    for s, r in zip(fermi_moments(shipped), fermi_moments(ref)):
+                        assert np.all(np.abs(s - r) <= 1e-13 * np.abs(r))
     assert work["tail_lanes"] > 200 and work["sea_lanes"] > 50
+
+
+def fermi_moments(sums):
+    """(D_2/D_0 - (D_1/D_0)^2, N_1/N_0) of Fermi-Dirac ``ladder_sums``."""
+    n0, n1, d0, d1, d2 = sums[:5]
+    return d2 / d0 - (d1 / d0) ** 2, n1 / n0
 
 
 def switch_betas(spectrum, fractions=(0.5, 1.0 - 1e-9)):
@@ -1000,10 +1102,12 @@ def test_gauss_rules_match_leggauss():
      "particle-number residual nan N, as its particle-number sums are not finite"),
 ], ids=["dirichlet", "neumann", "robin+", "fd-sea"])
 def test_lanes_past_the_float_range_fail_alone(wall_kind, field, ensemble, bad, message):
-    # a lane whose panel octaves run past the float range (an infinite
-    # stop / start in _doublings: a hot canonical lane's first closure
-    # exponent underflows, or a hot full Fermi sea's end overflows) raised a
-    # bare OverflowError for the whole batch.  It fails as a lane, NaN with
+    # a lane whose sums run past the float range raised a bare
+    # OverflowError for the whole batch.  A hot canonical lane's tail panels
+    # start at its first closure exponent, which underflows, and their
+    # energies x / beta overflow to inf, which the closure quadrature turns
+    # into NaN nodes; the full Fermi sea's exponents overflow in its sums
+    # (gamma = -6.2e307 at beta = 1e293).  Each fails as a lane, NaN with
     # a message, alone, one lane each and in a batch, and the other lanes'
     # states are those of a batch without it, bit for bit.  A Fermi lane's
     # message says that its sums are not finite, where it read as a residual
